@@ -11,14 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-DEFAULT_TOL = 1e-9
+from .numerics import DEFAULT_TOL
 
 _SUBCOMMANDS = ("orbit", "symmetry", "triples", "reconstruct", "regroup", "twoqubit", "all")
 
@@ -58,12 +56,6 @@ class Claims:
             }
         )
         return ok
-
-
-def _proj_set_matches(elements, reference, tol: float = 1e-7) -> bool:
-    from .numerics import projective_set_equal
-
-    return projective_set_equal(elements, reference, tol)
 
 
 def _pair_json(pair) -> dict:
@@ -182,7 +174,11 @@ def run_orbit(cfg, claims: Claims):
 
 
 def run_symmetry(cfg, claims: Claims):
-    from .orbits import label_permutation_group, verify_symmetry_group_in_clifford
+    from .orbits import (
+        label_permutation_group,
+        permutation_order,
+        verify_symmetry_group_in_clifford,
+    )
 
     rep = verify_symmetry_group_in_clifford(cfg.tol)
     claims.add("symmetry.extended_order", "extended symmetry group of one SIC", 96, rep.extended_order)
@@ -202,21 +198,10 @@ def run_symmetry(cfg, claims: Claims):
 
     perms = sorted(label_permutation_group(extended=False))
     claims.add("symmetry.label_perm_count", "distinct label permutations, unitary", 48, len(perms))
-    ident = tuple(range(16))
-
-    def pcompose(a, b):
-        return tuple(a[b[i]] for i in range(16))
-
-    def porder(p):
-        o, acc = 1, p
-        while acc != ident:
-            acc = pcompose(p, acc)
-            o += 1
-        return o
-
     hist: dict = {}
     for p in perms:
-        hist[porder(p)] = hist.get(porder(p), 0) + 1
+        order = permutation_order(p)
+        hist[order] = hist.get(order, 0) + 1
     claims.add(
         "symmetry.order_census",
         "element orders in the quotient symmetry group",
@@ -386,8 +371,8 @@ def run_reconstruct(cfg, claims: Claims):
         uniqueness_check,
     )
     from .regrouping import dprime_elements, regrouped_family
-    from .numerics import matrix_to_json
-    from .weyl_heisenberg import displacement
+    from .numerics import matrix_to_json, projective_set_equal
+    from .weyl_heisenberg import displacement, displacement_table
 
     orbit = enumerate_orbit()
     rho = orbit.projectors[0]
@@ -421,7 +406,7 @@ def run_reconstruct(cfg, claims: Claims):
         len(matching),
     )
 
-    disp = np.stack([displacement(p1, p2, 4) for p1 in range(4) for p2 in range(4)])
+    disp = displacement_table(4).reshape(16, 4, 4)
     from .reconstruction import _phase_operator
 
     in_group = 0
@@ -439,19 +424,13 @@ def run_reconstruct(cfg, claims: Claims):
 
     sics, _ = regrouped_family(orbit)
     dp = dprime_elements()
-    threads = max(1, cfg.threads)
-
-    def recon_original(n):
+    orig, regr = [], []
+    for n in range(1, 17):
         rec = reconstruct_hw(orbit.sic(n), cfg.tol)
-        return _proj_set_matches(rec.elements, disp), rec
-
-    def recon_regrouped(s):
+        orig.append((projective_set_equal(rec.elements, disp), rec))
+    for s in sics:
         rec = reconstruct_hw(s, cfg.tol)
-        return _proj_set_matches(rec.elements, dp), rec
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        orig = list(pool.map(recon_original, range(1, 17)))
-        regr = list(pool.map(recon_regrouped, sics))
+        regr.append((projective_set_equal(rec.elements, dp), rec))
     claims.add(
         "reconstruct.original_family",
         "reconstruction returns the displacement group on SICs 1-16",
@@ -465,8 +444,7 @@ def run_reconstruct(cfg, claims: Claims):
         sum(ok for ok, _ in regr),
     )
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        uniq = list(pool.map(uniqueness_check, [orbit.sic(n) for n in range(1, 17)] + sics))
+    uniq = [uniqueness_check(s) for s in [orbit.sic(n) for n in range(1, 17)] + sics]
     claims.add(
         "reconstruct.uniqueness",
         "each of the 32 SICs is covariant under exactly one order-16 group",
@@ -488,10 +466,10 @@ def run_reconstruct(cfg, claims: Claims):
 
 def run_reconstruct_input(cfg, claims: Claims):
     """Reconstruction on a user-supplied SIC (JSON file of 16 states)."""
-    from .numerics import matrix_from_json, matrix_to_json
+    from .numerics import matrix_from_json, matrix_to_json, projective_set_equal
     from .reconstruction import reconstruct_hw
     from .regrouping import dprime_elements
-    from .weyl_heisenberg import SicPovm, displacement, verify_sic
+    from .weyl_heisenberg import SicPovm, displacement_table, verify_sic
 
     with open(cfg.input_path) as fh:
         data = json.load(fh)
@@ -501,10 +479,9 @@ def run_reconstruct_input(cfg, claims: Claims):
     if not rep.is_sic:
         return {}
     rec = reconstruct_hw(SicPovm(4, states, label="input"), cfg.tol)
-    disp = np.stack([displacement(p1, p2, 4) for p1 in range(4) for p2 in range(4)])
-    if _proj_set_matches(rec.elements, disp):
+    if projective_set_equal(rec.elements, displacement_table(4).reshape(16, 4, 4)):
         verdict = "displacement"
-    elif _proj_set_matches(rec.elements, dprime_elements()):
+    elif projective_set_equal(rec.elements, dprime_elements()):
         verdict = "conjugate-displacement"
     else:
         verdict = "other"
@@ -523,7 +500,7 @@ def run_reconstruct_input(cfg, claims: Claims):
 
 def run_regroup(cfg, claims: Claims):
     from .clifford import enumerate_projective_clifford
-    from .numerics import matrix_to_json, proj_equal
+    from .numerics import commutator_phase, matrix_to_json, proj_equal, projective_set_equal
     from .orbits import enumerate_orbit
     from .regrouping import (
         EQUIVALENCE_MATRIX,
@@ -536,15 +513,12 @@ def run_regroup(cfg, claims: Claims):
         equivalence_unitary,
         exhaustive_regroup_scan,
         fidelity_graph,
+        generated_cosets,
         hw_conjugate_subgroup_census,
-        pair_coset,
         regrouped_family,
-        _canon,
-        _mul,
-        _power,
     )
     from .clifford import to_operator
-    from .weyl_heisenberg import displacement
+    from .weyl_heisenberg import displacement_table
 
     orbit = enumerate_orbit()
     sics, matching = regrouped_family(orbit, cfg.tol)
@@ -590,7 +564,7 @@ def run_regroup(cfg, claims: Claims):
         True,
         gen_ok,
     )
-    comm = complex(np.trace(zp @ xp @ zp.conj().T @ xp.conj().T)) / 4.0
+    comm = commutator_phase(zp, xp)
     claims.add(
         "regroup.commutation_projective",
         "clock and shift commute up to a fourth root of unity",
@@ -614,14 +588,14 @@ def run_regroup(cfg, claims: Claims):
     )
 
     u = equivalence_unitary()
-    disp = np.stack([displacement(p1, p2, 4) for p1 in range(4) for p2 in range(4)])
+    disp = displacement_table(4).reshape(16, 4, 4)
     dp = dprime_elements()
     img = np.einsum("ab,kbc,dc->kad", u, disp, u.conj())
     claims.add(
         "regroup.equivalence_conjugates_group",
         "the equivalence unitary maps the displacement group onto its conjugate",
         True,
-        _proj_set_matches(img, dp),
+        projective_set_equal(img, dp),
     )
 
     def sic_key(states):
@@ -663,14 +637,8 @@ def run_regroup(cfg, claims: Claims):
     total, normal, _, normal_sets = hw_conjugate_subgroup_census()
     claims.add("regroup.census_total", "displacement-type subgroups of the Clifford group", 32, total)
     claims.add("regroup.census_normal", "normal displacement-type subgroups", 2, normal)
-    ident = _canon(((1, 0, 0, 1), (0, 0)))
     dbar = frozenset(displacement_coset(p1, p2) for p1 in range(4) for p2 in range(4))
-    xp_c, zp_c = pair_coset(X_PRIME_PAIR), pair_coset(Z_PRIME_PAIR)
-    dbar_prime = frozenset(
-        _canon(_mul(_power(xp_c, a, ident), _power(zp_c, b, ident)))
-        for a in range(4)
-        for b in range(4)
-    )
+    dbar_prime = generated_cosets(X_PRIME_PAIR, Z_PRIME_PAIR)
     claims.add(
         "regroup.census_normal_identified",
         "the two normal subgroups are the original and conjugate displacement groups",
@@ -940,6 +908,17 @@ def _render_tsv(report) -> str:
     return "\n".join(lines)
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a finite positive float."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError("expected a finite positive number, got %r" % text)
+    return tol
+
+
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sic4",
@@ -948,7 +927,7 @@ def _make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in _SUBCOMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
         p.add_argument("--format", choices=("json", "tsv", "text"), default="text")
         p.add_argument("--out", type=str, default=None)
         if name in ("twoqubit", "all"):
@@ -963,14 +942,11 @@ def _make_parser() -> argparse.ArgumentParser:
 class RunConfig:
     def __init__(self, args):
         self.tol = args.tol
-        if self.tol <= 0:
-            raise SystemExit(2)
         self.format = args.format
         self.out = args.out
         self.basis = getattr(args, "basis", "product")
         self.full_scan = getattr(args, "full_scan", False)
         self.input_path = getattr(args, "input_path", None)
-        self.threads = max(1, int(os.environ.get("SIC4_THREADS", "1") or 1))
 
     def echo(self) -> dict:
         return {
@@ -978,7 +954,6 @@ class RunConfig:
             "format": self.format,
             "basis": self.basis,
             "full_scan": self.full_scan,
-            "threads": self.threads,
         }
 
 

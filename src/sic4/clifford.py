@@ -7,10 +7,10 @@ unitary U with
     U D_p U^dag = omega^<chi, F p> D_(F p).
 
 Antiunitary elements carry det F = -1 and factor through complex
-conjugation.  The kernel of the map (for even d) has eight elements, so
-iterating over all (F, chi) pairs and deduplicating projectively yields the
-full projective group; in dimension 4 that is 768 unitary elements and 1536
-including the antiunitary coset.
+conjugation.  The kernel of the map (for even d) is the eight pairs of
+``kernel_pairs`` (Appleby, quant-ph/0412001), so the projective group is the
+set of kernel cosets, decided in exact integer arithmetic; in dimension 4
+that is 768 unitary elements and 1536 including the antiunitary coset.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, GroupElement, canonical_key, conjugate
+from .numerics import DEFAULT_TOL, GroupElement, conjugate
 from .weyl_heisenberg import displacement_table, omega, symplectic_form, tau
 
 
@@ -69,18 +69,30 @@ class SymplecticPair:
         return ((a * p[0] + b * p[1]) % self.d, (c * p[0] + e * p[1]) % self.d)
 
 
+def _compose(f, chi, g, psi, dbar: int, d: int) -> tuple:
+    """The group law (F, chi) (G, psi) = (F G, chi + F psi) on components.
+
+    F and G are 4-tuples, chi and psi pairs; entries are Python ints or
+    numpy integer arrays (elementwise).  Returns (F G, chi + F psi) reduced
+    mod (dbar, d).
+    """
+    a, b, c, e = f
+    return (
+        (
+            (a * g[0] + b * g[2]) % dbar,
+            (a * g[1] + b * g[3]) % dbar,
+            (c * g[0] + e * g[2]) % dbar,
+            (c * g[1] + e * g[3]) % dbar,
+        ),
+        ((chi[0] + a * psi[0] + b * psi[1]) % d, (chi[1] + c * psi[0] + e * psi[1]) % d),
+    )
+
+
 def semidirect_product(x: SymplecticPair, y: SymplecticPair) -> SymplecticPair:
     """(F1, chi1) (F2, chi2) = (F1 F2, chi1 + F1 chi2)."""
     if x.d != y.d:
         raise ValueError("mixed dimensions")
-    a, b, c, e = x.F
-    f = (
-        a * y.F[0] + b * y.F[2],
-        a * y.F[1] + b * y.F[3],
-        c * y.F[0] + e * y.F[2],
-        c * y.F[1] + e * y.F[3],
-    )
-    chi = (x.chi[0] + a * y.chi[0] + b * y.chi[1], x.chi[1] + c * y.chi[0] + e * y.chi[1])
+    f, chi = _compose(x.F, x.chi, y.F, y.chi, x.dbar, x.d)
     return SymplecticPair(f, chi, x.d)
 
 
@@ -181,7 +193,8 @@ def symplectic_group_matrices(db: int, det: int = 1) -> tuple:
     return tuple(out)
 
 
-def kernel_pairs(d: int) -> list:
+@lru_cache(maxsize=None)
+def kernel_pairs(d: int) -> tuple:
     """The eight (F, chi) pairs mapping to the projective identity (even d)."""
     if d % 2 != 0:
         raise ValueError("kernel enumeration implemented for even d only")
@@ -190,7 +203,28 @@ def kernel_pairs(d: int) -> list:
         f = (1 + r * d, s * d, t * d, 1 + r * d)
         chi = ((s * d) // 2, (t * d) // 2)
         out.append(SymplecticPair(f, chi, d))
-    return out
+    return tuple(out)
+
+
+def coset(pair: SymplecticPair) -> tuple:
+    """Exact name of the projective element of a pair: the least (F, chi),
+    as nested tuples, in its coset of the kernel."""
+    return min(
+        _compose(pair.F, pair.chi, k.F, k.chi, pair.dbar, pair.d) for k in kernel_pairs(pair.d)
+    )
+
+
+def _sector(d: int, det: int) -> tuple:
+    """One CliffordElement per kernel coset of the pairs with det F = det,
+    represented by the first pair met in enumeration order."""
+    seen = {}
+    for f in symplectic_group_matrices(2 * d, det):
+        for chi in itertools.product(range(d), repeat=2):
+            pair = SymplecticPair(f, chi, d)
+            name = coset(pair)
+            if name not in seen:
+                seen[name] = CliffordElement(pair, to_operator(pair))
+    return tuple(seen.values())
 
 
 @lru_cache(maxsize=None)
@@ -198,23 +232,48 @@ def enumerate_projective_clifford(d: int = 4, extended: bool = False) -> tuple:
     """All projectively distinct Clifford elements as CliffordElements.
 
     Iterates every (F, chi) pair in the chosen determinant sector(s) and
-    deduplicates operators modulo global phase.  For d = 4 this yields 768
-    unitary elements, 1536 with extended=True.
+    keeps the first pair of each kernel coset.  For d = 4 this yields 768
+    unitary elements, then 768 antiunitary ones with extended=True.
     """
     if d != 4:
         raise ValueError("group enumeration is calibrated for d = 4")
+    if extended:
+        return enumerate_projective_clifford(d, extended=False) + _sector(d, 2 * d - 1)
+    return _sector(d, 1)
+
+
+def _pair_key(f, chi, d: int):
+    """Dense integer index of reduced components (F mod 2d, chi mod d)."""
     db = 2 * d
-    dets = (1, db - 1) if extended else (1,)
-    seen = {}
-    for det in dets:
-        for f in symplectic_group_matrices(db, det):
-            for chi in itertools.product(range(d), repeat=2):
-                pair = SymplecticPair(f, chi, d)
-                op = to_operator(pair)
-                key = (op.antiunitary, canonical_key(op.matrix))
-                if key not in seen:
-                    seen[key] = CliffordElement(pair, op)
-    return tuple(seen.values())
+    return (((f[0] * db + f[1]) * db + f[2]) * db + f[3]) * d * d + chi[0] * d + chi[1]
+
+
+@lru_cache(maxsize=None)
+def multiplication_table(d: int = 4) -> np.ndarray:
+    """Cayley table of the projective Clifford group, as int16.
+
+    Entry [i, j] is the index, among the unitary elements of
+    enumerate_projective_clifford(d), of element i times element j.  Built
+    row by row from the integer group law on the coset representatives; a
+    product that lands outside the enumerated cosets raises ValueError.
+    """
+    els = enumerate_projective_clifford(d, extended=False)
+    if len(els) != 768:
+        raise AssertionError("projective Clifford quotient should have 768 elements")
+    db = 2 * d
+    f = np.array([e.source.F for e in els]).T
+    chi = np.array([e.source.chi for e in els]).T
+    index = np.full(db**4 * d * d, -1, dtype=np.int16)
+    for k in kernel_pairs(d):
+        index[_pair_key(*_compose(f, chi, k.F, k.chi, db, d), d)] = np.arange(len(els))
+    table = np.empty((len(els), len(els)), dtype=np.int16)
+    for i, e in enumerate(els):
+        row = index[_pair_key(*_compose(e.source.F, e.source.chi, f, chi, db, d), d)]
+        if row.min() < 0:
+            raise ValueError("product of %r leaves the projective quotient" % (e.source,))
+        table[i] = row
+    table.flags.writeable = False
+    return table
 
 
 def match_projective(m: np.ndarray, stack: np.ndarray, tol: float = 1e-6) -> int:

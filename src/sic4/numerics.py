@@ -112,6 +112,14 @@ def projective_order(g: GroupElement, max_order: int = 100, tol: float = DEFAULT
     raise ValueError("no projective order found up to %d" % max_order)
 
 
+def commutator_phase(a, b) -> complex:
+    """tr(a b a^dag b^dag) / d: the scalar c with a b = c b a when the two
+    unitaries commute up to a phase."""
+    a = _as_complex(a)
+    b = _as_complex(b)
+    return complex(np.trace(a @ b @ a.conj().T @ b.conj().T)) / a.shape[0]
+
+
 def eig_hermitian(m, tol: float = DEFAULT_TOL):
     """Eigendecomposition of a Hermitian matrix with a fixed phase gauge.
 

@@ -84,14 +84,6 @@ STABILIZER_ORBIT_SETS = (
 LABEL_GRID = ((1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12), (13, 14, 15, 16))
 
 
-def grid_row(label: int) -> int:
-    return (label - 1) // 4
-
-
-def grid_column(label: int) -> int:
-    return (label - 1) % 4
-
-
 def fiducial_projector() -> np.ndarray:
     v = fiducial_ket_d4()
     return np.outer(v, v.conj())
@@ -208,10 +200,6 @@ def stabilizer_orbits_within_sic() -> list:
     return orbits
 
 
-def triple_trace(a, b, c) -> complex:
-    return complex(np.trace(np.asarray(a) @ np.asarray(b) @ np.asarray(c)))
-
-
 def _cluster_complex(values, gap: float = 1e-6):
     """Group complex values into clusters whose centers differ by > gap."""
     uniq = {}
@@ -255,6 +243,21 @@ def triple_trace_census(label: int = 1, gap: float = 1e-6):
         if a != b and b != c and a != c
     ]
     return _cluster_complex(vals, gap)
+
+
+def compose_permutations(p, q) -> tuple:
+    """p after q for permutations given as tuples of images."""
+    return tuple(p[i] for i in q)
+
+
+def permutation_order(p) -> int:
+    """Smallest n >= 1 with p^n the identity."""
+    ident = tuple(range(len(p)))
+    order, acc = 1, tuple(p)
+    while acc != ident:
+        acc = compose_permutations(p, acc)
+        order += 1
+    return order
 
 
 @dataclass
@@ -381,26 +384,17 @@ def verify_symmetry_group_in_clifford(tol: float = DEFAULT_TOL) -> SymmetryRepor
     # the unique order-16 subgroup: exactly 16 elements of 2-power order,
     # closed under composition, normal, and equal to the displacements
     plist = list(perms)
-    def pcompose(p, q):
-        return tuple(p[q[i]] for i in range(16))
-    def porder(p):
-        o, acc = 1, p
-        ident = tuple(range(16))
-        while acc != ident:
-            acc = pcompose(p, acc)
-            o += 1
-        return o
-    two_power = [p for p in plist if porder(p) in (1, 2, 4, 8, 16)]
+    two_power = [p for p in plist if permutation_order(p) in (1, 2, 4, 8, 16)]
     unique16 = len(two_power) == 16
     tp = set(two_power)
     if unique16:
-        unique16 = all(pcompose(a, b) in tp for a in tp for b in tp)
+        unique16 = all(compose_permutations(a, b) in tp for a in tp for b in tp)
     if unique16:
         for g in plist:
             ginv = g
-            while pcompose(g, ginv) != tuple(range(16)):
-                ginv = pcompose(ginv, g)
-            if any(pcompose(pcompose(g, h), ginv) not in tp for h in tp):
+            while compose_permutations(g, ginv) != tuple(range(16)):
+                ginv = compose_permutations(ginv, g)
+            if any(compose_permutations(compose_permutations(g, h), ginv) not in tp for h in tp):
                 unique16 = False
                 break
     if unique16:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, canonical_phase, eig_hermitian
+from .numerics import DEFAULT_TOL, canonical_phase, commutator_phase, eig_hermitian
 from .weyl_heisenberg import CONSTANTS, SicPovm, verify_sic
 
 # eigenvalue of the 4-state sum paired with the phase i^k it tags
@@ -87,10 +87,6 @@ def _state_permutation(gen: np.ndarray, states: np.ndarray, tol: float = 1e-6):
     return perm
 
 
-def _commutator_phase(a: np.ndarray, b: np.ndarray) -> complex:
-    return complex(np.trace(a @ b @ a.conj().T @ b.conj().T)) / 4.0
-
-
 @dataclass
 class ReconstructedGroup:
     z_gen: np.ndarray
@@ -146,10 +142,10 @@ def reconstruct_hw(sic: SicPovm, tol: float = DEFAULT_TOL) -> ReconstructedGroup
         raise ValueError("no cross-orbit selection realizes the reference signature")
 
     omega = 1j
-    c = _commutator_phase(zp, xp)
+    c = commutator_phase(zp, xp)
     if abs(c - omega) > 1e-8:
         xp = xp.conj().T
-        c = _commutator_phase(zp, xp)
+        c = commutator_phase(zp, xp)
     if abs(c - omega) > 1e-8:
         raise ValueError("generators do not satisfy the clock-shift commutation")
 
@@ -194,7 +190,7 @@ def uniqueness_check(sic: SicPovm, tol: float = DEFAULT_TOL) -> bool:
     and close under composition they form the unique one (two distinct
     Sylow subgroups would overflow that count).
     """
-    from .orbits import element_arrays
+    from .orbits import compose_permutations, element_arrays, permutation_order
 
     if not verify_sic(sic.states, sic.d, tol).is_sic:
         raise ValueError("input does not certify as a SIC-POVM")
@@ -220,19 +216,7 @@ def uniqueness_check(sic: SicPovm, tol: float = DEFAULT_TOL) -> bool:
     if len(perms) != 48:
         raise ValueError("symmetry group inside the Clifford group has order %d, expected 48" % len(perms))
 
-    ident = tuple(range(16))
-
-    def pcompose(p, q):
-        return tuple(p[q[i]] for i in range(16))
-
-    def porder(p):
-        o, acc = 1, p
-        while acc != ident:
-            acc = pcompose(p, acc)
-            o += 1
-        return o
-
-    two_power = {p for p in perms if porder(p) in (1, 2, 4, 8, 16)}
+    two_power = {p for p in perms if permutation_order(p) in (1, 2, 4, 8, 16)}
     if len(two_power) != 16:
         return False
-    return all(pcompose(a, b) in two_power for a in two_power for b in two_power)
+    return all(compose_permutations(a, b) in two_power for a in two_power for b in two_power)

@@ -17,8 +17,14 @@ from functools import lru_cache
 import networkx as nx
 import numpy as np
 
-from .clifford import SymplecticPair, kernel_pairs, to_operator
-from .numerics import proj_equal
+from .clifford import (
+    SymplecticPair,
+    coset,
+    enumerate_projective_clifford,
+    multiplication_table,
+    to_operator,
+)
+from .numerics import commutator_phase, proj_equal
 from .orbits import LABEL_GRID, FiducialOrbit, enumerate_orbit, fiducial_projector
 from .weyl_heisenberg import SicPovm, verify_sic
 
@@ -215,68 +221,35 @@ def equivalence_unitary() -> np.ndarray:
 # ---------------------------------------------------------------------------
 # census of displacement-type subgroups inside the projective Clifford group
 #
-# elements are cosets of the 8-element kernel; a coset is named by the
-# lexicographically least (F, chi) it contains, so tuples compare fast.
-
-
-def _mul(a, b):
-    (f0, f1, f2, f3), (c0, c1) = a
-    (g0, g1, g2, g3), (d0, d1) = b
-    return (
-        (
-            (f0 * g0 + f1 * g2) % 8,
-            (f0 * g1 + f1 * g3) % 8,
-            (f2 * g0 + f3 * g2) % 8,
-            (f2 * g1 + f3 * g3) % 8,
-        ),
-        ((c0 + f0 * d0 + f1 * d1) % 4, (c1 + f2 * d0 + f3 * d1) % 4),
-    )
+# elements are kernel cosets, named by clifford.coset and indexed as in
+# the unitary enumerate_projective_clifford(4); products are lookups in the
+# Cayley table.
 
 
 @lru_cache(maxsize=1)
-def _kernel_tuples():
-    return tuple((p.F, p.chi) for p in kernel_pairs(4))
+def _quotient() -> tuple:
+    """(Cayley table, coset names, name -> index) of the 768 unitary cosets."""
+    names = tuple(coset(e.source) for e in enumerate_projective_clifford(4, extended=False))
+    return multiplication_table(4), names, {name: i for i, name in enumerate(names)}
 
 
-def _canon(g):
-    return min(_mul(g, k) for k in _kernel_tuples())
+def _span(table: np.ndarray, x: int, z: int, identity: int) -> np.ndarray:
+    """Indices of x^a z^b for 0 <= a, b < 4."""
+    powers = []
+    for g in (x, z):
+        acc = [identity]
+        for _ in range(3):
+            acc.append(table[acc[-1], g])
+        powers.append(acc)
+    return table[np.ix_(*powers)].ravel()
 
 
-def _inv(g):
-    (f0, f1, f2, f3), (c0, c1) = g
-    # det is 1 mod 8 for the unitary sector
-    h = (f3 % 8, (-f1) % 8, (-f2) % 8, f0 % 8)
-    d0 = (-(h[0] * c0 + h[1] * c1)) % 4
-    d1 = (-(h[2] * c0 + h[3] * c1)) % 4
-    return (h, (d0, d1))
-
-
-@lru_cache(maxsize=1)
-def _quotient_elements():
-    from .clifford import symplectic_group_matrices
-
-    els = set()
-    for f in symplectic_group_matrices(8, det=1):
-        for chi in itertools.product(range(4), repeat=2):
-            els.add(_canon((f, chi)))
-    if len(els) != 768:
-        raise AssertionError("projective Clifford quotient should have 768 elements")
-    return sorted(els)
-
-
-def _order4_elements(identity):
-    out = []
-    for g in _quotient_elements():
-        g2 = _canon(_mul(g, g))
-        if g2 == identity or g == identity:
-            continue
-        if _canon(_mul(g2, g2)) == identity:
-            out.append(g)
-    return out
-
-
-def _commutator_phase(a: np.ndarray, b: np.ndarray) -> complex:
-    return complex(np.trace(a @ b @ a.conj().T @ b.conj().T)) / 4.0
+def generated_cosets(x: SymplecticPair, z: SymplecticPair) -> frozenset:
+    """Coset names of x^a z^b, 0 <= a, b < 4: the group <x, z> when x and
+    z commute projectively and have order 4."""
+    table, names, index = _quotient()
+    span = _span(table, index[coset(x)], index[coset(z)], index[displacement_coset(0, 0)])
+    return frozenset(names[k] for k in span)
 
 
 def hw_conjugate_subgroup_census() -> tuple:
@@ -288,50 +261,52 @@ def hw_conjugate_subgroup_census() -> tuple:
     the generators to be a primitive fourth root of unity, which pins the
     commutation structure down to that of the displacement pair.
     """
-    identity = _canon(((1, 0, 0, 1), (0, 0)))
-    quartic = _order4_elements(identity)
+    table, names, index = _quotient()
+    els = enumerate_projective_clifford(4, extended=False)
+    identity = index[displacement_coset(0, 0)]
+    square = np.diagonal(table)
+    # order-4 elements, in coset-name order so the census lists are stable
+    quartic = sorted(
+        np.nonzero((square != identity) & (square[square] == identity))[0], key=names.__getitem__
+    )
+    sub = table[np.ix_(quartic, quartic)]
     subgroups = {}
-    for x, z in itertools.combinations(quartic, 2):
-        if _canon(_mul(x, z)) != _canon(_mul(z, x)):
+    for i, j in zip(*np.nonzero(np.triu(sub == sub.T, 1))):
+        x, z = quartic[i], quartic[j]
+        span = frozenset(_span(table, x, z, identity).tolist())
+        if len(span) != 16 or span in subgroups:
             continue
-        els = frozenset(
-            _canon(_mul(_power(x, a, identity), _power(z, b, identity)))
-            for a in range(4)
-            for b in range(4)
-        )
-        if len(els) != 16 or els in subgroups:
-            continue
-        ux = to_operator(SymplecticPair(F=x[0], chi=(x[1][0] % 4, x[1][1] % 4), d=4)).matrix
-        uz = to_operator(SymplecticPair(F=z[0], chi=(z[1][0] % 4, z[1][1] % 4), d=4)).matrix
-        c = _commutator_phase(ux, uz)
-        subgroups[els] = abs(c.imag) > 0.5  # primitive pairing
+        c = commutator_phase(els[x].op.matrix, els[z].op.matrix)
+        subgroups[span] = abs(c.imag) > 0.5  # primitive pairing
     hw_type = [s for s, primitive in subgroups.items() if primitive]
     gens = [
-        _canon(((1, 1, 0, 1), (0, 0))),
-        _canon(((0, 7, 1, 0), (0, 0))),
-        _canon(((1, 0, 0, 1), (1, 0))),
-        _canon(((1, 0, 0, 1), (0, 1))),
+        index[coset(SymplecticPair(f, chi, 4))]
+        for f, chi in (
+            ((1, 1, 0, 1), (0, 0)),
+            ((0, 7, 1, 0), (0, 0)),
+            ((1, 0, 0, 1), (1, 0)),
+            ((1, 0, 0, 1), (0, 1)),
+        )
     ]
-    normal = []
-    for s in hw_type:
+    inverses = [np.flatnonzero(table[g] == identity)[0] for g in gens]
+    normal = [
+        s
+        for s in hw_type
         if all(
-            all(_canon(_mul(_mul(g, m), _inv(g))) in s for m in s) for g in gens
-        ):
-            normal.append(s)
-    return len(hw_type), len(normal), hw_type, normal
+            s.issuperset(table[table[g, list(s)], g_inv].tolist())
+            for g, g_inv in zip(gens, inverses)
+        )
+    ]
 
+    def named(s):
+        return frozenset(names[k] for k in s)
 
-def _power(g, n, identity):
-    acc = identity
-    for _ in range(n):
-        acc = _canon(_mul(acc, g))
-    return acc
+    return len(hw_type), len(normal), [named(s) for s in hw_type], [named(s) for s in normal]
 
 
 def displacement_coset(p1: int, p2: int):
     """Coset name of the displacement with index (p1, p2)."""
-    return _canon(((1, 0, 0, 1), (p1 % 4, p2 % 4)))
+    return coset(SymplecticPair((1, 0, 0, 1), (p1, p2), 4))
 
 
-def pair_coset(pair: SymplecticPair):
-    return _canon((pair.F, pair.chi))
+pair_coset = coset

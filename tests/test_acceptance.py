@@ -43,9 +43,6 @@ from sic4.regrouping import (
     regrouped_family,
     X_PRIME_PAIR,
     Z_PRIME_PAIR,
-    _canon,
-    _mul,
-    _power,
 )
 from sic4.two_qubit import (
     avg_reduced_purity,
@@ -249,14 +246,13 @@ def test_criterion_10_equivalence():
 
 def test_criterion_11_subgroup_census():
     total, normal, _, normal_sets = hw_conjugate_subgroup_census()
-    ident = _canon(((1, 0, 0, 1), (0, 0)))
+    ident = SymplecticPair((1, 0, 0, 1), (0, 0), 4)
     dbar = frozenset(displacement_coset(p1, p2) for p1 in range(4) for p2 in range(4))
-    xc, zc = pair_coset(X_PRIME_PAIR), pair_coset(Z_PRIME_PAIR)
-    dbar_prime = frozenset(
-        _canon(_mul(_power(xc, a, ident), _power(zc, b, ident)))
-        for a in range(4)
-        for b in range(4)
-    )
+    xs, zs = [ident], [ident]
+    for _ in range(3):
+        xs.append(semidirect_product(xs[-1], X_PRIME_PAIR))
+        zs.append(semidirect_product(zs[-1], Z_PRIME_PAIR))
+    dbar_prime = frozenset(pair_coset(semidirect_product(x, z)) for x in xs for z in zs)
     ok = total == 32 and normal == 2 and set(normal_sets) == {dbar, dbar_prime}
     _report(11, ok, "32 displacement-type subgroups, the 2 normal ones identified")
 

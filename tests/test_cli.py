@@ -26,6 +26,15 @@ def test_usage_error_exits_2():
         main([])
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_invalid_tolerance_exits_2(tol, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["triples", "--tol", tol])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert "--tol" in err and "finite positive" in err
+
+
 def test_json_report(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     assert main(["twoqubit", "--format", "json", "--out", str(out_file)]) == 0

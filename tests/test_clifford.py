@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,15 +7,17 @@ from sic4.clifford import (
     CliffordElement,
     SymplecticPair,
     conjugation_action,
+    coset,
     enumerate_projective_clifford,
     kernel_pairs,
     match_projective,
+    multiplication_table,
     semidirect_product,
     symplectic_group_matrices,
     symplectic_inverse,
     to_operator,
 )
-from sic4.numerics import compose, elements_proj_equal, proj_equal
+from sic4.numerics import canonical_key, compose, elements_proj_equal, proj_equal
 from sic4.weyl_heisenberg import displacement
 
 
@@ -113,3 +117,44 @@ def test_match_projective():
     rng = np.random.default_rng(1)
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     assert match_projective(q, stack) == -1
+
+
+def _float_hash_sources(extended):
+    """Reference enumeration: dedup every pair's operator by a phase-fixed,
+    rounded fingerprint of its matrix, keeping the first pair per class."""
+    seen = {}
+    for det in (1, 7) if extended else (1,):
+        for f in symplectic_group_matrices(8, det):
+            for chi in itertools.product(range(4), repeat=2):
+                pair = SymplecticPair(f, chi, 4)
+                op = to_operator(pair)
+                seen.setdefault((op.antiunitary, canonical_key(op.matrix)), pair)
+    return [(p.F, p.chi) for p in seen.values()]
+
+
+@pytest.mark.parametrize("extended", [False, True])
+def test_coset_enumeration_matches_float_hash(extended):
+    els = enumerate_projective_clifford(4, extended=extended)
+    assert [(e.source.F, e.source.chi) for e in els] == _float_hash_sources(extended)
+
+
+def test_coset_is_constant_on_kernel_cosets():
+    pair = SymplecticPair((3, 0, 2, 3), (0, 1), 4)
+    names = {coset(semidirect_product(pair, k)) for k in kernel_pairs(4)}
+    assert names == {coset(pair)}
+    assert coset(pair) == min((q.F, q.chi) for q in (semidirect_product(pair, k) for k in kernel_pairs(4)))
+
+
+def test_multiplication_table_is_a_homomorphism():
+    els = enumerate_projective_clifford(4, extended=False)
+    table = multiplication_table(4)
+    assert table.dtype == np.int16 and table.shape == (768, 768)
+    rng = np.random.default_rng(31)
+    for i, j in rng.integers(0, 768, size=(200, 2)):
+        k = table[i, j]
+        assert coset(els[k].source) == coset(semidirect_product(els[i].source, els[j].source))
+        assert proj_equal(els[k].op.matrix, els[i].op.matrix @ els[j].op.matrix)
+    ident = coset(SymplecticPair((1, 0, 0, 1), (0, 0), 4))
+    e = next(n for n, el in enumerate(els) if coset(el.source) == ident)
+    assert np.array_equal(table[e], np.arange(768))
+    assert np.array_equal(table[:, e], np.arange(768))
