@@ -464,16 +464,35 @@ def run_reconstruct(cfg, claims: Claims):
     return payload
 
 
+class _InputError(Exception):
+    """A --input file that cannot be read as 16 states of dimension 4."""
+
+
+def _read_input_states(path: str) -> np.ndarray:
+    """The (16, 4, 4) states of a --input file; _InputError, with a one-line
+    reason, when the file is missing, not JSON or not of that form."""
+    from .numerics import matrix_from_json
+
+    try:
+        with open(path) as fh:
+            states = np.stack([matrix_from_json(m) for m in json.load(fh)["states"]])
+    except OSError as exc:
+        raise _InputError(exc.strerror or str(exc)) from None
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers JSONDecodeError
+        raise _InputError("not a SIC file (%s: %s)" % (type(exc).__name__, exc)) from None
+    if states.shape != (16, 4, 4):
+        raise _InputError("expected 16 states of dimension 4, got shape %s" % (states.shape,))
+    return states
+
+
 def run_reconstruct_input(cfg, claims: Claims):
     """Reconstruction on a user-supplied SIC (JSON file of 16 states)."""
-    from .numerics import matrix_from_json, matrix_to_json, projective_set_equal
+    from .numerics import matrix_to_json, projective_set_equal
     from .reconstruction import reconstruct_hw
     from .regrouping import dprime_elements
     from .weyl_heisenberg import SicPovm, displacement_table, verify_sic
 
-    with open(cfg.input_path) as fh:
-        data = json.load(fh)
-    states = np.stack([matrix_from_json(m) for m in data["states"]])
+    states = _read_input_states(cfg.input_path)
     rep = verify_sic(states, 4, cfg.tol)
     claims.add("reconstruct.input_is_sic", "input passes the SIC certificate", True, rep.is_sic)
     if not rep.is_sic:
@@ -501,7 +520,7 @@ def run_reconstruct_input(cfg, claims: Claims):
 def run_regroup(cfg, claims: Claims):
     from .clifford import enumerate_projective_clifford
     from .numerics import commutator_phase, matrix_to_json, proj_equal, projective_set_equal
-    from .orbits import enumerate_orbit
+    from .orbits import MATCH_TOL, enumerate_orbit, state_action
     from .regrouping import (
         EQUIVALENCE_MATRIX,
         X_PRIME_MATRIX,
@@ -572,14 +591,11 @@ def run_regroup(cfg, claims: Claims):
         bool(min(abs(comm - 1j), abs(comm + 1j)) <= 1e-9),
     )
 
-    cov = True
-    for s in sics:
-        flat = s.states.reshape(16, 16)
-        for gmat in (xp, zp):
-            img = np.einsum("ab,kbc,dc->kad", gmat, s.states, gmat.conj())
-            ov = np.abs(flat.conj() @ img.reshape(16, 16).T)
-            if not np.all(np.max(ov, axis=0) >= 1 - 1e-9):
-                cov = False
+    gens = np.stack([xp, zp])
+    cov = all(
+        np.all(state_action(gens, [False, False], s.states, s.states)[1] >= 1 - 1e-9)
+        for s in sics
+    )
     claims.add(
         "regroup.covariance",
         "all 16 new SICs are covariant under the conjugate group",
@@ -598,18 +614,13 @@ def run_regroup(cfg, claims: Claims):
         projective_set_equal(img, dp),
     )
 
-    def sic_key(states):
-        from .numerics import canonical_key
-
-        return frozenset(canonical_key(s) for s in states)
-
-    reg_keys = {sic_key(s.states) for s in sics}
-    mapped = 0
-    for lab in range(1, 17):
-        st = orbit.sic(lab).states
-        out = np.einsum("ab,kbc,dc->kad", u, st, u.conj())
-        if sic_key(out) in reg_keys:
-            mapped += 1
+    # an original SIC is carried onto a new one when the images of all its
+    # states are states of that one new SIC
+    new_states = np.concatenate([s.states for s in sics])
+    index, ov = state_action(u[None], [False], orbit.projectors, new_states)
+    image_sic = (index // 16).reshape(16, 16)
+    matched = (ov >= 1.0 - MATCH_TOL).reshape(16, 16)
+    mapped = int(np.sum(np.all(matched & (image_sic == image_sic[:, :1]), axis=1)))
     claims.add(
         "regroup.equivalence_maps_family",
         "the equivalence unitary carries the original family onto the new one",
@@ -930,7 +941,7 @@ def _make_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
         p.add_argument("--format", choices=("json", "tsv", "text"), default="text")
         p.add_argument("--out", type=str, default=None)
-        if name in ("twoqubit", "all"):
+        if name == "twoqubit":
             p.add_argument("--basis", choices=("product", "bell"), default="product")
         if name in ("regroup", "all"):
             p.add_argument("--full-scan", action="store_true", dest="full_scan")
@@ -944,17 +955,19 @@ class RunConfig:
         self.tol = args.tol
         self.format = args.format
         self.out = args.out
-        self.basis = getattr(args, "basis", "product")
+        self.basis = getattr(args, "basis", None)
         self.full_scan = getattr(args, "full_scan", False)
         self.input_path = getattr(args, "input_path", None)
 
     def echo(self) -> dict:
-        return {
+        """The settings of this run; ``basis`` only where it was chosen."""
+        echo = {
             "tol": self.tol,
             "format": self.format,
             "basis": self.basis,
             "full_scan": self.full_scan,
         }
+        return {k: v for k, v in echo.items() if v is not None}
 
 
 def main(argv=None) -> int:
@@ -970,12 +983,14 @@ def main(argv=None) -> int:
         payload = run_symmetry(cfg, claims)
     elif name == "triples":
         payload = run_triples(cfg, claims)
+    elif name == "reconstruct" and cfg.input_path:
+        try:
+            payload = run_reconstruct_input(cfg, claims)
+        except _InputError as exc:
+            print("sic4: error: --input %s: %s" % (cfg.input_path, exc), file=sys.stderr)
+            return 2
     elif name == "reconstruct":
-        payload = (
-            run_reconstruct_input(cfg, claims)
-            if cfg.input_path
-            else run_reconstruct(cfg, claims)
-        )
+        payload = run_reconstruct(cfg, claims)
     elif name == "regroup":
         payload = run_regroup(cfg, claims)
     elif name == "twoqubit":

@@ -14,21 +14,19 @@ regrouping construction.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .clifford import (
-    CliffordElement,
     SymplecticPair,
     conjugation_action,
     enumerate_projective_clifford,
     semidirect_product,
     to_operator,
 )
-from .numerics import DEFAULT_TOL, GroupElement, conjugate
+from .numerics import DEFAULT_TOL, conjugate
 from .weyl_heisenberg import SicPovm, displacement_table, fiducial_ket_d4
 
 # symplectic sources of the 16 SIC labels, det = +1 mod 8
@@ -83,6 +81,13 @@ STABILIZER_ORBIT_SETS = (
 
 LABEL_GRID = ((1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12), (13, 14, 15, 16))
 
+# elements per block in state_action; bounds its (block * states, targets)
+# complex overlap matrix, about 4 MB for 16 states against the 256-state orbit
+ACTION_BLOCK = 64
+
+# overlap |tr(target g rho g^-1)| at or above 1 - MATCH_TOL names the image
+MATCH_TOL = 1e-6
+
 
 def fiducial_projector() -> np.ndarray:
     v = fiducial_ket_d4()
@@ -110,7 +115,7 @@ class FiducialOrbit:
     def fiducial(self, label: int) -> np.ndarray:
         return self.projectors[(label - 1) * 16]
 
-    def find(self, rho, tol: float = 1e-6) -> int:
+    def find(self, rho, tol: float = MATCH_TOL) -> int:
         """Global index of the orbit projector equal to rho, or -1."""
         ov = np.abs(np.einsum("nij,ji->n", self.projectors, np.asarray(rho, dtype=complex)))
         i = int(np.argmax(ov))
@@ -151,16 +156,35 @@ def element_arrays(extended: bool = True):
     return els, mats, anti
 
 
-def _conjugate_stack(mats: np.ndarray, anti: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """g rho g^-1 for every stacked element."""
-    out = np.empty((mats.shape[0], 4, 4), dtype=complex)
-    for flag in (False, True):
-        idx = np.where(anti == flag)[0]
-        if idx.size == 0:
-            continue
-        src = rho.conj() if flag else rho
-        out[idx] = np.einsum("nij,jk,nlk->nil", mats[idx], src, mats[idx].conj())
-    return out
+def state_action(mats, anti, states, targets):
+    """Where conjugation by each of N elements sends each of M states.
+
+    ``mats`` (N, d, d) and ``anti`` (N flags) give the elements; an
+    antiunitary one conjugates rho-bar.  Returns the (N, M) index of the
+    target with the largest overlap |tr(target g rho g^-1)| and that overlap;
+    callers apply their own threshold.  Per block of ``ACTION_BLOCK``
+    elements, one einsum builds the superoperators g (x) conj(g), one
+    batched product applies them to every vec(rho) and one more takes all
+    overlaps.
+    """
+    mats = np.asarray(mats, dtype=complex)
+    anti = np.asarray(anti, dtype=bool)
+    d2 = mats.shape[1] ** 2
+    vecs = np.asarray(states, dtype=complex).reshape(-1, d2).T
+    sources = np.stack([vecs, vecs.conj()])  # indexed by the antiunitarity flag
+    # tr(t x) = vec(t^T) . vec(x)
+    tvecs = np.asarray(targets, dtype=complex).transpose(0, 2, 1).reshape(-1, d2).T
+    index = np.empty((len(mats), vecs.shape[1]), dtype=np.intp)
+    overlap = np.empty(index.shape)
+    for lo in range(0, len(mats), ACTION_BLOCK):
+        g = mats[lo : lo + ACTION_BLOCK]
+        sup = np.einsum("nij,nkl->nikjl", g, g.conj()).reshape(-1, d2, d2)
+        images = sup @ sources[anti[lo : lo + ACTION_BLOCK].astype(np.intp)]
+        ov = np.abs(images.transpose(0, 2, 1).reshape(-1, d2) @ tvecs)
+        ov = ov.reshape(len(g), -1, tvecs.shape[1])
+        index[lo : lo + len(g)] = ov.argmax(axis=2)
+        overlap[lo : lo + len(g)] = ov.max(axis=2)
+    return index, overlap
 
 
 def stability_group(rho, tol: float = DEFAULT_TOL) -> list:
@@ -171,11 +195,10 @@ def stability_group(rho, tol: float = DEFAULT_TOL) -> list:
     orbit = enumerate_orbit()
     if orbit.find(rho) < 0:
         raise ValueError("projector is not on the fiducial orbit")
-    rho = np.asarray(rho, dtype=complex)
+    rho = np.asarray(rho, dtype=complex)[None]
     els, mats, anti = element_arrays(extended=True)
-    imgs = _conjugate_stack(mats, anti, rho)
-    ov = np.abs(np.einsum("nij,ji->n", imgs, rho))
-    return [els[i] for i in np.where(ov >= 1.0 - tol)[0]]
+    _, ov = state_action(mats, anti, rho, rho)
+    return [els[i] for i in np.flatnonzero(ov[:, 0] >= 1.0 - tol)]
 
 
 def stabilizer_orbits_within_sic() -> list:
@@ -184,7 +207,7 @@ def stabilizer_orbits_within_sic() -> list:
     sq = semidirect_product(FIDUCIAL_STABILIZER, FIDUCIAL_STABILIZER)
     seen = set()
     orbits = []
-    for p in itertools.product(range(4), repeat=2):
+    for p in np.ndindex(4, 4):
         if p == (0, 0) or p in seen:
             continue
         cyc = [p]
@@ -201,12 +224,17 @@ def stabilizer_orbits_within_sic() -> list:
 
 
 def _cluster_complex(values, gap: float = 1e-6):
-    """Group complex values into clusters whose centers differ by > gap."""
-    uniq = {}
-    for v in values:
-        key = (round(v.real, 9), round(v.imag, 9))
-        uniq[key] = uniq.get(key, 0) + 1
-    keys = sorted(uniq)
+    """Group complex values into clusters whose centers differ by > gap.
+
+    Values are first merged exactly after rounding to 9 decimals; the few
+    distinct keys are then joined when within ``gap`` of each other.
+    """
+    values = np.asarray(values, dtype=complex)
+    # + 0.0 folds -0.0 into +0.0, as equal keys must be equal rows
+    rounded = np.round(np.stack([values.real, values.imag], axis=1), 9) + 0.0
+    rows, counts = np.unique(rounded, axis=0, return_counts=True)
+    keys = [(float(re), float(im)) for re, im in rows]
+    uniq = dict(zip(keys, counts.tolist()))
     parent = list(range(len(keys)))
 
     def find(i):
@@ -231,17 +259,19 @@ def _cluster_complex(values, gap: float = 1e-6):
     return out
 
 
+def _distinct_triples(states):
+    """tr(r_a r_b r_c) for the ordered triples of distinct states, in
+    lexicographic (a, b, c) order, and the (n, n, n) mask selecting them."""
+    t = np.einsum("aij,bjk,cki->abc", states, states, states)
+    a, b, c = np.indices(t.shape)
+    mask = (a != b) & (b != c) & (a != c)
+    return t[mask], mask
+
+
 def triple_trace_census(label: int = 1, gap: float = 1e-6):
     """Clustered values of tr(r1 r2 r3) over ordered triples of distinct
     states of one SIC, as (value, multiplicity) pairs."""
-    orbit = enumerate_orbit()
-    s = orbit.sic(label).states
-    t = np.einsum("aij,bjk,cki->abc", s, s, s)
-    vals = [
-        t[a, b, c]
-        for a, b, c in itertools.product(range(16), repeat=3)
-        if a != b and b != c and a != c
-    ]
+    vals, _ = _distinct_triples(enumerate_orbit().sic(label).states)
     return _cluster_complex(vals, gap)
 
 
@@ -269,48 +299,36 @@ class SymmetryReport:
     rigid_permutation_count: int
 
 
-def _permutation_on_states(el: CliffordElement, orbit: FiducialOrbit, label: int = 1):
-    """How a symmetry element permutes the 16 states of one SIC."""
+def _permutations_on_states(mats, orbit: FiducialOrbit, label: int = 1) -> list:
+    """How each of a stack of unitary symmetries permutes the 16 states of
+    one SIC."""
     base = (label - 1) * 16
-    perm = []
-    for p1 in range(4):
-        for p2 in range(4):
-            img = conjugate(el.op, orbit.projectors[base + 4 * p1 + p2])
-            j = orbit.find(img)
-            if j < 0 or j // 16 != label - 1:
-                raise ValueError("element does not preserve the SIC")
-            perm.append(j - base)
-    return tuple(perm)
+    sic = orbit.projectors[base : base + 16]
+    index, ov = state_action(mats, np.zeros(len(mats), dtype=bool), sic, orbit.projectors)
+    if ov.min() < 1.0 - MATCH_TOL or np.any(index // 16 != label - 1):
+        raise ValueError("element does not preserve the SIC")
+    return [tuple(p) for p in (index - base).tolist()]
 
 
 def symmetry_group_of_sic(label: int = 1, tol: float = DEFAULT_TOL):
     """All enumerated extended-Clifford elements mapping a SIC onto itself."""
     orbit = enumerate_orbit()
     els, mats, anti = element_arrays(extended=True)
-    fid = orbit.fiducial(label)
-    imgs = _conjugate_stack(mats, anti, fid)
     targets = orbit.projectors[(label - 1) * 16 : label * 16]
-    ov = np.abs(np.einsum("nij,tji->nt", imgs, targets))
-    keep = np.where(ov.max(axis=1) >= 1.0 - tol)[0]
-    return [els[i] for i in keep]
+    _, ov = state_action(mats, anti, orbit.fiducial(label)[None], targets)
+    return [els[i] for i in np.flatnonzero(ov[:, 0] >= 1.0 - tol)]
 
 
 def _triple_cluster_ids(states, gap: float = 1e-6):
     """Tensor of census cluster ids for ordered triples of distinct states."""
-    t = np.einsum("aij,bjk,cki->abc", states, states, states)
-    cl = _cluster_complex(
-        [t[a, b, c] for a, b, c in itertools.product(range(16), repeat=3) if a != b != c != a],
-        gap,
-    )
-    centers = np.array([c for c, _ in cl])
-    n = len(states)
-    ids = -np.ones((n, n, n), dtype=int)
-    for a, b, c in itertools.product(range(n), repeat=3):
-        if a != b and b != c and a != c:
-            k = int(np.argmin(np.abs(centers - t[a, b, c])))
-            if abs(centers[k] - t[a, b, c]) > gap:
-                raise AssertionError("triple value does not match any cluster")
-            ids[a, b, c] = k
+    vals, mask = _distinct_triples(states)
+    centers = np.array([c for c, _ in _cluster_complex(vals, gap)])
+    dist = np.abs(vals[:, None] - centers[None, :])
+    nearest = dist.argmin(axis=1)
+    if np.any(dist[np.arange(len(vals)), nearest] > gap):
+        raise AssertionError("triple value does not match any cluster")
+    ids = -np.ones(mask.shape, dtype=int)
+    ids[mask] = nearest
     return ids
 
 
@@ -375,9 +393,7 @@ def verify_symmetry_group_in_clifford(tol: float = DEFAULT_TOL) -> SymmetryRepor
     unitary = [e for e in sym if not e.op.antiunitary]
     stab = stability_group(orbit.fiducial(1), tol)
 
-    perms = {}
-    for e in unitary:
-        perms[_permutation_on_states(e, orbit)] = e
+    perms = set(_permutations_on_states(np.stack([e.op.matrix for e in unitary]), orbit))
     if len(perms) != len(unitary):
         raise AssertionError("state action of the symmetry group is not faithful")
 
@@ -398,16 +414,8 @@ def verify_symmetry_group_in_clifford(tol: float = DEFAULT_TOL) -> SymmetryRepor
                 unique16 = False
                 break
     if unique16:
-        tbl = displacement_table(4)
-        disp_perms = set()
-        for q1 in range(4):
-            for q2 in range(4):
-                el = CliffordElement(
-                    SymplecticPair((1, 0, 0, 1), (q1, q2), 4),
-                    GroupElement(tbl[q1, q2]),
-                )
-                disp_perms.add(_permutation_on_states(el, orbit))
-        unique16 = disp_perms == tp
+        disp = displacement_table(4).reshape(16, 4, 4)
+        unique16 = set(_permutations_on_states(disp, orbit)) == tp
 
     rigid = rigid_permutations(1, limit=10)
     return SymmetryReport(
@@ -419,39 +427,31 @@ def verify_symmetry_group_in_clifford(tol: float = DEFAULT_TOL) -> SymmetryRepor
     )
 
 
-def symmetry_action(pair: SymplecticPair, tol: float = 1e-6) -> tuple:
+def symmetry_action(pair: SymplecticPair, tol: float = MATCH_TOL) -> tuple:
     """Permutation of SIC labels 1..16 induced by a Clifford element.
 
     Entry n-1 of the result is the label of the image of SIC n.
     """
     orbit = enumerate_orbit()
     u = to_operator(pair)
-    out = []
-    for n in range(1, 17):
-        img = conjugate(u, orbit.fiducial(n))
-        j = orbit.find(img, tol)
-        if j < 0:
-            raise ValueError("element does not map the orbit to itself")
-        out.append(j // 16 + 1)
-    return tuple(out)
+    fids = orbit.projectors[::16]
+    index, ov = state_action(u.matrix[None], [u.antiunitary], fids, orbit.projectors)
+    if ov.min() < 1.0 - tol:
+        raise ValueError("element does not map the orbit to itself")
+    return tuple((index[0] // 16 + 1).tolist())
 
 
 @lru_cache(maxsize=None)
 def label_permutation_group(extended: bool = False):
-    """Distinct label permutations induced by the (extended) Clifford group."""
+    """Distinct label permutations induced by the (extended) Clifford group,
+    each with the elements inducing it, in enumeration order."""
     orbit = enumerate_orbit()
     els, mats, anti = element_arrays(extended=extended)
-    fids = np.stack([orbit.fiducial(n) for n in range(1, 17)])
+    index, ov = state_action(mats, anti, orbit.projectors[::16], orbit.projectors)
+    if ov.min() < 1.0 - MATCH_TOL:
+        raise ValueError("orbit not closed under the Clifford group")
     perms = {}
-    for e, m, a in zip(els, mats, anti):
-        perm = []
-        for n in range(16):
-            src = fids[n].conj() if a else fids[n]
-            img = m @ src @ m.conj().T
-            j = orbit.find(img)
-            if j < 0:
-                raise ValueError("orbit not closed under the Clifford group")
-            perm.append(j // 16)
+    for e, perm in zip(els, (index // 16).tolist()):
         perms.setdefault(tuple(perm), []).append(e)
     return perms
 

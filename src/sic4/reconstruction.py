@@ -18,6 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import DEFAULT_TOL, canonical_phase, commutator_phase, eig_hermitian
+from .orbits import (
+    MATCH_TOL,
+    compose_permutations,
+    element_arrays,
+    permutation_order,
+    state_action,
+)
 from .weyl_heisenberg import CONSTANTS, SicPovm, verify_sic
 
 # eigenvalue of the 4-state sum paired with the phase i^k it tags
@@ -71,17 +78,12 @@ def _phase_operator(m: np.ndarray, tol: float) -> np.ndarray:
     return op
 
 
-def _state_permutation(gen: np.ndarray, states: np.ndarray, tol: float = 1e-6):
+def _state_permutation(gen: np.ndarray, states: np.ndarray, tol: float = MATCH_TOL):
     """Permutation of the state list under conjugation by a unitary."""
-    flat = states.reshape(len(states), 16)
-    perm = []
-    for rho in states:
-        img = (gen @ rho @ gen.conj().T).ravel()
-        ov = np.abs(flat.conj() @ img)
-        j = int(np.argmax(ov))
-        if ov[j] < 1.0 - tol:
-            raise ValueError("conjugation does not preserve the state set")
-        perm.append(j)
+    index, ov = state_action(gen[None], [False], states, states)
+    if ov.min() < 1.0 - tol:
+        raise ValueError("conjugation does not preserve the state set")
+    perm = index[0].tolist()
     if len(set(perm)) != len(states):
         raise ValueError("conjugation action is not a permutation")
     return perm
@@ -190,29 +192,13 @@ def uniqueness_check(sic: SicPovm, tol: float = DEFAULT_TOL) -> bool:
     and close under composition they form the unique one (two distinct
     Sylow subgroups would overflow that count).
     """
-    from .orbits import compose_permutations, element_arrays, permutation_order
-
     if not verify_sic(sic.states, sic.d, tol).is_sic:
         raise ValueError("input does not certify as a SIC-POVM")
     _, mats, anti = element_arrays(extended=False)
-    states = sic.states
-    flat = states.reshape(16, 16)
-
-    perms = set()
-    for m, a in zip(mats, anti):
-        if a:
-            continue
-        perm = []
-        for rho in states:
-            img = (m @ rho @ m.conj().T).ravel()
-            ov = np.abs(flat.conj() @ img)
-            j = int(np.argmax(ov))
-            if ov[j] < 1.0 - 1e-6:
-                perm = None
-                break
-            perm.append(j)
-        if perm is not None and len(set(perm)) == 16:
-            perms.add(tuple(perm))
+    index, ov = state_action(mats[~anti], anti[~anti], sic.states, sic.states)
+    matched = np.all(ov >= 1.0 - MATCH_TOL, axis=1)
+    bijective = np.all(np.sort(index, axis=1) == np.arange(16), axis=1)
+    perms = {tuple(p) for p in index[matched & bijective].tolist()}
     if len(perms) != 48:
         raise ValueError("symmetry group inside the Clifford group has order %d, expected 48" % len(perms))
 

@@ -28,6 +28,11 @@ PAULI = (
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
 
+# _PAULI_PRODUCTS[a, b] = kron(sigma_a, sigma_b) with sigma_0 the identity
+_PAULI_PRODUCTS = np.array(
+    [[np.kron(sa, sb) for sb in (np.eye(2), *PAULI)] for sa in (np.eye(2), *PAULI)]
+)
+
 
 @dataclass
 class Gbv:
@@ -50,25 +55,13 @@ def gbv(rho: np.ndarray, tol: float = 1e-9) -> Gbv:
     mat = rho.reshape(4, 4)
     if np.max(np.abs(mat - mat.conj().T)) > tol or abs(np.trace(mat) - 1) > tol:
         raise ValueError("expected a Hermitian trace-1 matrix")
-    r = np.array([np.real(np.trace(np.kron(np.eye(2), sj) @ mat)) for sj in PAULI])
-    s = np.array([np.real(np.trace(np.kron(sj, np.eye(2)) @ mat)) for sj in PAULI])
-    c = np.array(
-        [
-            [np.real(np.trace(np.kron(sj, sk) @ mat)) for sk in PAULI]
-            for sj in PAULI
-        ]
-    )
-    return Gbv(r=r, s=s, C=c)
+    coef = np.einsum("abij,ji->ab", _PAULI_PRODUCTS, mat).real
+    return Gbv(r=coef[0, 1:].copy(), s=coef[1:, 0].copy(), C=coef[1:, 1:].copy())
 
 
 def from_gbv(g: Gbv) -> np.ndarray:
-    out = np.eye(4, dtype=complex)
-    for j in range(3):
-        out += g.r[j] * np.kron(np.eye(2), PAULI[j])
-        out += g.s[j] * np.kron(PAULI[j], np.eye(2))
-        for k in range(3):
-            out += g.C[j, k] * np.kron(PAULI[j], PAULI[k])
-    return out / 4.0
+    coef = np.block([[1.0, g.r], [g.s[:, None], g.C]])
+    return np.einsum("ab,abij->ij", coef, _PAULI_PRODUCTS) / 4.0
 
 
 @dataclass(frozen=True)
@@ -228,8 +221,7 @@ def concurrence(psi: np.ndarray, tol: float = DEFAULT_TOL) -> float:
     psi = np.asarray(psi, dtype=complex).ravel()
     if abs(psi @ psi.conj() - 1.0) > 1e-6:
         raise ValueError("ket must be normalized")
-    yy = np.kron(PAULI[1], PAULI[1])
-    return float(abs(psi @ yy @ psi))
+    return float(abs(psi @ _PAULI_PRODUCTS[2, 2] @ psi))
 
 
 def concurrence_census(sic: SicPovm, basis: str = "product", decimals: int = 9) -> dict:

@@ -213,16 +213,17 @@ def verify_sic(states, d: int, tol: float = DEFAULT_TOL) -> SicReport:
     states = np.asarray(states, dtype=complex)
     if states.shape != (d * d, d, d):
         raise ValueError("expected %d states, got shape %r" % (d * d, states.shape))
-    sdev = 0.0
-    for rho in states:
-        sdev = max(sdev, np.max(np.abs(rho - rho.conj().T)))
-        sdev = max(sdev, abs(np.trace(rho) - 1.0))
-        sdev = max(sdev, np.max(np.abs(rho @ rho - rho)))
-    target = 1.0 / (d + 1)
-    fdev = 0.0
-    for j in range(d * d):
-        for k in range(j + 1, d * d):
-            fdev = max(fdev, abs(np.trace(states[j] @ states[k]).real - target))
+    sdev = np.max(
+        [
+            np.max(np.abs(states - states.conj().transpose(0, 2, 1))),
+            np.max(np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)),
+            np.max(np.abs(states @ states - states)),
+        ]
+    )
+    # gram[j, k] = tr(r_j r_k) = vec(r_j) . vec(r_k^T)
+    n = d * d
+    gram = states.reshape(n, n) @ states.transpose(0, 2, 1).reshape(n, n).T
+    fdev = np.max(np.abs(gram[np.triu_indices(n, 1)].real - 1.0 / (d + 1)))
     cdev = float(np.max(np.abs(states.sum(axis=0) - d * np.eye(d))))
     ok = sdev <= tol and fdev <= tol and cdev <= tol
     return SicReport(ok, float(fdev), float(sdev), cdev)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from sic4.cli import main
@@ -77,3 +78,63 @@ def test_reconstruct_input_round_trip(tmp_path, capsys):
     rep = json.loads((tmp_path / "r.json").read_text())
     assert rep["payload"]["group"] == "displacement"
     assert len(rep["payload"]["elements"]) == 16
+
+
+def _sic_file(tmp_path, states):
+    from sic4.numerics import matrix_to_json
+
+    f = tmp_path / "sic.json"
+    f.write_text(json.dumps({"states": [matrix_to_json(s) for s in states]}))
+    return f
+
+
+def _assert_input_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("sic4: error: --input ")
+
+
+def test_reconstruct_input_missing_file_exits_2(tmp_path, capsys):
+    _assert_input_error(["reconstruct", "--input", str(tmp_path / "absent.json")], capsys)
+
+
+def test_reconstruct_input_not_json_exits_2(tmp_path, capsys):
+    f = tmp_path / "sic.json"
+    f.write_text("states: none\n")
+    _assert_input_error(["reconstruct", "--input", str(f)], capsys)
+
+
+def test_reconstruct_input_without_states_exits_2(tmp_path, capsys):
+    f = tmp_path / "sic.json"
+    f.write_text(json.dumps({"projectors": []}))
+    _assert_input_error(["reconstruct", "--input", str(f)], capsys)
+
+
+@pytest.mark.parametrize("shape", ["fifteen", "dim2", "ragged"])
+def test_reconstruct_input_wrong_states_exits_2(shape, tmp_path, capsys):
+    from sic4.orbits import enumerate_orbit
+
+    states = list(enumerate_orbit().sic(1).states)
+    if shape == "fifteen":
+        states = states[:15]
+    elif shape == "dim2":
+        states = [np.eye(2) / 2] * 16
+    else:
+        states[3] = np.eye(2) / 2
+    _assert_input_error(["reconstruct", "--input", str(_sic_file(tmp_path, states))], capsys)
+
+
+def test_reconstruct_input_non_sic_exits_1(tmp_path, capsys):
+    from sic4.orbits import enumerate_orbit
+
+    states = enumerate_orbit().sic(1).states.copy()
+    states[0] = np.diag([1, 0, 0, 0])
+    assert main(["reconstruct", "--input", str(_sic_file(tmp_path, states))]) == 1
+    assert "[FAIL] reconstruct.input_is_sic" in capsys.readouterr().out
+
+
+def test_all_rejects_basis(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["all", "--basis", "bell"])
+    assert e.value.code == 2
+    assert "--basis" in capsys.readouterr().err

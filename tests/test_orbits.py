@@ -1,18 +1,24 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from sic4.clifford import SymplecticPair, conjugation_action, to_operator
-from sic4.numerics import proj_equal
+from sic4.numerics import conjugate, proj_equal
 from sic4.orbits import (
+    ACTION_BLOCK,
     FIDUCIAL_STABILIZER,
     LABEL_GRID,
     STABILIZER_CYCLE,
     STABILIZER_MATRIX,
     STABILIZER_ORBIT_SETS,
+    _triple_cluster_ids,
+    element_arrays,
     enumerate_orbit,
     label_permutation_group,
     stability_group,
     stabilizer_orbits_within_sic,
+    state_action,
     symmetry_action,
     triple_family,
     triple_phase,
@@ -172,3 +178,108 @@ def test_triple_phase_monotone():
         grid = np.linspace(-np.pi, np.pi, 100, endpoint=False)
         vals = [triple_phase(float(t), d) for t in grid]
         assert np.all(np.diff(vals) > 0)
+
+
+def test_state_action_matches_per_element_find():
+    # a ragged last block and both unitary and antiunitary elements
+    orbit = enumerate_orbit()
+    els, mats, anti = element_arrays(extended=True)
+    rng = np.random.default_rng(11)
+    pick = rng.choice(len(els), size=101, replace=False)
+    assert len(pick) % ACTION_BLOCK and anti[pick].any() and not anti[pick].all()
+    states = orbit.projectors[rng.choice(256, size=5, replace=False)]
+    index, ov = state_action(mats[pick], anti[pick], states, orbit.projectors)
+    assert index.shape == ov.shape == (101, 5)
+    sic = orbit.sic(3).states
+    sic_index, sic_ov = state_action(mats[pick], anti[pick], states, sic)
+    for row, i in enumerate(pick):
+        for col, rho in enumerate(states):
+            img = conjugate(els[i].op, rho)
+            assert index[row, col] == orbit.find(img)
+            assert abs(ov[row, col] - 1.0) < 1e-12
+            # targets that need not contain the image, where the largest
+            # overlap can be tied: a target with the largest |tr(t img)|
+            scores = np.abs(np.einsum("tij,ji->t", sic, img))
+            assert abs(scores[sic_index[row, col]] - scores.max()) < 1e-12
+            assert abs(sic_ov[row, col] - scores.max()) < 1e-12
+
+
+def _label_permutations_by_find(extended):
+    """The per-element loop that label_permutation_group replaced."""
+    orbit = enumerate_orbit()
+    els, mats, anti = element_arrays(extended=extended)
+    fids = np.stack([orbit.fiducial(n) for n in range(1, 17)])
+    perms = {}
+    for e, m, a in zip(els, mats, anti):
+        perm = []
+        for n in range(16):
+            src = fids[n].conj() if a else fids[n]
+            j = orbit.find(m @ src @ m.conj().T)
+            assert j >= 0
+            perm.append(j // 16)
+        perms.setdefault(tuple(perm), []).append(e)
+    return perms
+
+
+@pytest.mark.parametrize("extended", [False, True])
+def test_label_permutation_group_matches_per_element_loop(extended):
+    new = label_permutation_group(extended=extended)
+    old = _label_permutations_by_find(extended)
+    assert list(new) == list(old)
+    for key in old:
+        assert len(new[key]) == len(old[key])
+        assert all(a is b for a, b in zip(new[key], old[key]))
+
+
+def _cluster_complex_by_round(values, gap=1e-6):
+    """The Python-round clustering that _cluster_complex replaced."""
+    uniq = {}
+    for v in values:
+        key = (round(v.real, 9), round(v.imag, 9))
+        uniq[key] = uniq.get(key, 0) + 1
+    keys = sorted(uniq)
+    parent = list(range(len(keys)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(keys)):
+        for j in range(i + 1, len(keys)):
+            if abs(complex(*keys[i]) - complex(*keys[j])) <= gap:
+                parent[find(i)] = find(j)
+    groups = {}
+    for i, k in enumerate(keys):
+        groups.setdefault(find(i), []).append(k)
+    out = []
+    for members in groups.values():
+        tot = sum(uniq[m] for m in members)
+        center = sum(complex(*m) * uniq[m] for m in members) / tot
+        out.append((center, tot))
+    out.sort(key=lambda t: (t[0].real, t[0].imag))
+    return out
+
+
+def test_triple_census_matches_python_round_clustering():
+    orbit = enumerate_orbit()
+    for label in range(1, 17):
+        s = orbit.sic(label).states
+        t = np.einsum("aij,bjk,cki->abc", s, s, s)
+        vals = [
+            t[a, b, c]
+            for a, b, c in itertools.product(range(16), repeat=3)
+            if a != b and b != c and a != c
+        ]
+        old = _cluster_complex_by_round(vals)
+        new = triple_trace_census(label)
+        assert [(c.real, c.imag, n) for c, n in new] == [(c.real, c.imag, n) for c, n in old]
+        if label == 1:
+            centers = np.array([c for c, _ in old])
+            ids = _triple_cluster_ids(s)
+            for a, b, c in itertools.product(range(16), repeat=3):
+                if a != b and b != c and a != c:
+                    assert ids[a, b, c] == np.argmin(np.abs(centers - t[a, b, c]))
+                else:
+                    assert ids[a, b, c] == -1

@@ -6,6 +6,7 @@ import pytest
 from sic4.orbits import LABEL_GRID, enumerate_orbit
 from sic4.regrouping import regrouped_family
 from sic4.two_qubit import (
+    PAULI,
     Gbv,
     avg_reduced_purity,
     bell_basis_map,
@@ -195,3 +196,24 @@ def test_operator_schmidt_ranks():
         if (p1, p2) != (0, 0)
     }
     assert ranks == {1, 2}
+
+
+def _gbv_by_kron(mat):
+    """The 15 kron traces that gbv replaced, as (r, s, C)."""
+    r = np.array([np.real(np.trace(np.kron(np.eye(2), sj) @ mat)) for sj in PAULI])
+    s = np.array([np.real(np.trace(np.kron(sj, np.eye(2)) @ mat)) for sj in PAULI])
+    c = np.array([[np.real(np.trace(np.kron(sj, sk) @ mat)) for sk in PAULI] for sj in PAULI])
+    return r, s, c
+
+
+def test_gbv_matches_kron_traces():
+    orbit = enumerate_orbit()
+    mats = [physical_state(rho, basis) for basis in ("product", "bell") for rho in orbit.projectors]
+    # one perturbed, mixed state
+    mats.append(0.9 * orbit.projectors[7] + 0.1 * np.eye(4) / 4 + 1e-3 * np.diag([1, -1, 1, -1]))
+    for mat in mats:
+        g = gbv(mat)
+        r, s, c = _gbv_by_kron(mat)
+        assert np.max(np.abs(g.r - r)) <= 1e-14
+        assert np.max(np.abs(g.s - s)) <= 1e-14
+        assert np.max(np.abs(g.C - c)) <= 1e-14

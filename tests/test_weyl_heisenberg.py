@@ -138,3 +138,40 @@ def test_displacement_table_consistent():
     for p1 in range(4):
         for p2 in range(4):
             assert np.allclose(tbl[p1, p2], displacement(p1, p2, 4))
+
+
+def _verify_sic_by_loop(states, d):
+    """The per-state and per-pair loop that verify_sic replaced, as
+    (fidelity, state, completeness) deviations."""
+    sdev = 0.0
+    for rho in states:
+        sdev = max(sdev, np.max(np.abs(rho - rho.conj().T)))
+        sdev = max(sdev, abs(np.trace(rho) - 1.0))
+        sdev = max(sdev, np.max(np.abs(rho @ rho - rho)))
+    fdev = 0.0
+    for j in range(d * d):
+        for k in range(j + 1, d * d):
+            fdev = max(fdev, abs(np.trace(states[j] @ states[k]).real - 1.0 / (d + 1)))
+    cdev = float(np.max(np.abs(states.sum(axis=0) - d * np.eye(d))))
+    return fdev, sdev, cdev
+
+
+def test_verify_sic_matches_loop():
+    from sic4.orbits import enumerate_orbit
+
+    orbit = enumerate_orbit()
+    cases = [orbit.sic(n).states for n in range(1, 17)]
+    # one state rotated slightly: not a SIC
+    h = np.diag([1.0, -1.0, 0.5, -0.5]).astype(complex)
+    u = np.cos(1e-4) * np.eye(4) + 1j * np.sin(1e-4) * h / np.linalg.norm(h, 2)
+    bad = orbit.sic(1).states.copy()
+    bad[5] = u @ bad[5] @ u.conj().T
+    cases.append(bad)
+    for states in cases:
+        rep = verify_sic(states, 4)
+        fdev, sdev, cdev = _verify_sic_by_loop(states, 4)
+        assert abs(rep.max_fidelity_deviation - fdev) <= 1e-14
+        assert abs(rep.max_state_deviation - sdev) <= 1e-14
+        assert abs(rep.completeness_deviation - cdev) <= 1e-14
+        assert rep.is_sic == (max(fdev, sdev, cdev) <= 1e-9)
+    assert not verify_sic(bad, 4).is_sic
