@@ -9,7 +9,9 @@ at least one failed, 2 means the invocation itself was invalid.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import logging
 import math
 import sys
 import time
@@ -518,9 +520,9 @@ def run_reconstruct_input(cfg, claims: Claims):
 
 
 def run_regroup(cfg, claims: Claims):
-    from .clifford import enumerate_projective_clifford
+    from .clifford import to_operator
     from .numerics import commutator_phase, matrix_to_json, proj_equal, projective_set_equal
-    from .orbits import MATCH_TOL, enumerate_orbit, state_action
+    from .orbits import MATCH_TOL, element_arrays, enumerate_orbit, state_action
     from .regrouping import (
         EQUIVALENCE_MATRIX,
         X_PRIME_MATRIX,
@@ -531,12 +533,11 @@ def run_regroup(cfg, claims: Claims):
         dprime_elements,
         equivalence_unitary,
         exhaustive_regroup_scan,
-        fidelity_graph,
+        fidelity_adjacency,
         generated_cosets,
         hw_conjugate_subgroup_census,
         regrouped_family,
     )
-    from .clifford import to_operator
     from .weyl_heisenberg import displacement_table
 
     orbit = enumerate_orbit()
@@ -561,8 +562,7 @@ def run_regroup(cfg, claims: Claims):
         True,
         bool(np.all(cover == 2)),
     )
-    g = fidelity_graph(orbit, list(range(256)), cfg.tol)
-    degrees = {d for _, d in g.degree()}
+    degrees = set(fidelity_adjacency(orbit, range(256), cfg.tol).sum(axis=1).tolist())
     claims.add(
         "regroup.fidelity_graph_regular",
         "fidelity-1/5 graph is regular across the orbit",
@@ -570,13 +570,9 @@ def run_regroup(cfg, claims: Claims):
         len(degrees) == 1,
     )
 
-    gen_ok = True
-    try:
-        xp, zp = (X_PRIME_MATRIX, Z_PRIME_MATRIX)
-        for pair, lit in ((X_PRIME_PAIR, xp), (Z_PRIME_PAIR, zp)):
-            gen_ok = gen_ok and proj_equal(to_operator(pair).matrix, lit)
-    except Exception:
-        gen_ok = False
+    xp, zp = X_PRIME_MATRIX, Z_PRIME_MATRIX
+    pairs = ((X_PRIME_PAIR, xp), (Z_PRIME_PAIR, zp))
+    gen_ok = all(proj_equal(to_operator(pair).matrix, lit) for pair, lit in pairs)
     claims.add(
         "regroup.generators_match_parametrization",
         "written-out generators equal their symplectic parametrization",
@@ -628,8 +624,7 @@ def run_regroup(cfg, claims: Claims):
         mapped,
     )
 
-    els = enumerate_projective_clifford(4, extended=False)
-    mats = np.stack([e.op.matrix for e in els])
+    _, mats, _ = element_arrays(extended=False)
     u2_in = bool(np.max(np.abs(np.einsum("ij,kij->k", (u @ u).conj(), mats))) >= 4 - 1e-7)
     u_in = bool(np.max(np.abs(np.einsum("ij,kij->k", u.conj(), mats))) >= 4 - 1e-7)
     rng = np.random.default_rng(20)
@@ -996,13 +991,21 @@ def main(argv=None) -> int:
     elif name == "twoqubit":
         payload = run_twoqubit(cfg, claims, cfg.basis)
     elif name == "all":
-        run_orbit(cfg, claims)
-        run_symmetry(cfg, claims)
-        run_triples(cfg, claims)
-        run_reconstruct(cfg, claims)
-        run_regroup(cfg, claims)
-        run_twoqubit(cfg, claims, "product")
-        run_twoqubit(cfg, claims, "bell")
+        for section, run in (
+            ("orbit", run_orbit),
+            ("symmetry", run_symmetry),
+            ("triples", run_triples),
+            ("reconstruct", run_reconstruct),
+            ("regroup", run_regroup),
+            ("twoqubit_product", functools.partial(run_twoqubit, basis="product")),
+            ("twoqubit_bell", functools.partial(run_twoqubit, basis="bell")),
+        ):
+            try:
+                run(cfg, claims)
+            except Exception as exc:  # one failing section must not abort the others
+                logging.getLogger(__name__).exception("section %s raised", section)
+                error = "%s: %s" % (type(exc).__name__, exc)
+                claims.add(section + ".error", "the section runs to completion", None, error)
         payload = {}
 
     passed = sum(c["pass"] for c in claims.rows)

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .numerics import DEFAULT_TOL, GroupElement, conjugate
-from .weyl_heisenberg import displacement_table, omega, symplectic_form, tau
+from .weyl_heisenberg import displacement, displacement_table, omega, symplectic_form, tau
 
 
 @dataclass(frozen=True)
@@ -59,14 +59,6 @@ class SymplecticPair:
     @property
     def antiunitary(self) -> bool:
         return self.det == self.dbar - 1
-
-    def fmat(self) -> np.ndarray:
-        return np.array(self.F, dtype=int).reshape(2, 2)
-
-    def act(self, p) -> tuple:
-        """Image of a displacement index under F, mod d."""
-        a, b, c, e = self.F
-        return ((a * p[0] + b * p[1]) % self.d, (c * p[0] + e * p[1]) % self.d)
 
 
 def _compose(f, chi, g, psi, dbar: int, d: int) -> tuple:
@@ -108,47 +100,44 @@ def symplectic_inverse(x: SymplecticPair) -> SymplecticPair:
     return SymplecticPair(fi, chi, x.d)
 
 
-def _coprime(a: int, n: int) -> bool:
-    return math.gcd(a % n, n) == 1
-
-
-def _gauss_sum_unitary(F: tuple, d: int) -> np.ndarray:
-    """V_F for F = [[alpha, beta], [gamma, delta]] with beta invertible."""
-    alpha, beta, _gamma, delta = F
+@lru_cache(maxsize=None)
+def _gauss_tables(d: int) -> tuple:
+    """dbar, units mod dbar, their inverses, tau^k / sqrt(d) and the (r, s) grids."""
     db = 2 * d if d % 2 == 0 else d
-    binv = pow(beta % db, -1, db)
-    r, s = np.indices((d, d))
-    expo = (binv * (alpha * s * s - 2 * r * s + delta * r * r)) % db
-    return tau(d) ** expo / math.sqrt(d)
+    unit = np.array([math.gcd(u, db) == 1 for u in range(db)])
+    inv = np.array([pow(u, -1, db) if unit[u] else 0 for u in range(db)])
+    return db, unit, inv, tau(d) ** np.arange(db) / math.sqrt(d), *np.indices((d, d))
 
 
-def _unitary_from_symplectic(F: tuple, d: int) -> np.ndarray:
-    """V_F for any F with det = +1, via factorization when beta is singular."""
-    db = 2 * d if d % 2 == 0 else d
-    alpha, beta, gamma, delta = (x % db for x in F)
-    if _coprime(beta, db):
-        return _gauss_sum_unitary((alpha, beta, gamma, delta), d)
-    for x in range(db):
-        if _coprime(delta + x * beta, db):
-            break
-    else:
-        raise ValueError("no admissible factorization shift found")
-    f1 = (0, -1 % db, 1, x)
-    f2 = ((gamma + x * alpha) % db, (delta + x * beta) % db, -alpha % db, -beta % db)
-    return _gauss_sum_unitary(f1, d) @ _gauss_sum_unitary(f2, d)
+def _operators(f, chi, d: int):
+    """Matrices and antiunitarity flags representing stacked pairs.
+
+    f is a (4, N) and chi a (2, N) integer array of pair components.  A
+    pair with det F = -1 is represented by (F J, chi), J = diag(1, -1),
+    followed by complex conjugation.  V_F is the Gauss sum of F when beta is
+    invertible, else V_F1 V_F2 for F = F1 F2, F1 = [[0, -1], [1, x]] with the
+    least admissible shift x; the matrix is D_chi V_F.
+    """
+    db, unit, inv, phases, r, s = _gauss_tables(d)
+    alpha, beta, gamma, delta = np.asarray(f) % db
+    anti = (alpha * delta - beta * gamma) % db == db - 1
+    beta, delta = np.where(anti, -beta, beta) % db, np.where(anti, -delta, delta) % db
+    direct = unit[beta]
+    x = np.argmax(unit[(delta[:, None] + np.arange(db) * beta[:, None]) % db], axis=1)
+    a = np.where(direct, alpha, gamma + x * alpha)[:, None, None]
+    b = np.where(direct, beta, delta + x * beta)[:, None, None]
+    e = np.where(direct, delta, -beta)[:, None, None]
+    v = phases[inv[b % db] * (a * s * s - 2 * r * s + e * r * r) % db]
+    v1 = phases[inv[db - 1] * (-2 * r * s + x[:, None, None] * r * r) % db]
+    v = np.where(direct[:, None, None], v, v1 @ v)
+    chi = np.asarray(chi) % d
+    return displacement_table(d)[chi[0], chi[1]] @ v, anti
 
 
 def to_operator(pair: SymplecticPair) -> GroupElement:
     """The unitary or antiunitary operator representing (F, chi)."""
-    d = pair.d
-    db = pair.dbar
-    if pair.antiunitary:
-        j = SymplecticPair((1, 0, 0, -1), (0, 0), d)
-        w = to_operator(semidirect_product(pair, j))
-        return GroupElement(w.matrix, True)
-    v = _unitary_from_symplectic(pair.F, d)
-    dchi = displacement_table(d)[pair.chi[0] % d, pair.chi[1] % d]
-    return GroupElement(dchi @ v, False)
+    mats, anti = _operators(np.array(pair.F)[:, None], np.array(pair.chi)[:, None], pair.d)
+    return GroupElement(mats[0], bool(anti[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,8 +155,6 @@ def conjugation_action(pair: SymplecticPair, p, tol: float = DEFAULT_TOL):
     d can cost a sign); it is verified in that form and a ValueError is
     raised on failure.
     """
-    from .weyl_heisenberg import displacement
-
     d = pair.d
     db = pair.dbar
     a, b, c, e_ = pair.F
@@ -216,15 +203,24 @@ def coset(pair: SymplecticPair) -> tuple:
 
 def _sector(d: int, det: int) -> tuple:
     """One CliffordElement per kernel coset of the pairs with det F = det,
-    represented by the first pair met in enumeration order."""
-    seen = {}
-    for f in symplectic_group_matrices(2 * d, det):
-        for chi in itertools.product(range(d), repeat=2):
-            pair = SymplecticPair(f, chi, d)
-            name = coset(pair)
-            if name not in seen:
-                seen[name] = CliffordElement(pair, to_operator(pair))
-    return tuple(seen.values())
+    represented by the first pair met in enumeration order (F outer, chi
+    inner).  All pairs are named at once: the least _pair_key over the
+    kernel, whose order is that of the nested tuples coset compares."""
+    db = 2 * d
+    fs = np.array(symplectic_group_matrices(db, det))
+    chis = np.array(list(itertools.product(range(d), repeat=2)))
+    f = np.repeat(fs, len(chis), axis=0).T
+    chi = np.tile(chis, (len(fs), 1)).T
+    names = np.min(
+        [_pair_key(*_compose(f, chi, k.F, k.chi, db, d), d) for k in kernel_pairs(d)], axis=0
+    )
+    first = np.sort(np.unique(names, return_index=True)[1])
+    f, chi = f[:, first], chi[:, first]
+    mats, anti = _operators(f, chi, d)
+    return tuple(
+        CliffordElement(SymplecticPair(tuple(fi), tuple(ci), d), GroupElement(m, a))
+        for fi, ci, m, a in zip(f.T.tolist(), chi.T.tolist(), mats, anti.tolist())
+    )
 
 
 @lru_cache(maxsize=None)

@@ -183,6 +183,18 @@ def quad_signature_scan(sic: SicPovm, decimals: int = 8):
     return sigs, matching
 
 
+def _symmetry_permutations(states: np.ndarray) -> set:
+    """Permutations of the states by the unitary Clifford elements that
+    preserve them, each element first screened on where it sends state 0."""
+    _, mats, anti = element_arrays(extended=False)
+    _, ov = state_action(mats, anti, states[:1], states)
+    keep = ov[:, 0] >= 1.0 - MATCH_TOL
+    index, ov = state_action(mats[keep], anti[keep], states, states)
+    matched = np.all(ov >= 1.0 - MATCH_TOL, axis=1)
+    bijective = np.all(np.sort(index, axis=1) == np.arange(len(states)), axis=1)
+    return {tuple(p) for p in index[matched & bijective].tolist()}
+
+
 def uniqueness_check(sic: SicPovm, tol: float = DEFAULT_TOL) -> bool:
     """True iff the SIC's order-48 projective symmetry group contains
     exactly one order-16 subgroup.
@@ -194,11 +206,7 @@ def uniqueness_check(sic: SicPovm, tol: float = DEFAULT_TOL) -> bool:
     """
     if not verify_sic(sic.states, sic.d, tol).is_sic:
         raise ValueError("input does not certify as a SIC-POVM")
-    _, mats, anti = element_arrays(extended=False)
-    index, ov = state_action(mats[~anti], anti[~anti], sic.states, sic.states)
-    matched = np.all(ov >= 1.0 - MATCH_TOL, axis=1)
-    bijective = np.all(np.sort(index, axis=1) == np.arange(16), axis=1)
-    perms = {tuple(p) for p in index[matched & bijective].tolist()}
+    perms = _symmetry_permutations(sic.states)
     if len(perms) != 48:
         raise ValueError("symmetry group inside the Clifford group has order %d, expected 48" % len(perms))
 

@@ -14,7 +14,6 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-import networkx as nx
 import numpy as np
 
 from .clifford import (
@@ -110,16 +109,53 @@ def regrouped_family(orbit: FiducialOrbit | None = None, tol: float = 1e-9):
     return sics, matching
 
 
-def fidelity_graph(orbit: FiducialOrbit, vertices, tol: float = 1e-9) -> nx.Graph:
+def fidelity_adjacency(orbit: FiducialOrbit, vertices, tol: float = 1e-9) -> np.ndarray:
+    """Boolean adjacency of the fidelity-1/5 graph on the given states,
+    decided on the upper triangle of the overlap matrix and mirrored."""
     flat = orbit.projectors[list(vertices)].reshape(len(vertices), 16)
     fid = np.real(flat.conj() @ flat.T)
-    g = nx.Graph()
-    g.add_nodes_from(vertices)
-    rows, cols = np.nonzero(np.abs(fid - 0.2) <= tol)
-    g.add_edges_from(
-        (vertices[i], vertices[j]) for i, j in zip(rows, cols) if i < j
-    )
-    return g
+    upper = np.triu(np.abs(fid - 0.2) <= tol, 1)
+    return upper | upper.T
+
+
+def fidelity_graph(orbit: FiducialOrbit, vertices, tol: float = 1e-9):
+    """The fidelity-1/5 graph as a networkx Graph labelled by ``vertices``."""
+    import networkx as nx
+
+    g = nx.from_numpy_array(fidelity_adjacency(orbit, vertices, tol), edge_attr=None)
+    return nx.relabel_nodes(g, dict(enumerate(vertices)))
+
+
+def _bits(mask: int):  # indices of the set bits, lowest first
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _cliques(adj: np.ndarray, k: int) -> list:
+    """The maximal cliques of at least k vertices, as index lists: Bron-Kerbosch
+    with pivoting (Bron & Kerbosch 1973) on int-bitmask neighbour sets.  The
+    pivot maximizes |P & N(u)|; a branch with |R| + |P| < k is cut, as none of
+    its cliques can reach k vertices."""
+    rows = np.packbits(adj, axis=1, bitorder="little")
+    nbr = [int.from_bytes(row.tobytes(), "little") for row in rows]
+    found = []
+
+    def expand(r, p, x):
+        if len(r) + p.bit_count() < k:
+            return
+        if not p | x:
+            found.append(r)
+            return
+        pivot = max(_bits(p | x), key=lambda u: (p & nbr[u]).bit_count())
+        for v in _bits(p & ~nbr[pivot]):
+            expand(r + [v], p & nbr[v], x & nbr[v])
+            p &= ~(1 << v)
+            x |= 1 << v
+
+    expand([], (1 << len(adj)) - 1, 0)
+    return found
 
 
 def exhaustive_regroup_scan(
@@ -142,13 +178,10 @@ def exhaustive_regroup_scan(
         ]
     found = set()
     for vertices in vertex_sets:
-        g = fidelity_graph(orbit, vertices, tol)
-        for clique in nx.find_cliques(g):
-            if len(clique) < 16:
-                continue
+        for clique in _cliques(fidelity_adjacency(orbit, vertices, tol), 16):
             if len(clique) > 16:
                 raise AssertionError("clique larger than a SIC cannot exist")
-            key = tuple(sorted(clique))
+            key = tuple(sorted(vertices[i] for i in clique))
             if key in found:
                 continue
             if not verify_sic(orbit.projectors[list(key)], 4, tol).is_sic:
@@ -233,15 +266,14 @@ def _quotient() -> tuple:
     return multiplication_table(4), names, {name: i for i, name in enumerate(names)}
 
 
-def _span(table: np.ndarray, x: int, z: int, identity: int) -> np.ndarray:
-    """Indices of x^a z^b for 0 <= a, b < 4."""
-    powers = []
-    for g in (x, z):
-        acc = [identity]
-        for _ in range(3):
-            acc.append(table[acc[-1], g])
-        powers.append(acc)
-    return table[np.ix_(*powers)].ravel()
+def _span(table: np.ndarray, x, z, identity: int) -> np.ndarray:
+    """Indices of x^a z^b, 0 <= a, b < 4, as a (P, 16) array for P pairs."""
+
+    def powers(g):
+        return np.stack([np.full_like(g, identity), g, table[g, g], table[table[g, g], g]], 1)
+
+    x, z = np.atleast_1d(x), np.atleast_1d(z)
+    return table[powers(x)[:, :, None], powers(z)[:, None, :]].reshape(len(x), 16)
 
 
 def generated_cosets(x: SymplecticPair, z: SymplecticPair) -> frozenset:
@@ -249,7 +281,7 @@ def generated_cosets(x: SymplecticPair, z: SymplecticPair) -> frozenset:
     z commute projectively and have order 4."""
     table, names, index = _quotient()
     span = _span(table, index[coset(x)], index[coset(z)], index[displacement_coset(0, 0)])
-    return frozenset(names[k] for k in span)
+    return frozenset(names[k] for k in span[0])
 
 
 def hw_conjugate_subgroup_census() -> tuple:
@@ -266,18 +298,18 @@ def hw_conjugate_subgroup_census() -> tuple:
     identity = index[displacement_coset(0, 0)]
     square = np.diagonal(table)
     # order-4 elements, in coset-name order so the census lists are stable
-    quartic = sorted(
-        np.nonzero((square != identity) & (square[square] == identity))[0], key=names.__getitem__
-    )
+    quartic = np.flatnonzero((square != identity) & (square[square] == identity))
+    quartic = np.array(sorted(quartic, key=names.__getitem__))
     sub = table[np.ix_(quartic, quartic)]
+    x, z = (quartic[k] for k in np.nonzero(np.triu(sub == sub.T, 1)))
+    spans = np.sort(_span(table, x, z, identity), axis=1)
+    full = np.all(np.diff(spans, axis=1) != 0, axis=1)
+    # one pair per distinct 16-element span, the first in pair order
+    first = np.flatnonzero(full)[np.sort(np.unique(spans[full], axis=0, return_index=True)[1])]
     subgroups = {}
-    for i, j in zip(*np.nonzero(np.triu(sub == sub.T, 1))):
-        x, z = quartic[i], quartic[j]
-        span = frozenset(_span(table, x, z, identity).tolist())
-        if len(span) != 16 or span in subgroups:
-            continue
-        c = commutator_phase(els[x].op.matrix, els[z].op.matrix)
-        subgroups[span] = abs(c.imag) > 0.5  # primitive pairing
+    for k in first.tolist():
+        c = commutator_phase(els[x[k]].op.matrix, els[z[k]].op.matrix)
+        subgroups[frozenset(spans[k].tolist())] = abs(c.imag) > 0.5  # primitive pairing
     hw_type = [s for s, primitive in subgroups.items() if primitive]
     gens = [
         index[coset(SymplecticPair(f, chi, 4))]

@@ -1,9 +1,17 @@
+import importlib.util
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sic4.cli
 from sic4.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_orbit_passes(capsys):
@@ -138,3 +146,46 @@ def test_all_rejects_basis(capsys):
         main(["all", "--basis", "bell"])
     assert e.value.code == 2
     assert "--basis" in capsys.readouterr().err
+
+
+def test_all_turns_a_raising_section_into_a_fail_row(monkeypatch, tmp_path, capsys):
+    def boom(cfg, claims):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(sic4.cli, "run_triples", boom)
+    out = tmp_path / "all.json"
+    assert main(["all", "--format", "json", "--out", str(out)]) == 1
+    capsys.readouterr()
+    rows = json.loads(out.read_text())["claims"]
+    failed = [r for r in rows if not r["pass"]]
+    assert [(r["claim_id"], r["observed"]) for r in failed] == [("triples.error", "RuntimeError: boom")]
+    assert len(rows) == 75 - 9 + 1  # the other sections still ran
+    assert rows[-1]["claim_id"].startswith("twoqubit.bell_")
+
+
+def _perfbench_cli_imports() -> str:
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CLI_IMPORTS
+
+
+def test_regroup_does_not_import_networkx(tmp_path):
+    code = "; ".join(
+        [
+            _perfbench_cli_imports(),
+            "import sys",
+            "rc = sic4.cli.main(['regroup', '--out', sys.argv[1]])",
+            "assert 'networkx' not in sys.modules, 'networkx was imported'",
+            "sys.exit(rc)",
+        ]
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "r.txt")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

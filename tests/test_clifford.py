@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from sic4.clifford import (
     to_operator,
 )
 from sic4.numerics import canonical_key, compose, elements_proj_equal, proj_equal
-from sic4.weyl_heisenberg import displacement
+from sic4.weyl_heisenberg import displacement, displacement_table, tau
 
 
 def test_pair_validation():
@@ -158,3 +159,65 @@ def test_multiplication_table_is_a_homomorphism():
     e = next(n for n, el in enumerate(els) if coset(el.source) == ident)
     assert np.array_equal(table[e], np.arange(768))
     assert np.array_equal(table[:, e], np.arange(768))
+
+
+def _scalar_gauss_sum(F, d):
+    """Reference V_F, beta invertible: one Gauss sum per matrix."""
+    alpha, beta, _gamma, delta = F
+    db = 2 * d if d % 2 == 0 else d
+    binv = pow(beta % db, -1, db)
+    r, s = np.indices((d, d))
+    expo = (binv * (alpha * s * s - 2 * r * s + delta * r * r)) % db
+    return tau(d) ** expo / math.sqrt(d)
+
+
+def _scalar_operator(pair):
+    """Reference (matrix, antiunitary) of one pair: the Gauss sum, or the
+    two-factor product through the least admissible shift, after F J for
+    an antiunitary pair, then D_chi."""
+    d, db = pair.d, pair.dbar
+    if pair.antiunitary:
+        pair = semidirect_product(pair, SymplecticPair((1, 0, 0, -1), (0, 0), d))
+    alpha, beta, gamma, delta = pair.F
+    if math.gcd(beta, db) == 1:
+        v = _scalar_gauss_sum(pair.F, d)
+    else:
+        x = next(x for x in range(db) if math.gcd((delta + x * beta) % db, db) == 1)
+        f1 = (0, -1 % db, 1, x)
+        f2 = ((gamma + x * alpha) % db, (delta + x * beta) % db, -alpha % db, -beta % db)
+        v = _scalar_gauss_sum(f1, d) @ _scalar_gauss_sum(f2, d)
+    return displacement_table(d)[pair.chi] @ v
+
+
+@pytest.mark.parametrize("det", [1, 7])
+def test_enumeration_matches_per_pair_coset_loop(det):
+    # reference: name every pair by coset, keep the first pair per name and
+    # build its operator alone
+    seen = {}
+    for f in symplectic_group_matrices(8, det):
+        for chi in itertools.product(range(4), repeat=2):
+            pair = SymplecticPair(f, chi, 4)
+            seen.setdefault(coset(pair), pair)
+    els = enumerate_projective_clifford(4, extended=True)
+    els = els[:768] if det == 1 else els[768:]
+    assert [(e.source.F, e.source.chi) for e in els] == [(p.F, p.chi) for p in seen.values()]
+    assert all(e.op.antiunitary == (det == 7) for e in els)
+    ref = np.stack([_scalar_operator(p) for p in seen.values()])
+    assert np.array_equal(np.stack([e.op.matrix for e in els]), ref)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_to_operator_matches_scalar_gauss_sums(d):
+    rng = np.random.default_rng(41)
+    db = 2 * d if d % 2 == 0 else d
+    parities = set()
+    for det in (1, db - 1):
+        mats = symplectic_group_matrices(db, det)
+        for k in rng.integers(0, len(mats), 60):
+            f = mats[k]
+            pair = SymplecticPair(f, tuple(int(x) for x in rng.integers(0, d, 2)), d)
+            op = to_operator(pair)
+            assert op.antiunitary == (det == db - 1)
+            assert np.array_equal(op.matrix, _scalar_operator(pair))
+            parities.add((det, math.gcd(f[1], db) == 1))
+    assert parities == {(det, unit) for det in (1, db - 1) for unit in (False, True)}

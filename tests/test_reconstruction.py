@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from sic4.numerics import projective_set_equal
-from sic4.orbits import enumerate_orbit
+from sic4.orbits import MATCH_TOL, element_arrays, enumerate_orbit, state_action
 from sic4.reconstruction import (
+    _symmetry_permutations,
     quad_signature,
     quad_signature_scan,
     reconstruct_hw,
@@ -136,3 +137,17 @@ def test_uniqueness_certificate():
     assert uniqueness_check(orbit.sic(1))
     sics, _ = regrouped_family(orbit)
     assert uniqueness_check(sics[0])
+
+
+def test_screened_symmetry_permutations_match_full_action():
+    # reference: every unitary element acts on all 16 states, no screening
+    _, mats, anti = element_arrays(extended=False)
+    orbit = enumerate_orbit()
+    sics = [orbit.sic(label) for label in range(1, 17)] + regrouped_family(orbit)[0]
+    for sic in sics:
+        index, ov = state_action(mats[~anti], anti[~anti], sic.states, sic.states)
+        matched = np.all(ov >= 1.0 - MATCH_TOL, axis=1)
+        bijective = np.all(np.sort(index, axis=1) == np.arange(16), axis=1)
+        full = {tuple(p) for p in index[matched & bijective].tolist()}
+        assert len(full) == 48
+        assert _symmetry_permutations(sic.states) == full

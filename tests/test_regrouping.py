@@ -1,9 +1,10 @@
+import networkx as nx
 import numpy as np
 import pytest
 
-from sic4.clifford import enumerate_projective_clifford, to_operator
-from sic4.numerics import proj_equal, projective_set_equal
-from sic4.orbits import enumerate_orbit
+from sic4.clifford import SymplecticPair, coset, enumerate_projective_clifford, to_operator
+from sic4.numerics import commutator_phase, proj_equal, projective_set_equal
+from sic4.orbits import LABEL_GRID, enumerate_orbit
 from sic4.regrouping import (
     EQUIVALENCE_MATRIX,
     X_PRIME_MATRIX,
@@ -14,7 +15,10 @@ from sic4.regrouping import (
     dprime_elements,
     dprime_generators,
     equivalence_unitary,
+    _cliques,
+    _quotient,
     exhaustive_regroup_scan,
+    fidelity_adjacency,
     fidelity_graph,
     h_orbits,
     hw_conjugate_subgroup_census,
@@ -172,3 +176,102 @@ def test_subgroup_census():
     assert dbar in set(normal_sets)
     assert all(ident in s for s in hw_type)
     assert pair_coset(X_PRIME_PAIR) != displacement_coset(1, 0)
+
+
+def _nx_cliques(g, k):
+    return {frozenset(c) for c in nx.find_cliques(g) if len(c) >= k}
+
+
+@pytest.mark.parametrize("scan", ["rows", "full"])
+def test_clique_search_matches_networkx(scan):
+    orbit = enumerate_orbit()
+    if scan == "full":
+        vertex_sets = [list(range(256))]
+    else:
+        vertex_sets = [[(lab - 1) * 16 + k for lab in row for k in range(16)] for row in LABEL_GRID]
+    for vertices in vertex_sets:
+        adj = fidelity_adjacency(orbit, vertices)
+        found = {frozenset(vertices[i] for i in c) for c in _cliques(adj, 16)}
+        assert found == _nx_cliques(fidelity_graph(orbit, vertices), 16)
+        assert len(found) == (32 if scan == "full" else 8)
+
+
+def test_clique_search_matches_networkx_on_planted_cliques():
+    rng = np.random.default_rng(17)
+    for n, p, planted in ((30, 0.3, 8), (48, 0.5, 12), (60, 0.2, 16)):
+        adj = np.triu(rng.random((n, n)) < p, 1)
+        members = rng.choice(n, planted, replace=False)
+        adj[np.ix_(members, members)] = True
+        adj = np.triu(adj, 1)
+        adj = adj | adj.T
+        g = nx.Graph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from(zip(*np.nonzero(adj)))
+        for k in (1, 3, planted):
+            assert {frozenset(c) for c in _cliques(adj, k)} == _nx_cliques(g, k)
+
+
+def test_fidelity_adjacency_row_sums_are_the_graph_degrees():
+    orbit = enumerate_orbit()
+    vertices = list(range(256))
+    degrees = dict(fidelity_graph(orbit, vertices).degree())
+    assert fidelity_adjacency(orbit, vertices).sum(axis=1).tolist() == [degrees[v] for v in vertices]
+
+
+def _scalar_span_census():
+    """Reference census: one table walk per commuting pair of order-4
+    cosets, kept when its span has 16 elements and is new."""
+    table, names, index = _quotient()
+    els = enumerate_projective_clifford(4, extended=False)
+    identity = index[displacement_coset(0, 0)]
+
+    def span(x, z):
+        powers = []
+        for g in (x, z):
+            acc = [identity]
+            for _ in range(3):
+                acc.append(table[acc[-1], g])
+            powers.append(acc)
+        return table[np.ix_(*powers)].ravel()
+
+    square = np.diagonal(table)
+    quartic = sorted(
+        np.nonzero((square != identity) & (square[square] == identity))[0], key=names.__getitem__
+    )
+    sub = table[np.ix_(quartic, quartic)]
+    subgroups = {}
+    for i, j in zip(*np.nonzero(np.triu(sub == sub.T, 1))):
+        x, z = quartic[i], quartic[j]
+        s = frozenset(span(x, z).tolist())
+        if len(s) != 16 or s in subgroups:
+            continue
+        c = commutator_phase(els[x].op.matrix, els[z].op.matrix)
+        subgroups[s] = abs(c.imag) > 0.5
+    hw_type = [s for s, primitive in subgroups.items() if primitive]
+    gens = [
+        index[coset(SymplecticPair(f, chi, 4))]
+        for f, chi in (
+            ((1, 1, 0, 1), (0, 0)),
+            ((0, 7, 1, 0), (0, 0)),
+            ((1, 0, 0, 1), (1, 0)),
+            ((1, 0, 0, 1), (0, 1)),
+        )
+    ]
+    inverses = [np.flatnonzero(table[g] == identity)[0] for g in gens]
+    normal = [
+        s
+        for s in hw_type
+        if all(
+            s.issuperset(table[table[g, list(s)], g_inv].tolist())
+            for g, g_inv in zip(gens, inverses)
+        )
+    ]
+
+    def named(s):
+        return frozenset(names[k] for k in s)
+
+    return len(hw_type), len(normal), [named(s) for s in hw_type], [named(s) for s in normal]
+
+
+def test_subgroup_census_matches_scalar_spans():
+    assert hw_conjugate_subgroup_census() == _scalar_span_census()
