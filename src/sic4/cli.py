@@ -413,7 +413,7 @@ def run_reconstruct(cfg, claims: Claims):
 
     in_group = 0
     for quad in matching:
-        zq = _phase_operator(orbit.sic(1).states[list(quad)].sum(axis=0), cfg.tol)
+        zq = _phase_operator(orbit.sic(1).states[list(quad)].sum(axis=0))
         scores = np.abs(np.einsum("ij,kij->k", zq.conj(), disp))
         if np.max(scores) >= 4 - 1e-7:
             in_group += 1
@@ -681,7 +681,7 @@ def run_twoqubit(cfg, claims: Claims, basis: str):
         gbv,
         match_sign_pattern,
         operator_schmidt_rank,
-        partial_transpose_simplex_check,
+        partial_transpose_simplex_checks,
         physical_state,
         reduced_state_census,
         sign_functions,
@@ -839,7 +839,7 @@ def run_twoqubit(cfg, claims: Claims, basis: str):
             edge_dev,
         )
         vps = violating_patterns()
-        certified = sum(partial_transpose_simplex_check(p, orbit, cfg.tol) for p in vps)
+        certified = int(np.sum(partial_transpose_simplex_checks(vps, orbit, cfg.tol)))
         claims.add(
             "twoqubit.product_simplex_patterns",
             "excluded sign assignments encode partial transposes of fiducials",

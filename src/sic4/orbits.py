@@ -81,12 +81,19 @@ STABILIZER_ORBIT_SETS = (
 
 LABEL_GRID = ((1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12), (13, 14, 15, 16))
 
-# elements per block in state_action; bounds its (block * states, targets)
-# complex overlap matrix, about 4 MB for 16 states against the 256-state orbit
-ACTION_BLOCK = 64
+# elements per block in state_action at its largest shape, 16 states against
+# the 256-state orbit: a (256, 256) complex overlap block of 1 MB, which
+# stays in cache (64 elements per block took twice as long); smaller shapes
+# take proportionally more elements per block
+ACTION_BLOCK = 16
 
-# overlap |tr(target g rho g^-1)| at or above 1 - MATCH_TOL names the image
+# overlap |<target| g psi>|^2 at or above 1 - MATCH_TOL names the image
 MATCH_TOL = 1e-6
+
+# largest entry of rho - k k^dag for the ket k that state_action reads off a
+# state; beyond it the state is not rank-1 and |<target| g k>|^2 would no
+# longer be tr(target g rho g^-1), so the kernel refuses it
+RANK1_TOL = 1e-6
 
 
 def fiducial_projector() -> np.ndarray:
@@ -156,34 +163,50 @@ def element_arrays(extended: bool = True):
     return els, mats, anti
 
 
+def _kets(states) -> np.ndarray:
+    """(M, d) kets k with k k^dag = rho for a stack of M rank-1 states: each
+    state's column through its largest diagonal entry, scaled to that
+    entry's root.  A state farther than RANK1_TOL from k k^dag raises
+    ValueError."""
+    states = np.asarray(states, dtype=complex)
+    m = np.arange(len(states))
+    j = np.argmax(np.diagonal(states, axis1=1, axis2=2).real, axis=1)
+    kets = states[m, :, j] / np.sqrt(np.abs(states[m, j, j]))[:, None]
+    dev = np.max(np.abs(states - kets[:, :, None] * kets[:, None, :].conj()))
+    if not dev <= RANK1_TOL:  # also refuses NaN
+        raise ValueError("state is not a rank-1 projector (deviation %.3g)" % dev)
+    return kets
+
+
 def state_action(mats, anti, states, targets):
     """Where conjugation by each of N elements sends each of M states.
 
-    ``mats`` (N, d, d) and ``anti`` (N flags) give the elements; an
-    antiunitary one conjugates rho-bar.  Returns the (N, M) index of the
-    target with the largest overlap |tr(target g rho g^-1)| and that overlap;
-    callers apply their own threshold.  Per block of ``ACTION_BLOCK``
-    elements, one einsum builds the superoperators g (x) conj(g), one
-    batched product applies them to every vec(rho) and one more takes all
-    overlaps.
+    ``mats`` (N, d, d) and ``anti`` (N flags) give the elements; states and
+    targets are rank-1 projectors (ValueError otherwise).  Returns the (N, M)
+    index of the target with the largest overlap |<target| g psi>|^2 =
+    tr(target g rho g^-1), with psi-bar for an antiunitary element, and that
+    overlap; callers apply their own threshold.  Kets are read off the
+    projectors once; per block of elements one batched product applies them
+    to every ket and one GEMM takes all overlaps.
     """
     mats = np.asarray(mats, dtype=complex)
-    anti = np.asarray(anti, dtype=bool)
-    d2 = mats.shape[1] ** 2
-    vecs = np.asarray(states, dtype=complex).reshape(-1, d2).T
-    sources = np.stack([vecs, vecs.conj()])  # indexed by the antiunitarity flag
-    # tr(t x) = vec(t^T) . vec(x)
-    tvecs = np.asarray(targets, dtype=complex).transpose(0, 2, 1).reshape(-1, d2).T
-    index = np.empty((len(mats), vecs.shape[1]), dtype=np.intp)
+    anti = np.asarray(anti, dtype=bool).astype(np.intp)
+    kets = _kets(states).T
+    sources = np.stack([kets, kets.conj()])  # indexed by the antiunitarity flag
+    bras = _kets(targets).conj().T
+    d, m = kets.shape
+    step = ACTION_BLOCK * max(1, 16 * 256 // (m * bras.shape[1]))
+    index = np.empty((len(mats), m), dtype=np.intp)
     overlap = np.empty(index.shape)
-    for lo in range(0, len(mats), ACTION_BLOCK):
-        g = mats[lo : lo + ACTION_BLOCK]
-        sup = np.einsum("nij,nkl->nikjl", g, g.conj()).reshape(-1, d2, d2)
-        images = sup @ sources[anti[lo : lo + ACTION_BLOCK].astype(np.intp)]
-        ov = np.abs(images.transpose(0, 2, 1).reshape(-1, d2) @ tvecs)
-        ov = ov.reshape(len(g), -1, tvecs.shape[1])
-        index[lo : lo + len(g)] = ov.argmax(axis=2)
-        overlap[lo : lo + len(g)] = ov.max(axis=2)
+    for lo in range(0, len(mats), step):
+        g = mats[lo : lo + step]
+        images = (g @ sources[anti[lo : lo + step]]).transpose(0, 2, 1).reshape(-1, d)
+        z = images @ bras
+        ov = np.square(z.real)
+        ov += np.square(z.imag)
+        best = ov.argmax(axis=1)
+        index[lo : lo + len(g)] = best.reshape(len(g), m)
+        overlap[lo : lo + len(g)] = ov[np.arange(len(best)), best].reshape(len(g), m)
     return index, overlap
 
 
@@ -275,19 +298,35 @@ def triple_trace_census(label: int = 1, gap: float = 1e-6):
     return _cluster_complex(vals, gap)
 
 
-def compose_permutations(p, q) -> tuple:
-    """p after q for permutations given as tuples of images."""
-    return tuple(p[i] for i in q)
+def permutation_orders(perms) -> np.ndarray:
+    """Orders of a (P, n) stack of permutations given as rows of images."""
+    perms = np.asarray(perms)
+    orders = np.zeros(len(perms), dtype=int)
+    acc, k = perms, 1
+    while not orders.all():
+        orders[(orders == 0) & np.all(acc == np.arange(perms.shape[1]), axis=1)] = k
+        acc = np.take_along_axis(perms, acc, axis=1)  # p after acc
+        k += 1
+    return orders
 
 
 def permutation_order(p) -> int:
     """Smallest n >= 1 with p^n the identity."""
-    ident = tuple(range(len(p)))
-    order, acc = 1, tuple(p)
-    while acc != ident:
-        acc = compose_permutations(p, acc)
-        order += 1
-    return order
+    return int(permutation_orders([p])[0])
+
+
+def _is_member(rows, group) -> np.ndarray:
+    """Which permutations of a (..., n) stack are rows of the (k, n) group."""
+    return np.any(np.all(rows[..., None, :] == group, axis=-1), axis=-1)
+
+
+def two_power_subgroup(perms) -> tuple:
+    """The elements of 2-power order of a (P, n) permutation group, as a
+    (k, n) array, and whether they number 16 and close under composition."""
+    perms = np.asarray(perms)
+    tp = perms[np.isin(permutation_orders(perms), (1, 2, 4, 8, 16))]
+    # tp[:, tp][a, b] = tp[a] after tp[b]
+    return tp, len(tp) == 16 and bool(np.all(_is_member(tp[:, tp], tp)))
 
 
 @dataclass
@@ -299,15 +338,15 @@ class SymmetryReport:
     rigid_permutation_count: int
 
 
-def _permutations_on_states(mats, orbit: FiducialOrbit, label: int = 1) -> list:
+def _permutations_on_states(mats, orbit: FiducialOrbit, label: int = 1) -> np.ndarray:
     """How each of a stack of unitary symmetries permutes the 16 states of
-    one SIC."""
+    one SIC, as an (N, 16) array."""
     base = (label - 1) * 16
     sic = orbit.projectors[base : base + 16]
     index, ov = state_action(mats, np.zeros(len(mats), dtype=bool), sic, orbit.projectors)
     if ov.min() < 1.0 - MATCH_TOL or np.any(index // 16 != label - 1):
         raise ValueError("element does not preserve the SIC")
-    return [tuple(p) for p in (index - base).tolist()]
+    return index - base
 
 
 def symmetry_group_of_sic(label: int = 1, tol: float = DEFAULT_TOL):
@@ -393,29 +432,21 @@ def verify_symmetry_group_in_clifford(tol: float = DEFAULT_TOL) -> SymmetryRepor
     unitary = [e for e in sym if not e.op.antiunitary]
     stab = stability_group(orbit.fiducial(1), tol)
 
-    perms = set(_permutations_on_states(np.stack([e.op.matrix for e in unitary]), orbit))
-    if len(perms) != len(unitary):
+    mats = np.stack([e.op.matrix for e in unitary])
+    perms = _permutations_on_states(mats, orbit)
+    if len({tuple(p) for p in perms.tolist()}) != len(unitary):
         raise AssertionError("state action of the symmetry group is not faithful")
 
     # the unique order-16 subgroup: exactly 16 elements of 2-power order,
     # closed under composition, normal, and equal to the displacements
-    plist = list(perms)
-    two_power = [p for p in plist if permutation_order(p) in (1, 2, 4, 8, 16)]
-    unique16 = len(two_power) == 16
-    tp = set(two_power)
+    tp, unique16 = two_power_subgroup(perms)
     if unique16:
-        unique16 = all(compose_permutations(a, b) in tp for a in tp for b in tp)
+        # conj[h, g] = g after tp[h] after g^-1
+        conj = np.take_along_axis(perms[None], tp[:, np.argsort(perms, axis=1)], axis=2)
+        unique16 = bool(np.all(_is_member(conj, tp)))
     if unique16:
-        for g in plist:
-            ginv = g
-            while compose_permutations(g, ginv) != tuple(range(16)):
-                ginv = compose_permutations(ginv, g)
-            if any(compose_permutations(compose_permutations(g, h), ginv) not in tp for h in tp):
-                unique16 = False
-                break
-    if unique16:
-        disp = displacement_table(4).reshape(16, 4, 4)
-        unique16 = set(_permutations_on_states(disp, orbit)) == tp
+        disp = _permutations_on_states(displacement_table(4).reshape(16, 4, 4), orbit)
+        unique16 = bool(np.all(_is_member(disp, tp)) and np.all(_is_member(tp, disp)))
 
     rigid = rigid_permutations(1, limit=10)
     return SymmetryReport(

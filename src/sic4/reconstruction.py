@@ -14,21 +14,26 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .numerics import DEFAULT_TOL, canonical_phase, commutator_phase, eig_hermitian
-from .orbits import (
-    MATCH_TOL,
-    compose_permutations,
-    element_arrays,
-    permutation_order,
-    state_action,
-)
+from .orbits import MATCH_TOL, element_arrays, state_action, two_power_subgroup
 from .weyl_heisenberg import CONSTANTS, SicPovm, verify_sic
 
 # eigenvalue of the 4-state sum paired with the phase i^k it tags
 _SQ5 = math.sqrt(5.0)
+
+# a sum's sorted eigenvalues within SIGNATURE_TOL of the reference signature
+# qualify; on the 32 SICs qualifying sums match to 1e-14 and every other
+# signature is at least 0.09 away in some eigenvalue
+SIGNATURE_TOL = 1e-8
+
+# candidate 4-subsets whose signatures one batched eigvalsh takes at a time
+# while reconstruct_hw looks for the first qualifying one; on SICs in random
+# state order that one comes about 40 candidates in, on orbit SICs at once
+QUAD_BLOCK = 16
 
 
 def signature_values() -> tuple:
@@ -46,7 +51,7 @@ def reference_signature() -> tuple:
     return tuple(sorted(signature_values()))
 
 
-def quad_signature(states, tol: float = DEFAULT_TOL) -> tuple:
+def quad_signature(states) -> tuple:
     """Sorted eigenvalues of the sum of four states."""
     states = np.asarray(states, dtype=complex)
     if states.shape != (4, 4, 4):
@@ -55,12 +60,42 @@ def quad_signature(states, tol: float = DEFAULT_TOL) -> tuple:
     return tuple(float(x) for x in w)
 
 
-def _matches_reference(sig, tol: float = 1e-8) -> bool:
-    ref = reference_signature()
-    return all(abs(a - b) <= tol for a, b in zip(sig, ref))
+def _signatures(states: np.ndarray, quads: np.ndarray) -> np.ndarray:
+    """Sorted eigenvalues of the state sums of each row of a (Q, 4) index
+    array, summed in row order."""
+    m = states[quads[:, 0]]
+    for k in range(1, 4):
+        m += states[quads[:, k]]
+    return np.linalg.eigvalsh(m)
 
 
-def _phase_operator(m: np.ndarray, tol: float) -> np.ndarray:
+def _matches_reference(sigs: np.ndarray) -> np.ndarray:
+    """Which rows of a (Q, 4) signature stack qualify."""
+    return np.all(np.abs(sigs - np.array(reference_signature())) <= SIGNATURE_TOL, axis=1)
+
+
+@lru_cache(maxsize=None)
+def _quad_index() -> np.ndarray:
+    """The 1820 4-subsets of 16 states as a read-only (1820, 4) index array,
+    in itertools.combinations order."""
+    quads = np.array(list(itertools.combinations(range(16), 4)))
+    quads.flags.writeable = False
+    return quads
+
+
+def _first_match(states: np.ndarray, candidates: np.ndarray):
+    """The first row of a (Q, 4) candidate index array whose quad realizes
+    the reference signature, or None; signatures are taken QUAD_BLOCK rows
+    at a time."""
+    for lo in range(0, len(candidates), QUAD_BLOCK):
+        block = candidates[lo : lo + QUAD_BLOCK]
+        hits = np.flatnonzero(_matches_reference(_signatures(states, block)))
+        if len(hits):
+            return block[hits[0]].tolist()
+    return None
+
+
+def _phase_operator(m: np.ndarray) -> np.ndarray:
     """Attach i^k to the eigenket of the sum eigenvalue tagged k."""
     w, v = eig_hermitian(m, tol=1e-8)
     vals = signature_values()
@@ -107,14 +142,10 @@ def reconstruct_hw(sic: SicPovm, tol: float = DEFAULT_TOL) -> ReconstructedGroup
         raise ValueError("input does not certify as a SIC-POVM")
     states = sic.states
 
-    zp = None
-    for quad in itertools.combinations(range(16), 4):
-        sig = quad_signature(states[list(quad)])
-        if _matches_reference(sig):
-            zp = _phase_operator(states[list(quad)].sum(axis=0), tol)
-            break
-    if zp is None:
+    quad = _first_match(states, _quad_index())
+    if quad is None:
         raise ValueError("no 4-subset realizes the reference signature")
+    zp = _phase_operator(states[quad].sum(axis=0))
 
     perm = _state_permutation(zp, states)
     orbits = []
@@ -134,14 +165,12 @@ def reconstruct_hw(sic: SicPovm, tol: float = DEFAULT_TOL) -> ReconstructedGroup
         raise ValueError("clock generator does not split the SIC into four 4-orbits")
     orbits.sort()
 
-    xp = None
-    for pick in itertools.product(*orbits):
-        sig = quad_signature(states[list(pick)])
-        if _matches_reference(sig):
-            xp = _phase_operator(states[list(pick)].sum(axis=0), tol)
-            break
-    if xp is None:
+    # one state from each clock orbit, in itertools.product order
+    picks = np.stack(np.meshgrid(*orbits, indexing="ij"), axis=-1).reshape(-1, 4)
+    pick = _first_match(states, picks)
+    if pick is None:
         raise ValueError("no cross-orbit selection realizes the reference signature")
+    xp = _phase_operator(states[pick].sum(axis=0))
 
     omega = 1j
     c = commutator_phase(zp, xp)
@@ -153,12 +182,12 @@ def reconstruct_hw(sic: SicPovm, tol: float = DEFAULT_TOL) -> ReconstructedGroup
 
     _state_permutation(xp, states)  # covariance under the second generator
 
+    xpow = [np.linalg.matrix_power(xp, a) for a in range(4)]
+    zpow = [np.linalg.matrix_power(zp, b) for b in range(4)]
     elements = np.empty((16, 4, 4), dtype=complex)
     for a in range(4):
         for b in range(4):
-            elements[4 * a + b] = canonical_phase(
-                np.linalg.matrix_power(xp, a) @ np.linalg.matrix_power(zp, b)
-            )
+            elements[4 * a + b] = canonical_phase(xpow[a] @ zpow[b])
     flat = elements.reshape(16, 16)
     gram = np.abs(flat.conj() @ flat.T)
     if np.max(gram - np.diag(np.diag(gram))) > 4.0 - 1e-6:
@@ -172,14 +201,13 @@ def quad_signature_scan(sic: SicPovm, decimals: int = 8):
     Returns a dict mapping rounded signatures to the list of subsets, and
     the subsets matching the reference signature.
     """
+    index = _quad_index()
+    w = _signatures(sic.states, index)
+    quads = list(map(tuple, index.tolist()))
     sigs = {}
-    matching = []
-    for quad in itertools.combinations(range(16), 4):
-        sig = quad_signature(sic.states[list(quad)])
-        key = tuple(round(x, decimals) for x in sig)
-        sigs.setdefault(key, []).append(quad)
-        if _matches_reference(sig):
-            matching.append(quad)
+    for quad, sig in zip(quads, w.tolist()):
+        sigs.setdefault(tuple(round(x, decimals) for x in sig), []).append(quad)
+    matching = [quads[k] for k in np.flatnonzero(_matches_reference(w))]
     return sigs, matching
 
 
@@ -209,8 +237,4 @@ def uniqueness_check(sic: SicPovm, tol: float = DEFAULT_TOL) -> bool:
     perms = _symmetry_permutations(sic.states)
     if len(perms) != 48:
         raise ValueError("symmetry group inside the Clifford group has order %d, expected 48" % len(perms))
-
-    two_power = {p for p in perms if permutation_order(p) in (1, 2, 4, 8, 16)}
-    if len(two_power) != 16:
-        return False
-    return all(compose_permutations(a, b) in two_power for a in two_power for b in two_power)
+    return two_power_subgroup(np.array(list(perms)))[1]

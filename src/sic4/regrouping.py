@@ -217,15 +217,23 @@ EQUIVALENCE_MATRIX = 0.5 * np.array(
 )
 
 
-def dprime_generators() -> tuple:
-    """Shift/clock generators of the regrouped family's covariance group.
-
-    Returned as literal matrices, checked projectively against their
-    symplectic-pair parametrization.
-    """
+@lru_cache(maxsize=1)
+def _check_dprime_literals() -> None:
+    """Check, once per process, that the literal D' generators equal their
+    symplectic-pair parametrization projectively."""
     for pair, literal in ((X_PRIME_PAIR, X_PRIME_MATRIX), (Z_PRIME_PAIR, Z_PRIME_MATRIX)):
         if not proj_equal(to_operator(pair).matrix, literal):
             raise AssertionError("parametrized operator disagrees with its literal matrix")
+
+
+def dprime_generators() -> tuple:
+    """Shift/clock generators of the regrouped family's covariance group.
+
+    Returned as fresh copies of the literal matrices, which are checked
+    projectively against their symplectic-pair parametrization on the
+    first call.
+    """
+    _check_dprime_literals()
     return X_PRIME_MATRIX.copy(), Z_PRIME_MATRIX.copy()
 
 

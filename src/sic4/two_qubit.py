@@ -17,10 +17,19 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL
-from .weyl_heisenberg import CONSTANTS, SicPovm, displacement
+from .weyl_heisenberg import CONSTANTS, SicPovm, displacement_table
 
 _SQRT2 = math.sqrt(2.0)
+
+# a simplex operator is non-PSD when its least eigenvalue is at or below
+# NON_PSD_CUT: well clear of rounding noise (about 1e-16) on a PSD operator
+# and of the -1/sqrt(10) that every violating pattern's operator has
+NON_PSD_CUT = -1e-6
+
+# a partial transpose is a fiducial when its overlap |tr(rho pt)| with some
+# orbit projector reaches 1 - PT_MATCH_TOL; the matches reach 1 to 1e-15 and
+# the next-best overlap is 0.76, the largest fidelity between two fiducials
+PT_MATCH_TOL = 1e-8
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -210,14 +219,14 @@ def physical_state(rho: np.ndarray, basis: str) -> np.ndarray:
     raise ValueError("basis must be 'product' or 'bell'")
 
 
-def state_ket(rho: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def state_ket(rho: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(np.asarray(rho, dtype=complex))
     if abs(w[-1] - 1.0) > 1e-6:
         raise ValueError("expected a rank-1 projector")
     return v[:, -1]
 
 
-def concurrence(psi: np.ndarray, tol: float = DEFAULT_TOL) -> float:
+def concurrence(psi: np.ndarray) -> float:
     psi = np.asarray(psi, dtype=complex).ravel()
     if abs(psi @ psi.conj() - 1.0) > 1e-6:
         raise ValueError("ket must be normalized")
@@ -313,39 +322,44 @@ def violating_patterns() -> tuple:
 
 
 def partial_transpose(m: np.ndarray) -> np.ndarray:
-    """Transpose on the second qubit."""
-    return np.asarray(m, dtype=complex).reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    """Transpose on the second qubit, of one 4x4 operator or of a stack."""
+    m = np.asarray(m, dtype=complex)
+    return m.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(m.shape)
 
 
-def partial_transpose_simplex_check(p: SignPattern, orbit=None, tol: float = 1e-9) -> bool:
-    """Certify a constraint-violating pattern: the operator it encodes is
-    Hermitian, trace 1, not PSD, satisfies the 15 simplex equations, and
-    its partial transpose is one of the 256 fiducials."""
-    if p.basis != "product" or p.class_id != 1:
-        raise ValueError("expected a product-basis class-1 pattern")
-    if p.constraint_value() != -1:
-        raise ValueError("pattern satisfies the sign constraint, nothing to check")
-    vec = _table_vector("product", 1, p.signs)
-    q = from_gbv(Gbv(r=vec[:3], s=vec[3:6], C=vec[6:].reshape(3, 3)))
-    if np.max(np.abs(q - q.conj().T)) > tol or abs(np.trace(q) - 1) > tol:
-        return False
-    if np.linalg.eigvalsh(q)[0] > -1e-6:
-        return False  # PSD, so not a violating pattern after all
-    for p1 in range(4):
-        for p2 in range(4):
-            if p1 == p2 == 0:
-                continue
-            dp = displacement(p1, p2, 4)
-            val = np.trace(q @ dp @ q @ dp.conj().T)
-            if abs(val - 0.2) > tol:
-                return False
+def partial_transpose_simplex_checks(patterns, orbit=None, tol: float = 1e-9) -> np.ndarray:
+    """Certify constraint-violating patterns, one flag per pattern: the
+    operator Q each encodes is Hermitian, trace 1, not PSD, satisfies the 15
+    simplex equations tr(Q D_p Q D_p^dag) = 1/5, and its partial transpose
+    is one of the 256 fiducials.  All patterns are checked in one pass."""
+    for p in patterns:
+        if p.basis != "product" or p.class_id != 1:
+            raise ValueError("expected a product-basis class-1 pattern")
+        if p.constraint_value() != -1:
+            raise ValueError("pattern satisfies the sign constraint, nothing to check")
     if orbit is None:
         from .orbits import enumerate_orbit
 
         orbit = enumerate_orbit()
-    pt = partial_transpose(q)
-    flat = orbit.projectors.reshape(256, 16)
-    return bool(np.max(np.abs(flat.conj() @ pt.ravel())) >= 1.0 - 1e-8)
+    vec = np.array([_table_vector("product", 1, p.signs) for p in patterns]).reshape(-1, 15)
+    coef = np.ones((len(vec), 4, 4))  # the from_gbv layout [[1, r], [s, C]]
+    coef[:, 0, 1:], coef[:, 1:, 0] = vec[:, :3], vec[:, 3:6]
+    coef[:, 1:, 1:] = vec[:, 6:].reshape(-1, 3, 3)
+    q = np.einsum("pab,abij->pij", coef, _PAULI_PRODUCTS) / 4.0
+    ok = np.max(np.abs(q - q.conj().transpose(0, 2, 1)), axis=(1, 2)) <= tol
+    ok &= np.abs(np.trace(q, axis1=1, axis2=2) - 1) <= tol
+    ok &= np.linalg.eigvalsh(q)[:, 0] <= NON_PSD_CUT
+    disp = displacement_table(4).reshape(16, 4, 4)[1:]
+    simplex = np.einsum("pij,kjl,plm,kim->pk", q, disp, q, disp.conj())
+    ok &= np.all(np.abs(simplex - 0.2) <= tol, axis=1)
+    # |tr(rho pt)| for every orbit projector rho and partial transpose pt
+    fid = np.abs(orbit.projectors.reshape(256, 16).conj() @ partial_transpose(q).reshape(-1, 16).T)
+    return ok & (np.max(fid, axis=0) >= 1.0 - PT_MATCH_TOL)
+
+
+def partial_transpose_simplex_check(p: SignPattern, orbit=None, tol: float = 1e-9) -> bool:
+    """partial_transpose_simplex_checks for one pattern."""
+    return bool(partial_transpose_simplex_checks([p], orbit, tol)[0])
 
 
 def operator_schmidt_rank(m: np.ndarray, tol: float = 1e-9) -> int:

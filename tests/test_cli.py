@@ -189,3 +189,28 @@ def test_regroup_does_not_import_networkx(tmp_path):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_imports_build_no_tables():
+    # the lru-cached tables are built on first use, never at import
+    caches = (
+        "sic4.clifford.enumerate_projective_clifford",
+        "sic4.clifford.multiplication_table",
+        "sic4.orbits.enumerate_orbit",
+        "sic4.orbits.element_arrays",
+        "sic4.reconstruction._quad_index",
+        "sic4.regrouping._check_dprime_literals",
+    )
+    code = "; ".join(
+        [
+            _perfbench_cli_imports(),
+            "import sys",
+            "sizes = {c: eval(c).cache_info().currsize for c in sys.argv[1:]}",
+            "assert not any(sizes.values()), sizes",
+        ]
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *caches], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -7,6 +7,8 @@ import pytest
 from sic4.clifford import (
     CliffordElement,
     SymplecticPair,
+    _compose,
+    _pair_key,
     conjugation_action,
     coset,
     enumerate_projective_clifford,
@@ -221,3 +223,20 @@ def test_to_operator_matches_scalar_gauss_sums(d):
             assert np.array_equal(op.matrix, _scalar_operator(pair))
             parities.add((det, math.gcd(f[1], db) == 1))
     assert parities == {(det, unit) for det in (1, db - 1) for unit in (False, True)}
+
+
+def test_factored_multiplication_table_matches_row_loop():
+    # the row-by-row build that the factored tables replaced
+    els = enumerate_projective_clifford(4, extended=False)
+    f = np.array([e.source.F for e in els]).T
+    chi = np.array([e.source.chi for e in els]).T
+    index = np.full(8**4 * 16, -1, dtype=np.int16)
+    for k in kernel_pairs(4):
+        index[_pair_key(*_compose(f, chi, k.F, k.chi, 8, 4), 4)] = np.arange(768)
+    old = np.empty((768, 768), dtype=np.int16)
+    for i, e in enumerate(els):
+        old[i] = index[_pair_key(*_compose(e.source.F, e.source.chi, f, chi, 8, 4), 4)]
+    assert old.min() >= 0
+    table = multiplication_table(4)
+    assert np.array_equal(table, old) and table.dtype == np.int16
+    assert not table.flags.writeable

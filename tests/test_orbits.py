@@ -9,6 +9,7 @@ from sic4.orbits import (
     ACTION_BLOCK,
     FIDUCIAL_STABILIZER,
     LABEL_GRID,
+    MATCH_TOL,
     STABILIZER_CYCLE,
     STABILIZER_MATRIX,
     STABILIZER_ORBIT_SETS,
@@ -16,6 +17,7 @@ from sic4.orbits import (
     element_arrays,
     enumerate_orbit,
     label_permutation_group,
+    permutation_orders,
     stability_group,
     stabilizer_orbits_within_sic,
     state_action,
@@ -23,6 +25,7 @@ from sic4.orbits import (
     triple_family,
     triple_phase,
     triple_trace_census,
+    two_power_subgroup,
     verify_symmetry_group_in_clifford,
 )
 from sic4.weyl_heisenberg import verify_sic
@@ -283,3 +286,91 @@ def test_triple_census_matches_python_round_clustering():
                     assert ids[a, b, c] == np.argmin(np.abs(centers - t[a, b, c]))
                 else:
                     assert ids[a, b, c] == -1
+
+
+def _superoperator_state_action(mats, anti, states, targets, block=64):
+    """The superoperator kernel that the ket form of state_action replaced:
+    per block of elements, g (x) conj(g) applied to vec(rho) and |tr|
+    overlaps against every target."""
+    mats = np.asarray(mats, dtype=complex)
+    anti = np.asarray(anti, dtype=bool)
+    d2 = mats.shape[1] ** 2
+    vecs = np.asarray(states, dtype=complex).reshape(-1, d2).T
+    sources = np.stack([vecs, vecs.conj()])
+    tvecs = np.asarray(targets, dtype=complex).transpose(0, 2, 1).reshape(-1, d2).T
+    index = np.empty((len(mats), vecs.shape[1]), dtype=np.intp)
+    overlap = np.empty(index.shape)
+    for lo in range(0, len(mats), block):
+        g = mats[lo : lo + block]
+        sup = np.einsum("nij,nkl->nikjl", g, g.conj()).reshape(-1, d2, d2)
+        images = sup @ sources[anti[lo : lo + block].astype(np.intp)]
+        ov = np.abs(images.transpose(0, 2, 1).reshape(-1, d2) @ tvecs)
+        ov = ov.reshape(len(g), -1, tvecs.shape[1])
+        index[lo : lo + len(g)] = ov.argmax(axis=2)
+        overlap[lo : lo + len(g)] = ov.max(axis=2)
+    return index, overlap
+
+
+@pytest.mark.parametrize("case", ["sic", "orbit", "ragged"])
+def test_ket_state_action_matches_superoperator_form(case):
+    orbit = enumerate_orbit()
+    _, mats, anti = element_arrays(extended=True)
+    states = orbit.sic(5).states
+    targets = orbit.projectors if case == "orbit" else states
+    if case == "ragged":
+        # 5 states against 16 targets: blocks of ACTION_BLOCK * (4096 // 80)
+        # elements, the last of the 1536 ragged
+        states = states[[0, 3, 6, 9, 12]]
+        assert len(mats) % (ACTION_BLOCK * (16 * 256 // (5 * 16)))
+    index, ov = state_action(mats, anti, states, targets)
+    old_index, old_ov = _superoperator_state_action(mats, anti, states, targets)
+    assert np.max(np.abs(ov - old_ov)) < 1e-12
+    hit = old_ov >= 1.0 - MATCH_TOL
+    assert hit.any() and np.array_equal(index[hit], old_index[hit])
+
+
+def test_state_action_rejects_mixed_states():
+    orbit = enumerate_orbit()
+    _, mats, anti = element_arrays(extended=False)
+    mixed = np.stack([orbit.projectors[0], np.eye(4) / 4])
+    with pytest.raises(ValueError):
+        state_action(mats[:3], anti[:3], mixed, orbit.projectors)
+    with pytest.raises(ValueError):
+        state_action(mats[:3], anti[:3], orbit.projectors[:2], mixed)
+
+
+def _permutation_order_by_composition(p):
+    """The tuple-composition loop that permutation_orders replaced."""
+    ident, order, acc = tuple(range(len(p))), 1, tuple(p)
+    while acc != ident:
+        acc = tuple(p[i] for i in acc)
+        order += 1
+    return order
+
+
+def _two_power_subgroup_by_sets(perms):
+    """The set-based certificate that two_power_subgroup replaced."""
+    tp = {p for p in perms if _permutation_order_by_composition(p) in (1, 2, 4, 8, 16)}
+    closed = len(tp) == 16 and all(tuple(a[i] for i in b) in tp for a in tp for b in tp)
+    return tp, closed
+
+
+def test_permutation_orders_match_composition_loop():
+    rng = np.random.default_rng(5)
+    perms = np.array([rng.permutation(16) for _ in range(200)] + [np.arange(16)])
+    want = [_permutation_order_by_composition(tuple(p)) for p in perms.tolist()]
+    assert permutation_orders(perms).tolist() == want
+
+
+def test_two_power_subgroup_matches_set_certificate():
+    from sic4.reconstruction import _symmetry_permutations
+
+    # the symmetry group of SIC 1 (closed) and S4 on 4 of 16 points, whose
+    # 16 elements of 2-power order do not close under composition
+    sic_group = sorted(_symmetry_permutations(enumerate_orbit().sic(1).states))
+    s4 = [p + tuple(range(4, 16)) for p in itertools.permutations(range(4))]
+    for group, closed in ((sic_group, True), (s4, False)):
+        tp, ok = two_power_subgroup(np.array(group))
+        old_tp, old_ok = _two_power_subgroup_by_sets(group)
+        assert ok == old_ok == closed
+        assert {tuple(p) for p in tp.tolist()} == old_tp and len(tp) == 16

@@ -1,11 +1,16 @@
+import importlib.util
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sic4.numerics import projective_set_equal
+from sic4.numerics import commutator_phase, projective_set_equal
 from sic4.orbits import MATCH_TOL, element_arrays, enumerate_orbit, state_action
 from sic4.reconstruction import (
+    _phase_operator,
+    _state_permutation,
     _symmetry_permutations,
     quad_signature,
     quad_signature_scan,
@@ -151,3 +156,78 @@ def test_screened_symmetry_permutations_match_full_action():
         full = {tuple(p) for p in index[matched & bijective].tolist()}
         assert len(full) == 48
         assert _symmetry_permutations(sic.states) == full
+
+
+def _load_perfbench_inputs():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _loop_signature(states):
+    return tuple(float(x) for x in np.linalg.eigvalsh(states.sum(axis=0)))
+
+
+def _loop_matches(sig):
+    return all(abs(a - b) <= 1e-8 for a, b in zip(sig, reference_signature()))
+
+
+def _quad_signature_scan_by_loop(sic, decimals=8):
+    """The one-eigvalsh-per-subset scan that quad_signature_scan replaced."""
+    sigs, matching = {}, []
+    for quad in itertools.combinations(range(16), 4):
+        sig = _loop_signature(sic.states[list(quad)])
+        sigs.setdefault(tuple(round(x, decimals) for x in sig), []).append(quad)
+        if _loop_matches(sig):
+            matching.append(quad)
+    return sigs, matching
+
+
+def _first_by_loop(states, candidates):
+    return next(c for c in candidates if _loop_matches(_loop_signature(states[list(c)])))
+
+
+def _generators_by_loop(states):
+    """reconstruct_hw's generator search as it was, one candidate at a time."""
+    quad = _first_by_loop(states, itertools.combinations(range(16), 4))
+    zp = _phase_operator(states[list(quad)].sum(axis=0))
+    perm, orbits, seen = _state_permutation(zp, states), [], set()
+    for start in range(16):
+        if start not in seen:
+            orbit, j = [start], perm[start]
+            while j != start:
+                orbit.append(j)
+                j = perm[j]
+            seen.update(orbit)
+            orbits.append(sorted(orbit))
+    pick = _first_by_loop(states, itertools.product(*sorted(orbits)))
+    xp = _phase_operator(states[list(pick)].sum(axis=0))
+    if abs(commutator_phase(zp, xp) - 1j) > 1e-8:
+        xp = xp.conj().T
+    return zp, xp
+
+
+def test_quad_signature_scan_matches_loop():
+    orbit = enumerate_orbit()
+    shuffled = orbit.sic(6).states[np.random.default_rng(3).permutation(16)]
+    for sic in (orbit.sic(1), regrouped_family(orbit)[0][0], SicPovm(4, shuffled)):
+        sigs, matching = quad_signature_scan(sic)
+        old_sigs, old_matching = _quad_signature_scan_by_loop(sic)
+        assert list(sigs.items()) == list(old_sigs.items())
+        assert matching == old_matching and len(matching) == 24
+
+
+def test_reconstruct_generators_match_loop_on_perfbench_inputs():
+    inputs = _load_perfbench_inputs()
+    cases = set()
+    for case, kets in inputs.make_batch(12):
+        if case == "not-sic":
+            continue
+        cases.add(case)
+        states = np.einsum("ki,kj->kij", kets, kets.conj())
+        rec = reconstruct_hw(SicPovm(4, states))
+        zp, xp = _generators_by_loop(states)
+        assert np.array_equal(rec.z_gen, zp) and np.array_equal(rec.x_gen, xp)
+    assert cases == {"displacement", "conjugate-displacement", "other"}

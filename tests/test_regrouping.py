@@ -2,6 +2,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+import sic4.regrouping as regrouping
 from sic4.clifford import SymplecticPair, coset, enumerate_projective_clifford, to_operator
 from sic4.numerics import commutator_phase, proj_equal, projective_set_equal
 from sic4.orbits import LABEL_GRID, enumerate_orbit
@@ -11,6 +12,7 @@ from sic4.regrouping import (
     X_PRIME_PAIR,
     Z_PRIME_MATRIX,
     Z_PRIME_PAIR,
+    _check_dprime_literals,
     displacement_coset,
     dprime_elements,
     dprime_generators,
@@ -275,3 +277,21 @@ def _scalar_span_census():
 
 def test_subgroup_census_matches_scalar_spans():
     assert hw_conjugate_subgroup_census() == _scalar_span_census()
+
+
+def test_dprime_generators_check_once_and_return_fresh_copies(monkeypatch):
+    calls = []
+
+    def counting(pair):
+        calls.append(pair)
+        return to_operator(pair)
+
+    monkeypatch.setattr(regrouping, "to_operator", counting)
+    _check_dprime_literals.cache_clear()
+    xp, zp = dprime_generators()
+    assert len(calls) == 2
+    xp[0, 0] = zp[0, 1] = 7.0
+    again = dprime_generators()
+    assert len(calls) == 2  # the second call makes no to_operator calls
+    assert np.array_equal(again[0], X_PRIME_MATRIX) and np.array_equal(again[1], Z_PRIME_MATRIX)
+    assert X_PRIME_MATRIX[0, 0] == 1 and again[0] is not xp

@@ -1,13 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from sic4.orbits import LABEL_GRID, enumerate_orbit
+from sic4.orbits import LABEL_GRID, FiducialOrbit, enumerate_orbit
 from sic4.regrouping import regrouped_family
 from sic4.two_qubit import (
     PAULI,
     Gbv,
+    _table_vector,
     avg_reduced_purity,
     bell_basis_map,
     concurrence,
@@ -18,6 +20,7 @@ from sic4.two_qubit import (
     operator_schmidt_rank,
     partial_transpose,
     partial_transpose_simplex_check,
+    partial_transpose_simplex_checks,
     physical_state,
     reduced_state_census,
     sign_functions,
@@ -217,3 +220,36 @@ def test_gbv_matches_kron_traces():
         assert np.max(np.abs(g.r - r)) <= 1e-14
         assert np.max(np.abs(g.s - s)) <= 1e-14
         assert np.max(np.abs(g.C - c)) <= 1e-14
+
+
+def _simplex_check_by_loop(p, orbit, tol=1e-9):
+    """The per-pattern certificate that partial_transpose_simplex_checks
+    replaced."""
+    vec = _table_vector("product", 1, p.signs)
+    q = from_gbv(Gbv(r=vec[:3], s=vec[3:6], C=vec[6:].reshape(3, 3)))
+    if np.max(np.abs(q - q.conj().T)) > tol or abs(np.trace(q) - 1) > tol:
+        return False
+    if np.linalg.eigvalsh(q)[0] > -1e-6:
+        return False
+    for p1, p2 in itertools.product(range(4), repeat=2):
+        if (p1, p2) != (0, 0):
+            dp = displacement(p1, p2, 4)
+            if abs(np.trace(q @ dp @ q @ dp.conj().T) - 0.2) > tol:
+                return False
+    pt = partial_transpose(q)
+    flat = orbit.projectors.reshape(256, 16)
+    return bool(np.max(np.abs(flat.conj() @ pt.ravel())) >= 1.0 - 1e-8)
+
+
+def test_batched_simplex_check_matches_per_pattern_loop():
+    vps = violating_patterns()
+    orbit = enumerate_orbit()
+    # an orbit stand-in holding every other projector twice: some partial
+    # transposes find no fiducial there
+    half = FiducialOrbit(np.concatenate([orbit.projectors[::2]] * 2))
+    for orb in (orbit, half):
+        ok = partial_transpose_simplex_checks(vps, orb)
+        assert ok.tolist() == [_simplex_check_by_loop(p, orb) for p in vps]
+        assert [partial_transpose_simplex_check(p, orb) for p in vps[:4]] == ok[:4].tolist()
+    assert partial_transpose_simplex_checks(vps, orbit).all()
+    assert 0 < partial_transpose_simplex_checks(vps, half).sum() < 128

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import sic4.weyl_heisenberg as wh
 from sic4.weyl_heisenberg import (
     CONSTANTS,
     displacement,
@@ -175,3 +176,52 @@ def test_verify_sic_matches_loop():
         assert abs(rep.completeness_deviation - cdev) <= 1e-14
         assert rep.is_sic == (max(fdev, sdev, cdev) <= 1e-9)
     assert not verify_sic(bad, 4).is_sic
+
+
+def _weyl_check_by_loop(d, tol=1e-9):
+    """The per-pair loop that the batched weyl_commutation_check replaced."""
+    for p1, p2, q1, q2 in np.ndindex(d, d, d, d):
+        lhs = wh.displacement(p1, p2, d) @ wh.displacement(q1, q2, d)
+        ph = wh.tau(d) ** (symplectic_form((p1, p2), (q1, q2)) % (2 * d))
+        if np.max(np.abs(lhs - ph * wh.displacement(p1 + q1, p2 + q2, d))) > tol:
+            return False
+    return True
+
+
+def _is_fiducial_by_loop(v, d, tol=1e-9):
+    """The per-displacement loop that the einsum in is_fiducial replaced."""
+    tbl = displacement_table(d)
+    for p1, p2 in np.ndindex(d, d):
+        if (p1, p2) != (0, 0) and abs(abs(np.vdot(v, tbl[p1, p2] @ v)) ** 2 - 1 / (d + 1)) > tol:
+            return False
+    return True
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_batched_weyl_and_fiducial_checks_match_loops(d):
+    assert weyl_commutation_check(d) == _weyl_check_by_loop(d) is True
+    rng = np.random.default_rng(d)
+    kets = [_unit(rng.normal(size=d) + 1j * rng.normal(size=d)), _unit(np.eye(d)[0] + 0j)]
+    fiducial = {3: _unit(np.array([0, 1, -1]) + 0j), 4: fiducial_ket_d4()}.get(d)
+    if fiducial is not None:
+        kets += [fiducial, _unit(fiducial + 1e-3 * np.arange(d))]
+    verdicts = [is_fiducial(v, d) for v in kets]
+    assert verdicts == [_is_fiducial_by_loop(v, d) for v in kets]
+    assert verdicts == [False, False] + [True, False] * (fiducial is not None)
+
+
+def test_batched_weyl_check_rejects_a_wrong_phase(monkeypatch):
+    # tau^2 != omega breaks the law; both forms must say so
+    monkeypatch.setattr(wh, "tau", lambda d: -np.exp(1j * np.pi / d + 0.1j))
+    displacement_table.cache_clear()
+    try:
+        for d in (3, 4):
+            assert weyl_commutation_check(d) == _weyl_check_by_loop(d) is False
+    finally:
+        monkeypatch.undo()
+        displacement_table.cache_clear()
+    assert weyl_commutation_check(4)
