@@ -80,36 +80,27 @@ def run_orbit(cfg, claims: Claims):
         STABILIZER_CYCLE,
         STABILIZER_MATRIX,
         STABILIZER_ORBIT_SETS,
+        conjugation_cycle,
         enumerate_orbit,
+        projectively_distinct,
         stability_group,
         stabilizer_orbits_within_sic,
     )
-    from .clifford import conjugation_action
-    from .weyl_heisenberg import displacement, fiducial_ket_d4, verify_sic
+    from .weyl_heisenberg import fiducial_ket_d4, fiducial_overlaps, verify_sic
 
-    psi = fiducial_ket_d4()
-    dev = max(
-        abs(abs(psi.conj() @ displacement(p1, p2, 4) @ psi) - 5**-0.5)
-        for p1 in range(4)
-        for p2 in range(4)
-        if (p1, p2) != (0, 0)
-    )
     claims.add(
         "orbit.fiducial_overlap_dev",
         "equiangularity of the fiducial under all nonzero displacements",
         0.0,
-        dev,
+        np.max(np.abs(fiducial_overlaps(fiducial_ket_d4()) - 5**-0.5)),
     )
 
     orbit = enumerate_orbit()
-    flat = orbit.projectors.reshape(256, 16)
-    gram = np.abs(flat.conj() @ flat.T)
-    distinct = int(np.max(gram - np.diag(np.diag(gram))) < 1.0 - 1e-6)
     claims.add(
         "orbit.distinct_fiducials",
         "projectively distinct states on the orbit",
         256,
-        256 if distinct else -1,
+        256 if projectively_distinct(orbit.projectors) else -1,
     )
     sic_ok = sum(
         verify_sic(orbit.sic(n).states, 4, cfg.tol).is_sic for n in range(1, 17)
@@ -143,17 +134,11 @@ def run_orbit(cfg, claims: Claims):
         True,
         bool(gen.antiunitary and proj_equal(gen.matrix, STABILIZER_MATRIX)),
     )
-    p = STABILIZER_CYCLE[0]
-    cyc = [p]
-    for _ in range(5):
-        _, p = conjugation_action(FIDUCIAL_STABILIZER, p)
-        cyc.append(p)
-    _, closing = conjugation_action(FIDUCIAL_STABILIZER, p)
     claims.add(
         "orbit.stabilizer_cycle",
         "index cycle of conjugation by the stabilizer generator",
         [list(q) for q in STABILIZER_CYCLE],
-        [list(q) for q in cyc] if closing == STABILIZER_CYCLE[0] else [],
+        [list(q) for q in conjugation_cycle(FIDUCIAL_STABILIZER, STABILIZER_CYCLE[0])],
     )
     orbs = {frozenset(o) for o in stabilizer_orbits_within_sic()}
     claims.add(
@@ -175,10 +160,22 @@ def run_orbit(cfg, claims: Claims):
     return payload
 
 
+def _row_actions(perms: np.ndarray) -> tuple:
+    """How label permutations act on the rows of the label grid, labels
+    0-based with row r holding 4r..4r+3: the (P, 4) image row of each row,
+    -1 where a row is not sent onto one row, and the (P, 4, 4) grid of
+    images."""
+    grid = perms.reshape(-1, 4, 4)
+    rows = grid // 4
+    return np.where(np.all(rows == rows[:, :, :1], axis=2), rows[:, :, 0], -1), grid
+
+
 def run_symmetry(cfg, claims: Claims):
     from .orbits import (
+        distinct_rows,
         label_permutation_group,
-        permutation_order,
+        permutation_orders,
+        permutation_parities,
         verify_symmetry_group_in_clifford,
     )
 
@@ -198,82 +195,51 @@ def run_symmetry(cfg, claims: Claims):
         rep.rigid_permutation_count,
     )
 
-    perms = sorted(label_permutation_group(extended=False))
+    perms = np.array(sorted(label_permutation_group(extended=False)))
     claims.add("symmetry.label_perm_count", "distinct label permutations, unitary", 48, len(perms))
-    hist: dict = {}
-    for p in perms:
-        order = permutation_order(p)
-        hist[order] = hist.get(order, 0) + 1
+    orders, counts = np.unique(permutation_orders(perms), return_counts=True)
     claims.add(
         "symmetry.order_census",
         "element orders in the quotient symmetry group",
         {1: 1, 2: 7, 3: 8, 4: 24, 6: 8},
-        hist,
+        dict(zip(orders.tolist(), counts.tolist())),
     )
 
-    rows = [set(range(4 * r, 4 * r + 4)) for r in range(4)]
-
-    def row_action(p):
-        act = []
-        for r in range(4):
-            img = {p[i] for i in rows[r]}
-            act.append(next((k for k in range(4) if rows[k] == img), -1))
-        return tuple(act)
-
-    actions = {row_action(p) for p in perms}
+    actions, grid = _row_actions(perms)
     claims.add(
         "symmetry.row_partition_preserved",
         "label rows map onto label rows",
         True,
-        all(-1 not in a for a in actions),
+        bool(np.all(actions >= 0)),
     )
-    claims.add("symmetry.row_image_order", "induced group on the four rows", 4, len(actions))
-    row_preserving = [p for p in perms if row_action(p) == (0, 1, 2, 3)]
+    claims.add("symmetry.row_image_order", "induced group on the four rows", 4, distinct_rows(actions))
+    row_preserving = np.all(actions == np.arange(4), axis=1)
     claims.add(
         "symmetry.row_preserving_order",
         "subgroup acting trivially on rows",
         12,
-        len(row_preserving),
+        int(row_preserving.sum()),
     )
-
-    def column_actions(p):
-        return {tuple(p[4 * r + c] - 4 * row_action(p)[r] for c in range(4)) for r in range(4)}
-
-    same_cols = all(len(column_actions(p)) == 1 for p in row_preserving)
-    col_perms = {next(iter(column_actions(p))) for p in row_preserving}
-    even = all(_parity(q) == 0 for q in col_perms)
+    cols = grid[row_preserving] % 4  # the column permutation in each row
+    same_cols = np.all(cols == cols[:, :1], axis=(1, 2))
+    even = permutation_parities(cols[:, 0]) == 0
     claims.add(
         "symmetry.row_preserving_column_action",
         "row-preserving elements permute columns evenly, same way in every row",
         True,
-        bool(same_cols and even and len(col_perms) == 12),
+        bool(np.all(same_cols & even) and distinct_rows(cols[:, 0]) == 12),
     )
 
-    ext = sorted(label_permutation_group(extended=True))
+    ext = np.array(sorted(label_permutation_group(extended=True)))
     claims.add("symmetry.label_perm_count_extended", "distinct label permutations, extended", 96, len(ext))
-    ext_actions = {row_action(p) for p in ext}
     claims.add(
         "symmetry.row_image_order_extended",
         "induced row group under the extended Clifford action",
         8,
-        len(ext_actions),
+        distinct_rows(_row_actions(ext)[0]),
     )
-    payload = {"label_permutations": [[x + 1 for x in p] for p in perms]}
+    payload = {"label_permutations": (perms + 1).tolist()}
     return payload
-
-
-def _parity(perm) -> int:
-    seen, parity = set(), 0
-    for i in range(len(perm)):
-        if i in seen:
-            continue
-        j, length = i, 0
-        while j not in seen:
-            seen.add(j)
-            j = perm[j]
-            length += 1
-        parity ^= (length - 1) & 1
-    return parity
 
 
 # multiplicities of the 17 trace clusters, sorted by (re, im) of the center
@@ -284,65 +250,53 @@ def run_triples(cfg, claims: Claims):
     from .orbits import triple_family, triple_phase, triple_trace_census
 
     ref = triple_trace_census(1)
+    centers = np.array([c for c, _ in ref])
+    counts = [n for _, n in ref]
     claims.add("triples.cluster_count", "distinct triple-trace values in one SIC", 17, len(ref))
     claims.add(
         "triples.multiplicities",
         "cluster sizes over the 3360 ordered triples",
         list(_CENSUS_MULTIPLICITIES),
-        [n for _, n in ref],
+        counts,
     )
-    reals = [c for c, _ in ref if abs(c.imag) < 1e-9]
-    claims.add("triples.real_clusters", "real triple-trace values", 1, len(reals))
-    centers = [c for c, _ in ref]
-    paired = sum(
-        1
-        for c in centers
-        if c.imag > 1e-9 and any(abs(c.conjugate() - d) < 1e-9 for d in centers)
+    claims.add(
+        "triples.real_clusters",
+        "real triple-trace values",
+        1,
+        int(np.sum(np.abs(centers.imag) < 1e-9)),
     )
-    claims.add("triples.conjugate_pairs", "complex values come in conjugate pairs", 8, paired)
+    has_conjugate = np.any(np.abs(centers.conj()[:, None] - centers) < 1e-9, axis=1)
+    claims.add(
+        "triples.conjugate_pairs",
+        "complex values come in conjugate pairs",
+        8,
+        int(np.sum((centers.imag > 1e-9) & has_conjugate)),
+    )
     claims.add(
         "triples.modulus_dev",
         "all triple traces share the modulus 5^{-3/2}",
         0.0,
-        max(abs(abs(c) - 5**-1.5) for c in centers),
+        np.max(np.abs(np.abs(centers) - 5**-1.5)),
     )
-    invariant = True
-    refarr = np.array(centers)
-    for lab in range(2, 17):
-        cen = triple_trace_census(lab)
-        if [n for _, n in cen] != [n for _, n in ref]:
-            invariant = False
-            break
-        if np.max(np.abs(np.array([c for c, _ in cen]) - refarr)) > 1e-9:
-            invariant = False
-            break
     claims.add(
         "triples.cross_sic_invariant",
         "identical census for all 16 SICs",
         True,
-        invariant,
+        all(
+            [n for _, n in cen] == counts and np.max(np.abs([c for c, _ in cen] - centers)) <= 1e-9
+            for cen in map(triple_trace_census, range(2, 17))
+        ),
     )
 
     fid_dev, phase_dev, monotone = 0.0, 0.0, True
+    thetas = np.linspace(-math.pi, math.pi, 100, endpoint=False)
     for d in (3, 4, 5):
-        thetas = np.linspace(-math.pi, math.pi, 100, endpoint=False)
-        phis = []
-        for th in thetas:
-            kets = triple_family(float(th), d)
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    fid_dev = max(
-                        fid_dev, abs(abs(np.vdot(kets[i], kets[j])) ** 2 - 1 / (d + 1))
-                    )
-            t = (
-                np.vdot(kets[0], kets[1])
-                * np.vdot(kets[1], kets[2])
-                * np.vdot(kets[2], kets[0])
-            )
-            ph = triple_phase(float(th), d)
-            phase_dev = max(phase_dev, abs(float(np.angle(t)) - ph))
-            phis.append(ph)
-        monotone = monotone and bool(np.all(np.diff(phis) > 0))
+        f1, f2, f3 = triple_family(thetas, d)
+        o12, o23, o31 = (np.sum(a.conj() * b, axis=1) for a, b in ((f1, f2), (f2, f3), (f3, f1)))
+        fid_dev = max(fid_dev, np.max(np.abs(np.abs([o12, o23, o31]) ** 2 - 1 / (d + 1))))
+        phase = triple_phase(thetas, d)
+        phase_dev = max(phase_dev, np.max(np.abs(np.angle(o12 * o23 * o31) - phase)))
+        monotone = monotone and bool(np.all(np.diff(phase) > 0))
     claims.add(
         "triples.family_fidelity_dev",
         "three-state family keeps pairwise fidelity 1/(d+1), d = 3, 4, 5",
@@ -367,29 +321,27 @@ def run_triples(cfg, claims: Claims):
 def run_reconstruct(cfg, claims: Claims):
     from .orbits import enumerate_orbit
     from .reconstruction import (
+        _phase_operator,
+        quad_signature,
         quad_signature_scan,
         reconstruct_hw,
+        reference_signature,
         signature_values,
         uniqueness_check,
     )
     from .regrouping import dprime_elements, regrouped_family
-    from .numerics import matrix_to_json, projective_set_equal
-    from .weyl_heisenberg import displacement, displacement_table
+    from .numerics import match_projective, matrix_to_json, projective_set_equal
+    from .weyl_heisenberg import displacement_table
 
     orbit = enumerate_orbit()
-    rho = orbit.projectors[0]
-    z = displacement(0, 1, 4)
-    m = sum(
-        np.linalg.matrix_power(z, j) @ rho @ np.linalg.matrix_power(z, j).conj().T
-        for j in range(4)
-    )
-    w = np.linalg.eigvalsh(m)
-    closed = sorted(signature_values())
+    sic1 = orbit.sic(1)
+    # states 0-3 of SIC 1 are Z^j rho Z^-j, so they sum to the clock orbit of rho
+    w = np.array(quad_signature(sic1.states[:4]))
     claims.add(
         "reconstruct.signature_closed_form_dev",
         "eigenvalues of the clock-orbit sum match their closed forms",
         0.0,
-        float(np.max(np.abs(w - np.array(closed)))),
+        float(np.max(np.abs(w - np.array(reference_signature())))),
         tol=1e-10,
     )
     claims.add(
@@ -400,7 +352,7 @@ def run_reconstruct(cfg, claims: Claims):
         tol=1e-10,
     )
 
-    _, matching = quad_signature_scan(orbit.sic(1))
+    _, matching = quad_signature_scan(sic1)
     claims.add(
         "reconstruct.reference_quads",
         "4-subsets of one SIC realizing the signature",
@@ -409,41 +361,29 @@ def run_reconstruct(cfg, claims: Claims):
     )
 
     disp = displacement_table(4).reshape(16, 4, 4)
-    from .reconstruction import _phase_operator
-
-    in_group = 0
-    for quad in matching:
-        zq = _phase_operator(orbit.sic(1).states[list(quad)].sum(axis=0))
-        scores = np.abs(np.einsum("ij,kij->k", zq.conj(), disp))
-        if np.max(scores) >= 4 - 1e-7:
-            in_group += 1
+    ops = np.stack([_phase_operator(sic1.states[list(quad)].sum(axis=0)) for quad in matching])
     claims.add(
         "reconstruct.quad_operators_in_group",
         "every qualifying 4-subset induces a displacement element",
         24,
-        in_group,
+        int(np.sum(match_projective(ops, disp) >= 0)),
     )
 
     sics, _ = regrouped_family(orbit)
     dp = dprime_elements()
-    orig, regr = [], []
-    for n in range(1, 17):
-        rec = reconstruct_hw(orbit.sic(n), cfg.tol)
-        orig.append((projective_set_equal(rec.elements, disp), rec))
-    for s in sics:
-        rec = reconstruct_hw(s, cfg.tol)
-        regr.append((projective_set_equal(rec.elements, dp), rec))
+    orig = [reconstruct_hw(orbit.sic(n), cfg.tol) for n in range(1, 17)]
+    regr = [reconstruct_hw(s, cfg.tol) for s in sics]
     claims.add(
         "reconstruct.original_family",
         "reconstruction returns the displacement group on SICs 1-16",
         16,
-        sum(ok for ok, _ in orig),
+        sum(projective_set_equal(rec.elements, disp) for rec in orig),
     )
     claims.add(
         "reconstruct.regrouped_family",
         "reconstruction returns the conjugate group on SICs 17-32",
         16,
-        sum(ok for ok, _ in regr),
+        sum(projective_set_equal(rec.elements, dp) for rec in regr),
     )
 
     uniq = [uniqueness_check(s) for s in [orbit.sic(n) for n in range(1, 17)] + sics]
@@ -455,12 +395,12 @@ def run_reconstruct(cfg, claims: Claims):
     )
     payload = {
         "generators_sic_1": {
-            "z": matrix_to_json(orig[0][1].z_gen),
-            "x": matrix_to_json(orig[0][1].x_gen),
+            "z": matrix_to_json(orig[0].z_gen),
+            "x": matrix_to_json(orig[0].x_gen),
         },
         "generators_sic_17": {
-            "z": matrix_to_json(regr[0][1].z_gen),
-            "x": matrix_to_json(regr[0][1].x_gen),
+            "z": matrix_to_json(regr[0].z_gen),
+            "x": matrix_to_json(regr[0].x_gen),
         },
     }
     return payload
@@ -490,16 +430,18 @@ def _read_input_states(path: str) -> np.ndarray:
 def run_reconstruct_input(cfg, claims: Claims):
     """Reconstruction on a user-supplied SIC (JSON file of 16 states)."""
     from .numerics import matrix_to_json, projective_set_equal
-    from .reconstruction import reconstruct_hw
+    from .reconstruction import NotASicError, reconstruct_hw
     from .regrouping import dprime_elements
-    from .weyl_heisenberg import SicPovm, displacement_table, verify_sic
+    from .weyl_heisenberg import SicPovm, displacement_table
 
     states = _read_input_states(cfg.input_path)
-    rep = verify_sic(states, 4, cfg.tol)
-    claims.add("reconstruct.input_is_sic", "input passes the SIC certificate", True, rep.is_sic)
-    if not rep.is_sic:
+    try:  # reconstruct_hw certifies the states first
+        rec = reconstruct_hw(SicPovm(4, states, label="input"), cfg.tol)
+    except NotASicError:
+        rec = None
+    claims.add("reconstruct.input_is_sic", "input passes the SIC certificate", True, rec is not None)
+    if rec is None:
         return {}
-    rec = reconstruct_hw(SicPovm(4, states, label="input"), cfg.tol)
     if projective_set_equal(rec.elements, displacement_table(4).reshape(16, 4, 4)):
         verdict = "displacement"
     elif projective_set_equal(rec.elements, dprime_elements()):
@@ -521,9 +463,10 @@ def run_reconstruct_input(cfg, claims: Claims):
 
 def run_regroup(cfg, claims: Claims):
     from .clifford import to_operator
-    from .numerics import commutator_phase, matrix_to_json, proj_equal, projective_set_equal
+    from .numerics import commutator_phase, match_projective, matrix_to_json, projective_set_equal
     from .orbits import MATCH_TOL, element_arrays, enumerate_orbit, state_action
     from .regrouping import (
+        CLIFFORD_GENERATORS,
         EQUIVALENCE_MATRIX,
         X_PRIME_MATRIX,
         X_PRIME_PAIR,
@@ -531,6 +474,7 @@ def run_regroup(cfg, claims: Claims):
         Z_PRIME_PAIR,
         displacement_coset,
         dprime_elements,
+        dprime_literals_match,
         equivalence_unitary,
         exhaustive_regroup_scan,
         fidelity_adjacency,
@@ -550,12 +494,8 @@ def run_regroup(cfg, claims: Claims):
         n_full = exhaustive_regroup_scan(orbit, full_scan=True, tol=cfg.tol)
         claims.add("regroup.full_scan_total", "SICs found scanning all 256 states", 32, n_full)
 
-    cover = np.zeros(256, dtype=int)
-    for lab in range(1, 17):
-        cover[(lab - 1) * 16 : lab * 16] += 1
-    for m in matching:
-        for block in m:
-            cover[list(block.members)] += 1
+    members = np.array([[b.members for b in m] for m in matching]).ravel()
+    cover = np.bincount(members, minlength=256) + 1  # + 1: the orbit SIC of each state
     claims.add(
         "regroup.double_cover",
         "every state belongs to exactly two of the 32 SICs",
@@ -571,13 +511,11 @@ def run_regroup(cfg, claims: Claims):
     )
 
     xp, zp = X_PRIME_MATRIX, Z_PRIME_MATRIX
-    pairs = ((X_PRIME_PAIR, xp), (Z_PRIME_PAIR, zp))
-    gen_ok = all(proj_equal(to_operator(pair).matrix, lit) for pair, lit in pairs)
     claims.add(
         "regroup.generators_match_parametrization",
         "written-out generators equal their symplectic parametrization",
         True,
-        gen_ok,
+        dprime_literals_match(),
     )
     comm = commutator_phase(zp, xp)
     claims.add(
@@ -601,13 +539,11 @@ def run_regroup(cfg, claims: Claims):
 
     u = equivalence_unitary()
     disp = displacement_table(4).reshape(16, 4, 4)
-    dp = dprime_elements()
-    img = np.einsum("ab,kbc,dc->kad", u, disp, u.conj())
     claims.add(
         "regroup.equivalence_conjugates_group",
         "the equivalence unitary maps the displacement group onto its conjugate",
         True,
-        projective_set_equal(img, dp),
+        projective_set_equal(u @ disp @ u.conj().T, dprime_elements()),
     )
 
     # an original SIC is carried onto a new one when the images of all its
@@ -624,20 +560,15 @@ def run_regroup(cfg, claims: Claims):
         mapped,
     )
 
+    # u normalizes the Clifford group when it conjugates each generator into it
     _, mats, _ = element_arrays(extended=False)
-    u2_in = bool(np.max(np.abs(np.einsum("ij,kij->k", (u @ u).conj(), mats))) >= 4 - 1e-7)
-    u_in = bool(np.max(np.abs(np.einsum("ij,kij->k", u.conj(), mats))) >= 4 - 1e-7)
-    rng = np.random.default_rng(20)
-    normalizes = all(
-        np.max(np.abs(np.einsum("ij,kij->k", (u @ mats[i] @ u.conj().T).conj(), mats)))
-        >= 4 - 1e-7
-        for i in rng.integers(0, len(mats), 60)
-    )
+    clifford_gens = np.stack([to_operator(g).matrix for g in CLIFFORD_GENERATORS])
+    normalizes = np.all(match_projective(u @ clifford_gens @ u.conj().T, mats) >= 0)
     claims.add(
         "regroup.clifford_index_two",
         "the equivalence unitary extends the Clifford group by exactly one step",
         True,
-        bool(u2_in and not u_in and normalizes),
+        bool(match_projective(u @ u, mats) >= 0 and match_projective(u, mats) < 0 and normalizes),
     )
 
     total, normal, _, normal_sets = hw_conjugate_subgroup_census()
@@ -676,15 +607,15 @@ def run_twoqubit(cfg, claims: Claims, basis: str):
     from .regrouping import regrouped_family
     from .two_qubit import (
         concurrence,
-        concurrence_census,
-        avg_reduced_purity,
         gbv,
-        match_sign_pattern,
+        match_sign_patterns,
         operator_schmidt_rank,
         partial_transpose_simplex_checks,
         physical_state,
+        reduced_purity,
         reduced_state_census,
-        sign_functions,
+        rounded_census,
+        sign_pattern_table,
         state_ket,
         violating_patterns,
     )
@@ -692,154 +623,113 @@ def run_twoqubit(cfg, claims: Claims, basis: str):
 
     orbit = enumerate_orbit()
     pre = basis
+    states = physical_state(orbit.projectors, basis)  # SIC by SIC, 16 states each
 
-    norm_dev = 0.0
-    matched = 0
-    split_ok = True
-    constant_ok = True
-    table4: dict = {}
-    pattern_rows = []
-    for lab in range(1, 17):
-        sic = orbit.sic(lab)
-        hs = set()
-        for k, rho in enumerate(sic.states):
-            g = gbv(physical_state(rho, basis))
-            norm_dev = max(norm_dev, abs(g.norm_sq() - 3.0))
-            p = match_sign_pattern(g, basis)
-            if p is None:
-                continue
-            matched += 1
-            if (lab <= 8) != (p.class_id == 1):
-                split_ok = False
-            h = sign_functions(p)
-            hs.add((h.h1, h.h2, h.h3))
-            pattern_rows.append((lab, k) + p.signs + (h.h1, h.h2, h.h3))
-        if len(hs) != 1:
-            constant_ok = False
-        else:
-            table4[lab] = hs.pop()
+    g = gbv(states)
     claims.add(
         f"twoqubit.{pre}_gbv_norm_dev",
         "pure-state Bloch norm over all 256 fiducials",
         0.0,
-        norm_dev,
+        np.max(np.abs(g.norm_sq() - 3.0)),
     )
+    row = match_sign_patterns(g, basis).reshape(16, 16)
+    matched = row >= 0
+    # per state: class id, the eight signs, h1, h2, h3 (meaningless where unmatched)
+    columns = sign_pattern_table(basis)[2][row]
     claims.add(
         f"twoqubit.{pre}_pattern_matches",
         "fiducials matching the sign-pattern tables",
         256,
-        matched,
+        int(matched.sum()),
     )
+    first_eight = np.arange(1, 17)[:, None] <= 8
     claims.add(
         f"twoqubit.{pre}_class_split",
         "SICs 1-8 carry class-1 patterns, SICs 9-16 class-2",
         True,
-        split_ok,
+        bool(np.all(~matched | (first_eight == (columns[..., 0] == 1)))),
     )
+    h = columns[..., 9:]
+    h_sic = h[np.arange(16), matched.argmax(axis=1)]  # at each SIC's first matched state
+    constant = matched.any(axis=1) & np.all(~matched[..., None] | (h == h_sic[:, None]), axis=(1, 2))
     claims.add(
         f"twoqubit.{pre}_sign_constancy",
         "sign functions constant within each SIC",
         True,
-        constant_ok,
+        bool(constant.all()),
     )
-    col_hh = [(1, -1), (1, 1), (-1, 1), (-1, -1)]
-    row_h1 = [-1, 1, 1, -1]
-    sign_tbl = all(
-        table4.get(lab) == (row_h1[r], col_hh[c][0], col_hh[c][1])
-        for r, row in enumerate(LABEL_GRID)
-        for c, lab in enumerate(row)
+    # h1 by row of the label grid, (h2, h3) by column
+    h_grid = np.empty((16, 3), dtype=int)
+    h_grid[np.array(LABEL_GRID) - 1] = np.dstack(
+        np.broadcast_arrays([[-1], [1], [1], [-1]], [[1, 1, -1, -1]], [[-1, 1, 1, -1]])
     )
     claims.add(
         f"twoqubit.{pre}_sign_table",
         "sign functions constant along rows and columns of the label grid",
         True,
-        sign_tbl,
+        bool(constant.all() and np.array_equal(h_sic, h_grid)),
     )
 
-    g_const = CONSTANTS.G
     c_flat = math.sqrt(2 / 5)
-    c_hi = math.sqrt((2 + 2 * math.sqrt(g_const)) / 5)
-    c_lo = math.sqrt((2 - 2 * math.sqrt(g_const)) / 5)
-    flat_class = range(1, 9) if basis == "product" else range(9, 17)
-    split_class = range(9, 17) if basis == "product" else range(1, 9)
-    flat_dev, flat_count = 0.0, 0
-    for lab in flat_class:
-        for rho in orbit.sic(lab).states:
-            c = concurrence(state_ket(physical_state(rho, basis)))
-            flat_dev = max(flat_dev, abs(c - c_flat))
-            flat_count += 1
+    c_hi = math.sqrt((2 + 2 * math.sqrt(CONSTANTS.G)) / 5)
+    c_lo = math.sqrt((2 - 2 * math.sqrt(CONSTANTS.G)) / 5)
+    flat_class = slice(0, 8) if basis == "product" else slice(8, 16)  # SICs 1-8 or 9-16
+    split_class = slice(8, 16) if basis == "product" else slice(0, 8)
+    conc = concurrence(state_ket(states)).reshape(16, 16)
+    census = [rounded_census(c) for c in conc]
+    flat_dev = np.max(np.abs(conc[flat_class] - c_flat))
     claims.add(
         f"twoqubit.{pre}_equal_concurrence_count",
         "states in the equal-concurrence class",
         128,
-        flat_count if flat_dev <= 1e-9 else 0,
+        conc[flat_class].size if flat_dev <= 1e-9 else 0,
     )
-    split_hist_ok = True
-    for lab in split_class:
-        hist = concurrence_census(orbit.sic(lab), basis)
-        want = {round(c_hi, 9): 8, round(c_lo, 9): 8}
-        if hist != want:
-            split_hist_ok = False
+    want = {round(c_hi, 9): 8, round(c_lo, 9): 8}
     claims.add(
         f"twoqubit.{pre}_split_concurrence",
         "other-class SICs split 8 + 8 between the two concurrence values",
         True,
-        split_hist_ok,
+        all(hist == want for hist in census[split_class]),
     )
 
     sics, _ = regrouped_family(orbit, cfg.tol)
-    purity_dev = 0.0
-    for lab in range(1, 17):
-        purity_dev = max(purity_dev, abs(avg_reduced_purity(orbit.sic(lab), basis) - 0.8))
-    for s in sics:
-        purity_dev = max(purity_dev, abs(avg_reduced_purity(s, basis) - 0.8))
+    every = np.concatenate([orbit.projectors] + [s.states for s in sics])
+    purity = reduced_purity(every, basis).reshape(32, 16).mean(axis=1)
     claims.add(
         f"twoqubit.{pre}_avg_purity_dev",
         "average reduced purity of every SIC, original and regrouped",
         0.0,
-        purity_dev,
+        np.max(np.abs(purity - 0.8)),
     )
 
     if basis == "product":
-        mult_ok, cube1, cube2 = True, 0, 0
-        edge_dev = 0.0
-        for lab in range(1, 17):
-            for qubit in (0, 1):
-                rep = reduced_state_census(orbit.sic(lab), qubit, basis)
-                if len(rep.bloch_points) != 8 or set(rep.multiplicities) != {2}:
-                    mult_ok = False
-                if qubit == 1 and rep.is_cube:
-                    if lab <= 8:
-                        cube1 += 1
-                        edge_dev = max(edge_dev, abs(rep.edge_length - 2 / math.sqrt(5)))
-                    else:
-                        cube2 += 1
+        reps = [[reduced_state_census(orbit.sic(lab), q, basis) for q in (0, 1)] for lab in range(1, 17)]
+        cube = np.array([second.is_cube for _, second in reps])
         claims.add(
             "twoqubit.product_reduced_multiplicity",
             "eight reduced states per qubit, each shared by two fiducials",
             True,
-            mult_ok,
+            all(len(r.bloch_points) == 8 and set(r.multiplicities) == {2} for pair in reps for r in pair),
         )
         claims.add(
             "twoqubit.product_cube_class1",
             "second-qubit Bloch points of class-1 SICs form a cube",
             8,
-            cube1,
+            int(cube[:8].sum()),
         )
         claims.add(
             "twoqubit.product_cube_class2",
             "class-2 SICs do not produce the cube",
             0,
-            cube2,
+            int(cube[8:].sum()),
         )
         claims.add(
             "twoqubit.product_cube_edge_dev",
             "cube edge length 2/sqrt(5)",
             0.0,
-            edge_dev,
+            max((abs(s.edge_length - 2 / math.sqrt(5)) for _, s in reps[:8] if s.is_cube), default=0.0),
         )
-        vps = violating_patterns()
-        certified = int(np.sum(partial_transpose_simplex_checks(vps, orbit, cfg.tol)))
+        certified = int(np.sum(partial_transpose_simplex_checks(violating_patterns(), orbit, cfg.tol)))
         claims.add(
             "twoqubit.product_simplex_patterns",
             "excluded sign assignments encode partial transposes of fiducials",
@@ -853,12 +743,14 @@ def run_twoqubit(cfg, claims: Claims, basis: str):
         2,
         operator_schmidt_rank(displacement(1, 0, 4)),
     )
+    lab, k = np.indices((16, 16))
+    rows = np.column_stack([lab.ravel() + 1, k.ravel(), columns.reshape(256, 12)[:, 1:]])
     payload = {
         "basis": basis,
-        "sign_patterns": pattern_rows,
+        "sign_patterns": rows[matched.ravel()].tolist(),
         "concurrence": {
-            str(lab): {str(k): v for k, v in concurrence_census(orbit.sic(lab), basis).items()}
-            for lab in range(1, 17)
+            str(n): {str(c): count for c, count in hist.items()}
+            for n, hist in enumerate(census, start=1)
         },
     }
     return payload
@@ -970,43 +862,34 @@ def main(argv=None) -> int:
     cfg = RunConfig(args)
     claims = Claims(cfg.tol)
     t0 = time.monotonic()
-    payload: dict = {}
     name = args.subcommand
-    if name == "orbit":
-        payload = run_orbit(cfg, claims)
-    elif name == "symmetry":
-        payload = run_symmetry(cfg, claims)
-    elif name == "triples":
-        payload = run_triples(cfg, claims)
-    elif name == "reconstruct" and cfg.input_path:
+    # built per call, so a runner replaced on the module is the one that runs
+    sections = {
+        "orbit": run_orbit,
+        "symmetry": run_symmetry,
+        "triples": run_triples,
+        "reconstruct": run_reconstruct,
+        "regroup": run_regroup,
+        "twoqubit_product": functools.partial(run_twoqubit, basis="product"),
+        "twoqubit_bell": functools.partial(run_twoqubit, basis="bell"),
+    }
+    payload: dict = {}
+    if name == "reconstruct" and cfg.input_path:
         try:
             payload = run_reconstruct_input(cfg, claims)
         except _InputError as exc:
             print("sic4: error: --input %s: %s" % (cfg.input_path, exc), file=sys.stderr)
             return 2
-    elif name == "reconstruct":
-        payload = run_reconstruct(cfg, claims)
-    elif name == "regroup":
-        payload = run_regroup(cfg, claims)
-    elif name == "twoqubit":
-        payload = run_twoqubit(cfg, claims, cfg.basis)
     elif name == "all":
-        for section, run in (
-            ("orbit", run_orbit),
-            ("symmetry", run_symmetry),
-            ("triples", run_triples),
-            ("reconstruct", run_reconstruct),
-            ("regroup", run_regroup),
-            ("twoqubit_product", functools.partial(run_twoqubit, basis="product")),
-            ("twoqubit_bell", functools.partial(run_twoqubit, basis="bell")),
-        ):
+        for section, run in sections.items():
             try:
                 run(cfg, claims)
             except Exception as exc:  # one failing section must not abort the others
                 logging.getLogger(__name__).exception("section %s raised", section)
                 error = "%s: %s" % (type(exc).__name__, exc)
                 claims.add(section + ".error", "the section runs to completion", None, error)
-        payload = {}
+    else:
+        payload = sections["twoqubit_" + cfg.basis if name == "twoqubit" else name](cfg, claims)
 
     passed = sum(c["pass"] for c in claims.rows)
     report = {

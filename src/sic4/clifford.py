@@ -291,11 +291,3 @@ def multiplication_table(d: int = 4) -> np.ndarray:
         table[lo : lo + TABLE_BLOCK] = rows
     table.flags.writeable = False
     return table
-
-
-def match_projective(m: np.ndarray, stack: np.ndarray, tol: float = 1e-6) -> int:
-    """Index of the unitary in ``stack`` projectively equal to m, else -1."""
-    d = m.shape[0]
-    scores = np.abs(np.einsum("nij,ij->n", stack.conj(), m))
-    i = int(np.argmax(scores))
-    return i if scores[i] >= d - tol else -1

@@ -1,5 +1,6 @@
-"""Shared numerical primitives: unitary/antiunitary operators, projective
-comparison, Hermitian eigendecomposition and matrix (de)serialization.
+"""Shared numerical primitives: unitary/antiunitary operators, kets of
+rank-1 states, projective comparison, Hermitian eigendecomposition and
+matrix (de)serialization.
 
 All comparisons are absolute-tolerance based; the package-wide default is
 ``DEFAULT_TOL``.
@@ -12,6 +13,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+
+# a unitary g of a stack equals the query m up to a phase when
+# |tr(m^dag g)| >= d - PROJECTIVE_MATCH_TOL; on the d = 4 Clifford group a
+# match scores 4 - 1e-15 and the best non-match 2.83
+PROJECTIVE_MATCH_TOL = 1e-7
+
+# largest entry of rho - k k^dag for the ket k that rank1_kets reads off a
+# state; beyond it the state is not rank-1 and k would not represent it
+RANK1_TOL = 1e-6
 
 
 def _as_complex(m) -> np.ndarray:
@@ -74,6 +84,21 @@ def conjugate(g: GroupElement, m) -> np.ndarray:
     if g.antiunitary:
         m = m.conj()
     return g.matrix @ m @ g.matrix.conj().T
+
+
+def rank1_kets(states) -> np.ndarray:
+    """(M, d) kets k with k k^dag = rho for a stack of M rank-1 states: each
+    state's column through its largest diagonal entry, scaled to that
+    entry's root.  A state farther than RANK1_TOL from k k^dag raises
+    ValueError."""
+    states = np.asarray(states, dtype=complex)
+    m = np.arange(len(states))
+    j = np.argmax(np.diagonal(states, axis1=1, axis2=2).real, axis=1)
+    kets = states[m, :, j] / np.sqrt(np.abs(states[m, j, j]))[:, None]
+    dev = np.max(np.abs(states - kets[:, :, None] * kets[:, None, :].conj()))
+    if not dev <= RANK1_TOL:  # also refuses NaN
+        raise ValueError("state is not a rank-1 projector (deviation %.3g)" % dev)
+    return kets
 
 
 def proj_equal(a, b, tol: float = DEFAULT_TOL) -> bool:
@@ -168,21 +193,31 @@ def canonical_key(m, decimals: int = 6) -> bytes:
     return re.tobytes() + im.tobytes()
 
 
-def projective_set_equal(mats_a, mats_b, tol: float = 1e-7) -> bool:
+def match_projective(m, stack, tol: float = PROJECTIVE_MATCH_TOL):
+    """Index of the unitary in ``stack`` projectively equal to m, else -1;
+    for a (Q, d, d) stack of queries, an array of Q such indices."""
+    m = np.asarray(m, dtype=complex)
+    stack = np.asarray(stack, dtype=complex)
+    d = m.shape[-1]
+    scores = np.abs(m.reshape(-1, d * d).conj() @ stack.reshape(len(stack), d * d).T)
+    best = scores.argmax(axis=1)
+    index = np.where(scores[np.arange(len(best)), best] >= d - tol, best, -1)
+    return index if m.ndim == 3 else int(index[0])
+
+
+def projective_set_equal(mats_a, mats_b, tol: float = PROJECTIVE_MATCH_TOL) -> bool:
     """Do two stacks of unitaries coincide as sets, modulo global phases?
 
-    Requires a perfect matching under |tr(a^dag b)| >= d - tol.  Since the
-    intended inputs are group element lists (pairwise projectively distinct),
-    a greedy match is exact.
+    Every member of a must match a different member of b under
+    match_projective.  The intended inputs are group element lists, whose
+    members are pairwise projectively distinct.
     """
     a = np.asarray(mats_a, dtype=complex)
     b = np.asarray(mats_b, dtype=complex)
     if a.shape != b.shape or a.ndim != 3:
         return False
-    d = a.shape[1]
-    scores = np.abs(np.einsum("aij,bij->ab", a.conj(), b))
-    hits = scores >= d - tol
-    return bool(np.all(hits.sum(axis=1) == 1) and np.all(hits.sum(axis=0) == 1))
+    index = match_projective(a, b, tol)
+    return bool(np.all(index >= 0) and len(set(index.tolist())) == len(b))
 
 
 def matrix_to_json(m) -> dict:

@@ -26,7 +26,7 @@ from .clifford import (
     semidirect_product,
     to_operator,
 )
-from .numerics import DEFAULT_TOL, conjugate
+from .numerics import DEFAULT_TOL, conjugate, rank1_kets
 from .weyl_heisenberg import SicPovm, displacement_table, fiducial_ket_d4
 
 # symplectic sources of the 16 SIC labels, det = +1 mod 8
@@ -90,11 +90,6 @@ ACTION_BLOCK = 16
 # overlap |<target| g psi>|^2 at or above 1 - MATCH_TOL names the image
 MATCH_TOL = 1e-6
 
-# largest entry of rho - k k^dag for the ket k that state_action reads off a
-# state; beyond it the state is not rank-1 and |<target| g k>|^2 would no
-# longer be tr(target g rho g^-1), so the kernel refuses it
-RANK1_TOL = 1e-6
-
 
 def fiducial_projector() -> np.ndarray:
     v = fiducial_ket_d4()
@@ -106,15 +101,6 @@ class FiducialOrbit:
     """All 256 orbit projectors with their SIC labels and displacement indices."""
 
     projectors: np.ndarray  # (256, 4, 4)
-
-    def global_index(self, label: int, p) -> int:
-        return (label - 1) * 16 + 4 * (p[0] % 4) + (p[1] % 4)
-
-    def sic_membership(self, i: int) -> int:
-        return i // 16 + 1
-
-    def hw_index(self, i: int):
-        return i // 16 + 1, ((i % 16) // 4, i % 4)
 
     def sic(self, label: int) -> SicPovm:
         return SicPovm(4, self.projectors[(label - 1) * 16 : label * 16], label="sic-%d" % label)
@@ -146,12 +132,21 @@ def enumerate_orbit() -> FiducialOrbit:
             for p2 in range(4):
                 dp = tbl[p1, p2]
                 projs[(n - 1) * 16 + 4 * p1 + p2] = dp @ fid @ dp.conj().T
-    flat = projs.reshape(256, 16)
-    gram = np.abs(flat.conj() @ flat.T)
-    off = gram - np.diag(np.diag(gram))
-    if off.max() >= 1.0 - 1e-6:
+    if not projectively_distinct(projs):
         raise AssertionError("orbit projectors are not projectively distinct")
     return FiducialOrbit(projs)
+
+
+def projectively_distinct(mats) -> bool:
+    """Whether no two of a stack of rank-1 projectors, or of unitaries, are
+    equal up to a phase: every |tr(a^dag b)| between distinct members stays
+    below 1 - MATCH_TOL times |tr(a^dag a)| (1 for a projector, d for a
+    unitary)."""
+    flat = np.asarray(mats).reshape(len(mats), -1)
+    gram = np.abs(flat.conj() @ flat.T)
+    norm = np.diag(gram).copy()
+    np.fill_diagonal(gram, 0.0)
+    return bool(np.all(gram < (1.0 - MATCH_TOL) * norm))
 
 
 @lru_cache(maxsize=None)
@@ -163,37 +158,23 @@ def element_arrays(extended: bool = True):
     return els, mats, anti
 
 
-def _kets(states) -> np.ndarray:
-    """(M, d) kets k with k k^dag = rho for a stack of M rank-1 states: each
-    state's column through its largest diagonal entry, scaled to that
-    entry's root.  A state farther than RANK1_TOL from k k^dag raises
-    ValueError."""
-    states = np.asarray(states, dtype=complex)
-    m = np.arange(len(states))
-    j = np.argmax(np.diagonal(states, axis1=1, axis2=2).real, axis=1)
-    kets = states[m, :, j] / np.sqrt(np.abs(states[m, j, j]))[:, None]
-    dev = np.max(np.abs(states - kets[:, :, None] * kets[:, None, :].conj()))
-    if not dev <= RANK1_TOL:  # also refuses NaN
-        raise ValueError("state is not a rank-1 projector (deviation %.3g)" % dev)
-    return kets
-
-
 def state_action(mats, anti, states, targets):
     """Where conjugation by each of N elements sends each of M states.
 
     ``mats`` (N, d, d) and ``anti`` (N flags) give the elements; states and
-    targets are rank-1 projectors (ValueError otherwise).  Returns the (N, M)
-    index of the target with the largest overlap |<target| g psi>|^2 =
-    tr(target g rho g^-1), with psi-bar for an antiunitary element, and that
-    overlap; callers apply their own threshold.  Kets are read off the
-    projectors once; per block of elements one batched product applies them
-    to every ket and one GEMM takes all overlaps.
+    targets are rank-1 projectors (numerics.rank1_kets raises otherwise).
+    Returns the (N, M) index of the target with the largest overlap
+    |<target| g psi>|^2 = tr(target g rho g^-1), with psi-bar for an
+    antiunitary element, and that overlap; callers apply their own
+    threshold.  Kets are read off the projectors once; per block of elements
+    one batched product applies them to every ket and one GEMM takes all
+    overlaps.
     """
     mats = np.asarray(mats, dtype=complex)
     anti = np.asarray(anti, dtype=bool).astype(np.intp)
-    kets = _kets(states).T
+    kets = rank1_kets(states).T
     sources = np.stack([kets, kets.conj()])  # indexed by the antiunitarity flag
-    bras = _kets(targets).conj().T
+    bras = rank1_kets(targets).conj().T
     d, m = kets.shape
     step = ACTION_BLOCK * max(1, 16 * 256 // (m * bras.shape[1]))
     index = np.empty((len(mats), m), dtype=np.intp)
@@ -215,34 +196,39 @@ def stability_group(rho, tol: float = DEFAULT_TOL) -> list:
 
     The input must be one of the 256 orbit projectors.
     """
-    orbit = enumerate_orbit()
-    if orbit.find(rho) < 0:
+    if enumerate_orbit().find(rho) < 0:
         raise ValueError("projector is not on the fiducial orbit")
-    rho = np.asarray(rho, dtype=complex)[None]
+    return _elements_sending(rho, np.asarray(rho)[None], tol)
+
+
+def _elements_sending(rho, targets, tol: float) -> list:
+    """Extended-Clifford elements sending a rank-1 state onto a target."""
     els, mats, anti = element_arrays(extended=True)
-    _, ov = state_action(mats, anti, rho, rho)
+    _, ov = state_action(mats, anti, np.asarray(rho, dtype=complex)[None], targets)
     return [els[i] for i in np.flatnonzero(ov[:, 0] >= 1.0 - tol)]
+
+
+def conjugation_cycle(pair: SymplecticPair, p) -> list:
+    """The displacement indices p, q, ... visited by repeated conjugation
+    by pair, up to the return to p."""
+    cycle = [tuple(p)]
+    while True:
+        _, q = conjugation_action(pair, cycle[-1])
+        if q == cycle[0]:
+            return cycle
+        cycle.append(q)
 
 
 def stabilizer_orbits_within_sic() -> list:
     """Orbits of the 15 non-fiducial SIC-1 states under the unitary
     stabilizer element (the square of the antiunitary generator)."""
     sq = semidirect_product(FIDUCIAL_STABILIZER, FIDUCIAL_STABILIZER)
-    seen = set()
+    seen = {(0, 0)}
     orbits = []
     for p in np.ndindex(4, 4):
-        if p == (0, 0) or p in seen:
-            continue
-        cyc = [p]
-        seen.add(p)
-        q = p
-        while True:
-            _, q = conjugation_action(sq, q)
-            if q == p:
-                break
-            cyc.append(q)
-            seen.add(q)
-        orbits.append(cyc)
+        if p not in seen:
+            orbits.append(conjugation_cycle(sq, p))
+            seen.update(orbits[-1])
     return orbits
 
 
@@ -250,14 +236,16 @@ def _cluster_complex(values, gap: float = 1e-6):
     """Group complex values into clusters whose centers differ by > gap.
 
     Values are first merged exactly after rounding to 9 decimals; the few
-    distinct keys are then joined when within ``gap`` of each other.
+    distinct keys are then joined when within ``gap`` of each other.  Each
+    center is the mean of its members' raw values; clusters are ordered by
+    (re, im) of their centers rounded to 9 decimals.  Returns the
+    (center, multiplicity) pairs and the cluster index of each value.
     """
     values = np.asarray(values, dtype=complex)
     # + 0.0 folds -0.0 into +0.0, as equal keys must be equal rows
     rounded = np.round(np.stack([values.real, values.imag], axis=1), 9) + 0.0
-    rows, counts = np.unique(rounded, axis=0, return_counts=True)
-    keys = [(float(re), float(im)) for re, im in rows]
-    uniq = dict(zip(keys, counts.tolist()))
+    rows, key_of = np.unique(rounded, axis=0, return_inverse=True)
+    keys = rows[:, 0] + 1j * rows[:, 1]
     parent = list(range(len(keys)))
 
     def find(i):
@@ -268,18 +256,15 @@ def _cluster_complex(values, gap: float = 1e-6):
 
     for i in range(len(keys)):
         for j in range(i + 1, len(keys)):
-            if abs(complex(*keys[i]) - complex(*keys[j])) <= gap:
+            if abs(keys[i] - keys[j]) <= gap:
                 parent[find(i)] = find(j)
-    groups = {}
-    for i, k in enumerate(keys):
-        groups.setdefault(find(i), []).append(k)
-    out = []
-    for members in groups.values():
-        tot = sum(uniq[m] for m in members)
-        center = sum(complex(*m) * uniq[m] for m in members) / tot
-        out.append((center, tot))
-    out.sort(key=lambda t: (t[0].real, t[0].imag))
-    return out
+    _, cluster_of = np.unique([find(i) for i in range(len(keys))], return_inverse=True)
+    member_of = cluster_of[key_of.ravel()]
+    counts = np.bincount(member_of)
+    centers = (np.bincount(member_of, values.real) + 1j * np.bincount(member_of, values.imag)) / counts
+    order = np.lexsort((np.round(centers.imag, 9), np.round(centers.real, 9)))
+    ids = np.argsort(order)[member_of]
+    return list(zip(centers[order].tolist(), counts[order].tolist())), ids
 
 
 def _distinct_triples(states):
@@ -295,7 +280,7 @@ def triple_trace_census(label: int = 1, gap: float = 1e-6):
     """Clustered values of tr(r1 r2 r3) over ordered triples of distinct
     states of one SIC, as (value, multiplicity) pairs."""
     vals, _ = _distinct_triples(enumerate_orbit().sic(label).states)
-    return _cluster_complex(vals, gap)
+    return _cluster_complex(vals, gap)[0]
 
 
 def permutation_orders(perms) -> np.ndarray:
@@ -310,9 +295,18 @@ def permutation_orders(perms) -> np.ndarray:
     return orders
 
 
-def permutation_order(p) -> int:
-    """Smallest n >= 1 with p^n the identity."""
-    return int(permutation_orders([p])[0])
+def distinct_rows(a) -> int:
+    """Number of distinct rows of a 2-d integer array."""
+    a = np.asarray(a)
+    a = a[np.lexsort(a.T)]
+    return int(len(a) > 0) + int(np.count_nonzero(np.any(a[1:] != a[:-1], axis=1)))
+
+
+def permutation_parities(perms) -> np.ndarray:
+    """Parities, 0 even and 1 odd, of a (P, n) stack of permutations: their
+    inversion counts mod 2."""
+    perms = np.asarray(perms)
+    return np.count_nonzero(np.triu(perms[:, :, None] > perms[:, None, :]), axis=(1, 2)) % 2
 
 
 def _is_member(rows, group) -> np.ndarray:
@@ -333,41 +327,33 @@ def two_power_subgroup(perms) -> tuple:
 class SymmetryReport:
     extended_order: int
     unitary_order: int
-    stabilizer_order: int
     hw_is_unique_order16: bool
     rigid_permutation_count: int
 
 
-def _permutations_on_states(mats, orbit: FiducialOrbit, label: int = 1) -> np.ndarray:
-    """How each of a stack of unitary symmetries permutes the 16 states of
-    one SIC, as an (N, 16) array."""
-    base = (label - 1) * 16
-    sic = orbit.projectors[base : base + 16]
-    index, ov = state_action(mats, np.zeros(len(mats), dtype=bool), sic, orbit.projectors)
-    if ov.min() < 1.0 - MATCH_TOL or np.any(index // 16 != label - 1):
-        raise ValueError("element does not preserve the SIC")
-    return index - base
+def state_permutations(mats, states) -> np.ndarray:
+    """How each of N unitaries permutes a list of M rank-1 states by
+    conjugation, as an (N, M) index array; ValueError when it does not
+    permute them."""
+    index, ov = state_action(mats, np.zeros(len(mats), dtype=bool), states, states)
+    hit = np.zeros(index.shape, dtype=bool)
+    np.put_along_axis(hit, index, True, axis=1)  # every state is an image
+    if ov.min() < 1.0 - MATCH_TOL or not hit.all():
+        raise ValueError("conjugation does not permute the state set")
+    return index
 
 
 def symmetry_group_of_sic(label: int = 1, tol: float = DEFAULT_TOL):
     """All enumerated extended-Clifford elements mapping a SIC onto itself."""
-    orbit = enumerate_orbit()
-    els, mats, anti = element_arrays(extended=True)
-    targets = orbit.projectors[(label - 1) * 16 : label * 16]
-    _, ov = state_action(mats, anti, orbit.fiducial(label)[None], targets)
-    return [els[i] for i in np.flatnonzero(ov[:, 0] >= 1.0 - tol)]
+    sic = enumerate_orbit().sic(label)
+    return _elements_sending(sic.states[0], sic.states, tol)
 
 
 def _triple_cluster_ids(states, gap: float = 1e-6):
     """Tensor of census cluster ids for ordered triples of distinct states."""
     vals, mask = _distinct_triples(states)
-    centers = np.array([c for c, _ in _cluster_complex(vals, gap)])
-    dist = np.abs(vals[:, None] - centers[None, :])
-    nearest = dist.argmin(axis=1)
-    if np.any(dist[np.arange(len(vals)), nearest] > gap):
-        raise AssertionError("triple value does not match any cluster")
     ids = -np.ones(mask.shape, dtype=int)
-    ids[mask] = nearest
+    ids[mask] = _cluster_complex(vals, gap)[1]
     return ids
 
 
@@ -422,19 +408,18 @@ def verify_symmetry_group_in_clifford(tol: float = DEFAULT_TOL) -> SymmetryRepor
     """Certify the symmetry-group structure of SIC 1 inside the enumerated
     extended Clifford group.
 
-    Checks the 96/48 symmetry-group orders, the order-6 stabilizer of the
-    fiducial, uniqueness of the order-16 subgroup (which equals the
-    displacement group), and that triple-trace-preserving permutations are
-    exhausted by the unitary stabilizer.
+    Checks the 96/48 symmetry-group orders, uniqueness of the order-16
+    subgroup (which equals the displacement group), and that
+    triple-trace-preserving permutations are exhausted by the unitary
+    stabilizer.
     """
-    orbit = enumerate_orbit()
+    states = enumerate_orbit().sic(1).states
     sym = symmetry_group_of_sic(1, tol)
     unitary = [e for e in sym if not e.op.antiunitary]
-    stab = stability_group(orbit.fiducial(1), tol)
 
     mats = np.stack([e.op.matrix for e in unitary])
-    perms = _permutations_on_states(mats, orbit)
-    if len({tuple(p) for p in perms.tolist()}) != len(unitary):
+    perms = state_permutations(mats, states)
+    if distinct_rows(perms) != len(unitary):
         raise AssertionError("state action of the symmetry group is not faithful")
 
     # the unique order-16 subgroup: exactly 16 elements of 2-power order,
@@ -445,17 +430,26 @@ def verify_symmetry_group_in_clifford(tol: float = DEFAULT_TOL) -> SymmetryRepor
         conj = np.take_along_axis(perms[None], tp[:, np.argsort(perms, axis=1)], axis=2)
         unique16 = bool(np.all(_is_member(conj, tp)))
     if unique16:
-        disp = _permutations_on_states(displacement_table(4).reshape(16, 4, 4), orbit)
+        disp = state_permutations(displacement_table(4).reshape(16, 4, 4), states)
         unique16 = bool(np.all(_is_member(disp, tp)) and np.all(_is_member(tp, disp)))
 
     rigid = rigid_permutations(1, limit=10)
     return SymmetryReport(
         extended_order=len(sym),
         unitary_order=len(unitary),
-        stabilizer_order=len(stab),
         hw_is_unique_order16=bool(unique16),
         rigid_permutation_count=len(rigid),
     )
+
+
+def _label_images(mats, anti, tol: float = MATCH_TOL) -> np.ndarray:
+    """The (N, 16) 0-based labels of the SICs that each of N elements sends
+    SICs 1..16 to; ValueError when an element maps the orbit off itself."""
+    orbit = enumerate_orbit()
+    index, ov = state_action(mats, anti, orbit.projectors[::16], orbit.projectors)
+    if ov.min() < 1.0 - tol:
+        raise ValueError("element does not map the orbit to itself")
+    return index // 16
 
 
 def symmetry_action(pair: SymplecticPair, tol: float = MATCH_TOL) -> tuple:
@@ -463,54 +457,46 @@ def symmetry_action(pair: SymplecticPair, tol: float = MATCH_TOL) -> tuple:
 
     Entry n-1 of the result is the label of the image of SIC n.
     """
-    orbit = enumerate_orbit()
     u = to_operator(pair)
-    fids = orbit.projectors[::16]
-    index, ov = state_action(u.matrix[None], [u.antiunitary], fids, orbit.projectors)
-    if ov.min() < 1.0 - tol:
-        raise ValueError("element does not map the orbit to itself")
-    return tuple((index[0] // 16 + 1).tolist())
+    return tuple((_label_images(u.matrix[None], [u.antiunitary], tol)[0] + 1).tolist())
 
 
 @lru_cache(maxsize=None)
 def label_permutation_group(extended: bool = False):
     """Distinct label permutations induced by the (extended) Clifford group,
     each with the elements inducing it, in enumeration order."""
-    orbit = enumerate_orbit()
     els, mats, anti = element_arrays(extended=extended)
-    index, ov = state_action(mats, anti, orbit.projectors[::16], orbit.projectors)
-    if ov.min() < 1.0 - MATCH_TOL:
-        raise ValueError("orbit not closed under the Clifford group")
     perms = {}
-    for e, perm in zip(els, (index // 16).tolist()):
+    for e, perm in zip(els, _label_images(mats, anti).tolist()):
         perms.setdefault(tuple(perm), []).append(e)
     return perms
 
 
-def triple_family(theta: float, d: int):
-    """Three unit kets with pairwise fidelity 1/(d+1), parametrized by theta."""
+def triple_family(theta, d: int):
+    """Three unit kets with pairwise fidelity 1/(d+1), parametrized by theta;
+    for an array of angles, three (..., d) stacks."""
     if d < 3:
         raise ValueError("family needs d >= 3")
+    theta = np.asarray(theta, dtype=float)
     ct = np.cos(theta)
     root = np.sqrt(ct * ct + d)
     u = (-ct + root) / np.sqrt(d * (d + 1))
     v = np.sqrt((d * d - d - 2 * ct * ct + 2 * ct * root) / (d * (d + 1)))
-    f1 = np.zeros(d, dtype=complex)
-    f1[0] = 1.0
-    f2 = np.zeros(d, dtype=complex)
-    f2[0] = 1.0 / np.sqrt(d + 1)
-    f2[1] = np.sqrt(d) / np.sqrt(d + 1)
-    f3 = np.zeros(d, dtype=complex)
-    f3[0] = 1.0 / np.sqrt(d + 1)
-    f3[1] = u * np.exp(1j * theta)
-    f3[2] = v
+    f1, f2, f3 = np.zeros((3,) + theta.shape + (d,), dtype=complex)
+    f1[..., 0] = 1.0
+    f2[..., 0] = 1.0 / np.sqrt(d + 1)
+    f2[..., 1] = np.sqrt(d) / np.sqrt(d + 1)
+    f3[..., 0] = 1.0 / np.sqrt(d + 1)
+    f3[..., 1] = u * np.exp(1j * theta)
+    f3[..., 2] = v
     return f1, f2, f3
 
 
-def triple_phase(theta: float, d: int) -> float:
+def triple_phase(theta, d: int):
     """Argument of the triple product for the family, on the branch
-    [-pi, pi)."""
+    [-pi, pi); elementwise for an array of angles."""
+    theta = np.asarray(theta, dtype=float)
     ct = np.cos(theta)
     z = 1.0 + np.exp(1j * theta) * (-ct + np.sqrt(ct * ct + d))
-    phi = float(np.angle(z))
-    return -np.pi if phi >= np.pi else phi
+    phi = np.angle(z)
+    return np.where(phi >= np.pi, -np.pi, phi)[()]

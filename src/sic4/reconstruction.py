@@ -19,8 +19,15 @@ from functools import lru_cache
 import numpy as np
 
 from .numerics import DEFAULT_TOL, canonical_phase, commutator_phase, eig_hermitian
-from .orbits import MATCH_TOL, element_arrays, state_action, two_power_subgroup
-from .weyl_heisenberg import CONSTANTS, SicPovm, verify_sic
+from .orbits import (
+    MATCH_TOL,
+    element_arrays,
+    projectively_distinct,
+    state_action,
+    state_permutations,
+    two_power_subgroup,
+)
+from .weyl_heisenberg import CONSTANTS, SicPovm, shift_clock_products, verify_sic
 
 # eigenvalue of the 4-state sum paired with the phase i^k it tags
 _SQ5 = math.sqrt(5.0)
@@ -56,8 +63,7 @@ def quad_signature(states) -> tuple:
     states = np.asarray(states, dtype=complex)
     if states.shape != (4, 4, 4):
         raise ValueError("expected exactly four 4x4 states")
-    w = np.linalg.eigvalsh(states.sum(axis=0))
-    return tuple(float(x) for x in w)
+    return tuple(_signatures(states, np.arange(4)[None])[0].tolist())
 
 
 def _signatures(states: np.ndarray, quads: np.ndarray) -> np.ndarray:
@@ -113,15 +119,13 @@ def _phase_operator(m: np.ndarray) -> np.ndarray:
     return op
 
 
-def _state_permutation(gen: np.ndarray, states: np.ndarray, tol: float = MATCH_TOL):
-    """Permutation of the state list under conjugation by a unitary."""
-    index, ov = state_action(gen[None], [False], states, states)
-    if ov.min() < 1.0 - tol:
-        raise ValueError("conjugation does not preserve the state set")
-    perm = index[0].tolist()
-    if len(set(perm)) != len(states):
-        raise ValueError("conjugation action is not a permutation")
-    return perm
+class NotASicError(ValueError):
+    """The input of a reconstruction fails verify_sic."""
+
+
+def _certify(sic: SicPovm, tol: float) -> None:
+    if not verify_sic(sic.states, sic.d, tol).is_sic:
+        raise NotASicError("input does not certify as a SIC-POVM")
 
 
 @dataclass
@@ -134,12 +138,11 @@ class ReconstructedGroup:
 def reconstruct_hw(sic: SicPovm, tol: float = DEFAULT_TOL) -> ReconstructedGroup:
     """Recover the order-16 projective covariance group of a SIC.
 
-    The input only needs to pass verify_sic; no displacement indexing is
-    assumed.  Returns clock/shift generators satisfying
-    z x = omega x z exactly, and the 16 projective group elements.
+    The input only needs to pass verify_sic (NotASicError otherwise); no
+    displacement indexing is assumed.  Returns clock/shift generators
+    satisfying z x = omega x z exactly, and the 16 projective group elements.
     """
-    if not verify_sic(sic.states, sic.d, tol).is_sic:
-        raise ValueError("input does not certify as a SIC-POVM")
+    _certify(sic, tol)
     states = sic.states
 
     quad = _first_match(states, _quad_index())
@@ -147,23 +150,14 @@ def reconstruct_hw(sic: SicPovm, tol: float = DEFAULT_TOL) -> ReconstructedGroup
         raise ValueError("no 4-subset realizes the reference signature")
     zp = _phase_operator(states[quad].sum(axis=0))
 
-    perm = _state_permutation(zp, states)
-    orbits = []
-    seen = set()
-    for start in range(16):
-        if start in seen:
-            continue
-        orbit = [start]
-        seen.add(start)
-        j = perm[start]
-        while j != start:
-            orbit.append(j)
-            seen.add(j)
-            j = perm[j]
-        orbits.append(sorted(orbit))
-    if sorted(map(len, orbits)) != [4, 4, 4, 4]:
+    perm = state_permutations(zp[None], states)[0]
+    powers = [np.arange(16)]
+    for _ in range(4):
+        powers.append(perm[powers[-1]])
+    cycles = np.stack(powers[:4], axis=1)  # the clock orbit of each state
+    if np.any(powers[4] != powers[0]) or np.any(cycles[:, 1:] == cycles[:, :1]):
         raise ValueError("clock generator does not split the SIC into four 4-orbits")
-    orbits.sort()
+    orbits = [sorted(c) for c in cycles[cycles.min(axis=1) == np.arange(16)].tolist()]
 
     # one state from each clock orbit, in itertools.product order
     picks = np.stack(np.meshgrid(*orbits, indexing="ij"), axis=-1).reshape(-1, 4)
@@ -180,17 +174,10 @@ def reconstruct_hw(sic: SicPovm, tol: float = DEFAULT_TOL) -> ReconstructedGroup
     if abs(c - omega) > 1e-8:
         raise ValueError("generators do not satisfy the clock-shift commutation")
 
-    _state_permutation(xp, states)  # covariance under the second generator
+    state_permutations(xp[None], states)  # covariance under the second generator
 
-    xpow = [np.linalg.matrix_power(xp, a) for a in range(4)]
-    zpow = [np.linalg.matrix_power(zp, b) for b in range(4)]
-    elements = np.empty((16, 4, 4), dtype=complex)
-    for a in range(4):
-        for b in range(4):
-            elements[4 * a + b] = canonical_phase(xpow[a] @ zpow[b])
-    flat = elements.reshape(16, 16)
-    gram = np.abs(flat.conj() @ flat.T)
-    if np.max(gram - np.diag(np.diag(gram))) > 4.0 - 1e-6:
+    elements = np.array([canonical_phase(m) for m in shift_clock_products(xp, zp)])
+    if not projectively_distinct(elements):
         raise AssertionError("generated group has fewer than 16 projective elements")
     return ReconstructedGroup(z_gen=zp, x_gen=xp, elements=elements)
 
@@ -232,8 +219,7 @@ def uniqueness_check(sic: SicPovm, tol: float = DEFAULT_TOL) -> bool:
     and close under composition they form the unique one (two distinct
     Sylow subgroups would overflow that count).
     """
-    if not verify_sic(sic.states, sic.d, tol).is_sic:
-        raise ValueError("input does not certify as a SIC-POVM")
+    _certify(sic, tol)
     perms = _symmetry_permutations(sic.states)
     if len(perms) != 48:
         raise ValueError("symmetry group inside the Clifford group has order %d, expected 48" % len(perms))

@@ -23,9 +23,9 @@ from .clifford import (
     multiplication_table,
     to_operator,
 )
-from .numerics import commutator_phase, proj_equal
+from .numerics import commutator_phase, is_unitary, proj_equal
 from .orbits import LABEL_GRID, FiducialOrbit, enumerate_orbit, fiducial_projector
-from .weyl_heisenberg import SicPovm, verify_sic
+from .weyl_heisenberg import SicPovm, shift_clock_products, verify_sic
 
 # translations implementing conjugation by I, X^2, Z^2, X^2 Z^2
 _H_SHIFTS = ((0, 0), (2, 0), (0, 2), (2, 2))
@@ -51,12 +51,6 @@ def h_orbits(sic_label: int) -> list:
     return orbits
 
 
-def _cross_fidelities(orbit: FiducialOrbit, a: HOrbit, b: HOrbit) -> np.ndarray:
-    pa = orbit.projectors[list(a.members)].reshape(4, 16)
-    pb = orbit.projectors[list(b.members)].reshape(4, 16)
-    return np.real(pa.conj() @ pb.T)
-
-
 def regroup_row(row, orbit: FiducialOrbit | None = None, tol: float = 1e-9):
     """Assemble the four new SICs hiding in one row of the label grid.
 
@@ -75,10 +69,11 @@ def regroup_row(row, orbit: FiducialOrbit | None = None, tol: float = 1e-9):
     for seed in blocks[row[0]]:
         chosen = [seed]
         for lab in row[1:]:
+            # b is a partner when all its cross-fidelities with seed are 1/5
             hits = [
                 b
                 for b in blocks[lab]
-                if np.max(np.abs(_cross_fidelities(orbit, seed, b) - 0.2)) <= tol
+                if fidelity_adjacency(orbit, seed.members + b.members, tol)[:4, 4:].all()
             ]
             if len(hits) != 1:
                 raise ValueError(
@@ -116,14 +111,6 @@ def fidelity_adjacency(orbit: FiducialOrbit, vertices, tol: float = 1e-9) -> np.
     fid = np.real(flat.conj() @ flat.T)
     upper = np.triu(np.abs(fid - 0.2) <= tol, 1)
     return upper | upper.T
-
-
-def fidelity_graph(orbit: FiducialOrbit, vertices, tol: float = 1e-9):
-    """The fidelity-1/5 graph as a networkx Graph labelled by ``vertices``."""
-    import networkx as nx
-
-    g = nx.from_numpy_array(fidelity_adjacency(orbit, vertices, tol), edge_attr=None)
-    return nx.relabel_nodes(g, dict(enumerate(vertices)))
 
 
 def _bits(mask: int):  # indices of the set bits, lowest first
@@ -218,12 +205,11 @@ EQUIVALENCE_MATRIX = 0.5 * np.array(
 
 
 @lru_cache(maxsize=1)
-def _check_dprime_literals() -> None:
-    """Check, once per process, that the literal D' generators equal their
-    symplectic-pair parametrization projectively."""
-    for pair, literal in ((X_PRIME_PAIR, X_PRIME_MATRIX), (Z_PRIME_PAIR, Z_PRIME_MATRIX)):
-        if not proj_equal(to_operator(pair).matrix, literal):
-            raise AssertionError("parametrized operator disagrees with its literal matrix")
+def dprime_literals_match() -> bool:
+    """Whether the literal D' generators equal their symplectic-pair
+    parametrization projectively; decided once per process."""
+    pairs = ((X_PRIME_PAIR, X_PRIME_MATRIX), (Z_PRIME_PAIR, Z_PRIME_MATRIX))
+    return all(proj_equal(to_operator(pair).matrix, literal) for pair, literal in pairs)
 
 
 def dprime_generators() -> tuple:
@@ -233,25 +219,21 @@ def dprime_generators() -> tuple:
     projectively against their symplectic-pair parametrization on the
     first call.
     """
-    _check_dprime_literals()
+    if not dprime_literals_match():
+        raise AssertionError("parametrized operator disagrees with its literal matrix")
     return X_PRIME_MATRIX.copy(), Z_PRIME_MATRIX.copy()
 
 
 def dprime_elements() -> np.ndarray:
     """The 16 projective elements of the conjugate displacement group."""
-    xp, zp = dprime_generators()
-    out = np.empty((16, 4, 4), dtype=complex)
-    for a in range(4):
-        for b in range(4):
-            out[4 * a + b] = np.linalg.matrix_power(xp, a) @ np.linalg.matrix_power(zp, b)
-    return out
+    return shift_clock_products(*dprime_generators())
 
 
 def equivalence_unitary() -> np.ndarray:
     """The unitary conjugating the displacement group onto its regrouped
     copy while fixing the fiducial projector."""
     u = EQUIVALENCE_MATRIX
-    if np.max(np.abs(u @ u.conj().T - np.eye(4))) > 1e-12:
+    if not is_unitary(u, 1e-12):
         raise AssertionError("equivalence matrix is not unitary")
     rho = fiducial_projector()
     if not proj_equal(u @ rho @ u.conj().T, rho):
@@ -265,6 +247,19 @@ def equivalence_unitary() -> np.ndarray:
 # elements are kernel cosets, named by clifford.coset and indexed as in
 # the unitary enumerate_projective_clifford(4); products are lookups in the
 # Cayley table.
+
+# generators of the unitary projective Clifford group: two symplectic
+# elements and the displacements D_(1,0), D_(0,1); their products reach all
+# 768 cosets, so a subgroup or a unitary normalizing these normalizes it all
+CLIFFORD_GENERATORS = tuple(
+    SymplecticPair(f, chi, 4)
+    for f, chi in (
+        ((1, 1, 0, 1), (0, 0)),
+        ((0, 7, 1, 0), (0, 0)),
+        ((1, 0, 0, 1), (1, 0)),
+        ((1, 0, 0, 1), (0, 1)),
+    )
+)
 
 
 @lru_cache(maxsize=1)
@@ -319,15 +314,7 @@ def hw_conjugate_subgroup_census() -> tuple:
         c = commutator_phase(els[x[k]].op.matrix, els[z[k]].op.matrix)
         subgroups[frozenset(spans[k].tolist())] = abs(c.imag) > 0.5  # primitive pairing
     hw_type = [s for s, primitive in subgroups.items() if primitive]
-    gens = [
-        index[coset(SymplecticPair(f, chi, 4))]
-        for f, chi in (
-            ((1, 1, 0, 1), (0, 0)),
-            ((0, 7, 1, 0), (0, 0)),
-            ((1, 0, 0, 1), (1, 0)),
-            ((1, 0, 0, 1), (0, 1)),
-        )
-    ]
+    gens = [index[coset(g)] for g in CLIFFORD_GENERATORS]
     inverses = [np.flatnonzero(table[g] == identity)[0] for g in gens]
     normal = [
         s

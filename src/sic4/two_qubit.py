@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .numerics import rank1_kets
 from .weyl_heisenberg import CONSTANTS, SicPovm, displacement_table
 
 _SQRT2 = math.sqrt(2.0)
@@ -45,32 +46,40 @@ _PAULI_PRODUCTS = np.array(
 
 @dataclass
 class Gbv:
+    """Pauli expansion of one two-qubit state, or of a stack with the
+    stack's leading axes on every field."""
+
     r: np.ndarray  # second-qubit Bloch components
     s: np.ndarray  # first-qubit Bloch components
     C: np.ndarray  # 3x3 correlation dyadic, rows follow s, columns follow r
 
     def flat(self) -> np.ndarray:
-        return np.concatenate([self.r, self.s, self.C.ravel()])
+        """The 15 coefficients (r, s, C row-major) along the last axis."""
+        return np.concatenate([self.r, self.s, self.C.reshape(self.C.shape[:-2] + (9,))], axis=-1)
 
-    def norm_sq(self) -> float:
-        return float(self.r @ self.r + self.s @ self.s + np.sum(self.C * self.C))
+    def norm_sq(self):
+        return np.sum(self.flat() ** 2, axis=-1)
 
 
 def gbv(rho: np.ndarray, tol: float = 1e-9) -> Gbv:
-    """Pauli expansion coefficients of a two-qubit density matrix."""
+    """Pauli expansion coefficients of a two-qubit density matrix, or of an
+    (N, 4, 4) stack of them."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2, 2, 2):
-        rho = rho.reshape(2, 2, 2, 2)
-    mat = rho.reshape(4, 4)
-    if np.max(np.abs(mat - mat.conj().T)) > tol or abs(np.trace(mat) - 1) > tol:
+    mats = rho.reshape(-1, 4, 4)
+    herm = np.max(np.abs(mats - mats.conj().transpose(0, 2, 1)))
+    if herm > tol or np.max(np.abs(np.trace(mats, axis1=1, axis2=2) - 1)) > tol:
         raise ValueError("expected a Hermitian trace-1 matrix")
-    coef = np.einsum("abij,ji->ab", _PAULI_PRODUCTS, mat).real
-    return Gbv(r=coef[0, 1:].copy(), s=coef[1:, 0].copy(), C=coef[1:, 1:].copy())
+    coef = np.einsum("abij,nji->nab", _PAULI_PRODUCTS, mats).real
+    if rho.ndim != 3:
+        coef = coef[0]
+    return Gbv(r=coef[..., 0, 1:], s=coef[..., 1:, 0], C=coef[..., 1:, 1:])
 
 
 def from_gbv(g: Gbv) -> np.ndarray:
-    coef = np.block([[1.0, g.r], [g.s[:, None], g.C]])
-    return np.einsum("ab,abij->ij", coef, _PAULI_PRODUCTS) / 4.0
+    """The density matrix (or stack) with the given Pauli expansion."""
+    coef = np.ones(g.r.shape[:-1] + (4, 4))
+    coef[..., 0, 1:], coef[..., 1:, 0], coef[..., 1:, 1:] = g.r, g.s, g.C
+    return np.einsum("...ab,abij->...ij", coef, _PAULI_PRODUCTS) / 4.0
 
 
 @dataclass(frozen=True)
@@ -168,20 +177,39 @@ def _pattern_table(basis: str, class_id: int, constraint: int):
     return np.stack(vectors), tuple(patterns)
 
 
+@lru_cache(maxsize=2)
+def sign_pattern_table(basis: str = "product") -> tuple:
+    """The 256 constraint-satisfying sign assignments of a basis, class 1
+    first: (GBV vectors (256, 15), SignPatterns, and an int (256, 12) array
+    whose rows are the class id, the eight signs and h1, h2, h3)."""
+    (v1, p1), (v2, p2) = (_pattern_table(basis, class_id, 1) for class_id in (1, 2))
+    patterns = p1 + p2
+    columns = np.array([(p.class_id,) + p.signs + astuple(sign_functions(p)) for p in patterns])
+    columns.flags.writeable = False
+    return np.concatenate([v1, v2]), patterns, columns
+
+
+def match_sign_patterns(g: Gbv, basis: str = "product", tol: float = 1e-7) -> np.ndarray:
+    """For each GBV of a stack, the row of sign_pattern_table(basis)
+    reproducing it within tol in every coefficient, or -1.  A GBV matching
+    two rows indicates a degenerate table and raises ValueError."""
+    flat = g.flat().reshape(-1, 15)
+    vectors = sign_pattern_table(basis)[0]
+    dist = np.zeros((len(flat), len(vectors)))
+    for k in range(15):  # Chebyshev distances, one coefficient at a time
+        np.maximum(dist, np.abs(flat[:, k, None] - vectors[:, k]), out=dist)
+    hits = dist <= tol
+    counts = hits.sum(axis=1)
+    if counts.max(initial=0) > 1:
+        raise ValueError("GBV matches %d sign patterns, table is degenerate" % counts.max())
+    return np.where(counts == 1, hits.argmax(axis=1), -1)
+
+
 def match_sign_pattern(g: Gbv, basis: str = "product", tol: float = 1e-7):
     """The unique constraint-satisfying table row reproducing this GBV,
-    or None.  Multiple matches indicate a degenerate table and fail."""
-    flat = g.flat()
-    hits = []
-    for class_id in (1, 2):
-        vectors, patterns = _pattern_table(basis, class_id, 1)
-        idx = np.flatnonzero(np.max(np.abs(vectors - flat), axis=1) <= tol)
-        hits.extend(patterns[i] for i in idx)
-    if not hits:
-        return None
-    if len(hits) > 1:
-        raise ValueError("GBV matches %d sign patterns, table is degenerate" % len(hits))
-    return hits[0]
+    or None: match_sign_patterns for a stack of one."""
+    row = int(match_sign_patterns(g, basis, tol)[0])
+    return None if row < 0 else sign_pattern_table(basis)[1][row]
 
 
 def sign_functions(p: SignPattern) -> SignFunctions:
@@ -220,40 +248,48 @@ def physical_state(rho: np.ndarray, basis: str) -> np.ndarray:
 
 
 def state_ket(rho: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(np.asarray(rho, dtype=complex))
-    if abs(w[-1] - 1.0) > 1e-6:
-        raise ValueError("expected a rank-1 projector")
-    return v[:, -1]
+    """The ket of a rank-1 state, or the (N, 4) kets of a stack."""
+    rho = np.asarray(rho, dtype=complex)
+    kets = rank1_kets(rho.reshape((-1,) + rho.shape[-2:]))
+    return kets if rho.ndim == 3 else kets[0]
 
 
-def concurrence(psi: np.ndarray) -> float:
-    psi = np.asarray(psi, dtype=complex).ravel()
-    if abs(psi @ psi.conj() - 1.0) > 1e-6:
+def concurrence(psi: np.ndarray):
+    """|psi^T (sigma_y x sigma_y) psi| of a unit ket, or of each ket of an
+    (N, 4) stack."""
+    psi = np.asarray(psi, dtype=complex)
+    if np.max(np.abs(np.sum(np.abs(psi) ** 2, axis=-1) - 1.0)) > 1e-6:
         raise ValueError("ket must be normalized")
-    return float(abs(psi @ _PAULI_PRODUCTS[2, 2] @ psi))
+    return np.abs(np.sum((psi @ _PAULI_PRODUCTS[2, 2]) * psi, axis=-1))
+
+
+def rounded_census(values, decimals: int = 9) -> dict:
+    """{value rounded to decimals: count} over a 1-d array, keyed in order
+    of first appearance."""
+    keys, first, counts = np.unique(np.round(values, decimals), return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return dict(zip(keys[order].tolist(), counts[order].tolist()))
 
 
 def concurrence_census(sic: SicPovm, basis: str = "product", decimals: int = 9) -> dict:
-    hist: dict = {}
-    for rho in sic.states:
-        c = concurrence(state_ket(physical_state(rho, basis)))
-        key = round(c, decimals)
-        hist[key] = hist.get(key, 0) + 1
-    return hist
+    """Rounded concurrences of one SIC's states with their counts."""
+    return rounded_census(concurrence(state_ket(physical_state(sic.states, basis))), decimals)
 
 
-def _reduce(rho: np.ndarray, qubit: int) -> np.ndarray:
-    t = rho.reshape(2, 2, 2, 2)
-    # indices: (first_out, second_out, first_in, second_in)
-    return np.trace(t, axis1=1, axis2=3) if qubit == 0 else np.trace(t, axis1=0, axis2=2)
+def _bloch_vectors(states: np.ndarray, basis: str, qubit: int) -> np.ndarray:
+    """Bloch vectors of one qubit's reduced states, for an (N, 4, 4) stack."""
+    g = gbv(physical_state(states, basis))
+    return g.s if qubit == 0 else g.r
+
+
+def reduced_purity(states: np.ndarray, basis: str = "product", qubit: int = 0) -> np.ndarray:
+    """tr(red^2) = (1 + |b|^2) / 2 of the reduced state, Bloch vector b, of
+    each state of an (N, 4, 4) stack."""
+    return (1.0 + np.sum(_bloch_vectors(states, basis, qubit) ** 2, axis=-1)) / 2
 
 
 def avg_reduced_purity(sic: SicPovm, basis: str = "product", qubit: int = 0) -> float:
-    total = 0.0
-    for rho in sic.states:
-        red = _reduce(physical_state(rho, basis), qubit)
-        total += float(np.real(np.trace(red @ red)))
-    return total / len(sic.states)
+    return float(np.mean(reduced_purity(sic.states, basis, qubit)))
 
 
 @dataclass
@@ -264,30 +300,22 @@ class ReducedStateReport:
     edge_length: float | None
 
 
-def _bloch(red: np.ndarray) -> np.ndarray:
-    return np.array([np.real(np.trace(sj @ red)) for sj in PAULI])
-
-
 def reduced_state_census(
     sic: SicPovm, qubit: int = 1, basis: str = "product", tol: float = 1e-8
 ) -> ReducedStateReport:
     """Distinct single-qubit reduced states of one SIC and, when the eight
-    Bloch points happen to be the vertices of a cube, its edge length."""
-    points = [_bloch(_reduce(physical_state(rho, basis), qubit)) for rho in sic.states]
-    distinct: list = []
-    counts: list = []
-    for p in points:
-        for i, q in enumerate(distinct):
-            if np.max(np.abs(p - q)) <= tol:
-                counts[i] += 1
-                break
-        else:
-            distinct.append(p)
-            counts.append(1)
-    is_cube, edge = _detect_cube(np.array(distinct)) if len(distinct) == 8 else (False, None)
+    Bloch points happen to be the vertices of a cube, its edge length.
+    Points within tol in every component are one; each distinct point is
+    represented by its first occurrence."""
+    points = _bloch_vectors(sic.states, basis, qubit)
+    close = np.max(np.abs(points[:, None] - points[None]), axis=2) <= tol
+    first = close.argmax(axis=1)  # the earliest point each one coincides with
+    reps = np.flatnonzero(first == np.arange(len(points)))
+    distinct = points[reps]
+    is_cube, edge = _detect_cube(distinct) if len(distinct) == 8 else (False, None)
     return ReducedStateReport(
-        bloch_points=np.array(distinct),
-        multiplicities=tuple(counts),
+        bloch_points=distinct,
+        multiplicities=tuple(np.bincount(first)[reps].tolist()),
         is_cube=is_cube,
         edge_length=edge,
     )
@@ -296,20 +324,13 @@ def reduced_state_census(
 def _detect_cube(points: np.ndarray, rel_tol: float = 1e-7):
     """Cube test on 8 points: pairwise distances must take exactly three
     values in ratio 1 : sqrt 2 : sqrt 3 with multiplicities 12, 12, 4."""
-    dists = sorted(
-        float(np.linalg.norm(points[i] - points[j]))
-        for i, j in itertools.combinations(range(8), 2)
-    )
-    groups: list = []
-    for x in dists:
-        if groups and abs(x - groups[-1][0]) <= rel_tol:
-            groups[-1][1] += 1
-        else:
-            groups.append([x, 1])
-    if len(groups) != 3 or [g[1] for g in groups] != [12, 12, 4]:
+    i, j = np.triu_indices(8, 1)
+    dists = np.sort(np.linalg.norm(points[i] - points[j], axis=1))
+    starts = np.flatnonzero(np.diff(dists, prepend=-np.inf) > rel_tol)  # a new value begins
+    if np.diff(np.append(starts, len(dists))).tolist() != [12, 12, 4]:
         return False, None
-    edge = groups[0][0]
-    if abs(groups[1][0] - _SQRT2 * edge) > 1e-7 or abs(groups[2][0] - math.sqrt(3) * edge) > 1e-7:
+    edge, face, body = dists[starts].tolist()
+    if abs(face - _SQRT2 * edge) > 1e-7 or abs(body - math.sqrt(3) * edge) > 1e-7:
         return False, None
     return True, edge
 
@@ -342,10 +363,7 @@ def partial_transpose_simplex_checks(patterns, orbit=None, tol: float = 1e-9) ->
 
         orbit = enumerate_orbit()
     vec = np.array([_table_vector("product", 1, p.signs) for p in patterns]).reshape(-1, 15)
-    coef = np.ones((len(vec), 4, 4))  # the from_gbv layout [[1, r], [s, C]]
-    coef[:, 0, 1:], coef[:, 1:, 0] = vec[:, :3], vec[:, 3:6]
-    coef[:, 1:, 1:] = vec[:, 6:].reshape(-1, 3, 3)
-    q = np.einsum("pab,abij->pij", coef, _PAULI_PRODUCTS) / 4.0
+    q = from_gbv(Gbv(r=vec[:, :3], s=vec[:, 3:6], C=vec[:, 6:].reshape(-1, 3, 3)))
     ok = np.max(np.abs(q - q.conj().transpose(0, 2, 1)), axis=(1, 2)) <= tol
     ok &= np.abs(np.trace(q, axis1=1, axis2=2) - 1) <= tol
     ok &= np.linalg.eigvalsh(q)[:, 0] <= NON_PSD_CUT

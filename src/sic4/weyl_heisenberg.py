@@ -60,6 +60,13 @@ def displacement_table(d: int) -> np.ndarray:
     return t
 
 
+def shift_clock_products(x, z) -> np.ndarray:
+    """x^a z^b at index d a + b, 0 <= a, b < d, for d x d matrices x, z."""
+    d = len(x)
+    xs, zs = ([np.linalg.matrix_power(m, k) for k in range(d)] for m in (x, z))
+    return np.array([xa @ zb for xa in xs for zb in zs])
+
+
 def symplectic_form(p, q) -> int:
     """<p, q> = p2 q1 - p1 q2."""
     return p[1] * q[0] - p[0] * q[1]
@@ -133,19 +140,24 @@ def fiducial_ket_d4() -> np.ndarray:
     return v / (2.0 * math.sqrt(3.0 + g))
 
 
-def is_fiducial(v, d: int | None = None, tol: float = DEFAULT_TOL) -> bool:
-    """True iff v is a unit ket with |<v|D_p v>|^2 = 1/(d+1) for all p != 0."""
+def fiducial_overlaps(v, d: int | None = None) -> np.ndarray:
+    """|<v|D_p v>| for the d^2 - 1 displacements p != 0, in index order."""
     v = np.asarray(v, dtype=complex).ravel()
     if d is None:
         d = v.size
     if v.size != d:
         raise ValueError("ket has length %d, expected %d" % (v.size, d))
+    disp = displacement_table(d).reshape(d * d, d, d)[1:]
+    return np.abs(np.einsum("i,pij,j->p", v.conj(), disp, v))
+
+
+def is_fiducial(v, d: int | None = None, tol: float = DEFAULT_TOL) -> bool:
+    """True iff v is a unit ket with |<v|D_p v>|^2 = 1/(d+1) for all p != 0."""
+    v = np.asarray(v, dtype=complex).ravel()
+    ov = fiducial_overlaps(v, d)
     if abs(np.vdot(v, v) - 1.0) > tol:
         raise ValueError("ket is not normalized")
-    # |<v|D_p v>|^2 for the d^2 - 1 displacements p != 0
-    disp = displacement_table(d).reshape(d * d, d, d)[1:]
-    ov = np.abs(np.einsum("i,pij,j->p", v.conj(), disp, v))
-    return bool(np.all(np.abs(ov**2 - 1.0 / (d + 1)) <= tol))
+    return bool(np.all(np.abs(ov**2 - 1.0 / (v.size + 1)) <= tol))
 
 
 @dataclass

@@ -27,6 +27,13 @@ def test_unreachable_tolerance_fails(capsys):
     assert "[FAIL]" in out
 
 
+def test_triples_pass_at_tight_tolerance(capsys):
+    # the census reports the mean of each cluster's traces, so the modulus
+    # deviation is rounding error, not the 9-decimal key rounding
+    assert main(["triples", "--tol", "1e-10"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as e:
         main(["no-such-subcommand"])
@@ -141,6 +148,28 @@ def test_reconstruct_input_non_sic_exits_1(tmp_path, capsys):
     assert "[FAIL] reconstruct.input_is_sic" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("sic", ["orbit", "not-sic"])
+def test_reconstruct_input_certifies_once(sic, monkeypatch, tmp_path, capsys):
+    import sic4.weyl_heisenberg
+    from sic4.orbits import enumerate_orbit
+
+    calls, verify_sic = [], sic4.weyl_heisenberg.verify_sic
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return verify_sic(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sic4.") and getattr(module, "verify_sic", None) is verify_sic:
+            monkeypatch.setattr(module, "verify_sic", counted)
+    states = enumerate_orbit().sic(3).states.copy()
+    if sic == "not-sic":
+        states[0] = np.diag([1, 0, 0, 0])
+    assert main(["reconstruct", "--input", str(_sic_file(tmp_path, states))]) == (0 if sic == "orbit" else 1)
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 def test_all_rejects_basis(capsys):
     with pytest.raises(SystemExit) as e:
         main(["all", "--basis", "bell"])
@@ -199,7 +228,7 @@ def test_cli_imports_build_no_tables():
         "sic4.orbits.enumerate_orbit",
         "sic4.orbits.element_arrays",
         "sic4.reconstruction._quad_index",
-        "sic4.regrouping._check_dprime_literals",
+        "sic4.regrouping.dprime_literals_match",
     )
     code = "; ".join(
         [
@@ -214,3 +243,10 @@ def test_cli_imports_build_no_tables():
         [sys.executable, "-c", code, *caches], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_holds_no_linear_algebra():
+    # the claim tables read library results; the mathematics stays there
+    source = (ROOT / "src" / "sic4" / "cli.py").read_text()
+    for word in ("einsum", "linalg", "matrix_power", "default_rng"):
+        assert word not in source, word

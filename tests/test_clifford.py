@@ -13,14 +13,13 @@ from sic4.clifford import (
     coset,
     enumerate_projective_clifford,
     kernel_pairs,
-    match_projective,
     multiplication_table,
     semidirect_product,
     symplectic_group_matrices,
     symplectic_inverse,
     to_operator,
 )
-from sic4.numerics import canonical_key, compose, elements_proj_equal, proj_equal
+from sic4.numerics import canonical_key, compose, elements_proj_equal, match_projective, proj_equal
 from sic4.weyl_heisenberg import displacement, displacement_table, tau
 
 
@@ -120,6 +119,8 @@ def test_match_projective():
     rng = np.random.default_rng(1)
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     assert match_projective(q, stack) == -1
+    queries = np.stack([stack[3], q, np.exp(0.2j) * stack[49]])
+    assert match_projective(queries, stack).tolist() == [3, -1, 49]
 
 
 def _float_hash_sources(extended):

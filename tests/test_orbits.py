@@ -270,14 +270,20 @@ def test_triple_census_matches_python_round_clustering():
     for label in range(1, 17):
         s = orbit.sic(label).states
         t = np.einsum("aij,bjk,cki->abc", s, s, s)
-        vals = [
+        vals = np.array([
             t[a, b, c]
             for a, b, c in itertools.product(range(16), repeat=3)
             if a != b and b != c and a != c
-        ]
+        ])
         old = _cluster_complex_by_round(vals)
         new = triple_trace_census(label)
-        assert [(c.real, c.imag, n) for c, n in new] == [(c.real, c.imag, n) for c, n in old]
+        assert [n for _, n in new] == [n for _, n in old]
+        # each value belongs to the cluster of the nearest rounded-key center;
+        # the census reports the mean of those members' raw values
+        member = np.argmin(np.abs(vals[:, None] - np.array([c for c, _ in old])), axis=1)
+        assert np.bincount(member).tolist() == [n for _, n in old]
+        means = [vals[member == k].mean() for k in range(len(old))]
+        assert max(abs(c - m) for (c, _), m in zip(new, means)) <= 1e-15
         if label == 1:
             centers = np.array([c for c, _ in old])
             ids = _triple_cluster_ids(s)

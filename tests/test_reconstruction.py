@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from sic4.numerics import commutator_phase, projective_set_equal
-from sic4.orbits import MATCH_TOL, element_arrays, enumerate_orbit, state_action
+from sic4.orbits import MATCH_TOL, element_arrays, enumerate_orbit, state_action, state_permutations
 from sic4.reconstruction import (
     _phase_operator,
-    _state_permutation,
     _symmetry_permutations,
     quad_signature,
     quad_signature_scan,
@@ -193,7 +192,7 @@ def _generators_by_loop(states):
     """reconstruct_hw's generator search as it was, one candidate at a time."""
     quad = _first_by_loop(states, itertools.combinations(range(16), 4))
     zp = _phase_operator(states[list(quad)].sum(axis=0))
-    perm, orbits, seen = _state_permutation(zp, states), [], set()
+    perm, orbits, seen = state_permutations(zp[None], states)[0], [], set()
     for start in range(16):
         if start not in seen:
             orbit, j = [start], perm[start]

@@ -3,16 +3,23 @@ import numpy as np
 import pytest
 
 import sic4.regrouping as regrouping
-from sic4.clifford import SymplecticPair, coset, enumerate_projective_clifford, to_operator
+from sic4.clifford import (
+    SymplecticPair,
+    coset,
+    enumerate_projective_clifford,
+    multiplication_table,
+    to_operator,
+)
 from sic4.numerics import commutator_phase, proj_equal, projective_set_equal
 from sic4.orbits import LABEL_GRID, enumerate_orbit
 from sic4.regrouping import (
+    CLIFFORD_GENERATORS,
     EQUIVALENCE_MATRIX,
     X_PRIME_MATRIX,
     X_PRIME_PAIR,
     Z_PRIME_MATRIX,
     Z_PRIME_PAIR,
-    _check_dprime_literals,
+    dprime_literals_match,
     displacement_coset,
     dprime_elements,
     dprime_generators,
@@ -21,7 +28,6 @@ from sic4.regrouping import (
     _quotient,
     exhaustive_regroup_scan,
     fidelity_adjacency,
-    fidelity_graph,
     h_orbits,
     hw_conjugate_subgroup_census,
     pair_coset,
@@ -29,6 +35,12 @@ from sic4.regrouping import (
     regrouped_family,
 )
 from sic4.weyl_heisenberg import displacement, state_overlap, verify_sic
+
+
+def fidelity_graph(orbit, vertices, tol=1e-9):
+    """The fidelity-1/5 graph as a networkx Graph labelled by ``vertices``."""
+    g = nx.from_numpy_array(fidelity_adjacency(orbit, vertices, tol), edge_attr=None)
+    return nx.relabel_nodes(g, dict(enumerate(vertices)))
 
 
 def test_h_orbits_partition():
@@ -275,6 +287,19 @@ def _scalar_span_census():
     return len(hw_type), len(normal), [named(s) for s in hw_type], [named(s) for s in normal]
 
 
+def test_clifford_generators_reach_every_coset():
+    # closure of the generators under the Cayley table: the whole quotient,
+    # which the census's normality test and the cli's normalizer check rely on
+    table, _, index = _quotient()
+    reached = {index[coset(g)] for g in CLIFFORD_GENERATORS}
+    frontier = set(reached)
+    while frontier:
+        products = set(table[np.ix_(sorted(frontier), sorted(reached))].ravel().tolist())
+        frontier = products - reached
+        reached |= frontier
+    assert len(reached) == len(multiplication_table(4)) == 768
+
+
 def test_subgroup_census_matches_scalar_spans():
     assert hw_conjugate_subgroup_census() == _scalar_span_census()
 
@@ -287,7 +312,7 @@ def test_dprime_generators_check_once_and_return_fresh_copies(monkeypatch):
         return to_operator(pair)
 
     monkeypatch.setattr(regrouping, "to_operator", counting)
-    _check_dprime_literals.cache_clear()
+    dprime_literals_match.cache_clear()
     xp, zp = dprime_generators()
     assert len(calls) == 2
     xp[0, 0] = zp[0, 1] = 7.0

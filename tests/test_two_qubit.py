@@ -9,6 +9,7 @@ from sic4.regrouping import regrouped_family
 from sic4.two_qubit import (
     PAULI,
     Gbv,
+    _pattern_table,
     _table_vector,
     avg_reduced_purity,
     bell_basis_map,
@@ -17,13 +18,16 @@ from sic4.two_qubit import (
     from_gbv,
     gbv,
     match_sign_pattern,
+    match_sign_patterns,
     operator_schmidt_rank,
     partial_transpose,
     partial_transpose_simplex_check,
     partial_transpose_simplex_checks,
     physical_state,
+    reduced_purity,
     reduced_state_census,
     sign_functions,
+    sign_pattern_table,
     state_ket,
     violating_patterns,
 )
@@ -239,6 +243,74 @@ def _simplex_check_by_loop(p, orbit, tol=1e-9):
     pt = partial_transpose(q)
     flat = orbit.projectors.reshape(256, 16)
     return bool(np.max(np.abs(flat.conj() @ pt.ravel())) >= 1.0 - 1e-8)
+
+
+def _reduced_census_by_loop(sic, qubit, tol=1e-8):
+    """The greedy per-state clustering and the pairwise-distance cube test
+    that reduced_state_census replaced: (points, multiplicities, edge)."""
+    distinct, counts = [], []
+    for rho in sic.states:
+        t = rho.reshape(2, 2, 2, 2)
+        red = np.trace(t, axis1=1, axis2=3) if qubit == 0 else np.trace(t, axis1=0, axis2=2)
+        p = np.array([np.real(np.trace(sj @ red)) for sj in PAULI])
+        for i, q in enumerate(distinct):
+            if np.max(np.abs(p - q)) <= tol:
+                counts[i] += 1
+                break
+        else:
+            distinct.append(p)
+            counts.append(1)
+    edge = None
+    if len(distinct) == 8:
+        dists = sorted(np.linalg.norm(a - b) for a, b in itertools.combinations(distinct, 2))
+        values = sorted({round(x, 7) for x in dists})
+        if len(values) == 3 and [sum(abs(x - v) < 1e-7 for x in dists) for v in values] == [12, 12, 4]:
+            if abs(values[1] - math.sqrt(2) * values[0]) < 1e-6 and abs(values[2] - math.sqrt(3) * values[0]) < 1e-6:
+                edge = dists[0]
+    return np.array(distinct), tuple(counts), edge
+
+
+def _patterns_by_loop(flat, basis, tol=1e-7):
+    """The per-class table scan that match_sign_patterns replaced."""
+    hits = []
+    for class_id in (1, 2):
+        vectors, patterns = _pattern_table(basis, class_id, 1)
+        hits += [patterns[i] for i in np.flatnonzero(np.max(np.abs(vectors - flat), axis=1) <= tol)]
+    return hits
+
+
+def test_stacked_calls_match_per_state_oracles():
+    orbit = enumerate_orbit()
+    yy = np.kron(PAULI[1], PAULI[1])
+    for basis in ("product", "bell"):
+        states = physical_state(orbit.projectors, basis)
+        g = gbv(states)
+        assert g.flat().shape == (256, 15) and g.norm_sq().shape == (256,)
+        rows = match_sign_patterns(g, basis)
+        patterns = sign_pattern_table(basis)[1]
+        conc = concurrence(state_ket(states))
+        purity = reduced_purity(orbit.projectors, basis)
+        for k in range(256):
+            r, s, c = _gbv_by_kron(states[k])
+            assert np.max(np.abs(g.flat()[k] - np.concatenate([r, s, c.ravel()]))) <= 1e-14
+            assert [patterns[rows[k]]] == _patterns_by_loop(g.flat()[k], basis)
+            ket = np.linalg.eigh(states[k])[1][:, -1]  # the ket state_ket used to return
+            assert abs(conc[k] - abs(ket @ yy @ ket)) <= 1e-14
+            red = np.trace(states[k].reshape(2, 2, 2, 2), axis1=1, axis2=3)
+            assert abs(purity[k] - np.real(np.trace(red @ red))) <= 1e-14
+
+
+def test_reduced_state_census_matches_greedy_loop():
+    orbit = enumerate_orbit()
+    for label in range(1, 17):
+        for qubit in (0, 1):
+            rep = reduced_state_census(orbit.sic(label), qubit, "product")
+            points, counts, edge = _reduced_census_by_loop(orbit.sic(label), qubit)
+            assert np.max(np.abs(rep.bloch_points - points)) <= 1e-14
+            assert rep.multiplicities == counts
+            assert rep.is_cube == (edge is not None)
+            if edge is not None:
+                assert abs(rep.edge_length - edge) <= 1e-14
 
 
 def test_batched_simplex_check_matches_per_pattern_loop():
