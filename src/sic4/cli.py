@@ -322,12 +322,12 @@ def run_reconstruct(cfg, claims: Claims):
     from .orbits import enumerate_orbit
     from .reconstruction import (
         _phase_operator,
+        _unique_sylow,
         quad_signature,
         quad_signature_scan,
         reconstruct_hw,
         reference_signature,
         signature_values,
-        uniqueness_check,
     )
     from .regrouping import dprime_elements, regrouped_family
     from .numerics import match_projective, matrix_to_json, projective_set_equal
@@ -369,10 +369,10 @@ def run_reconstruct(cfg, claims: Claims):
         int(np.sum(match_projective(ops, disp) >= 0)),
     )
 
-    sics, _ = regrouped_family(orbit)
+    family = [orbit.sic(n) for n in range(1, 17)] + regrouped_family(orbit, cfg.tol)[0]
     dp = dprime_elements()
-    orig = [reconstruct_hw(orbit.sic(n), cfg.tol) for n in range(1, 17)]
-    regr = [reconstruct_hw(s, cfg.tol) for s in sics]
+    recs = [reconstruct_hw(s, cfg.tol) for s in family]
+    orig, regr = recs[:16], recs[16:]
     claims.add(
         "reconstruct.original_family",
         "reconstruction returns the displacement group on SICs 1-16",
@@ -386,7 +386,8 @@ def run_reconstruct(cfg, claims: Claims):
         sum(projective_set_equal(rec.elements, dp) for rec in regr),
     )
 
-    uniq = [uniqueness_check(s) for s in [orbit.sic(n) for n in range(1, 17)] + sics]
+    # reconstruct_hw has certified each SIC at cfg.tol
+    uniq = [_unique_sylow(s.states) for s in family]
     claims.add(
         "reconstruct.uniqueness",
         "each of the 32 SICs is covariant under exactly one order-16 group",

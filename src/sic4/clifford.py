@@ -204,22 +204,18 @@ def coset(pair: SymplecticPair) -> tuple:
 def _sector(d: int, det: int) -> tuple:
     """One CliffordElement per kernel coset of the pairs with det F = det,
     represented by the first pair met in enumeration order (F outer, chi
-    inner).  All pairs are named at once: the least _pair_key over the
-    kernel, whose order is that of the nested tuples coset compares."""
+    inner).  The matrices are checked unitary as one stack."""
     db = 2 * d
     fs = np.array(symplectic_group_matrices(db, det))
     chis = np.array(list(itertools.product(range(d), repeat=2)))
     f = np.repeat(fs, len(chis), axis=0).T
     chi = np.tile(chis, (len(fs), 1)).T
-    names = np.min(
-        [_pair_key(*_compose(f, chi, k.F, k.chi, db, d), d) for k in kernel_pairs(d)], axis=0
-    )
-    first = np.sort(np.unique(names, return_index=True)[1])
+    first = np.sort(np.unique(_coset_keys(f, chi, d), return_index=True)[1])
     f, chi = f[:, first], chi[:, first]
-    mats, anti = _operators(f, chi, d)
+    ops = GroupElement.stack(*_operators(f, chi, d))
     return tuple(
-        CliffordElement(SymplecticPair(tuple(fi), tuple(ci), d), GroupElement(m, a))
-        for fi, ci, m, a in zip(f.T.tolist(), chi.T.tolist(), mats, anti.tolist())
+        CliffordElement(SymplecticPair(tuple(fi), tuple(ci), d), op)
+        for fi, ci, op in zip(f.T.tolist(), chi.T.tolist(), ops)
     )
 
 
@@ -242,6 +238,21 @@ def _pair_key(f, chi, d: int):
     """Dense integer index of reduced components (F mod 2d, chi mod d)."""
     db = 2 * d
     return (((f[0] * db + f[1]) * db + f[2]) * db + f[3]) * d * d + chi[0] * d + chi[1]
+
+
+def _coset_keys(f, chi, d: int) -> np.ndarray:
+    """Each pair's least _pair_key over the kernel: coset's name, in its order."""
+    db = 2 * d
+    return np.min([_pair_key(*_compose(f, chi, k.F, k.chi, db, d), d) for k in kernel_pairs(d)], axis=0)
+
+
+def _coset_names(d: int) -> tuple:
+    """The coset names, as coset returns them, of the unitary elements of
+    enumerate_projective_clifford(d), decoded from their _coset_keys."""
+    els = enumerate_projective_clifford(d, extended=False)  # lru_cache keys on this call form
+    pairs = np.array([e.source.F + e.source.chi for e in els]).T
+    *f, c0, c1 = np.unravel_index(_coset_keys(pairs[:4], pairs[4:], d), (2 * d,) * 4 + (d, d))
+    return tuple(zip(zip(*(x.tolist() for x in f)), zip(c0.tolist(), c1.tolist())))
 
 
 # rows of the Cayley table gathered per block in multiplication_table; 16

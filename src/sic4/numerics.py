@@ -8,7 +8,7 @@ All comparisons are absolute-tolerance based; the package-wide default is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -24,17 +24,17 @@ PROJECTIVE_MATCH_TOL = 1e-7
 RANK1_TOL = 1e-6
 
 
-def _as_complex(m) -> np.ndarray:
+def _as_complex(m, stacked: bool = False) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim != 2 + stacked or a.shape[-1] != a.shape[-2]:
         raise ValueError("expected a square matrix, got shape %r" % (a.shape,))
     return a
 
 
 def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
-    m = _as_complex(m)
-    d = m.shape[0]
-    return np.max(np.abs(m.conj().T @ m - np.eye(d))) <= tol
+    """Whether m, or every matrix of an (N, d, d) stack, is unitary within tol."""
+    m = _as_complex(m, stacked=np.ndim(m) == 3)
+    return bool(np.max(np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1]))) <= tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,6 +58,20 @@ class GroupElement:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @classmethod
+    def stack(cls, mats, anti, tol: float = 1e-8) -> list:
+        """Elements for an (N, d, d) stack and its N flags; the stack is
+        checked unitary once, with the error a single element raises."""
+        mats = _as_complex(mats, stacked=True)
+        if not is_unitary(mats, tol):
+            raise ValueError("GroupElement matrix is not unitary within tol")
+        out = [object.__new__(cls) for _ in mats]
+        for g, m, a in zip(out, mats, anti):  # a field missing here raises KeyError
+            values = {"matrix": m, "antiunitary": bool(a), "_tol": tol}
+            for f in fields(cls):
+                object.__setattr__(g, f.name, values[f.name])
+        return out
 
 
 def compose(a: GroupElement, b: GroupElement) -> GroupElement:

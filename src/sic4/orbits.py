@@ -242,10 +242,8 @@ def _cluster_complex(values, gap: float = 1e-6):
     (center, multiplicity) pairs and the cluster index of each value.
     """
     values = np.asarray(values, dtype=complex)
-    # + 0.0 folds -0.0 into +0.0, as equal keys must be equal rows
-    rounded = np.round(np.stack([values.real, values.imag], axis=1), 9) + 0.0
-    rows, key_of = np.unique(rounded, axis=0, return_inverse=True)
-    keys = rows[:, 0] + 1j * rows[:, 1]
+    # complex values sort by (re, im), as the rows of (re, im) pairs would
+    keys, key_of = np.unique(np.round(values, 9), return_inverse=True)
     parent = list(range(len(keys)))
 
     def find(i):
@@ -268,9 +266,12 @@ def _cluster_complex(values, gap: float = 1e-6):
 
 
 def _distinct_triples(states):
-    """tr(r_a r_b r_c) for the ordered triples of distinct states, in
-    lexicographic (a, b, c) order, and the (n, n, n) mask selecting them."""
-    t = np.einsum("aij,bjk,cki->abc", states, states, states)
+    """tr(r_a r_b r_c) for the ordered triples of distinct rank-1 states,
+    in lexicographic (a, b, c) order, and the (n, n, n) mask selecting
+    them; the trace is G[a, b] G[b, c] G[c, a] over the ket Gram matrix."""
+    kets = rank1_kets(states)
+    gram = kets.conj() @ kets.T
+    t = gram[:, :, None] * gram[None, :, :] * gram.T[:, None, :]
     a, b, c = np.indices(t.shape)
     mask = (a != b) & (b != c) & (a != c)
     return t[mask], mask
@@ -359,49 +360,27 @@ def _triple_cluster_ids(states, gap: float = 1e-6):
 
 def rigid_permutations(label: int = 1, limit: int = 10):
     """Permutations of a SIC's states fixing the fiducial and preserving all
-    triple traces, found by exhaustive backtracking.
+    triple traces, the first ``limit`` in lexicographic order.
 
     Used to certify that nothing beyond the unitary stabilizer survives the
-    full set of triple invariants.  Stops early after ``limit`` hits.
+    full set of triple invariants.  All partial assignments of states 0..k
+    are extended at once, level by level; one survives when every triple of
+    distinct states containing k keeps its census cluster.
     """
-    orbit = enumerate_orbit()
-    states = orbit.sic(label).states
-    ids = _triple_cluster_ids(states)
-    n = 16
-    perm = [0] + [-1] * (n - 1)
-    used = [False] * n
-    used[0] = True
-    found = []
-
-    def ok(k):
-        # all triples within {0..k} x {0..k} x {k} already assigned
-        for a in range(k + 1):
-            for b in range(k + 1):
-                for c in (k,):
-                    for tri in ((a, b, c), (a, c, b), (c, a, b)):
-                        x, y, z = tri
-                        if x != y and y != z and x != z and ids[x, y, z] != ids[perm[x], perm[y], perm[z]]:
-                            return False
-        return True
-
-    def rec(k):
-        if len(found) >= limit:
-            return
-        if k == n:
-            found.append(tuple(perm))
-            return
-        for cand in range(n):
-            if used[cand]:
-                continue
-            perm[k] = cand
-            used[cand] = True
-            if ok(k):
-                rec(k + 1)
-            perm[k] = -1
-            used[cand] = False
-
-    rec(1)
-    return found
+    ids = _triple_cluster_ids(enumerate_orbit().sic(label).states)
+    n = len(ids)
+    tri = np.indices(ids.shape).reshape(3, -1)
+    tri = tri[:, (tri[0] != tri[1]) & (tri[1] != tri[2]) & (tri[0] != tri[2])]
+    partial = np.zeros((1, 1), dtype=np.intp)  # the fiducial stays fixed
+    for k in range(1, n):
+        free = np.ones((len(partial), n), dtype=bool)
+        np.put_along_axis(free, partial, False, axis=1)
+        rows, cands = np.nonzero(free)  # row-major: each row's candidates ascending
+        partial = np.column_stack([partial[rows], cands])
+        x, y, z = tri[:, tri.max(axis=0) == k]
+        keep = ids[partial[:, x], partial[:, y], partial[:, z]] == ids[x, y, z]
+        partial = partial[keep.all(axis=1)]
+    return [tuple(p) for p in partial[:limit].tolist()]
 
 
 def verify_symmetry_group_in_clifford(tol: float = DEFAULT_TOL) -> SymmetryReport:
@@ -461,13 +440,21 @@ def symmetry_action(pair: SymplecticPair, tol: float = MATCH_TOL) -> tuple:
     return tuple((_label_images(u.matrix[None], [u.antiunitary], tol)[0] + 1).tolist())
 
 
+@lru_cache(maxsize=1)
+def _clifford_label_images() -> np.ndarray:
+    """Read-only int8 _label_images of the 1536 extended elements, unitary first."""
+    images = _label_images(*element_arrays(extended=True)[1:]).astype(np.int8)
+    images.flags.writeable = False
+    return images
+
+
 @lru_cache(maxsize=None)
 def label_permutation_group(extended: bool = False):
     """Distinct label permutations induced by the (extended) Clifford group,
     each with the elements inducing it, in enumeration order."""
-    els, mats, anti = element_arrays(extended=extended)
+    els = element_arrays(extended=extended)[0]
     perms = {}
-    for e, perm in zip(els, _label_images(mats, anti).tolist()):
+    for e, perm in zip(els, _clifford_label_images()[: len(els)].tolist()):
         perms.setdefault(tuple(perm), []).append(e)
     return perms
 

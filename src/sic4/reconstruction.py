@@ -220,7 +220,12 @@ def uniqueness_check(sic: SicPovm, tol: float = DEFAULT_TOL) -> bool:
     Sylow subgroups would overflow that count).
     """
     _certify(sic, tol)
-    perms = _symmetry_permutations(sic.states)
+    return _unique_sylow(sic.states)
+
+
+def _unique_sylow(states: np.ndarray) -> bool:
+    """uniqueness_check on states the caller has certified a SIC."""
+    perms = _symmetry_permutations(states)
     if len(perms) != 48:
         raise ValueError("symmetry group inside the Clifford group has order %d, expected 48" % len(perms))
     return two_power_subgroup(np.array(list(perms)))[1]

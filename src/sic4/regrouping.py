@@ -18,6 +18,7 @@ import numpy as np
 
 from .clifford import (
     SymplecticPair,
+    _coset_names,
     coset,
     enumerate_projective_clifford,
     multiplication_table,
@@ -92,9 +93,24 @@ def regroup_row(row, orbit: FiducialOrbit | None = None, tol: float = 1e-9):
 
 
 def regrouped_family(orbit: FiducialOrbit | None = None, tol: float = 1e-9):
-    """All 16 regrouped SICs with labels 17..32, plus the matching table."""
-    if orbit is None:
-        orbit = enumerate_orbit()
+    """All 16 regrouped SICs with labels 17..32, plus the matching table.
+
+    Over the enumerated orbit the family is built once per tol and its
+    state arrays are read-only; another orbit gets a fresh build."""
+    if orbit is None or orbit is enumerate_orbit():
+        return tuple(map(list, _enumerated_family(tol)))
+    return _build_family(orbit, tol)
+
+
+@lru_cache(maxsize=None)
+def _enumerated_family(tol: float) -> tuple:
+    sics, matching = _build_family(enumerate_orbit(), tol)
+    for s in sics:
+        s.states.flags.writeable = False
+    return tuple(sics), tuple(matching)
+
+
+def _build_family(orbit: FiducialOrbit, tol: float) -> tuple:
     sics, matching = [], []
     for r, row in enumerate(LABEL_GRID):
         row_sics, row_match = regroup_row(row, orbit, tol)
@@ -265,7 +281,7 @@ CLIFFORD_GENERATORS = tuple(
 @lru_cache(maxsize=1)
 def _quotient() -> tuple:
     """(Cayley table, coset names, name -> index) of the 768 unitary cosets."""
-    names = tuple(coset(e.source) for e in enumerate_projective_clifford(4, extended=False))
+    names = _coset_names(4)
     return multiplication_table(4), names, {name: i for i, name in enumerate(names)}
 
 

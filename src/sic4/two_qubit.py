@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -116,12 +116,13 @@ class SignFunctions:
 
 
 def _table_vector(basis: str, class_id: int, signs) -> np.ndarray:
-    a, b, a1, a2, a3, b1, b2, b3 = signs
+    """The 15 GBV coefficients of a sign assignment, or (N, 15) for (8, N) signs."""
+    a, b, a1, a2, a3, b1, b2, b3 = np.asarray(signs)
     A = CONSTANTS.A
     Gpm = CONSTANTS.Gpm
     B = CONSTANTS.B
     if basis == "product" and class_id == 1:
-        dab = 1.0 if a == b else 0.0
+        dab = np.where(a == b, 1.0, 0.0)
         damb = 1.0 - dab
         r = (b1 * A(b), b2 * A(-b), b3 * B)
         s = (a1 * B, a2 * A(a), a3 * A(-a))
@@ -140,7 +141,7 @@ def _table_vector(basis: str, class_id: int, signs) -> np.ndarray:
             (a**ep * a3 * b1 * Gpm(b), a**em * a3 * b2 * Gpm(-b), a3 * b3 * A(-a)),
         )
     elif basis == "bell" and class_id == 1:
-        dab = 1.0 if a == b else 0.0
+        dab = np.where(a == b, 1.0, 0.0)
         damb = 1.0 - dab
         r = (b1 * B, _SQRT2 * b2 * A(a) * dab, _SQRT2 * b3 * A(-a) * damb)
         s = (a1 * B, a2 * A(b), a3 * A(b))
@@ -160,21 +161,16 @@ def _table_vector(basis: str, class_id: int, signs) -> np.ndarray:
         )
     else:
         raise ValueError("basis must be 'product' or 'bell', class_id 1 or 2")
-    return np.concatenate([np.array(r), np.array(s), np.array(c).ravel()])
+    return np.stack([*r, *s, *itertools.chain(*c)], axis=-1)
 
 
 @lru_cache(maxsize=8)
 def _pattern_table(basis: str, class_id: int, constraint: int):
     """(vectors, sign tuples) for the 128 assignments with the given
     constraint value."""
-    vectors, patterns = [], []
-    for signs in itertools.product((1, -1), repeat=8):
-        p = SignPattern(*signs, class_id=class_id, basis=basis)
-        if p.constraint_value() != constraint:
-            continue
-        vectors.append(_table_vector(basis, class_id, signs))
-        patterns.append(p)
-    return np.stack(vectors), tuple(patterns)
+    every = (SignPattern(*s, class_id=class_id, basis=basis) for s in itertools.product((1, -1), repeat=8))
+    patterns = tuple(p for p in every if p.constraint_value() == constraint)
+    return _table_vector(basis, class_id, np.array([p.signs for p in patterns]).T), patterns
 
 
 @lru_cache(maxsize=2)
@@ -184,7 +180,7 @@ def sign_pattern_table(basis: str = "product") -> tuple:
     whose rows are the class id, the eight signs and h1, h2, h3)."""
     (v1, p1), (v2, p2) = (_pattern_table(basis, class_id, 1) for class_id in (1, 2))
     patterns = p1 + p2
-    columns = np.array([(p.class_id,) + p.signs + astuple(sign_functions(p)) for p in patterns])
+    columns = np.array([(p.class_id, *p.signs, *vars(sign_functions(p)).values()) for p in patterns])
     columns.flags.writeable = False
     return np.concatenate([v1, v2]), patterns, columns
 
@@ -362,7 +358,7 @@ def partial_transpose_simplex_checks(patterns, orbit=None, tol: float = 1e-9) ->
         from .orbits import enumerate_orbit
 
         orbit = enumerate_orbit()
-    vec = np.array([_table_vector("product", 1, p.signs) for p in patterns]).reshape(-1, 15)
+    vec = _table_vector("product", 1, np.array([p.signs for p in patterns]).reshape(-1, 8).T)
     q = from_gbv(Gbv(r=vec[:, :3], s=vec[:, 3:6], C=vec[:, 6:].reshape(-1, 3, 3)))
     ok = np.max(np.abs(q - q.conj().transpose(0, 2, 1)), axis=(1, 2)) <= tol
     ok &= np.abs(np.trace(q, axis1=1, axis2=2) - 1) <= tol

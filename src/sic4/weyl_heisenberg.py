@@ -115,11 +115,11 @@ class SicConstants:
     def G_minus(self) -> float:
         return math.sqrt(1.0 - self.G) / math.sqrt(5.0)
 
-    def A(self, sign: int) -> float:
-        return self.A_plus if sign > 0 else self.A_minus
+    def A(self, sign):  # elementwise over an array of signs
+        return np.where(np.greater(sign, 0), self.A_plus, self.A_minus)[()]
 
-    def Gpm(self, sign: int) -> float:
-        return self.G_plus if sign > 0 else self.G_minus
+    def Gpm(self, sign):
+        return np.where(np.greater(sign, 0), self.G_plus, self.G_minus)[()]
 
 
 CONSTANTS = SicConstants()

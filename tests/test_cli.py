@@ -170,6 +170,54 @@ def test_reconstruct_input_certifies_once(sic, monkeypatch, tmp_path, capsys):
     assert len(calls) == 1
 
 
+def test_reconstruct_passes_tol_to_family_and_reconstruction(monkeypatch, capsys):
+    import inspect
+
+    import sic4.reconstruction
+    import sic4.regrouping
+
+    seen = []
+    for module, name in ((sic4.regrouping, "regrouped_family"), (sic4.reconstruction, "reconstruct_hw")):
+        fn = getattr(module, name)
+
+        def spy(*args, _fn=fn, _name=name, **kwargs):
+            seen.append((_name, inspect.signature(_fn).bind(*args, **kwargs).arguments.get("tol")))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    assert main(["reconstruct", "--tol", "1e-12"]) == 0
+    capsys.readouterr()
+    assert {name for name, _ in seen} == {"regrouped_family", "reconstruct_hw"}
+    assert {tol for _, tol in seen} == {1e-12}
+
+
+def test_all_certifies_each_sic_once_and_builds_the_family_once(monkeypatch, tmp_path, capsys):
+    import sic4.regrouping
+    import sic4.weyl_heisenberg
+
+    calls = {"verify_sic": 0, "_build_family": 0}
+
+    def counted(fn, name):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    verify_sic = sic4.weyl_heisenberg.verify_sic
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sic4.") and getattr(module, "verify_sic", None) is verify_sic:
+            monkeypatch.setattr(module, "verify_sic", counted(verify_sic, "verify_sic"))
+    build = sic4.regrouping._build_family
+    monkeypatch.setattr(sic4.regrouping, "_build_family", counted(build, "_build_family"))
+    sic4.regrouping._enumerated_family.cache_clear()
+    assert main(["all", "--format", "json", "--out", str(tmp_path / "all.json")]) == 0
+    capsys.readouterr()
+    # orbit 16, the family 16, reconstruct 32, the clique scan 32; each
+    # section rebuilding the family and reconstruct certifying twice made 176
+    assert calls == {"verify_sic": 96, "_build_family": 1}
+
+
 def test_all_rejects_basis(capsys):
     with pytest.raises(SystemExit) as e:
         main(["all", "--basis", "bell"])
@@ -227,8 +275,10 @@ def test_cli_imports_build_no_tables():
         "sic4.clifford.multiplication_table",
         "sic4.orbits.enumerate_orbit",
         "sic4.orbits.element_arrays",
+        "sic4.orbits._clifford_label_images",
         "sic4.reconstruction._quad_index",
         "sic4.regrouping.dprime_literals_match",
+        "sic4.regrouping._enumerated_family",
     )
     code = "; ".join(
         [

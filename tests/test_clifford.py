@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import sic4.clifford as clifford
 from sic4.clifford import (
     CliffordElement,
     SymplecticPair,
@@ -241,3 +242,33 @@ def test_factored_multiplication_table_matches_row_loop():
     table = multiplication_table(4)
     assert np.array_equal(table, old) and table.dtype == np.int16
     assert not table.flags.writeable
+
+
+def test_sector_checks_its_stack_once(monkeypatch):
+    import sic4.numerics
+
+    calls, is_unitary = [], sic4.numerics.is_unitary
+
+    def counted(m, tol=1e-9):
+        calls.append(np.shape(m))
+        return is_unitary(m, tol)
+
+    monkeypatch.setattr(sic4.numerics, "is_unitary", counted)
+    els = clifford._sector(4, 1)
+    assert calls == [(768, 4, 4)]
+    ref = enumerate_projective_clifford(4, extended=False)
+    assert all(np.array_equal(a.op.matrix, b.op.matrix) for a, b in zip(els, ref))
+    assert [e.op.antiunitary for e in els] == [False] * 768
+
+
+def test_sector_refuses_a_non_unitary_row(monkeypatch):
+    operators = clifford._operators
+
+    def planted(f, chi, d):
+        mats, anti = operators(f, chi, d)
+        mats[100] *= 1.0 + 1e-6
+        return mats, anti
+
+    monkeypatch.setattr(clifford, "_operators", planted)
+    with pytest.raises(ValueError, match="not unitary"):
+        clifford._sector(4, 7)

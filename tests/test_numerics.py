@@ -31,6 +31,20 @@ def test_group_element_rejects_nonunitary():
         GroupElement(np.ones((4, 4)))
 
 
+def test_group_element_stack_matches_single_construction():
+    mats = np.stack([random_unitary(4) for _ in range(3)])
+    stacked = GroupElement.stack(mats, [False, True, False])
+    single = [GroupElement(m, a) for m, a in zip(mats, [False, True, False])]
+    assert [repr(g) for g in stacked] == [repr(g) for g in single]
+    assert all(np.array_equal(g.matrix, h.matrix) for g, h in zip(stacked, single))
+    with pytest.raises(ValueError, match="not unitary"):
+        GroupElement.stack(np.concatenate([mats, np.ones((1, 4, 4))]), [False] * 4)
+    with pytest.raises(ValueError, match="square"):
+        GroupElement.stack(np.ones((2, 4, 3)), [False] * 2)
+    with pytest.raises(ValueError, match="square"):
+        is_unitary(np.ones((2, 4, 3)))
+
+
 def test_compose_antiunitary_flags():
     u = GroupElement(random_unitary(4))
     a = GroupElement(random_unitary(4), antiunitary=True)

@@ -13,11 +13,15 @@ from sic4.orbits import (
     STABILIZER_CYCLE,
     STABILIZER_MATRIX,
     STABILIZER_ORBIT_SETS,
+    _clifford_label_images,
+    _distinct_triples,
+    _label_images,
     _triple_cluster_ids,
     element_arrays,
     enumerate_orbit,
     label_permutation_group,
     permutation_orders,
+    rigid_permutations,
     stability_group,
     stabilizer_orbits_within_sic,
     state_action,
@@ -380,3 +384,70 @@ def test_two_power_subgroup_matches_set_certificate():
         old_tp, old_ok = _two_power_subgroup_by_sets(group)
         assert ok == old_ok == closed
         assert {tuple(p) for p in tp.tolist()} == old_tp and len(tp) == 16
+
+
+def _rigid_permutations_by_dfs(label=1, limit=10):
+    """The backtracking search that the level-by-level rigid_permutations
+    replaced: one ok() check per partial assignment."""
+    orbit = enumerate_orbit()
+    states = orbit.sic(label).states
+    ids = _triple_cluster_ids(states)
+    n = 16
+    perm = [0] + [-1] * (n - 1)
+    used = [False] * n
+    used[0] = True
+    found = []
+
+    def ok(k):
+        # all triples within {0..k} x {0..k} x {k} already assigned
+        for a in range(k + 1):
+            for b in range(k + 1):
+                for c in (k,):
+                    for tri in ((a, b, c), (a, c, b), (c, a, b)):
+                        x, y, z = tri
+                        if x != y and y != z and x != z and ids[x, y, z] != ids[perm[x], perm[y], perm[z]]:
+                            return False
+        return True
+
+    def rec(k):
+        if len(found) >= limit:
+            return
+        if k == n:
+            found.append(tuple(perm))
+            return
+        for cand in range(n):
+            if used[cand]:
+                continue
+            perm[k] = cand
+            used[cand] = True
+            if ok(k):
+                rec(k + 1)
+            perm[k] = -1
+            used[cand] = False
+
+    rec(1)
+    return found
+
+
+def test_rigid_permutations_match_backtracking():
+    for limit in (10, 2):
+        assert rigid_permutations(1, limit) == _rigid_permutations_by_dfs(1, limit)
+    assert len(rigid_permutations(1, 10)) == 3
+
+
+def test_gram_triples_match_projector_einsum():
+    orbit = enumerate_orbit()
+    for label in range(1, 17):
+        s = orbit.sic(label).states
+        t = np.einsum("aij,bjk,cki->abc", s, s, s)
+        vals, mask = _distinct_triples(s)
+        a, b, c = np.indices(t.shape)
+        assert np.array_equal(mask, (a != b) & (b != c) & (a != c))
+        assert np.max(np.abs(vals - t[mask])) <= 1e-15
+
+
+def test_label_images_are_shared_by_both_groups():
+    _, mats, anti = element_arrays(extended=False)
+    images = _clifford_label_images()
+    assert images.shape == (1536, 16) and not images.flags.writeable
+    assert np.array_equal(images[:768], _label_images(mats, anti))

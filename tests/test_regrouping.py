@@ -2,16 +2,18 @@ import networkx as nx
 import numpy as np
 import pytest
 
+import sic4.clifford as clifford
 import sic4.regrouping as regrouping
 from sic4.clifford import (
     SymplecticPair,
+    _coset_names,
     coset,
     enumerate_projective_clifford,
     multiplication_table,
     to_operator,
 )
 from sic4.numerics import commutator_phase, proj_equal, projective_set_equal
-from sic4.orbits import LABEL_GRID, enumerate_orbit
+from sic4.orbits import LABEL_GRID, FiducialOrbit, enumerate_orbit
 from sic4.regrouping import (
     CLIFFORD_GENERATORS,
     EQUIVALENCE_MATRIX,
@@ -320,3 +322,36 @@ def test_dprime_generators_check_once_and_return_fresh_copies(monkeypatch):
     assert len(calls) == 2  # the second call makes no to_operator calls
     assert np.array_equal(again[0], X_PRIME_MATRIX) and np.array_equal(again[1], Z_PRIME_MATRIX)
     assert X_PRIME_MATRIX[0, 0] == 1 and again[0] is not xp
+
+
+def test_quotient_names_match_coset_loop(monkeypatch):
+    # the per-element coset() calls that _quotient's decoded keys replaced
+    old = tuple(coset(e.source) for e in enumerate_projective_clifford(4, extended=False))
+    _, names, index = _quotient()
+    assert names == old
+    assert all(index[name] == k for k, name in enumerate(old))
+    # lru_cache keys on the call form: any other form than the one every
+    # caller uses would build and keep a second copy of the 768 elements
+    forms = []
+
+    def spy(*args, **kwargs):
+        forms.append((args, kwargs))
+        return enumerate_projective_clifford(*args, **kwargs)
+
+    monkeypatch.setattr(clifford, "enumerate_projective_clifford", spy)
+    assert _coset_names(4) == old
+    assert forms == [((4,), {"extended": False})]
+
+
+def test_regrouped_family_is_built_once_and_read_only():
+    orbit = enumerate_orbit()
+    sics, matching = regrouped_family(orbit)
+    again, _ = regrouped_family()
+    assert all(a is b for a, b in zip(sics, again))
+    with pytest.raises(ValueError):
+        sics[0].states[0, 0, 0] = 0.0
+    # another orbit object gets its own, writable build
+    fresh, fresh_matching = regrouped_family(FiducialOrbit(orbit.projectors.copy()))
+    assert fresh[0] is not sics[0] and fresh[0].states.flags.writeable
+    assert all(np.array_equal(a.states, b.states) for a, b in zip(fresh, sics))
+    assert fresh_matching == matching

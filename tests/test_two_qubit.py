@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from sic4.regrouping import regrouped_family
 from sic4.two_qubit import (
     PAULI,
     Gbv,
+    SignPattern,
     _pattern_table,
     _table_vector,
     avg_reduced_purity,
@@ -325,3 +327,80 @@ def test_batched_simplex_check_matches_per_pattern_loop():
         assert [partial_transpose_simplex_check(p, orb) for p in vps[:4]] == ok[:4].tolist()
     assert partial_transpose_simplex_checks(vps, orbit).all()
     assert 0 < partial_transpose_simplex_checks(vps, half).sum() < 128
+
+
+_SQRT2 = math.sqrt(2.0)
+
+
+def _table_vector_by_loop(basis, class_id, signs):
+    """The per-assignment table row that the (8, N) _table_vector replaced."""
+    a, b, a1, a2, a3, b1, b2, b3 = signs
+    A = CONSTANTS.A
+    Gpm = CONSTANTS.Gpm
+    B = CONSTANTS.B
+    if basis == "product" and class_id == 1:
+        dab = 1.0 if a == b else 0.0
+        damb = 1.0 - dab
+        r = (b1 * A(b), b2 * A(-b), b3 * B)
+        s = (a1 * B, a2 * A(a), a3 * A(-a))
+        c = (
+            (a1 * b1 * A(-b), a1 * b2 * A(b), a1 * b3 * B),
+            (_SQRT2 * a * a2 * b1 * A(a) * dab, _SQRT2 * a * a2 * b2 * A(a) * damb, a2 * b3 * A(-a)),
+            (-_SQRT2 * a * a3 * b1 * A(-a) * damb, -_SQRT2 * a * a3 * b2 * A(-a) * dab, a3 * b3 * A(a)),
+        )
+    elif basis == "product" and class_id == 2:
+        em, ep = (1 - b) // 2, (1 + b) // 2
+        r = (b1 * A(a), b2 * A(a), b3 * B)
+        s = (a1 * B, a2 * A(a), a3 * A(a))
+        c = (
+            (a1 * b1 * A(-a), a1 * b2 * A(-a), a1 * b3 * B),
+            (a**em * a2 * b1 * Gpm(-b), a**ep * a2 * b2 * Gpm(b), a2 * b3 * A(-a)),
+            (a**ep * a3 * b1 * Gpm(b), a**em * a3 * b2 * Gpm(-b), a3 * b3 * A(-a)),
+        )
+    elif basis == "bell" and class_id == 1:
+        dab = 1.0 if a == b else 0.0
+        damb = 1.0 - dab
+        r = (b1 * B, _SQRT2 * b2 * A(a) * dab, _SQRT2 * b3 * A(-a) * damb)
+        s = (a1 * B, a2 * A(b), a3 * A(b))
+        c = (
+            (a1 * b1 * B, _SQRT2 * a1 * b2 * A(-a) * dab, _SQRT2 * a1 * b3 * A(a) * damb),
+            (a2 * b1 * A(-b), b * a2 * b2 * A(a), b * a2 * b3 * A(-a)),
+            (a3 * b1 * A(-b), a * a3 * b2 * A(a), -a * a3 * b3 * A(-a)),
+        )
+    elif basis == "bell" and class_id == 2:
+        em, ep = (1 - b) // 2, (1 + b) // 2
+        r = (b1 * B, b2 * Gpm(-b), b3 * Gpm(b))
+        s = (a1 * B, a2 * A(-a), a3 * A(a))
+        c = (
+            (a1 * b1 * B, -b * a1 * b2 * Gpm(-b), b * a1 * b3 * Gpm(b)),
+            (a2 * b1 * A(a), (-a) ** em * a2 * b2 * A(-a), (-a) ** ep * a2 * b3 * A(-a)),
+            (a3 * b1 * A(-a), a**em * a3 * b2 * A(a), a**ep * a3 * b3 * A(a)),
+        )
+    else:
+        raise ValueError("basis must be 'product' or 'bell', class_id 1 or 2")
+    return np.concatenate([np.array(r), np.array(s), np.array(c).ravel()])
+
+
+def _pattern_table_by_loop(basis, class_id, constraint):
+    """The per-assignment loop that the one-call _pattern_table replaced."""
+    vectors, signs = [], []
+    for s in itertools.product((1, -1), repeat=8):
+        if SignPattern(*s, class_id=class_id, basis=basis).constraint_value() == constraint:
+            vectors.append(_table_vector_by_loop(basis, class_id, s))
+            signs.append(s)
+    return np.stack(vectors), signs
+
+
+def test_sign_tables_match_scalar_loop():
+    for basis, class_id, constraint in [
+        ("product", 1, 1), ("product", 2, 1), ("bell", 1, 1), ("bell", 2, 1), ("product", 1, -1)
+    ]:
+        vectors, patterns = _pattern_table(basis, class_id, constraint)
+        old, signs = _pattern_table_by_loop(basis, class_id, constraint)
+        assert np.array_equal(vectors, old) and vectors.tobytes() == old.tobytes()
+        assert [p.signs for p in patterns] == signs and len(signs) == 128
+    assert [p.signs for p in violating_patterns()] == _pattern_table_by_loop("product", 1, -1)[1]
+    for basis in ("product", "bell"):
+        _, patterns, columns = sign_pattern_table(basis)
+        old = [(p.class_id,) + p.signs + astuple(sign_functions(p)) for p in patterns]
+        assert columns.tolist() == [list(row) for row in old]
