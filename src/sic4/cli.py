@@ -818,7 +818,10 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+@functools.lru_cache(maxsize=1)
 def _make_parser() -> argparse.ArgumentParser:
+    """The sic4 parser, built on the first main() call and reused after it:
+    parse_args leaves a parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="sic4",
         description="certify the structure of the dimension-4 covariant SIC-POVM family",
@@ -903,7 +906,7 @@ def main(argv=None) -> int:
     }
     if cfg.format == "json":
         report["payload"] = payload
-        text = json.dumps(report, indent=2)
+        text = json.dumps(report)  # no indent, so the C encoder runs
     elif cfg.format == "tsv":
         report["payload"] = payload
         text = _render_tsv(report)

@@ -212,7 +212,9 @@ def _sector(d: int, det: int) -> tuple:
     chi = np.tile(chis, (len(fs), 1)).T
     first = np.sort(np.unique(_coset_keys(f, chi, d), return_index=True)[1])
     f, chi = f[:, first], chi[:, first]
-    ops = GroupElement.stack(*_operators(f, chi, d))
+    mats, anti = _operators(f, chi, d)
+    mats.flags.writeable = False  # the cached elements' matrices are views of it
+    ops = GroupElement.stack(mats, anti)
     return tuple(
         CliffordElement(SymplecticPair(tuple(fi), tuple(ci), d), op)
         for fi, ci, op in zip(f.T.tolist(), chi.T.tolist(), ops)
@@ -220,12 +222,14 @@ def _sector(d: int, det: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def enumerate_projective_clifford(d: int = 4, extended: bool = False) -> tuple:
+def enumerate_projective_clifford(d: int, /, *, extended: bool) -> tuple:
     """All projectively distinct Clifford elements as CliffordElements.
 
     Iterates every (F, chi) pair in the chosen determinant sector(s) and
     keeps the first pair of each kernel coset.  For d = 4 this yields 768
-    unitary elements, then 768 antiunitary ones with extended=True.
+    unitary elements, then 768 antiunitary ones with extended=True.  The
+    one accepted call form, (d, extended=...), keeps one cache entry per
+    group.
     """
     if d != 4:
         raise ValueError("group enumeration is calibrated for d = 4")
@@ -249,7 +253,7 @@ def _coset_keys(f, chi, d: int) -> np.ndarray:
 def _coset_names(d: int) -> tuple:
     """The coset names, as coset returns them, of the unitary elements of
     enumerate_projective_clifford(d), decoded from their _coset_keys."""
-    els = enumerate_projective_clifford(d, extended=False)  # lru_cache keys on this call form
+    els = enumerate_projective_clifford(d, extended=False)
     pairs = np.array([e.source.F + e.source.chi for e in els]).T
     *f, c0, c1 = np.unravel_index(_coset_keys(pairs[:4], pairs[4:], d), (2 * d,) * 4 + (d, d))
     return tuple(zip(zip(*(x.tolist() for x in f)), zip(c0.tolist(), c1.tolist())))

@@ -236,11 +236,8 @@ def projective_set_equal(mats_a, mats_b, tol: float = PROJECTIVE_MATCH_TOL) -> b
 
 def matrix_to_json(m) -> dict:
     """Serialize to {dim, entries} with entries a row-major [re, im] list."""
-    m = _as_complex(m)
-    return {
-        "dim": m.shape[0],
-        "entries": [[float(x.real), float(x.imag)] for x in m.ravel()],
-    }
+    m = np.ascontiguousarray(_as_complex(m))
+    return {"dim": m.shape[0], "entries": m.view(float).reshape(-1, 2).tolist()}
 
 
 def matrix_from_json(obj) -> np.ndarray:

@@ -134,6 +134,7 @@ def enumerate_orbit() -> FiducialOrbit:
                 projs[(n - 1) * 16 + 4 * p1 + p2] = dp @ fid @ dp.conj().T
     if not projectively_distinct(projs):
         raise AssertionError("orbit projectors are not projectively distinct")
+    projs.flags.writeable = False
     return FiducialOrbit(projs)
 
 
@@ -150,11 +151,13 @@ def projectively_distinct(mats) -> bool:
 
 
 @lru_cache(maxsize=None)
-def element_arrays(extended: bool = True):
-    """Enumerated Clifford elements with stacked matrices for vector ops."""
+def element_arrays(*, extended: bool):
+    """Enumerated Clifford elements with read-only stacked matrices and
+    antiunitarity flags for vector ops."""
     els = enumerate_projective_clifford(4, extended=extended)
     mats = np.stack([e.op.matrix for e in els])
     anti = np.array([e.op.antiunitary for e in els])
+    mats.flags.writeable = anti.flags.writeable = False
     return els, mats, anti
 
 

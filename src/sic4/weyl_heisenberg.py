@@ -52,11 +52,12 @@ def displacement(p1: int, p2: int, d: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def displacement_table(d: int) -> np.ndarray:
-    """All d^2 displacements as an array indexed by [p1, p2]."""
+    """All d^2 displacements as a read-only array indexed by [p1, p2]."""
     t = np.empty((d, d, d, d), dtype=complex)
     for p1 in range(d):
         for p2 in range(d):
             t[p1, p2] = displacement(p1, p2, d)
+    t.flags.writeable = False
     return t
 
 

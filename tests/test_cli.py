@@ -170,6 +170,95 @@ def test_reconstruct_input_certifies_once(sic, monkeypatch, tmp_path, capsys):
     assert len(calls) == 1
 
 
+def _json_run(argv, tmp_path, capsys):
+    """Exit code and parsed report, without runtime_ms, of one --format json call."""
+    out = tmp_path / "r.json"
+    rc = main(argv + ["--format", "json", "--out", str(out)])
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    del report["runtime_ms"]
+    return rc, report
+
+
+def test_one_parser_serves_a_sequence_of_calls(monkeypatch, tmp_path, capsys):
+    import argparse
+
+    from sic4.orbits import enumerate_orbit
+
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    f = str(_sic_file(tmp_path, enumerate_orbit().sic(2).states))
+    calls = [
+        ["reconstruct", "--input", f],
+        ["twoqubit", "--basis", "bell"],
+        ["twoqubit"],
+        ["triples", "--tol", "nan"],
+        ["reconstruct", "--input", f],
+    ]
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    sic4.cli._make_parser.cache_clear()
+    try:
+        seen = []
+        for argv in calls:
+            try:
+                seen.append(_json_run(argv, tmp_path, capsys))
+            except SystemExit as exc:
+                seen.append(exc.code)
+        assert built.count("sic4") == 1
+        assert seen[2][1]["config"]["basis"] == "product"
+        assert seen[3] == 2
+        for argv, got in zip(calls, seen):
+            sic4.cli._make_parser.cache_clear()
+            try:
+                assert got == _json_run(argv, tmp_path, capsys), argv
+            except SystemExit as exc:
+                assert got == exc.code
+    finally:
+        sic4.cli._make_parser.cache_clear()
+
+
+@pytest.mark.parametrize("section", ["input", "orbit", "all"])
+def test_json_report_parses_as_its_indented_form(section, monkeypatch, tmp_path, capsys):
+    from sic4.orbits import enumerate_orbit
+
+    reports, dumps = [], json.dumps
+
+    def spy(obj, **kwargs):
+        if isinstance(obj, dict) and "subcommand" in obj:
+            reports.append(obj)
+        return dumps(obj, **kwargs)
+
+    argv = [section]
+    if section == "input":
+        argv = ["reconstruct", "--input", str(_sic_file(tmp_path, enumerate_orbit().sic(2).states))]
+    monkeypatch.setattr(sic4.cli.json, "dumps", spy)
+    out = tmp_path / "r.json"
+    assert main(argv + ["--format", "json", "--out", str(out)]) == 0
+    capsys.readouterr()
+    (report,) = reports
+    text = out.read_text()
+    assert text.count("\n") == 1
+    assert json.loads(text) == json.loads(dumps(report, indent=2))
+
+
+def test_cached_arrays_are_read_only(capsys):
+    from sic4.orbits import element_arrays, enumerate_orbit
+    from sic4.weyl_heisenberg import displacement_table
+
+    orbit = enumerate_orbit()
+    els, mats, anti = element_arrays(extended=True)
+    arrays = (orbit.projectors, orbit.sic(2).states, mats, anti, displacement_table(4), els[5].op.matrix)
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = a[1]
+    assert main(["orbit"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_reconstruct_passes_tol_to_family_and_reconstruction(monkeypatch, capsys):
     import inspect
 
@@ -271,6 +360,7 @@ def test_regroup_does_not_import_networkx(tmp_path):
 def test_cli_imports_build_no_tables():
     # the lru-cached tables are built on first use, never at import
     caches = (
+        "sic4.cli._make_parser",
         "sic4.clifford.enumerate_projective_clifford",
         "sic4.clifford.multiplication_table",
         "sic4.orbits.enumerate_orbit",

@@ -36,6 +36,20 @@ def test_pair_validation():
     assert q.antiunitary is True
 
 
+def test_cached_group_builders_accept_one_call_form():
+    from sic4.orbits import element_arrays
+
+    # lru_cache keys on the call form, so another form would cache a second copy
+    for args, kwargs in (((4,), {}), ((4, False), {}), ((), {"d": 4, "extended": False})):
+        with pytest.raises(TypeError):
+            enumerate_projective_clifford(*args, **kwargs)
+    for args in ((), (True,)):
+        with pytest.raises(TypeError):
+            element_arrays(*args)
+    assert enumerate_projective_clifford.cache_info().currsize <= 2
+    assert element_arrays.cache_info().currsize <= 2
+
+
 def test_group_order_counts():
     assert len(symplectic_group_matrices(8, 1)) == 384
     assert len(symplectic_group_matrices(8, 7)) == 384

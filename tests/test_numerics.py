@@ -140,6 +140,18 @@ def test_matrix_json_round_trip():
     assert is_unitary(u)
 
 
+def test_matrix_to_json_matches_per_entry_floats():
+    # the per-entry float() loop is the oracle; repr tells -0.0 from 0.0
+    u = random_unitary(4)
+    u[0, 1], u[2, 3] = complex(-0.0, 0.5), complex(0.25, -0.0)
+    for m in (u, u.T, u[::2, ::2]):
+        old = [[float(x.real), float(x.imag)] for x in m.ravel()]
+        new = matrix_to_json(m)
+        assert new["dim"] == len(m)
+        assert repr(new["entries"]) == repr(old)
+        assert all(type(x) is float for pair in new["entries"] for x in pair)
+
+
 def test_matrix_from_json_length_check():
     with pytest.raises(ValueError):
         matrix_from_json({"dim": 3, "entries": [[1.0, 0.0]] * 4})
