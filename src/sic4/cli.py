@@ -119,7 +119,7 @@ def run_orbit(cfg, claims: Claims):
         len(enumerate_projective_clifford(4, extended=True)),
     )
 
-    stab = stability_group(orbit.projectors[0], cfg.tol)
+    stab = stability_group(orbit.projectors[0])
     claims.add("orbit.stabilizer_order_extended", "stability group of the fiducial", 6, len(stab))
     claims.add(
         "orbit.stabilizer_order_unitary",
@@ -179,7 +179,7 @@ def run_symmetry(cfg, claims: Claims):
         verify_symmetry_group_in_clifford,
     )
 
-    rep = verify_symmetry_group_in_clifford(cfg.tol)
+    rep = verify_symmetry_group_in_clifford()
     claims.add("symmetry.extended_order", "extended symmetry group of one SIC", 96, rep.extended_order)
     claims.add("symmetry.unitary_order", "unitary symmetry group of one SIC", 48, rep.unitary_order)
     claims.add(
@@ -463,9 +463,9 @@ def run_reconstruct_input(cfg, claims: Claims):
 
 
 def run_regroup(cfg, claims: Claims):
-    from .clifford import to_operator
+    from .clifford import enumerate_projective_clifford, to_operator
     from .numerics import commutator_phase, match_projective, matrix_to_json, projective_set_equal
-    from .orbits import MATCH_TOL, element_arrays, enumerate_orbit, state_action
+    from .orbits import MATCH_TOL, enumerate_orbit, state_action
     from .regrouping import (
         CLIFFORD_GENERATORS,
         EQUIVALENCE_MATRIX,
@@ -562,7 +562,7 @@ def run_regroup(cfg, claims: Claims):
     )
 
     # u normalizes the Clifford group when it conjugates each generator into it
-    _, mats, _ = element_arrays(extended=False)
+    mats = enumerate_projective_clifford(4, extended=False).mats
     clifford_gens = np.stack([to_operator(g).matrix for g in CLIFFORD_GENERATORS])
     normalizes = np.all(match_projective(u @ clifford_gens @ u.conj().T, mats) >= 0)
     claims.add(
@@ -877,23 +877,25 @@ def main(argv=None) -> int:
         "twoqubit_product": functools.partial(run_twoqubit, basis="product"),
         "twoqubit_bell": functools.partial(run_twoqubit, basis="bell"),
     }
+    if cfg.input_path:  # only reconstruct takes --input
+        sections["reconstruct"] = run_reconstruct_input
+    if name != "all":
+        key = "twoqubit_" + cfg.basis if name == "twoqubit" else name
+        sections = {key: sections[key]}
     payload: dict = {}
-    if name == "reconstruct" and cfg.input_path:
+    for section, run in sections.items():
         try:
-            payload = run_reconstruct_input(cfg, claims)
+            result = run(cfg, claims)
         except _InputError as exc:
             print("sic4: error: --input %s: %s" % (cfg.input_path, exc), file=sys.stderr)
             return 2
-    elif name == "all":
-        for section, run in sections.items():
-            try:
-                run(cfg, claims)
-            except Exception as exc:  # one failing section must not abort the others
-                logging.getLogger(__name__).exception("section %s raised", section)
-                error = "%s: %s" % (type(exc).__name__, exc)
-                claims.add(section + ".error", "the section runs to completion", None, error)
-    else:
-        payload = sections["twoqubit_" + cfg.basis if name == "twoqubit" else name](cfg, claims)
+        except Exception as exc:  # a raising section becomes a FAIL row; the others still run
+            logging.getLogger(__name__).exception("section %s raised", section)
+            error = "%s: %s" % (type(exc).__name__, exc)
+            claims.add(section + ".error", "the section runs to completion", None, error)
+        else:
+            if name != "all":
+                payload = result
 
     passed = sum(c["pass"] for c in claims.rows)
     report = {

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, GroupElement, conjugate
+from .numerics import DEFAULT_TOL, GroupElement, conjugate, is_unitary
 from .weyl_heisenberg import displacement, displacement_table, omega, symplectic_form, tau
 
 
@@ -202,40 +203,62 @@ def coset(pair: SymplecticPair) -> tuple:
 
 
 def _sector(d: int, det: int) -> tuple:
-    """One CliffordElement per kernel coset of the pairs with det F = det,
-    represented by the first pair met in enumeration order (F outer, chi
-    inner).  The matrices are checked unitary as one stack."""
+    """(F, chi, matrices, flags) of one pair per kernel coset of the pairs
+    with det F = det, the first pair met in enumeration order (F outer, chi
+    inner); the matrices are checked unitary as one stack."""
     db = 2 * d
     fs = np.array(symplectic_group_matrices(db, det))
     chis = np.array(list(itertools.product(range(d), repeat=2)))
-    f = np.repeat(fs, len(chis), axis=0).T
-    chi = np.tile(chis, (len(fs), 1)).T
-    first = np.sort(np.unique(_coset_keys(f, chi, d), return_index=True)[1])
-    f, chi = f[:, first], chi[:, first]
-    mats, anti = _operators(f, chi, d)
-    mats.flags.writeable = False  # the cached elements' matrices are views of it
-    ops = GroupElement.stack(mats, anti)
-    return tuple(
-        CliffordElement(SymplecticPair(tuple(fi), tuple(ci), d), op)
-        for fi, ci, op in zip(f.T.tolist(), chi.T.tolist(), ops)
-    )
+    f = np.repeat(fs, len(chis), axis=0)
+    chi = np.tile(chis, (len(fs), 1))
+    first = np.sort(np.unique(_coset_keys(f.T, chi.T, d), return_index=True)[1])
+    mats, anti = _operators(f[first].T, chi[first].T, d)
+    if not is_unitary(mats, 1e-8):
+        raise ValueError("GroupElement matrix is not unitary within tol")
+    return f[first], chi[first], mats, anti
+
+
+@dataclass(frozen=True, eq=False)
+class CliffordGroup:
+    """The enumerated projective Clifford group as aligned read-only arrays:
+    row i is the coset representative (F, chi) = (f[i], chi[i]) with its
+    matrix mats[i] and antiunitarity flag anti[i].  group[i] builds that
+    row's CliffordElement."""
+
+    f: np.ndarray  # (N, 4)
+    chi: np.ndarray  # (N, 2)
+    mats: np.ndarray  # (N, d, d)
+    anti: np.ndarray  # (N,)
+
+    def __post_init__(self):
+        for a in (self.f, self.chi, self.mats, self.anti):
+            a.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.anti)
+
+    def __getitem__(self, i) -> CliffordElement:
+        i = operator.index(i)
+        pair = SymplecticPair(tuple(self.f[i].tolist()), tuple(self.chi[i].tolist()), self.mats.shape[-1])
+        return CliffordElement(pair, GroupElement(self.mats[i], bool(self.anti[i])))
 
 
 @lru_cache(maxsize=None)
-def enumerate_projective_clifford(d: int, /, *, extended: bool) -> tuple:
-    """All projectively distinct Clifford elements as CliffordElements.
+def enumerate_projective_clifford(d: int, /, *, extended: bool) -> CliffordGroup:
+    """All projectively distinct Clifford elements as one CliffordGroup.
 
     Iterates every (F, chi) pair in the chosen determinant sector(s) and
     keeps the first pair of each kernel coset.  For d = 4 this yields 768
-    unitary elements, then 768 antiunitary ones with extended=True.  The
-    one accepted call form, (d, extended=...), keeps one cache entry per
-    group.
+    unitary rows, then 768 antiunitary ones with extended=True.  The one
+    accepted call form, (d, extended=...), keeps one cache entry per group.
     """
     if d != 4:
         raise ValueError("group enumeration is calibrated for d = 4")
-    if extended:
-        return enumerate_projective_clifford(d, extended=False) + _sector(d, 2 * d - 1)
-    return _sector(d, 1)
+    if not extended:
+        return CliffordGroup(*_sector(d, 1))
+    unitary = enumerate_projective_clifford(d, extended=False)
+    parts = zip((unitary.f, unitary.chi, unitary.mats, unitary.anti), _sector(d, 2 * d - 1))
+    return CliffordGroup(*(np.concatenate(p) for p in parts))
 
 
 def _pair_key(f, chi, d: int):
@@ -253,9 +276,9 @@ def _coset_keys(f, chi, d: int) -> np.ndarray:
 def _coset_names(d: int) -> tuple:
     """The coset names, as coset returns them, of the unitary elements of
     enumerate_projective_clifford(d), decoded from their _coset_keys."""
-    els = enumerate_projective_clifford(d, extended=False)
-    pairs = np.array([e.source.F + e.source.chi for e in els]).T
-    *f, c0, c1 = np.unravel_index(_coset_keys(pairs[:4], pairs[4:], d), (2 * d,) * 4 + (d, d))
+    group = enumerate_projective_clifford(d, extended=False)
+    keys = _coset_keys(group.f.T, group.chi.T, d)
+    *f, c0, c1 = np.unravel_index(keys, (2 * d,) * 4 + (d, d))
     return tuple(zip(zip(*(x.tolist() for x in f)), zip(c0.tolist(), c1.tolist())))
 
 
@@ -276,15 +299,15 @@ def multiplication_table(d: int = 4) -> np.ndarray:
     through a dense (F, chi) -> index array.  A product that lands outside
     the enumerated cosets raises ValueError.
     """
-    els = enumerate_projective_clifford(d, extended=False)
-    if len(els) != 768:
+    group = enumerate_projective_clifford(d, extended=False)
+    n = len(group)
+    if n != 768:
         raise AssertionError("projective Clifford quotient should have 768 elements")
     db, dd = 2 * d, d * d
-    f = np.array([e.source.F for e in els]).T
-    chi = np.array([e.source.chi for e in els]).T
+    f, chi = group.f.T, group.chi.T
     index = np.full(db**4 * dd, -1, dtype=np.int16)
     for k in kernel_pairs(d):
-        index[_pair_key(*_compose(f, chi, k.F, k.chi, db, d), d)] = np.arange(len(els))
+        index[_pair_key(*_compose(f, chi, k.F, k.chi, db, d), d)] = np.arange(n)
     fs, fcode = np.unique(f.T, axis=0, return_inverse=True)
     fcode, ccode = fcode.ravel(), chi[0] * d + chi[1]
     # over the distinct F_u: the key of F_u F_v (with chi = 0) and the code
@@ -295,13 +318,13 @@ def multiplication_table(d: int = 4) -> np.ndarray:
     fkey, fchi = fkey[:, fcode], (fchi[0] * d + fchi[1])[:, ccode]
     # chisum[c, c']: the code of psi_c + psi_c'
     chisum = (psi[0][:, None] + psi[0]) % d * d + (psi[1][:, None] + psi[1]) % d
-    table = np.empty((len(els), len(els)), dtype=np.int16)
-    for lo in range(0, len(els), TABLE_BLOCK):
+    table = np.empty((n, n), dtype=np.int16)
+    for lo in range(0, n, TABLE_BLOCK):
         u, c = fcode[lo : lo + TABLE_BLOCK], ccode[lo : lo + TABLE_BLOCK, None]
         rows = index[fkey[u] + chisum[c, fchi[u]]]
         bad = np.flatnonzero(rows.min(axis=1) < 0)
         if len(bad):
-            pair = els[lo + bad[0]].source
+            pair = group[lo + bad[0]].source
             raise ValueError("product of %r leaves the projective quotient" % (pair,))
         table[lo : lo + TABLE_BLOCK] = rows
     table.flags.writeable = False

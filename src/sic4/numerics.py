@@ -8,7 +8,7 @@ All comparisons are absolute-tolerance based; the package-wide default is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,20 +58,6 @@ class GroupElement:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @classmethod
-    def stack(cls, mats, anti, tol: float = 1e-8) -> list:
-        """Elements for an (N, d, d) stack and its N flags; the stack is
-        checked unitary once, with the error a single element raises."""
-        mats = _as_complex(mats, stacked=True)
-        if not is_unitary(mats, tol):
-            raise ValueError("GroupElement matrix is not unitary within tol")
-        out = [object.__new__(cls) for _ in mats]
-        for g, m, a in zip(out, mats, anti):  # a field missing here raises KeyError
-            values = {"matrix": m, "antiunitary": bool(a), "_tol": tol}
-            for f in fields(cls):
-                object.__setattr__(g, f.name, values[f.name])
-        return out
 
 
 def compose(a: GroupElement, b: GroupElement) -> GroupElement:
@@ -241,9 +227,13 @@ def matrix_to_json(m) -> dict:
 
 
 def matrix_from_json(obj) -> np.ndarray:
+    """Inverse of matrix_to_json; ValueError unless the entries are d * d
+    [re, im] pairs of JSON numbers."""
     d = int(obj["dim"])
-    entries = obj["entries"]
-    if len(entries) != d * d:
-        raise ValueError("expected %d entries, got %d" % (d * d, len(entries)))
-    flat = np.array([complex(re, im) for re, im in entries])
-    return flat.reshape(d, d)
+    entries = np.array(obj["entries"])  # ragged entries raise ValueError
+    if entries.shape != (d * d, 2) or entries.dtype.kind not in "iuf":
+        raise ValueError(
+            "expected %d [re, im] number pairs, got a %s array of shape %r"
+            % (d * d, entries.dtype, entries.shape)
+        )
+    return np.ascontiguousarray(entries, dtype=float).view(complex).reshape(d, d)

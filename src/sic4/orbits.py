@@ -26,7 +26,7 @@ from .clifford import (
     semidirect_product,
     to_operator,
 )
-from .numerics import DEFAULT_TOL, conjugate, rank1_kets
+from .numerics import conjugate, rank1_kets
 from .weyl_heisenberg import SicPovm, displacement_table, fiducial_ket_d4
 
 # symplectic sources of the 16 SIC labels, det = +1 mod 8
@@ -150,17 +150,6 @@ def projectively_distinct(mats) -> bool:
     return bool(np.all(gram < (1.0 - MATCH_TOL) * norm))
 
 
-@lru_cache(maxsize=None)
-def element_arrays(*, extended: bool):
-    """Enumerated Clifford elements with read-only stacked matrices and
-    antiunitarity flags for vector ops."""
-    els = enumerate_projective_clifford(4, extended=extended)
-    mats = np.stack([e.op.matrix for e in els])
-    anti = np.array([e.op.antiunitary for e in els])
-    mats.flags.writeable = anti.flags.writeable = False
-    return els, mats, anti
-
-
 def state_action(mats, anti, states, targets):
     """Where conjugation by each of N elements sends each of M states.
 
@@ -194,21 +183,16 @@ def state_action(mats, anti, states, targets):
     return index, overlap
 
 
-def stability_group(rho, tol: float = DEFAULT_TOL) -> list:
-    """Extended-Clifford elements fixing an orbit projector, as a list.
+def stability_group(rho) -> list:
+    """Extended-Clifford elements fixing an orbit projector, as a list of
+    CliffordElements.
 
     The input must be one of the 256 orbit projectors.
     """
     if enumerate_orbit().find(rho) < 0:
         raise ValueError("projector is not on the fiducial orbit")
-    return _elements_sending(rho, np.asarray(rho)[None], tol)
-
-
-def _elements_sending(rho, targets, tol: float) -> list:
-    """Extended-Clifford elements sending a rank-1 state onto a target."""
-    els, mats, anti = element_arrays(extended=True)
-    _, ov = state_action(mats, anti, np.asarray(rho, dtype=complex)[None], targets)
-    return [els[i] for i in np.flatnonzero(ov[:, 0] >= 1.0 - tol)]
+    group = enumerate_projective_clifford(4, extended=True)
+    return [group[i] for i in sic_symmetries(np.asarray(rho)[None], extended=True)[0]]
 
 
 def conjugation_cycle(pair: SymplecticPair, p) -> list:
@@ -347,10 +331,26 @@ def state_permutations(mats, states) -> np.ndarray:
     return index
 
 
-def symmetry_group_of_sic(label: int = 1, tol: float = DEFAULT_TOL):
-    """All enumerated extended-Clifford elements mapping a SIC onto itself."""
-    sic = enumerate_orbit().sic(label)
-    return _elements_sending(sic.states[0], sic.states, tol)
+def sic_symmetries(states, *, extended: bool) -> tuple:
+    """The enumerated (extended) Clifford elements that permute a set of M
+    rank-1 states by conjugation: their (k,) indices into
+    enumerate_projective_clifford(4, extended=extended) and the (k, M)
+    permutations they induce.  Every element is screened on where it sends
+    state 0; the survivors act on every state and are kept when each image
+    matches a state to within MATCH_TOL and the images are all distinct."""
+    group = enumerate_projective_clifford(4, extended=extended)
+    states = np.asarray(states, dtype=complex)
+    _, ov = state_action(group.mats, group.anti, states[:1], states)
+    keep = np.flatnonzero(ov[:, 0] >= 1.0 - MATCH_TOL)
+    index, ov = state_action(group.mats[keep], group.anti[keep], states, states)
+    matched = np.all(ov >= 1.0 - MATCH_TOL, axis=1)
+    bijective = np.all(np.sort(index, axis=1) == np.arange(len(states)), axis=1)
+    return keep[matched & bijective], index[matched & bijective]
+
+
+def symmetry_group_of_sic(label: int = 1) -> tuple:
+    """sic_symmetries of one orbit SIC in the extended Clifford group."""
+    return sic_symmetries(enumerate_orbit().sic(label).states, extended=True)
 
 
 def _triple_cluster_ids(states, gap: float = 1e-6):
@@ -386,7 +386,7 @@ def rigid_permutations(label: int = 1, limit: int = 10):
     return [tuple(p) for p in partial[:limit].tolist()]
 
 
-def verify_symmetry_group_in_clifford(tol: float = DEFAULT_TOL) -> SymmetryReport:
+def verify_symmetry_group_in_clifford() -> SymmetryReport:
     """Certify the symmetry-group structure of SIC 1 inside the enumerated
     extended Clifford group.
 
@@ -396,12 +396,10 @@ def verify_symmetry_group_in_clifford(tol: float = DEFAULT_TOL) -> SymmetryRepor
     stabilizer.
     """
     states = enumerate_orbit().sic(1).states
-    sym = symmetry_group_of_sic(1, tol)
-    unitary = [e for e in sym if not e.op.antiunitary]
-
-    mats = np.stack([e.op.matrix for e in unitary])
-    perms = state_permutations(mats, states)
-    if distinct_rows(perms) != len(unitary):
+    sym, perms = symmetry_group_of_sic(1)
+    anti = enumerate_projective_clifford(4, extended=True).anti
+    perms = perms[~anti[sym]]  # the unitary symmetries
+    if distinct_rows(perms) != len(perms):
         raise AssertionError("state action of the symmetry group is not faithful")
 
     # the unique order-16 subgroup: exactly 16 elements of 2-power order,
@@ -418,35 +416,27 @@ def verify_symmetry_group_in_clifford(tol: float = DEFAULT_TOL) -> SymmetryRepor
     rigid = rigid_permutations(1, limit=10)
     return SymmetryReport(
         extended_order=len(sym),
-        unitary_order=len(unitary),
+        unitary_order=len(perms),
         hw_is_unique_order16=bool(unique16),
         rigid_permutation_count=len(rigid),
     )
 
 
-def _label_images(mats, anti, tol: float = MATCH_TOL) -> np.ndarray:
+def _label_images(mats, anti) -> np.ndarray:
     """The (N, 16) 0-based labels of the SICs that each of N elements sends
     SICs 1..16 to; ValueError when an element maps the orbit off itself."""
     orbit = enumerate_orbit()
     index, ov = state_action(mats, anti, orbit.projectors[::16], orbit.projectors)
-    if ov.min() < 1.0 - tol:
+    if ov.min() < 1.0 - MATCH_TOL:
         raise ValueError("element does not map the orbit to itself")
     return index // 16
-
-
-def symmetry_action(pair: SymplecticPair, tol: float = MATCH_TOL) -> tuple:
-    """Permutation of SIC labels 1..16 induced by a Clifford element.
-
-    Entry n-1 of the result is the label of the image of SIC n.
-    """
-    u = to_operator(pair)
-    return tuple((_label_images(u.matrix[None], [u.antiunitary], tol)[0] + 1).tolist())
 
 
 @lru_cache(maxsize=1)
 def _clifford_label_images() -> np.ndarray:
     """Read-only int8 _label_images of the 1536 extended elements, unitary first."""
-    images = _label_images(*element_arrays(extended=True)[1:]).astype(np.int8)
+    group = enumerate_projective_clifford(4, extended=True)
+    images = _label_images(group.mats, group.anti).astype(np.int8)
     images.flags.writeable = False
     return images
 
@@ -454,11 +444,12 @@ def _clifford_label_images() -> np.ndarray:
 @lru_cache(maxsize=None)
 def label_permutation_group(extended: bool = False):
     """Distinct label permutations induced by the (extended) Clifford group,
-    each with the elements inducing it, in enumeration order."""
-    els = element_arrays(extended=extended)[0]
+    each with the indices into enumerate_projective_clifford(4,
+    extended=extended) of the elements inducing it, in enumeration order."""
+    n = len(enumerate_projective_clifford(4, extended=extended))
     perms = {}
-    for e, perm in zip(els, _clifford_label_images()[: len(els)].tolist()):
-        perms.setdefault(tuple(perm), []).append(e)
+    for i, perm in enumerate(_clifford_label_images()[:n].tolist()):
+        perms.setdefault(tuple(perm), []).append(i)
     return perms
 
 

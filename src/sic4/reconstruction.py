@@ -19,14 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .numerics import DEFAULT_TOL, canonical_phase, commutator_phase, eig_hermitian
-from .orbits import (
-    MATCH_TOL,
-    element_arrays,
-    projectively_distinct,
-    state_action,
-    state_permutations,
-    two_power_subgroup,
-)
+from .orbits import projectively_distinct, sic_symmetries, state_permutations, two_power_subgroup
 from .weyl_heisenberg import CONSTANTS, SicPovm, shift_clock_products, verify_sic
 
 # eigenvalue of the 4-state sum paired with the phase i^k it tags
@@ -198,18 +191,6 @@ def quad_signature_scan(sic: SicPovm, decimals: int = 8):
     return sigs, matching
 
 
-def _symmetry_permutations(states: np.ndarray) -> set:
-    """Permutations of the states by the unitary Clifford elements that
-    preserve them, each element first screened on where it sends state 0."""
-    _, mats, anti = element_arrays(extended=False)
-    _, ov = state_action(mats, anti, states[:1], states)
-    keep = ov[:, 0] >= 1.0 - MATCH_TOL
-    index, ov = state_action(mats[keep], anti[keep], states, states)
-    matched = np.all(ov >= 1.0 - MATCH_TOL, axis=1)
-    bijective = np.all(np.sort(index, axis=1) == np.arange(len(states)), axis=1)
-    return {tuple(p) for p in index[matched & bijective].tolist()}
-
-
 def uniqueness_check(sic: SicPovm, tol: float = DEFAULT_TOL) -> bool:
     """True iff the SIC's order-48 projective symmetry group contains
     exactly one order-16 subgroup.
@@ -224,8 +205,9 @@ def uniqueness_check(sic: SicPovm, tol: float = DEFAULT_TOL) -> bool:
 
 
 def _unique_sylow(states: np.ndarray) -> bool:
-    """uniqueness_check on states the caller has certified a SIC."""
-    perms = _symmetry_permutations(states)
+    """uniqueness_check on states the caller has certified a SIC; the states
+    of a SIC span the operators, so each symmetry permutes them differently."""
+    perms = sic_symmetries(states, extended=False)[1]
     if len(perms) != 48:
         raise ValueError("symmetry group inside the Clifford group has order %d, expected 48" % len(perms))
-    return two_power_subgroup(np.array(list(perms)))[1]
+    return two_power_subgroup(perms)[1]

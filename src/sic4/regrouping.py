@@ -313,7 +313,7 @@ def hw_conjugate_subgroup_census() -> tuple:
     commutation structure down to that of the displacement pair.
     """
     table, names, index = _quotient()
-    els = enumerate_projective_clifford(4, extended=False)
+    mats = enumerate_projective_clifford(4, extended=False).mats
     identity = index[displacement_coset(0, 0)]
     square = np.diagonal(table)
     # order-4 elements, in coset-name order so the census lists are stable
@@ -327,7 +327,7 @@ def hw_conjugate_subgroup_census() -> tuple:
     first = np.flatnonzero(full)[np.sort(np.unique(spans[full], axis=0, return_index=True)[1])]
     subgroups = {}
     for k in first.tolist():
-        c = commutator_phase(els[x[k]].op.matrix, els[z[k]].op.matrix)
+        c = commutator_phase(mats[x[k]], mats[z[k]])
         subgroups[frozenset(spans[k].tolist())] = abs(c.imag) > 0.5  # primitive pairing
     hw_type = [s for s, primitive in subgroups.items() if primitive]
     gens = [index[coset(g)] for g in CLIFFORD_GENERATORS]
@@ -350,6 +350,3 @@ def hw_conjugate_subgroup_census() -> tuple:
 def displacement_coset(p1: int, p2: int):
     """Coset name of the displacement with index (p1, p2)."""
     return coset(SymplecticPair((1, 0, 0, 1), (p1, p2), 4))
-
-
-pair_coset = coset

@@ -12,6 +12,7 @@ import numpy as np
 from sic4.clifford import (
     SymplecticPair,
     conjugation_action,
+    coset as pair_coset,
     enumerate_projective_clifford,
     semidirect_product,
     symplectic_group_matrices,
@@ -39,7 +40,6 @@ from sic4.regrouping import (
     equivalence_unitary,
     exhaustive_regroup_scan,
     hw_conjugate_subgroup_census,
-    pair_coset,
     regrouped_family,
     X_PRIME_PAIR,
     Z_PRIME_PAIR,

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -139,6 +140,17 @@ def test_reconstruct_input_wrong_states_exits_2(shape, tmp_path, capsys):
     _assert_input_error(["reconstruct", "--input", str(_sic_file(tmp_path, states))], capsys)
 
 
+@pytest.mark.parametrize("entry", ["1", None, [1.0], [1, 2, 3]], ids=["string", "null", "short", "long"])
+def test_reconstruct_input_non_number_entry_exits_2(entry, tmp_path, capsys):
+    from sic4.orbits import enumerate_orbit
+
+    f = _sic_file(tmp_path, enumerate_orbit().sic(1).states)
+    doc = json.loads(f.read_text())
+    doc["states"][5]["entries"][7] = [entry, 0.0] if entry in ("1", None) else entry
+    f.write_text(json.dumps(doc))
+    _assert_input_error(["reconstruct", "--input", str(f)], capsys)
+
+
 def test_reconstruct_input_non_sic_exits_1(tmp_path, capsys):
     from sic4.orbits import enumerate_orbit
 
@@ -246,12 +258,14 @@ def test_json_report_parses_as_its_indented_form(section, monkeypatch, tmp_path,
 
 
 def test_cached_arrays_are_read_only(capsys):
-    from sic4.orbits import element_arrays, enumerate_orbit
+    from sic4.clifford import enumerate_projective_clifford
+    from sic4.orbits import enumerate_orbit
     from sic4.weyl_heisenberg import displacement_table
 
     orbit = enumerate_orbit()
-    els, mats, anti = element_arrays(extended=True)
-    arrays = (orbit.projectors, orbit.sic(2).states, mats, anti, displacement_table(4), els[5].op.matrix)
+    group = enumerate_projective_clifford(4, extended=True)
+    arrays = (orbit.projectors, orbit.sic(2).states, group.f, group.chi, group.mats, group.anti)
+    arrays += (displacement_table(4), group[5].op.matrix)
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = a[1]
@@ -314,19 +328,54 @@ def test_all_rejects_basis(capsys):
     assert "--basis" in capsys.readouterr().err
 
 
-def test_all_turns_a_raising_section_into_a_fail_row(monkeypatch, tmp_path, capsys):
+@pytest.mark.parametrize("subcommand", ["all", "triples"])
+def test_all_turns_a_raising_section_into_a_fail_row(subcommand, monkeypatch, tmp_path, capsys):
     def boom(cfg, claims):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(sic4.cli, "run_triples", boom)
-    out = tmp_path / "all.json"
-    assert main(["all", "--format", "json", "--out", str(out)]) == 1
+    out = tmp_path / "report.json"
+    assert main([subcommand, "--format", "json", "--out", str(out)]) == 1
     capsys.readouterr()
-    rows = json.loads(out.read_text())["claims"]
+    report = json.loads(out.read_text())
+    rows = report["claims"]
     failed = [r for r in rows if not r["pass"]]
     assert [(r["claim_id"], r["observed"]) for r in failed] == [("triples.error", "RuntimeError: boom")]
-    assert len(rows) == 75 - 9 + 1  # the other sections still ran
-    assert rows[-1]["claim_id"].startswith("twoqubit.bell_")
+    if subcommand == "all":
+        assert len(rows) == 75 - 9 + 1  # the other sections still ran
+        assert rows[-1]["claim_id"].startswith("twoqubit.bell_")
+    else:
+        assert len(rows) == 1 and report["payload"] == {}
+
+
+def test_symmetry_matches_ignore_a_loose_tolerance(tmp_path, capsys):
+    # stabilizer and symmetry matches use MATCH_TOL, not --tol: at --tol 0.3
+    # the stabilizer stays of order 6 and the symmetry section runs through
+    rc, report = _json_run(["orbit", "--tol", "0.3"], tmp_path, capsys)
+    assert rc == 0 and (report["passed"], report["failed"]) == (11, 0)
+    rc, report = _json_run(["symmetry", "--tol", "0.3"], tmp_path, capsys)
+    assert not [r for r in report["claims"] if r["claim_id"].endswith(".error")]
+    assert rc == 0
+
+
+def test_a_raising_single_section_exits_1_with_an_error_row(tmp_path, capsys):
+    # at --tol 0.3 the regrouping finds two fidelity-1/5 partners per block
+    rc, report = _json_run(["reconstruct", "--tol", "0.3"], tmp_path, capsys)
+    assert rc == 1
+    (error,) = [r for r in report["claims"] if not r["pass"]]
+    assert error["claim_id"] == "reconstruct.error" and error["observed"].startswith("ValueError: ")
+
+
+def test_no_module_but_clifford_reads_enumerated_elements():
+    # the group is indexed through its arrays; only clifford builds elements
+    # from them, and nothing walks the group element by element
+    patterns = (r"\.op\.matrix", r"\.source\b", r"for \w+ in (els|group)\b", r"in enumerate_projective_clifford\(")
+    for path in sorted((ROOT / "src" / "sic4").glob("*.py")):
+        if path.name == "clifford.py":
+            continue
+        source = path.read_text()
+        for pattern in patterns:
+            assert not re.search(pattern, source), (path.name, pattern)
 
 
 def _perfbench_cli_imports() -> str:
@@ -364,7 +413,6 @@ def test_cli_imports_build_no_tables():
         "sic4.clifford.enumerate_projective_clifford",
         "sic4.clifford.multiplication_table",
         "sic4.orbits.enumerate_orbit",
-        "sic4.orbits.element_arrays",
         "sic4.orbits._clifford_label_images",
         "sic4.reconstruction._quad_index",
         "sic4.regrouping.dprime_literals_match",

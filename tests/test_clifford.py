@@ -20,7 +20,14 @@ from sic4.clifford import (
     symplectic_inverse,
     to_operator,
 )
-from sic4.numerics import canonical_key, compose, elements_proj_equal, match_projective, proj_equal
+from sic4.numerics import (
+    canonical_key,
+    compose,
+    elements_proj_equal,
+    is_unitary,
+    match_projective,
+    proj_equal,
+)
 from sic4.weyl_heisenberg import displacement, displacement_table, tau
 
 
@@ -37,17 +44,11 @@ def test_pair_validation():
 
 
 def test_cached_group_builders_accept_one_call_form():
-    from sic4.orbits import element_arrays
-
     # lru_cache keys on the call form, so another form would cache a second copy
     for args, kwargs in (((4,), {}), ((4, False), {}), ((), {"d": 4, "extended": False})):
         with pytest.raises(TypeError):
             enumerate_projective_clifford(*args, **kwargs)
-    for args in ((), (True,)):
-        with pytest.raises(TypeError):
-            element_arrays(*args)
     assert enumerate_projective_clifford.cache_info().currsize <= 2
-    assert element_arrays.cache_info().currsize <= 2
 
 
 def test_group_order_counts():
@@ -121,15 +122,43 @@ def test_symplectic_inverse():
 
 
 def test_enumeration_entries_are_clifford_elements():
-    els = enumerate_projective_clifford(4, extended=True)
-    assert all(isinstance(e, CliffordElement) for e in els[:5])
-    anti = sum(e.op.antiunitary for e in els)
-    assert anti == 768
+    group = enumerate_projective_clifford(4, extended=True)
+    assert all(isinstance(group[i], CliffordElement) for i in range(5))
+    assert int(group.anti.sum()) == 768
+
+
+@pytest.mark.parametrize("extended", [False, True])
+def test_clifford_group_arrays_are_read_only_and_aligned(extended):
+    group = enumerate_projective_clifford(4, extended=extended)
+    n = 1536 if extended else 768
+    assert len(group) == n
+    shapes = [(n, 4), (n, 2), (n, 4, 4), (n,)]
+    for a, shape in zip((group.f, group.chi, group.mats, group.anti), shapes):
+        assert a.shape == shape and not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = a[1]
+    assert not group.anti[:768].any() and group.anti[768:].all()
+    assert is_unitary(group.mats)
+    unitary = enumerate_projective_clifford(4, extended=False)
+    for a, b in zip((group.f, group.chi, group.mats), (unitary.f, unitary.chi, unitary.mats)):
+        assert np.array_equal(a[:768], b)
+
+
+def test_group_rows_build_their_elements():
+    group = enumerate_projective_clifford(4, extended=True)
+    for i in range(len(group)):
+        e = group[i]
+        assert e.source.F == tuple(group.f[i].tolist()) and e.source.chi == tuple(group.chi[i].tolist())
+        ref = to_operator(e.source)
+        assert np.array_equal(e.op.matrix, ref.matrix) and np.array_equal(e.op.matrix, group.mats[i])
+        assert e.op.antiunitary == ref.antiunitary == bool(group.anti[i])
+    assert group[-1].source == group[len(group) - 1].source
+    with pytest.raises(IndexError):
+        group[len(group)]
 
 
 def test_match_projective():
-    els = enumerate_projective_clifford(4, extended=False)
-    stack = np.stack([e.op.matrix for e in els[:50]])
+    stack = enumerate_projective_clifford(4, extended=False).mats[:50]
     assert match_projective(np.exp(0.7j) * stack[17], stack) == 17
     rng = np.random.default_rng(1)
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
@@ -151,10 +180,15 @@ def _float_hash_sources(extended):
     return [(p.F, p.chi) for p in seen.values()]
 
 
+def _sources(f, chi):
+    """(F, chi) tuples of the rows of a group's f and chi arrays."""
+    return [(tuple(a), tuple(b)) for a, b in zip(f.tolist(), chi.tolist())]
+
+
 @pytest.mark.parametrize("extended", [False, True])
 def test_coset_enumeration_matches_float_hash(extended):
-    els = enumerate_projective_clifford(4, extended=extended)
-    assert [(e.source.F, e.source.chi) for e in els] == _float_hash_sources(extended)
+    group = enumerate_projective_clifford(4, extended=extended)
+    assert _sources(group.f, group.chi) == _float_hash_sources(extended)
 
 
 def test_coset_is_constant_on_kernel_cosets():
@@ -216,12 +250,12 @@ def test_enumeration_matches_per_pair_coset_loop(det):
         for chi in itertools.product(range(4), repeat=2):
             pair = SymplecticPair(f, chi, 4)
             seen.setdefault(coset(pair), pair)
-    els = enumerate_projective_clifford(4, extended=True)
-    els = els[:768] if det == 1 else els[768:]
-    assert [(e.source.F, e.source.chi) for e in els] == [(p.F, p.chi) for p in seen.values()]
-    assert all(e.op.antiunitary == (det == 7) for e in els)
+    group = enumerate_projective_clifford(4, extended=True)
+    rows = slice(0, 768) if det == 1 else slice(768, None)
+    assert _sources(group.f[rows], group.chi[rows]) == [(p.F, p.chi) for p in seen.values()]
+    assert np.all(group.anti[rows] == (det == 7))
     ref = np.stack([_scalar_operator(p) for p in seen.values()])
-    assert np.array_equal(np.stack([e.op.matrix for e in els]), ref)
+    assert np.array_equal(group.mats[rows], ref)
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -243,15 +277,14 @@ def test_to_operator_matches_scalar_gauss_sums(d):
 
 def test_factored_multiplication_table_matches_row_loop():
     # the row-by-row build that the factored tables replaced
-    els = enumerate_projective_clifford(4, extended=False)
-    f = np.array([e.source.F for e in els]).T
-    chi = np.array([e.source.chi for e in els]).T
+    group = enumerate_projective_clifford(4, extended=False)
+    f, chi = group.f.T, group.chi.T
     index = np.full(8**4 * 16, -1, dtype=np.int16)
     for k in kernel_pairs(4):
         index[_pair_key(*_compose(f, chi, k.F, k.chi, 8, 4), 4)] = np.arange(768)
     old = np.empty((768, 768), dtype=np.int16)
-    for i, e in enumerate(els):
-        old[i] = index[_pair_key(*_compose(e.source.F, e.source.chi, f, chi, 8, 4), 4)]
+    for i, (fi, ci) in enumerate(zip(group.f.tolist(), group.chi.tolist())):
+        old[i] = index[_pair_key(*_compose(fi, ci, f, chi, 8, 4), 4)]
     assert old.min() >= 0
     table = multiplication_table(4)
     assert np.array_equal(table, old) and table.dtype == np.int16
@@ -259,20 +292,19 @@ def test_factored_multiplication_table_matches_row_loop():
 
 
 def test_sector_checks_its_stack_once(monkeypatch):
-    import sic4.numerics
-
-    calls, is_unitary = [], sic4.numerics.is_unitary
+    calls = []
 
     def counted(m, tol=1e-9):
         calls.append(np.shape(m))
         return is_unitary(m, tol)
 
-    monkeypatch.setattr(sic4.numerics, "is_unitary", counted)
-    els = clifford._sector(4, 1)
+    monkeypatch.setattr(clifford, "is_unitary", counted)
+    f, chi, mats, anti = clifford._sector(4, 1)
     assert calls == [(768, 4, 4)]
     ref = enumerate_projective_clifford(4, extended=False)
-    assert all(np.array_equal(a.op.matrix, b.op.matrix) for a, b in zip(els, ref))
-    assert [e.op.antiunitary for e in els] == [False] * 768
+    assert np.array_equal(f, ref.f) and np.array_equal(chi, ref.chi)
+    assert np.array_equal(mats, ref.mats)
+    assert anti.tolist() == [False] * 768
 
 
 def test_sector_refuses_a_non_unitary_row(monkeypatch):

@@ -31,16 +31,10 @@ def test_group_element_rejects_nonunitary():
         GroupElement(np.ones((4, 4)))
 
 
-def test_group_element_stack_matches_single_construction():
+def test_is_unitary_checks_a_stack():
     mats = np.stack([random_unitary(4) for _ in range(3)])
-    stacked = GroupElement.stack(mats, [False, True, False])
-    single = [GroupElement(m, a) for m, a in zip(mats, [False, True, False])]
-    assert [repr(g) for g in stacked] == [repr(g) for g in single]
-    assert all(np.array_equal(g.matrix, h.matrix) for g, h in zip(stacked, single))
-    with pytest.raises(ValueError, match="not unitary"):
-        GroupElement.stack(np.concatenate([mats, np.ones((1, 4, 4))]), [False] * 4)
-    with pytest.raises(ValueError, match="square"):
-        GroupElement.stack(np.ones((2, 4, 3)), [False] * 2)
+    assert is_unitary(mats)
+    assert not is_unitary(np.concatenate([mats, np.ones((1, 4, 4))]))
     with pytest.raises(ValueError, match="square"):
         is_unitary(np.ones((2, 4, 3)))
 
@@ -155,3 +149,25 @@ def test_matrix_to_json_matches_per_entry_floats():
 def test_matrix_from_json_length_check():
     with pytest.raises(ValueError):
         matrix_from_json({"dim": 3, "entries": [[1.0, 0.0]] * 4})
+
+
+def test_matrix_from_json_matches_per_entry_complex():
+    # the per-entry complex() loop is the oracle; repr tells -0.0 from 0.0
+    u = random_unitary(4)
+    u[0, 1], u[2, 3] = complex(-0.0, 0.5), complex(0.25, -0.0)
+    obj = matrix_to_json(u)
+    obj["entries"][5] = [1, -2]  # JSON integers
+    old = np.array([complex(re, im) for re, im in obj["entries"]]).reshape(4, 4)
+    new = matrix_from_json(obj)
+    assert new.dtype == complex and new.shape == (4, 4)
+    assert repr(new.tolist()) == repr(old.tolist())
+
+
+@pytest.mark.parametrize(
+    "entry", [["1", 0.0], "1", [None, 0.0], None, [1.0], [1, 2, 3], [[1.0], 0.0], True], ids=repr
+)
+def test_matrix_from_json_rejects_non_number_entries(entry):
+    obj = matrix_to_json(np.eye(4))
+    obj["entries"][7] = entry
+    with pytest.raises(ValueError):
+        matrix_from_json(obj)

@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from sic4.clifford import SymplecticPair, conjugation_action, to_operator
-from sic4.numerics import conjugate, proj_equal
+from sic4.clifford import SymplecticPair, conjugation_action, enumerate_projective_clifford, to_operator
+from sic4.numerics import DEFAULT_TOL, conjugate, proj_equal
 from sic4.orbits import (
     ACTION_BLOCK,
     FIDUCIAL_STABILIZER,
@@ -17,15 +17,16 @@ from sic4.orbits import (
     _distinct_triples,
     _label_images,
     _triple_cluster_ids,
-    element_arrays,
     enumerate_orbit,
     label_permutation_group,
     permutation_orders,
     rigid_permutations,
+    sic_symmetries,
     stability_group,
     stabilizer_orbits_within_sic,
     state_action,
-    symmetry_action,
+    state_permutations,
+    symmetry_group_of_sic,
     triple_family,
     triple_phase,
     triple_trace_census,
@@ -155,8 +156,8 @@ def test_label_permutations():
 
 def test_symmetry_action_of_clock():
     # conjugating by any displacement fixes every SIC as a set
-    p = SymplecticPair((1, 0, 0, 1), (0, 1), 4)
-    assert symmetry_action(p) == tuple(range(1, 17))
+    u = to_operator(SymplecticPair((1, 0, 0, 1), (0, 1), 4))
+    assert _label_images(u.matrix[None], [u.antiunitary])[0].tolist() == list(range(16))
 
 
 def test_label_grid_shape():
@@ -190,9 +191,10 @@ def test_triple_phase_monotone():
 def test_state_action_matches_per_element_find():
     # a ragged last block and both unitary and antiunitary elements
     orbit = enumerate_orbit()
-    els, mats, anti = element_arrays(extended=True)
+    group = enumerate_projective_clifford(4, extended=True)
+    mats, anti = group.mats, group.anti
     rng = np.random.default_rng(11)
-    pick = rng.choice(len(els), size=101, replace=False)
+    pick = rng.choice(len(group), size=101, replace=False)
     assert len(pick) % ACTION_BLOCK and anti[pick].any() and not anti[pick].all()
     states = orbit.projectors[rng.choice(256, size=5, replace=False)]
     index, ov = state_action(mats[pick], anti[pick], states, orbit.projectors)
@@ -201,7 +203,7 @@ def test_state_action_matches_per_element_find():
     sic_index, sic_ov = state_action(mats[pick], anti[pick], states, sic)
     for row, i in enumerate(pick):
         for col, rho in enumerate(states):
-            img = conjugate(els[i].op, rho)
+            img = conjugate(group[i].op, rho)
             assert index[row, col] == orbit.find(img)
             assert abs(ov[row, col] - 1.0) < 1e-12
             # targets that need not contain the image, where the largest
@@ -214,17 +216,17 @@ def test_state_action_matches_per_element_find():
 def _label_permutations_by_find(extended):
     """The per-element loop that label_permutation_group replaced."""
     orbit = enumerate_orbit()
-    els, mats, anti = element_arrays(extended=extended)
+    group = enumerate_projective_clifford(4, extended=extended)
     fids = np.stack([orbit.fiducial(n) for n in range(1, 17)])
     perms = {}
-    for e, m, a in zip(els, mats, anti):
+    for i, (m, a) in enumerate(zip(group.mats, group.anti)):
         perm = []
         for n in range(16):
             src = fids[n].conj() if a else fids[n]
             j = orbit.find(m @ src @ m.conj().T)
             assert j >= 0
             perm.append(j // 16)
-        perms.setdefault(tuple(perm), []).append(e)
+        perms.setdefault(tuple(perm), []).append(i)
     return perms
 
 
@@ -233,9 +235,7 @@ def test_label_permutation_group_matches_per_element_loop(extended):
     new = label_permutation_group(extended=extended)
     old = _label_permutations_by_find(extended)
     assert list(new) == list(old)
-    for key in old:
-        assert len(new[key]) == len(old[key])
-        assert all(a is b for a, b in zip(new[key], old[key]))
+    assert all(new[key] == old[key] for key in old)
 
 
 def _cluster_complex_by_round(values, gap=1e-6):
@@ -324,7 +324,8 @@ def _superoperator_state_action(mats, anti, states, targets, block=64):
 @pytest.mark.parametrize("case", ["sic", "orbit", "ragged"])
 def test_ket_state_action_matches_superoperator_form(case):
     orbit = enumerate_orbit()
-    _, mats, anti = element_arrays(extended=True)
+    group = enumerate_projective_clifford(4, extended=True)
+    mats, anti = group.mats, group.anti
     states = orbit.sic(5).states
     targets = orbit.projectors if case == "orbit" else states
     if case == "ragged":
@@ -341,7 +342,8 @@ def test_ket_state_action_matches_superoperator_form(case):
 
 def test_state_action_rejects_mixed_states():
     orbit = enumerate_orbit()
-    _, mats, anti = element_arrays(extended=False)
+    group = enumerate_projective_clifford(4, extended=False)
+    mats, anti = group.mats, group.anti
     mixed = np.stack([orbit.projectors[0], np.eye(4) / 4])
     with pytest.raises(ValueError):
         state_action(mats[:3], anti[:3], mixed, orbit.projectors)
@@ -373,11 +375,10 @@ def test_permutation_orders_match_composition_loop():
 
 
 def test_two_power_subgroup_matches_set_certificate():
-    from sic4.reconstruction import _symmetry_permutations
-
     # the symmetry group of SIC 1 (closed) and S4 on 4 of 16 points, whose
     # 16 elements of 2-power order do not close under composition
-    sic_group = sorted(_symmetry_permutations(enumerate_orbit().sic(1).states))
+    perms = sic_symmetries(enumerate_orbit().sic(1).states, extended=False)[1]
+    sic_group = sorted(map(tuple, perms.tolist()))
     s4 = [p + tuple(range(4, 16)) for p in itertools.permutations(range(4))]
     for group, closed in ((sic_group, True), (s4, False)):
         tp, ok = two_power_subgroup(np.array(group))
@@ -447,7 +448,70 @@ def test_gram_triples_match_projector_einsum():
 
 
 def test_label_images_are_shared_by_both_groups():
-    _, mats, anti = element_arrays(extended=False)
+    group = enumerate_projective_clifford(4, extended=False)
     images = _clifford_label_images()
     assert images.shape == (1536, 16) and not images.flags.writeable
-    assert np.array_equal(images[:768], _label_images(mats, anti))
+    assert np.array_equal(images[:768], _label_images(group.mats, group.anti))
+
+
+def _symmetries_by_elements_sending(states, extended):
+    """The path sic_symmetries replaced: the elements sending state 0 into
+    the set at DEFAULT_TOL, then state_permutations of the unitary
+    survivors and a per-state conjugation loop for the antiunitary ones."""
+    group = enumerate_projective_clifford(4, extended=extended)
+    _, ov = state_action(group.mats, group.anti, states[:1], states)
+    sending = np.flatnonzero(ov[:, 0] >= 1.0 - DEFAULT_TOL)
+    unitary = ~group.anti[sending]
+    perms = np.empty((len(sending), len(states)), dtype=np.intp)
+    perms[unitary] = state_permutations(group.mats[sending[unitary]], states)
+    for row in np.flatnonzero(~unitary):
+        for col, rho in enumerate(states):
+            scores = np.abs(np.einsum("tij,ji->t", states, conjugate(group[sending[row]].op, rho)))
+            assert scores.max() >= 1.0 - DEFAULT_TOL
+            perms[row, col] = scores.argmax()
+    return sending, perms
+
+
+def _all_sics():
+    from sic4.regrouping import regrouped_family
+
+    orbit = enumerate_orbit()
+    return [orbit.sic(label).states for label in range(1, 17)] + [s.states for s in regrouped_family(orbit)[0]]
+
+
+def test_sic_symmetries_of_sic_1():
+    states = enumerate_orbit().sic(1).states
+    for extended, order in ((True, 96), (False, 48)):
+        index, perms = sic_symmetries(states, extended=extended)
+        assert len(index) == order and perms.shape == (order, 16)
+        old_index, old_perms = _symmetries_by_elements_sending(states, extended)
+        assert np.array_equal(index, old_index) and np.array_equal(perms, old_perms)
+    assert np.array_equal(symmetry_group_of_sic(1)[0], sic_symmetries(states, extended=True)[0])
+
+
+@pytest.mark.parametrize("extended", [False, True])
+def test_sic_symmetries_match_elements_sending_on_all_32_sics(extended):
+    rng = np.random.default_rng(17)
+    sics = _all_sics()
+    shuffle = rng.permutation(16)
+    sics.append(sics[20][shuffle])  # a regrouped SIC in another state order
+    for k, states in enumerate(sics):
+        index, perms = sic_symmetries(states, extended=extended)
+        old_index, old_perms = _symmetries_by_elements_sending(states, extended)
+        assert np.array_equal(index, old_index) and np.array_equal(perms, old_perms), k
+        assert len(index) == (96 if extended else 48)
+    # relabelling the states conjugates each permutation by the shuffle
+    _, base = sic_symmetries(sics[20], extended=extended)
+    _, shuffled = sic_symmetries(sics[-1], extended=extended)
+    assert np.array_equal(shuffled, np.argsort(shuffle)[base[:, shuffle]])
+
+
+def test_stability_group_is_sic_symmetries_of_one_state():
+    orbit = enumerate_orbit()
+    group = enumerate_projective_clifford(4, extended=True)
+    for k in (0, 37, 255):
+        rho = orbit.projectors[k]
+        index, perms = sic_symmetries(rho[None], extended=True)
+        stab = stability_group(rho)
+        assert len(stab) == 6 and perms.tolist() == [[0]] * 6
+        assert [e.source for e in stab] == [group[i].source for i in index]

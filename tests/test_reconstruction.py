@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from sic4.numerics import commutator_phase, projective_set_equal
-from sic4.orbits import MATCH_TOL, element_arrays, enumerate_orbit, state_action, state_permutations
+from sic4.clifford import enumerate_projective_clifford
+from sic4.orbits import MATCH_TOL, enumerate_orbit, sic_symmetries, state_action, state_permutations
 from sic4.reconstruction import (
     _phase_operator,
-    _symmetry_permutations,
     quad_signature,
     quad_signature_scan,
     reconstruct_hw,
@@ -145,7 +145,8 @@ def test_uniqueness_certificate():
 
 def test_screened_symmetry_permutations_match_full_action():
     # reference: every unitary element acts on all 16 states, no screening
-    _, mats, anti = element_arrays(extended=False)
+    group = enumerate_projective_clifford(4, extended=False)
+    mats, anti = group.mats, group.anti
     orbit = enumerate_orbit()
     sics = [orbit.sic(label) for label in range(1, 17)] + regrouped_family(orbit)[0]
     for sic in sics:
@@ -154,7 +155,8 @@ def test_screened_symmetry_permutations_match_full_action():
         bijective = np.all(np.sort(index, axis=1) == np.arange(16), axis=1)
         full = {tuple(p) for p in index[matched & bijective].tolist()}
         assert len(full) == 48
-        assert _symmetry_permutations(sic.states) == full
+        perms = sic_symmetries(sic.states, extended=False)[1]
+        assert len(perms) == 48 and {tuple(p) for p in perms.tolist()} == full
 
 
 def _load_perfbench_inputs():

@@ -8,6 +8,7 @@ from sic4.clifford import (
     SymplecticPair,
     _coset_names,
     coset,
+    coset as pair_coset,
     enumerate_projective_clifford,
     multiplication_table,
     to_operator,
@@ -32,7 +33,6 @@ from sic4.regrouping import (
     fidelity_adjacency,
     h_orbits,
     hw_conjugate_subgroup_census,
-    pair_coset,
     regroup_row,
     regrouped_family,
 )
@@ -176,8 +176,7 @@ def test_equivalence_conjugates_group():
 
 def test_equivalence_not_clifford_but_square_is():
     u = equivalence_unitary()
-    els = enumerate_projective_clifford(4, extended=False)
-    mats = np.stack([e.op.matrix for e in els])
+    mats = enumerate_projective_clifford(4, extended=False).mats
     assert np.max(np.abs(np.einsum("ij,kij->k", u.conj(), mats))) < 4 - 1e-6
     assert np.max(np.abs(np.einsum("ij,kij->k", (u @ u).conj(), mats))) >= 4 - 1e-7
 
