@@ -322,12 +322,12 @@ def run_reconstruct(cfg, claims: Claims):
     from .orbits import enumerate_orbit
     from .reconstruction import (
         _phase_operator,
-        _unique_sylow,
-        quad_signature,
-        quad_signature_scan,
         reconstruct_hw,
+        reference_quads,
         reference_signature,
         signature_values,
+        signatures,
+        uniqueness_check,
     )
     from .regrouping import dprime_elements, regrouped_family
     from .numerics import match_projective, matrix_to_json, projective_set_equal
@@ -336,7 +336,7 @@ def run_reconstruct(cfg, claims: Claims):
     orbit = enumerate_orbit()
     sic1 = orbit.sic(1)
     # states 0-3 of SIC 1 are Z^j rho Z^-j, so they sum to the clock orbit of rho
-    w = np.array(quad_signature(sic1.states[:4]))
+    w = signatures(sic1.states, np.arange(4)[None])[0]
     claims.add(
         "reconstruct.signature_closed_form_dev",
         "eigenvalues of the clock-orbit sum match their closed forms",
@@ -352,7 +352,7 @@ def run_reconstruct(cfg, claims: Claims):
         tol=1e-10,
     )
 
-    _, matching = quad_signature_scan(sic1)
+    matching = reference_quads(sic1.states)
     claims.add(
         "reconstruct.reference_quads",
         "4-subsets of one SIC realizing the signature",
@@ -361,7 +361,7 @@ def run_reconstruct(cfg, claims: Claims):
     )
 
     disp = displacement_table(4).reshape(16, 4, 4)
-    ops = np.stack([_phase_operator(sic1.states[list(quad)].sum(axis=0)) for quad in matching])
+    ops = np.stack([_phase_operator(sic1.states[quad].sum(axis=0)) for quad in matching])
     claims.add(
         "reconstruct.quad_operators_in_group",
         "every qualifying 4-subset induces a displacement element",
@@ -387,7 +387,7 @@ def run_reconstruct(cfg, claims: Claims):
     )
 
     # reconstruct_hw has certified each SIC at cfg.tol
-    uniq = [_unique_sylow(s.states) for s in family]
+    uniq = [uniqueness_check(s.states) for s in family]
     claims.add(
         "reconstruct.uniqueness",
         "each of the 32 SICs is covariant under exactly one order-16 group",
@@ -503,7 +503,7 @@ def run_regroup(cfg, claims: Claims):
         True,
         bool(np.all(cover == 2)),
     )
-    degrees = set(fidelity_adjacency(orbit, range(256), cfg.tol).sum(axis=1).tolist())
+    degrees = set(fidelity_adjacency(orbit, range(256)).sum(axis=1).tolist())
     claims.add(
         "regroup.fidelity_graph_regular",
         "fidelity-1/5 graph is regular across the orbit",

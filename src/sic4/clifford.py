@@ -89,18 +89,6 @@ def semidirect_product(x: SymplecticPair, y: SymplecticPair) -> SymplecticPair:
     return SymplecticPair(f, chi, x.d)
 
 
-def symplectic_inverse(x: SymplecticPair) -> SymplecticPair:
-    a, b, c, e = x.F
-    det = a * e - b * c
-    dinv = pow(det % x.dbar, -1, x.dbar)
-    fi = (e * dinv, -b * dinv, -c * dinv, a * dinv)
-    chi = (
-        -(fi[0] * x.chi[0] + fi[1] * x.chi[1]),
-        -(fi[2] * x.chi[0] + fi[3] * x.chi[1]),
-    )
-    return SymplecticPair(fi, chi, x.d)
-
-
 @lru_cache(maxsize=None)
 def _gauss_tables(d: int) -> tuple:
     """dbar, units mod dbar, their inverses, tau^k / sqrt(d) and the (r, s) grids."""

@@ -8,7 +8,7 @@ All comparisons are absolute-tolerance based; the package-wide default is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,35 +47,12 @@ class GroupElement:
 
     matrix: np.ndarray
     antiunitary: bool = False
-    _tol: float = field(default=1e-8, repr=False)
 
     def __post_init__(self):
         m = _as_complex(self.matrix)
-        if not is_unitary(m, self._tol):
+        if not is_unitary(m, 1e-8):
             raise ValueError("GroupElement matrix is not unitary within tol")
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-def compose(a: GroupElement, b: GroupElement) -> GroupElement:
-    """Composition a after b; conjugation flags multiply (xor)."""
-    mb = b.matrix.conj() if a.antiunitary else b.matrix
-    return GroupElement(a.matrix @ mb, a.antiunitary != b.antiunitary)
-
-
-def inverse(g: GroupElement) -> GroupElement:
-    # (M K)^-1 = K M^dag = M^T K for unitary M
-    if g.antiunitary:
-        return GroupElement(g.matrix.T, True)
-    return GroupElement(g.matrix.conj().T, False)
-
-
-def apply(g: GroupElement, v) -> np.ndarray:
-    v = np.asarray(v, dtype=complex)
-    return g.matrix @ (v.conj() if g.antiunitary else v)
 
 
 def conjugate(g: GroupElement, m) -> np.ndarray:
@@ -120,21 +97,6 @@ def proj_equal(a, b, tol: float = DEFAULT_TOL) -> bool:
     if herm > 1e-6:
         raise ValueError("proj_equal expects two unitaries or two Hermitian projectors")
     return abs(np.trace(a @ b)) >= 1 - tol
-
-
-def elements_proj_equal(a: GroupElement, b: GroupElement, tol: float = DEFAULT_TOL) -> bool:
-    return a.antiunitary == b.antiunitary and proj_equal(a.matrix, b.matrix, tol)
-
-
-def projective_order(g: GroupElement, max_order: int = 100, tol: float = DEFAULT_TOL) -> int:
-    """Smallest n >= 1 with g^n proportional to the identity."""
-    acc = g
-    eye = GroupElement(np.eye(g.dim))
-    for n in range(1, max_order + 1):
-        if elements_proj_equal(acc, eye, tol):
-            return n
-        acc = compose(acc, g)
-    raise ValueError("no projective order found up to %d" % max_order)
 
 
 def commutator_phase(a, b) -> complex:
@@ -182,15 +144,6 @@ def canonical_phase(m, zero_tol: float = 1e-6) -> np.ndarray:
             m /= x / abs(x)
             return m
     raise ValueError("zero matrix has no canonical phase")
-
-
-def canonical_key(m, decimals: int = 6) -> bytes:
-    """Hashable fingerprint of a matrix modulo global phase."""
-    c = canonical_phase(m)
-    # +0.0 folds -0.0 into +0.0 so the byte representation is stable
-    re = np.round(c.real, decimals) + 0.0
-    im = np.round(c.imag, decimals) + 0.0
-    return re.tobytes() + im.tobytes()
 
 
 def match_projective(m, stack, tol: float = PROJECTIVE_MATCH_TOL):

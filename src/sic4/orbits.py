@@ -105,9 +105,6 @@ class FiducialOrbit:
     def sic(self, label: int) -> SicPovm:
         return SicPovm(4, self.projectors[(label - 1) * 16 : label * 16], label="sic-%d" % label)
 
-    def fiducial(self, label: int) -> np.ndarray:
-        return self.projectors[(label - 1) * 16]
-
     def find(self, rho, tol: float = MATCH_TOL) -> int:
         """Global index of the orbit projector equal to rho, or -1."""
         ov = np.abs(np.einsum("nij,ji->n", self.projectors, np.asarray(rho, dtype=complex)))

@@ -51,15 +51,7 @@ def reference_signature() -> tuple:
     return tuple(sorted(signature_values()))
 
 
-def quad_signature(states) -> tuple:
-    """Sorted eigenvalues of the sum of four states."""
-    states = np.asarray(states, dtype=complex)
-    if states.shape != (4, 4, 4):
-        raise ValueError("expected exactly four 4x4 states")
-    return tuple(_signatures(states, np.arange(4)[None])[0].tolist())
-
-
-def _signatures(states: np.ndarray, quads: np.ndarray) -> np.ndarray:
+def signatures(states, quads: np.ndarray) -> np.ndarray:
     """Sorted eigenvalues of the state sums of each row of a (Q, 4) index
     array, summed in row order."""
     m = states[quads[:, 0]]
@@ -88,7 +80,7 @@ def _first_match(states: np.ndarray, candidates: np.ndarray):
     at a time."""
     for lo in range(0, len(candidates), QUAD_BLOCK):
         block = candidates[lo : lo + QUAD_BLOCK]
-        hits = np.flatnonzero(_matches_reference(_signatures(states, block)))
+        hits = np.flatnonzero(_matches_reference(signatures(states, block)))
         if len(hits):
             return block[hits[0]].tolist()
     return None
@@ -116,11 +108,6 @@ class NotASicError(ValueError):
     """The input of a reconstruction fails verify_sic."""
 
 
-def _certify(sic: SicPovm, tol: float) -> None:
-    if not verify_sic(sic.states, sic.d, tol).is_sic:
-        raise NotASicError("input does not certify as a SIC-POVM")
-
-
 @dataclass
 class ReconstructedGroup:
     z_gen: np.ndarray
@@ -135,7 +122,8 @@ def reconstruct_hw(sic: SicPovm, tol: float = DEFAULT_TOL) -> ReconstructedGroup
     displacement indexing is assumed.  Returns clock/shift generators
     satisfying z x = omega x z exactly, and the 16 projective group elements.
     """
-    _certify(sic, tol)
+    if not verify_sic(sic.states, sic.d, tol).is_sic:
+        raise NotASicError("input does not certify as a SIC-POVM")
     states = sic.states
 
     quad = _first_match(states, _quad_index())
@@ -175,38 +163,24 @@ def reconstruct_hw(sic: SicPovm, tol: float = DEFAULT_TOL) -> ReconstructedGroup
     return ReconstructedGroup(z_gen=zp, x_gen=xp, elements=elements)
 
 
-def quad_signature_scan(sic: SicPovm, decimals: int = 8):
-    """Signature census over all 1820 4-subsets of one SIC.
-
-    Returns a dict mapping rounded signatures to the list of subsets, and
-    the subsets matching the reference signature.
-    """
+def reference_quads(states) -> np.ndarray:
+    """The (k, 4) rows of the 1820 4-subsets of 16 states, in
+    itertools.combinations order, whose sums realize the reference
+    signature."""
     index = _quad_index()
-    w = _signatures(sic.states, index)
-    quads = list(map(tuple, index.tolist()))
-    sigs = {}
-    for quad, sig in zip(quads, w.tolist()):
-        sigs.setdefault(tuple(round(x, decimals) for x in sig), []).append(quad)
-    matching = [quads[k] for k in np.flatnonzero(_matches_reference(w))]
-    return sigs, matching
+    return index[_matches_reference(signatures(states, index))]
 
 
-def uniqueness_check(sic: SicPovm, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the SIC's order-48 projective symmetry group contains
-    exactly one order-16 subgroup.
+def uniqueness_check(states) -> bool:
+    """True iff the order-48 projective symmetry group of the states of a
+    SIC, certified by the caller, contains exactly one order-16 subgroup.
 
     The certificate: a group of order 48 has order-16 subgroups exactly as
     Sylow 2-subgroups; if the elements of 2-power order number exactly 16
     and close under composition they form the unique one (two distinct
-    Sylow subgroups would overflow that count).
+    Sylow subgroups would overflow that count).  The states of a SIC span
+    the operators, so each symmetry permutes them differently.
     """
-    _certify(sic, tol)
-    return _unique_sylow(sic.states)
-
-
-def _unique_sylow(states: np.ndarray) -> bool:
-    """uniqueness_check on states the caller has certified a SIC; the states
-    of a SIC span the operators, so each symmetry permutes them differently."""
     perms = sic_symmetries(states, extended=False)[1]
     if len(perms) != 48:
         raise ValueError("symmetry group inside the Clifford group has order %d, expected 48" % len(perms))

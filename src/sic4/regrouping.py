@@ -28,6 +28,11 @@ from .numerics import commutator_phase, is_unitary, proj_equal
 from .orbits import LABEL_GRID, FiducialOrbit, enumerate_orbit, fiducial_projector
 from .weyl_heisenberg import SicPovm, shift_clock_products, verify_sic
 
+# two orbit states are fidelity-1/5 neighbours when |tr(a b) - 1/5| is at
+# most FIDELITY_TOL; every such pair is within 6.7e-16 of 1/5 and the
+# nearest other fidelity, 0.20457, is 4.57e-3 away
+FIDELITY_TOL = 1e-9
+
 # translations implementing conjugation by I, X^2, Z^2, X^2 Z^2
 _H_SHIFTS = ((0, 0), (2, 0), (0, 2), (2, 2))
 
@@ -58,7 +63,8 @@ def regroup_row(row, orbit: FiducialOrbit | None = None, tol: float = 1e-9):
     For each block of the first SIC there is exactly one block in each of
     the other three SICs at uniform cross-fidelity 1/5; anything else
     fails fast.  Returns (sics, matching) where matching[i] lists the four
-    HOrbits composing the i-th new SIC.
+    HOrbits composing the i-th new SIC; each new SIC is certified by
+    verify_sic at tol.
     """
     row = tuple(row)
     if sorted(row) not in [sorted(r) for r in LABEL_GRID]:
@@ -74,7 +80,7 @@ def regroup_row(row, orbit: FiducialOrbit | None = None, tol: float = 1e-9):
             hits = [
                 b
                 for b in blocks[lab]
-                if fidelity_adjacency(orbit, seed.members + b.members, tol)[:4, 4:].all()
+                if fidelity_adjacency(orbit, seed.members + b.members)[:4, 4:].all()
             ]
             if len(hits) != 1:
                 raise ValueError(
@@ -120,12 +126,12 @@ def _build_family(orbit: FiducialOrbit, tol: float) -> tuple:
     return sics, matching
 
 
-def fidelity_adjacency(orbit: FiducialOrbit, vertices, tol: float = 1e-9) -> np.ndarray:
+def fidelity_adjacency(orbit: FiducialOrbit, vertices) -> np.ndarray:
     """Boolean adjacency of the fidelity-1/5 graph on the given states,
     decided on the upper triangle of the overlap matrix and mirrored."""
     flat = orbit.projectors[list(vertices)].reshape(len(vertices), 16)
     fid = np.real(flat.conj() @ flat.T)
-    upper = np.triu(np.abs(fid - 0.2) <= tol, 1)
+    upper = np.triu(np.abs(fid - 0.2) <= FIDELITY_TOL, 1)
     return upper | upper.T
 
 
@@ -168,7 +174,7 @@ def exhaustive_regroup_scan(
 
     Default mode scans each row's 64 states separately (regrouping cannot
     mix rows); full_scan runs the clique search over all 256 vertices.
-    Every size-16 clique found is re-certified with verify_sic.
+    Every size-16 clique found is re-certified with verify_sic at tol.
     """
     if orbit is None:
         orbit = enumerate_orbit()
@@ -181,7 +187,7 @@ def exhaustive_regroup_scan(
         ]
     found = set()
     for vertices in vertex_sets:
-        for clique in _cliques(fidelity_adjacency(orbit, vertices, tol), 16):
+        for clique in _cliques(fidelity_adjacency(orbit, vertices), 16):
             if len(clique) > 16:
                 raise AssertionError("clique larger than a SIC cannot exist")
             key = tuple(sorted(vertices[i] for i in clique))

@@ -201,13 +201,6 @@ def match_sign_patterns(g: Gbv, basis: str = "product", tol: float = 1e-7) -> np
     return np.where(counts == 1, hits.argmax(axis=1), -1)
 
 
-def match_sign_pattern(g: Gbv, basis: str = "product", tol: float = 1e-7):
-    """The unique constraint-satisfying table row reproducing this GBV,
-    or None: match_sign_patterns for a stack of one."""
-    row = int(match_sign_patterns(g, basis, tol)[0])
-    return None if row < 0 else sign_pattern_table(basis)[1][row]
-
-
 def sign_functions(p: SignPattern) -> SignFunctions:
     a, b, a1, a2, a3, b1, b2, b3 = p.signs
     if p.basis == "product":
@@ -267,11 +260,6 @@ def rounded_census(values, decimals: int = 9) -> dict:
     return dict(zip(keys[order].tolist(), counts[order].tolist()))
 
 
-def concurrence_census(sic: SicPovm, basis: str = "product", decimals: int = 9) -> dict:
-    """Rounded concurrences of one SIC's states with their counts."""
-    return rounded_census(concurrence(state_ket(physical_state(sic.states, basis))), decimals)
-
-
 def _bloch_vectors(states: np.ndarray, basis: str, qubit: int) -> np.ndarray:
     """Bloch vectors of one qubit's reduced states, for an (N, 4, 4) stack."""
     g = gbv(physical_state(states, basis))
@@ -282,10 +270,6 @@ def reduced_purity(states: np.ndarray, basis: str = "product", qubit: int = 0) -
     """tr(red^2) = (1 + |b|^2) / 2 of the reduced state, Bloch vector b, of
     each state of an (N, 4, 4) stack."""
     return (1.0 + np.sum(_bloch_vectors(states, basis, qubit) ** 2, axis=-1)) / 2
-
-
-def avg_reduced_purity(sic: SicPovm, basis: str = "product", qubit: int = 0) -> float:
-    return float(np.mean(reduced_purity(sic.states, basis, qubit)))
 
 
 @dataclass
@@ -369,11 +353,6 @@ def partial_transpose_simplex_checks(patterns, orbit=None, tol: float = 1e-9) ->
     # |tr(rho pt)| for every orbit projector rho and partial transpose pt
     fid = np.abs(orbit.projectors.reshape(256, 16).conj() @ partial_transpose(q).reshape(-1, 16).T)
     return ok & (np.max(fid, axis=0) >= 1.0 - PT_MATCH_TOL)
-
-
-def partial_transpose_simplex_check(p: SignPattern, orbit=None, tol: float = 1e-9) -> bool:
-    """partial_transpose_simplex_checks for one pattern."""
-    return bool(partial_transpose_simplex_checks([p], orbit, tol)[0])
 
 
 def operator_schmidt_rank(m: np.ndarray, tol: float = 1e-9) -> int:

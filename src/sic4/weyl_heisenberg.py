@@ -233,7 +233,3 @@ def verify_sic(states, d: int, tol: float = DEFAULT_TOL) -> SicReport:
     ok = sdev <= tol and fdev <= tol and cdev <= tol
     return SicReport(ok, float(fdev), float(sdev), cdev)
 
-
-def state_overlap(a, b) -> float:
-    """|tr(a b)| for two trace-1 projectors (the pair fidelity)."""
-    return float(abs(np.trace(np.asarray(a) @ np.asarray(b))))

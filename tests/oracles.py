@@ -1,0 +1,60 @@
+"""Single-item forms of the library's stacked kernels.
+
+The library certifies stacks in one pass; these one-at-a-time forms serve
+the tests as independent oracles and as the acceptance suite's readable
+per-item checks.
+"""
+
+import numpy as np
+
+from sic4.numerics import DEFAULT_TOL, GroupElement, canonical_phase, proj_equal
+from sic4.two_qubit import (
+    concurrence,
+    match_sign_patterns,
+    partial_transpose_simplex_checks,
+    physical_state,
+    reduced_purity,
+    rounded_census,
+    sign_pattern_table,
+    state_ket,
+)
+
+
+def compose(a: GroupElement, b: GroupElement) -> GroupElement:
+    """Composition a after b; conjugation flags multiply (xor)."""
+    mb = b.matrix.conj() if a.antiunitary else b.matrix
+    return GroupElement(a.matrix @ mb, a.antiunitary != b.antiunitary)
+
+
+def elements_proj_equal(a: GroupElement, b: GroupElement, tol: float = DEFAULT_TOL) -> bool:
+    return a.antiunitary == b.antiunitary and proj_equal(a.matrix, b.matrix, tol)
+
+
+def canonical_key(m, decimals: int = 6) -> bytes:
+    """Hashable fingerprint of a matrix modulo global phase."""
+    c = canonical_phase(m)
+    # +0.0 folds -0.0 into +0.0 so the byte representation is stable
+    re = np.round(c.real, decimals) + 0.0
+    im = np.round(c.imag, decimals) + 0.0
+    return re.tobytes() + im.tobytes()
+
+
+def match_sign_pattern(g, basis: str = "product", tol: float = 1e-7):
+    """The unique constraint-satisfying table row reproducing one GBV, or
+    None: match_sign_patterns for a stack of one."""
+    row = int(match_sign_patterns(g, basis, tol)[0])
+    return None if row < 0 else sign_pattern_table(basis)[1][row]
+
+
+def partial_transpose_simplex_check(p, orbit=None, tol: float = 1e-9) -> bool:
+    """partial_transpose_simplex_checks for one pattern."""
+    return bool(partial_transpose_simplex_checks([p], orbit, tol)[0])
+
+
+def concurrence_census(sic, basis: str = "product", decimals: int = 9) -> dict:
+    """Rounded concurrences of one SIC's states with their counts."""
+    return rounded_census(concurrence(state_ket(physical_state(sic.states, basis))), decimals)
+
+
+def avg_reduced_purity(sic, basis: str = "product", qubit: int = 0) -> float:
+    return float(np.mean(reduced_purity(sic.states, basis, qubit)))

@@ -9,6 +9,14 @@ import math
 
 import numpy as np
 
+from oracles import (
+    avg_reduced_purity,
+    compose,
+    concurrence_census,
+    elements_proj_equal,
+    match_sign_pattern,
+    partial_transpose_simplex_check,
+)
 from sic4.clifford import (
     SymplecticPair,
     conjugation_action,
@@ -18,7 +26,7 @@ from sic4.clifford import (
     symplectic_group_matrices,
     to_operator,
 )
-from sic4.numerics import compose, elements_proj_equal, proj_equal, projective_set_equal
+from sic4.numerics import proj_equal, projective_set_equal
 from sic4.orbits import (
     FIDUCIAL_STABILIZER,
     LABEL_GRID,
@@ -45,12 +53,8 @@ from sic4.regrouping import (
     Z_PRIME_PAIR,
 )
 from sic4.two_qubit import (
-    avg_reduced_purity,
     concurrence,
-    concurrence_census,
     gbv,
-    match_sign_pattern,
-    partial_transpose_simplex_check,
     physical_state,
     sign_functions,
     state_ket,
@@ -228,7 +232,7 @@ def test_criterion_10_equivalence():
     rho = orbit.projectors[0]
     fix = np.max(np.abs(u @ rho @ u.conj().T - rho)) < 1e-9
 
-    from sic4.numerics import canonical_key
+    from oracles import canonical_key
 
     sics, _ = regrouped_family(orbit)
     keys = {frozenset(canonical_key(s) for s in sic.states) for sic in sics}

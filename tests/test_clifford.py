@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import canonical_key, compose, elements_proj_equal
 import sic4.clifford as clifford
 from sic4.clifford import (
     CliffordElement,
@@ -17,17 +18,9 @@ from sic4.clifford import (
     multiplication_table,
     semidirect_product,
     symplectic_group_matrices,
-    symplectic_inverse,
     to_operator,
 )
-from sic4.numerics import (
-    canonical_key,
-    compose,
-    elements_proj_equal,
-    is_unitary,
-    match_projective,
-    proj_equal,
-)
+from sic4.numerics import is_unitary, match_projective, proj_equal
 from sic4.weyl_heisenberg import displacement, displacement_table, tau
 
 
@@ -108,17 +101,6 @@ def test_homomorphism_property():
         lhs = to_operator(semidirect_product(a, b))
         rhs = compose(to_operator(a), to_operator(b))
         assert elements_proj_equal(lhs, rhs)
-
-
-def test_symplectic_inverse():
-    rng = np.random.default_rng(5)
-    mats = symplectic_group_matrices(8, 7)
-    ident = SymplecticPair((1, 0, 0, 1), (0, 0), 4)
-    for _ in range(30):
-        f = mats[rng.integers(len(mats))]
-        p = SymplecticPair(tuple(int(x) for x in f), tuple(int(x) for x in rng.integers(0, 4, 2)), 4)
-        prod = semidirect_product(p, symplectic_inverse(p))
-        assert elements_proj_equal(to_operator(prod), to_operator(ident))
 
 
 def test_enumeration_entries_are_clifford_elements():

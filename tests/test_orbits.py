@@ -217,7 +217,7 @@ def _label_permutations_by_find(extended):
     """The per-element loop that label_permutation_group replaced."""
     orbit = enumerate_orbit()
     group = enumerate_projective_clifford(4, extended=extended)
-    fids = np.stack([orbit.fiducial(n) for n in range(1, 17)])
+    fids = np.stack([orbit.projectors[(n - 1) * 16] for n in range(1, 17)])
     perms = {}
     for i, (m, a) in enumerate(zip(group.mats, group.anti)):
         perm = []

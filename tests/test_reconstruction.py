@@ -11,15 +11,15 @@ from sic4.clifford import enumerate_projective_clifford
 from sic4.orbits import MATCH_TOL, enumerate_orbit, sic_symmetries, state_action, state_permutations
 from sic4.reconstruction import (
     _phase_operator,
-    quad_signature,
-    quad_signature_scan,
     reconstruct_hw,
+    reference_quads,
     reference_signature,
     signature_values,
+    signatures,
     uniqueness_check,
 )
 from sic4.regrouping import dprime_elements, regrouped_family
-from sic4.weyl_heisenberg import SicPovm, displacement, fiducial_ket_d4, generate_sic
+from sic4.weyl_heisenberg import SicPovm, displacement, fiducial_ket_d4
 
 G = (math.sqrt(5) - 1) / 2
 
@@ -77,22 +77,25 @@ def test_clock_orbit_sum_realizes_signature():
     assert np.max(np.abs(w - np.array(sorted(signature_values())))) < 1e-10
 
 
-def test_quad_signature_shape_check():
-    sic = generate_sic(fiducial_ket_d4())
-    with pytest.raises(ValueError):
-        quad_signature(sic.states[:3])
+def _signature_census(states, decimals=8):
+    """{signature rounded to decimals: its 4-subsets} over the 1820
+    4-subsets of 16 states, in itertools.combinations order."""
+    quads = np.array(list(itertools.combinations(range(16), 4)))
+    census = {}
+    for quad, sig in zip(map(tuple, quads.tolist()), signatures(states, quads).tolist()):
+        census.setdefault(tuple(round(x, decimals) for x in sig), []).append(quad)
+    return census
 
 
 def test_signature_census_frozen():
-    sic = enumerate_orbit().sic(1)
-    sigs, matching = quad_signature_scan(sic)
+    states = enumerate_orbit().sic(1).states
     rounded = {}
-    for key, quads in sigs.items():
+    for key, quads in _signature_census(states).items():
         k6 = tuple(round(x, 6) for x in key)
         rounded[k6] = rounded.get(k6, 0) + len(quads)
     assert rounded == SIGNATURE_CENSUS
     assert sum(rounded.values()) == 1820
-    assert len(matching) == 24
+    assert len(reference_quads(states)) == 24
     ref6 = tuple(round(x, 6) for x in reference_signature())
     assert SIGNATURE_CENSUS[ref6] == 24
 
@@ -138,9 +141,9 @@ def test_reconstruct_rejects_non_sic():
 
 def test_uniqueness_certificate():
     orbit = enumerate_orbit()
-    assert uniqueness_check(orbit.sic(1))
+    assert uniqueness_check(orbit.sic(1).states)
     sics, _ = regrouped_family(orbit)
-    assert uniqueness_check(sics[0])
+    assert uniqueness_check(sics[0].states)
 
 
 def test_screened_symmetry_permutations_match_full_action():
@@ -176,7 +179,8 @@ def _loop_matches(sig):
 
 
 def _quad_signature_scan_by_loop(sic, decimals=8):
-    """The one-eigvalsh-per-subset scan that quad_signature_scan replaced."""
+    """The one-eigvalsh-per-subset scan that signatures and reference_quads
+    replaced."""
     sigs, matching = {}, []
     for quad in itertools.combinations(range(16), 4):
         sig = _loop_signature(sic.states[list(quad)])
@@ -214,10 +218,10 @@ def test_quad_signature_scan_matches_loop():
     orbit = enumerate_orbit()
     shuffled = orbit.sic(6).states[np.random.default_rng(3).permutation(16)]
     for sic in (orbit.sic(1), regrouped_family(orbit)[0][0], SicPovm(4, shuffled)):
-        sigs, matching = quad_signature_scan(sic)
         old_sigs, old_matching = _quad_signature_scan_by_loop(sic)
-        assert list(sigs.items()) == list(old_sigs.items())
-        assert matching == old_matching and len(matching) == 24
+        assert list(_signature_census(sic.states).items()) == list(old_sigs.items())
+        matching = reference_quads(sic.states).tolist()
+        assert list(map(tuple, matching)) == old_matching and len(matching) == 24
 
 
 def test_reconstruct_generators_match_loop_on_perfbench_inputs():

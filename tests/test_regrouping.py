@@ -18,6 +18,7 @@ from sic4.orbits import LABEL_GRID, FiducialOrbit, enumerate_orbit
 from sic4.regrouping import (
     CLIFFORD_GENERATORS,
     EQUIVALENCE_MATRIX,
+    FIDELITY_TOL,
     X_PRIME_MATRIX,
     X_PRIME_PAIR,
     Z_PRIME_MATRIX,
@@ -36,12 +37,12 @@ from sic4.regrouping import (
     regroup_row,
     regrouped_family,
 )
-from sic4.weyl_heisenberg import displacement, state_overlap, verify_sic
+from sic4.weyl_heisenberg import displacement, verify_sic
 
 
-def fidelity_graph(orbit, vertices, tol=1e-9):
+def fidelity_graph(orbit, vertices):
     """The fidelity-1/5 graph as a networkx Graph labelled by ``vertices``."""
-    g = nx.from_numpy_array(fidelity_adjacency(orbit, vertices, tol), edge_attr=None)
+    g = nx.from_numpy_array(fidelity_adjacency(orbit, vertices), edge_attr=None)
     return nx.relabel_nodes(g, dict(enumerate(vertices)))
 
 
@@ -64,7 +65,7 @@ def test_h_orbit_internal_fidelities():
         m = list(o.members)
         for i in range(4):
             for j in range(i + 1, 4):
-                f = state_overlap(orbit.projectors[m[i]], orbit.projectors[m[j]])
+                f = abs(np.trace(orbit.projectors[m[i]] @ orbit.projectors[m[j]]))
                 assert abs(f - 0.2) < 1e-9
 
 
@@ -103,7 +104,7 @@ def test_new_sics_share_four_states_with_row_members():
         shared = 0
         for a in new.states:
             for b in old.states:
-                if state_overlap(a, b) > 1 - 1e-9:
+                if abs(np.trace(a @ b)) > 1 - 1e-9:
                     shared += 1
         assert shared == 4
 
@@ -231,6 +232,13 @@ def test_fidelity_adjacency_row_sums_are_the_graph_degrees():
     vertices = list(range(256))
     degrees = dict(fidelity_graph(orbit, vertices).degree())
     assert fidelity_adjacency(orbit, vertices).sum(axis=1).tolist() == [degrees[v] for v in vertices]
+
+
+def test_fidelity_tol_separates_one_fifth_from_every_other_fidelity():
+    flat = enumerate_orbit().projectors.reshape(256, 16)
+    dev = np.abs(np.real(flat.conj() @ flat.T) - 0.2)[np.triu_indices(256, 1)]
+    assert dev[dev <= FIDELITY_TOL].max() < 1e-15
+    assert dev[dev > FIDELITY_TOL].min() > 4.5e-3
 
 
 def _scalar_span_census():

@@ -5,6 +5,12 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from oracles import (
+    avg_reduced_purity,
+    concurrence_census,
+    match_sign_pattern,
+    partial_transpose_simplex_check,
+)
 from sic4.orbits import LABEL_GRID, FiducialOrbit, enumerate_orbit
 from sic4.regrouping import regrouped_family
 from sic4.two_qubit import (
@@ -13,17 +19,13 @@ from sic4.two_qubit import (
     SignPattern,
     _pattern_table,
     _table_vector,
-    avg_reduced_purity,
     bell_basis_map,
     concurrence,
-    concurrence_census,
     from_gbv,
     gbv,
-    match_sign_pattern,
     match_sign_patterns,
     operator_schmidt_rank,
     partial_transpose,
-    partial_transpose_simplex_check,
     partial_transpose_simplex_checks,
     physical_state,
     reduced_purity,

@@ -12,7 +12,6 @@ from sic4.weyl_heisenberg import (
     generate_sic,
     is_fiducial,
     omega,
-    state_overlap,
     symplectic_form,
     tau,
     verify_sic,
@@ -125,12 +124,6 @@ def test_generate_and_verify_sic():
 def test_generate_sic_rejects_non_fiducial():
     with pytest.raises(ValueError):
         generate_sic(np.array([1, 0, 0, 0], dtype=complex))
-
-
-def test_state_overlap():
-    sic = generate_sic(fiducial_ket_d4())
-    assert abs(state_overlap(sic.states[0], sic.states[5]) - 0.2) < 1e-12
-    assert abs(state_overlap(sic.states[3], sic.states[3]) - 1.0) < 1e-12
 
 
 def test_displacement_table_consistent():
