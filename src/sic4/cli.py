@@ -24,12 +24,8 @@ _SUBCOMMANDS = ("orbit", "symmetry", "triples", "reconstruct", "regroup", "twoqu
 
 
 def _coerce(x):
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.bool_,)):
-        return bool(x)
+    if isinstance(x, np.generic):  # a numpy scalar as the Python one
+        return x.item()
     if isinstance(x, (list, tuple)):
         return [_coerce(v) for v in x]
     return x
@@ -48,15 +44,9 @@ class Claims:
             ok = abs(float(expected) - float(observed)) <= t
         else:
             ok = expected == observed
-        self.rows.append(
-            {
-                "claim_id": claim_id,
-                "anchor": anchor,
-                "expected": expected,
-                "observed": observed,
-                "pass": bool(ok),
-            }
-        )
+        row = {"claim_id": claim_id, "anchor": anchor, "expected": expected, "observed": observed}
+        row["pass"] = bool(ok)
+        self.rows.append(row)
         return ok
 
 
@@ -369,7 +359,8 @@ def run_reconstruct(cfg, claims: Claims):
         int(np.sum(match_projective(ops, disp) >= 0)),
     )
 
-    family = [orbit.sic(n) for n in range(1, 17)] + regrouped_family(orbit, cfg.tol)[0]
+    regrouped, matching = regrouped_family(orbit, cfg.tol)
+    family = [orbit.sic(n) for n in range(1, 17)] + regrouped
     dp = dprime_elements()
     recs = [reconstruct_hw(s, cfg.tol) for s in family]
     orig, regr = recs[:16], recs[16:]
@@ -387,7 +378,8 @@ def run_reconstruct(cfg, claims: Claims):
     )
 
     # reconstruct_hw has certified each SIC at cfg.tol
-    uniq = [uniqueness_check(s.states) for s in family]
+    indices = np.concatenate([np.arange(256).reshape(16, 16), _member_indices(matching)])
+    uniq = [uniqueness_check(idx) for idx in indices]
     claims.add(
         "reconstruct.uniqueness",
         "each of the 32 SICs is covariant under exactly one order-16 group",
@@ -405,6 +397,12 @@ def run_reconstruct(cfg, claims: Claims):
         },
     }
     return payload
+
+
+def _member_indices(matching) -> np.ndarray:
+    """The sorted orbit indices of the states of each regrouped SIC, from
+    its matching of blocks, as a (16, 16) array."""
+    return np.sort([np.concatenate([b.members for b in m]) for m in matching], axis=1)
 
 
 class _InputError(Exception):
@@ -438,11 +436,12 @@ def run_reconstruct_input(cfg, claims: Claims):
     states = _read_input_states(cfg.input_path)
     try:  # reconstruct_hw certifies the states first
         rec = reconstruct_hw(SicPovm(4, states, label="input"), cfg.tol)
-    except NotASicError:
-        rec = None
+    except NotASicError as exc:
+        rec, dev = None, exc.report
     claims.add("reconstruct.input_is_sic", "input passes the SIC certificate", True, rec is not None)
-    if rec is None:
-        return {}
+    if rec is None:  # which SIC condition failed, and by how much
+        deviations = (dev.max_fidelity_deviation, dev.max_state_deviation, dev.completeness_deviation)
+        return {"sic_deviations": dict(zip(("fidelity", "state", "completeness"), deviations)), "tol": cfg.tol}
     if projective_set_equal(rec.elements, displacement_table(4).reshape(16, 4, 4)):
         verdict = "displacement"
     elif projective_set_equal(rec.elements, dprime_elements()):
@@ -463,9 +462,9 @@ def run_reconstruct_input(cfg, claims: Claims):
 
 
 def run_regroup(cfg, claims: Claims):
-    from .clifford import enumerate_projective_clifford, to_operator
+    from .clifford import coset, enumerate_projective_clifford, to_operator
     from .numerics import commutator_phase, match_projective, matrix_to_json, projective_set_equal
-    from .orbits import MATCH_TOL, enumerate_orbit, state_action
+    from .orbits import MATCH_TOL, enumerate_orbit, orbit_action, state_action
     from .regrouping import (
         CLIFFORD_GENERATORS,
         EQUIVALENCE_MATRIX,
@@ -473,6 +472,7 @@ def run_regroup(cfg, claims: Claims):
         X_PRIME_PAIR,
         Z_PRIME_MATRIX,
         Z_PRIME_PAIR,
+        _quotient,
         displacement_coset,
         dprime_elements,
         dprime_literals_match,
@@ -495,8 +495,8 @@ def run_regroup(cfg, claims: Claims):
         n_full = exhaustive_regroup_scan(orbit, full_scan=True, tol=cfg.tol)
         claims.add("regroup.full_scan_total", "SICs found scanning all 256 states", 32, n_full)
 
-    members = np.array([[b.members for b in m] for m in matching]).ravel()
-    cover = np.bincount(members, minlength=256) + 1  # + 1: the orbit SIC of each state
+    indices = _member_indices(matching)
+    cover = np.bincount(indices.ravel(), minlength=256) + 1  # + 1: the orbit SIC of each state
     claims.add(
         "regroup.double_cover",
         "every state belongs to exactly two of the 32 SICs",
@@ -511,14 +511,13 @@ def run_regroup(cfg, claims: Claims):
         len(degrees) == 1,
     )
 
-    xp, zp = X_PRIME_MATRIX, Z_PRIME_MATRIX
     claims.add(
         "regroup.generators_match_parametrization",
         "written-out generators equal their symplectic parametrization",
         True,
         dprime_literals_match(),
     )
-    comm = commutator_phase(zp, xp)
+    comm = commutator_phase(Z_PRIME_MATRIX, X_PRIME_MATRIX)
     claims.add(
         "regroup.commutation_projective",
         "clock and shift commute up to a fourth root of unity",
@@ -526,11 +525,11 @@ def run_regroup(cfg, claims: Claims):
         bool(min(abs(comm - 1j), abs(comm + 1j)) <= 1e-9),
     )
 
-    gens = np.stack([xp, zp])
-    cov = all(
-        np.all(state_action(gens, [False, False], s.states, s.states)[1] >= 1 - 1e-9)
-        for s in sics
-    )
+    # X' and Z' permute the states of each new SIC: the sorted images of its
+    # orbit indices are those indices
+    _, _, index = _quotient()
+    gens = [index[coset(X_PRIME_PAIR)], index[coset(Z_PRIME_PAIR)]]
+    cov = bool(np.all(np.sort(orbit_action()[gens][:, indices], axis=-1) == indices))
     claims.add(
         "regroup.covariance",
         "all 16 new SICs are covariant under the conjugate group",
@@ -783,16 +782,8 @@ def _render_text(report) -> str:
 def _render_tsv(report) -> str:
     lines = ["claim_id\tanchor\texpected\tobserved\tpass"]
     for c in report["claims"]:
-        lines.append(
-            "%s\t%s\t%s\t%s\t%s"
-            % (
-                c["claim_id"],
-                c["anchor"],
-                json.dumps(c["expected"]),
-                json.dumps(c["observed"]),
-                str(c["pass"]).lower(),
-            )
-        )
+        fields = (c["claim_id"], c["anchor"], json.dumps(c["expected"]), json.dumps(c["observed"]))
+        lines.append("\t".join(fields + (str(c["pass"]).lower(),)))
     payload = report.get("payload") or {}
     if "sign_patterns" in payload:
         lines.append("")

@@ -108,21 +108,9 @@ def commutator_phase(a, b) -> complex:
 
 
 def eig_hermitian(m, tol: float = DEFAULT_TOL):
-    """Eigendecomposition of a Hermitian matrix with a fixed phase gauge.
-
-    Parameters
-    ----------
-    m : array_like
-        Hermitian matrix; deviation from Hermiticity beyond ``tol`` raises.
-
-    Returns
-    -------
-    w : ndarray
-        Eigenvalues in ascending order.
-    v : ndarray
-        Eigenvectors as columns, each normalized so its largest-magnitude
-        component is real and positive.
-    """
+    """Ascending eigenvalues and column eigenvectors of a Hermitian matrix
+    (ValueError beyond ``tol`` from Hermitian), each eigenvector scaled so
+    its first largest-magnitude component is real and positive."""
     m = _as_complex(m)
     if np.max(np.abs(m - m.conj().T)) > tol:
         raise ValueError("matrix is not Hermitian within tol")
@@ -181,12 +169,13 @@ def matrix_to_json(m) -> dict:
 
 def matrix_from_json(obj) -> np.ndarray:
     """Inverse of matrix_to_json; ValueError unless the entries are d * d
-    [re, im] pairs of JSON numbers."""
+    [re, im] pairs of finite JSON numbers (Python's json reads NaN and
+    Infinity as floats)."""
     d = int(obj["dim"])
     entries = np.array(obj["entries"])  # ragged entries raise ValueError
-    if entries.shape != (d * d, 2) or entries.dtype.kind not in "iuf":
+    if entries.shape != (d * d, 2) or entries.dtype.kind not in "iuf" or not np.isfinite(entries).all():
         raise ValueError(
-            "expected %d [re, im] number pairs, got a %s array of shape %r"
+            "expected %d [re, im] pairs of finite numbers, got a %s array of shape %r"
             % (d * d, entries.dtype, entries.shape)
         )
     return np.ascontiguousarray(entries, dtype=float).view(complex).reshape(d, d)

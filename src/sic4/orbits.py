@@ -14,6 +14,7 @@ regrouping construction.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -21,8 +22,11 @@ import numpy as np
 
 from .clifford import (
     SymplecticPair,
+    _compose,
+    _pair_key,
     conjugation_action,
     enumerate_projective_clifford,
+    kernel_pairs,
     semidirect_product,
     to_operator,
 )
@@ -81,13 +85,8 @@ STABILIZER_ORBIT_SETS = (
 
 LABEL_GRID = ((1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12), (13, 14, 15, 16))
 
-# elements per block in state_action at its largest shape, 16 states against
-# the 256-state orbit: a (256, 256) complex overlap block of 1 MB, which
-# stays in cache (64 elements per block took twice as long); smaller shapes
-# take proportionally more elements per block
-ACTION_BLOCK = 16
-
-# overlap |<target| g psi>|^2 at or above 1 - MATCH_TOL names the image
+# overlap |<target| g psi>|^2 at or above 1 - MATCH_TOL names the image of
+# a bare state; states of the orbit are moved by orbit_action, exactly
 MATCH_TOL = 1e-6
 
 
@@ -155,29 +154,22 @@ def state_action(mats, anti, states, targets):
     Returns the (N, M) index of the target with the largest overlap
     |<target| g psi>|^2 = tr(target g rho g^-1), with psi-bar for an
     antiunitary element, and that overlap; callers apply their own
-    threshold.  Kets are read off the projectors once; per block of elements
-    one batched product applies them to every ket and one GEMM takes all
-    overlaps.
+    threshold.  Kets are read off the projectors once; one batched product
+    applies every element to every ket and one GEMM takes all N * M * T
+    overlaps, so callers with many elements pass them in blocks.  Orbit
+    states have exact images in orbit_action.
     """
     mats = np.asarray(mats, dtype=complex)
     anti = np.asarray(anti, dtype=bool).astype(np.intp)
     kets = rank1_kets(states).T
     sources = np.stack([kets, kets.conj()])  # indexed by the antiunitarity flag
     bras = rank1_kets(targets).conj().T
-    d, m = kets.shape
-    step = ACTION_BLOCK * max(1, 16 * 256 // (m * bras.shape[1]))
-    index = np.empty((len(mats), m), dtype=np.intp)
-    overlap = np.empty(index.shape)
-    for lo in range(0, len(mats), step):
-        g = mats[lo : lo + step]
-        images = (g @ sources[anti[lo : lo + step]]).transpose(0, 2, 1).reshape(-1, d)
-        z = images @ bras
-        ov = np.square(z.real)
-        ov += np.square(z.imag)
-        best = ov.argmax(axis=1)
-        index[lo : lo + len(g)] = best.reshape(len(g), m)
-        overlap[lo : lo + len(g)] = ov[np.arange(len(best)), best].reshape(len(g), m)
-    return index, overlap
+    z = (mats @ sources[anti]).transpose(0, 2, 1).reshape(-1, len(kets)) @ bras
+    ov = np.square(z.real)
+    ov += np.square(z.imag)
+    best = ov.argmax(axis=1)
+    shape = (len(mats), kets.shape[1])
+    return best.reshape(shape), ov[np.arange(len(best)), best].reshape(shape)
 
 
 def stability_group(rho) -> list:
@@ -186,10 +178,47 @@ def stability_group(rho) -> list:
 
     The input must be one of the 256 orbit projectors.
     """
-    if enumerate_orbit().find(rho) < 0:
+    k = enumerate_orbit().find(rho)
+    if k < 0:
         raise ValueError("projector is not on the fiducial orbit")
     group = enumerate_projective_clifford(4, extended=True)
-    return [group[i] for i in sic_symmetries(np.asarray(rho)[None], extended=True)[0]]
+    return [group[i] for i in np.flatnonzero(orbit_action()[:, k] == k)]
+
+
+@lru_cache(maxsize=1)
+def orbit_action() -> np.ndarray:
+    """Where each extended Clifford element sends each orbit state, exactly.
+
+    Entry [h, k] of the read-only int16 (1536, 256) table is the orbit index
+    of the image of state k under row h of
+    enumerate_projective_clifford(4, extended=True).  State (n, p) is rho_f
+    under g = (F_n, p), so the pairs of the cosets g s, s in the fiducial's
+    stabilizer, name it; they fill a dense _pair_key lookup.  As (F, chi)
+    (1, p) = (1, F p) (F, chi), element h sends state (n, p) to state
+    (m, q + F_h p mod 4), where (m, q) is the state of h (F_n, 0): one
+    lookup per element and label, then one affine step on 8-bit codes.
+    """
+    d, db = 4, 8
+    group = enumerate_projective_clifford(d, extended=True)
+    fn, p = np.array([pair.F for pair in SIC_LABELING]).T, np.indices((d, d)).reshape(2, d * d)
+    state = np.full(db**4 * d * d, -1, dtype=np.int16)
+    stabilizer = itertools.accumulate([FIDUCIAL_STABILIZER] * 6, semidirect_product)
+    for sk in itertools.starmap(semidirect_product, itertools.product(stabilizer, kernel_pairs(d))):
+        names = _compose(fn[:, :, None], p[:, None, :], sk.F, sk.chi, db, d)
+        state[_pair_key(*names, d)] = np.arange(256).reshape(16, 16)
+    if np.count_nonzero(state >= 0) != 256 * 6 * 8:
+        raise AssertionError("stabilizer cosets of two orbit states overlap")
+    f, chi = group.f.T[:, :, None], group.chi.T[:, :, None]
+    image = state[_pair_key(*_compose(f, chi, fn[:, None, :], (0, 0), db, d), d)]  # (N, 16)
+    if image.min() < 0:
+        raise ValueError("an element maps the orbit off itself")
+    fp = _compose(f, (0, 0), (1, 0, 0, 1), p[:, None, :], db, d)[1]
+    fp = (fp[0] * d + fp[1]).astype(np.uint8)  # code of F_h p, (N, 16)
+    chisum = ((p[0][:, None] + p[0]) % d * d + (p[1][:, None] + p[1]) % d).astype(np.uint8)
+    q = image % 16
+    action = ((image - q)[:, :, None] + chisum[q[:, :, None], fp[:, None, :]]).reshape(len(group), 256)
+    action.flags.writeable = False
+    return action
 
 
 def conjugation_cycle(pair: SymplecticPair, p) -> list:
@@ -328,26 +357,24 @@ def state_permutations(mats, states) -> np.ndarray:
     return index
 
 
-def sic_symmetries(states, *, extended: bool) -> tuple:
+def sic_symmetries(indices, *, extended: bool) -> tuple:
     """The enumerated (extended) Clifford elements that permute a set of M
-    rank-1 states by conjugation: their (k,) indices into
+    orbit states, given by their orbit indices: their (k,) indices into
     enumerate_projective_clifford(4, extended=extended) and the (k, M)
-    permutations they induce.  Every element is screened on where it sends
-    state 0; the survivors act on every state and are kept when each image
-    matches a state to within MATCH_TOL and the images are all distinct."""
-    group = enumerate_projective_clifford(4, extended=extended)
-    states = np.asarray(states, dtype=complex)
-    _, ov = state_action(group.mats, group.anti, states[:1], states)
-    keep = np.flatnonzero(ov[:, 0] >= 1.0 - MATCH_TOL)
-    index, ov = state_action(group.mats[keep], group.anti[keep], states, states)
-    matched = np.all(ov >= 1.0 - MATCH_TOL, axis=1)
-    bijective = np.all(np.sort(index, axis=1) == np.arange(len(states)), axis=1)
-    return keep[matched & bijective], index[matched & bijective]
+    permutations they induce, as positions in ``indices``.  An element is
+    kept when orbit_action sends every state into the set."""
+    indices = np.asarray(indices)
+    position = np.full(256, -1)
+    position[indices] = np.arange(len(indices))
+    n = len(enumerate_projective_clifford(4, extended=extended))
+    perms = position[orbit_action()[:n, indices]]
+    keep = np.flatnonzero(np.all(perms >= 0, axis=1))
+    return keep, perms[keep]
 
 
 def symmetry_group_of_sic(label: int = 1) -> tuple:
     """sic_symmetries of one orbit SIC in the extended Clifford group."""
-    return sic_symmetries(enumerate_orbit().sic(label).states, extended=True)
+    return sic_symmetries(np.arange(16) + 16 * (label - 1), extended=True)
 
 
 def _triple_cluster_ids(states, gap: float = 1e-6):
@@ -392,10 +419,9 @@ def verify_symmetry_group_in_clifford() -> SymmetryReport:
     triple-trace-preserving permutations are exhausted by the unitary
     stabilizer.
     """
-    states = enumerate_orbit().sic(1).states
+    group = enumerate_projective_clifford(4, extended=True)
     sym, perms = symmetry_group_of_sic(1)
-    anti = enumerate_projective_clifford(4, extended=True).anti
-    perms = perms[~anti[sym]]  # the unitary symmetries
+    perms = perms[~group.anti[sym]]  # the unitary symmetries
     if distinct_rows(perms) != len(perms):
         raise AssertionError("state action of the symmetry group is not faithful")
 
@@ -407,7 +433,9 @@ def verify_symmetry_group_in_clifford() -> SymmetryReport:
         conj = np.take_along_axis(perms[None], tp[:, np.argsort(perms, axis=1)], axis=2)
         unique16 = bool(np.all(_is_member(conj, tp)))
     if unique16:
-        disp = state_permutations(displacement_table(4).reshape(16, 4, 4), states)
+        # the displacements are the rows with F = 1, in (p1, p2) order; SIC 1
+        # holds orbit states 0..15
+        disp = orbit_action()[np.all(group.f == (1, 0, 0, 1), axis=1), :16]
         unique16 = bool(np.all(_is_member(disp, tp)) and np.all(_is_member(tp, disp)))
 
     rigid = rigid_permutations(1, limit=10)
@@ -419,25 +447,6 @@ def verify_symmetry_group_in_clifford() -> SymmetryReport:
     )
 
 
-def _label_images(mats, anti) -> np.ndarray:
-    """The (N, 16) 0-based labels of the SICs that each of N elements sends
-    SICs 1..16 to; ValueError when an element maps the orbit off itself."""
-    orbit = enumerate_orbit()
-    index, ov = state_action(mats, anti, orbit.projectors[::16], orbit.projectors)
-    if ov.min() < 1.0 - MATCH_TOL:
-        raise ValueError("element does not map the orbit to itself")
-    return index // 16
-
-
-@lru_cache(maxsize=1)
-def _clifford_label_images() -> np.ndarray:
-    """Read-only int8 _label_images of the 1536 extended elements, unitary first."""
-    group = enumerate_projective_clifford(4, extended=True)
-    images = _label_images(group.mats, group.anti).astype(np.int8)
-    images.flags.writeable = False
-    return images
-
-
 @lru_cache(maxsize=None)
 def label_permutation_group(extended: bool = False):
     """Distinct label permutations induced by the (extended) Clifford group,
@@ -445,7 +454,7 @@ def label_permutation_group(extended: bool = False):
     extended=extended) of the elements inducing it, in enumeration order."""
     n = len(enumerate_projective_clifford(4, extended=extended))
     perms = {}
-    for i, perm in enumerate(_clifford_label_images()[:n].tolist()):
+    for i, perm in enumerate((orbit_action()[:n, ::16] // 16).tolist()):
         perms.setdefault(tuple(perm), []).append(i)
     return perms
 

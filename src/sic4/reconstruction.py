@@ -20,7 +20,7 @@ import numpy as np
 
 from .numerics import DEFAULT_TOL, canonical_phase, commutator_phase, eig_hermitian
 from .orbits import projectively_distinct, sic_symmetries, state_permutations, two_power_subgroup
-from .weyl_heisenberg import CONSTANTS, SicPovm, shift_clock_products, verify_sic
+from .weyl_heisenberg import CONSTANTS, SicPovm, SicReport, shift_clock_products, verify_sic
 
 # eigenvalue of the 4-state sum paired with the phase i^k it tags
 _SQ5 = math.sqrt(5.0)
@@ -105,7 +105,12 @@ def _phase_operator(m: np.ndarray) -> np.ndarray:
 
 
 class NotASicError(ValueError):
-    """The input of a reconstruction fails verify_sic."""
+    """The input of a reconstruction fails verify_sic; ``report`` is the
+    failing SicReport."""
+
+    def __init__(self, report: SicReport):
+        super().__init__("input does not certify as a SIC-POVM")
+        self.report = report
 
 
 @dataclass
@@ -122,8 +127,9 @@ def reconstruct_hw(sic: SicPovm, tol: float = DEFAULT_TOL) -> ReconstructedGroup
     displacement indexing is assumed.  Returns clock/shift generators
     satisfying z x = omega x z exactly, and the 16 projective group elements.
     """
-    if not verify_sic(sic.states, sic.d, tol).is_sic:
-        raise NotASicError("input does not certify as a SIC-POVM")
+    report = verify_sic(sic.states, sic.d, tol)
+    if not report.is_sic:
+        raise NotASicError(report)
     states = sic.states
 
     quad = _first_match(states, _quad_index())
@@ -171,9 +177,10 @@ def reference_quads(states) -> np.ndarray:
     return index[_matches_reference(signatures(states, index))]
 
 
-def uniqueness_check(states) -> bool:
-    """True iff the order-48 projective symmetry group of the states of a
-    SIC, certified by the caller, contains exactly one order-16 subgroup.
+def uniqueness_check(indices) -> bool:
+    """True iff the order-48 projective symmetry group of a SIC of orbit
+    states, given by their orbit indices and certified by the caller,
+    contains exactly one order-16 subgroup.
 
     The certificate: a group of order 48 has order-16 subgroups exactly as
     Sylow 2-subgroups; if the elements of 2-power order number exactly 16
@@ -181,7 +188,7 @@ def uniqueness_check(states) -> bool:
     Sylow subgroups would overflow that count).  The states of a SIC span
     the operators, so each symmetry permutes them differently.
     """
-    perms = sic_symmetries(states, extended=False)[1]
+    perms = sic_symmetries(indices, extended=False)[1]
     if len(perms) != 48:
         raise ValueError("symmetry group inside the Clifford group has order %d, expected 48" % len(perms))
     return two_power_subgroup(perms)[1]

@@ -141,24 +141,42 @@ def test_reconstruct_input_wrong_states_exits_2(shape, tmp_path, capsys):
     _assert_input_error(["reconstruct", "--input", str(_sic_file(tmp_path, states))], capsys)
 
 
-@pytest.mark.parametrize("entry", ["1", None, [1.0], [1, 2, 3]], ids=["string", "null", "short", "long"])
+@pytest.mark.parametrize(
+    "entry",
+    ["1", None, [1.0], [1, 2, 3], "NaN", "Infinity", "-Infinity"],
+    ids=["string", "null", "short", "long", "nan", "inf", "-inf"],
+)
 def test_reconstruct_input_non_number_entry_exits_2(entry, tmp_path, capsys):
     from sic4.orbits import enumerate_orbit
 
     f = _sic_file(tmp_path, enumerate_orbit().sic(1).states)
     doc = json.loads(f.read_text())
-    doc["states"][5]["entries"][7] = [entry, 0.0] if entry in ("1", None) else entry
-    f.write_text(json.dumps(doc))
+    doc["states"][5]["entries"][7] = entry if isinstance(entry, list) else [entry, 0.0]
+    text = json.dumps(doc)
+    if entry in ("NaN", "Infinity", "-Infinity"):  # raw JSON tokens, not strings
+        text = text.replace('"%s"' % entry, entry)
+    f.write_text(text)
     _assert_input_error(["reconstruct", "--input", str(f)], capsys)
 
 
 def test_reconstruct_input_non_sic_exits_1(tmp_path, capsys):
     from sic4.orbits import enumerate_orbit
 
+    # a pure state off the SIC breaks the fidelities and the sum, a mixed
+    # one also the projector condition; the payload names which and by how much
     states = enumerate_orbit().sic(1).states.copy()
     states[0] = np.diag([1, 0, 0, 0])
     assert main(["reconstruct", "--input", str(_sic_file(tmp_path, states))]) == 1
     assert "[FAIL] reconstruct.input_is_sic" in capsys.readouterr().out
+    for state, state_fails in ((np.diag([1, 0, 0, 0]), False), (np.eye(4) / 4, True)):
+        states[0] = state
+        argv = ["reconstruct", "--input", str(_sic_file(tmp_path, states)), "--tol", "1e-6"]
+        rc, report = _json_run(argv, tmp_path, capsys)
+        assert rc == 1 and [c["observed"] for c in report["claims"]] == [False]
+        dev = report["payload"]["sic_deviations"]
+        assert report["payload"]["tol"] == 1e-6 and set(dev) == {"fidelity", "state", "completeness"}
+        assert dev["fidelity"] > 1e-6 and dev["completeness"] > 1e-6
+        assert (dev["state"] > 1e-6) == state_fails
 
 
 @pytest.mark.parametrize("sic", ["orbit", "not-sic"])
@@ -359,6 +377,20 @@ def test_symmetry_matches_ignore_a_loose_tolerance(tmp_path, capsys):
     assert rc == 0
 
 
+def test_orbit_and_symmetry_read_orbit_states_as_integers(monkeypatch, tmp_path, capsys):
+    # stabilizers, symmetry groups and label permutations are lookups in
+    # orbit_action, never numeric matches of orbit states
+    import sic4.orbits
+
+    def boom(*args, **kwargs):
+        raise AssertionError("state_action called")
+
+    monkeypatch.setattr(sic4.orbits, "state_action", boom)
+    for section, n in (("orbit", 11), ("symmetry", 12)):
+        rc, report = _json_run([section], tmp_path, capsys)
+        assert rc == 0 and (report["passed"], report["failed"]) == (n, 0), section
+
+
 def test_all_passes_at_a_loose_tolerance(tmp_path, capsys):
     # the fidelity-1/5 graph decides at FIDELITY_TOL, not --tol: at --tol 0.3
     # each block still has one partner, and every section runs through
@@ -422,7 +454,7 @@ def test_cli_imports_build_no_tables():
         "sic4.clifford.enumerate_projective_clifford",
         "sic4.clifford.multiplication_table",
         "sic4.orbits.enumerate_orbit",
-        "sic4.orbits._clifford_label_images",
+        "sic4.orbits.orbit_action",
         "sic4.reconstruction._quad_index",
         "sic4.regrouping.dprime_literals_match",
         "sic4.regrouping._enumerated_family",

@@ -149,7 +149,10 @@ def test_matrix_from_json_matches_per_entry_complex():
 
 
 @pytest.mark.parametrize(
-    "entry", [["1", 0.0], "1", [None, 0.0], None, [1.0], [1, 2, 3], [[1.0], 0.0], True], ids=repr
+    "entry",
+    [["1", 0.0], "1", [None, 0.0], None, [1.0], [1, 2, 3], [[1.0], 0.0], True]
+    + [[np.nan, 0.0], [0.0, np.inf], [-np.inf, 0.0]],
+    ids=repr,
 )
 def test_matrix_from_json_rejects_non_number_entries(entry):
     obj = matrix_to_json(np.eye(4))

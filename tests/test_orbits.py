@@ -3,22 +3,20 @@ import itertools
 import numpy as np
 import pytest
 
-from sic4.clifford import SymplecticPair, conjugation_action, enumerate_projective_clifford, to_operator
+from sic4.clifford import conjugation_action, enumerate_projective_clifford, to_operator
 from sic4.numerics import DEFAULT_TOL, conjugate, proj_equal
 from sic4.orbits import (
-    ACTION_BLOCK,
     FIDUCIAL_STABILIZER,
     LABEL_GRID,
     MATCH_TOL,
     STABILIZER_CYCLE,
     STABILIZER_MATRIX,
     STABILIZER_ORBIT_SETS,
-    _clifford_label_images,
     _distinct_triples,
-    _label_images,
     _triple_cluster_ids,
     enumerate_orbit,
     label_permutation_group,
+    orbit_action,
     permutation_orders,
     rigid_permutations,
     sic_symmetries,
@@ -33,7 +31,7 @@ from sic4.orbits import (
     two_power_subgroup,
     verify_symmetry_group_in_clifford,
 )
-from sic4.weyl_heisenberg import verify_sic
+from sic4.weyl_heisenberg import displacement_table, verify_sic
 
 # triple-trace clusters of one SIC, sorted by (re, im); all on the circle
 # of radius 5^{-3/2}
@@ -156,8 +154,9 @@ def test_label_permutations():
 
 def test_symmetry_action_of_clock():
     # conjugating by any displacement fixes every SIC as a set
-    u = to_operator(SymplecticPair((1, 0, 0, 1), (0, 1), 4))
-    assert _label_images(u.matrix[None], [u.antiunitary])[0].tolist() == list(range(16))
+    group = enumerate_projective_clifford(4, extended=True)
+    (row,) = np.flatnonzero(np.all(group.f == (1, 0, 0, 1), axis=1) & np.all(group.chi == (0, 1), axis=1))
+    assert (orbit_action()[row, ::16] // 16).tolist() == list(range(16))
 
 
 def test_label_grid_shape():
@@ -189,13 +188,13 @@ def test_triple_phase_monotone():
 
 
 def test_state_action_matches_per_element_find():
-    # a ragged last block and both unitary and antiunitary elements
+    # both unitary and antiunitary elements
     orbit = enumerate_orbit()
     group = enumerate_projective_clifford(4, extended=True)
     mats, anti = group.mats, group.anti
     rng = np.random.default_rng(11)
     pick = rng.choice(len(group), size=101, replace=False)
-    assert len(pick) % ACTION_BLOCK and anti[pick].any() and not anti[pick].all()
+    assert anti[pick].any() and not anti[pick].all()
     states = orbit.projectors[rng.choice(256, size=5, replace=False)]
     index, ov = state_action(mats[pick], anti[pick], states, orbit.projectors)
     assert index.shape == ov.shape == (101, 5)
@@ -321,6 +320,16 @@ def _superoperator_state_action(mats, anti, states, targets, block=64):
     return index, overlap
 
 
+def _state_action_in_blocks(mats, anti, states, targets, block):
+    """state_action over blocks of elements, which bounds the overlaps it
+    holds at once to block * M * T."""
+    parts = [
+        state_action(mats[lo : lo + block], anti[lo : lo + block], states, targets)
+        for lo in range(0, len(mats), block)
+    ]
+    return tuple(np.concatenate(a) for a in zip(*parts))
+
+
 @pytest.mark.parametrize("case", ["sic", "orbit", "ragged"])
 def test_ket_state_action_matches_superoperator_form(case):
     orbit = enumerate_orbit()
@@ -329,11 +338,8 @@ def test_ket_state_action_matches_superoperator_form(case):
     states = orbit.sic(5).states
     targets = orbit.projectors if case == "orbit" else states
     if case == "ragged":
-        # 5 states against 16 targets: blocks of ACTION_BLOCK * (4096 // 80)
-        # elements, the last of the 1536 ragged
-        states = states[[0, 3, 6, 9, 12]]
-        assert len(mats) % (ACTION_BLOCK * (16 * 256 // (5 * 16)))
-    index, ov = state_action(mats, anti, states, targets)
+        states = states[[0, 3, 6, 9, 12]]  # 5 states against 16 targets
+    index, ov = _state_action_in_blocks(mats, anti, states, targets, 256)
     old_index, old_ov = _superoperator_state_action(mats, anti, states, targets)
     assert np.max(np.abs(ov - old_ov)) < 1e-12
     hit = old_ov >= 1.0 - MATCH_TOL
@@ -377,7 +383,7 @@ def test_permutation_orders_match_composition_loop():
 def test_two_power_subgroup_matches_set_certificate():
     # the symmetry group of SIC 1 (closed) and S4 on 4 of 16 points, whose
     # 16 elements of 2-power order do not close under composition
-    perms = sic_symmetries(enumerate_orbit().sic(1).states, extended=False)[1]
+    perms = sic_symmetries(np.arange(16), extended=False)[1]
     sic_group = sorted(map(tuple, perms.tolist()))
     s4 = [p + tuple(range(4, 16)) for p in itertools.permutations(range(4))]
     for group, closed in ((sic_group, True), (s4, False)):
@@ -447,11 +453,21 @@ def test_gram_triples_match_projector_einsum():
         assert np.max(np.abs(vals - t[mask])) <= 1e-15
 
 
-def test_label_images_are_shared_by_both_groups():
-    group = enumerate_projective_clifford(4, extended=False)
-    images = _clifford_label_images()
-    assert images.shape == (1536, 16) and not images.flags.writeable
-    assert np.array_equal(images[:768], _label_images(group.mats, group.anti))
+def test_orbit_action_matches_numeric_action():
+    # every one of the 1536 * 256 entries against the overlap of the image
+    orbit = enumerate_orbit()
+    group = enumerate_projective_clifford(4, extended=True)
+    table = orbit_action()
+    assert table.dtype == np.int16 and table.shape == (1536, 256) and not table.flags.writeable
+    assert np.array_equal(np.sort(table, axis=1), np.broadcast_to(np.arange(256), table.shape))
+    index, ov = _state_action_in_blocks(group.mats, group.anti, orbit.projectors, orbit.projectors, 16)
+    assert ov.min() >= 1.0 - MATCH_TOL
+    assert np.array_equal(table, index)
+    # rows 128..143 are the displacements, in (p1, p2) order
+    assert np.array_equal(group.f[128:144], np.tile((1, 0, 0, 1), (16, 1)))
+    assert np.array_equal(group.chi[128:144], np.indices((4, 4)).reshape(2, 16).T)
+    disp = state_permutations(displacement_table(4).reshape(16, 4, 4), orbit.projectors)
+    assert np.array_equal(table[128:144], disp)
 
 
 def _symmetries_by_elements_sending(states, extended):
@@ -472,32 +488,35 @@ def _symmetries_by_elements_sending(states, extended):
     return sending, perms
 
 
-def _all_sics():
+def _all_sic_indices():
+    """The orbit indices of the states of the 32 SICs, each in SIC order."""
     from sic4.regrouping import regrouped_family
 
-    orbit = enumerate_orbit()
-    return [orbit.sic(label).states for label in range(1, 17)] + [s.states for s in regrouped_family(orbit)[0]]
+    matching = regrouped_family(enumerate_orbit())[1]
+    regrouped = [np.sort(np.concatenate([b.members for b in m])) for m in matching]
+    return list(np.arange(256).reshape(16, 16)) + regrouped
 
 
 def test_sic_symmetries_of_sic_1():
     states = enumerate_orbit().sic(1).states
     for extended, order in ((True, 96), (False, 48)):
-        index, perms = sic_symmetries(states, extended=extended)
+        index, perms = sic_symmetries(np.arange(16), extended=extended)
         assert len(index) == order and perms.shape == (order, 16)
         old_index, old_perms = _symmetries_by_elements_sending(states, extended)
         assert np.array_equal(index, old_index) and np.array_equal(perms, old_perms)
-    assert np.array_equal(symmetry_group_of_sic(1)[0], sic_symmetries(states, extended=True)[0])
+    assert np.array_equal(symmetry_group_of_sic(1)[0], sic_symmetries(np.arange(16), extended=True)[0])
 
 
 @pytest.mark.parametrize("extended", [False, True])
 def test_sic_symmetries_match_elements_sending_on_all_32_sics(extended):
     rng = np.random.default_rng(17)
-    sics = _all_sics()
+    projectors = enumerate_orbit().projectors
+    sics = _all_sic_indices()
     shuffle = rng.permutation(16)
     sics.append(sics[20][shuffle])  # a regrouped SIC in another state order
-    for k, states in enumerate(sics):
-        index, perms = sic_symmetries(states, extended=extended)
-        old_index, old_perms = _symmetries_by_elements_sending(states, extended)
+    for k, idx in enumerate(sics):
+        index, perms = sic_symmetries(idx, extended=extended)
+        old_index, old_perms = _symmetries_by_elements_sending(projectors[idx], extended)
         assert np.array_equal(index, old_index) and np.array_equal(perms, old_perms), k
         assert len(index) == (96 if extended else 48)
     # relabelling the states conjugates each permutation by the shuffle
@@ -511,7 +530,7 @@ def test_stability_group_is_sic_symmetries_of_one_state():
     group = enumerate_projective_clifford(4, extended=True)
     for k in (0, 37, 255):
         rho = orbit.projectors[k]
-        index, perms = sic_symmetries(rho[None], extended=True)
+        index, perms = sic_symmetries([k], extended=True)
         stab = stability_group(rho)
         assert len(stab) == 6 and perms.tolist() == [[0]] * 6
         assert [e.source for e in stab] == [group[i].source for i in index]

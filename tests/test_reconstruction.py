@@ -140,10 +140,9 @@ def test_reconstruct_rejects_non_sic():
 
 
 def test_uniqueness_certificate():
-    orbit = enumerate_orbit()
-    assert uniqueness_check(orbit.sic(1).states)
-    sics, _ = regrouped_family(orbit)
-    assert uniqueness_check(sics[0].states)
+    _, matching = regrouped_family(enumerate_orbit())
+    assert uniqueness_check(np.arange(16))
+    assert uniqueness_check(np.sort(np.concatenate([b.members for b in matching[0]])))
 
 
 def test_screened_symmetry_permutations_match_full_action():
@@ -151,14 +150,15 @@ def test_screened_symmetry_permutations_match_full_action():
     group = enumerate_projective_clifford(4, extended=False)
     mats, anti = group.mats, group.anti
     orbit = enumerate_orbit()
-    sics = [orbit.sic(label) for label in range(1, 17)] + regrouped_family(orbit)[0]
-    for sic in sics:
-        index, ov = state_action(mats[~anti], anti[~anti], sic.states, sic.states)
+    regrouped = [np.sort(np.concatenate([b.members for b in m])) for m in regrouped_family(orbit)[1]]
+    for idx in list(np.arange(256).reshape(16, 16)) + regrouped:
+        states = orbit.projectors[idx]
+        index, ov = state_action(mats[~anti], anti[~anti], states, states)
         matched = np.all(ov >= 1.0 - MATCH_TOL, axis=1)
         bijective = np.all(np.sort(index, axis=1) == np.arange(16), axis=1)
         full = {tuple(p) for p in index[matched & bijective].tolist()}
         assert len(full) == 48
-        perms = sic_symmetries(sic.states, extended=False)[1]
+        perms = sic_symmetries(idx, extended=False)[1]
         assert len(perms) == 48 and {tuple(p) for p in perms.tolist()} == full
 
 
