@@ -527,7 +527,7 @@ def run_regroup(cfg, claims: Claims):
 
     # X' and Z' permute the states of each new SIC: the sorted images of its
     # orbit indices are those indices
-    _, _, index = _quotient()
+    _, index = _quotient()
     gens = [index[coset(X_PRIME_PAIR)], index[coset(Z_PRIME_PAIR)]]
     cov = bool(np.all(np.sort(orbit_action()[gens][:, indices], axis=-1) == indices))
     claims.add(
@@ -906,8 +906,12 @@ def main(argv=None) -> int:
     else:
         text = _render_text(report)
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(cfg.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print("sic4: error: --out %s: %s" % (cfg.out, exc.strerror or exc), file=sys.stderr)
+            return 2
         print("report written to %s (%d/%d passed)" % (cfg.out, passed, len(claims.rows)))
     else:
         print(text)

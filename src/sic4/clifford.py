@@ -268,52 +268,3 @@ def _coset_names(d: int) -> tuple:
     keys = _coset_keys(group.f.T, group.chi.T, d)
     *f, c0, c1 = np.unravel_index(keys, (2 * d,) * 4 + (d, d))
     return tuple(zip(zip(*(x.tolist() for x in f)), zip(c0.tolist(), c1.tolist())))
-
-
-# rows of the Cayley table gathered per block in multiplication_table; 16
-# rows keep the temporaries near 100 kB and measured fastest
-TABLE_BLOCK = 16
-
-
-@lru_cache(maxsize=None)
-def multiplication_table(d: int = 4) -> np.ndarray:
-    """Cayley table of the projective Clifford group, as int16.
-
-    Entry [i, j] is the index, among the unitary elements of
-    enumerate_projective_clifford(d), of element i times element j.  The
-    law (F, chi) (G, psi) = (F G, chi + F psi) is factored into a table of
-    F G over the distinct F of the coset representatives, a table of F psi
-    codes and a table of chi sums; rows are gathered TABLE_BLOCK at a time
-    through a dense (F, chi) -> index array.  A product that lands outside
-    the enumerated cosets raises ValueError.
-    """
-    group = enumerate_projective_clifford(d, extended=False)
-    n = len(group)
-    if n != 768:
-        raise AssertionError("projective Clifford quotient should have 768 elements")
-    db, dd = 2 * d, d * d
-    f, chi = group.f.T, group.chi.T
-    index = np.full(db**4 * dd, -1, dtype=np.int16)
-    for k in kernel_pairs(d):
-        index[_pair_key(*_compose(f, chi, k.F, k.chi, db, d), d)] = np.arange(n)
-    fs, fcode = np.unique(f.T, axis=0, return_inverse=True)
-    fcode, ccode = fcode.ravel(), chi[0] * d + chi[1]
-    # over the distinct F_u: the key of F_u F_v (with chi = 0) and the code
-    # of F_u psi_c, then read against every element j
-    fu, psi = fs.T[:, :, None], np.indices((d, d)).reshape(2, dd)
-    fkey = _pair_key(_compose(fu, (0, 0), fs.T[:, None, :], (0, 0), db, d)[0], (0, 0), d)
-    fchi = _compose(fu, (0, 0), (1, 0, 0, 1), psi[:, None, :], db, d)[1]
-    fkey, fchi = fkey[:, fcode], (fchi[0] * d + fchi[1])[:, ccode]
-    # chisum[c, c']: the code of psi_c + psi_c'
-    chisum = (psi[0][:, None] + psi[0]) % d * d + (psi[1][:, None] + psi[1]) % d
-    table = np.empty((n, n), dtype=np.int16)
-    for lo in range(0, n, TABLE_BLOCK):
-        u, c = fcode[lo : lo + TABLE_BLOCK], ccode[lo : lo + TABLE_BLOCK, None]
-        rows = index[fkey[u] + chisum[c, fchi[u]]]
-        bad = np.flatnonzero(rows.min(axis=1) < 0)
-        if len(bad):
-            pair = group[lo + bad[0]].source
-            raise ValueError("product of %r leaves the projective quotient" % (pair,))
-        table[lo : lo + TABLE_BLOCK] = rows
-    table.flags.writeable = False
-    return table

@@ -221,6 +221,34 @@ def orbit_action() -> np.ndarray:
     return action
 
 
+@lru_cache(maxsize=1)
+def _element_of() -> np.ndarray:
+    """The row of enumerate_projective_clifford(4, extended=True) sending
+    orbit state 0 to a and state 1 to b, at code 256 a + b: a read-only
+    int16 array of 65,536 entries, -1 where no row does.  AssertionError
+    when two rows send both states alike."""
+    act = orbit_action().view(np.uint16)
+    element = np.full(1 << 16, -1, dtype=np.int16)
+    element[act[:, 0] << 8 | act[:, 1]] = np.arange(len(act))
+    if np.count_nonzero(element >= 0) != len(act):
+        raise AssertionError("orbit states 0 and 1 do not tell the elements apart")
+    element.flags.writeable = False
+    return element
+
+
+def element_product(i, j) -> np.ndarray:
+    """Row index of element i times element j (i after j), elementwise over
+    broadcast index arrays into enumerate_projective_clifford(4,
+    extended=True).  The group acts faithfully on the orbit, so the product
+    is the row sending states 0 and 1 where i after j sends them; a product
+    that names no element raises ValueError."""
+    act = orbit_action().view(np.uint16)
+    k = _element_of()[act[i, act[j, 0]] << 8 | act[i, act[j, 1]]]
+    if np.any(k < 0):
+        raise ValueError("a product names no enumerated Clifford element")
+    return k
+
+
 def conjugation_cycle(pair: SymplecticPair, p) -> list:
     """The displacement indices p, q, ... visited by repeated conjugation
     by pair, up to the return to p."""

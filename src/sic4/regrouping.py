@@ -21,11 +21,10 @@ from .clifford import (
     _coset_names,
     coset,
     enumerate_projective_clifford,
-    multiplication_table,
     to_operator,
 )
 from .numerics import commutator_phase, is_unitary, proj_equal
-from .orbits import LABEL_GRID, FiducialOrbit, enumerate_orbit, fiducial_projector
+from .orbits import LABEL_GRID, FiducialOrbit, element_product, enumerate_orbit, fiducial_projector
 from .weyl_heisenberg import SicPovm, shift_clock_products, verify_sic
 
 # two orbit states are fidelity-1/5 neighbours when |tr(a b) - 1/5| is at
@@ -267,8 +266,7 @@ def equivalence_unitary() -> np.ndarray:
 # census of displacement-type subgroups inside the projective Clifford group
 #
 # elements are kernel cosets, named by clifford.coset and indexed as in
-# the unitary enumerate_projective_clifford(4); products are lookups in the
-# Cayley table.
+# the unitary enumerate_projective_clifford(4).
 
 # generators of the unitary projective Clifford group: two symplectic
 # elements and the displacements D_(1,0), D_(0,1); their products reach all
@@ -286,26 +284,27 @@ CLIFFORD_GENERATORS = tuple(
 
 @lru_cache(maxsize=1)
 def _quotient() -> tuple:
-    """(Cayley table, coset names, name -> index) of the 768 unitary cosets."""
+    """(coset names, name -> index) of the 768 unitary cosets."""
     names = _coset_names(4)
-    return multiplication_table(4), names, {name: i for i, name in enumerate(names)}
+    return names, {name: i for i, name in enumerate(names)}
 
 
-def _span(table: np.ndarray, x, z, identity: int) -> np.ndarray:
+def _span(x, z, identity: int) -> np.ndarray:
     """Indices of x^a z^b, 0 <= a, b < 4, as a (P, 16) array for P pairs."""
 
     def powers(g):
-        return np.stack([np.full_like(g, identity), g, table[g, g], table[table[g, g], g]], 1)
+        square = element_product(g, g)
+        return np.stack([np.full_like(g, identity), g, square, element_product(square, g)], 1)
 
     x, z = np.atleast_1d(x), np.atleast_1d(z)
-    return table[powers(x)[:, :, None], powers(z)[:, None, :]].reshape(len(x), 16)
+    return element_product(powers(x)[:, :, None], powers(z)[:, None, :]).reshape(len(x), 16)
 
 
 def generated_cosets(x: SymplecticPair, z: SymplecticPair) -> frozenset:
     """Coset names of x^a z^b, 0 <= a, b < 4: the group <x, z> when x and
     z commute projectively and have order 4."""
-    table, names, index = _quotient()
-    span = _span(table, index[coset(x)], index[coset(z)], index[displacement_coset(0, 0)])
+    names, index = _quotient()
+    span = _span(index[coset(x)], index[coset(z)], index[displacement_coset(0, 0)])
     return frozenset(names[k] for k in span[0])
 
 
@@ -318,16 +317,17 @@ def hw_conjugate_subgroup_census() -> tuple:
     the generators to be a primitive fourth root of unity, which pins the
     commutation structure down to that of the displacement pair.
     """
-    table, names, index = _quotient()
+    names, index = _quotient()
     mats = enumerate_projective_clifford(4, extended=False).mats
     identity = index[displacement_coset(0, 0)]
-    square = np.diagonal(table)
+    unitary = np.arange(len(names))
+    square = element_product(unitary, unitary)
     # order-4 elements, in coset-name order so the census lists are stable
     quartic = np.flatnonzero((square != identity) & (square[square] == identity))
     quartic = np.array(sorted(quartic, key=names.__getitem__))
-    sub = table[np.ix_(quartic, quartic)]
+    sub = element_product(quartic[:, None], quartic)
     x, z = (quartic[k] for k in np.nonzero(np.triu(sub == sub.T, 1)))
-    spans = np.sort(_span(table, x, z, identity), axis=1)
+    spans = np.sort(_span(x, z, identity), axis=1)
     full = np.all(np.diff(spans, axis=1) != 0, axis=1)
     # one pair per distinct 16-element span, the first in pair order
     first = np.flatnonzero(full)[np.sort(np.unique(spans[full], axis=0, return_index=True)[1])]
@@ -337,12 +337,12 @@ def hw_conjugate_subgroup_census() -> tuple:
         subgroups[frozenset(spans[k].tolist())] = abs(c.imag) > 0.5  # primitive pairing
     hw_type = [s for s, primitive in subgroups.items() if primitive]
     gens = [index[coset(g)] for g in CLIFFORD_GENERATORS]
-    inverses = [np.flatnonzero(table[g] == identity)[0] for g in gens]
+    inverses = [np.flatnonzero(element_product(g, unitary) == identity)[0] for g in gens]
     normal = [
         s
         for s in hw_type
         if all(
-            s.issuperset(table[table[g, list(s)], g_inv].tolist())
+            s.issuperset(element_product(element_product(g, list(s)), g_inv).tolist())
             for g, g_inv in zip(gens, inverses)
         )
     ]

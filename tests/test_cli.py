@@ -111,6 +111,17 @@ def _assert_input_error(argv, capsys):
     assert len(err) == 1 and err[0].startswith("sic4: error: --input ")
 
 
+@pytest.mark.parametrize("target", ["absent/r.txt", "."], ids=["missing-dir", "directory"])
+def test_unwritable_out_exits_2(target, tmp_path, capsys):
+    # a missing directory and a directory itself: one error line, no traceback
+    out = tmp_path / target
+    assert main(["triples", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("sic4: error: --out %s: " % out)
+    assert "Traceback" not in captured.err + captured.out
+
+
 def test_reconstruct_input_missing_file_exits_2(tmp_path, capsys):
     _assert_input_error(["reconstruct", "--input", str(tmp_path / "absent.json")], capsys)
 
@@ -452,8 +463,8 @@ def test_cli_imports_build_no_tables():
     caches = (
         "sic4.cli._make_parser",
         "sic4.clifford.enumerate_projective_clifford",
-        "sic4.clifford.multiplication_table",
         "sic4.orbits.enumerate_orbit",
+        "sic4.orbits._element_of",
         "sic4.orbits.orbit_action",
         "sic4.reconstruction._quad_index",
         "sic4.regrouping.dprime_literals_match",

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -15,12 +16,12 @@ from sic4.clifford import (
     coset,
     enumerate_projective_clifford,
     kernel_pairs,
-    multiplication_table,
     semidirect_product,
     symplectic_group_matrices,
     to_operator,
 )
 from sic4.numerics import is_unitary, match_projective, proj_equal
+from sic4.orbits import _element_of, element_product
 from sic4.weyl_heisenberg import displacement, displacement_table, tau
 
 
@@ -152,14 +153,20 @@ def test_match_projective():
 def _float_hash_sources(extended):
     """Reference enumeration: dedup every pair's operator by a phase-fixed,
     rounded fingerprint of its matrix, keeping the first pair per class."""
+    return [p for det in ((1, 7) if extended else (1,)) for p in _float_hash_sector(det)]
+
+
+@functools.lru_cache(maxsize=None)
+def _float_hash_sector(det):
+    """_float_hash_sources of one determinant sector; its fingerprints carry
+    the antiunitarity flag, so the sectors share no class."""
     seen = {}
-    for det in (1, 7) if extended else (1,):
-        for f in symplectic_group_matrices(8, det):
-            for chi in itertools.product(range(4), repeat=2):
-                pair = SymplecticPair(f, chi, 4)
-                op = to_operator(pair)
-                seen.setdefault((op.antiunitary, canonical_key(op.matrix)), pair)
-    return [(p.F, p.chi) for p in seen.values()]
+    for f in symplectic_group_matrices(8, det):
+        for chi in itertools.product(range(4), repeat=2):
+            pair = SymplecticPair(f, chi, 4)
+            op = to_operator(pair)
+            seen.setdefault((op.antiunitary, canonical_key(op.matrix)), pair)
+    return tuple((p.F, p.chi) for p in seen.values())
 
 
 def _sources(f, chi):
@@ -182,7 +189,7 @@ def test_coset_is_constant_on_kernel_cosets():
 
 def test_multiplication_table_is_a_homomorphism():
     els = enumerate_projective_clifford(4, extended=False)
-    table = multiplication_table(4)
+    table = element_product(np.arange(768)[:, None], np.arange(768))
     assert table.dtype == np.int16 and table.shape == (768, 768)
     rng = np.random.default_rng(31)
     for i, j in rng.integers(0, 768, size=(200, 2)):
@@ -257,20 +264,28 @@ def test_to_operator_matches_scalar_gauss_sums(d):
     assert parities == {(det, unit) for det in (1, db - 1) for unit in (False, True)}
 
 
-def test_factored_multiplication_table_matches_row_loop():
-    # the row-by-row build that the factored tables replaced
-    group = enumerate_projective_clifford(4, extended=False)
+def test_element_product_matches_row_loop():
+    # the (F, chi) law row by row over the extended group, antiunitary rows
+    # included: every product's pair, looked up among the kernel cosets
+    group = enumerate_projective_clifford(4, extended=True)
     f, chi = group.f.T, group.chi.T
     index = np.full(8**4 * 16, -1, dtype=np.int16)
     for k in kernel_pairs(4):
-        index[_pair_key(*_compose(f, chi, k.F, k.chi, 8, 4), 4)] = np.arange(768)
-    old = np.empty((768, 768), dtype=np.int16)
+        index[_pair_key(*_compose(f, chi, k.F, k.chi, 8, 4), 4)] = np.arange(1536)
+    old = np.empty((1536, 1536), dtype=np.int16)
     for i, (fi, ci) in enumerate(zip(group.f.tolist(), group.chi.tolist())):
         old[i] = index[_pair_key(*_compose(fi, ci, f, chi, 8, 4), 4)]
     assert old.min() >= 0
-    table = multiplication_table(4)
-    assert np.array_equal(table, old) and table.dtype == np.int16
-    assert not table.flags.writeable
+    rows = np.arange(1536)
+    assert np.array_equal(element_product(rows[:, None], rows), old)
+
+
+def test_element_lookup_is_read_only():
+    element = _element_of()
+    assert element.dtype == np.int16 and element.shape == (65536,)
+    assert sorted(element[element >= 0].tolist()) == list(range(1536))
+    with pytest.raises(ValueError):
+        element[0] = 0
 
 
 def test_sector_checks_its_stack_once(monkeypatch):

@@ -10,11 +10,10 @@ from sic4.clifford import (
     coset,
     coset as pair_coset,
     enumerate_projective_clifford,
-    multiplication_table,
     to_operator,
 )
 from sic4.numerics import commutator_phase, proj_equal, projective_set_equal
-from sic4.orbits import LABEL_GRID, FiducialOrbit, enumerate_orbit
+from sic4.orbits import LABEL_GRID, FiducialOrbit, element_product, enumerate_orbit
 from sic4.regrouping import (
     CLIFFORD_GENERATORS,
     EQUIVALENCE_MATRIX,
@@ -241,10 +240,18 @@ def test_fidelity_tol_separates_one_fifth_from_every_other_fidelity():
     assert dev[dev > FIDELITY_TOL].min() > 4.5e-3
 
 
+def _unitary_table():
+    """The (768, 768) Cayley table of the unitary cosets, read off
+    element_product."""
+    unitary = np.arange(768)
+    return element_product(unitary[:, None], unitary)
+
+
 def _scalar_span_census():
     """Reference census: one table walk per commuting pair of order-4
     cosets, kept when its span has 16 elements and is new."""
-    table, names, index = _quotient()
+    names, index = _quotient()
+    table = _unitary_table()
     els = enumerate_projective_clifford(4, extended=False)
     identity = index[displacement_coset(0, 0)]
 
@@ -299,18 +306,36 @@ def _scalar_span_census():
 def test_clifford_generators_reach_every_coset():
     # closure of the generators under the Cayley table: the whole quotient,
     # which the census's normality test and the cli's normalizer check rely on
-    table, _, index = _quotient()
+    _, index = _quotient()
+    table = _unitary_table()
     reached = {index[coset(g)] for g in CLIFFORD_GENERATORS}
     frontier = set(reached)
     while frontier:
         products = set(table[np.ix_(sorted(frontier), sorted(reached))].ravel().tolist())
         frontier = products - reached
         reached |= frontier
-    assert len(reached) == len(multiplication_table(4)) == 768
+    assert len(reached) == len(table) == 768
 
 
 def test_subgroup_census_matches_scalar_spans():
     assert hw_conjugate_subgroup_census() == _scalar_span_census()
+
+
+def test_primitive_pairing_cut_has_a_margin():
+    # the census's cut abs(c.imag) > 0.5 splits commutator phases that sit
+    # on the fourth roots of unity, each far from the cut
+    _, index = _quotient()
+    table = _unitary_table()
+    mats = enumerate_projective_clifford(4, extended=False).mats
+    identity = index[displacement_coset(0, 0)]
+    square = np.diagonal(table)
+    quartic = np.flatnonzero((square != identity) & (square[square] == identity))
+    sub = table[np.ix_(quartic, quartic)]
+    x, z = (quartic[k] for k in np.nonzero(np.triu(sub == sub.T, 1)))
+    phases = np.array([commutator_phase(mats[a], mats[b]) for a, b in zip(x, z)])
+    dist = np.abs(phases[:, None] - np.array([1, -1, 1j, -1j]))
+    assert len(phases) == 3084 and dist.min(axis=1).max() < 1e-12
+    assert np.bincount(dist.argmin(axis=1), minlength=4).tolist() == [1212, 336, 768, 768]
 
 
 def test_dprime_generators_check_once_and_return_fresh_copies(monkeypatch):
@@ -334,7 +359,7 @@ def test_dprime_generators_check_once_and_return_fresh_copies(monkeypatch):
 def test_quotient_names_match_coset_loop(monkeypatch):
     # the per-element coset() calls that _quotient's decoded keys replaced
     old = tuple(coset(e.source) for e in enumerate_projective_clifford(4, extended=False))
-    _, names, index = _quotient()
+    names, index = _quotient()
     assert names == old
     assert all(index[name] == k for k, name in enumerate(old))
     # lru_cache keys on the call form: any other form than the one every
