@@ -351,7 +351,7 @@ def run_reconstruct(cfg, claims: Claims):
     )
 
     disp = displacement_table(4).reshape(16, 4, 4)
-    ops = np.stack([_phase_operator(sic1.states[quad].sum(axis=0)) for quad in matching])
+    ops = _phase_operator(sic1.states[matching].sum(axis=1))
     claims.add(
         "reconstruct.quad_operators_in_group",
         "every qualifying 4-subset induces a displacement element",
@@ -361,20 +361,18 @@ def run_reconstruct(cfg, claims: Claims):
 
     regrouped, matching = regrouped_family(orbit, cfg.tol)
     family = [orbit.sic(n) for n in range(1, 17)] + regrouped
-    dp = dprime_elements()
-    recs = [reconstruct_hw(s, cfg.tol) for s in family]
-    orig, regr = recs[:16], recs[16:]
+    rec = reconstruct_hw(family, cfg.tol)
     claims.add(
         "reconstruct.original_family",
         "reconstruction returns the displacement group on SICs 1-16",
         16,
-        sum(projective_set_equal(rec.elements, disp) for rec in orig),
+        sum(projective_set_equal(els, disp) for els in rec.elements[:16]),
     )
     claims.add(
         "reconstruct.regrouped_family",
         "reconstruction returns the conjugate group on SICs 17-32",
         16,
-        sum(projective_set_equal(rec.elements, dp) for rec in regr),
+        sum(projective_set_equal(els, dprime_elements()) for els in rec.elements[16:]),
     )
 
     # reconstruct_hw has certified each SIC at cfg.tol
@@ -387,14 +385,8 @@ def run_reconstruct(cfg, claims: Claims):
         sum(uniq),
     )
     payload = {
-        "generators_sic_1": {
-            "z": matrix_to_json(orig[0].z_gen),
-            "x": matrix_to_json(orig[0].x_gen),
-        },
-        "generators_sic_17": {
-            "z": matrix_to_json(regr[0].z_gen),
-            "x": matrix_to_json(regr[0].x_gen),
-        },
+        "generators_sic_1": {"z": matrix_to_json(rec.z_gen[0]), "x": matrix_to_json(rec.x_gen[0])},
+        "generators_sic_17": {"z": matrix_to_json(rec.z_gen[16]), "x": matrix_to_json(rec.x_gen[16])},
     }
     return payload
 
@@ -439,8 +431,9 @@ def run_reconstruct_input(cfg, claims: Claims):
     except NotASicError as exc:
         rec, dev = None, exc.report
     claims.add("reconstruct.input_is_sic", "input passes the SIC certificate", True, rec is not None)
-    if rec is None:  # which SIC condition failed, and by how much
+    if rec is None:  # which SIC condition failed, and by how much; null beyond the float range
         deviations = (dev.max_fidelity_deviation, dev.max_state_deviation, dev.completeness_deviation)
+        deviations = [x if math.isfinite(x) else None for x in deviations]
         return {"sic_deviations": dict(zip(("fidelity", "state", "completeness"), deviations)), "tol": cfg.tol}
     if projective_set_equal(rec.elements, displacement_table(4).reshape(16, 4, 4)):
         verdict = "displacement"
@@ -603,6 +596,7 @@ def run_regroup(cfg, claims: Claims):
 
 
 def run_twoqubit(cfg, claims: Claims, basis: str):
+    from .numerics import rank1_kets
     from .orbits import LABEL_GRID, enumerate_orbit
     from .regrouping import regrouped_family
     from .two_qubit import (
@@ -616,7 +610,6 @@ def run_twoqubit(cfg, claims: Claims, basis: str):
         reduced_state_census,
         rounded_census,
         sign_pattern_table,
-        state_ket,
         violating_patterns,
     )
     from .weyl_heisenberg import CONSTANTS, displacement
@@ -675,7 +668,7 @@ def run_twoqubit(cfg, claims: Claims, basis: str):
     c_lo = math.sqrt((2 - 2 * math.sqrt(CONSTANTS.G)) / 5)
     flat_class = slice(0, 8) if basis == "product" else slice(8, 16)  # SICs 1-8 or 9-16
     split_class = slice(8, 16) if basis == "product" else slice(0, 8)
-    conc = concurrence(state_ket(states)).reshape(16, 16)
+    conc = concurrence(rank1_kets(states)).reshape(16, 16)
     census = [rounded_census(c) for c in conc]
     flat_dev = np.max(np.abs(conc[flat_class] - c_flat))
     claims.add(

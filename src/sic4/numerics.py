@@ -64,18 +64,19 @@ def conjugate(g: GroupElement, m) -> np.ndarray:
 
 
 def rank1_kets(states) -> np.ndarray:
-    """(M, d) kets k with k k^dag = rho for a stack of M rank-1 states: each
-    state's column through its largest diagonal entry, scaled to that
-    entry's root.  A state farther than RANK1_TOL from k k^dag raises
-    ValueError."""
+    """(..., d) kets k with k k^dag = rho for a (..., d, d) stack of rank-1
+    states: each state's column through its largest diagonal entry, scaled
+    to that entry's root.  A state farther than RANK1_TOL from k k^dag
+    raises ValueError."""
     states = np.asarray(states, dtype=complex)
-    m = np.arange(len(states))
-    j = np.argmax(np.diagonal(states, axis1=1, axis2=2).real, axis=1)
-    kets = states[m, :, j] / np.sqrt(np.abs(states[m, j, j]))[:, None]
-    dev = np.max(np.abs(states - kets[:, :, None] * kets[:, None, :].conj()))
+    flat = states.reshape((-1,) + states.shape[-2:])
+    m = np.arange(len(flat))
+    j = np.argmax(np.diagonal(flat, axis1=1, axis2=2).real, axis=1)
+    kets = flat[m, :, j] / np.sqrt(np.abs(flat[m, j, j]))[:, None]
+    dev = np.max(np.abs(flat - kets[:, :, None] * kets[:, None, :].conj()))
     if not dev <= RANK1_TOL:  # also refuses NaN
         raise ValueError("state is not a rank-1 projector (deviation %.3g)" % dev)
-    return kets
+    return kets.reshape(states.shape[:-1])
 
 
 def proj_equal(a, b, tol: float = DEFAULT_TOL) -> bool:
@@ -99,39 +100,40 @@ def proj_equal(a, b, tol: float = DEFAULT_TOL) -> bool:
     return abs(np.trace(a @ b)) >= 1 - tol
 
 
-def commutator_phase(a, b) -> complex:
+def commutator_phase(a, b):
     """tr(a b a^dag b^dag) / d: the scalar c with a b = c b a when the two
-    unitaries commute up to a phase."""
-    a = _as_complex(a)
-    b = _as_complex(b)
-    return complex(np.trace(a @ b @ a.conj().T @ b.conj().T)) / a.shape[0]
+    unitaries commute up to a phase; an (S,) array of them for (S, d, d)
+    stacks of pairs."""
+    a = _as_complex(a, stacked=np.ndim(a) == 3)
+    b = _as_complex(b, stacked=np.ndim(b) == 3)
+    c = np.trace(a @ b @ a.conj().swapaxes(-1, -2) @ b.conj().swapaxes(-1, -2), axis1=-2, axis2=-1)
+    return c / a.shape[-1] if c.ndim else complex(c) / a.shape[-1]
 
 
 def eig_hermitian(m, tol: float = DEFAULT_TOL):
-    """Ascending eigenvalues and column eigenvectors of a Hermitian matrix
-    (ValueError beyond ``tol`` from Hermitian), each eigenvector scaled so
-    its first largest-magnitude component is real and positive."""
-    m = _as_complex(m)
-    if np.max(np.abs(m - m.conj().T)) > tol:
+    """Ascending eigenvalues and column eigenvectors of a Hermitian matrix,
+    or of each of an (S, d, d) stack (ValueError beyond ``tol`` from
+    Hermitian), each eigenvector scaled so its first largest-magnitude
+    component is real and positive."""
+    m = _as_complex(m, stacked=np.ndim(m) == 3)
+    if np.max(np.abs(m - m.conj().swapaxes(-1, -2))) > tol:
         raise ValueError("matrix is not Hermitian within tol")
     w, v = np.linalg.eigh(m)
-    for k in range(v.shape[1]):
-        i = int(np.argmax(np.abs(v[:, k])))
-        ph = v[i, k] / abs(v[i, k])
-        v[:, k] = v[:, k] / ph
-    return w, v
+    top = np.take_along_axis(v, np.abs(v).argmax(axis=-2)[..., None, :], axis=-2)
+    # np.hypot rounds |x| as abs() of one complex scalar does; np.abs of an array can be an ulp off
+    return w, v / (top / np.hypot(top.real, top.imag))
 
 
 def canonical_phase(m, zero_tol: float = 1e-6) -> np.ndarray:
     """Rescale by a global phase so the first nonzero entry (row-major) is
-    real positive."""
-    m = _as_complex(m).copy()
-    flat = m.ravel()
-    for x in flat:
-        if abs(x) > zero_tol:
-            m /= x / abs(x)
-            return m
-    raise ValueError("zero matrix has no canonical phase")
+    real positive; each matrix of an (S, d, d) stack by its own phase."""
+    m = _as_complex(m, stacked=np.ndim(m) == 3)
+    flat = m.reshape(m.shape[:-2] + (-1,))
+    nonzero = np.abs(flat) > zero_tol
+    if not np.all(nonzero.any(axis=-1)):
+        raise ValueError("zero matrix has no canonical phase")
+    first = np.take_along_axis(flat, nonzero.argmax(axis=-1)[..., None], axis=-1)[..., None]
+    return m / (first / np.hypot(first.real, first.imag))
 
 
 def match_projective(m, stack, tol: float = PROJECTIVE_MATCH_TOL):

@@ -118,16 +118,9 @@ def enumerate_orbit() -> FiducialOrbit:
     State (n, p) is D_p V_n rho_f V_n^dag D_p^dag.  Projective distinctness
     of all 256 projectors is asserted.
     """
-    rho = fiducial_projector()
-    tbl = displacement_table(4)
-    projs = np.empty((256, 4, 4), dtype=complex)
-    for n, pair in enumerate(SIC_LABELING, start=1):
-        u = to_operator(pair)
-        fid = conjugate(u, rho)
-        for p1 in range(4):
-            for p2 in range(4):
-                dp = tbl[p1, p2]
-                projs[(n - 1) * 16 + 4 * p1 + p2] = dp @ fid @ dp.conj().T
+    fids = np.stack([conjugate(to_operator(pair), fiducial_projector()) for pair in SIC_LABELING])
+    disp = displacement_table(4).reshape(16, 4, 4)
+    projs = (disp @ fids[:, None] @ disp.conj().swapaxes(-1, -2)).reshape(256, 4, 4)
     if not projectively_distinct(projs):
         raise AssertionError("orbit projectors are not projectively distinct")
     projs.flags.writeable = False
@@ -138,38 +131,39 @@ def projectively_distinct(mats) -> bool:
     """Whether no two of a stack of rank-1 projectors, or of unitaries, are
     equal up to a phase: every |tr(a^dag b)| between distinct members stays
     below 1 - MATCH_TOL times |tr(a^dag a)| (1 for a projector, d for a
-    unitary)."""
-    flat = np.asarray(mats).reshape(len(mats), -1)
-    gram = np.abs(flat.conj() @ flat.T)
-    norm = np.diag(gram).copy()
-    np.fill_diagonal(gram, 0.0)
-    return bool(np.all(gram < (1.0 - MATCH_TOL) * norm))
+    unitary).  An (S, N, d, d) input asks this of each of its S stacks."""
+    flat = np.asarray(mats).reshape(np.shape(mats)[:-2] + (-1,))
+    gram = np.abs(flat.conj() @ flat.swapaxes(-1, -2))
+    norm = np.diagonal(gram, axis1=-2, axis2=-1)[..., None, :]
+    return bool(np.all((gram < (1.0 - MATCH_TOL) * norm) | np.eye(gram.shape[-1], dtype=bool)))
 
 
 def state_action(mats, anti, states, targets):
     """Where conjugation by each of N elements sends each of M states.
 
     ``mats`` (N, d, d) and ``anti`` (N flags) give the elements; states and
-    targets are rank-1 projectors (numerics.rank1_kets raises otherwise).
+    targets are rank-1 projectors (numerics.rank1_kets raises otherwise),
+    shared by all elements or, as (N, M, d, d) stacks, one list for each.
     Returns the (N, M) index of the target with the largest overlap
     |<target| g psi>|^2 = tr(target g rho g^-1), with psi-bar for an
     antiunitary element, and that overlap; callers apply their own
     threshold.  Kets are read off the projectors once; one batched product
-    applies every element to every ket and one GEMM takes all N * M * T
-    overlaps, so callers with many elements pass them in blocks.  Orbit
-    states have exact images in orbit_action.
+    applies every element to its kets and one GEMM (a batched product for
+    per-element targets) takes all N * M * T overlaps, so callers with many
+    elements pass them in blocks.  Orbit states have exact images in
+    orbit_action.
     """
     mats = np.asarray(mats, dtype=complex)
     anti = np.asarray(anti, dtype=bool).astype(np.intp)
-    kets = rank1_kets(states).T
+    kets = np.swapaxes(rank1_kets(states), -1, -2)
     sources = np.stack([kets, kets.conj()])  # indexed by the antiunitarity flag
-    bras = rank1_kets(targets).conj().T
-    z = (mats @ sources[anti]).transpose(0, 2, 1).reshape(-1, len(kets)) @ bras
+    per_element = (np.arange(len(mats)),) if kets.ndim == 3 else ()
+    images = np.swapaxes(mats @ sources[(anti,) + per_element], -1, -2)
+    bras = np.swapaxes(rank1_kets(targets), -1, -2).conj()
+    z = images @ bras if bras.ndim == 3 else images.reshape(-1, mats.shape[-1]) @ bras
     ov = np.square(z.real)
     ov += np.square(z.imag)
-    best = ov.argmax(axis=1)
-    shape = (len(mats), kets.shape[1])
-    return best.reshape(shape), ov[np.arange(len(best)), best].reshape(shape)
+    return ov.argmax(axis=-1).reshape(images.shape[:2]), ov.max(axis=-1).reshape(images.shape[:2])
 
 
 def stability_group(rho) -> list:
@@ -375,8 +369,9 @@ class SymmetryReport:
 
 def state_permutations(mats, states) -> np.ndarray:
     """How each of N unitaries permutes a list of M rank-1 states by
-    conjugation, as an (N, M) index array; ValueError when it does not
-    permute them."""
+    conjugation, as an (N, M) index array; for an (N, M, d, d) stack, how
+    each permutes its own list.  ValueError when one does not permute its
+    states."""
     index, ov = state_action(mats, np.zeros(len(mats), dtype=bool), states, states)
     hit = np.zeros(index.shape, dtype=bool)
     np.put_along_axis(hit, index, True, axis=1)  # every state is an image

@@ -35,6 +35,19 @@ SIGNATURE_TOL = 1e-8
 # state order that one comes about 40 candidates in, on orbit SICs at once
 QUAD_BLOCK = 16
 
+# cuts of the phase-operator step, with what they meet on the 32 SICs and on
+# Haar-conjugated, state-shuffled copies: qualifying 4-state sums are
+# Hermitian to 6e-16;
+HERMITIAN_TOL = 1e-8
+# a sum eigenvalue lies within 4e-15 of the signature value it is tagged
+# with, and at least 0.30 from the other three;
+EIGENVALUE_MATCH_TOL = 1e-6
+# eigenpair residuals stay below 3.2e-15;
+RESIDUAL_TOL = 1e-9
+# tr(z x z^dag x^dag) / 4 lies within 3.2e-15 of i, and 2 away before x
+# is replaced by its adjoint
+COMMUTATOR_TOL = 1e-8
+
 
 def signature_values() -> tuple:
     """Closed-form sum eigenvalues indexed by their phase exponent k."""
@@ -53,16 +66,18 @@ def reference_signature() -> tuple:
 
 def signatures(states, quads: np.ndarray) -> np.ndarray:
     """Sorted eigenvalues of the state sums of each row of a (Q, 4) index
-    array, summed in row order."""
-    m = states[quads[:, 0]]
+    array, summed in row order; for an (S, 16, d, d) stack of states, of
+    each SIC's own rows of an (S, Q, 4) array."""
+    lead = (np.arange(len(quads))[:, None],) if quads.ndim == 3 else ()
+    m = states[lead + (quads[..., 0],)]
     for k in range(1, 4):
-        m += states[quads[:, k]]
+        m += states[lead + (quads[..., k],)]
     return np.linalg.eigvalsh(m)
 
 
 def _matches_reference(sigs: np.ndarray) -> np.ndarray:
-    """Which rows of a (Q, 4) signature stack qualify."""
-    return np.all(np.abs(sigs - np.array(reference_signature())) <= SIGNATURE_TOL, axis=1)
+    """Which rows of a (..., 4) signature stack qualify."""
+    return np.all(np.abs(sigs - np.array(reference_signature())) <= SIGNATURE_TOL, axis=-1)
 
 
 @lru_cache(maxsize=None)
@@ -74,34 +89,38 @@ def _quad_index() -> np.ndarray:
     return quads
 
 
-def _first_match(states: np.ndarray, candidates: np.ndarray):
-    """The first row of a (Q, 4) candidate index array whose quad realizes
-    the reference signature, or None; signatures are taken QUAD_BLOCK rows
-    at a time."""
-    for lo in range(0, len(candidates), QUAD_BLOCK):
-        block = candidates[lo : lo + QUAD_BLOCK]
-        hits = np.flatnonzero(_matches_reference(signatures(states, block)))
-        if len(hits):
-            return block[hits[0]].tolist()
-    return None
+def _first_match(states: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """For each SIC of an (S, 16, d, d) stack, the state sum of the first
+    row of its (S, Q, 4) candidate index array, or of one (Q, 4) for all,
+    that realizes the reference signature; ValueError when a SIC has none.
+    Signatures of the unresolved SICs are taken QUAD_BLOCK rows at a time."""
+    candidates = np.broadcast_to(candidates, states.shape[:1] + candidates.shape[-2:])
+    found = np.empty((len(states), 4), dtype=candidates.dtype)
+    todo = np.arange(len(states))
+    for lo in range(0, candidates.shape[1], QUAD_BLOCK):
+        block = candidates[todo, lo : lo + QUAD_BLOCK]
+        hits = _matches_reference(signatures(states[todo], block))
+        hit = hits.any(axis=1)
+        found[todo[hit]] = block[hit, hits[hit].argmax(axis=1)]
+        todo = todo[~hit]
+        if not len(todo):
+            return states[np.arange(len(states))[:, None], found].sum(axis=1)
+    raise ValueError("no candidate 4-subset realizes the reference signature")
 
 
 def _phase_operator(m: np.ndarray) -> np.ndarray:
-    """Attach i^k to the eigenket of the sum eigenvalue tagged k."""
-    w, v = eig_hermitian(m, tol=1e-8)
-    vals = signature_values()
-    op = np.zeros((4, 4), dtype=complex)
-    used = set()
-    for idx in range(4):
-        k = int(np.argmin([abs(w[idx] - lam) for lam in vals]))
-        if abs(w[idx] - vals[k]) > 1e-6 or k in used:
-            raise ValueError("sum eigenvalues do not realize the reference signature")
-        used.add(k)
-        ket = v[:, idx]
-        if np.max(np.abs(m @ ket - w[idx] * ket)) > 1e-9:
-            raise AssertionError("eigenpair residual exceeds tolerance")
-        op += (1j**k) * np.outer(ket, ket.conj())
-    return op
+    """Attach i^k to the eigenket of the sum eigenvalue tagged k, for one
+    4 x 4 sum or for each of an (S, 4, 4) stack."""
+    w, v = eig_hermitian(m, tol=HERMITIAN_TOL)
+    dist = np.abs(w[..., :, None] - np.array(signature_values()))  # eigenvalue x tag k
+    k = dist.argmin(axis=-1)
+    if np.any(dist.min(axis=-1) > EIGENVALUE_MATCH_TOL) or np.any(np.sort(k, axis=-1) != np.arange(4)):
+        raise ValueError("sum eigenvalues do not realize the reference signature")
+    if np.max(np.abs(m @ v - v * w[..., None, :])) > RESIDUAL_TOL:
+        raise AssertionError("eigenpair residual exceeds tolerance")
+    projectors = v[..., :, None, :] * v[..., None, :, :].conj()  # [..., a, b, eigenpair]
+    terms = np.array([1, 1j, -1, -1j])[k][..., None, None, :] * projectors
+    return terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]  # summed in eigenpair order
 
 
 class NotASicError(ValueError):
@@ -117,55 +136,50 @@ class NotASicError(ValueError):
 class ReconstructedGroup:
     z_gen: np.ndarray
     x_gen: np.ndarray
-    elements: np.ndarray  # (16, 4, 4) phase-canonical representatives
+    elements: np.ndarray  # (16, 4, 4) phase-canonical representatives, (S, 16, 4, 4) for S SICs
 
 
-def reconstruct_hw(sic: SicPovm, tol: float = DEFAULT_TOL) -> ReconstructedGroup:
-    """Recover the order-16 projective covariance group of a SIC.
+def reconstruct_hw(sics, tol: float = DEFAULT_TOL) -> ReconstructedGroup:
+    """Recover the order-16 projective covariance group of a SIC, or of each
+    SIC of a sequence in one stacked pass.
 
-    The input only needs to pass verify_sic (NotASicError otherwise); no
-    displacement indexing is assumed.  Returns clock/shift generators
-    satisfying z x = omega x z exactly, and the 16 projective group elements.
+    Each SIC only needs to pass verify_sic (NotASicError for the first that
+    fails); no displacement indexing is assumed.  Returns clock/shift
+    generators satisfying z x = omega x z exactly and the 16 projective
+    group elements, with a leading axis of S for a sequence of S SICs.
     """
-    report = verify_sic(sic.states, sic.d, tol)
-    if not report.is_sic:
-        raise NotASicError(report)
-    states = sic.states
+    stack = [sics] if isinstance(sics, SicPovm) else list(sics)
+    for sic in stack:
+        report = verify_sic(sic.states, sic.d, tol)
+        if not report.is_sic:
+            raise NotASicError(report)
+    states = np.stack([sic.states for sic in stack])
+    zp = _phase_operator(_first_match(states, _quad_index()))
 
-    quad = _first_match(states, _quad_index())
-    if quad is None:
-        raise ValueError("no 4-subset realizes the reference signature")
-    zp = _phase_operator(states[quad].sum(axis=0))
-
-    perm = state_permutations(zp[None], states)[0]
-    powers = [np.arange(16)]
+    perm = state_permutations(zp, states)
+    powers = [np.broadcast_to(np.arange(16), perm.shape)]
     for _ in range(4):
-        powers.append(perm[powers[-1]])
-    cycles = np.stack(powers[:4], axis=1)  # the clock orbit of each state
-    if np.any(powers[4] != powers[0]) or np.any(cycles[:, 1:] == cycles[:, :1]):
+        powers.append(perm[np.arange(len(perm))[:, None], powers[-1]])
+    cycles = np.stack(powers[:4], axis=-1)  # the clock orbit of each state
+    if np.any(powers[4] != powers[0]) or np.any(cycles[..., 1:] == cycles[..., :1]):
         raise ValueError("clock generator does not split the SIC into four 4-orbits")
-    orbits = [sorted(c) for c in cycles[cycles.min(axis=1) == np.arange(16)].tolist()]
+    orbits = np.sort(cycles[cycles.min(axis=-1) == np.arange(16)], axis=-1).reshape(-1, 4, 4)
 
     # one state from each clock orbit, in itertools.product order
-    picks = np.stack(np.meshgrid(*orbits, indexing="ij"), axis=-1).reshape(-1, 4)
-    pick = _first_match(states, picks)
-    if pick is None:
-        raise ValueError("no cross-orbit selection realizes the reference signature")
-    xp = _phase_operator(states[pick].sum(axis=0))
-
-    omega = 1j
-    c = commutator_phase(zp, xp)
-    if abs(c - omega) > 1e-8:
-        xp = xp.conj().T
-        c = commutator_phase(zp, xp)
-    if abs(c - omega) > 1e-8:
+    picks = orbits[:, np.arange(4), np.indices((4,) * 4).reshape(4, -1).T]
+    xp = _phase_operator(_first_match(states, picks))
+    flip = np.abs(commutator_phase(zp, xp) - 1j) > COMMUTATOR_TOL
+    xp[flip] = xp[flip].conj().swapaxes(-1, -2)
+    if np.any(np.abs(commutator_phase(zp, xp) - 1j) > COMMUTATOR_TOL):
         raise ValueError("generators do not satisfy the clock-shift commutation")
 
-    state_permutations(xp[None], states)  # covariance under the second generator
+    state_permutations(xp, states)  # covariance under the second generator
 
-    elements = np.array([canonical_phase(m) for m in shift_clock_products(xp, zp)])
+    elements = canonical_phase(shift_clock_products(xp, zp).reshape(-1, 4, 4)).reshape(-1, 16, 4, 4)
     if not projectively_distinct(elements):
         raise AssertionError("generated group has fewer than 16 projective elements")
+    if isinstance(sics, SicPovm):
+        return ReconstructedGroup(z_gen=zp[0], x_gen=xp[0], elements=elements[0])
     return ReconstructedGroup(z_gen=zp, x_gen=xp, elements=elements)
 
 

@@ -245,9 +245,12 @@ def dprime_generators() -> tuple:
     return X_PRIME_MATRIX.copy(), Z_PRIME_MATRIX.copy()
 
 
+@lru_cache(maxsize=1)
 def dprime_elements() -> np.ndarray:
-    """The 16 projective elements of the conjugate displacement group."""
-    return shift_clock_products(*dprime_generators())
+    """The 16 projective elements of the conjugate displacement group, read-only."""
+    elements = shift_clock_products(*dprime_generators())
+    elements.flags.writeable = False
+    return elements
 
 
 def equivalence_unitary() -> np.ndarray:
@@ -331,10 +334,8 @@ def hw_conjugate_subgroup_census() -> tuple:
     full = np.all(np.diff(spans, axis=1) != 0, axis=1)
     # one pair per distinct 16-element span, the first in pair order
     first = np.flatnonzero(full)[np.sort(np.unique(spans[full], axis=0, return_index=True)[1])]
-    subgroups = {}
-    for k in first.tolist():
-        c = commutator_phase(mats[x[k]], mats[z[k]])
-        subgroups[frozenset(spans[k].tolist())] = abs(c.imag) > 0.5  # primitive pairing
+    pairing = np.abs(commutator_phase(mats[x[first]], mats[z[first]]).imag) > 0.5  # primitive pairing
+    subgroups = {frozenset(spans[k].tolist()): p for k, p in zip(first.tolist(), pairing.tolist())}
     hw_type = [s for s, primitive in subgroups.items() if primitive]
     gens = [index[coset(g)] for g in CLIFFORD_GENERATORS]
     inverses = [np.flatnonzero(element_product(g, unitary) == identity)[0] for g in gens]

@@ -17,7 +17,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import rank1_kets
 from .weyl_heisenberg import CONSTANTS, SicPovm, displacement_table
 
 _SQRT2 = math.sqrt(2.0)
@@ -234,13 +233,6 @@ def physical_state(rho: np.ndarray, basis: str) -> np.ndarray:
         w = bell_basis_map()
         return w @ rho @ w.conj().T
     raise ValueError("basis must be 'product' or 'bell'")
-
-
-def state_ket(rho: np.ndarray) -> np.ndarray:
-    """The ket of a rank-1 state, or the (N, 4) kets of a stack."""
-    rho = np.asarray(rho, dtype=complex)
-    kets = rank1_kets(rho.reshape((-1,) + rho.shape[-2:]))
-    return kets if rho.ndim == 3 else kets[0]
 
 
 def concurrence(psi: np.ndarray):

@@ -62,10 +62,11 @@ def displacement_table(d: int) -> np.ndarray:
 
 
 def shift_clock_products(x, z) -> np.ndarray:
-    """x^a z^b at index d a + b, 0 <= a, b < d, for d x d matrices x, z."""
-    d = len(x)
-    xs, zs = ([np.linalg.matrix_power(m, k) for k in range(d)] for m in (x, z))
-    return np.array([xa @ zb for xa in xs for zb in zs])
+    """x^a z^b at index d a + b, 0 <= a, b < d, for d x d matrices x, z; for
+    (S, d, d) stacks, an (S, d * d, d, d) array of each pair's products."""
+    d = np.shape(x)[-1]
+    xs, zs = (np.stack([np.linalg.matrix_power(m, k) for k in range(d)], axis=-3) for m in (x, z))
+    return (xs[..., :, None, :, :] @ zs[..., None, :, :, :]).reshape(np.shape(x)[:-2] + (d * d, d, d))
 
 
 def symplectic_form(p, q) -> int:
@@ -218,17 +219,19 @@ def verify_sic(states, d: int, tol: float = DEFAULT_TOL) -> SicReport:
     states = np.asarray(states, dtype=complex)
     if states.shape != (d * d, d, d):
         raise ValueError("expected %d states, got shape %r" % (d * d, states.shape))
-    sdev = np.max(
-        [
-            np.max(np.abs(states - states.conj().transpose(0, 2, 1))),
-            np.max(np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)),
-            np.max(np.abs(states @ states - states)),
-        ]
-    )
-    # gram[j, k] = tr(r_j r_k) = vec(r_j) . vec(r_k^T)
-    n = d * d
-    gram = states.reshape(n, n) @ states.transpose(0, 2, 1).reshape(n, n).T
-    fdev = np.max(np.abs(gram[np.triu_indices(n, 1)].real - 1.0 / (d + 1)))
+    # entries near the float range overflow to inf or NaN, which fail silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        sdev = np.max(
+            [
+                np.max(np.abs(states - states.conj().transpose(0, 2, 1))),
+                np.max(np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)),
+                np.max(np.abs(states @ states - states)),
+            ]
+        )
+        # gram[j, k] = tr(r_j r_k) = vec(r_j) . vec(r_k^T)
+        n = d * d
+        gram = states.reshape(n, n) @ states.transpose(0, 2, 1).reshape(n, n).T
+        fdev = np.max(np.abs(gram[np.triu_indices(n, 1)].real - 1.0 / (d + 1)))
     cdev = float(np.max(np.abs(states.sum(axis=0) - d * np.eye(d))))
     ok = sdev <= tol and fdev <= tol and cdev <= tol
     return SicReport(ok, float(fdev), float(sdev), cdev)

@@ -7,7 +7,7 @@ per-item checks.
 
 import numpy as np
 
-from sic4.numerics import DEFAULT_TOL, GroupElement, canonical_phase, proj_equal
+from sic4.numerics import DEFAULT_TOL, GroupElement, canonical_phase, proj_equal, rank1_kets as state_ket
 from sic4.two_qubit import (
     concurrence,
     match_sign_patterns,
@@ -16,7 +16,6 @@ from sic4.two_qubit import (
     reduced_purity,
     rounded_census,
     sign_pattern_table,
-    state_ket,
 )
 
 

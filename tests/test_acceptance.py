@@ -26,7 +26,7 @@ from sic4.clifford import (
     symplectic_group_matrices,
     to_operator,
 )
-from sic4.numerics import proj_equal, projective_set_equal
+from sic4.numerics import proj_equal, projective_set_equal, rank1_kets as state_ket
 from sic4.orbits import (
     FIDUCIAL_STABILIZER,
     LABEL_GRID,
@@ -57,7 +57,6 @@ from sic4.two_qubit import (
     gbv,
     physical_state,
     sign_functions,
-    state_ket,
     violating_patterns,
 )
 from sic4.weyl_heisenberg import (

@@ -190,6 +190,26 @@ def test_reconstruct_input_non_sic_exits_1(tmp_path, capsys):
         assert (dev["state"] > 1e-6) == state_fails
 
 
+@pytest.mark.parametrize("entry", [1e160, 1e200])
+def test_reconstruct_input_huge_entries_fail_quietly_in_strict_json(entry, tmp_path, capsys):
+    # finite entries whose products overflow: a plain FAIL, no numpy warning,
+    # and a report without the non-standard Infinity or NaN tokens
+    import warnings
+
+    def refuse(token):
+        raise ValueError("non-standard JSON token %s" % token)
+
+    f = _sic_file(tmp_path, np.full((16, 4, 4), entry))
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["reconstruct", "--input", str(f), "--format", "json", "--out", str(out)]) == 1
+    assert caught == [] and capsys.readouterr().err == ""
+    report = json.loads(out.read_text(), parse_constant=refuse)
+    assert [c["observed"] for c in report["claims"]] == [False]
+    assert set(report["payload"]["sic_deviations"]) == {"fidelity", "state", "completeness"}
+
+
 @pytest.mark.parametrize("sic", ["orbit", "not-sic"])
 def test_reconstruct_input_certifies_once(sic, monkeypatch, tmp_path, capsys):
     import sic4.weyl_heisenberg
@@ -290,12 +310,13 @@ def test_json_report_parses_as_its_indented_form(section, monkeypatch, tmp_path,
 def test_cached_arrays_are_read_only(capsys):
     from sic4.clifford import enumerate_projective_clifford
     from sic4.orbits import enumerate_orbit
+    from sic4.regrouping import dprime_elements
     from sic4.weyl_heisenberg import displacement_table
 
     orbit = enumerate_orbit()
     group = enumerate_projective_clifford(4, extended=True)
     arrays = (orbit.projectors, orbit.sic(2).states, group.f, group.chi, group.mats, group.anti)
-    arrays += (displacement_table(4), group[5].op.matrix)
+    arrays += (displacement_table(4), group[5].op.matrix, dprime_elements())
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = a[1]
@@ -467,6 +488,7 @@ def test_cli_imports_build_no_tables():
         "sic4.orbits._element_of",
         "sic4.orbits.orbit_action",
         "sic4.reconstruction._quad_index",
+        "sic4.regrouping.dprime_elements",
         "sic4.regrouping.dprime_literals_match",
         "sic4.regrouping._enumerated_family",
     )

@@ -5,6 +5,7 @@ from oracles import canonical_key, compose
 from sic4.numerics import (
     GroupElement,
     canonical_phase,
+    commutator_phase,
     conjugate,
     eig_hermitian,
     is_unitary,
@@ -99,6 +100,27 @@ def test_canonical_phase_and_key():
     flat = c.ravel()
     first = flat[np.argmax(np.abs(flat) > 1e-6)]
     assert abs(first.imag) < 1e-12 and first.real > 0
+
+
+def test_stacked_kernels_match_their_per_matrix_loops():
+    # the loops are the per-matrix forms the stacked kernels replaced; the
+    # stacked results must agree bit for bit, and so must single-matrix calls
+    h = RNG.normal(size=(6, 4, 4)) + 1j * RNG.normal(size=(6, 4, 4))
+    h = h + h.conj().swapaxes(1, 2)
+    u = np.stack([random_unitary(4) for _ in range(6)])
+    w, v = eig_hermitian(h)
+    c = canonical_phase(u)
+    phases = commutator_phase(u, u[::-1])
+    for k in range(6):
+        wk, vk = np.linalg.eigh(h[k])
+        for j in range(4):
+            i = int(np.argmax(np.abs(vk[:, j])))
+            vk[:, j] = vk[:, j] / (vk[i, j] / abs(vk[i, j]))
+        assert np.array_equal(w[k], wk) and np.array_equal(v[k], vk)
+        assert np.array_equal(eig_hermitian(h[k])[1], vk)
+        x = next(x for x in u[k].ravel() if abs(x) > 1e-6)
+        assert np.array_equal(c[k], u[k] / (x / abs(x))) and np.array_equal(canonical_phase(u[k]), c[k])
+        assert phases[k] == commutator_phase(u[k], u[5 - k])
 
 
 def test_projective_set_equal():

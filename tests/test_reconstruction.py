@@ -6,10 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sic4.numerics import commutator_phase, projective_set_equal
+from sic4.numerics import commutator_phase, eig_hermitian, projective_set_equal
 from sic4.clifford import enumerate_projective_clifford
 from sic4.orbits import MATCH_TOL, enumerate_orbit, sic_symmetries, state_action, state_permutations
 from sic4.reconstruction import (
+    COMMUTATOR_TOL,
+    EIGENVALUE_MATCH_TOL,
+    HERMITIAN_TOL,
+    RESIDUAL_TOL,
+    NotASicError,
     _phase_operator,
     reconstruct_hw,
     reference_quads,
@@ -19,7 +24,7 @@ from sic4.reconstruction import (
     uniqueness_check,
 )
 from sic4.regrouping import dprime_elements, regrouped_family
-from sic4.weyl_heisenberg import SicPovm, displacement, fiducial_ket_d4
+from sic4.weyl_heisenberg import SicPovm, displacement, fiducial_ket_d4, verify_sic
 
 G = (math.sqrt(5) - 1) / 2
 
@@ -236,3 +241,55 @@ def test_reconstruct_generators_match_loop_on_perfbench_inputs():
         zp, xp = _generators_by_loop(states)
         assert np.array_equal(rec.z_gen, zp) and np.array_equal(rec.x_gen, xp)
     assert cases == {"displacement", "conjugate-displacement", "other"}
+
+
+def _family_and_copies(seed=13):
+    """The 32 SICs, then each conjugated by a seeded Haar unitary with its
+    states shuffled."""
+    orbit = enumerate_orbit()
+    family = [orbit.sic(n) for n in range(1, 17)] + regrouped_family(orbit)[0]
+    rng, haar = np.random.default_rng(seed), _load_perfbench_inputs().haar_unitary
+    copies = []
+    for sic in family:
+        u = haar(rng)
+        copies.append(SicPovm(4, u @ sic.states[rng.permutation(16)] @ u.conj().T))
+    return family + copies
+
+
+def test_stacked_reconstruction_equals_stacks_of_one():
+    sics = _family_and_copies()
+    rec = reconstruct_hw(sics)
+    assert rec.z_gen.shape == (64, 4, 4) and rec.elements.shape == (64, 16, 4, 4)
+    for k, sic in enumerate(sics):
+        one = reconstruct_hw([sic])
+        assert np.array_equal(rec.z_gen[k], one.z_gen[0]) and np.array_equal(rec.x_gen[k], one.x_gen[0])
+        assert np.max(np.abs(rec.elements[k] - one.elements[0])) <= 1e-15
+        single = reconstruct_hw(sic)
+        assert single.z_gen.shape == (4, 4) and np.array_equal(single.elements, one.elements[0])
+
+
+def test_stacked_reconstruction_reports_the_failing_sic():
+    sics = _family_and_copies()[:32]
+    states = sics[20].states.copy()
+    states[5] = np.diag([1, 0, 0, 0])
+    sics[20] = SicPovm(4, states)
+    with pytest.raises(NotASicError) as exc:
+        reconstruct_hw(sics)
+    assert exc.value.report == verify_sic(states, 4) and not exc.value.report.is_sic
+
+
+def test_phase_operator_cuts_have_measured_margins():
+    # every qualifying 4-state sum of the 32 SICs and of their conjugated,
+    # shuffled copies: the z and x sums of reconstruct_hw are among them
+    sics = _family_and_copies()
+    m = np.concatenate([s.states[reference_quads(s.states)].sum(axis=1) for s in sics])
+    assert len(m) == 64 * 24
+    assert np.max(np.abs(m - m.conj().swapaxes(-1, -2))) <= 1e-15 < HERMITIAN_TOL
+    w, v = eig_hermitian(m, tol=HERMITIAN_TOL)
+    dist = np.sort(np.abs(w[..., None] - np.array(signature_values())), axis=-1)
+    assert dist[..., 0].max() <= 1e-14 < EIGENVALUE_MATCH_TOL < 0.3 <= dist[..., 1].min()
+    assert np.max(np.abs(m @ v - v * w[..., None, :])) <= 1e-14 < RESIDUAL_TOL
+    rec = reconstruct_hw(sics)
+    assert np.max(np.abs(commutator_phase(rec.z_gen, rec.x_gen) - 1j)) <= 1e-14 < COMMUTATOR_TOL
+    adjoint = commutator_phase(rec.z_gen, rec.x_gen.conj().swapaxes(-1, -2))
+    assert np.min(np.abs(adjoint - 1j)) >= 2 - 1e-14

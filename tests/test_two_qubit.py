@@ -32,9 +32,9 @@ from sic4.two_qubit import (
     reduced_state_census,
     sign_functions,
     sign_pattern_table,
-    state_ket,
     violating_patterns,
 )
+from sic4.numerics import rank1_kets as state_ket
 from sic4.weyl_heisenberg import CONSTANTS, displacement
 
 C_FLAT = math.sqrt(2 / 5)  # 0.632455532
