@@ -376,7 +376,7 @@ def run_reconstruct(cfg, claims: Claims):
     )
 
     # reconstruct_hw has certified each SIC at cfg.tol
-    indices = np.concatenate([np.arange(256).reshape(16, 16), _member_indices(matching)])
+    indices = np.concatenate([np.arange(256).reshape(16, 16), matching.reshape(16, 16)])
     uniq = [uniqueness_check(idx) for idx in indices]
     claims.add(
         "reconstruct.uniqueness",
@@ -389,12 +389,6 @@ def run_reconstruct(cfg, claims: Claims):
         "generators_sic_17": {"z": matrix_to_json(rec.z_gen[16]), "x": matrix_to_json(rec.x_gen[16])},
     }
     return payload
-
-
-def _member_indices(matching) -> np.ndarray:
-    """The sorted orbit indices of the states of each regrouped SIC, from
-    its matching of blocks, as a (16, 16) array."""
-    return np.sort([np.concatenate([b.members for b in m]) for m in matching], axis=1)
 
 
 class _InputError(Exception):
@@ -488,7 +482,7 @@ def run_regroup(cfg, claims: Claims):
         n_full = exhaustive_regroup_scan(orbit, full_scan=True, tol=cfg.tol)
         claims.add("regroup.full_scan_total", "SICs found scanning all 256 states", 32, n_full)
 
-    indices = _member_indices(matching)
+    indices = matching.reshape(16, 16)
     cover = np.bincount(indices.ravel(), minlength=256) + 1  # + 1: the orbit SIC of each state
     claims.add(
         "regroup.double_cover",
@@ -582,8 +576,8 @@ def run_regroup(cfg, claims: Claims):
             for s in sics
         ],
         "matching": [
-            [{"sic_label": b.sic_label, "members": list(b.members)} for b in m]
-            for m in matching
+            [{"sic_label": members[0] // 16 + 1, "members": members} for members in m]
+            for m in matching.tolist()
         ],
         "generators": {
             "x": dict(_pair_json(X_PRIME_PAIR), matrix=matrix_to_json(X_PRIME_MATRIX)),

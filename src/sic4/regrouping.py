@@ -10,8 +10,6 @@ of the displacement group, sitting inside the same Clifford group.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -23,7 +21,7 @@ from .clifford import (
     enumerate_projective_clifford,
     to_operator,
 )
-from .numerics import commutator_phase, is_unitary, proj_equal
+from .numerics import DEFAULT_TOL, commutator_phase, is_unitary, proj_equal
 from .orbits import LABEL_GRID, FiducialOrbit, element_product, enumerate_orbit, fiducial_projector
 from .weyl_heisenberg import SicPovm, shift_clock_products, verify_sic
 
@@ -35,75 +33,28 @@ FIDELITY_TOL = 1e-9
 # translations implementing conjugation by I, X^2, Z^2, X^2 Z^2
 _H_SHIFTS = ((0, 0), (2, 0), (0, 2), (2, 2))
 
-
-@dataclass(frozen=True)
-class HOrbit:
-    sic_label: int
-    members: tuple  # 4 global projector indices, sorted
-
-
-def h_orbits(sic_label: int) -> list:
-    """The four blocks of one SIC under the order-4 translation group."""
-    if not 1 <= sic_label <= 16:
-        raise ValueError("label out of range")
-    base = (sic_label - 1) * 16
-    orbits = []
-    for p1, p2 in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        members = tuple(
-            sorted(base + 4 * ((p1 + a) % 4) + ((p2 + b) % 4) for a, b in _H_SHIFTS)
-        )
-        orbits.append(HOrbit(sic_label, members))
-    return orbits
+# _BLOCKS[n - 1, b] holds the sorted orbit indices of block b of SIC n: the
+# states (p1, p2) + _H_SHIFTS for p1, p2 in {0, 1}, where state (n, p) has
+# orbit index 16 (n - 1) + 4 p1 + p2 (no shifted index passes 3)
+_BLOCKS = np.sort(
+    16 * np.arange(16)[:, None, None]
+    + np.array([0, 1, 4, 5])[:, None]
+    + np.array([4 * a + b for a, b in _H_SHIFTS]),
+    axis=-1,
+)
 
 
-def regroup_row(row, orbit: FiducialOrbit | None = None, tol: float = 1e-9):
-    """Assemble the four new SICs hiding in one row of the label grid.
-
-    For each block of the first SIC there is exactly one block in each of
-    the other three SICs at uniform cross-fidelity 1/5; anything else
-    fails fast.  Returns (sics, matching) where matching[i] lists the four
-    HOrbits composing the i-th new SIC; each new SIC is certified by
-    verify_sic at tol.
-    """
-    row = tuple(row)
-    if sorted(row) not in [sorted(r) for r in LABEL_GRID]:
-        raise ValueError("labels %r do not form a row of the grid" % (row,))
-    if orbit is None:
-        orbit = enumerate_orbit()
-    blocks = {lab: h_orbits(lab) for lab in row}
-    sics, matching = [], []
-    for seed in blocks[row[0]]:
-        chosen = [seed]
-        for lab in row[1:]:
-            # b is a partner when all its cross-fidelities with seed are 1/5
-            hits = [
-                b
-                for b in blocks[lab]
-                if fidelity_adjacency(orbit, seed.members + b.members)[:4, 4:].all()
-            ]
-            if len(hits) != 1:
-                raise ValueError(
-                    "block %r has %d fidelity-1/5 partners in SIC %d, expected 1"
-                    % (seed.members, len(hits), lab)
-                )
-            chosen.append(hits[0])
-        indices = sorted(itertools.chain.from_iterable(b.members for b in chosen))
-        states = orbit.projectors[indices]
-        report = verify_sic(states, 4, tol)
-        if not report.is_sic:
-            raise ValueError("assembled 16-state set fails the SIC certificate")
-        sics.append(SicPovm(d=4, states=states))
-        matching.append(tuple(chosen))
-    return sics, matching
-
-
-def regrouped_family(orbit: FiducialOrbit | None = None, tol: float = 1e-9):
+def regrouped_family(orbit: FiducialOrbit | None = None, tol: float = DEFAULT_TOL):
     """All 16 regrouped SICs with labels 17..32, plus the matching table.
 
+    matching is a read-only int (16, 4, 4) array: matching[i, j] holds the
+    sorted orbit indices of the block that SIC 17 + i takes from the j-th
+    SIC of its grid row, so matching.reshape(16, 16) lists its states.
     Over the enumerated orbit the family is built once per tol and its
     state arrays are read-only; another orbit gets a fresh build."""
     if orbit is None or orbit is enumerate_orbit():
-        return tuple(map(list, _enumerated_family(tol)))
+        sics, matching = _enumerated_family(tol)
+        return list(sics), matching
     return _build_family(orbit, tol)
 
 
@@ -112,16 +63,39 @@ def _enumerated_family(tol: float) -> tuple:
     sics, matching = _build_family(enumerate_orbit(), tol)
     for s in sics:
         s.states.flags.writeable = False
-    return tuple(sics), tuple(matching)
+    return tuple(sics), matching
 
 
 def _build_family(orbit: FiducialOrbit, tol: float) -> tuple:
-    sics, matching = [], []
-    for r, row in enumerate(LABEL_GRID):
-        row_sics, row_match = regroup_row(row, orbit, tol)
-        for j, (s, m) in enumerate(zip(row_sics, row_match)):
-            sics.append(SicPovm(d=4, states=s.states, label="sic-%d" % (17 + 4 * r + j)))
-            matching.append(m)
+    """Each block of a row's first SIC has exactly one block in each other
+    SIC of the row at uniform cross-fidelity 1/5; anything else fails fast.
+    Each assembled SIC is certified by verify_sic at tol."""
+    matching = []
+    for row in LABEL_GRID:
+        blocks = _BLOCKS[np.subtract(row, 1)]
+        adj = fidelity_adjacency(orbit, blocks.ravel()).reshape(4, 4, 4, 4, 4, 4)
+        # partners[s, j, b]: every state of block b of SIC row[j + 1] is a
+        # fidelity-1/5 neighbour of every state of seed block s
+        partners = adj[0, :, :, 1:].all(axis=(1, 4))
+        counts = partners.sum(axis=2)
+        bad = np.argwhere(counts != 1)
+        if len(bad):
+            s, j = bad[0]
+            raise ValueError(
+                "block %r has %d fidelity-1/5 partners in SIC %d, expected 1"
+                % (tuple(blocks[0, s].tolist()), counts[s, j], row[j + 1])
+            )
+        choice = np.concatenate([np.arange(4)[:, None], partners.argmax(axis=2)], axis=1)
+        matching.append(blocks[np.arange(4), choice])
+    matching = np.concatenate(matching)
+    matching.flags.writeable = False
+    sics = []
+    # the labels of a row increase, so each row of members is sorted
+    for i, members in enumerate(matching.reshape(16, 16)):
+        states = orbit.projectors[members]
+        if not verify_sic(states, 4, tol).is_sic:
+            raise ValueError("assembled 16-state set fails the SIC certificate")
+        sics.append(SicPovm(d=4, states=states, label="sic-%d" % (17 + i)))
     return sics, matching
 
 
@@ -167,7 +141,7 @@ def _cliques(adj: np.ndarray, k: int) -> list:
 
 
 def exhaustive_regroup_scan(
-    orbit: FiducialOrbit | None = None, full_scan: bool = False, tol: float = 1e-9
+    orbit: FiducialOrbit | None = None, full_scan: bool = False, tol: float = DEFAULT_TOL
 ) -> int:
     """Count the 16-state SICs contained in the fidelity-1/5 graph.
 
@@ -178,18 +152,15 @@ def exhaustive_regroup_scan(
     if orbit is None:
         orbit = enumerate_orbit()
     if full_scan:
-        vertex_sets = [list(range(256))]
+        vertex_sets = [np.arange(256)]
     else:
-        vertex_sets = [
-            [(lab - 1) * 16 + k for lab in row for k in range(16)]
-            for row in LABEL_GRID
-        ]
+        vertex_sets = [_BLOCKS[np.subtract(row, 1)].ravel() for row in LABEL_GRID]
     found = set()
     for vertices in vertex_sets:
         for clique in _cliques(fidelity_adjacency(orbit, vertices), 16):
             if len(clique) > 16:
                 raise AssertionError("clique larger than a SIC cannot exist")
-            key = tuple(sorted(vertices[i] for i in clique))
+            key = tuple(np.sort(vertices[clique]).tolist())
             if key in found:
                 continue
             if not verify_sic(orbit.projectors[list(key)], 4, tol).is_sic:

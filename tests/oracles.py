@@ -5,9 +5,13 @@ the tests as independent oracles and as the acceptance suite's readable
 per-item checks.
 """
 
+import itertools
+
 import numpy as np
 
 from sic4.numerics import DEFAULT_TOL, GroupElement, canonical_phase, proj_equal, rank1_kets as state_ket
+from sic4.orbits import LABEL_GRID
+from sic4.regrouping import fidelity_adjacency
 from sic4.two_qubit import (
     concurrence,
     match_sign_patterns,
@@ -57,3 +61,34 @@ def concurrence_census(sic, basis: str = "product", decimals: int = 9) -> dict:
 
 def avg_reduced_purity(sic, basis: str = "product", qubit: int = 0) -> float:
     return float(np.mean(reduced_purity(sic.states, basis, qubit)))
+
+
+def h_orbits(sic_label: int) -> list:
+    """The four blocks of one SIC under the translations by (0, 0), (2, 0),
+    (0, 2), (2, 2), which implement conjugation by I, X^2, Z^2, X^2 Z^2; each
+    block is a sorted tuple of orbit indices."""
+    base = (sic_label - 1) * 16
+    return [
+        tuple(sorted(base + 4 * ((p1 + a) % 4) + ((p2 + b) % 4) for a, b in ((0, 0), (2, 0), (0, 2), (2, 2))))
+        for p1, p2 in ((0, 0), (0, 1), (1, 0), (1, 1))
+    ]
+
+
+def regroup_by_search(orbit) -> tuple:
+    """The regrouped family by a per-block search: each block of a row's
+    first SIC, with the one block of each other SIC of the row at uniform
+    cross-fidelity 1/5.  Returns (matching, states): the four blocks of each
+    new SIC and its states in sorted index order, rows in grid order."""
+    matching, states = [], []
+    for row in LABEL_GRID:
+        blocks = {lab: h_orbits(lab) for lab in row}
+        for seed in blocks[row[0]]:
+            chosen = [seed]
+            for lab in row[1:]:
+                hits = [b for b in blocks[lab] if fidelity_adjacency(orbit, seed + b)[:4, 4:].all()]
+                if len(hits) != 1:
+                    raise ValueError("block %r has %d partners in SIC %d" % (seed, len(hits), lab))
+                chosen.append(hits[0])
+            matching.append(chosen)
+            states.append(orbit.projectors[sorted(itertools.chain.from_iterable(chosen))])
+    return matching, states

@@ -531,8 +531,12 @@ def test_every_library_name_has_a_library_caller():
             walk(child, inside)
 
     defs = []
+    # every tree stays alive until the walk ends: refs holds id()s of nodes,
+    # which the nodes of a later tree could reuse once an earlier one is freed
+    trees = []
     for path in sorted((ROOT / "src" / "sic4").glob("*.py")):
         tree = ast.parse(path.read_text())
+        trees.append(tree)
         walk(tree, frozenset())
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):

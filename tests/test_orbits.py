@@ -493,8 +493,7 @@ def _all_sic_indices():
     from sic4.regrouping import regrouped_family
 
     matching = regrouped_family(enumerate_orbit())[1]
-    regrouped = [np.sort(np.concatenate([b.members for b in m])) for m in matching]
-    return list(np.arange(256).reshape(16, 16)) + regrouped
+    return list(np.arange(256).reshape(16, 16)) + list(matching.reshape(16, 16))
 
 
 def test_sic_symmetries_of_sic_1():

@@ -147,7 +147,7 @@ def test_reconstruct_rejects_non_sic():
 def test_uniqueness_certificate():
     _, matching = regrouped_family(enumerate_orbit())
     assert uniqueness_check(np.arange(16))
-    assert uniqueness_check(np.sort(np.concatenate([b.members for b in matching[0]])))
+    assert uniqueness_check(matching[0].ravel())
 
 
 def test_screened_symmetry_permutations_match_full_action():
@@ -155,8 +155,8 @@ def test_screened_symmetry_permutations_match_full_action():
     group = enumerate_projective_clifford(4, extended=False)
     mats, anti = group.mats, group.anti
     orbit = enumerate_orbit()
-    regrouped = [np.sort(np.concatenate([b.members for b in m])) for m in regrouped_family(orbit)[1]]
-    for idx in list(np.arange(256).reshape(16, 16)) + regrouped:
+    regrouped = regrouped_family(orbit)[1].reshape(16, 16)
+    for idx in np.concatenate([np.arange(256).reshape(16, 16), regrouped]):
         states = orbit.projectors[idx]
         index, ov = state_action(mats[~anti], anti[~anti], states, states)
         matched = np.all(ov >= 1.0 - MATCH_TOL, axis=1)

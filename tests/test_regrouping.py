@@ -31,12 +31,12 @@ from sic4.regrouping import (
     _quotient,
     exhaustive_regroup_scan,
     fidelity_adjacency,
-    h_orbits,
     hw_conjugate_subgroup_census,
-    regroup_row,
     regrouped_family,
 )
 from sic4.weyl_heisenberg import displacement, verify_sic
+
+from oracles import regroup_by_search
 
 
 def fidelity_graph(orbit, vertices):
@@ -46,22 +46,23 @@ def fidelity_graph(orbit, vertices):
 
 
 def test_h_orbits_partition():
-    for label in (1, 5, 12):
-        orbs = h_orbits(label)
-        assert len(orbs) == 4
-        members = sorted(i for o in orbs for i in o.members)
-        assert members == list(range((label - 1) * 16, label * 16))
-        for o in orbs:
-            assert len(o.members) == 4
-            assert o.sic_label == label
+    # matching[i, j] is the block SIC 17 + i takes from the j-th SIC of its
+    # row; the four new SICs of a row take the four blocks of each row SIC
+    _, matching = regrouped_family()
+    by_row = matching.reshape(4, 4, 4, 4)  # (row, new SIC, row SIC, member)
+    for r, row in enumerate(LABEL_GRID):
+        for j, label in enumerate(row):
+            blocks = by_row[r, :, j]
+            assert np.all(blocks // 16 + 1 == label)
+            assert np.all(np.diff(blocks, axis=1) > 0)
+            assert np.array_equal(np.sort(blocks.ravel()), np.arange((label - 1) * 16, label * 16))
 
 
 def test_h_orbit_internal_fidelities():
     # within an H-orbit all pairs sit at fidelity 1/5: each block is a
     # candidate seed for a new SIC
     orbit = enumerate_orbit()
-    for o in h_orbits(1):
-        m = list(o.members)
+    for m in regrouped_family()[1].reshape(64, 4):
         for i in range(4):
             for j in range(i + 1, 4):
                 f = abs(np.trace(orbit.projectors[m[i]] @ orbit.projectors[m[j]]))
@@ -70,18 +71,31 @@ def test_h_orbit_internal_fidelities():
 
 def test_regroup_row():
     orbit = enumerate_orbit()
-    sics, matching = regroup_row((1, 2, 3, 4), orbit)
-    assert len(sics) == 4
-    for s in sics:
+    sics, matching = regrouped_family(orbit)
+    for s in sics[:4]:
         assert verify_sic(s.states, 4).is_sic
-    assert len(matching) == 4
-    for blocks in matching:
-        assert sorted(b.sic_label for b in blocks) == [1, 2, 3, 4]
+    assert matching.shape == (16, 4, 4) and matching.dtype.kind == "i"
+    # each new SIC takes one block from every SIC of its row, in row order
+    assert np.array_equal(matching[:, :, 0] // 16 + 1, np.repeat(LABEL_GRID, 4, axis=0))
 
 
-def test_regroup_row_rejects_non_row():
-    with pytest.raises(ValueError):
-        regroup_row((1, 2, 3, 5))
+def test_regrouped_family_matches_the_per_block_search():
+    orbit = enumerate_orbit()
+    sics, matching = regrouped_family(orbit)
+    old_matching, old_states = regroup_by_search(orbit)
+    assert matching.tolist() == [[list(b) for b in m] for m in old_matching]
+    assert [s.label for s in sics] == ["sic-%d" % n for n in range(17, 33)]
+    assert all(np.array_equal(s.states, old) for s, old in zip(sics, old_states))
+
+
+def test_regrouped_family_rejects_a_block_without_a_unique_partner():
+    # with states 0 (SIC 1) and 16 (SIC 2) swapped, the first block of SIC 1
+    # has no block of SIC 3 at uniform cross-fidelity 1/5
+    projectors = enumerate_orbit().projectors.copy()
+    projectors[[0, 16]] = projectors[[16, 0]]
+    message = r"block \(0, 2, 8, 10\) has 0 fidelity-1/5 partners in SIC 3, expected 1"
+    with pytest.raises(ValueError, match=message):
+        regrouped_family(FiducialOrbit(projectors))
 
 
 def test_regrouped_family():
@@ -90,8 +104,7 @@ def test_regrouped_family():
     assert len(sics) == 16
     assert [s.label for s in sics] == ["sic-%d" % n for n in range(17, 33)]
     # every original state is used exactly once across the new family
-    used = sorted(i for blocks in matching for b in blocks for i in b.members)
-    assert used == list(range(256))
+    assert np.array_equal(np.sort(matching.ravel()), np.arange(256))
 
 
 def test_new_sics_share_four_states_with_row_members():
@@ -386,4 +399,5 @@ def test_regrouped_family_is_built_once_and_read_only():
     fresh, fresh_matching = regrouped_family(FiducialOrbit(orbit.projectors.copy()))
     assert fresh[0] is not sics[0] and fresh[0].states.flags.writeable
     assert all(np.array_equal(a.states, b.states) for a, b in zip(fresh, sics))
-    assert fresh_matching == matching
+    assert np.array_equal(fresh_matching, matching)
+    assert not matching.flags.writeable and not fresh_matching.flags.writeable
