@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import logging
 import math
 import sys
 import time
@@ -402,7 +401,7 @@ def _read_input_states(path: str) -> np.ndarray:
 
     try:
         with open(path) as fh:
-            states = np.stack([matrix_from_json(m) for m in json.load(fh)["states"]])
+            states = matrix_from_json(json.load(fh)["states"])
     except OSError as exc:
         raise _InputError(exc.strerror or str(exc)) from None
     except (KeyError, TypeError, ValueError) as exc:  # ValueError covers JSONDecodeError
@@ -443,7 +442,7 @@ def run_reconstruct_input(cfg, claims: Claims):
     )
     return {
         "generators": {"z": matrix_to_json(rec.z_gen), "x": matrix_to_json(rec.x_gen)},
-        "elements": [matrix_to_json(m) for m in rec.elements],
+        "elements": matrix_to_json(rec.elements),
         "group": verdict,
     }
 
@@ -572,7 +571,7 @@ def run_regroup(cfg, claims: Claims):
 
     payload = {
         "regrouped_sics": [
-            {"label": s.label, "states": [matrix_to_json(st) for st in s.states]}
+            {"label": s.label, "states": matrix_to_json(s.states)}
             for s in sics
         ],
         "matching": [
@@ -868,6 +867,8 @@ def main(argv=None) -> int:
             print("sic4: error: --input %s: %s" % (cfg.input_path, exc), file=sys.stderr)
             return 2
         except Exception as exc:  # a raising section becomes a FAIL row; the others still run
+            import logging  # only a raising section needs it
+
             logging.getLogger(__name__).exception("section %s raised", section)
             error = "%s: %s" % (type(exc).__name__, exc)
             claims.add(section + ".error", "the section runs to completion", None, error)
@@ -886,7 +887,9 @@ def main(argv=None) -> int:
     }
     if cfg.format == "json":
         report["payload"] = payload
-        text = json.dumps(report)  # no indent, so the C encoder runs
+        # no indent, so the C encoder runs; the report is a fresh tree, so
+        # the encoder's cycle check would only cost time
+        text = json.dumps(report, check_circular=False)
     elif cfg.format == "tsv":
         report["payload"] = payload
         text = _render_tsv(report)

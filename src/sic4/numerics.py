@@ -163,21 +163,30 @@ def projective_set_equal(mats_a, mats_b, tol: float = PROJECTIVE_MATCH_TOL) -> b
     return bool(np.all(index >= 0) and len(set(index.tolist())) == len(b))
 
 
-def matrix_to_json(m) -> dict:
-    """Serialize to {dim, entries} with entries a row-major [re, im] list."""
-    m = np.ascontiguousarray(_as_complex(m))
-    return {"dim": m.shape[0], "entries": m.view(float).reshape(-1, 2).tolist()}
+def matrix_to_json(m):
+    """Serialize to {dim, entries} with entries a row-major [re, im] list;
+    an (N, d, d) stack to a list of N such objects, in one array pass."""
+    a = np.ascontiguousarray(_as_complex(m, stacked=np.ndim(m) == 3))
+    d = a.shape[-1]
+    objs = [{"dim": d, "entries": e} for e in a.view(float).reshape(-1, d * d, 2).tolist()]
+    return objs if a.ndim == 3 else objs[0]
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    """Inverse of matrix_to_json; ValueError unless the entries are d * d
-    [re, im] pairs of finite JSON numbers (Python's json reads NaN and
-    Infinity as floats)."""
-    d = int(obj["dim"])
-    entries = np.array(obj["entries"])  # ragged entries raise ValueError
-    if entries.shape != (d * d, 2) or entries.dtype.kind not in "iuf" or not np.isfinite(entries).all():
+    """Inverse of matrix_to_json; for a list of such objects, the (N, d, d)
+    stack of one d, read in one array pass.  ValueError unless every entries
+    list holds d * d [re, im] pairs of finite JSON numbers (Python's json
+    reads NaN and Infinity as floats)."""
+    objs = [obj] if isinstance(obj, dict) else obj
+    dims = {int(o["dim"]) for o in objs}
+    if len(dims) != 1:
+        raise ValueError("expected one or more matrices of one dimension, got dimensions %s" % sorted(dims))
+    d = dims.pop()
+    entries = np.array([o["entries"] for o in objs])  # ragged entries raise ValueError
+    if entries.shape[1:] != (d * d, 2) or entries.dtype.kind not in "iuf" or not np.isfinite(entries).all():
         raise ValueError(
             "expected %d [re, im] pairs of finite numbers, got a %s array of shape %r"
-            % (d * d, entries.dtype, entries.shape)
+            % (d * d, entries.dtype, entries.shape[1:])
         )
-    return np.ascontiguousarray(entries, dtype=float).view(complex).reshape(d, d)
+    stack = np.ascontiguousarray(entries, dtype=float).view(complex).reshape(-1, d, d)
+    return stack[0] if isinstance(obj, dict) else stack

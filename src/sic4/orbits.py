@@ -371,11 +371,15 @@ def state_permutations(mats, states) -> np.ndarray:
     """How each of N unitaries permutes a list of M rank-1 states by
     conjugation, as an (N, M) index array; for an (N, M, d, d) stack, how
     each permutes its own list.  ValueError when one does not permute its
-    states."""
-    index, ov = state_action(mats, np.zeros(len(mats), dtype=bool), states, states)
-    hit = np.zeros(index.shape, dtype=bool)
-    np.put_along_axis(hit, index, True, axis=1)  # every state is an image
-    if ov.min() < 1.0 - MATCH_TOL or not hit.all():
+    states.  The kets k are read off the states once, and one product takes
+    every overlap <k_j| U |k_i>: state i goes to the j of largest modulus."""
+    kets = rank1_kets(states)
+    z = kets.conj() @ np.asarray(mats, dtype=complex) @ np.swapaxes(kets, -1, -2)  # [n, j, i]
+    ov = np.square(z.real)
+    ov += np.square(z.imag)
+    index = ov.argmax(axis=-2)
+    hit = np.sort(index, axis=-1) == np.arange(index.shape[-1])  # every state is an image
+    if ov.max(axis=-2).min() < 1.0 - MATCH_TOL or not hit.all():
         raise ValueError("conjugation does not permute the state set")
     return index
 

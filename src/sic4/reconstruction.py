@@ -64,6 +64,12 @@ def reference_signature() -> tuple:
     return tuple(sorted(signature_values()))
 
 
+# both as read-only arrays, for the per-candidate comparisons
+_SIGNATURE = np.array(signature_values())
+_REFERENCE = np.array(reference_signature())
+_SIGNATURE.flags.writeable = _REFERENCE.flags.writeable = False
+
+
 def signatures(states, quads: np.ndarray) -> np.ndarray:
     """Sorted eigenvalues of the state sums of each row of a (Q, 4) index
     array, summed in row order; for an (S, 16, d, d) stack of states, of
@@ -77,7 +83,7 @@ def signatures(states, quads: np.ndarray) -> np.ndarray:
 
 def _matches_reference(sigs: np.ndarray) -> np.ndarray:
     """Which rows of a (..., 4) signature stack qualify."""
-    return np.all(np.abs(sigs - np.array(reference_signature())) <= SIGNATURE_TOL, axis=-1)
+    return np.all(np.abs(sigs - _REFERENCE) <= SIGNATURE_TOL, axis=-1)
 
 
 @lru_cache(maxsize=None)
@@ -87,6 +93,12 @@ def _quad_index() -> np.ndarray:
     quads = np.array(list(itertools.combinations(range(16), 4)))
     quads.flags.writeable = False
     return quads
+
+
+# the 256 ways to pick one state from each of four clock orbits, by position
+# in the orbit, in itertools.product order
+_ORBIT_PICKS = np.indices((4,) * 4).reshape(4, -1).T
+_ORBIT_PICKS.flags.writeable = False
 
 
 def _first_match(states: np.ndarray, candidates: np.ndarray) -> np.ndarray:
@@ -112,7 +124,7 @@ def _phase_operator(m: np.ndarray) -> np.ndarray:
     """Attach i^k to the eigenket of the sum eigenvalue tagged k, for one
     4 x 4 sum or for each of an (S, 4, 4) stack."""
     w, v = eig_hermitian(m, tol=HERMITIAN_TOL)
-    dist = np.abs(w[..., :, None] - np.array(signature_values()))  # eigenvalue x tag k
+    dist = np.abs(w[..., :, None] - _SIGNATURE)  # eigenvalue x tag k
     k = dist.argmin(axis=-1)
     if np.any(dist.min(axis=-1) > EIGENVALUE_MATCH_TOL) or np.any(np.sort(k, axis=-1) != np.arange(4)):
         raise ValueError("sum eigenvalues do not realize the reference signature")
@@ -165,8 +177,7 @@ def reconstruct_hw(sics, tol: float = DEFAULT_TOL) -> ReconstructedGroup:
         raise ValueError("clock generator does not split the SIC into four 4-orbits")
     orbits = np.sort(cycles[cycles.min(axis=-1) == np.arange(16)], axis=-1).reshape(-1, 4, 4)
 
-    # one state from each clock orbit, in itertools.product order
-    picks = orbits[:, np.arange(4), np.indices((4,) * 4).reshape(4, -1).T]
+    picks = orbits[:, np.arange(4), _ORBIT_PICKS]
     xp = _phase_operator(_first_match(states, picks))
     flip = np.abs(commutator_phase(zp, xp) - 1j) > COMMUTATOR_TOL
     xp[flip] = xp[flip].conj().swapaxes(-1, -2)

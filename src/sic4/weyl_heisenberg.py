@@ -65,7 +65,12 @@ def shift_clock_products(x, z) -> np.ndarray:
     """x^a z^b at index d a + b, 0 <= a, b < d, for d x d matrices x, z; for
     (S, d, d) stacks, an (S, d * d, d, d) array of each pair's products."""
     d = np.shape(x)[-1]
-    xs, zs = (np.stack([np.linalg.matrix_power(m, k) for k in range(d)], axis=-3) for m in (x, z))
+    xs, zs = (np.empty(np.shape(m)[:-2] + (d, d, d), dtype=complex) for m in (x, z))
+    for powers, m in ((xs, x), (zs, z)):
+        powers[..., 0, :, :] = np.eye(d)
+        powers[..., 1, :, :] = m
+        for k in range(2, d):  # m^3 = (m m) m, as np.linalg.matrix_power takes it
+            powers[..., k, :, :] = powers[..., k - 1, :, :] @ m
     return (xs[..., :, None, :, :] @ zs[..., None, :, :, :]).reshape(np.shape(x)[:-2] + (d * d, d, d))
 
 
@@ -210,6 +215,15 @@ class SicReport:
     completeness_deviation: float
 
 
+@lru_cache(maxsize=None)
+def _upper_pairs(n: int) -> tuple:
+    """np.triu_indices(n, 1): the index pairs j < k of an n x n matrix."""
+    pairs = np.triu_indices(n, 1)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
+
+
 def verify_sic(states, d: int, tol: float = DEFAULT_TOL) -> SicReport:
     """Certify the defining SIC properties of a set of d^2 states.
 
@@ -231,7 +245,7 @@ def verify_sic(states, d: int, tol: float = DEFAULT_TOL) -> SicReport:
         # gram[j, k] = tr(r_j r_k) = vec(r_j) . vec(r_k^T)
         n = d * d
         gram = states.reshape(n, n) @ states.transpose(0, 2, 1).reshape(n, n).T
-        fdev = np.max(np.abs(gram[np.triu_indices(n, 1)].real - 1.0 / (d + 1)))
+        fdev = np.max(np.abs(gram[_upper_pairs(n)].real - 1.0 / (d + 1)))
     cdev = float(np.max(np.abs(states.sum(axis=0) - d * np.eye(d))))
     ok = sdev <= tol and fdev <= tol and cdev <= tol
     return SicReport(ok, float(fdev), float(sdev), cdev)

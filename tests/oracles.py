@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 
 from sic4.numerics import DEFAULT_TOL, GroupElement, canonical_phase, proj_equal, rank1_kets as state_ket
-from sic4.orbits import LABEL_GRID
+from sic4.orbits import LABEL_GRID, MATCH_TOL, state_action
 from sic4.regrouping import fidelity_adjacency
 from sic4.two_qubit import (
     concurrence,
@@ -61,6 +61,17 @@ def concurrence_census(sic, basis: str = "product", decimals: int = 9) -> dict:
 
 def avg_reduced_purity(sic, basis: str = "product", qubit: int = 0) -> float:
     return float(np.mean(reduced_purity(sic.states, basis, qubit)))
+
+
+def state_permutations_by_action(mats, states) -> np.ndarray:
+    """orbits.state_permutations as it was: through the general state_action,
+    which reads the kets of the states once as sources and once as targets."""
+    index, ov = state_action(mats, np.zeros(len(mats), dtype=bool), states, states)
+    hit = np.zeros(index.shape, dtype=bool)
+    np.put_along_axis(hit, index, True, axis=1)  # every state is an image
+    if ov.min() < 1.0 - MATCH_TOL or not hit.all():
+        raise ValueError("conjugation does not permute the state set")
+    return index
 
 
 def h_orbits(sic_label: int) -> list:

@@ -138,7 +138,7 @@ def test_reconstruct_input_without_states_exits_2(tmp_path, capsys):
     _assert_input_error(["reconstruct", "--input", str(f)], capsys)
 
 
-@pytest.mark.parametrize("shape", ["fifteen", "dim2", "ragged"])
+@pytest.mark.parametrize("shape", ["fifteen", "dim2", "ragged", "mixed"])
 def test_reconstruct_input_wrong_states_exits_2(shape, tmp_path, capsys):
     from sic4.orbits import enumerate_orbit
 
@@ -147,6 +147,8 @@ def test_reconstruct_input_wrong_states_exits_2(shape, tmp_path, capsys):
         states = states[:15]
     elif shape == "dim2":
         states = [np.eye(2) / 2] * 16
+    elif shape == "mixed":  # eight states of dimension 2, eight of dimension 4
+        states[:8] = [np.eye(2) / 2] * 8
     else:
         states[3] = np.eye(2) / 2
     _assert_input_error(["reconstruct", "--input", str(_sic_file(tmp_path, states))], capsys)
@@ -465,6 +467,28 @@ def test_regroup_does_not_import_networkx(tmp_path):
             "import sys",
             "rc = sic4.cli.main(['regroup', '--out', sys.argv[1]])",
             "assert 'networkx' not in sys.modules, 'networkx was imported'",
+            "sys.exit(rc)",
+        ]
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "r.txt")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_passing_all_does_not_import_logging(tmp_path):
+    # logging serves only a section that raises
+    code = "; ".join(
+        [
+            _perfbench_cli_imports(),
+            "import sys",
+            "rc = sic4.cli.main(['all', '--out', sys.argv[1]])",
+            "assert 'logging' not in sys.modules, 'logging was imported'",
             "sys.exit(rc)",
         ]
     )

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,30 @@ def test_matrix_from_json_matches_per_entry_complex():
     new = matrix_from_json(obj)
     assert new.dtype == complex and new.shape == (4, 4)
     assert repr(new.tolist()) == repr(old.tolist())
+
+
+def test_stacked_matrix_json_matches_the_per_matrix_loop():
+    # the 16 states of a SIC file, read back from its JSON text; repr tells
+    # -0.0 from 0.0
+    from sic4.orbits import enumerate_orbit
+
+    states = enumerate_orbit().sic(5).states
+    objs = matrix_to_json(states)
+    assert objs == [matrix_to_json(s) for s in states]
+    doc = json.loads(json.dumps({"states": objs}))
+    doc["states"][3]["entries"][0] = [1, 0]  # JSON integers
+    new = matrix_from_json(doc["states"])
+    old = np.stack([matrix_from_json(m) for m in doc["states"]])
+    assert new.dtype == complex and new.shape == (16, 4, 4)
+    assert repr(new.tolist()) == repr(old.tolist())
+
+
+def test_stacked_matrix_from_json_rejects_mixed_dimensions():
+    objs = [matrix_to_json(np.eye(4)), matrix_to_json(np.eye(2))]
+    with pytest.raises(ValueError, match=r"dimensions \[2, 4\]"):
+        matrix_from_json(objs)
+    with pytest.raises(ValueError):
+        matrix_from_json([])
 
 
 @pytest.mark.parametrize(

@@ -33,6 +33,8 @@ from sic4.orbits import (
 )
 from sic4.weyl_heisenberg import displacement_table, verify_sic
 
+from oracles import state_permutations_by_action
+
 # triple-trace clusters of one SIC, sorted by (re, im); all on the circle
 # of radius 5^{-3/2}
 TRIPLE_CENSUS = (
@@ -522,6 +524,50 @@ def test_sic_symmetries_match_elements_sending_on_all_32_sics(extended):
     _, base = sic_symmetries(sics[20], extended=extended)
     _, shuffled = sic_symmetries(sics[-1], extended=extended)
     assert np.array_equal(shuffled, np.argsort(shuffle)[base[:, shuffle]])
+
+
+def _haar_unitary(rng):
+    q, r = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def test_state_permutations_match_the_state_action_form():
+    # the ket product against the form through state_action: the 32 SICs
+    # under their covariance groups, and Haar-conjugated, state-shuffled copies
+    from sic4.regrouping import dprime_elements
+
+    rng = np.random.default_rng(23)
+    projectors = enumerate_orbit().projectors
+    disp = displacement_table(4).reshape(16, 4, 4)
+    cases = []
+    for k, idx in enumerate(_all_sic_indices()):
+        group, states, u = (disp if k < 16 else dprime_elements()), projectors[idx], _haar_unitary(rng)
+        cases += [(group, states), (u @ group @ u.conj().T, (u @ states @ u.conj().T)[rng.permutation(16)])]
+    for k, (mats, states) in enumerate(cases):
+        perms = state_permutations(mats, states)
+        assert np.array_equal(perms, state_permutations_by_action(mats, states)), k
+        assert np.array_equal(np.sort(perms, axis=1), np.broadcast_to(np.arange(16), perms.shape)), k
+    # one state list per element: element 5 of each case on the case's states
+    mats, states = np.stack([m[5] for m, _ in cases]), np.stack([s for _, s in cases])
+    assert np.array_equal(state_permutations(mats, states), state_permutations_by_action(mats, states))
+
+
+def test_state_permutations_raise_as_the_state_action_form():
+    states = enumerate_orbit().sic(1).states
+    mixed = states.copy()
+    mixed[3] = np.eye(4) / 4
+    u = _haar_unitary(np.random.default_rng(29))
+    disp = displacement_table(4).reshape(16, 4, 4)
+    # sqrt(5) |k_0><k_0| sends every state onto state 0 at overlap 1: only
+    # the "every state is an image" check refuses it
+    collapse = np.sqrt(5) * states[:1]
+    cases = ((u[None], states, "does not permute"), (collapse, states, "does not permute"))
+    for mats, sts, text in cases + ((disp, mixed, "not a rank-1 projector"),):
+        with pytest.raises(ValueError, match=text) as new:
+            state_permutations(mats, sts)
+        with pytest.raises(ValueError) as old:
+            state_permutations_by_action(mats, sts)
+        assert str(new.value) == str(old.value)
 
 
 def test_stability_group_is_sic_symmetries_of_one_state():

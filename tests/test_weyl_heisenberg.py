@@ -12,6 +12,7 @@ from sic4.weyl_heisenberg import (
     generate_sic,
     is_fiducial,
     omega,
+    shift_clock_products,
     symplectic_form,
     tau,
     verify_sic,
@@ -218,3 +219,15 @@ def test_batched_weyl_check_rejects_a_wrong_phase(monkeypatch):
         monkeypatch.undo()
         displacement_table.cache_clear()
     assert weyl_commutation_check(4)
+
+
+def test_shift_clock_products_match_matrix_power():
+    # the matrix_power form is the reference, bit for bit: successive
+    # products take the same m^3 = (m m) m; signed zeros included
+    rng = np.random.default_rng(41)
+    for shape in ((4, 4), (1, 4, 4), (32, 4, 4)):
+        x, z = rng.normal(size=(2,) + shape) + 1j * rng.normal(size=(2,) + shape)
+        x[..., 0, 1] = -0.0
+        powers = [np.stack([np.linalg.matrix_power(m, k) for k in range(4)], axis=-3) for m in (x, z)]
+        old = (powers[0][..., :, None, :, :] @ powers[1][..., None, :, :, :]).reshape(shape[:-2] + (16, 4, 4))
+        assert shift_clock_products(x, z).tobytes() == old.tobytes()
