@@ -71,11 +71,12 @@ def run_orbit(cfg, claims: Claims):
         STABILIZER_ORBIT_SETS,
         conjugation_cycle,
         enumerate_orbit,
+        orbit_certificate,
         projectively_distinct,
         stability_group,
         stabilizer_orbits_within_sic,
     )
-    from .weyl_heisenberg import fiducial_ket_d4, fiducial_overlaps, verify_sic
+    from .weyl_heisenberg import fiducial_ket_d4, fiducial_overlaps
 
     claims.add(
         "orbit.fiducial_overlap_dev",
@@ -91,9 +92,7 @@ def run_orbit(cfg, claims: Claims):
         256,
         256 if projectively_distinct(orbit.projectors) else -1,
     )
-    sic_ok = sum(
-        verify_sic(orbit.sic(n).states, 4, cfg.tol).is_sic for n in range(1, 17)
-    )
+    sic_ok = int(orbit_certificate(cfg.tol).is_sic.sum())
     claims.add("orbit.sic_count", "certified SIC-POVMs on the orbit", 16, sic_ok)
     claims.add(
         "orbit.unitary_group_order",
@@ -318,14 +317,14 @@ def run_reconstruct(cfg, claims: Claims):
         signatures,
         uniqueness_check,
     )
-    from .regrouping import dprime_elements, regrouped_family
+    from .regrouping import dprime_elements, sic_family
     from .numerics import match_projective, matrix_to_json, projective_set_equal
     from .weyl_heisenberg import displacement_table
 
     orbit = enumerate_orbit()
-    sic1 = orbit.sic(1)
+    sic1 = orbit.projectors[:16]
     # states 0-3 of SIC 1 are Z^j rho Z^-j, so they sum to the clock orbit of rho
-    w = signatures(sic1.states, np.arange(4)[None])[0]
+    w = signatures(sic1, np.arange(4)[None])[0]
     claims.add(
         "reconstruct.signature_closed_form_dev",
         "eigenvalues of the clock-orbit sum match their closed forms",
@@ -341,7 +340,7 @@ def run_reconstruct(cfg, claims: Claims):
         tol=1e-10,
     )
 
-    matching = reference_quads(sic1.states)
+    matching = reference_quads(sic1)
     claims.add(
         "reconstruct.reference_quads",
         "4-subsets of one SIC realizing the signature",
@@ -350,7 +349,7 @@ def run_reconstruct(cfg, claims: Claims):
     )
 
     disp = displacement_table(4).reshape(16, 4, 4)
-    ops = _phase_operator(sic1.states[matching].sum(axis=1))
+    ops = _phase_operator(sic1[matching].sum(axis=1))
     claims.add(
         "reconstruct.quad_operators_in_group",
         "every qualifying 4-subset induces a displacement element",
@@ -358,9 +357,10 @@ def run_reconstruct(cfg, claims: Claims):
         int(np.sum(match_projective(ops, disp) >= 0)),
     )
 
-    regrouped, matching = regrouped_family(orbit, cfg.tol)
-    family = [orbit.sic(n) for n in range(1, 17)] + regrouped
-    rec = reconstruct_hw(family, cfg.tol)
+    members, report = sic_family(cfg.tol)
+    if not report.is_sic.all():  # sic_family has raised for a regrouped row
+        raise ValueError("SIC %d fails the SIC certificate" % (np.argmin(report.is_sic) + 1))
+    rec = reconstruct_hw(orbit.projectors[members])
     claims.add(
         "reconstruct.original_family",
         "reconstruction returns the displacement group on SICs 1-16",
@@ -374,9 +374,7 @@ def run_reconstruct(cfg, claims: Claims):
         sum(projective_set_equal(els, dprime_elements()) for els in rec.elements[16:]),
     )
 
-    # reconstruct_hw has certified each SIC at cfg.tol
-    indices = np.concatenate([np.arange(256).reshape(16, 16), matching.reshape(16, 16)])
-    uniq = [uniqueness_check(idx) for idx in indices]
+    uniq = [uniqueness_check(idx) for idx in members]
     claims.add(
         "reconstruct.uniqueness",
         "each of the 32 SICs is covariant under exactly one order-16 group",
@@ -414,16 +412,14 @@ def _read_input_states(path: str) -> np.ndarray:
 def run_reconstruct_input(cfg, claims: Claims):
     """Reconstruction on a user-supplied SIC (JSON file of 16 states)."""
     from .numerics import matrix_to_json, projective_set_equal
-    from .reconstruction import NotASicError, reconstruct_hw
+    from .reconstruction import reconstruct_hw
     from .regrouping import dprime_elements
-    from .weyl_heisenberg import SicPovm, displacement_table
+    from .weyl_heisenberg import displacement_table, verify_sic
 
     states = _read_input_states(cfg.input_path)
-    try:  # reconstruct_hw certifies the states first
-        rec = reconstruct_hw(SicPovm(4, states, label="input"), cfg.tol)
-    except NotASicError as exc:
-        rec, dev = None, exc.report
-    claims.add("reconstruct.input_is_sic", "input passes the SIC certificate", True, rec is not None)
+    dev = verify_sic(states, 4, cfg.tol)
+    rec = reconstruct_hw(states) if dev.is_sic else None
+    claims.add("reconstruct.input_is_sic", "input passes the SIC certificate", True, dev.is_sic)
     if rec is None:  # which SIC condition failed, and by how much; null beyond the float range
         deviations = (dev.max_fidelity_deviation, dev.max_state_deviation, dev.completeness_deviation)
         deviations = [x if math.isfinite(x) else None for x in deviations]
@@ -451,6 +447,7 @@ def run_regroup(cfg, claims: Claims):
     from .clifford import coset, enumerate_projective_clifford, to_operator
     from .numerics import commutator_phase, match_projective, matrix_to_json, projective_set_equal
     from .orbits import MATCH_TOL, enumerate_orbit, orbit_action, state_action
+    from .reconstruction import COMMUTATOR_TOL
     from .regrouping import (
         CLIFFORD_GENERATORS,
         EQUIVALENCE_MATRIX,
@@ -467,21 +464,20 @@ def run_regroup(cfg, claims: Claims):
         fidelity_adjacency,
         generated_cosets,
         hw_conjugate_subgroup_census,
-        regrouped_family,
+        sic_family,
     )
     from .weyl_heisenberg import displacement_table
 
     orbit = enumerate_orbit()
-    sics, matching = regrouped_family(orbit, cfg.tol)
-    claims.add("regroup.additional_sics", "new SICs from block matching", 16, len(sics))
+    indices = sic_family(cfg.tol)[0][16:]  # the regrouped SICs 17-32
+    claims.add("regroup.additional_sics", "new SICs from block matching", 16, len(indices))
 
-    n_row = exhaustive_regroup_scan(orbit, full_scan=False, tol=cfg.tol)
+    n_row = exhaustive_regroup_scan(full_scan=False, tol=cfg.tol)
     claims.add("regroup.row_scan_total", "SICs found by the per-row clique scan", 32, n_row)
     if cfg.full_scan:
-        n_full = exhaustive_regroup_scan(orbit, full_scan=True, tol=cfg.tol)
+        n_full = exhaustive_regroup_scan(full_scan=True, tol=cfg.tol)
         claims.add("regroup.full_scan_total", "SICs found scanning all 256 states", 32, n_full)
 
-    indices = matching.reshape(16, 16)
     cover = np.bincount(indices.ravel(), minlength=256) + 1  # + 1: the orbit SIC of each state
     claims.add(
         "regroup.double_cover",
@@ -508,7 +504,7 @@ def run_regroup(cfg, claims: Claims):
         "regroup.commutation_projective",
         "clock and shift commute up to a fourth root of unity",
         True,
-        bool(min(abs(comm - 1j), abs(comm + 1j)) <= 1e-9),
+        bool(min(abs(comm - 1j), abs(comm + 1j)) <= COMMUTATOR_TOL),
     )
 
     # X' and Z' permute the states of each new SIC: the sorted images of its
@@ -534,8 +530,7 @@ def run_regroup(cfg, claims: Claims):
 
     # an original SIC is carried onto a new one when the images of all its
     # states are states of that one new SIC
-    new_states = np.concatenate([s.states for s in sics])
-    index, ov = state_action(u[None], [False], orbit.projectors, new_states)
+    index, ov = state_action(u[None], [False], orbit.projectors, orbit.projectors[indices.ravel()])
     image_sic = (index // 16).reshape(16, 16)
     matched = (ov >= 1.0 - MATCH_TOL).reshape(16, 16)
     mapped = int(np.sum(np.all(matched & (image_sic == image_sic[:, :1]), axis=1)))
@@ -571,12 +566,12 @@ def run_regroup(cfg, claims: Claims):
 
     payload = {
         "regrouped_sics": [
-            {"label": s.label, "states": matrix_to_json(s.states)}
-            for s in sics
+            {"label": "sic-%d" % label, "states": matrix_to_json(orbit.projectors[row])}
+            for label, row in enumerate(indices, start=17)
         ],
         "matching": [
             [{"sic_label": members[0] // 16 + 1, "members": members} for members in m]
-            for m in matching.tolist()
+            for m in indices.reshape(16, 4, 4).tolist()
         ],
         "generators": {
             "x": dict(_pair_json(X_PRIME_PAIR), matrix=matrix_to_json(X_PRIME_MATRIX)),
@@ -591,7 +586,7 @@ def run_regroup(cfg, claims: Claims):
 def run_twoqubit(cfg, claims: Claims, basis: str):
     from .numerics import rank1_kets
     from .orbits import LABEL_GRID, enumerate_orbit
-    from .regrouping import regrouped_family
+    from .regrouping import sic_family
     from .two_qubit import (
         concurrence,
         gbv,
@@ -678,8 +673,7 @@ def run_twoqubit(cfg, claims: Claims, basis: str):
         all(hist == want for hist in census[split_class]),
     )
 
-    sics, _ = regrouped_family(orbit, cfg.tol)
-    every = np.concatenate([orbit.projectors] + [s.states for s in sics])
+    every = orbit.projectors[sic_family(cfg.tol)[0]].reshape(512, 4, 4)
     purity = reduced_purity(every, basis).reshape(32, 16).mean(axis=1)
     claims.add(
         f"twoqubit.{pre}_avg_purity_dev",
@@ -689,7 +683,8 @@ def run_twoqubit(cfg, claims: Claims, basis: str):
     )
 
     if basis == "product":
-        reps = [[reduced_state_census(orbit.sic(lab), q, basis) for q in (0, 1)] for lab in range(1, 17)]
+        sics = orbit.projectors.reshape(16, 16, 4, 4)
+        reps = [[reduced_state_census(states, q, basis) for q in (0, 1)] for states in sics]
         cube = np.array([second.is_cube for _, second in reps])
         claims.add(
             "twoqubit.product_reduced_multiplicity",

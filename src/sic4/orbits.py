@@ -30,8 +30,8 @@ from .clifford import (
     semidirect_product,
     to_operator,
 )
-from .numerics import conjugate, rank1_kets
-from .weyl_heisenberg import SicPovm, displacement_table, fiducial_ket_d4
+from .numerics import DEFAULT_TOL, conjugate, rank1_kets
+from .weyl_heisenberg import SicReport, displacement_table, fiducial_ket_d4, verify_sic
 
 # symplectic sources of the 16 SIC labels, det = +1 mod 8
 SIC_LABELING = tuple(
@@ -101,9 +101,6 @@ class FiducialOrbit:
 
     projectors: np.ndarray  # (256, 4, 4)
 
-    def sic(self, label: int) -> SicPovm:
-        return SicPovm(4, self.projectors[(label - 1) * 16 : label * 16], label="sic-%d" % label)
-
     def find(self, rho, tol: float = MATCH_TOL) -> int:
         """Global index of the orbit projector equal to rho, or -1."""
         ov = np.abs(np.einsum("nij,ji->n", self.projectors, np.asarray(rho, dtype=complex)))
@@ -125,6 +122,16 @@ def enumerate_orbit() -> FiducialOrbit:
         raise AssertionError("orbit projectors are not projectively distinct")
     projs.flags.writeable = False
     return FiducialOrbit(projs)
+
+
+@lru_cache(maxsize=None)
+def orbit_certificate(tol: float = DEFAULT_TOL) -> SicReport:
+    """verify_sic at tol of the 16 orbit SICs, the rows of
+    np.arange(256).reshape(16, 16), in one pass; read-only (16,) fields."""
+    report = verify_sic(enumerate_orbit().projectors.reshape(16, 16, 4, 4), 4, tol)
+    for field in vars(report).values():
+        field.flags.writeable = False
+    return report
 
 
 def projectively_distinct(mats) -> bool:
@@ -315,7 +322,7 @@ def _distinct_triples(states):
 def triple_trace_census(label: int = 1, gap: float = 1e-6):
     """Clustered values of tr(r1 r2 r3) over ordered triples of distinct
     states of one SIC, as (value, multiplicity) pairs."""
-    vals, _ = _distinct_triples(enumerate_orbit().sic(label).states)
+    vals, _ = _distinct_triples(enumerate_orbit().projectors[16 * (label - 1) : 16 * label])
     return _cluster_complex(vals, gap)[0]
 
 
@@ -421,7 +428,7 @@ def rigid_permutations(label: int = 1, limit: int = 10):
     are extended at once, level by level; one survives when every triple of
     distinct states containing k keeps its census cluster.
     """
-    ids = _triple_cluster_ids(enumerate_orbit().sic(label).states)
+    ids = _triple_cluster_ids(enumerate_orbit().projectors[16 * (label - 1) : 16 * label])
     n = len(ids)
     tri = np.indices(ids.shape).reshape(3, -1)
     tri = tri[:, (tri[0] != tri[1]) & (tri[1] != tri[2]) & (tri[0] != tri[2])]

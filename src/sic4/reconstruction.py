@@ -18,9 +18,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, canonical_phase, commutator_phase, eig_hermitian
+from .numerics import canonical_phase, commutator_phase, eig_hermitian
 from .orbits import projectively_distinct, sic_symmetries, state_permutations, two_power_subgroup
-from .weyl_heisenberg import CONSTANTS, SicPovm, SicReport, shift_clock_products, verify_sic
+from .weyl_heisenberg import CONSTANTS, shift_clock_products
 
 # eigenvalue of the 4-state sum paired with the phase i^k it tags
 _SQ5 = math.sqrt(5.0)
@@ -135,15 +135,6 @@ def _phase_operator(m: np.ndarray) -> np.ndarray:
     return terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]  # summed in eigenpair order
 
 
-class NotASicError(ValueError):
-    """The input of a reconstruction fails verify_sic; ``report`` is the
-    failing SicReport."""
-
-    def __init__(self, report: SicReport):
-        super().__init__("input does not certify as a SIC-POVM")
-        self.report = report
-
-
 @dataclass
 class ReconstructedGroup:
     z_gen: np.ndarray
@@ -151,21 +142,17 @@ class ReconstructedGroup:
     elements: np.ndarray  # (16, 4, 4) phase-canonical representatives, (S, 16, 4, 4) for S SICs
 
 
-def reconstruct_hw(sics, tol: float = DEFAULT_TOL) -> ReconstructedGroup:
-    """Recover the order-16 projective covariance group of a SIC, or of each
-    SIC of a sequence in one stacked pass.
+def reconstruct_hw(states) -> ReconstructedGroup:
+    """Recover the order-16 projective covariance group of a SIC given by
+    its (16, 4, 4) states, or of each of an (S, 16, 4, 4) stack in one pass.
 
-    Each SIC only needs to pass verify_sic (NotASicError for the first that
-    fails); no displacement indexing is assumed.  Returns clock/shift
-    generators satisfying z x = omega x z exactly and the 16 projective
-    group elements, with a leading axis of S for a sequence of S SICs.
+    The caller certifies the states with verify_sic; no displacement
+    indexing is assumed.  Returns clock/shift generators satisfying
+    z x = omega x z exactly and the 16 projective group elements, with a
+    leading axis of S for a stack.
     """
-    stack = [sics] if isinstance(sics, SicPovm) else list(sics)
-    for sic in stack:
-        report = verify_sic(sic.states, sic.d, tol)
-        if not report.is_sic:
-            raise NotASicError(report)
-    states = np.stack([sic.states for sic in stack])
+    single = np.ndim(states) == 3
+    states = np.asarray(states, dtype=complex).reshape(-1, 16, 4, 4)
     zp = _phase_operator(_first_match(states, _quad_index()))
 
     perm = state_permutations(zp, states)
@@ -189,7 +176,7 @@ def reconstruct_hw(sics, tol: float = DEFAULT_TOL) -> ReconstructedGroup:
     elements = canonical_phase(shift_clock_products(xp, zp).reshape(-1, 4, 4)).reshape(-1, 16, 4, 4)
     if not projectively_distinct(elements):
         raise AssertionError("generated group has fewer than 16 projective elements")
-    if isinstance(sics, SicPovm):
+    if single:
         return ReconstructedGroup(z_gen=zp[0], x_gen=xp[0], elements=elements[0])
     return ReconstructedGroup(z_gen=zp, x_gen=xp, elements=elements)
 

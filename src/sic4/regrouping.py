@@ -23,7 +23,8 @@ from .clifford import (
 )
 from .numerics import DEFAULT_TOL, commutator_phase, is_unitary, proj_equal
 from .orbits import LABEL_GRID, FiducialOrbit, element_product, enumerate_orbit, fiducial_projector
-from .weyl_heisenberg import SicPovm, shift_clock_products, verify_sic
+from .orbits import orbit_certificate
+from .weyl_heisenberg import SicReport, shift_clock_products, verify_sic
 
 # two orbit states are fidelity-1/5 neighbours when |tr(a b) - 1/5| is at
 # most FIDELITY_TOL; every such pair is within 6.7e-16 of 1/5 and the
@@ -44,32 +45,15 @@ _BLOCKS = np.sort(
 )
 
 
-def regrouped_family(orbit: FiducialOrbit | None = None, tol: float = DEFAULT_TOL):
-    """All 16 regrouped SICs with labels 17..32, plus the matching table.
-
-    matching is a read-only int (16, 4, 4) array: matching[i, j] holds the
+def regrouped_family(orbit: FiducialOrbit | None = None) -> np.ndarray:
+    """The 16 regrouped SICs 17..32 of an orbit (the enumerated one by
+    default) as a read-only int (16, 4, 4) array: matching[i, j] holds the
     sorted orbit indices of the block that SIC 17 + i takes from the j-th
     SIC of its grid row, so matching.reshape(16, 16) lists its states.
-    Over the enumerated orbit the family is built once per tol and its
-    state arrays are read-only; another orbit gets a fresh build."""
-    if orbit is None or orbit is enumerate_orbit():
-        sics, matching = _enumerated_family(tol)
-        return list(sics), matching
-    return _build_family(orbit, tol)
-
-
-@lru_cache(maxsize=None)
-def _enumerated_family(tol: float) -> tuple:
-    sics, matching = _build_family(enumerate_orbit(), tol)
-    for s in sics:
-        s.states.flags.writeable = False
-    return tuple(sics), matching
-
-
-def _build_family(orbit: FiducialOrbit, tol: float) -> tuple:
-    """Each block of a row's first SIC has exactly one block in each other
-    SIC of the row at uniform cross-fidelity 1/5; anything else fails fast.
-    Each assembled SIC is certified by verify_sic at tol."""
+    Each block of a row's first SIC has exactly one block in each other SIC
+    of the row at uniform cross-fidelity 1/5; anything else fails fast."""
+    if orbit is None:
+        orbit = enumerate_orbit()
     matching = []
     for row in LABEL_GRID:
         blocks = _BLOCKS[np.subtract(row, 1)]
@@ -89,14 +73,28 @@ def _build_family(orbit: FiducialOrbit, tol: float) -> tuple:
         matching.append(blocks[np.arange(4), choice])
     matching = np.concatenate(matching)
     matching.flags.writeable = False
-    sics = []
-    # the labels of a row increase, so each row of members is sorted
-    for i, members in enumerate(matching.reshape(16, 16)):
-        states = orbit.projectors[members]
-        if not verify_sic(states, 4, tol).is_sic:
-            raise ValueError("assembled 16-state set fails the SIC certificate")
-        sics.append(SicPovm(d=4, states=states, label="sic-%d" % (17 + i)))
-    return sics, matching
+    return matching
+
+
+@lru_cache(maxsize=None)
+def sic_family(tol: float = DEFAULT_TOL) -> tuple:
+    """(members, report) of the 32 SICs of the enumerated orbit.  members is
+    a read-only int (32, 16) array of sorted orbit indices, row n - 1 the
+    states of SIC n: np.arange(256).reshape(16, 16), then
+    regrouped_family().reshape(16, 16).  report, with read-only (32,)
+    fields, joins orbit_certificate(tol) to one stacked verify_sic of the
+    regrouped rows at tol; ValueError when a regrouped row fails it."""
+    orbit = enumerate_orbit()
+    regrouped = regrouped_family(orbit).reshape(16, 16)
+    orbit_half = orbit_certificate(tol)
+    regrouped_half = verify_sic(orbit.projectors[regrouped], 4, tol)
+    if not regrouped_half.is_sic.all():
+        raise ValueError("assembled 16-state set fails the SIC certificate")
+    members = np.concatenate([np.arange(256).reshape(16, 16), regrouped])
+    report = SicReport(*map(np.concatenate, zip(vars(orbit_half).values(), vars(regrouped_half).values())))
+    for a in (members, *vars(report).values()):
+        a.flags.writeable = False
+    return members, report
 
 
 def fidelity_adjacency(orbit: FiducialOrbit, vertices) -> np.ndarray:
@@ -140,17 +138,17 @@ def _cliques(adj: np.ndarray, k: int) -> list:
     return found
 
 
-def exhaustive_regroup_scan(
-    orbit: FiducialOrbit | None = None, full_scan: bool = False, tol: float = DEFAULT_TOL
-) -> int:
-    """Count the 16-state SICs contained in the fidelity-1/5 graph.
+def exhaustive_regroup_scan(full_scan: bool = False, tol: float = DEFAULT_TOL) -> int:
+    """Count the 16-state SICs in the enumerated orbit's fidelity-1/5 graph.
 
     Default mode scans each row's 64 states separately (regrouping cannot
     mix rows); full_scan runs the clique search over all 256 vertices.
-    Every size-16 clique found is re-certified with verify_sic at tol.
+    Every size-16 clique found must certify at tol: a row of sic_family by
+    its certificate, any other clique by its own verify_sic.
     """
-    if orbit is None:
-        orbit = enumerate_orbit()
+    orbit = enumerate_orbit()
+    members, report = sic_family(tol)
+    certified = dict(zip(map(tuple, members.tolist()), report.is_sic.tolist()))
     if full_scan:
         vertex_sets = [np.arange(256)]
     else:
@@ -163,7 +161,9 @@ def exhaustive_regroup_scan(
             key = tuple(np.sort(vertices[clique]).tolist())
             if key in found:
                 continue
-            if not verify_sic(orbit.projectors[list(key)], 4, tol).is_sic:
+            if key not in certified:
+                certified[key] = verify_sic(orbit.projectors[list(key)], 4, tol).is_sic
+            if not certified[key]:
                 raise AssertionError("16-clique fails the SIC certificate")
             found.add(key)
     return len(found)

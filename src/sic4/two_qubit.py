@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .weyl_heisenberg import CONSTANTS, SicPovm, displacement_table
+from .weyl_heisenberg import CONSTANTS, displacement_table
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -273,13 +273,13 @@ class ReducedStateReport:
 
 
 def reduced_state_census(
-    sic: SicPovm, qubit: int = 1, basis: str = "product", tol: float = 1e-8
+    states: np.ndarray, qubit: int = 1, basis: str = "product", tol: float = 1e-8
 ) -> ReducedStateReport:
-    """Distinct single-qubit reduced states of one SIC and, when the eight
-    Bloch points happen to be the vertices of a cube, its edge length.
-    Points within tol in every component are one; each distinct point is
-    represented by its first occurrence."""
-    points = _bloch_vectors(sic.states, basis, qubit)
+    """Distinct single-qubit reduced states of one SIC's (16, 4, 4) states
+    and, when the eight Bloch points happen to be the vertices of a cube,
+    its edge length.  Points within tol in every component are one; each
+    distinct point is represented by its first occurrence."""
+    points = _bloch_vectors(states, basis, qubit)
     close = np.max(np.abs(points[:, None] - points[None]), axis=2) <= tol
     first = close.argmax(axis=1)  # the earliest point each one coincides with
     reps = np.flatnonzero(first == np.arange(len(points)))

@@ -209,6 +209,8 @@ def generate_sic(v, d: int | None = None, label: str = "") -> SicPovm:
 
 @dataclass
 class SicReport:
+    """verify_sic's verdict and deviations; (S,) arrays for a stack of S SICs."""
+
     is_sic: bool
     max_fidelity_deviation: float
     max_state_deviation: float
@@ -225,28 +227,34 @@ def _upper_pairs(n: int) -> tuple:
 
 
 def verify_sic(states, d: int, tol: float = DEFAULT_TOL) -> SicReport:
-    """Certify the defining SIC properties of a set of d^2 states.
+    """Certify the defining SIC properties of a set of d^2 states, or of
+    each set of an (S, d^2, d, d) stack in one pass.
 
     Checks each state is a Hermitian trace-1 rank-1 projector, pairwise
     fidelities equal 1/(d+1), and the states sum to d times the identity.
+    A stack gets a report of (S,) arrays, one set a bool and floats.
     """
     states = np.asarray(states, dtype=complex)
-    if states.shape != (d * d, d, d):
-        raise ValueError("expected %d states, got shape %r" % (d * d, states.shape))
+    n = d * d
+    if states.shape[-3:] != (n, d, d) or states.ndim not in (3, 4):
+        raise ValueError("expected %d states, got shape %r" % (n, states.shape))
+    stack = states.reshape(-1, n, d, d)
     # entries near the float range overflow to inf or NaN, which fail silently
     with np.errstate(over="ignore", invalid="ignore"):
         sdev = np.max(
             [
-                np.max(np.abs(states - states.conj().transpose(0, 2, 1))),
-                np.max(np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)),
-                np.max(np.abs(states @ states - states)),
-            ]
+                np.max(np.abs(stack - stack.conj().swapaxes(-1, -2)), axis=(1, 2, 3)),
+                np.max(np.abs(np.trace(stack, axis1=2, axis2=3) - 1.0), axis=1),
+                np.max(np.abs(stack @ stack - stack), axis=(1, 2, 3)),
+            ],
+            axis=0,
         )
-        # gram[j, k] = tr(r_j r_k) = vec(r_j) . vec(r_k^T)
-        n = d * d
-        gram = states.reshape(n, n) @ states.transpose(0, 2, 1).reshape(n, n).T
-        fdev = np.max(np.abs(gram[_upper_pairs(n)].real - 1.0 / (d + 1)))
-    cdev = float(np.max(np.abs(states.sum(axis=0) - d * np.eye(d))))
-    ok = sdev <= tol and fdev <= tol and cdev <= tol
-    return SicReport(ok, float(fdev), float(sdev), cdev)
+        # gram[s, j, k] = tr(r_j r_k) = vec(r_j) . vec(r_k^T)
+        gram = stack.reshape(-1, n, n) @ stack.swapaxes(-1, -2).reshape(-1, n, n).swapaxes(-1, -2)
+        fdev = np.max(np.abs(gram[(slice(None),) + _upper_pairs(n)].real - 1.0 / (d + 1)), axis=1)
+    cdev = np.max(np.abs(stack.sum(axis=1) - d * np.eye(d)), axis=(1, 2))
+    ok = (sdev <= tol) & (fdev <= tol) & (cdev <= tol)
+    if states.ndim == 3:
+        return SicReport(bool(ok[0]), float(fdev[0]), float(sdev[0]), float(cdev[0]))
+    return SicReport(ok, fdev, sdev, cdev)
 

@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 
 from sic4.numerics import DEFAULT_TOL, GroupElement, canonical_phase, proj_equal, rank1_kets as state_ket
-from sic4.orbits import LABEL_GRID, MATCH_TOL, state_action
+from sic4.orbits import LABEL_GRID, MATCH_TOL, enumerate_orbit, state_action
 from sic4.regrouping import fidelity_adjacency
 from sic4.two_qubit import (
     concurrence,
@@ -21,6 +21,12 @@ from sic4.two_qubit import (
     rounded_census,
     sign_pattern_table,
 )
+
+
+def sic_states(label: int) -> np.ndarray:
+    """The (16, 4, 4) states of orbit SIC ``label``, 1..16: a row of the
+    family's orbit half."""
+    return enumerate_orbit().projectors[16 * (label - 1) : 16 * label]
 
 
 def compose(a: GroupElement, b: GroupElement) -> GroupElement:
@@ -54,13 +60,13 @@ def partial_transpose_simplex_check(p, orbit=None, tol: float = 1e-9) -> bool:
     return bool(partial_transpose_simplex_checks([p], orbit, tol)[0])
 
 
-def concurrence_census(sic, basis: str = "product", decimals: int = 9) -> dict:
+def concurrence_census(states, basis: str = "product", decimals: int = 9) -> dict:
     """Rounded concurrences of one SIC's states with their counts."""
-    return rounded_census(concurrence(state_ket(physical_state(sic.states, basis))), decimals)
+    return rounded_census(concurrence(state_ket(physical_state(states, basis))), decimals)
 
 
-def avg_reduced_purity(sic, basis: str = "product", qubit: int = 0) -> float:
-    return float(np.mean(reduced_purity(sic.states, basis, qubit)))
+def avg_reduced_purity(states, basis: str = "product", qubit: int = 0) -> float:
+    return float(np.mean(reduced_purity(states, basis, qubit)))
 
 
 def state_permutations_by_action(mats, states) -> np.ndarray:

@@ -16,6 +16,7 @@ from oracles import (
     elements_proj_equal,
     match_sign_pattern,
     partial_transpose_simplex_check,
+    sic_states,
 )
 from sic4.clifford import (
     SymplecticPair,
@@ -48,7 +49,7 @@ from sic4.regrouping import (
     equivalence_unitary,
     exhaustive_regroup_scan,
     hw_conjugate_subgroup_census,
-    regrouped_family,
+    sic_family,
     X_PRIME_PAIR,
     Z_PRIME_PAIR,
 )
@@ -96,7 +97,7 @@ def test_criterion_02_orbit_cardinalities():
     gram = np.abs(flat.conj() @ flat.T)
     np.fill_diagonal(gram, 0)
     distinct = bool(np.max(gram) < 1 - 1e-6)
-    sics = sum(verify_sic(orbit.sic(n).states, 4).is_sic for n in range(1, 17))
+    sics = sum(verify_sic(sic_states(n), 4).is_sic for n in range(1, 17))
     unitary = len(enumerate_projective_clifford(4, extended=False))
     extended = len(enumerate_projective_clifford(4, extended=True))
     ok = distinct and sics == 16 and unitary == 768 and extended == 1536
@@ -200,11 +201,11 @@ def test_criterion_08_reconstruction():
     dp = dprime_elements()
     orig = 0
     for n in range(1, 17):
-        rec = reconstruct_hw(orbit.sic(n))
+        rec = reconstruct_hw(sic_states(n))
         orig += projective_set_equal(rec.elements, disp)
-    sics, _ = regrouped_family(orbit)
+    members, _ = sic_family()
     regr = 0
-    for s in sics:
+    for s in orbit.projectors[members[16:]]:
         rec = reconstruct_hw(s)
         regr += projective_set_equal(rec.elements, dp)
     ok = orig == 16 and regr == 16
@@ -212,10 +213,9 @@ def test_criterion_08_reconstruction():
 
 
 def test_criterion_09_regrouping():
-    orbit = enumerate_orbit()
-    sics, _ = regrouped_family(orbit)
-    row_total = exhaustive_regroup_scan(orbit, full_scan=False)
-    full_total = exhaustive_regroup_scan(orbit, full_scan=True)
+    sics = sic_family()[0][16:]
+    row_total = exhaustive_regroup_scan(full_scan=False)
+    full_total = exhaustive_regroup_scan(full_scan=True)
     ok = len(sics) == 16 and row_total == 32 and full_total == 32
     _report(9, ok, "16 additional SICs; row scan %d, full scan %d" % (row_total, full_total))
 
@@ -233,12 +233,12 @@ def test_criterion_10_equivalence():
 
     from oracles import canonical_key
 
-    sics, _ = regrouped_family(orbit)
-    keys = {frozenset(canonical_key(s) for s in sic.states) for sic in sics}
+    sics = orbit.projectors[sic_family()[0][16:]]
+    keys = {frozenset(canonical_key(s) for s in sic) for sic in sics}
     mapped = sum(
         frozenset(
             canonical_key(m)
-            for m in np.einsum("ab,kbc,dc->kad", u, orbit.sic(n).states, u.conj())
+            for m in np.einsum("ab,kbc,dc->kad", u, sic_states(n), u.conj())
         )
         in keys
         for n in range(1, 17)
@@ -265,14 +265,13 @@ COL_H23 = ((1, -1), (1, 1), (-1, 1), (-1, -1))
 
 
 def _basis_survey(basis):
-    orbit = enumerate_orbit()
     matched = 0
     split_ok = True
     table_ok = True
     for r, row in enumerate(LABEL_GRID):
         for c, label in enumerate(row):
             hs = set()
-            for rho in orbit.sic(label).states:
+            for rho in sic_states(label):
                 p = match_sign_pattern(gbv(physical_state(rho, basis)), basis)
                 if p is None:
                     continue
@@ -287,7 +286,6 @@ def _basis_survey(basis):
 
 
 def test_criterion_12_two_qubit_product_basis():
-    orbit = enumerate_orbit()
     matched, split_ok, table_ok = _basis_survey("product")
     c_flat = math.sqrt(2 / 5)
     c_hi = math.sqrt((2 + 2 * math.sqrt(G)) / 5)
@@ -295,30 +293,29 @@ def test_criterion_12_two_qubit_product_basis():
     flat_ok = all(
         abs(concurrence(state_ket(rho)) - c_flat) <= 1e-9
         for n in range(1, 9)
-        for rho in orbit.sic(n).states
+        for rho in sic_states(n)
     )
     hist_ok = all(
-        concurrence_census(orbit.sic(n), "product") == {round(c_hi, 9): 8, round(c_lo, 9): 8}
+        concurrence_census(sic_states(n), "product") == {round(c_hi, 9): 8, round(c_lo, 9): 8}
         for n in range(9, 17)
     )
     purity_ok = all(
-        abs(avg_reduced_purity(orbit.sic(n), "product") - 0.8) <= 1e-9 for n in range(1, 17)
+        abs(avg_reduced_purity(sic_states(n), "product") - 0.8) <= 1e-9 for n in range(1, 17)
     )
     ok = matched == 256 and split_ok and table_ok and flat_ok and hist_ok and purity_ok
     _report(12, ok, "product basis: 256 pattern matches, sign table, concurrences, purity 0.8")
 
 
 def test_criterion_13_two_qubit_bell_basis():
-    orbit = enumerate_orbit()
     matched, split_ok, table_ok = _basis_survey("bell")
     c_flat = math.sqrt(2 / 5)
     c_hi = math.sqrt((2 + 2 * math.sqrt(G)) / 5)
     c_lo = math.sqrt((2 - 2 * math.sqrt(G)) / 5)
     swap_ok = all(
-        concurrence_census(orbit.sic(n), "bell") == {round(c_hi, 9): 8, round(c_lo, 9): 8}
+        concurrence_census(sic_states(n), "bell") == {round(c_hi, 9): 8, round(c_lo, 9): 8}
         for n in range(1, 9)
     ) and all(
-        set(concurrence_census(orbit.sic(n), "bell")) == {round(c_flat, 9)}
+        set(concurrence_census(sic_states(n), "bell")) == {round(c_flat, 9)}
         for n in range(9, 17)
     )
     ok = matched == 256 and split_ok and table_ok and swap_ok
@@ -364,7 +361,7 @@ def test_criterion_15_triple_family():
 
 def test_criterion_16_property_suite():
     orbit = enumerate_orbit()
-    norm_ok = all(abs(gbv(rho).norm_sq() - 3.0) <= 1e-9 for rho in orbit.sic(1).states)
+    norm_ok = all(abs(gbv(rho).norm_sq() - 3.0) <= 1e-9 for rho in sic_states(1))
     weyl_ok = weyl_commutation_check(4)
 
     rng = np.random.default_rng(2024)

@@ -11,6 +11,7 @@ import pytest
 
 import sic4
 import sic4.cli
+from oracles import sic_states
 from sic4.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -85,11 +86,10 @@ def test_bell_basis_flag(capsys):
 
 def test_reconstruct_input_round_trip(tmp_path, capsys):
     from sic4.numerics import matrix_to_json
-    from sic4.orbits import enumerate_orbit
 
-    sic = enumerate_orbit().sic(2)
+    sic = sic_states(2)
     f = tmp_path / "sic.json"
-    f.write_text(json.dumps({"states": [matrix_to_json(s) for s in sic.states]}))
+    f.write_text(json.dumps({"states": [matrix_to_json(s) for s in sic]}))
     assert main(["reconstruct", "--input", str(f), "--format", "json", "--out", str(tmp_path / "r.json")]) == 0
     capsys.readouterr()
     rep = json.loads((tmp_path / "r.json").read_text())
@@ -140,9 +140,7 @@ def test_reconstruct_input_without_states_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("shape", ["fifteen", "dim2", "ragged", "mixed"])
 def test_reconstruct_input_wrong_states_exits_2(shape, tmp_path, capsys):
-    from sic4.orbits import enumerate_orbit
-
-    states = list(enumerate_orbit().sic(1).states)
+    states = list(sic_states(1))
     if shape == "fifteen":
         states = states[:15]
     elif shape == "dim2":
@@ -160,9 +158,7 @@ def test_reconstruct_input_wrong_states_exits_2(shape, tmp_path, capsys):
     ids=["string", "null", "short", "long", "nan", "inf", "-inf"],
 )
 def test_reconstruct_input_non_number_entry_exits_2(entry, tmp_path, capsys):
-    from sic4.orbits import enumerate_orbit
-
-    f = _sic_file(tmp_path, enumerate_orbit().sic(1).states)
+    f = _sic_file(tmp_path, sic_states(1))
     doc = json.loads(f.read_text())
     doc["states"][5]["entries"][7] = entry if isinstance(entry, list) else [entry, 0.0]
     text = json.dumps(doc)
@@ -173,11 +169,9 @@ def test_reconstruct_input_non_number_entry_exits_2(entry, tmp_path, capsys):
 
 
 def test_reconstruct_input_non_sic_exits_1(tmp_path, capsys):
-    from sic4.orbits import enumerate_orbit
-
     # a pure state off the SIC breaks the fidelities and the sum, a mixed
     # one also the projector condition; the payload names which and by how much
-    states = enumerate_orbit().sic(1).states.copy()
+    states = sic_states(1).copy()
     states[0] = np.diag([1, 0, 0, 0])
     assert main(["reconstruct", "--input", str(_sic_file(tmp_path, states))]) == 1
     assert "[FAIL] reconstruct.input_is_sic" in capsys.readouterr().out
@@ -215,7 +209,6 @@ def test_reconstruct_input_huge_entries_fail_quietly_in_strict_json(entry, tmp_p
 @pytest.mark.parametrize("sic", ["orbit", "not-sic"])
 def test_reconstruct_input_certifies_once(sic, monkeypatch, tmp_path, capsys):
     import sic4.weyl_heisenberg
-    from sic4.orbits import enumerate_orbit
 
     calls, verify_sic = [], sic4.weyl_heisenberg.verify_sic
 
@@ -226,7 +219,7 @@ def test_reconstruct_input_certifies_once(sic, monkeypatch, tmp_path, capsys):
     for name, module in list(sys.modules.items()):
         if name.startswith("sic4.") and getattr(module, "verify_sic", None) is verify_sic:
             monkeypatch.setattr(module, "verify_sic", counted)
-    states = enumerate_orbit().sic(3).states.copy()
+    states = sic_states(3).copy()
     if sic == "not-sic":
         states[0] = np.diag([1, 0, 0, 0])
     assert main(["reconstruct", "--input", str(_sic_file(tmp_path, states))]) == (0 if sic == "orbit" else 1)
@@ -247,15 +240,13 @@ def _json_run(argv, tmp_path, capsys):
 def test_one_parser_serves_a_sequence_of_calls(monkeypatch, tmp_path, capsys):
     import argparse
 
-    from sic4.orbits import enumerate_orbit
-
     built, init = [], argparse.ArgumentParser.__init__
 
     def spy(self, *args, **kwargs):
         built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
-    f = str(_sic_file(tmp_path, enumerate_orbit().sic(2).states))
+    f = str(_sic_file(tmp_path, sic_states(2)))
     calls = [
         ["reconstruct", "--input", f],
         ["twoqubit", "--basis", "bell"],
@@ -287,8 +278,6 @@ def test_one_parser_serves_a_sequence_of_calls(monkeypatch, tmp_path, capsys):
 
 @pytest.mark.parametrize("section", ["input", "orbit", "all"])
 def test_json_report_parses_as_its_indented_form(section, monkeypatch, tmp_path, capsys):
-    from sic4.orbits import enumerate_orbit
-
     reports, dumps = [], json.dumps
 
     def spy(obj, **kwargs):
@@ -298,7 +287,7 @@ def test_json_report_parses_as_its_indented_form(section, monkeypatch, tmp_path,
 
     argv = [section]
     if section == "input":
-        argv = ["reconstruct", "--input", str(_sic_file(tmp_path, enumerate_orbit().sic(2).states))]
+        argv = ["reconstruct", "--input", str(_sic_file(tmp_path, sic_states(2)))]
     monkeypatch.setattr(sic4.cli.json, "dumps", spy)
     out = tmp_path / "r.json"
     assert main(argv + ["--format", "json", "--out", str(out)]) == 0
@@ -317,7 +306,7 @@ def test_cached_arrays_are_read_only(capsys):
 
     orbit = enumerate_orbit()
     group = enumerate_projective_clifford(4, extended=True)
-    arrays = (orbit.projectors, orbit.sic(2).states, group.f, group.chi, group.mats, group.anti)
+    arrays = (orbit.projectors, sic_states(2), group.f, group.chi, group.mats, group.anti)
     arrays += (displacement_table(4), group[5].op.matrix, dprime_elements())
     for a in arrays:
         with pytest.raises(ValueError):
@@ -326,52 +315,104 @@ def test_cached_arrays_are_read_only(capsys):
     assert "FAIL" not in capsys.readouterr().out
 
 
-def test_reconstruct_passes_tol_to_family_and_reconstruction(monkeypatch, capsys):
-    import inspect
-
-    import sic4.reconstruction
+def _clear_family_caches():
+    import sic4.orbits
     import sic4.regrouping
 
-    seen = []
-    for module, name in ((sic4.regrouping, "regrouped_family"), (sic4.reconstruction, "reconstruct_hw")):
-        fn = getattr(module, name)
+    sic4.orbits.orbit_certificate.cache_clear()
+    sic4.regrouping.sic_family.cache_clear()
 
-        def spy(*args, _fn=fn, _name=name, **kwargs):
-            seen.append((_name, inspect.signature(_fn).bind(*args, **kwargs).arguments.get("tol")))
-            return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, spy)
+def _count_certified_sics(monkeypatch) -> list:
+    """Wrap verify_sic wherever a sic4 module binds it: the returned list
+    gets (SICs certified, tol) per call."""
+    import sic4.weyl_heisenberg
+
+    calls, verify_sic = [], sic4.weyl_heisenberg.verify_sic
+
+    def counted(states, d, tol=sic4.DEFAULT_TOL):
+        calls.append((len(states) if np.ndim(states) == 4 else 1, tol))
+        return verify_sic(states, d, tol)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sic4.") and getattr(module, "verify_sic", None) is verify_sic:
+            monkeypatch.setattr(module, "verify_sic", counted)
+    return calls
+
+
+def test_reconstruct_passes_tol_to_family_and_reconstruction(monkeypatch, capsys):
+    # reconstruct_hw takes certified states; the family certificate is made at --tol
+    calls = _count_certified_sics(monkeypatch)
+    _clear_family_caches()
     assert main(["reconstruct", "--tol", "1e-12"]) == 0
     capsys.readouterr()
-    assert {name for name, _ in seen} == {"regrouped_family", "reconstruct_hw"}
-    assert {tol for _, tol in seen} == {1e-12}
+    assert calls == [(16, 1e-12), (16, 1e-12)]
 
 
 def test_all_certifies_each_sic_once_and_builds_the_family_once(monkeypatch, tmp_path, capsys):
     import sic4.regrouping
-    import sic4.weyl_heisenberg
 
-    calls = {"verify_sic": 0, "_build_family": 0}
+    builds, build = [], sic4.regrouping.regrouped_family
 
-    def counted(fn, name):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+    def counted_build(*args, **kwargs):
+        builds.append(1)
+        return build(*args, **kwargs)
 
-        return wrapper
+    monkeypatch.setattr(sic4.regrouping, "regrouped_family", counted_build)
+    calls = _count_certified_sics(monkeypatch)
+    for argv in (["all"], ["all", "--full-scan"]):
+        _clear_family_caches()
+        calls.clear()
+        builds.clear()
+        assert main(argv + ["--format", "json", "--out", str(tmp_path / "all.json")]) == 0
+        capsys.readouterr()
+        # the orbit half and the regrouped half, 16 SICs each
+        assert len(calls) == 2 and sum(n for n, _ in calls) == 32, argv
+        assert len(builds) == 1, argv
 
-    verify_sic = sic4.weyl_heisenberg.verify_sic
+
+def test_orbit_imports_neither_regrouping_nor_reconstruction(tmp_path):
+    # the orbit half of the family certificate lives in orbits
+    code = "; ".join(
+        [
+            "import sys, sic4.cli",
+            "rc = sic4.cli.main(['orbit', '--out', sys.argv[1]])",
+            "assert not {'sic4.regrouping', 'sic4.reconstruction'} & set(sys.modules), sorted(sys.modules)",
+            "sys.exit(rc)",
+        ]
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "r.txt")], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_a_corrupted_orbit_state_fails_every_section_reading_its_sic(monkeypatch, tmp_path, capsys):
+    # state 133 of SIC 9 moved by 1e-6: SIC 9 fails its certificate, its
+    # block has no partner in SIC 10, and the integer symmetry checks stand
+    from sic4.orbits import FiducialOrbit, enumerate_orbit
+
+    projectors = enumerate_orbit().projectors.copy()
+    h = np.diag([1.0, -1.0, 0.5, -0.5]).astype(complex)
+    u = np.cos(1e-6) * np.eye(4) + 1j * np.sin(1e-6) * h / np.linalg.norm(h, 2)
+    projectors[133] = u @ projectors[133] @ u.conj().T
+    corrupted = FiducialOrbit(projectors)
     for name, module in list(sys.modules.items()):
-        if name.startswith("sic4.") and getattr(module, "verify_sic", None) is verify_sic:
-            monkeypatch.setattr(module, "verify_sic", counted(verify_sic, "verify_sic"))
-    build = sic4.regrouping._build_family
-    monkeypatch.setattr(sic4.regrouping, "_build_family", counted(build, "_build_family"))
-    sic4.regrouping._enumerated_family.cache_clear()
-    assert main(["all", "--format", "json", "--out", str(tmp_path / "all.json")]) == 0
-    capsys.readouterr()
-    # orbit 16, the family 16, reconstruct 32, the clique scan 32; each
-    # section rebuilding the family and reconstruct certifying twice made 176
-    assert calls == {"verify_sic": 96, "_build_family": 1}
+        if name.startswith("sic4") and getattr(module, "enumerate_orbit", None) is enumerate_orbit:
+            monkeypatch.setattr(module, "enumerate_orbit", lambda: corrupted)
+    _clear_family_caches()
+    try:
+        rc, report = _json_run(["all"], tmp_path, capsys)
+    finally:
+        _clear_family_caches()
+    assert rc == 1
+    rows = {r["claim_id"]: r for r in report["claims"]}
+    assert rows["orbit.sic_count"]["observed"] == 15 and "orbit.error" not in rows
+    error = "ValueError: block (133, 135, 141, 143) has 0 fidelity-1/5 partners in SIC 10, expected 1"
+    for section in ("reconstruct", "regroup", "twoqubit_product", "twoqubit_bell"):
+        assert rows[section + ".error"]["observed"] == error, section
+    assert all(r["pass"] for r in report["claims"] if r["claim_id"].startswith("symmetry."))
 
 
 def test_all_rejects_basis(capsys):
@@ -514,7 +555,8 @@ def test_cli_imports_build_no_tables():
         "sic4.reconstruction._quad_index",
         "sic4.regrouping.dprime_elements",
         "sic4.regrouping.dprime_literals_match",
-        "sic4.regrouping._enumerated_family",
+        "sic4.orbits.orbit_certificate",
+        "sic4.regrouping.sic_family",
     )
     code = "; ".join(
         [

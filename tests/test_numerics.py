@@ -175,9 +175,9 @@ def test_matrix_from_json_matches_per_entry_complex():
 def test_stacked_matrix_json_matches_the_per_matrix_loop():
     # the 16 states of a SIC file, read back from its JSON text; repr tells
     # -0.0 from 0.0
-    from sic4.orbits import enumerate_orbit
+    from oracles import sic_states
 
-    states = enumerate_orbit().sic(5).states
+    states = sic_states(5)
     objs = matrix_to_json(states)
     assert objs == [matrix_to_json(s) for s in states]
     doc = json.loads(json.dumps({"states": objs}))

@@ -17,6 +17,7 @@ from sic4.orbits import (
     enumerate_orbit,
     label_permutation_group,
     orbit_action,
+    orbit_certificate,
     permutation_orders,
     rigid_permutations,
     sic_symmetries,
@@ -33,7 +34,7 @@ from sic4.orbits import (
 )
 from sic4.weyl_heisenberg import displacement_table, verify_sic
 
-from oracles import state_permutations_by_action
+from oracles import sic_states, state_permutations_by_action
 
 # triple-trace clusters of one SIC, sorted by (re, im); all on the circle
 # of radius 5^{-3/2}
@@ -68,13 +69,16 @@ def test_orbit_cardinality():
 
 
 def test_sixteen_sics():
-    orbit = enumerate_orbit()
+    # the orbit half of the family certificate: one stacked pass, per tol
+    report = orbit_certificate(DEFAULT_TOL)
+    assert report is orbit_certificate(DEFAULT_TOL) and report.is_sic.shape == (16,)
     for n in range(1, 17):
-        sic = orbit.sic(n)
-        assert sic.label == "sic-%d" % n
-        assert verify_sic(sic.states, 4).is_sic
+        one = verify_sic(sic_states(n), 4)
+        assert one.is_sic and report.is_sic[n - 1]
+        assert report.completeness_deviation[n - 1] == one.completeness_deviation
+    assert not orbit_certificate(1e-30).is_sic.any()
     with pytest.raises(ValueError):
-        orbit.sic(17)
+        report.is_sic[0] = False
 
 
 def test_find_locates_projectors():
@@ -200,7 +204,7 @@ def test_state_action_matches_per_element_find():
     states = orbit.projectors[rng.choice(256, size=5, replace=False)]
     index, ov = state_action(mats[pick], anti[pick], states, orbit.projectors)
     assert index.shape == ov.shape == (101, 5)
-    sic = orbit.sic(3).states
+    sic = sic_states(3)
     sic_index, sic_ov = state_action(mats[pick], anti[pick], states, sic)
     for row, i in enumerate(pick):
         for col, rho in enumerate(states):
@@ -271,9 +275,8 @@ def _cluster_complex_by_round(values, gap=1e-6):
 
 
 def test_triple_census_matches_python_round_clustering():
-    orbit = enumerate_orbit()
     for label in range(1, 17):
-        s = orbit.sic(label).states
+        s = sic_states(label)
         t = np.einsum("aij,bjk,cki->abc", s, s, s)
         vals = np.array([
             t[a, b, c]
@@ -337,7 +340,7 @@ def test_ket_state_action_matches_superoperator_form(case):
     orbit = enumerate_orbit()
     group = enumerate_projective_clifford(4, extended=True)
     mats, anti = group.mats, group.anti
-    states = orbit.sic(5).states
+    states = sic_states(5)
     targets = orbit.projectors if case == "orbit" else states
     if case == "ragged":
         states = states[[0, 3, 6, 9, 12]]  # 5 states against 16 targets
@@ -398,8 +401,7 @@ def test_two_power_subgroup_matches_set_certificate():
 def _rigid_permutations_by_dfs(label=1, limit=10):
     """The backtracking search that the level-by-level rigid_permutations
     replaced: one ok() check per partial assignment."""
-    orbit = enumerate_orbit()
-    states = orbit.sic(label).states
+    states = sic_states(label)
     ids = _triple_cluster_ids(states)
     n = 16
     perm = [0] + [-1] * (n - 1)
@@ -445,9 +447,8 @@ def test_rigid_permutations_match_backtracking():
 
 
 def test_gram_triples_match_projector_einsum():
-    orbit = enumerate_orbit()
     for label in range(1, 17):
-        s = orbit.sic(label).states
+        s = sic_states(label)
         t = np.einsum("aij,bjk,cki->abc", s, s, s)
         vals, mask = _distinct_triples(s)
         a, b, c = np.indices(t.shape)
@@ -492,14 +493,13 @@ def _symmetries_by_elements_sending(states, extended):
 
 def _all_sic_indices():
     """The orbit indices of the states of the 32 SICs, each in SIC order."""
-    from sic4.regrouping import regrouped_family
+    from sic4.regrouping import sic_family
 
-    matching = regrouped_family(enumerate_orbit())[1]
-    return list(np.arange(256).reshape(16, 16)) + list(matching.reshape(16, 16))
+    return list(sic_family()[0])
 
 
 def test_sic_symmetries_of_sic_1():
-    states = enumerate_orbit().sic(1).states
+    states = sic_states(1)
     for extended, order in ((True, 96), (False, 48)):
         index, perms = sic_symmetries(np.arange(16), extended=extended)
         assert len(index) == order and perms.shape == (order, 16)
@@ -553,7 +553,7 @@ def test_state_permutations_match_the_state_action_form():
 
 
 def test_state_permutations_raise_as_the_state_action_form():
-    states = enumerate_orbit().sic(1).states
+    states = sic_states(1)
     mixed = states.copy()
     mixed[3] = np.eye(4) / 4
     u = _haar_unitary(np.random.default_rng(29))

@@ -14,7 +14,6 @@ from sic4.reconstruction import (
     EIGENVALUE_MATCH_TOL,
     HERMITIAN_TOL,
     RESIDUAL_TOL,
-    NotASicError,
     _phase_operator,
     reconstruct_hw,
     reference_quads,
@@ -23,8 +22,10 @@ from sic4.reconstruction import (
     signatures,
     uniqueness_check,
 )
-from sic4.regrouping import dprime_elements, regrouped_family
-from sic4.weyl_heisenberg import SicPovm, displacement, fiducial_ket_d4, verify_sic
+from sic4.regrouping import dprime_elements, regrouped_family, sic_family
+from sic4.weyl_heisenberg import displacement, fiducial_ket_d4, verify_sic
+
+from oracles import sic_states
 
 G = (math.sqrt(5) - 1) / 2
 
@@ -93,7 +94,7 @@ def _signature_census(states, decimals=8):
 
 
 def test_signature_census_frozen():
-    states = enumerate_orbit().sic(1).states
+    states = sic_states(1)
     rounded = {}
     for key, quads in _signature_census(states).items():
         k6 = tuple(round(x, 6) for x in key)
@@ -106,10 +107,9 @@ def test_signature_census_frozen():
 
 
 def test_reconstruct_original():
-    orbit = enumerate_orbit()
     disp = np.stack([displacement(p1, p2, 4) for p1 in range(4) for p2 in range(4)])
     for label in (1, 7, 16):
-        rec = reconstruct_hw(orbit.sic(label))
+        rec = reconstruct_hw(sic_states(label))
         assert projective_set_equal(rec.elements, disp)
         # generators commute with the right primitive phase
         c = np.trace(rec.z_gen @ rec.x_gen @ rec.z_gen.conj().T @ rec.x_gen.conj().T) / 4
@@ -118,7 +118,7 @@ def test_reconstruct_original():
 
 def test_reconstruct_regrouped():
     orbit = enumerate_orbit()
-    sics, _ = regrouped_family(orbit)
+    sics = orbit.projectors[sic_family()[0][16:]]
     dp = dprime_elements()
     disp = np.stack([displacement(p1, p2, 4) for p1 in range(4) for p2 in range(4)])
     for s in (sics[0], sics[9]):
@@ -128,12 +128,11 @@ def test_reconstruct_regrouped():
 
 
 def test_reconstruct_covariance():
-    orbit = enumerate_orbit()
-    sic = orbit.sic(3)
+    sic = sic_states(3)
     rec = reconstruct_hw(sic)
-    flat = sic.states.reshape(16, 16)
+    flat = sic.reshape(16, 16)
     for gen in (rec.z_gen, rec.x_gen):
-        img = np.einsum("ab,kbc,dc->kad", gen, sic.states, gen.conj())
+        img = np.einsum("ab,kbc,dc->kad", gen, sic, gen.conj())
         ov = np.abs(flat.conj() @ img.reshape(16, 16).T)
         assert np.all(np.max(ov, axis=0) >= 1 - 1e-9)
 
@@ -141,11 +140,11 @@ def test_reconstruct_covariance():
 def test_reconstruct_rejects_non_sic():
     states = np.stack([np.eye(4, dtype=complex) / 4] * 16)
     with pytest.raises(ValueError):
-        reconstruct_hw(SicPovm(4, states))
+        reconstruct_hw(states)
 
 
 def test_uniqueness_certificate():
-    _, matching = regrouped_family(enumerate_orbit())
+    matching = regrouped_family()
     assert uniqueness_check(np.arange(16))
     assert uniqueness_check(matching[0].ravel())
 
@@ -155,8 +154,7 @@ def test_screened_symmetry_permutations_match_full_action():
     group = enumerate_projective_clifford(4, extended=False)
     mats, anti = group.mats, group.anti
     orbit = enumerate_orbit()
-    regrouped = regrouped_family(orbit)[1].reshape(16, 16)
-    for idx in np.concatenate([np.arange(256).reshape(16, 16), regrouped]):
+    for idx in sic_family()[0]:
         states = orbit.projectors[idx]
         index, ov = state_action(mats[~anti], anti[~anti], states, states)
         matched = np.all(ov >= 1.0 - MATCH_TOL, axis=1)
@@ -188,7 +186,7 @@ def _quad_signature_scan_by_loop(sic, decimals=8):
     replaced."""
     sigs, matching = {}, []
     for quad in itertools.combinations(range(16), 4):
-        sig = _loop_signature(sic.states[list(quad)])
+        sig = _loop_signature(sic[list(quad)])
         sigs.setdefault(tuple(round(x, decimals) for x in sig), []).append(quad)
         if _loop_matches(sig):
             matching.append(quad)
@@ -221,11 +219,11 @@ def _generators_by_loop(states):
 
 def test_quad_signature_scan_matches_loop():
     orbit = enumerate_orbit()
-    shuffled = orbit.sic(6).states[np.random.default_rng(3).permutation(16)]
-    for sic in (orbit.sic(1), regrouped_family(orbit)[0][0], SicPovm(4, shuffled)):
+    shuffled = sic_states(6)[np.random.default_rng(3).permutation(16)]
+    for sic in (sic_states(1), orbit.projectors[sic_family()[0][16]], shuffled):
         old_sigs, old_matching = _quad_signature_scan_by_loop(sic)
-        assert list(_signature_census(sic.states).items()) == list(old_sigs.items())
-        matching = reference_quads(sic.states).tolist()
+        assert list(_signature_census(sic).items()) == list(old_sigs.items())
+        matching = reference_quads(sic).tolist()
         assert list(map(tuple, matching)) == old_matching and len(matching) == 24
 
 
@@ -237,23 +235,22 @@ def test_reconstruct_generators_match_loop_on_perfbench_inputs():
             continue
         cases.add(case)
         states = np.einsum("ki,kj->kij", kets, kets.conj())
-        rec = reconstruct_hw(SicPovm(4, states))
+        rec = reconstruct_hw(states)
         zp, xp = _generators_by_loop(states)
         assert np.array_equal(rec.z_gen, zp) and np.array_equal(rec.x_gen, xp)
     assert cases == {"displacement", "conjugate-displacement", "other"}
 
 
 def _family_and_copies(seed=13):
-    """The 32 SICs, then each conjugated by a seeded Haar unitary with its
-    states shuffled."""
-    orbit = enumerate_orbit()
-    family = [orbit.sic(n) for n in range(1, 17)] + regrouped_family(orbit)[0]
+    """The states of the 32 SICs, then of each conjugated by a seeded Haar
+    unitary with its states shuffled, as a (64, 16, 4, 4) stack."""
+    family = enumerate_orbit().projectors[sic_family()[0]]
     rng, haar = np.random.default_rng(seed), _load_perfbench_inputs().haar_unitary
     copies = []
     for sic in family:
         u = haar(rng)
-        copies.append(SicPovm(4, u @ sic.states[rng.permutation(16)] @ u.conj().T))
-    return family + copies
+        copies.append(u @ sic[rng.permutation(16)] @ u.conj().T)
+    return np.concatenate([family, copies])
 
 
 def test_stacked_reconstruction_equals_stacks_of_one():
@@ -261,28 +258,41 @@ def test_stacked_reconstruction_equals_stacks_of_one():
     rec = reconstruct_hw(sics)
     assert rec.z_gen.shape == (64, 4, 4) and rec.elements.shape == (64, 16, 4, 4)
     for k, sic in enumerate(sics):
-        one = reconstruct_hw([sic])
+        one = reconstruct_hw(sic[None])
         assert np.array_equal(rec.z_gen[k], one.z_gen[0]) and np.array_equal(rec.x_gen[k], one.x_gen[0])
         assert np.max(np.abs(rec.elements[k] - one.elements[0])) <= 1e-15
         single = reconstruct_hw(sic)
         assert single.z_gen.shape == (4, 4) and np.array_equal(single.elements, one.elements[0])
 
 
-def test_stacked_reconstruction_reports_the_failing_sic():
+def test_stacked_certificate_equals_the_per_sic_loop():
+    sics = _family_and_copies()
+    rep = verify_sic(sics, 4)
+    assert rep.is_sic.shape == (64,) and rep.is_sic.all()
+    for k, states in enumerate(sics):
+        one = verify_sic(states, 4)
+        assert isinstance(one.is_sic, bool) and isinstance(one.max_fidelity_deviation, float)
+        assert rep.is_sic[k] == one.is_sic
+        assert rep.max_fidelity_deviation[k] == one.max_fidelity_deviation
+        assert rep.max_state_deviation[k] == one.max_state_deviation
+        assert rep.completeness_deviation[k] == one.completeness_deviation
+
+
+def test_stacked_certificate_reports_the_failing_sic():
     sics = _family_and_copies()[:32]
-    states = sics[20].states.copy()
-    states[5] = np.diag([1, 0, 0, 0])
-    sics[20] = SicPovm(4, states)
-    with pytest.raises(NotASicError) as exc:
-        reconstruct_hw(sics)
-    assert exc.value.report == verify_sic(states, 4) and not exc.value.report.is_sic
+    sics[20, 5] = np.diag([1, 0, 0, 0])
+    rep = verify_sic(sics, 4)
+    one = verify_sic(sics[20], 4)
+    assert not one.is_sic and np.flatnonzero(~rep.is_sic).tolist() == [20]
+    fields = ("is_sic", "max_fidelity_deviation", "max_state_deviation", "completeness_deviation")
+    assert [getattr(rep, f)[20] for f in fields] == [getattr(one, f) for f in fields]
 
 
 def test_phase_operator_cuts_have_measured_margins():
     # every qualifying 4-state sum of the 32 SICs and of their conjugated,
     # shuffled copies: the z and x sums of reconstruct_hw are among them
     sics = _family_and_copies()
-    m = np.concatenate([s.states[reference_quads(s.states)].sum(axis=1) for s in sics])
+    m = np.concatenate([s[reference_quads(s)].sum(axis=1) for s in sics])
     assert len(m) == 64 * 24
     assert np.max(np.abs(m - m.conj().swapaxes(-1, -2))) <= 1e-15 < HERMITIAN_TOL
     w, v = eig_hermitian(m, tol=HERMITIAN_TOL)

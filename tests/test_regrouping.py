@@ -14,6 +14,7 @@ from sic4.clifford import (
 )
 from sic4.numerics import commutator_phase, proj_equal, projective_set_equal
 from sic4.orbits import LABEL_GRID, FiducialOrbit, element_product, enumerate_orbit
+from sic4.reconstruction import COMMUTATOR_TOL
 from sic4.regrouping import (
     CLIFFORD_GENERATORS,
     EQUIVALENCE_MATRIX,
@@ -33,10 +34,11 @@ from sic4.regrouping import (
     fidelity_adjacency,
     hw_conjugate_subgroup_census,
     regrouped_family,
+    sic_family,
 )
 from sic4.weyl_heisenberg import displacement, verify_sic
 
-from oracles import regroup_by_search
+from oracles import regroup_by_search, sic_states
 
 
 def fidelity_graph(orbit, vertices):
@@ -48,7 +50,7 @@ def fidelity_graph(orbit, vertices):
 def test_h_orbits_partition():
     # matching[i, j] is the block SIC 17 + i takes from the j-th SIC of its
     # row; the four new SICs of a row take the four blocks of each row SIC
-    _, matching = regrouped_family()
+    matching = regrouped_family()
     by_row = matching.reshape(4, 4, 4, 4)  # (row, new SIC, row SIC, member)
     for r, row in enumerate(LABEL_GRID):
         for j, label in enumerate(row):
@@ -62,7 +64,7 @@ def test_h_orbit_internal_fidelities():
     # within an H-orbit all pairs sit at fidelity 1/5: each block is a
     # candidate seed for a new SIC
     orbit = enumerate_orbit()
-    for m in regrouped_family()[1].reshape(64, 4):
+    for m in regrouped_family().reshape(64, 4):
         for i in range(4):
             for j in range(i + 1, 4):
                 f = abs(np.trace(orbit.projectors[m[i]] @ orbit.projectors[m[j]]))
@@ -71,9 +73,9 @@ def test_h_orbit_internal_fidelities():
 
 def test_regroup_row():
     orbit = enumerate_orbit()
-    sics, matching = regrouped_family(orbit)
-    for s in sics[:4]:
-        assert verify_sic(s.states, 4).is_sic
+    matching = regrouped_family(orbit)
+    for s in orbit.projectors[matching.reshape(16, 16)[:4]]:
+        assert verify_sic(s, 4).is_sic
     assert matching.shape == (16, 4, 4) and matching.dtype.kind == "i"
     # each new SIC takes one block from every SIC of its row, in row order
     assert np.array_equal(matching[:, :, 0] // 16 + 1, np.repeat(LABEL_GRID, 4, axis=0))
@@ -81,11 +83,11 @@ def test_regroup_row():
 
 def test_regrouped_family_matches_the_per_block_search():
     orbit = enumerate_orbit()
-    sics, matching = regrouped_family(orbit)
+    matching, members = regrouped_family(orbit), sic_family()[0]
     old_matching, old_states = regroup_by_search(orbit)
     assert matching.tolist() == [[list(b) for b in m] for m in old_matching]
-    assert [s.label for s in sics] == ["sic-%d" % n for n in range(17, 33)]
-    assert all(np.array_equal(s.states, old) for s, old in zip(sics, old_states))
+    assert np.array_equal(members[16:], matching.reshape(16, 16))
+    assert all(np.array_equal(orbit.projectors[row], old) for row, old in zip(members[16:], old_states))
 
 
 def test_regrouped_family_rejects_a_block_without_a_unique_partner():
@@ -99,23 +101,22 @@ def test_regrouped_family_rejects_a_block_without_a_unique_partner():
 
 
 def test_regrouped_family():
-    orbit = enumerate_orbit()
-    sics, matching = regrouped_family(orbit)
-    assert len(sics) == 16
-    assert [s.label for s in sics] == ["sic-%d" % n for n in range(17, 33)]
+    members, report = sic_family()
+    assert members.shape == (32, 16) and members.dtype.kind == "i"
+    assert np.array_equal(members[:16], np.arange(256).reshape(16, 16))
+    assert report.is_sic.shape == (32,) and report.is_sic.all()
+    matching = regrouped_family()
     # every original state is used exactly once across the new family
     assert np.array_equal(np.sort(matching.ravel()), np.arange(256))
 
 
 def test_new_sics_share_four_states_with_row_members():
-    orbit = enumerate_orbit()
-    sics, _ = regrouped_family(orbit)
-    new = sics[0]  # built from row (1, 2, 3, 4)
+    new = enumerate_orbit().projectors[sic_family()[0][16]]  # built from row (1, 2, 3, 4)
     for label in (1, 2, 3, 4):
-        old = orbit.sic(label)
+        old = sic_states(label)
         shared = 0
-        for a in new.states:
-            for b in old.states:
+        for a in new:
+            for b in old:
                 if abs(np.trace(a @ b)) > 1 - 1e-9:
                     shared += 1
         assert shared == 4
@@ -130,9 +131,8 @@ def test_fidelity_graph_degree():
 
 
 def test_exhaustive_scan_counts():
-    orbit = enumerate_orbit()
-    assert exhaustive_regroup_scan(orbit, full_scan=False) == 32
-    assert exhaustive_regroup_scan(orbit, full_scan=True) == 32
+    assert exhaustive_regroup_scan(full_scan=False) == 32
+    assert exhaustive_regroup_scan(full_scan=True) == 32
 
 
 def test_dprime_generator_matrices():
@@ -151,6 +151,14 @@ def test_dprime_commutator_phase():
     assert abs(c + 1j) < 1e-12
 
 
+def test_projective_commutation_cut_has_a_margin():
+    # regroup.commutation_projective accepts min(|comm - i|, |comm + i|) at
+    # COMMUTATOR_TOL, the cut reconstruct_hw makes on the same quantity
+    comm = commutator_phase(Z_PRIME_MATRIX, X_PRIME_MATRIX)
+    near, far = sorted([abs(comm - 1j), abs(comm + 1j)])
+    assert 0.0 <= near <= 1e-15 < COMMUTATOR_TOL < 2.0 <= far
+
+
 def test_dprime_elements_distinct_from_displacements():
     dp = dprime_elements()
     assert dp.shape == (16, 4, 4)
@@ -161,13 +169,12 @@ def test_dprime_elements_distinct_from_displacements():
 
 
 def test_regrouped_sics_covariant_under_dprime():
-    orbit = enumerate_orbit()
-    sics, _ = regrouped_family(orbit)
+    sics = enumerate_orbit().projectors[sic_family()[0][16:]]
     xp, zp = dprime_generators()
     for s in (sics[0], sics[7], sics[15]):
-        flat = s.states.reshape(16, 16)
+        flat = s.reshape(16, 16)
         for gen in (xp, zp):
-            img = np.einsum("ab,kbc,dc->kad", gen, s.states, gen.conj())
+            img = np.einsum("ab,kbc,dc->kad", gen, s, gen.conj())
             ov = np.abs(flat.conj() @ img.reshape(16, 16).T)
             assert np.all(np.max(ov, axis=0) >= 1 - 1e-9)
 
@@ -388,16 +395,15 @@ def test_quotient_names_match_coset_loop(monkeypatch):
     assert forms == [((4,), {"extended": False})]
 
 
-def test_regrouped_family_is_built_once_and_read_only():
+def test_sic_family_is_built_once_and_read_only():
+    members, report = sic_family()
+    again = sic_family()
+    assert again[0] is members and again[1] is report
+    for a in (members, *vars(report).values()):
+        with pytest.raises(ValueError):
+            a[0] = a[1]
+    # another orbit object gets its own build of the partner reduction
     orbit = enumerate_orbit()
-    sics, matching = regrouped_family(orbit)
-    again, _ = regrouped_family()
-    assert all(a is b for a, b in zip(sics, again))
-    with pytest.raises(ValueError):
-        sics[0].states[0, 0, 0] = 0.0
-    # another orbit object gets its own, writable build
-    fresh, fresh_matching = regrouped_family(FiducialOrbit(orbit.projectors.copy()))
-    assert fresh[0] is not sics[0] and fresh[0].states.flags.writeable
-    assert all(np.array_equal(a.states, b.states) for a, b in zip(fresh, sics))
-    assert np.array_equal(fresh_matching, matching)
-    assert not matching.flags.writeable and not fresh_matching.flags.writeable
+    fresh = regrouped_family(FiducialOrbit(orbit.projectors.copy()))
+    assert np.array_equal(fresh.reshape(16, 16), members[16:])
+    assert not members.flags.writeable and not fresh.flags.writeable

@@ -10,9 +10,10 @@ from oracles import (
     concurrence_census,
     match_sign_pattern,
     partial_transpose_simplex_check,
+    sic_states,
 )
 from sic4.orbits import LABEL_GRID, FiducialOrbit, enumerate_orbit
-from sic4.regrouping import regrouped_family
+from sic4.regrouping import sic_family
 from sic4.two_qubit import (
     PAULI,
     Gbv,
@@ -62,8 +63,7 @@ def test_gbv_rejects_traceless():
 
 
 def test_pure_state_norm():
-    orbit = enumerate_orbit()
-    for rho in orbit.sic(1).states:
+    for rho in sic_states(1):
         assert abs(gbv(rho).norm_sq() - 3.0) < 1e-12
 
 
@@ -80,11 +80,10 @@ def test_fiducial_pattern_frozen():
 
 
 def test_all_fiducials_match_patterns():
-    orbit = enumerate_orbit()
     for basis in ("product", "bell"):
         class_counts = {1: 0, 2: 0}
         for label in range(1, 17):
-            for rho in orbit.sic(label).states:
+            for rho in sic_states(label):
                 p = match_sign_pattern(gbv(physical_state(rho, basis)), basis)
                 assert p is not None
                 class_counts[p.class_id] += 1
@@ -93,12 +92,11 @@ def test_all_fiducials_match_patterns():
 
 
 def test_sign_function_table():
-    orbit = enumerate_orbit()
     for basis in ("product", "bell"):
         for r, row in enumerate(LABEL_GRID):
             for c, label in enumerate(row):
                 hs = set()
-                for rho in orbit.sic(label).states:
+                for rho in sic_states(label):
                     p = match_sign_pattern(gbv(physical_state(rho, basis)), basis)
                     h = sign_functions(p)
                     hs.add((h.h1, h.h2, h.h3))
@@ -106,39 +104,36 @@ def test_sign_function_table():
 
 
 def test_pattern_constraints():
-    orbit = enumerate_orbit()
     for basis in ("product", "bell"):
         for label in (1, 9):
-            for rho in orbit.sic(label).states[:4]:
+            for rho in sic_states(label)[:4]:
                 p = match_sign_pattern(gbv(physical_state(rho, basis)), basis)
                 assert p.constraint_value() == 1
 
 
 def test_concurrence_product_basis():
-    orbit = enumerate_orbit()
     for label in range(1, 9):
-        for rho in orbit.sic(label).states:
+        for rho in sic_states(label):
             c = concurrence(state_ket(rho))
             assert abs(c - C_FLAT) < 1e-9
     for label in range(9, 17):
-        hist = concurrence_census(orbit.sic(label), "product")
+        hist = concurrence_census(sic_states(label), "product")
         assert hist == {round(C_HIGH, 9): 8, round(C_LOW, 9): 8}
 
 
 def test_concurrence_roles_swap_in_bell_basis():
-    orbit = enumerate_orbit()
     for label in (2, 6):
-        hist = concurrence_census(orbit.sic(label), "bell")
+        hist = concurrence_census(sic_states(label), "bell")
         assert hist == {round(C_HIGH, 9): 8, round(C_LOW, 9): 8}
     for label in (10, 14):
-        hist = concurrence_census(orbit.sic(label), "bell")
+        hist = concurrence_census(sic_states(label), "bell")
         assert set(hist) == {round(C_FLAT, 9)}
 
 
 def test_average_reduced_purity():
     orbit = enumerate_orbit()
-    sics, _ = regrouped_family(orbit)
-    for sic in [orbit.sic(n) for n in (1, 8, 12)] + [sics[0], sics[15]]:
+    sics = orbit.projectors[sic_family()[0][16:]]
+    for sic in [sic_states(n) for n in (1, 8, 12)] + [sics[0], sics[15]]:
         for basis in ("product", "bell"):
             assert abs(avg_reduced_purity(sic, basis) - 0.8) < 1e-9
     # tangle = 2 (1 - purity): the average matches the concurrence census
@@ -146,20 +141,18 @@ def test_average_reduced_purity():
 
 
 def test_reduced_state_cube():
-    orbit = enumerate_orbit()
     for label in range(1, 9):
-        rep = reduced_state_census(orbit.sic(label), qubit=1, basis="product")
+        rep = reduced_state_census(sic_states(label), qubit=1, basis="product")
         assert rep.is_cube
         assert abs(rep.edge_length - 2 / math.sqrt(5)) < 1e-9
         assert len(rep.bloch_points) == 8
         assert set(rep.multiplicities) == {2}
-    rep = reduced_state_census(orbit.sic(9), qubit=1, basis="product")
+    rep = reduced_state_census(sic_states(9), qubit=1, basis="product")
     assert not rep.is_cube
 
 
 def test_reduced_state_multiplicities_first_qubit():
-    orbit = enumerate_orbit()
-    rep = reduced_state_census(orbit.sic(1), qubit=0, basis="product")
+    rep = reduced_state_census(sic_states(1), qubit=0, basis="product")
     assert len(rep.bloch_points) == 8
     assert set(rep.multiplicities) == {2}
 
@@ -253,7 +246,7 @@ def _reduced_census_by_loop(sic, qubit, tol=1e-8):
     """The greedy per-state clustering and the pairwise-distance cube test
     that reduced_state_census replaced: (points, multiplicities, edge)."""
     distinct, counts = [], []
-    for rho in sic.states:
+    for rho in sic:
         t = rho.reshape(2, 2, 2, 2)
         red = np.trace(t, axis1=1, axis2=3) if qubit == 0 else np.trace(t, axis1=0, axis2=2)
         p = np.array([np.real(np.trace(sj @ red)) for sj in PAULI])
@@ -305,11 +298,10 @@ def test_stacked_calls_match_per_state_oracles():
 
 
 def test_reduced_state_census_matches_greedy_loop():
-    orbit = enumerate_orbit()
     for label in range(1, 17):
         for qubit in (0, 1):
-            rep = reduced_state_census(orbit.sic(label), qubit, "product")
-            points, counts, edge = _reduced_census_by_loop(orbit.sic(label), qubit)
+            rep = reduced_state_census(sic_states(label), qubit, "product")
+            points, counts, edge = _reduced_census_by_loop(sic_states(label), qubit)
             assert np.max(np.abs(rep.bloch_points - points)) <= 1e-14
             assert rep.multiplicities == counts
             assert rep.is_cube == (edge is not None)

@@ -152,14 +152,13 @@ def _verify_sic_by_loop(states, d):
 
 
 def test_verify_sic_matches_loop():
-    from sic4.orbits import enumerate_orbit
+    from oracles import sic_states
 
-    orbit = enumerate_orbit()
-    cases = [orbit.sic(n).states for n in range(1, 17)]
+    cases = [sic_states(n) for n in range(1, 17)]
     # one state rotated slightly: not a SIC
     h = np.diag([1.0, -1.0, 0.5, -0.5]).astype(complex)
     u = np.cos(1e-4) * np.eye(4) + 1j * np.sin(1e-4) * h / np.linalg.norm(h, 2)
-    bad = orbit.sic(1).states.copy()
+    bad = sic_states(1).copy()
     bad[5] = u @ bad[5] @ u.conj().T
     cases.append(bad)
     for states in cases:
