@@ -160,7 +160,7 @@ def _row_actions(perms: np.ndarray) -> tuple:
 
 def run_symmetry(cfg, claims: Claims):
     from .orbits import (
-        distinct_rows,
+        first_distinct_rows,
         label_permutation_group,
         permutation_orders,
         permutation_parities,
@@ -200,7 +200,8 @@ def run_symmetry(cfg, claims: Claims):
         True,
         bool(np.all(actions >= 0)),
     )
-    claims.add("symmetry.row_image_order", "induced group on the four rows", 4, distinct_rows(actions))
+    row_images = len(first_distinct_rows(actions))
+    claims.add("symmetry.row_image_order", "induced group on the four rows", 4, row_images)
     row_preserving = np.all(actions == np.arange(4), axis=1)
     claims.add(
         "symmetry.row_preserving_order",
@@ -215,7 +216,7 @@ def run_symmetry(cfg, claims: Claims):
         "symmetry.row_preserving_column_action",
         "row-preserving elements permute columns evenly, same way in every row",
         True,
-        bool(np.all(same_cols & even) and distinct_rows(cols[:, 0]) == 12),
+        bool(np.all(same_cols & even) and len(first_distinct_rows(cols[:, 0])) == 12),
     )
 
     ext = np.array(sorted(label_permutation_group(extended=True)))
@@ -224,7 +225,7 @@ def run_symmetry(cfg, claims: Claims):
         "symmetry.row_image_order_extended",
         "induced row group under the extended Clifford action",
         8,
-        distinct_rows(_row_actions(ext)[0]),
+        len(first_distinct_rows(_row_actions(ext)[0])),
     )
     payload = {"label_permutations": (perms + 1).tolist()}
     return payload
@@ -374,12 +375,11 @@ def run_reconstruct(cfg, claims: Claims):
         sum(projective_set_equal(els, dprime_elements()) for els in rec.elements[16:]),
     )
 
-    uniq = [uniqueness_check(idx) for idx in members]
     claims.add(
         "reconstruct.uniqueness",
         "each of the 32 SICs is covariant under exactly one order-16 group",
         32,
-        sum(uniq),
+        int(np.count_nonzero(uniqueness_check(members))),
     )
     payload = {
         "generators_sic_1": {"z": matrix_to_json(rec.z_gen[0]), "x": matrix_to_json(rec.x_gen[0])},
@@ -598,7 +598,7 @@ def run_twoqubit(cfg, claims: Claims, basis: str):
         reduced_state_census,
         rounded_census,
         sign_pattern_table,
-        violating_patterns,
+        violating_signs,
     )
     from .weyl_heisenberg import CONSTANTS, displacement
 
@@ -616,7 +616,7 @@ def run_twoqubit(cfg, claims: Claims, basis: str):
     row = match_sign_patterns(g, basis).reshape(16, 16)
     matched = row >= 0
     # per state: class id, the eight signs, h1, h2, h3 (meaningless where unmatched)
-    columns = sign_pattern_table(basis)[2][row]
+    columns = sign_pattern_table(basis)[1][row]
     claims.add(
         f"twoqubit.{pre}_pattern_matches",
         "fiducials matching the sign-pattern tables",
@@ -684,7 +684,7 @@ def run_twoqubit(cfg, claims: Claims, basis: str):
 
     if basis == "product":
         sics = orbit.projectors.reshape(16, 16, 4, 4)
-        reps = [[reduced_state_census(states, q, basis) for q in (0, 1)] for states in sics]
+        reps = list(zip(*(reduced_state_census(sics, q, basis) for q in (0, 1))))
         cube = np.array([second.is_cube for _, second in reps])
         claims.add(
             "twoqubit.product_reduced_multiplicity",
@@ -710,7 +710,7 @@ def run_twoqubit(cfg, claims: Claims, basis: str):
             0.0,
             max((abs(s.edge_length - 2 / math.sqrt(5)) for _, s in reps[:8] if s.is_cube), default=0.0),
         )
-        certified = int(np.sum(partial_transpose_simplex_checks(violating_patterns(), orbit, cfg.tol)))
+        certified = int(np.sum(partial_transpose_simplex_checks(violating_signs(), orbit, cfg.tol)))
         claims.add(
             "twoqubit.product_simplex_patterns",
             "excluded sign assignments encode partial transposes of fiducials",

@@ -338,11 +338,12 @@ def permutation_orders(perms) -> np.ndarray:
     return orders
 
 
-def distinct_rows(a) -> int:
-    """Number of distinct rows of a 2-d integer array."""
-    a = np.asarray(a)
-    a = a[np.lexsort(a.T)]
-    return int(len(a) > 0) + int(np.count_nonzero(np.any(a[1:] != a[:-1], axis=1)))
+def first_distinct_rows(a) -> np.ndarray:
+    """Ascending indices of the first occurrence of each distinct row of a
+    2-d integer array; each row is compared as one opaque byte string."""
+    a = np.ascontiguousarray(a)
+    keys = a.view(np.dtype((np.void, a.itemsize * a.shape[1])))[:, 0]
+    return np.sort(np.unique(keys, return_index=True)[1])
 
 
 def permutation_parities(perms) -> np.ndarray:
@@ -358,12 +359,34 @@ def _is_member(rows, group) -> np.ndarray:
 
 
 def two_power_subgroup(perms) -> tuple:
-    """The elements of 2-power order of a (P, n) permutation group, as a
-    (k, n) array, and whether they number 16 and close under composition."""
+    """The elements of 2-power order of a (P, n) permutation group, n <= 16,
+    as a (k, n) array, and whether they number 16 and close under
+    composition.  For an (S, P, n) stack of groups, one pass over all of
+    them: an (S, P) mask of the elements of 2-power order and the (S,)
+    verdicts."""
     perms = np.asarray(perms)
-    tp = perms[np.isin(permutation_orders(perms), (1, 2, 4, 8, 16))]
-    # tp[:, tp][a, b] = tp[a] after tp[b]
-    return tp, len(tp) == 16 and bool(np.all(_is_member(tp[:, tp], tp)))
+    stack = perms.reshape((-1,) + perms.shape[-2:])
+    s, p, n = stack.shape
+    if n > 16:
+        raise ValueError("permutations of at most 16 points expected, got %d" % n)
+    # 2-power order divides 16 on at most 16 points: p^16 is the identity
+    power, rows = stack.reshape(-1, n), np.arange(s * p)[:, None] * n
+    for _ in range(4):
+        power = power.ravel()[power + rows]
+    two = np.all(power == np.arange(n), axis=1).reshape(s, p)
+    sixteen = np.count_nonzero(two, axis=1) == 16
+    tp = stack[two & sixteen[:, None]].reshape(-1, 16, n)
+    # products[r, a, b] = tp[r, a] after tp[r, b]; a permutation of n <= 16
+    # points packs exactly into one uint64, its images as base-n digits
+    flat = (np.arange(len(tp))[:, None, None, None] * 16 + np.arange(16)[:, None, None]) * n + tp[:, None]
+    digits = n ** np.arange(n, dtype=np.uint64)
+    products = tp.reshape(-1)[flat].astype(np.uint64) @ digits
+    closed = np.all(np.any(products.reshape(-1, 256, 1) == (tp.astype(np.uint64) @ digits)[:, None], axis=2), axis=1)
+    verdict = np.zeros(s, dtype=bool)
+    verdict[sixteen] = closed
+    if perms.ndim == 2:
+        return perms[two[0]], bool(verdict[0])
+    return two, verdict
 
 
 @dataclass
@@ -395,15 +418,25 @@ def sic_symmetries(indices, *, extended: bool) -> tuple:
     """The enumerated (extended) Clifford elements that permute a set of M
     orbit states, given by their orbit indices: their (k,) indices into
     enumerate_projective_clifford(4, extended=extended) and the (k, M)
-    permutations they induce, as positions in ``indices``.  An element is
-    kept when orbit_action sends every state into the set."""
+    permutations they induce, as positions in ``indices``.  For an (S, M)
+    stack of sets, one pass over all of them: a (k, 2) array of (set,
+    element) pairs, sets ascending and each set's elements ascending, and
+    the (k, M) permutations.  An element is kept when orbit_action sends
+    every state into the set; only the elements sending the set's first
+    state into it are tried on the others."""
     indices = np.asarray(indices)
-    position = np.full(256, -1)
-    position[indices] = np.arange(len(indices))
+    stack = indices.reshape(-1, indices.shape[-1])
+    rows = np.arange(len(stack))
+    position = np.full((len(stack), 256), -1)
+    position[rows[:, None], stack] = np.arange(stack.shape[1])
     n = len(enumerate_projective_clifford(4, extended=extended))
-    perms = position[orbit_action()[:n, indices]]
-    keep = np.flatnonzero(np.all(perms >= 0, axis=1))
-    return keep, perms[keep]
+    action = orbit_action()[:n]
+    row, element = np.nonzero(position[rows[:, None], action[:, stack[:, 0]].T] >= 0)
+    perms = position[row[:, None], action[element[:, None], stack[row]]]
+    keep = np.all(perms >= 0, axis=1)
+    if indices.ndim == 1:
+        return element[keep], perms[keep]
+    return np.column_stack([row[keep], element[keep]]), perms[keep]
 
 
 def symmetry_group_of_sic(label: int = 1) -> tuple:
@@ -456,7 +489,7 @@ def verify_symmetry_group_in_clifford() -> SymmetryReport:
     group = enumerate_projective_clifford(4, extended=True)
     sym, perms = symmetry_group_of_sic(1)
     perms = perms[~group.anti[sym]]  # the unitary symmetries
-    if distinct_rows(perms) != len(perms):
+    if len(first_distinct_rows(perms)) != len(perms):
         raise AssertionError("state action of the symmetry group is not faithful")
 
     # the unique order-16 subgroup: exactly 16 elements of 2-power order,

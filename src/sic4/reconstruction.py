@@ -30,9 +30,9 @@ _SQ5 = math.sqrt(5.0)
 # signature is at least 0.09 away in some eigenvalue
 SIGNATURE_TOL = 1e-8
 
-# candidate 4-subsets whose signatures one batched eigvalsh takes at a time
-# while reconstruct_hw looks for the first qualifying one; on SICs in random
-# state order that one comes about 40 candidates in, on orbit SICs at once
+# candidate 4-subsets screened at a time while reconstruct_hw looks for the
+# first qualifying one; on SICs in random state order that one comes about
+# 40 candidates in, on orbit SICs at once
 QUAD_BLOCK = 16
 
 # cuts of the phase-operator step, with what they meet on the 32 SICs and on
@@ -69,21 +69,48 @@ _SIGNATURE = np.array(signature_values())
 _REFERENCE = np.array(reference_signature())
 _SIGNATURE.flags.writeable = _REFERENCE.flags.writeable = False
 
+# a sum m of four rank-1 states has tr(m^3) = tr(G^3) for the 4 x 4 Gram
+# block G of their kets, the sum of its cubed eigenvalues.  A sum within
+# SIGNATURE_TOL of the signature in every eigenvalue has it within
+# 12 max(lambda)^2 SIGNATURE_TOL < 6.1e-7 of the reference, so the screen
+# drops no qualifying sum.  On the 32 SICs and Haar-conjugated, state-shuffled
+# copies qualifying sums lie within 6.4e-14 of the reference trace and every
+# other 4-subset at least 0.019 away
+CUBE_TRACE_TOL = 1e-6
+_REFERENCE_CUBE = float(np.sum(_REFERENCE**3))
+
+
+def _sums(states, quads: np.ndarray) -> np.ndarray:
+    """The state sums of the rows of a (Q, 4) index array, summed in row
+    order; for an (S, 16, d, d) stack of states, of each SIC's own rows of
+    an (S, Q, 4) array."""
+    lead = (np.arange(len(quads))[:, None],) if quads.ndim == 3 else ()
+    m = states[lead + (quads[..., 0],)]
+    for k in range(1, 4):
+        m += states[lead + (quads[..., k],)]
+    return m
+
 
 def signatures(states, quads: np.ndarray) -> np.ndarray:
     """Sorted eigenvalues of the state sums of each row of a (Q, 4) index
     array, summed in row order; for an (S, 16, d, d) stack of states, of
     each SIC's own rows of an (S, Q, 4) array."""
-    lead = (np.arange(len(quads))[:, None],) if quads.ndim == 3 else ()
-    m = states[lead + (quads[..., 0],)]
-    for k in range(1, 4):
-        m += states[lead + (quads[..., k],)]
-    return np.linalg.eigvalsh(m)
+    return np.linalg.eigvalsh(_sums(states, quads))
 
 
 def _matches_reference(sigs: np.ndarray) -> np.ndarray:
     """Which rows of a (..., 4) signature stack qualify."""
     return np.all(np.abs(sigs - _REFERENCE) <= SIGNATURE_TOL, axis=-1)
+
+
+def _qualifying(m: np.ndarray) -> np.ndarray:
+    """Which sums of a (..., 4, 4) stack realize the reference signature:
+    those passing the tr(m^3) screen, then _matches_reference on their
+    eigenvalues."""
+    cube = np.sum(m @ m * m.swapaxes(-1, -2), axis=(-2, -1)).real
+    ok = np.abs(cube - _REFERENCE_CUBE) <= CUBE_TRACE_TOL
+    ok[ok] = _matches_reference(np.linalg.eigvalsh(m[ok]))
+    return ok
 
 
 @lru_cache(maxsize=None)
@@ -105,13 +132,13 @@ def _first_match(states: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """For each SIC of an (S, 16, d, d) stack, the state sum of the first
     row of its (S, Q, 4) candidate index array, or of one (Q, 4) for all,
     that realizes the reference signature; ValueError when a SIC has none.
-    Signatures of the unresolved SICs are taken QUAD_BLOCK rows at a time."""
+    The unresolved SICs' candidates are tried QUAD_BLOCK rows at a time."""
     candidates = np.broadcast_to(candidates, states.shape[:1] + candidates.shape[-2:])
     found = np.empty((len(states), 4), dtype=candidates.dtype)
     todo = np.arange(len(states))
     for lo in range(0, candidates.shape[1], QUAD_BLOCK):
         block = candidates[todo, lo : lo + QUAD_BLOCK]
-        hits = _matches_reference(signatures(states[todo], block))
+        hits = _qualifying(_sums(states[todo], block))
         hit = hits.any(axis=1)
         found[todo[hit]] = block[hit, hits[hit].argmax(axis=1)]
         todo = todo[~hit]
@@ -186,21 +213,26 @@ def reference_quads(states) -> np.ndarray:
     itertools.combinations order, whose sums realize the reference
     signature."""
     index = _quad_index()
-    return index[_matches_reference(signatures(states, index))]
+    return index[_qualifying(_sums(states, index))]
 
 
-def uniqueness_check(indices) -> bool:
-    """True iff the order-48 projective symmetry group of a SIC of orbit
-    states, given by their orbit indices and certified by the caller,
-    contains exactly one order-16 subgroup.
+def uniqueness_check(indices):
+    """Whether the projective symmetry group of a SIC of orbit states,
+    given by their (16,) orbit indices and certified by the caller, has
+    order 48 and exactly one order-16 subgroup; for an (S, 16) stack, the
+    (S,) verdicts of one sic_symmetries / two_power_subgroup pass.
 
     The certificate: a group of order 48 has order-16 subgroups exactly as
     Sylow 2-subgroups; if the elements of 2-power order number exactly 16
     and close under composition they form the unique one (two distinct
     Sylow subgroups would overflow that count).  The states of a SIC span
-    the operators, so each symmetry permutes them differently.
+    the operators, so each symmetry permutes them differently.  A SIC whose
+    group has another order fails.
     """
-    perms = sic_symmetries(indices, extended=False)[1]
-    if len(perms) != 48:
-        raise ValueError("symmetry group inside the Clifford group has order %d, expected 48" % len(perms))
-    return two_power_subgroup(perms)[1]
+    indices = np.asarray(indices)
+    stack = indices.reshape(-1, 16)
+    pairs, perms = sic_symmetries(stack, extended=False)
+    order48 = np.bincount(pairs[:, 0], minlength=len(stack)) == 48
+    verdict = np.zeros(len(stack), dtype=bool)
+    verdict[order48] = two_power_subgroup(perms[order48[pairs[:, 0]]].reshape(-1, 48, 16))[1]
+    return verdict if indices.ndim == 2 else bool(verdict[0])

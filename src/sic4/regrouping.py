@@ -23,7 +23,7 @@ from .clifford import (
 )
 from .numerics import DEFAULT_TOL, commutator_phase, is_unitary, proj_equal
 from .orbits import LABEL_GRID, FiducialOrbit, element_product, enumerate_orbit, fiducial_projector
-from .orbits import orbit_certificate
+from .orbits import first_distinct_rows, orbit_certificate
 from .weyl_heisenberg import SicReport, shift_clock_products, verify_sic
 
 # two orbit states are fidelity-1/5 neighbours when |tr(a b) - 1/5| is at
@@ -302,25 +302,21 @@ def hw_conjugate_subgroup_census() -> tuple:
     sub = element_product(quartic[:, None], quartic)
     x, z = (quartic[k] for k in np.nonzero(np.triu(sub == sub.T, 1)))
     spans = np.sort(_span(x, z, identity), axis=1)
-    full = np.all(np.diff(spans, axis=1) != 0, axis=1)
-    # one pair per distinct 16-element span, the first in pair order
-    first = np.flatnonzero(full)[np.sort(np.unique(spans[full], axis=0, return_index=True)[1])]
+    full = np.flatnonzero(np.all(np.diff(spans, axis=1) != 0, axis=1))
+    first = full[first_distinct_rows(spans[full])]  # one pair per distinct 16-element span
     pairing = np.abs(commutator_phase(mats[x[first]], mats[z[first]]).imag) > 0.5  # primitive pairing
-    subgroups = {frozenset(spans[k].tolist()): p for k, p in zip(first.tolist(), pairing.tolist())}
-    hw_type = [s for s, primitive in subgroups.items() if primitive]
-    gens = [index[coset(g)] for g in CLIFFORD_GENERATORS]
-    inverses = [np.flatnonzero(element_product(g, unitary) == identity)[0] for g in gens]
-    normal = [
-        s
-        for s in hw_type
-        if all(
-            s.issuperset(element_product(element_product(g, list(s)), g_inv).tolist())
-            for g, g_inv in zip(gens, inverses)
-        )
-    ]
+    hw_type = spans[first[pairing]]
+    # normal when conjugation by each generator, g s g^-1, keeps s
+    gens = np.array([index[coset(g)] for g in CLIFFORD_GENERATORS])
+    inverses = np.argmax(element_product(gens[:, None], unitary) == identity, axis=1)
+    conjugates = element_product(element_product(gens[:, None, None], hw_type), inverses[:, None, None])
+    rows = np.arange(len(hw_type))[:, None]
+    member = np.zeros((len(hw_type), len(names)), dtype=bool)
+    member[rows, hw_type] = True
+    normal = hw_type[np.all(member[rows, conjugates], axis=(0, 2))]
 
     def named(s):
-        return frozenset(names[k] for k in s)
+        return frozenset(names[k] for k in s.tolist())
 
     return len(hw_type), len(normal), [named(s) for s in hw_type], [named(s) for s in normal]
 

@@ -81,37 +81,33 @@ def from_gbv(g: Gbv) -> np.ndarray:
     return np.einsum("...ab,abij->...ij", coef, _PAULI_PRODUCTS) / 4.0
 
 
-@dataclass(frozen=True)
-class SignPattern:
-    a: int
-    b: int
-    alpha1: int
-    alpha2: int
-    alpha3: int
-    beta1: int
-    beta2: int
-    beta3: int
-    class_id: int
-    basis: str
-
-    @property
-    def signs(self) -> tuple:
-        return (self.a, self.b, self.alpha1, self.alpha2, self.alpha3,
-                self.beta1, self.beta2, self.beta3)
-
-    def constraint_value(self) -> int:
-        a, b, a1, a2, a3, b1, b2, b3 = self.signs
-        prod = a1 * a2 * a3 * b1 * b2 * b3
-        if self.basis == "product":
-            return a * b * prod if self.class_id == 1 else b * prod
-        return a * b * prod if self.class_id == 1 else -a * b * prod
+# the 256 assignments of the eight signs (a, b, alpha1-3, beta1-3), one per
+# column, in itertools.product((1, -1), repeat=8) order
+_SIGNS = 1 - 2 * (np.arange(256) >> np.arange(7, -1, -1)[:, None] & 1)
+_SIGNS.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class SignFunctions:
-    h1: int
-    h2: int
-    h3: int
+def _constraint(basis: str, class_id: int, signs):
+    """The constraint value of a sign assignment (a, b, alpha1-3,
+    beta1-3), elementwise over the columns of an (8, N) array."""
+    a, b, a1, a2, a3, b1, b2, b3 = signs
+    prod = a1 * a2 * a3 * b1 * b2 * b3
+    if basis == "product":
+        return a * b * prod if class_id == 1 else b * prod
+    return a * b * prod if class_id == 1 else -a * b * prod
+
+
+def _sign_functions(basis: str, class_id: int, signs) -> tuple:
+    """(h1, h2, h3) of a sign assignment, elementwise over the columns of an
+    (8, N) array."""
+    a, b, a1, a2, a3, b1, b2, b3 = signs
+    if basis == "product":
+        if class_id == 1:
+            return b * a2 * a3 * b3, a1 * a2 * a3, a * b * a1
+        return a * b * a1 * b3, -a1 * a2 * a3, b * a1
+    if class_id == 1:
+        return -b * a1 * b1 * b2 * b3, -b1 * b2 * b3, a * b * b1
+    return a * b * a1, -a * b1 * b2 * b3, b * b1
 
 
 def _table_vector(basis: str, class_id: int, signs) -> np.ndarray:
@@ -165,50 +161,56 @@ def _table_vector(basis: str, class_id: int, signs) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _pattern_table(basis: str, class_id: int, constraint: int):
-    """(vectors, sign tuples) for the 128 assignments with the given
-    constraint value."""
-    every = (SignPattern(*s, class_id=class_id, basis=basis) for s in itertools.product((1, -1), repeat=8))
-    patterns = tuple(p for p in every if p.constraint_value() == constraint)
-    return _table_vector(basis, class_id, np.array([p.signs for p in patterns]).T), patterns
+    """(GBV vectors (128, 15), read-only signs (8, 128)) of the assignments
+    with the given constraint value, in itertools.product order."""
+    signs = _SIGNS[:, _constraint(basis, class_id, _SIGNS) == constraint]
+    signs.flags.writeable = False
+    return _table_vector(basis, class_id, signs), signs
 
 
 @lru_cache(maxsize=2)
 def sign_pattern_table(basis: str = "product") -> tuple:
     """The 256 constraint-satisfying sign assignments of a basis, class 1
-    first: (GBV vectors (256, 15), SignPatterns, and an int (256, 12) array
-    whose rows are the class id, the eight signs and h1, h2, h3)."""
-    (v1, p1), (v2, p2) = (_pattern_table(basis, class_id, 1) for class_id in (1, 2))
-    patterns = p1 + p2
-    columns = np.array([(p.class_id, *p.signs, *vars(sign_functions(p)).values()) for p in patterns])
+    first: (GBV vectors (256, 15), and a read-only int (256, 12) array whose
+    rows are the class id, the eight signs and h1, h2, h3)."""
+    tables = [_pattern_table(basis, class_id, 1) for class_id in (1, 2)]
+    columns = np.concatenate(
+        [
+            np.column_stack([np.full(128, class_id), signs.T, *_sign_functions(basis, class_id, signs)])
+            for class_id, (_, signs) in zip((1, 2), tables)
+        ]
+    )
     columns.flags.writeable = False
-    return np.concatenate([v1, v2]), patterns, columns
+    return np.concatenate([vectors for vectors, _ in tables]), columns
 
 
-def match_sign_patterns(g: Gbv, basis: str = "product", tol: float = 1e-7) -> np.ndarray:
+# a GBV reproduces a table row when every coefficient is within SIGN_MATCH_TOL;
+# each of the 256 fiducials lies within 9.5e-16 of its row in both bases and
+# at least 0.56 from every other row in some coefficient
+SIGN_MATCH_TOL = 1e-7
+
+
+def match_sign_patterns(g: Gbv, basis: str = "product", tol: float = SIGN_MATCH_TOL) -> np.ndarray:
     """For each GBV of a stack, the row of sign_pattern_table(basis)
     reproducing it within tol in every coefficient, or -1.  A GBV matching
-    two rows indicates a degenerate table and raises ValueError."""
+    two rows indicates a degenerate table and raises ValueError.
+
+    One GEMM of squared distances screens the rows: one within tol in every
+    coefficient is within 15 tol^2, and the 1e-12 allowance covers the
+    rounding of |f|^2 + |v|^2 - 2 f.v near a row of norm sqrt 3.  The exact
+    coefficient test runs on the survivors only."""
     flat = g.flat().reshape(-1, 15)
     vectors = sign_pattern_table(basis)[0]
-    dist = np.zeros((len(flat), len(vectors)))
-    for k in range(15):  # Chebyshev distances, one coefficient at a time
-        np.maximum(dist, np.abs(flat[:, k, None] - vectors[:, k]), out=dist)
-    hits = dist <= tol
-    counts = hits.sum(axis=1)
+    sq = np.sum(flat**2, axis=1)[:, None] + np.sum(vectors**2, axis=1) - 2 * (flat @ vectors.T)
+    i, j = np.nonzero(sq <= 15 * tol**2 + 1e-12)
+    hit = np.max(np.abs(flat[i] - vectors[j]), axis=1) <= tol
+    i, j = i[hit], j[hit]
+    counts = np.bincount(i, minlength=len(flat))
     if counts.max(initial=0) > 1:
         raise ValueError("GBV matches %d sign patterns, table is degenerate" % counts.max())
-    return np.where(counts == 1, hits.argmax(axis=1), -1)
-
-
-def sign_functions(p: SignPattern) -> SignFunctions:
-    a, b, a1, a2, a3, b1, b2, b3 = p.signs
-    if p.basis == "product":
-        if p.class_id == 1:
-            return SignFunctions(b * a2 * a3 * b3, a1 * a2 * a3, a * b * a1)
-        return SignFunctions(a * b * a1 * b3, -a1 * a2 * a3, b * a1)
-    if p.class_id == 1:
-        return SignFunctions(-b * a1 * b1 * b2 * b3, -b1 * b2 * b3, a * b * b1)
-    return SignFunctions(a * b * a1, -a * b1 * b2 * b3, b * b1)
+    rows = np.full(len(flat), -1)
+    rows[i] = j
+    return rows
 
 
 def bell_basis_map() -> np.ndarray:
@@ -272,46 +274,73 @@ class ReducedStateReport:
     edge_length: float | None
 
 
+# two reduced states are one when their Bloch vectors agree within
+# REDUCED_POINT_TOL in every component; on the 16 orbit SICs, either qubit,
+# coinciding points agree to 2.3e-16 and distinct ones differ by 0.39 or more
+REDUCED_POINT_TOL = 1e-8
+
+
 def reduced_state_census(
-    states: np.ndarray, qubit: int = 1, basis: str = "product", tol: float = 1e-8
-) -> ReducedStateReport:
+    states: np.ndarray, qubit: int = 1, basis: str = "product", tol: float = REDUCED_POINT_TOL
+):
     """Distinct single-qubit reduced states of one SIC's (16, 4, 4) states
     and, when the eight Bloch points happen to be the vertices of a cube,
-    its edge length.  Points within tol in every component are one; each
-    distinct point is represented by its first occurrence."""
-    points = _bloch_vectors(states, basis, qubit)
-    close = np.max(np.abs(points[:, None] - points[None]), axis=2) <= tol
-    first = close.argmax(axis=1)  # the earliest point each one coincides with
-    reps = np.flatnonzero(first == np.arange(len(points)))
-    distinct = points[reps]
-    is_cube, edge = _detect_cube(distinct) if len(distinct) == 8 else (False, None)
-    return ReducedStateReport(
-        bloch_points=distinct,
-        multiplicities=tuple(np.bincount(first)[reps].tolist()),
-        is_cube=is_cube,
-        edge_length=edge,
-    )
+    its edge length; for an (S, 16, 4, 4) stack, the list of S reports from
+    one pass.  Points within tol in every component are one; each distinct
+    point is represented by its first occurrence."""
+    states = np.asarray(states)
+    points = _bloch_vectors(states.reshape(-1, 4, 4), basis, qubit).reshape(-1, 16, 3)
+    close = np.max(np.abs(points[:, :, None] - points[:, None]), axis=3) <= tol
+    first = close.argmax(axis=2)  # the earliest point each one coincides with
+    rep = first == np.arange(16)
+    counts = np.bincount((first + 16 * np.arange(len(first))[:, None]).ravel(), minlength=first.size)
+    eight = np.count_nonzero(rep, axis=1) == 8
+    cube, edge = np.zeros(len(points), dtype=bool), np.zeros(len(points))
+    cube[eight], edge[eight] = _detect_cube(points[rep & eight[:, None]].reshape(-1, 8, 3))
+    reports = [
+        ReducedStateReport(
+            bloch_points=p[r],
+            multiplicities=tuple(c[r].tolist()),
+            is_cube=bool(ok),
+            edge_length=float(e) if ok else None,
+        )
+        for p, r, c, ok, e in zip(points, rep, counts.reshape(-1, 16), cube, edge)
+    ]
+    return reports[0] if states.ndim == 3 else reports
 
 
-def _detect_cube(points: np.ndarray, rel_tol: float = 1e-7):
-    """Cube test on 8 points: pairwise distances must take exactly three
-    values in ratio 1 : sqrt 2 : sqrt 3 with multiplicities 12, 12, 4."""
+# the cube test's cuts, with what they meet on the eight Bloch points of the
+# 16 orbit SICs' second qubits: sorted pairwise distances start a new value
+# when they step by more than CUBE_GAP_TOL, an absolute gap (a value's
+# distances agree to 1.2e-15, neighbouring values differ by 0.069 or more);
+# face and body diagonals match sqrt 2 and sqrt 3 edges within
+# CUBE_RATIO_TOL (to 1.4e-15 on the eight cubes; the class-2 SICs' distances
+# take seven values, not three)
+CUBE_GAP_TOL = 1e-7
+CUBE_RATIO_TOL = 1e-7
+# where sorted distances start a new value on a cube: edges, face and body diagonals
+_CUBE_STARTS = np.isin(np.arange(28), (0, 12, 24))
+
+
+def _detect_cube(points: np.ndarray):
+    """Cube test on each of a (K, 8, 3) stack of points: pairwise distances
+    must take exactly three values in ratio 1 : sqrt 2 : sqrt 3 with
+    multiplicities 12, 12, 4.  Returns (K,) flags and the (K,) shortest
+    distances, the edge lengths of the cubes."""
     i, j = np.triu_indices(8, 1)
-    dists = np.sort(np.linalg.norm(points[i] - points[j], axis=1))
-    starts = np.flatnonzero(np.diff(dists, prepend=-np.inf) > rel_tol)  # a new value begins
-    if np.diff(np.append(starts, len(dists))).tolist() != [12, 12, 4]:
-        return False, None
-    edge, face, body = dists[starts].tolist()
-    if abs(face - _SQRT2 * edge) > 1e-7 or abs(body - math.sqrt(3) * edge) > 1e-7:
-        return False, None
-    return True, edge
+    dists = np.sort(np.linalg.norm(points[:, i] - points[:, j], axis=2), axis=1)
+    starts = np.diff(dists, axis=1, prepend=-np.inf) > CUBE_GAP_TOL  # a new value begins
+    edge, face, body = dists[:, _CUBE_STARTS].T
+    ok = np.all(starts == _CUBE_STARTS, axis=1)
+    ok &= (np.abs(face - _SQRT2 * edge) <= CUBE_RATIO_TOL) & (np.abs(body - math.sqrt(3) * edge) <= CUBE_RATIO_TOL)
+    return ok, edge
 
 
-def violating_patterns() -> tuple:
+def violating_signs() -> np.ndarray:
     """The 128 product-basis class-1 sign assignments excluded by the
-    constraint; each encodes a non-positive simplex operator."""
-    _, patterns = _pattern_table("product", 1, -1)
-    return patterns
+    constraint, as the columns of a read-only (8, 128) int array; each
+    encodes a non-positive simplex operator."""
+    return _pattern_table("product", 1, -1)[1]
 
 
 def partial_transpose(m: np.ndarray) -> np.ndarray:
@@ -320,27 +349,29 @@ def partial_transpose(m: np.ndarray) -> np.ndarray:
     return m.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(m.shape)
 
 
-def partial_transpose_simplex_checks(patterns, orbit=None, tol: float = 1e-9) -> np.ndarray:
-    """Certify constraint-violating patterns, one flag per pattern: the
-    operator Q each encodes is Hermitian, trace 1, not PSD, satisfies the 15
-    simplex equations tr(Q D_p Q D_p^dag) = 1/5, and its partial transpose
-    is one of the 256 fiducials.  All patterns are checked in one pass."""
-    for p in patterns:
-        if p.basis != "product" or p.class_id != 1:
-            raise ValueError("expected a product-basis class-1 pattern")
-        if p.constraint_value() != -1:
-            raise ValueError("pattern satisfies the sign constraint, nothing to check")
+def partial_transpose_simplex_checks(signs, orbit=None, tol: float = 1e-9) -> np.ndarray:
+    """Certify constraint-violating product-basis class-1 sign assignments,
+    the columns of an (8, N) int array such as violating_signs(), one flag
+    per assignment: the operator Q each encodes is Hermitian, trace 1, not
+    PSD, satisfies the 15 simplex equations tr(Q D_p Q D_p^dag) = 1/5, and
+    its partial transpose is one of the 256 fiducials.  All assignments are
+    checked in one pass."""
+    signs = np.asarray(signs).reshape(8, -1)
+    if np.any(_constraint("product", 1, signs) != -1):
+        raise ValueError("assignment satisfies the sign constraint, nothing to check")
     if orbit is None:
         from .orbits import enumerate_orbit
 
         orbit = enumerate_orbit()
-    vec = _table_vector("product", 1, np.array([p.signs for p in patterns]).reshape(-1, 8).T)
+    vec = _table_vector("product", 1, signs)
     q = from_gbv(Gbv(r=vec[:, :3], s=vec[:, 3:6], C=vec[:, 6:].reshape(-1, 3, 3)))
     ok = np.max(np.abs(q - q.conj().transpose(0, 2, 1)), axis=(1, 2)) <= tol
     ok &= np.abs(np.trace(q, axis1=1, axis2=2) - 1) <= tol
     ok &= np.linalg.eigvalsh(q)[:, 0] <= NON_PSD_CUT
     disp = displacement_table(4).reshape(16, 4, 4)[1:]
-    simplex = np.einsum("pij,kjl,plm,kim->pk", q, disp, q, disp.conj())
+    # tr(Q D Q D^dag) as the sum of (Q D) * (Q D^dag)^T, for all 15 D at once
+    qd, qdh = q[:, None] @ disp, q[:, None] @ disp.conj().swapaxes(-1, -2)
+    simplex = np.sum(qd * qdh.swapaxes(-1, -2), axis=(-2, -1))
     ok &= np.all(np.abs(simplex - 0.2) <= tol, axis=1)
     # |tr(rho pt)| for every orbit projector rho and partial transpose pt
     fid = np.abs(orbit.projectors.reshape(256, 16).conj() @ partial_transpose(q).reshape(-1, 16).T)

@@ -6,20 +6,25 @@ per-item checks.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
+from sic4.clifford import enumerate_projective_clifford
 from sic4.numerics import DEFAULT_TOL, GroupElement, canonical_phase, proj_equal, rank1_kets as state_ket
-from sic4.orbits import LABEL_GRID, MATCH_TOL, enumerate_orbit, state_action
+from sic4.orbits import LABEL_GRID, MATCH_TOL, enumerate_orbit, orbit_action, permutation_orders, state_action
+from sic4.reconstruction import _matches_reference, _quad_index, signatures
 from sic4.regrouping import fidelity_adjacency
 from sic4.two_qubit import (
     concurrence,
+    gbv,
     match_sign_patterns,
     partial_transpose_simplex_checks,
     physical_state,
     reduced_purity,
     rounded_census,
     sign_pattern_table,
+    violating_signs,
 )
 
 
@@ -48,16 +53,141 @@ def canonical_key(m, decimals: int = 6) -> bytes:
     return re.tobytes() + im.tobytes()
 
 
+@dataclass(frozen=True)
+class SignPattern:
+    """One sign assignment (a, b, alpha1-3, beta1-3) of a class and basis,
+    with the scalar constraint the library evaluates on sign arrays."""
+
+    a: int
+    b: int
+    alpha1: int
+    alpha2: int
+    alpha3: int
+    beta1: int
+    beta2: int
+    beta3: int
+    class_id: int
+    basis: str
+
+    @property
+    def signs(self) -> tuple:
+        return (self.a, self.b, self.alpha1, self.alpha2, self.alpha3,
+                self.beta1, self.beta2, self.beta3)
+
+    def constraint_value(self) -> int:
+        a, b, a1, a2, a3, b1, b2, b3 = self.signs
+        prod = a1 * a2 * a3 * b1 * b2 * b3
+        if self.basis == "product":
+            return a * b * prod if self.class_id == 1 else b * prod
+        return a * b * prod if self.class_id == 1 else -a * b * prod
+
+
+@dataclass(frozen=True)
+class SignFunctions:
+    h1: int
+    h2: int
+    h3: int
+
+
+def sign_functions(p: SignPattern) -> SignFunctions:
+    """The scalar sign functions of one pattern."""
+    a, b, a1, a2, a3, b1, b2, b3 = p.signs
+    if p.basis == "product":
+        if p.class_id == 1:
+            return SignFunctions(b * a2 * a3 * b3, a1 * a2 * a3, a * b * a1)
+        return SignFunctions(a * b * a1 * b3, -a1 * a2 * a3, b * a1)
+    if p.class_id == 1:
+        return SignFunctions(-b * a1 * b1 * b2 * b3, -b1 * b2 * b3, a * b * b1)
+    return SignFunctions(a * b * a1, -a * b1 * b2 * b3, b * b1)
+
+
+def sign_pattern(basis: str, row: int) -> SignPattern:
+    """Row ``row`` of sign_pattern_table(basis) as a SignPattern."""
+    class_id, *signs = sign_pattern_table(basis)[1][row, :9].tolist()
+    return SignPattern(*signs, class_id=class_id, basis=basis)
+
+
+def violating_patterns() -> tuple:
+    """The library's violating_signs() as SignPatterns."""
+    return tuple(SignPattern(*s, class_id=1, basis="product") for s in violating_signs().T.tolist())
+
+
 def match_sign_pattern(g, basis: str = "product", tol: float = 1e-7):
-    """The unique constraint-satisfying table row reproducing one GBV, or
-    None: match_sign_patterns for a stack of one."""
+    """The unique constraint-satisfying table row reproducing one GBV, as a
+    SignPattern, or None: match_sign_patterns for a stack of one."""
     row = int(match_sign_patterns(g, basis, tol)[0])
-    return None if row < 0 else sign_pattern_table(basis)[1][row]
+    return None if row < 0 else sign_pattern(basis, row)
 
 
-def partial_transpose_simplex_check(p, orbit=None, tol: float = 1e-9) -> bool:
-    """partial_transpose_simplex_checks for one pattern."""
-    return bool(partial_transpose_simplex_checks([p], orbit, tol)[0])
+def partial_transpose_simplex_check(p: SignPattern, orbit=None, tol: float = 1e-9) -> bool:
+    """partial_transpose_simplex_checks for one product-basis class-1 pattern."""
+    if p.basis != "product" or p.class_id != 1:
+        raise ValueError("expected a product-basis class-1 pattern")
+    return bool(partial_transpose_simplex_checks(np.array(p.signs), orbit, tol)[0])
+
+
+def match_sign_patterns_by_full_scan(g, basis: str = "product", tol: float = 1e-7) -> np.ndarray:
+    """match_sign_patterns as it was: the Chebyshev distance from every GBV
+    to every table row, one coefficient at a time, without a screen."""
+    flat = g.flat().reshape(-1, 15)
+    vectors = sign_pattern_table(basis)[0]
+    dist = np.zeros((len(flat), len(vectors)))
+    for k in range(15):
+        np.maximum(dist, np.abs(flat[:, k, None] - vectors[:, k]), out=dist)
+    hits = dist <= tol
+    counts = hits.sum(axis=1)
+    if counts.max(initial=0) > 1:
+        raise ValueError("GBV matches %d sign patterns, table is degenerate" % counts.max())
+    return np.where(counts == 1, hits.argmax(axis=1), -1)
+
+
+def reduced_state_census_per_sic(states, qubit: int = 1, basis: str = "product", tol: float = 1e-8) -> tuple:
+    """reduced_state_census as it was, for one SIC's (16, 4, 4) states with
+    its own gbv call: (points, multiplicities, is_cube, edge)."""
+    g = gbv(physical_state(states, basis))
+    points = g.s if qubit == 0 else g.r
+    close = np.max(np.abs(points[:, None] - points[None]), axis=2) <= tol
+    first = close.argmax(axis=1)
+    reps = np.flatnonzero(first == np.arange(len(points)))
+    distinct = points[reps]
+    is_cube, edge = False, None
+    if len(distinct) == 8:
+        i, j = np.triu_indices(8, 1)
+        dists = np.sort(np.linalg.norm(distinct[i] - distinct[j], axis=1))
+        starts = np.flatnonzero(np.diff(dists, prepend=-np.inf) > 1e-7)
+        if np.diff(np.append(starts, len(dists))).tolist() == [12, 12, 4]:
+            e, face, body = dists[starts].tolist()
+            if abs(face - np.sqrt(2) * e) <= 1e-7 and abs(body - np.sqrt(3) * e) <= 1e-7:
+                is_cube, edge = True, e
+    return distinct, tuple(np.bincount(first)[reps].tolist()), is_cube, edge
+
+
+def reference_quads_by_full_eigvalsh(states) -> np.ndarray:
+    """reference_quads as it was: the signature of every 4-subset, without
+    the tr(m^3) screen."""
+    index = _quad_index()
+    return index[_matches_reference(signatures(states, index))]
+
+
+def uniqueness_check_per_sic(indices) -> bool:
+    """uniqueness_check as it was, one SIC at a time: every unitary element
+    tried on all 16 states, orders by repeated composition, closure by
+    comparing whole rows; ValueError when the group does not have order 48."""
+    indices = np.asarray(indices)
+    position = np.full(256, -1)
+    position[indices] = np.arange(len(indices))
+    n = len(enumerate_projective_clifford(4, extended=False))
+    perms = position[orbit_action()[:n, indices]]
+    perms = perms[np.all(perms >= 0, axis=1)]
+    if len(perms) != 48:
+        raise ValueError("symmetry group inside the Clifford group has order %d, expected 48" % len(perms))
+    tp = perms[np.isin(permutation_orders(perms), (1, 2, 4, 8, 16))]
+    return len(tp) == 16 and bool(np.all(np.any(np.all(tp[:, tp][..., None, :] == tp, axis=-1), axis=-1)))
+
+
+def first_distinct_spans_by_unique(spans) -> np.ndarray:
+    """The census's span dedup as it was: np.unique over rows."""
+    return np.sort(np.unique(spans, axis=0, return_index=True)[1])
 
 
 def concurrence_census(states, basis: str = "product", decimals: int = 9) -> dict:

@@ -17,6 +17,8 @@ from oracles import (
     match_sign_pattern,
     partial_transpose_simplex_check,
     sic_states,
+    sign_functions,
+    violating_patterns,
 )
 from sic4.clifford import (
     SymplecticPair,
@@ -57,8 +59,6 @@ from sic4.two_qubit import (
     concurrence,
     gbv,
     physical_state,
-    sign_functions,
-    violating_patterns,
 )
 from sic4.weyl_heisenberg import (
     CONSTANTS,

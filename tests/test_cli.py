@@ -371,6 +371,33 @@ def test_all_certifies_each_sic_once_and_builds_the_family_once(monkeypatch, tmp
         assert len(builds) == 1, argv
 
 
+def test_all_checks_uniqueness_in_one_call_and_calls_gbv_on_whole_stacks(monkeypatch, tmp_path, capsys):
+    import sic4.reconstruction
+    import sic4.two_qubit
+
+    checked, uniqueness_check = [], sic4.reconstruction.uniqueness_check
+    sizes, gbv = [], sic4.two_qubit.gbv
+
+    def counted_check(indices):
+        checked.append(len(indices) if np.ndim(indices) == 2 else 1)
+        return uniqueness_check(indices)
+
+    def counted_gbv(rho, *args, **kwargs):
+        sizes.append(np.size(rho) // 16)
+        return gbv(rho, *args, **kwargs)
+
+    monkeypatch.setattr(sic4.reconstruction, "uniqueness_check", counted_check)
+    monkeypatch.setattr(sic4.two_qubit, "gbv", counted_gbv)
+    assert main(["all", "--format", "json", "--out", str(tmp_path / "all.json")]) == 0
+    capsys.readouterr()
+    # the 32 SICs in one stacked certificate
+    assert checked == [32]
+    # per basis: the 256 fiducials, the 512 family states' purities, and,
+    # in the product basis, the reduced-state census of each qubit; no call
+    # for one SIC's 16 states
+    assert sorted(sizes) == [256] * 4 + [512] * 2
+
+
 def test_orbit_imports_neither_regrouping_nor_reconstruction(tmp_path):
     # the orbit half of the family certificate lives in orbits
     code = "; ".join(

@@ -398,6 +398,26 @@ def test_two_power_subgroup_matches_set_certificate():
         assert {tuple(p) for p in tp.tolist()} == old_tp and len(tp) == 16
 
 
+
+def test_stacked_two_power_subgroup_equals_one_group_at_a_time():
+    # SIC 1's group and S4 x S2, 48 elements each (S4 x S2 has 32 of 2-power
+    # order); then S4 on points 0-3 and on 4-7, 24 each, 16 that do not close
+    sic_group = sic_symmetries(np.arange(16), extended=False)[1]
+    s4 = [p + tuple(range(4, 16)) for p in itertools.permutations(range(4))]
+    s4_s2 = [p[:4] + q + p[6:] for p in s4 for q in ((4, 5), (5, 4))]
+    s4_high = [tuple(range(4)) + tuple(4 + i for i in p[:4]) + p[8:] for p in s4]
+    cases = (([sic_group, np.array(s4_s2)], [True, False]), ([np.array(s4), np.array(s4_high)], [False, False]))
+    for stack, want in cases:
+        two, verdicts = two_power_subgroup(np.stack(stack))
+        assert verdicts.tolist() == want
+        for group, mask, verdict in zip(stack, two, verdicts):
+            tp, ok = two_power_subgroup(group)
+            assert ok == verdict and np.array_equal(group[mask], tp)
+            assert {tuple(p) for p in tp.tolist()} == _two_power_subgroup_by_sets(list(map(tuple, group.tolist())))[0]
+    with pytest.raises(ValueError, match="at most 16 points"):
+        two_power_subgroup(np.arange(17)[None])
+
+
 def _rigid_permutations_by_dfs(label=1, limit=10):
     """The backtracking search that the level-by-level rigid_permutations
     replaced: one ok() check per partial assignment."""
@@ -524,6 +544,12 @@ def test_sic_symmetries_match_elements_sending_on_all_32_sics(extended):
     _, base = sic_symmetries(sics[20], extended=extended)
     _, shuffled = sic_symmetries(sics[-1], extended=extended)
     assert np.array_equal(shuffled, np.argsort(shuffle)[base[:, shuffle]])
+    # the stacked form: one pass over every set, pairs in set order
+    pairs, perms = sic_symmetries(np.stack(sics), extended=extended)
+    for k, idx in enumerate(sics):
+        index, one = sic_symmetries(idx, extended=extended)
+        assert np.array_equal(pairs[pairs[:, 0] == k, 1], index) and np.array_equal(perms[pairs[:, 0] == k], one)
+    assert np.array_equal(pairs[:, 0], np.sort(pairs[:, 0]))
 
 
 def _haar_unitary(rng):

@@ -11,10 +11,14 @@ from sic4.clifford import enumerate_projective_clifford
 from sic4.orbits import MATCH_TOL, enumerate_orbit, sic_symmetries, state_action, state_permutations
 from sic4.reconstruction import (
     COMMUTATOR_TOL,
+    CUBE_TRACE_TOL,
     EIGENVALUE_MATCH_TOL,
     HERMITIAN_TOL,
     RESIDUAL_TOL,
+    SIGNATURE_TOL,
+    _matches_reference,
     _phase_operator,
+    _quad_index,
     reconstruct_hw,
     reference_quads,
     reference_signature,
@@ -25,7 +29,7 @@ from sic4.reconstruction import (
 from sic4.regrouping import dprime_elements, regrouped_family, sic_family
 from sic4.weyl_heisenberg import displacement, fiducial_ket_d4, verify_sic
 
-from oracles import sic_states
+from oracles import reference_quads_by_full_eigvalsh, sic_states, uniqueness_check_per_sic
 
 G = (math.sqrt(5) - 1) / 2
 
@@ -303,3 +307,45 @@ def test_phase_operator_cuts_have_measured_margins():
     assert np.max(np.abs(commutator_phase(rec.z_gen, rec.x_gen) - 1j)) <= 1e-14 < COMMUTATOR_TOL
     adjoint = commutator_phase(rec.z_gen, rec.x_gen.conj().swapaxes(-1, -2))
     assert np.min(np.abs(adjoint - 1j)) >= 2 - 1e-14
+
+
+def test_stacked_uniqueness_equals_the_per_sic_loop():
+    members = sic_family()[0]
+    verdicts = uniqueness_check(members)
+    assert verdicts.shape == (32,) and verdicts.all()
+    assert verdicts.tolist() == [uniqueness_check_per_sic(row) for row in members]
+    assert [uniqueness_check(row) for row in members] == verdicts.tolist()
+
+
+def test_uniqueness_fails_only_the_row_with_a_foreign_state():
+    # SIC 21 with one member swapped for a state of SIC 1: its symmetry
+    # group shrinks below order 48, which the per-SIC form refused outright
+    members = sic_family()[0].copy()
+    members[20, 7] = 0
+    verdicts = uniqueness_check(members)
+    assert np.flatnonzero(~verdicts).tolist() == [20]
+    with pytest.raises(ValueError, match="expected 48"):
+        uniqueness_check_per_sic(members[20])
+    assert not uniqueness_check(members[20])
+
+
+def test_screened_reference_quads_equal_the_full_eigvalsh_scan():
+    sics = _family_and_copies()
+    for states in sics:
+        assert np.array_equal(reference_quads(states), reference_quads_by_full_eigvalsh(states))
+
+
+def test_cube_trace_screen_has_a_margin():
+    # tr(m^3) of every 4-subset sum of the 32 SICs and their conjugated,
+    # shuffled copies, against the reference signature's sum of cubes
+    index = _quad_index()
+    ref = np.sum(np.array(reference_signature()) ** 3)
+    qualifying, other = [], []
+    for states in _family_and_copies():
+        m = sum(states[index[:, k]] for k in range(4))
+        dev = np.abs(np.einsum("nab,nbc,nca->n", m, m, m).real - ref)
+        hit = _matches_reference(np.linalg.eigvalsh(m))
+        qualifying.append(dev[hit])
+        other.append(dev[~hit])
+    bound = 12 * max(reference_signature()) ** 2 * SIGNATURE_TOL  # no qualifying sum is screened out
+    assert np.max(qualifying) <= 1e-13 < bound < CUBE_TRACE_TOL < 0.019 <= np.min(other)

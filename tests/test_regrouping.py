@@ -13,7 +13,7 @@ from sic4.clifford import (
     to_operator,
 )
 from sic4.numerics import commutator_phase, proj_equal, projective_set_equal
-from sic4.orbits import LABEL_GRID, FiducialOrbit, element_product, enumerate_orbit
+from sic4.orbits import LABEL_GRID, FiducialOrbit, element_product, enumerate_orbit, first_distinct_rows
 from sic4.reconstruction import COMMUTATOR_TOL
 from sic4.regrouping import (
     CLIFFORD_GENERATORS,
@@ -30,6 +30,7 @@ from sic4.regrouping import (
     equivalence_unitary,
     _cliques,
     _quotient,
+    _span,
     exhaustive_regroup_scan,
     fidelity_adjacency,
     hw_conjugate_subgroup_census,
@@ -38,7 +39,7 @@ from sic4.regrouping import (
 )
 from sic4.weyl_heisenberg import displacement, verify_sic
 
-from oracles import regroup_by_search, sic_states
+from oracles import first_distinct_spans_by_unique, regroup_by_search, sic_states
 
 
 def fidelity_graph(orbit, vertices):
@@ -339,6 +340,24 @@ def test_clifford_generators_reach_every_coset():
 
 def test_subgroup_census_matches_scalar_spans():
     assert hw_conjugate_subgroup_census() == _scalar_span_census()
+
+
+def test_span_dedup_matches_unique_rows():
+    # the census's 2,304 sorted 16-element spans, and small random rows
+    # with many repeats
+    _, index = _quotient()
+    identity = index[displacement_coset(0, 0)]
+    table = _unitary_table()
+    square = np.diagonal(table)
+    quartic = np.flatnonzero((square != identity) & (square[square] == identity))
+    sub = table[np.ix_(quartic, quartic)]
+    x, z = (quartic[k] for k in np.nonzero(np.triu(sub == sub.T, 1)))
+    spans = np.sort(_span(x, z, identity), axis=1)
+    spans = spans[np.all(np.diff(spans, axis=1) != 0, axis=1)]
+    rows = np.random.default_rng(6).integers(0, 3, size=(500, 4))
+    for a in (spans, rows, rows.astype(np.int16)):
+        assert np.array_equal(first_distinct_rows(a), first_distinct_spans_by_unique(a))
+    assert len(first_distinct_rows(spans)) == 48 and len(spans) == 2304
 
 
 def test_primitive_pairing_cut_has_a_margin():

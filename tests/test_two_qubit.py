@@ -6,18 +6,29 @@ import numpy as np
 import pytest
 
 from oracles import (
+    SignPattern,
     avg_reduced_purity,
     concurrence_census,
     match_sign_pattern,
+    match_sign_patterns_by_full_scan,
     partial_transpose_simplex_check,
+    reduced_state_census_per_sic,
     sic_states,
+    sign_functions,
+    sign_pattern,
+    violating_patterns,
 )
 from sic4.orbits import LABEL_GRID, FiducialOrbit, enumerate_orbit
 from sic4.regrouping import sic_family
 from sic4.two_qubit import (
+    CUBE_GAP_TOL,
+    CUBE_RATIO_TOL,
     PAULI,
+    REDUCED_POINT_TOL,
+    SIGN_MATCH_TOL,
     Gbv,
-    SignPattern,
+    _bloch_vectors,
+    _detect_cube,
     _pattern_table,
     _table_vector,
     bell_basis_map,
@@ -31,9 +42,8 @@ from sic4.two_qubit import (
     physical_state,
     reduced_purity,
     reduced_state_census,
-    sign_functions,
     sign_pattern_table,
-    violating_patterns,
+    violating_signs,
 )
 from sic4.numerics import rank1_kets as state_ket
 from sic4.weyl_heisenberg import CONSTANTS, displacement
@@ -271,8 +281,11 @@ def _patterns_by_loop(flat, basis, tol=1e-7):
     """The per-class table scan that match_sign_patterns replaced."""
     hits = []
     for class_id in (1, 2):
-        vectors, patterns = _pattern_table(basis, class_id, 1)
-        hits += [patterns[i] for i in np.flatnonzero(np.max(np.abs(vectors - flat), axis=1) <= tol)]
+        vectors, signs = _pattern_table(basis, class_id, 1)
+        hits += [
+            SignPattern(*signs[:, i].tolist(), class_id=class_id, basis=basis)
+            for i in np.flatnonzero(np.max(np.abs(vectors - flat), axis=1) <= tol)
+        ]
     return hits
 
 
@@ -284,13 +297,12 @@ def test_stacked_calls_match_per_state_oracles():
         g = gbv(states)
         assert g.flat().shape == (256, 15) and g.norm_sq().shape == (256,)
         rows = match_sign_patterns(g, basis)
-        patterns = sign_pattern_table(basis)[1]
         conc = concurrence(state_ket(states))
         purity = reduced_purity(orbit.projectors, basis)
         for k in range(256):
             r, s, c = _gbv_by_kron(states[k])
             assert np.max(np.abs(g.flat()[k] - np.concatenate([r, s, c.ravel()]))) <= 1e-14
-            assert [patterns[rows[k]]] == _patterns_by_loop(g.flat()[k], basis)
+            assert [sign_pattern(basis, rows[k])] == _patterns_by_loop(g.flat()[k], basis)
             ket = np.linalg.eigh(states[k])[1][:, -1]  # the ket state_ket used to return
             assert abs(conc[k] - abs(ket @ yy @ ket)) <= 1e-14
             red = np.trace(states[k].reshape(2, 2, 2, 2), axis1=1, axis2=3)
@@ -316,11 +328,11 @@ def test_batched_simplex_check_matches_per_pattern_loop():
     # transposes find no fiducial there
     half = FiducialOrbit(np.concatenate([orbit.projectors[::2]] * 2))
     for orb in (orbit, half):
-        ok = partial_transpose_simplex_checks(vps, orb)
+        ok = partial_transpose_simplex_checks(violating_signs(), orb)
         assert ok.tolist() == [_simplex_check_by_loop(p, orb) for p in vps]
         assert [partial_transpose_simplex_check(p, orb) for p in vps[:4]] == ok[:4].tolist()
-    assert partial_transpose_simplex_checks(vps, orbit).all()
-    assert 0 < partial_transpose_simplex_checks(vps, half).sum() < 128
+    assert partial_transpose_simplex_checks(violating_signs(), orbit).all()
+    assert 0 < partial_transpose_simplex_checks(violating_signs(), half).sum() < 128
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -389,12 +401,95 @@ def test_sign_tables_match_scalar_loop():
     for basis, class_id, constraint in [
         ("product", 1, 1), ("product", 2, 1), ("bell", 1, 1), ("bell", 2, 1), ("product", 1, -1)
     ]:
-        vectors, patterns = _pattern_table(basis, class_id, constraint)
-        old, signs = _pattern_table_by_loop(basis, class_id, constraint)
+        vectors, signs = _pattern_table(basis, class_id, constraint)
+        old, old_signs = _pattern_table_by_loop(basis, class_id, constraint)
         assert np.array_equal(vectors, old) and vectors.tobytes() == old.tobytes()
-        assert [p.signs for p in patterns] == signs and len(signs) == 128
+        assert list(map(tuple, signs.T.tolist())) == old_signs and len(old_signs) == 128
     assert [p.signs for p in violating_patterns()] == _pattern_table_by_loop("product", 1, -1)[1]
     for basis in ("product", "bell"):
-        _, patterns, columns = sign_pattern_table(basis)
+        patterns = [
+            SignPattern(*s, class_id=class_id, basis=basis)
+            for class_id in (1, 2)
+            for s in _pattern_table_by_loop(basis, class_id, 1)[1]
+        ]
         old = [(p.class_id,) + p.signs + astuple(sign_functions(p)) for p in patterns]
-        assert columns.tolist() == [list(row) for row in old]
+        assert sign_pattern_table(basis)[1].tolist() == [list(row) for row in old]
+
+
+def _chebyshev_to_table(basis):
+    """Distance in the largest coefficient from each fiducial's GBV to
+    every table row, with each fiducial's matched row."""
+    g = gbv(physical_state(enumerate_orbit().projectors, basis))
+    dist = np.max(np.abs(g.flat()[:, None] - sign_pattern_table(basis)[0]), axis=2)
+    return dist, match_sign_patterns(g, basis)
+
+
+def test_sign_match_cut_has_a_margin():
+    for basis in ("product", "bell"):
+        dist, rows = _chebyshev_to_table(basis)
+        matched = dist[np.arange(256), rows]
+        dist[np.arange(256), rows] = np.inf
+        assert np.all(rows >= 0)
+        assert matched.max() <= 1e-15 < SIGN_MATCH_TOL < 0.56 <= dist.min()
+
+
+def test_screened_sign_match_equals_full_scan():
+    orbit = enumerate_orbit()
+    rng = np.random.default_rng(8)
+    for basis in ("product", "bell"):
+        g = gbv(physical_state(orbit.projectors, basis))
+        flat = g.flat()
+        # unmatched rows: a perturbed fiducial, a mixed state, a NaN
+        extra = np.stack([flat[5] + 1e-6 * rng.normal(size=15), 0.5 * flat[9], np.full(15, np.nan)])
+        probe = np.concatenate([flat, extra])
+        stack = Gbv(r=probe[:, :3], s=probe[:, 3:6], C=probe[:, 6:].reshape(-1, 3, 3))
+        rows = match_sign_patterns(stack, basis)
+        assert np.array_equal(rows, match_sign_patterns_by_full_scan(stack, basis))
+        assert np.all(rows[:256] >= 0) and np.all(rows[256:] == -1)
+        # a tolerance reaching a second row: both forms call the table degenerate
+        for match in (match_sign_patterns, match_sign_patterns_by_full_scan):
+            with pytest.raises(ValueError, match="degenerate"):
+                match(g, basis, tol=1.0)
+
+
+def test_reduced_point_cut_has_a_margin():
+    for qubit in (0, 1):
+        points = _bloch_vectors(enumerate_orbit().projectors, "product", qubit).reshape(16, 16, 3)
+        dist = np.max(np.abs(points[:, :, None] - points[:, None]), axis=3)
+        same = dist <= REDUCED_POINT_TOL
+        assert dist[same].max() <= 2.3e-16 < REDUCED_POINT_TOL < 0.39 <= dist[~same].min()
+
+
+def test_cube_cuts_have_margins():
+    reps = reduced_state_census(enumerate_orbit().projectors.reshape(16, 16, 4, 4))
+    points = np.stack([rep.bloch_points for rep in reps])
+    i, j = np.triu_indices(8, 1)
+    dists = np.sort(np.linalg.norm(points[:, i] - points[:, j], axis=2), axis=1)
+    steps = np.diff(dists, axis=1)
+    # inside a distance value the sorted distances step by rounding only;
+    # between values by at least 0.069 (the class-2 SICs), an absolute gap
+    assert steps[steps <= CUBE_GAP_TOL].max() <= 1.2e-15 < CUBE_GAP_TOL < 0.069 <= steps[steps > CUBE_GAP_TOL].min()
+    assert np.all(np.count_nonzero(steps > CUBE_GAP_TOL, axis=1) == [2] * 8 + [6] * 8)
+    edge, face, body = dists[:8, [0, 12, 24]].T
+    ratio_dev = np.maximum(np.abs(face - math.sqrt(2) * edge), np.abs(body - math.sqrt(3) * edge))
+    assert ratio_dev.max() <= 1.4e-15 < CUBE_RATIO_TOL
+    ok, edges = _detect_cube(points)
+    assert ok.tolist() == [True] * 8 + [False] * 8 and np.array_equal(edges[:8], edge)
+
+
+def test_stacked_reduced_state_census_equals_per_sic_calls():
+    sics = enumerate_orbit().projectors.reshape(16, 16, 4, 4)
+    # a stack mixing a SIC with eight points and one whose states coincide
+    odd = np.stack([sics[0], np.broadcast_to(sics[0, 0], (16, 4, 4))])
+    for basis in ("product", "bell"):
+        for qubit in (0, 1):
+            for stack in (sics, odd):
+                reps = reduced_state_census(stack, qubit, basis)
+                assert len(reps) == len(stack)
+                for states, rep in zip(stack, reps):
+                    points, counts, is_cube, edge = reduced_state_census_per_sic(states, qubit, basis)
+                    assert np.array_equal(rep.bloch_points, points) and rep.multiplicities == counts
+                    assert rep.is_cube == is_cube and rep.edge_length == edge
+                    one = reduced_state_census(states, qubit, basis)
+                    assert np.array_equal(one.bloch_points, points) and one.multiplicities == counts
+                    assert (one.is_cube, one.edge_length) == (is_cube, edge)
