@@ -376,12 +376,15 @@ def two_power_subgroup(perms) -> tuple:
     two = np.all(power == np.arange(n), axis=1).reshape(s, p)
     sixteen = np.count_nonzero(two, axis=1) == 16
     tp = stack[two & sixteen[:, None]].reshape(-1, 16, n)
-    # products[r, a, b] = tp[r, a] after tp[r, b]; a permutation of n <= 16
-    # points packs exactly into one uint64, its images as base-n digits
-    flat = (np.arange(len(tp))[:, None, None, None] * 16 + np.arange(16)[:, None, None]) * n + tp[:, None]
+    # a permutation of n <= 16 points packs exactly into one uint64, its
+    # images as base-n digits; after[r, b] = tp[r, a] after tp[r, b], one a
+    # at a time so that no (S, 16, 16, n) array is made
     digits = n ** np.arange(n, dtype=np.uint64)
-    products = tp.reshape(-1)[flat].astype(np.uint64) @ digits
-    closed = np.all(np.any(products.reshape(-1, 256, 1) == (tp.astype(np.uint64) @ digits)[:, None], axis=2), axis=1)
+    keys = tp.astype(np.uint64) @ digits
+    closed = np.ones(len(tp), dtype=bool)
+    for a in range(16):
+        after = np.take_along_axis(tp[:, a, None], tp, axis=2).astype(np.uint64) @ digits
+        closed &= np.all(np.any(after[:, :, None] == keys[:, None], axis=2), axis=1)
     verdict = np.zeros(s, dtype=bool)
     verdict[sixteen] = closed
     if perms.ndim == 2:

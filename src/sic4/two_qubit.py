@@ -369,9 +369,10 @@ def partial_transpose_simplex_checks(signs, orbit=None, tol: float = 1e-9) -> np
     ok &= np.abs(np.trace(q, axis1=1, axis2=2) - 1) <= tol
     ok &= np.linalg.eigvalsh(q)[:, 0] <= NON_PSD_CUT
     disp = displacement_table(4).reshape(16, 4, 4)[1:]
-    # tr(Q D Q D^dag) as the sum of (Q D) * (Q D^dag)^T, for all 15 D at once
-    qd, qdh = q[:, None] @ disp, q[:, None] @ disp.conj().swapaxes(-1, -2)
-    simplex = np.sum(qd * qdh.swapaxes(-1, -2), axis=(-2, -1))
+    # tr(Q D Q D^dag) = sum over i, l, j of (Q D)_il Q_lj conj(D_ij); one GEMM
+    # takes Q D for every Q and all 15 D, as qd[p, i, k, l]
+    qd = (q.reshape(-1, 4) @ disp.transpose(1, 0, 2).reshape(4, -1)).reshape(-1, 4, 15, 4)
+    simplex = np.einsum("pikl,plj,kij->pk", qd, q, disp.conj())
     ok &= np.all(np.abs(simplex - 0.2) <= tol, axis=1)
     # |tr(rho pt)| for every orbit projector rho and partial transpose pt
     fid = np.abs(orbit.projectors.reshape(256, 16).conj() @ partial_transpose(q).reshape(-1, 16).T)
