@@ -283,17 +283,19 @@ REDUCED_POINT_TOL = 1e-8
 def reduced_state_census(
     states: np.ndarray, qubit: int = 1, basis: str = "product", tol: float = REDUCED_POINT_TOL
 ):
-    """Distinct single-qubit reduced states of one SIC's (16, 4, 4) states
-    and, when the eight Bloch points happen to be the vertices of a cube,
-    its edge length; for an (S, 16, 4, 4) stack, the list of S reports from
-    one pass.  Points within tol in every component are one; each distinct
-    point is represented by its first occurrence."""
+    """Distinct single-qubit reduced states of an (N, 4, 4) state list,
+    such as one SIC's 16 states, and, when the eight Bloch points happen to
+    be the vertices of a cube, its edge length; for an (S, N, 4, 4) stack,
+    the list of S reports from one pass.  Points within tol in every
+    component are one; each distinct point is represented by its first
+    occurrence."""
     states = np.asarray(states)
-    points = _bloch_vectors(states.reshape(-1, 4, 4), basis, qubit).reshape(-1, 16, 3)
+    n = states.shape[-3]
+    points = _bloch_vectors(states.reshape(-1, 4, 4), basis, qubit).reshape(-1, n, 3)
     close = np.max(np.abs(points[:, :, None] - points[:, None]), axis=3) <= tol
     first = close.argmax(axis=2)  # the earliest point each one coincides with
-    rep = first == np.arange(16)
-    counts = np.bincount((first + 16 * np.arange(len(first))[:, None]).ravel(), minlength=first.size)
+    rep = first == np.arange(n)
+    counts = np.bincount((first + n * np.arange(len(first))[:, None]).ravel(), minlength=first.size)
     eight = np.count_nonzero(rep, axis=1) == 8
     cube, edge = np.zeros(len(points), dtype=bool), np.zeros(len(points))
     cube[eight], edge[eight] = _detect_cube(points[rep & eight[:, None]].reshape(-1, 8, 3))
@@ -304,7 +306,7 @@ def reduced_state_census(
             is_cube=bool(ok),
             edge_length=float(e) if ok else None,
         )
-        for p, r, c, ok, e in zip(points, rep, counts.reshape(-1, 16), cube, edge)
+        for p, r, c, ok, e in zip(points, rep, counts.reshape(-1, n), cube, edge)
     ]
     return reports[0] if states.ndim == 3 else reports
 

@@ -493,3 +493,6 @@ def test_stacked_reduced_state_census_equals_per_sic_calls():
                     one = reduced_state_census(states, qubit, basis)
                     assert np.array_equal(one.bloch_points, points) and one.multiplicities == counts
                     assert (one.is_cube, one.edge_length) == (is_cube, edge)
+    # a list of 32 states is one list, not a stack of two
+    rep = reduced_state_census(np.concatenate([sics[0], sics[0]]), 1)
+    assert rep.multiplicities == (4,) * 8 and rep.is_cube
