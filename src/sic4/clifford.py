@@ -18,35 +18,33 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, GroupElement, conjugate, is_unitary
+from .numerics import DEFAULT_TOL, GroupElement, _FrozenRecord, conjugate, is_unitary
 from .weyl_heisenberg import displacement, displacement_table, omega, symplectic_form, tau
 
 
-@dataclass(frozen=True)
-class SymplecticPair:
+class SymplecticPair(namedtuple("SymplecticPair", "F chi d")):
     """An element (F, chi) of ESL(2, Z_dbar) x (Z_d)^2.
 
     F is stored as a row-major 4-tuple (a, b, c, e) meaning [[a, b], [c, e]]
     with entries mod dbar (= 2d for even d, d for odd d); chi is a pair mod d.
+    An immutable named tuple, equal and hashed by its reduced fields.
     """
 
-    F: tuple
-    chi: tuple
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        db = self.dbar
-        object.__setattr__(self, "F", tuple(x % db for x in self.F))
-        object.__setattr__(self, "chi", tuple(x % self.d for x in self.chi))
+    def __new__(cls, F, chi, d: int):
+        db = 2 * d if d % 2 == 0 else d
+        self = super().__new__(cls, tuple(x % db for x in F), tuple(x % d for x in chi), d)
         if len(self.F) != 4 or len(self.chi) != 2:
             raise ValueError("F must have 4 entries and chi 2")
         if self.det not in (1, db - 1):
             raise ValueError("det F must be +-1 mod %d, got %d" % (db, self.det))
+        return self
 
     @property
     def dbar(self) -> int:
@@ -129,20 +127,22 @@ def to_operator(pair: SymplecticPair) -> GroupElement:
     return GroupElement(mats[0], bool(anti[0]))
 
 
-@dataclass(frozen=True, eq=False)
-class CliffordElement:
-    source: SymplecticPair
-    op: GroupElement
+class CliffordElement(_FrozenRecord):
+    """An enumerated element: its coset representative and its operator."""
+
+    def __init__(self, source: SymplecticPair, op: GroupElement):
+        vars(self).update(source=source, op=op)
 
 
-def conjugation_action(pair: SymplecticPair, p, tol: float = DEFAULT_TOL):
+def conjugation_action(pair: SymplecticPair, p, tol: float = DEFAULT_TOL, *, u: GroupElement | None = None):
     """Phase exponent and image index of D_p under conjugation by (F, chi).
 
     Returns (e, q) with U D_p U^-1 = omega^e D_q, both reduced mod d.  The
     operator identity itself is exact only for the mod-2d representative of
     F p (for even d the displacement index has period 2d, and reduction mod
     d can cost a sign); it is verified in that form and a ValueError is
-    raised on failure.
+    raised on failure.  A caller conjugating by one pair many times passes
+    its operator u = to_operator(pair), built once.
     """
     d = pair.d
     db = pair.dbar
@@ -150,7 +150,7 @@ def conjugation_action(pair: SymplecticPair, p, tol: float = DEFAULT_TOL):
     big = (a * p[0] + b * p[1], c * p[0] + e_ * p[1])
     qf = (big[0] % db, big[1] % db)
     e = symplectic_form(pair.chi, qf) % d
-    u = to_operator(pair)
+    u = to_operator(pair) if u is None else u
     dp = displacement_table(d)[p[0] % d, p[1] % d]
     lhs = conjugate(u, dp)
     rhs = omega(d) ** e * displacement(qf[0], qf[1], d)
@@ -161,12 +161,11 @@ def conjugation_action(pair: SymplecticPair, p, tol: float = DEFAULT_TOL):
 
 @lru_cache(maxsize=None)
 def symplectic_group_matrices(db: int, det: int = 1) -> tuple:
-    """All 2x2 matrices over Z_db with the given determinant (as 4-tuples)."""
-    out = []
-    for a, b, c, e in itertools.product(range(db), repeat=4):
-        if (a * e - b * c) % db == det % db:
-            out.append((a, b, c, e))
-    return tuple(out)
+    """All 2x2 matrices over Z_db with the given determinant, as 4-tuples
+    (a, b, c, e) in lexicographic order: one determinant mask over all
+    db^4 entry combinations."""
+    a, b, c, e = f = np.indices((db,) * 4).reshape(4, -1)
+    return tuple(map(tuple, f[:, (a * e - b * c) % db == det % db].T.tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -206,21 +205,17 @@ def _sector(d: int, det: int) -> tuple:
     return f[first], chi[first], mats, anti
 
 
-@dataclass(frozen=True, eq=False)
-class CliffordGroup:
+class CliffordGroup(_FrozenRecord):
     """The enumerated projective Clifford group as aligned read-only arrays:
-    row i is the coset representative (F, chi) = (f[i], chi[i]) with its
-    matrix mats[i] and antiunitarity flag anti[i].  group[i] builds that
-    row's CliffordElement."""
+    row i is the coset representative (F, chi) = (f[i], chi[i]) of the
+    (N, 4) f and (N, 2) chi, with its matrix mats[i] of the (N, d, d) mats
+    and antiunitarity flag anti[i].  group[i] builds that row's
+    CliffordElement."""
 
-    f: np.ndarray  # (N, 4)
-    chi: np.ndarray  # (N, 2)
-    mats: np.ndarray  # (N, d, d)
-    anti: np.ndarray  # (N,)
-
-    def __post_init__(self):
-        for a in (self.f, self.chi, self.mats, self.anti):
+    def __init__(self, f: np.ndarray, chi: np.ndarray, mats: np.ndarray, anti: np.ndarray):
+        for a in (f, chi, mats, anti):
             a.flags.writeable = False
+        vars(self).update(f=f, chi=chi, mats=mats, anti=anti)
 
     def __len__(self) -> int:
         return len(self.anti)
@@ -256,8 +251,11 @@ def _pair_key(f, chi, d: int):
 
 
 def _coset_keys(f, chi, d: int) -> np.ndarray:
-    """Each pair's least _pair_key over the kernel: coset's name, in its order."""
+    """Each pair's least _pair_key over the kernel: coset's name, in its
+    order, for (4, N) f and (2, N) chi integer arrays; the arithmetic runs
+    on contiguous int32 copies, where every key fits."""
     db = 2 * d
+    f, chi = np.ascontiguousarray(f, dtype=np.int32), np.ascontiguousarray(chi, dtype=np.int32)
     return np.min([_pair_key(*_compose(f, chi, k.F, k.chi, db, d), d) for k in kernel_pairs(d)], axis=0)
 
 

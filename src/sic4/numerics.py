@@ -8,8 +8,6 @@ All comparisons are absolute-tolerance based; the package-wide default is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 DEFAULT_TOL = 1e-9
@@ -37,22 +35,44 @@ def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.max(np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1]))) <= tol)
 
 
-@dataclass(frozen=True, eq=False)
-class GroupElement:
+class _Record:
+    """A record whose fields are its instance attributes in constructor
+    order: repr is Name(field=value, ...), and records of one type are equal
+    when their fields are.  Defining the class generates no code."""
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__name__, ", ".join("%s=%r" % kv for kv in vars(self).items()))
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+
+class _FrozenRecord(_Record):
+    """An immutable _Record, equal and hashed by identity; __init__ sets
+    the fields with vars(self).update."""
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r of a frozen record" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r of a frozen record" % name)
+
+
+class GroupElement(_FrozenRecord):
     """A unitary matrix together with an antiunitarity flag.
 
     The element acts on kets as v -> matrix @ v (antiunitary=False) or
     v -> matrix @ conj(v) (antiunitary=True).
     """
 
-    matrix: np.ndarray
-    antiunitary: bool = False
-
-    def __post_init__(self):
-        m = _as_complex(self.matrix)
+    def __init__(self, matrix: np.ndarray, antiunitary: bool = False):
+        m = _as_complex(matrix)
         if not is_unitary(m, 1e-8):
             raise ValueError("GroupElement matrix is not unitary within tol")
-        object.__setattr__(self, "matrix", m)
+        vars(self).update(matrix=m, antiunitary=antiunitary)
 
 
 def conjugate(g: GroupElement, m) -> np.ndarray:

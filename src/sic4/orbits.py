@@ -15,14 +15,15 @@ regrouping construction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .clifford import (
     SymplecticPair,
     _compose,
+    _operators,
     _pair_key,
     conjugation_action,
     enumerate_projective_clifford,
@@ -30,7 +31,7 @@ from .clifford import (
     semidirect_product,
     to_operator,
 )
-from .numerics import DEFAULT_TOL, conjugate, rank1_kets
+from .numerics import DEFAULT_TOL, is_unitary, rank1_kets
 from .weyl_heisenberg import SicReport, displacement_table, fiducial_ket_d4, verify_sic
 
 # symplectic sources of the 16 SIC labels, det = +1 mod 8
@@ -95,8 +96,7 @@ def fiducial_projector() -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-@dataclass
-class FiducialOrbit:
+class FiducialOrbit(NamedTuple):
     """All 256 orbit projectors with their SIC labels and displacement indices."""
 
     projectors: np.ndarray  # (256, 4, 4)
@@ -112,10 +112,14 @@ class FiducialOrbit:
 def enumerate_orbit() -> FiducialOrbit:
     """Build the 256-projector orbit, one SIC per label.
 
-    State (n, p) is D_p V_n rho_f V_n^dag D_p^dag.  Projective distinctness
-    of all 256 projectors is asserted.
+    State (n, p) is D_p V_n rho_f V_n^dag D_p^dag, the 16 V_n built in one
+    stacked pass and checked unitary.  Projective distinctness of all 256
+    projectors is asserted.
     """
-    fids = np.stack([conjugate(to_operator(pair), fiducial_projector()) for pair in SIC_LABELING])
+    mats, _ = _operators(np.array([pair.F for pair in SIC_LABELING]).T, np.zeros((2, 16), dtype=int), 4)
+    if not is_unitary(mats, 1e-8):
+        raise ValueError("GroupElement matrix is not unitary within tol")
+    fids = mats @ fiducial_projector() @ mats.conj().swapaxes(-1, -2)
     disp = displacement_table(4).reshape(16, 4, 4)
     projs = (disp @ fids[:, None] @ disp.conj().swapaxes(-1, -2)).reshape(256, 4, 4)
     if not projectively_distinct(projs):
@@ -194,7 +198,9 @@ def orbit_action() -> np.ndarray:
     of the image of state k under row h of
     enumerate_projective_clifford(4, extended=True).  State (n, p) is rho_f
     under g = (F_n, p), so the pairs of the cosets g s, s in the fiducial's
-    stabilizer, name it; they fill a dense _pair_key lookup.  As (F, chi)
+    stabilizer, name it; they fill a dense _pair_key lookup in one
+    broadcast pass over the 16 labels, 16 displacements and 48 pairs s k of
+    the stabilizer's six powers s and the eight kernel pairs k.  As (F, chi)
     (1, p) = (1, F p) (F, chi), element h sends state (n, p) to state
     (m, q + F_h p mod 4), where (m, q) is the state of h (F_n, 0): one
     lookup per element and label, then one affine step on 8-bit codes.
@@ -203,10 +209,11 @@ def orbit_action() -> np.ndarray:
     group = enumerate_projective_clifford(d, extended=True)
     fn, p = np.array([pair.F for pair in SIC_LABELING]).T, np.indices((d, d)).reshape(2, d * d)
     state = np.full(db**4 * d * d, -1, dtype=np.int16)
-    stabilizer = itertools.accumulate([FIDUCIAL_STABILIZER] * 6, semidirect_product)
-    for sk in itertools.starmap(semidirect_product, itertools.product(stabilizer, kernel_pairs(d))):
-        names = _compose(fn[:, :, None], p[:, None, :], sk.F, sk.chi, db, d)
-        state[_pair_key(*names, d)] = np.arange(256).reshape(16, 16)
+    powers = list(itertools.accumulate([FIDUCIAL_STABILIZER] * 6, semidirect_product))
+    s, k = (np.array([x.F + x.chi for x in pairs]).T for pairs in (powers, kernel_pairs(d)))  # (6, pairs)
+    sk = _compose(s[:4, :, None], s[4:, :, None], k[:4, None], k[4:, None], db, d)  # the (6, 8) pairs s k
+    names = _compose(fn[:, :, None, None, None], p[:, None, :, None, None], *sk, db, d)  # (16, 16, 6, 8)
+    state[_pair_key(*names, d)] = np.arange(256).reshape(16, 16, 1, 1)
     if np.count_nonzero(state >= 0) != 256 * 6 * 8:
         raise AssertionError("stabilizer cosets of two orbit states overlap")
     f, chi = group.f.T[:, :, None], group.chi.T[:, :, None]
@@ -217,7 +224,8 @@ def orbit_action() -> np.ndarray:
     fp = (fp[0] * d + fp[1]).astype(np.uint8)  # code of F_h p, (N, 16)
     chisum = ((p[0][:, None] + p[0]) % d * d + (p[1][:, None] + p[1]) % d).astype(np.uint8)
     q = image % 16
-    action = ((image - q)[:, :, None] + chisum[q[:, :, None], fp[:, None, :]]).reshape(len(group), 256)
+    action = (image - q)[:, :, None] + chisum.ravel()[q[:, :, None] * 16 + fp[:, None, :]]  # one flat gather
+    action = action.reshape(len(group), 256)
     action.flags.writeable = False
     return action
 
@@ -252,10 +260,12 @@ def element_product(i, j) -> np.ndarray:
 
 def conjugation_cycle(pair: SymplecticPair, p) -> list:
     """The displacement indices p, q, ... visited by repeated conjugation
-    by pair, up to the return to p."""
+    by pair, up to the return to p; the operator of pair is built once, and
+    the conjugation law is checked at every step."""
+    u = to_operator(pair)
     cycle = [tuple(p)]
     while True:
-        _, q = conjugation_action(pair, cycle[-1])
+        _, q = conjugation_action(pair, cycle[-1], u=u)
         if q == cycle[0]:
             return cycle
         cycle.append(q)
@@ -392,8 +402,7 @@ def two_power_subgroup(perms) -> tuple:
     return two, verdict
 
 
-@dataclass
-class SymmetryReport:
+class SymmetryReport(NamedTuple):
     extended_order: int
     unitary_order: int
     hw_is_unique_order16: bool
@@ -521,12 +530,16 @@ def verify_symmetry_group_in_clifford() -> SymmetryReport:
 def label_permutation_group(extended: bool = False):
     """Distinct label permutations induced by the (extended) Clifford group,
     each with the indices into enumerate_projective_clifford(4,
-    extended=extended) of the elements inducing it, in enumeration order."""
+    extended=extended) of the elements inducing it, in enumeration order;
+    permutations are keyed in order of first appearance.  One row dedup
+    groups the elements."""
     n = len(enumerate_projective_clifford(4, extended=extended))
-    perms = {}
-    for i, perm in enumerate((orbit_action()[:n, ::16] // 16).tolist()):
-        perms.setdefault(tuple(perm), []).append(i)
-    return perms
+    perms = np.ascontiguousarray(orbit_action()[:n, ::16] // 16)
+    keys = perms.view(np.dtype((np.void, perms.itemsize * perms.shape[1])))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    rank = np.argsort(np.argsort(first))[inverse]  # each row's permutation, by first appearance
+    members = np.split(np.argsort(rank, kind="stable"), np.cumsum(np.bincount(rank))[:-1])
+    return dict(zip(map(tuple, perms[np.sort(first)].tolist()), (m.tolist() for m in members)))
 
 
 def triple_family(theta, d: int):

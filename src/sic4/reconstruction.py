@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -162,8 +162,7 @@ def _phase_operator(m: np.ndarray) -> np.ndarray:
     return terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]  # summed in eigenpair order
 
 
-@dataclass
-class ReconstructedGroup:
+class ReconstructedGroup(NamedTuple):
     z_gen: np.ndarray
     x_gen: np.ndarray
     elements: np.ndarray  # (16, 4, 4) phase-canonical representatives, (S, 16, 4, 4) for S SICs

@@ -283,8 +283,10 @@ def generated_cosets(x: SymplecticPair, z: SymplecticPair) -> frozenset:
 
 
 def hw_conjugate_subgroup_census() -> tuple:
-    """(total, normal) count of order-16 subgroups of the projective
-    Clifford group unitarily equivalent to the displacement group.
+    """The order-16 subgroups of the projective Clifford group unitarily
+    equivalent to the displacement group, as four values: their number,
+    the number of them that are normal, the list of all of them and the
+    list of the normal ones, each subgroup a frozenset of coset names.
 
     Candidates are generated pairs of commuting order-4 cosets spanning 16
     elements; equivalence additionally requires the operator commutator of

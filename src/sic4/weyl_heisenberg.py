@@ -12,12 +12,12 @@ d^2 displacements, subnormalized by 1/d.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL
+from .numerics import DEFAULT_TOL, _Record
 
 
 def omega(d: int) -> complex:
@@ -96,8 +96,7 @@ def weyl_commutation_check(d: int, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.max(np.abs(lhs - rhs)) <= tol)
 
 
-@dataclass(frozen=True)
-class SicConstants:
+class SicConstants(NamedTuple):
     """Closed-form constants appearing throughout the d = 4 analysis."""
 
     G: float = (math.sqrt(5.0) - 1.0) / 2.0
@@ -167,22 +166,20 @@ def is_fiducial(v, d: int | None = None, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.all(np.abs(ov**2 - 1.0 / (v.size + 1)) <= tol))
 
 
-@dataclass
-class SicPovm:
-    """A SIC-POVM given as d^2 trace-1 projectors (effects are these over d).
+class SicPovm(_Record):
+    """A SIC-POVM given as d^2 trace-1 projectors (effects are these over d),
+    the (d*d, d, d) states.
 
     States are ordered lexicographically in the displacement index (p1, p2)
     when produced by :func:`generate_sic`.
     """
 
-    d: int
-    states: np.ndarray  # (d*d, d, d)
-    label: str = ""
-
-    def __post_init__(self):
-        self.states = np.asarray(self.states, dtype=complex)
-        if self.states.shape != (self.d * self.d, self.d, self.d):
-            raise ValueError("expected %d states of shape (%d, %d)" % (self.d**2, self.d, self.d))
+    def __init__(self, d: int, states: np.ndarray, label: str = ""):
+        self.d = d
+        self.states = np.asarray(states, dtype=complex)
+        self.label = label
+        if self.states.shape != (d * d, d, d):
+            raise ValueError("expected %d states of shape (%d, %d)" % (d**2, d, d))
 
     def __len__(self) -> int:
         return self.states.shape[0]
@@ -207,14 +204,16 @@ def generate_sic(v, d: int | None = None, label: str = "") -> SicPovm:
     return SicPovm(d=d, states=states, label=label)
 
 
-@dataclass
-class SicReport:
+class SicReport(_Record):
     """verify_sic's verdict and deviations; (S,) arrays for a stack of S SICs."""
 
-    is_sic: bool
-    max_fidelity_deviation: float
-    max_state_deviation: float
-    completeness_deviation: float
+    def __init__(
+        self, is_sic: bool, max_fidelity_deviation: float, max_state_deviation: float, completeness_deviation: float
+    ):
+        self.is_sic = is_sic
+        self.max_fidelity_deviation = max_fidelity_deviation
+        self.max_state_deviation = max_state_deviation
+        self.completeness_deviation = completeness_deviation
 
 
 @lru_cache(maxsize=None)

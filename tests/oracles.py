@@ -10,9 +10,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sic4.clifford import enumerate_projective_clifford
-from sic4.numerics import DEFAULT_TOL, GroupElement, canonical_phase, proj_equal, rank1_kets as state_ket
-from sic4.orbits import LABEL_GRID, MATCH_TOL, enumerate_orbit, orbit_action, permutation_orders, state_action
+from sic4.clifford import (
+    _compose,
+    _pair_key,
+    conjugation_action,
+    enumerate_projective_clifford,
+    kernel_pairs,
+    semidirect_product,
+    to_operator,
+)
+from sic4.numerics import DEFAULT_TOL, GroupElement, canonical_phase, conjugate, proj_equal, rank1_kets as state_ket
+from sic4.orbits import (
+    FIDUCIAL_STABILIZER,
+    LABEL_GRID,
+    MATCH_TOL,
+    SIC_LABELING,
+    enumerate_orbit,
+    fiducial_projector,
+    orbit_action,
+    permutation_orders,
+    state_action,
+)
 from sic4.reconstruction import _matches_reference, _quad_index, signatures
 from sic4.regrouping import fidelity_adjacency
 from sic4.two_qubit import (
@@ -26,6 +44,7 @@ from sic4.two_qubit import (
     sign_pattern_table,
     violating_signs,
 )
+from sic4.weyl_heisenberg import displacement_table
 
 
 def sic_states(label: int) -> np.ndarray:
@@ -239,3 +258,68 @@ def regroup_by_search(orbit) -> tuple:
             matching.append(chosen)
             states.append(orbit.projectors[sorted(itertools.chain.from_iterable(chosen))])
     return matching, states
+
+
+def symplectic_group_matrices_by_loop(db: int, det: int = 1) -> tuple:
+    """clifford.symplectic_group_matrices as it was: one determinant test
+    per 4-tuple of itertools.product."""
+    return tuple(f for f in itertools.product(range(db), repeat=4) if (f[0] * f[3] - f[1] * f[2]) % db == det % db)
+
+
+def coset_keys_int64(f, chi, d: int) -> np.ndarray:
+    """clifford._coset_keys as it was: on the components as given, int64
+    views of the (N, 4) and (N, 2) enumeration arrays."""
+    db = 2 * d
+    return np.min([_pair_key(*_compose(f, chi, k.F, k.chi, db, d), d) for k in kernel_pairs(d)], axis=0)
+
+
+def orbit_projectors_per_label() -> np.ndarray:
+    """enumerate_orbit's projectors as they were built: each label's seed
+    V_n rho_f V_n^dag from its own to_operator and conjugate calls."""
+    fids = np.stack([conjugate(to_operator(pair), fiducial_projector()) for pair in SIC_LABELING])
+    disp = displacement_table(4).reshape(16, 4, 4)
+    return (disp @ fids[:, None] @ disp.conj().swapaxes(-1, -2)).reshape(256, 4, 4)
+
+
+def orbit_action_by_coset_loop() -> np.ndarray:
+    """orbits.orbit_action as it was: the state lookup filled one of the 48
+    stabilizer cosets s k at a time, and the affine step read off a 2-d
+    gather."""
+    d, db = 4, 8
+    group = enumerate_projective_clifford(d, extended=True)
+    fn, p = np.array([pair.F for pair in SIC_LABELING]).T, np.indices((d, d)).reshape(2, d * d)
+    state = np.full(db**4 * d * d, -1, dtype=np.int16)
+    stabilizer = itertools.accumulate([FIDUCIAL_STABILIZER] * 6, semidirect_product)
+    for sk in itertools.starmap(semidirect_product, itertools.product(stabilizer, kernel_pairs(d))):
+        names = _compose(fn[:, :, None], p[:, None, :], sk.F, sk.chi, db, d)
+        state[_pair_key(*names, d)] = np.arange(256).reshape(16, 16)
+    assert np.count_nonzero(state >= 0) == 256 * 6 * 8
+    f, chi = group.f.T[:, :, None], group.chi.T[:, :, None]
+    image = state[_pair_key(*_compose(f, chi, fn[:, None, :], (0, 0), db, d), d)]
+    assert image.min() >= 0
+    fp = _compose(f, (0, 0), (1, 0, 0, 1), p[:, None, :], db, d)[1]
+    fp = (fp[0] * d + fp[1]).astype(np.uint8)
+    chisum = ((p[0][:, None] + p[0]) % d * d + (p[1][:, None] + p[1]) % d).astype(np.uint8)
+    q = image % 16
+    return ((image - q)[:, :, None] + chisum[q[:, :, None], fp[:, None, :]]).reshape(len(group), 256)
+
+
+def conjugation_cycle_per_step(pair, p) -> list:
+    """orbits.conjugation_cycle as it was: every step's conjugation_action
+    builds the operator of pair anew."""
+    cycle = [tuple(p)]
+    while True:
+        _, q = conjugation_action(pair, cycle[-1])
+        if q == cycle[0]:
+            return cycle
+        cycle.append(q)
+
+
+def label_permutation_group_by_dict(extended: bool = False) -> dict:
+    """orbits.label_permutation_group as it was: a dict filled one element
+    row of orbit_action at a time."""
+    n = len(enumerate_projective_clifford(4, extended=extended))
+    perms = {}
+    for i, perm in enumerate((orbit_action()[:n, ::16] // 16).tolist()):
+        perms.setdefault(tuple(perm), []).append(i)
+    return perms

@@ -371,6 +371,29 @@ def test_all_certifies_each_sic_once_and_builds_the_family_once(monkeypatch, tmp
         assert len(builds) == 1, argv
 
 
+def test_all_builds_few_operators(monkeypatch, tmp_path, capsys):
+    # the 16 label operators of the orbit come from one stacked pass, and a
+    # conjugation cycle builds its operator once: on a cold cache one
+    # operator per cycle (six), the stabilizer generator, the four Clifford
+    # generators and the two D' generators, fewer on a warm one
+    import sic4.clifford
+    import sic4.orbits
+    import sic4.regrouping
+
+    calls, to_operator = [], sic4.clifford.to_operator
+
+    def counted(pair):
+        calls.append(pair)
+        return to_operator(pair)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sic4.") and getattr(module, "to_operator", None) is to_operator:
+            monkeypatch.setattr(module, "to_operator", counted)
+    assert main(["all", "--format", "json", "--out", str(tmp_path / "all.json")]) == 0
+    capsys.readouterr()
+    assert 11 <= len(calls) <= 13
+
+
 def test_all_checks_uniqueness_in_one_call_and_calls_gbv_on_whole_stacks(monkeypatch, tmp_path, capsys):
     import sic4.reconstruction
     import sic4.two_qubit
@@ -557,6 +580,29 @@ def test_passing_all_does_not_import_logging(tmp_path):
             "import sys",
             "rc = sic4.cli.main(['all', '--out', sys.argv[1]])",
             "assert 'logging' not in sys.modules, 'logging was imported'",
+            "sys.exit(rc)",
+        ]
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "r.txt")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_passing_all_does_not_import_dataclasses(tmp_path):
+    # sic4's records are plain classes and named tuples: defining them
+    # generates no code at import
+    code = "; ".join(
+        [
+            _perfbench_cli_imports(),
+            "import sys",
+            "rc = sic4.cli.main(['all', '--out', sys.argv[1]])",
+            "assert 'dataclasses' not in sys.modules, 'dataclasses was imported'",
             "sys.exit(rc)",
         ]
     )

@@ -5,12 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from oracles import canonical_key, compose, elements_proj_equal
+from oracles import (
+    canonical_key,
+    compose,
+    coset_keys_int64,
+    elements_proj_equal,
+    symplectic_group_matrices_by_loop,
+)
 import sic4.clifford as clifford
 from sic4.clifford import (
     CliffordElement,
     SymplecticPair,
     _compose,
+    _coset_keys,
     _pair_key,
     conjugation_action,
     coset,
@@ -20,7 +27,7 @@ from sic4.clifford import (
     symplectic_group_matrices,
     to_operator,
 )
-from sic4.numerics import is_unitary, match_projective, proj_equal
+from sic4.numerics import GroupElement, is_unitary, match_projective, proj_equal
 from sic4.orbits import _element_of, element_product
 from sic4.weyl_heisenberg import displacement, displacement_table, tau
 
@@ -315,3 +322,38 @@ def test_sector_refuses_a_non_unitary_row(monkeypatch):
     monkeypatch.setattr(clifford, "_operators", planted)
     with pytest.raises(ValueError, match="not unitary"):
         clifford._sector(4, 7)
+
+
+def test_records_keep_value_and_identity_semantics():
+    p = SymplecticPair(F=(9, 8, 0, 1), chi=(5, -1), d=4)
+    q = SymplecticPair((1, 0, 0, 1), (1, 3), 4)
+    assert p == q and hash(p) == hash(q) and p != SymplecticPair((1, 0, 0, 1), (1, 2), 4)
+    assert repr(p) == "SymplecticPair(F=(1, 0, 0, 1), chi=(1, 3), d=4)"
+    group = enumerate_projective_clifford(4, extended=True)
+    a, b = group[5], group[5]
+    assert a.source == b.source and a != b and a == a and len({a, b}) == 2
+    assert repr(a).startswith("CliffordElement(source=SymplecticPair(F=")
+    g = GroupElement(matrix=np.eye(4))
+    assert g != GroupElement(np.eye(4)) and g.antiunitary is False and g.matrix.dtype == complex
+    for record, field in ((p, "F"), (a, "op"), (g, "matrix"), (group, "f")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+
+
+def test_symplectic_group_matrices_match_itertools_loop():
+    for db in (3, 4, 6, 8):
+        for det in range(db):
+            assert symplectic_group_matrices(db, det) == symplectic_group_matrices_by_loop(db, det)
+            assert all(type(x) is int for f in symplectic_group_matrices(db, det) for x in f)
+
+
+@pytest.mark.parametrize("det", [1, 7])
+def test_coset_keys_match_int64_keys(det):
+    fs = np.array(symplectic_group_matrices(8, det))
+    f = np.repeat(fs, 16, axis=0)
+    chi = np.tile(np.indices((4, 4)).reshape(2, -1).T, (len(fs), 1))
+    old = coset_keys_int64(f.T, chi.T, 4)
+    assert old.dtype == np.int64
+    assert np.array_equal(_coset_keys(f.T, chi.T, 4), old)

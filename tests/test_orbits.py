@@ -9,11 +9,13 @@ from sic4.orbits import (
     FIDUCIAL_STABILIZER,
     LABEL_GRID,
     MATCH_TOL,
+    SIC_LABELING,
     STABILIZER_CYCLE,
     STABILIZER_MATRIX,
     STABILIZER_ORBIT_SETS,
     _distinct_triples,
     _triple_cluster_ids,
+    conjugation_cycle,
     enumerate_orbit,
     label_permutation_group,
     orbit_action,
@@ -34,7 +36,14 @@ from sic4.orbits import (
 )
 from sic4.weyl_heisenberg import displacement_table, verify_sic
 
-from oracles import sic_states, state_permutations_by_action
+from oracles import (
+    conjugation_cycle_per_step,
+    label_permutation_group_by_dict,
+    orbit_action_by_coset_loop,
+    orbit_projectors_per_label,
+    sic_states,
+    state_permutations_by_action,
+)
 
 # triple-trace clusters of one SIC, sorted by (re, im); all on the circle
 # of radius 5^{-3/2}
@@ -605,3 +614,52 @@ def test_stability_group_is_sic_symmetries_of_one_state():
         stab = stability_group(rho)
         assert len(stab) == 6 and perms.tolist() == [[0]] * 6
         assert [e.source for e in stab] == [group[i].source for i in index]
+
+
+def test_orbit_projectors_match_per_label_seeds():
+    assert enumerate_orbit().projectors.tobytes() == orbit_projectors_per_label().tobytes()
+
+
+def test_orbit_keeps_its_unitarity_check(monkeypatch):
+    import sic4.orbits
+
+    operators = sic4.orbits._operators
+
+    def scaled(f, chi, d):
+        mats, anti = operators(f, chi, d)
+        return mats * 1.001, anti
+
+    monkeypatch.setattr(sic4.orbits, "_operators", scaled)
+    with pytest.raises(ValueError, match="not unitary"):
+        enumerate_orbit.__wrapped__()
+
+
+def test_orbit_action_matches_per_coset_loop():
+    old = orbit_action_by_coset_loop()
+    assert old.dtype == orbit_action().dtype and old.tobytes() == orbit_action().tobytes()
+
+
+def test_conjugation_cycle_builds_one_operator_and_matches_per_step_form(monkeypatch):
+    import sic4.orbits
+
+    calls, to_operator = [], sic4.orbits.to_operator
+
+    def counted(pair):
+        calls.append(pair)
+        return to_operator(pair)
+
+    monkeypatch.setattr(sic4.orbits, "to_operator", counted)
+    square = sic4.orbits.semidirect_product(FIDUCIAL_STABILIZER, FIDUCIAL_STABILIZER)
+    for pair in (FIDUCIAL_STABILIZER, square) + SIC_LABELING[1:4]:
+        for p in np.ndindex(4, 4):
+            calls.clear()
+            assert conjugation_cycle(pair, p) == conjugation_cycle_per_step(pair, p)
+            assert calls == [pair]
+
+
+@pytest.mark.parametrize("extended", [False, True])
+def test_label_permutation_group_matches_dict_loop(extended):
+    new = label_permutation_group.__wrapped__(extended)
+    old = label_permutation_group_by_dict(extended)
+    assert list(new.items()) == list(old.items())
+    assert all(type(x) is int for key, members in new.items() for x in key + tuple(members))

@@ -23,6 +23,7 @@ from sic4.regrouping import sic_family
 from sic4.two_qubit import (
     CUBE_GAP_TOL,
     CUBE_RATIO_TOL,
+    GBV_STATE_TOL,
     PAULI,
     REDUCED_POINT_TOL,
     SIGN_MATCH_TOL,
@@ -450,6 +451,17 @@ def test_screened_sign_match_equals_full_scan():
         for match in (match_sign_patterns, match_sign_patterns_by_full_scan):
             with pytest.raises(ValueError, match="degenerate"):
                 match(g, basis, tol=1.0)
+
+
+def test_gbv_state_cut_has_a_margin():
+    for basis in ("product", "bell"):
+        states = physical_state(enumerate_orbit().projectors, basis)
+        herm = np.max(np.abs(states - states.conj().swapaxes(-1, -2)))
+        trace = np.max(np.abs(np.trace(states, axis1=1, axis2=2) - 1))
+        assert max(herm, trace) <= 8.9e-16 < GBV_STATE_TOL
+    off = states[0] + 2 * GBV_STATE_TOL * np.eye(4) / 4  # trace 1 + 2 GBV_STATE_TOL
+    with pytest.raises(ValueError, match="Hermitian trace-1"):
+        gbv(off)
 
 
 def test_reduced_point_cut_has_a_margin():
