@@ -224,8 +224,7 @@ def orbit_action() -> np.ndarray:
     fp = (fp[0] * d + fp[1]).astype(np.uint8)  # code of F_h p, (N, 16)
     chisum = ((p[0][:, None] + p[0]) % d * d + (p[1][:, None] + p[1]) % d).astype(np.uint8)
     q = image % 16
-    action = (image - q)[:, :, None] + chisum.ravel()[q[:, :, None] * 16 + fp[:, None, :]]  # one flat gather
-    action = action.reshape(len(group), 256)
+    action = ((image - q)[:, :, None] + chisum.ravel()[q[:, :, None] * 16 + fp[:, None, :]]).reshape(len(group), 256)
     action.flags.writeable = False
     return action
 
