@@ -29,7 +29,7 @@ from sic4.clifford import (
 )
 from sic4.numerics import GroupElement, is_unitary, match_projective, proj_equal
 from sic4.orbits import _element_of, element_product
-from sic4.weyl_heisenberg import displacement, displacement_table, tau
+from sic4.weyl_heisenberg import SicPovm, SicReport, displacement, displacement_table, tau
 
 
 def test_pair_validation():
@@ -340,6 +340,12 @@ def test_records_keep_value_and_identity_semantics():
             setattr(record, field, None)
         with pytest.raises(AttributeError):
             delattr(record, field)
+    report = SicReport(True, 0.0, 1e-16, completeness_deviation=2e-16)
+    assert list(vars(report)) == ["is_sic", "max_fidelity_deviation", "max_state_deviation", "completeness_deviation"]
+    assert report == SicReport(True, 0.0, 1e-16, 2e-16) and report != SicReport(False, 0.0, 1e-16, 2e-16)
+    assert repr(report).startswith("SicReport(is_sic=True, max_fidelity_deviation=0.0")
+    with pytest.raises(ValueError, match="expected 16 states"):
+        SicPovm(d=4, states=np.zeros((15, 4, 4)))
 
 
 def test_symplectic_group_matrices_match_itertools_loop():
