@@ -236,46 +236,27 @@ _CENSUS_MULTIPLICITIES = (144, 144, 288, 288, 288, 288, 96, 96, 288, 288, 144, 1
 
 
 def run_triples(cfg, claims: Claims):
-    from .orbits import triple_family, triple_phase, triple_trace_census
+    from .numerics import value_classes
+    from .orbits import TRIPLE_CENSUS_GAP, triple_family, triple_phase, triple_trace_census
 
     ref = triple_trace_census(1)
-    centers = np.array([c for c, _ in ref])
-    counts = [n for _, n in ref]
-    claims.add("triples.cluster_count", "distinct triple-trace values in one SIC", 17, len(ref))
-    claims.add(
-        "triples.multiplicities",
-        "cluster sizes over the 3360 ordered triples",
-        list(_CENSUS_MULTIPLICITIES),
-        counts,
-    )
-    claims.add(
-        "triples.real_clusters",
-        "real triple-trace values",
-        1,
-        int(np.sum(np.abs(centers.imag) < 1e-9)),
-    )
-    has_conjugate = np.any(np.abs(centers.conj()[:, None] - centers) < 1e-9, axis=1)
-    claims.add(
-        "triples.conjugate_pairs",
-        "complex values come in conjugate pairs",
-        8,
-        int(np.sum((centers.imag > 1e-9) & has_conjugate)),
-    )
-    claims.add(
-        "triples.modulus_dev",
-        "all triple traces share the modulus 5^{-3/2}",
-        0.0,
-        np.max(np.abs(np.abs(centers) - 5**-1.5)),
-    )
-    claims.add(
-        "triples.cross_sic_invariant",
-        "identical census for all 16 SICs",
-        True,
-        all(
-            [n for _, n in cen] == counts and np.max(np.abs([c for c, _ in cen] - centers)) <= 1e-9
-            for cen in map(triple_trace_census, range(2, 17))
-        ),
-    )
+    centers, counts, n = np.array([c for c, _ in ref]), [m for _, m in ref], len(ref)
+    claims.add("triples.cluster_count", "distinct triple-trace values in one SIC", 17, n)
+    multiplicities = list(_CENSUS_MULTIPLICITIES)
+    claims.add("triples.multiplicities", "cluster sizes over the 3360 ordered triples", multiplicities, counts)
+    # the centers lead their conjugates, so they are classes 0..n-1: a real
+    # center's conjugate falls into its own class, a paired one's into its partner's
+    conj = value_classes(np.concatenate([centers, centers.conj()]), TRIPLE_CENSUS_GAP).classes[n:]
+    claims.add("triples.real_clusters", "real triple-trace values", 1, int(np.sum(conj == np.arange(n))))
+    pairs = int(np.sum((np.arange(n) < conj) & (conj < n)))
+    claims.add("triples.conjugate_pairs", "complex values come in conjugate pairs", 8, pairs)
+    modulus_dev = np.max(np.abs(np.abs(centers) - 5**-1.5))
+    claims.add("triples.modulus_dev", "all triple traces share the modulus 5^{-3/2}", 0.0, modulus_dev)
+    # every SIC's k-th center falls into class k of the 16 censuses' centers
+    census = [ref] + [triple_trace_census(label) for label in range(2, 17)]
+    pooled = value_classes([c for cen in census for c, _ in cen], TRIPLE_CENSUS_GAP).classes
+    same = all([m for _, m in cen] == counts for cen in census) and np.array_equal(pooled, np.tile(np.arange(n), 16))
+    claims.add("triples.cross_sic_invariant", "identical census for all 16 SICs", True, same)
 
     fid_dev, phase_dev, monotone = 0.0, 0.0, True
     thetas = np.linspace(-math.pi, math.pi, 100, endpoint=False)
@@ -584,10 +565,11 @@ def run_regroup(cfg, claims: Claims):
 
 
 def run_twoqubit(cfg, claims: Claims, basis: str):
-    from .numerics import rank1_kets
+    from .numerics import rank1_kets, value_classes
     from .orbits import LABEL_GRID, enumerate_orbit
     from .regrouping import sic_family
     from .two_qubit import (
+        CONCURRENCE_GAP,
         concurrence,
         gbv,
         match_sign_patterns,
@@ -596,7 +578,6 @@ def run_twoqubit(cfg, claims: Claims, basis: str):
         physical_state,
         reduced_purity,
         reduced_state_census,
-        rounded_census,
         sign_pattern_table,
         violating_signs,
     )
@@ -651,27 +632,19 @@ def run_twoqubit(cfg, claims: Claims, basis: str):
         bool(constant.all() and np.array_equal(h_sic, h_grid)),
     )
 
-    c_flat = math.sqrt(2 / 5)
-    c_hi = math.sqrt((2 + 2 * math.sqrt(CONSTANTS.G)) / 5)
-    c_lo = math.sqrt((2 - 2 * math.sqrt(CONSTANTS.G)) / 5)
+    root = math.sqrt(CONSTANTS.G)
     flat_class = slice(0, 8) if basis == "product" else slice(8, 16)  # SICs 1-8 or 9-16
     split_class = slice(8, 16) if basis == "product" else slice(0, 8)
-    conc = concurrence(rank1_kets(states)).reshape(16, 16)
-    census = [rounded_census(c) for c in conc]
-    flat_dev = np.max(np.abs(conc[flat_class] - c_flat))
-    claims.add(
-        f"twoqubit.{pre}_equal_concurrence_count",
-        "states in the equal-concurrence class",
-        128,
-        conc[flat_class].size if flat_dev <= 1e-9 else 0,
-    )
-    want = {round(c_hi, 9): 8, round(c_lo, 9): 8}
-    claims.add(
-        f"twoqubit.{pre}_split_concurrence",
-        "other-class SICs split 8 + 8 between the two concurrence values",
-        True,
-        all(hist == want for hist in census[split_class]),
-    )
+    # the closed forms sqrt(2/5) and sqrt((2 +- 2 sqrt G)/5) lead the 256
+    # concurrences, so classes 0, 1 and 2 are theirs
+    forms = [math.sqrt(2 / 5), math.sqrt((2 + 2 * root) / 5), math.sqrt((2 - 2 * root) / 5)]
+    conc = value_classes(np.concatenate([forms, concurrence(rank1_kets(states))]), CONCURRENCE_GAP)
+    ids = conc.classes[3:].reshape(16, 16)
+    census = np.count_nonzero(ids[:, :, None] == np.arange(len(conc.counts)), axis=1)  # (SIC, class) counts
+    equal = int(np.count_nonzero(ids[flat_class] == 0))
+    claims.add(f"twoqubit.{pre}_equal_concurrence_count", "states in the equal-concurrence class", 128, equal)
+    anchor = "other-class SICs split 8 + 8 between the two concurrence values"
+    claims.add(f"twoqubit.{pre}_split_concurrence", anchor, True, bool(np.all(census[split_class, 1:3] == 8)))
 
     every = orbit.projectors[sic_family(cfg.tol)[0]].reshape(512, 4, 4)
     purity = reduced_purity(every, basis).reshape(32, 16).mean(axis=1)
@@ -729,9 +702,10 @@ def run_twoqubit(cfg, claims: Claims, basis: str):
     payload = {
         "basis": basis,
         "sign_patterns": rows[matched.ravel()].tolist(),
+        # each SIC's classes in order of first appearance, keyed by their centers to 9 decimals
         "concurrence": {
-            str(n): {str(c): count for c, count in hist.items()}
-            for n, hist in enumerate(census, start=1)
+            str(n): {str(float("%.9f" % conc.centers[c])): int(census[n - 1, c]) for c in dict.fromkeys(sic)}
+            for n, sic in enumerate(ids.tolist(), start=1)
         },
     }
     return payload

@@ -1,12 +1,15 @@
 """Shared numerical primitives: unitary/antiunitary operators, kets of
-rank-1 states, projective comparison, Hermitian eigendecomposition and
-matrix (de)serialization.
+rank-1 states, projective comparison, Hermitian eigendecomposition, the
+split of values into classes and matrix (de)serialization.
 
 All comparisons are absolute-tolerance based; the package-wide default is
 ``DEFAULT_TOL``.
 """
 
 from __future__ import annotations
+
+import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,6 +23,11 @@ PROJECTIVE_MATCH_TOL = 1e-7
 # largest entry of rho - k k^dag for the ket k that rank1_kets reads off a
 # state; beyond it the state is not rank-1 and k would not represent it
 RANK1_TOL = 1e-6
+
+# canonical_phase takes an entry at or below CANONICAL_ZERO_TOL in modulus
+# for zero; the 32 family reconstructions' group elements have zero entries
+# up to 3.2e-15 and nonzero ones of 0.707 or more
+CANONICAL_ZERO_TOL = 1e-6
 
 
 def _as_complex(m, stacked: bool = False) -> np.ndarray:
@@ -144,16 +152,64 @@ def eig_hermitian(m, tol: float = DEFAULT_TOL):
     return w, v / (top / np.hypot(top.real, top.imag))
 
 
-def canonical_phase(m, zero_tol: float = 1e-6) -> np.ndarray:
+def canonical_phase(m) -> np.ndarray:
     """Rescale by a global phase so the first nonzero entry (row-major) is
     real positive; each matrix of an (S, d, d) stack by its own phase."""
     m = _as_complex(m, stacked=np.ndim(m) == 3)
     flat = m.reshape(m.shape[:-2] + (-1,))
-    nonzero = np.abs(flat) > zero_tol
+    nonzero = np.abs(flat) > CANONICAL_ZERO_TOL
     if not np.all(nonzero.any(axis=-1)):
         raise ValueError("zero matrix has no canonical phase")
     first = np.take_along_axis(flat, nonzero.argmax(axis=-1)[..., None], axis=-1)[..., None]
     return m / (first / np.hypot(first.real, first.imag))
+
+
+class ValueClasses(NamedTuple):
+    """The classes of N values, numbered in order of first occurrence."""
+
+    classes: np.ndarray  # (N,) class of each value
+    counts: np.ndarray  # (K,) members of each class
+    first: np.ndarray  # (K,) index of each class's first member
+    centers: np.ndarray  # (K, ...) mean of each class's members
+    spread: float  # largest distance from a value to its class center
+    separation: float  # smallest distance between two centers, inf for one class
+
+
+def value_classes(values, gap: float) -> ValueClasses:
+    """Split N values of one shape (reals, complex numbers, 3-vectors) into
+    classes at Euclidean distance gap: the first unclassed value leads a
+    class and takes every unclassed value within gap / 2 of it; a center is
+    its members' mean, summed in value order.  ValueError unless the values
+    are finite and 2 spread <= gap < separation, so classes are never merged
+    silently.  Each pass compares all values with one leader, or a block of
+    centers with all centers: no (N, N) array is made."""
+    values = np.asarray(values)
+    flat = np.ascontiguousarray(values.reshape(len(values), -1))
+    x = np.ascontiguousarray((flat.view(float) if np.iscomplexobj(flat) else flat.astype(float, copy=False)).T)
+    if not np.isfinite(x).all():
+        raise ValueError("values to split into classes are not finite")
+    classes, unclassed, first = np.zeros(len(values), dtype=np.intp), np.ones(len(values), dtype=bool), []
+    while unclassed[i := unclassed.argmax()]:
+        near = unclassed & (np.square(x - x[:, i, None]).sum(axis=0) <= gap * gap / 4)
+        classes[near] = len(first)
+        unclassed ^= near
+        first.append(i)
+    k = len(first)
+    counts = np.bincount(classes, minlength=k)
+    sums = np.array([np.bincount(classes, row, k) for row in x])  # (C, K): each component summed per class
+    c = sums / counts
+    if np.iscomplexobj(values):
+        sums = sums[0::2] + 1j * sums[1::2]
+    centers = (sums.T / counts[:, None]).reshape((k,) + values.shape[1:])
+    spread = math.sqrt(np.square(x - np.take(c, classes, axis=1)).sum(axis=0).max())
+    separation, rows = math.inf, max(1, (1 << 16) // k)
+    for j in range(0, k, rows):  # a block of centers against all, at most 65,536 pairs
+        square = np.square(c[:, j : j + rows, None] - c[:, None]).sum(axis=0)
+        square.reshape(-1)[j :: k + 1] = np.inf  # center j + t against itself, in row t
+        separation = min(separation, math.sqrt(square.min()))
+    if 2 * spread > gap or separation <= gap:
+        raise ValueError("no split into classes at gap %.3g: spread %.3g, separation %.3g" % (gap, spread, separation))
+    return ValueClasses(classes, counts, np.array(first), centers, spread, separation)
 
 
 def match_projective(m, stack, tol: float = PROJECTIVE_MATCH_TOL):

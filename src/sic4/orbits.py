@@ -31,7 +31,7 @@ from .clifford import (
     semidirect_product,
     to_operator,
 )
-from .numerics import DEFAULT_TOL, is_unitary, rank1_kets
+from .numerics import DEFAULT_TOL, is_unitary, rank1_kets, value_classes
 from .weyl_heisenberg import SicReport, displacement_table, fiducial_ket_d4, verify_sic
 
 # symplectic sources of the 16 SIC labels, det = +1 mod 8
@@ -257,11 +257,11 @@ def element_product(i, j) -> np.ndarray:
     return k
 
 
-def conjugation_cycle(pair: SymplecticPair, p) -> list:
+def conjugation_cycle(pair: SymplecticPair, p, u=None) -> list:
     """The displacement indices p, q, ... visited by repeated conjugation
-    by pair, up to the return to p; the operator of pair is built once, and
-    the conjugation law is checked at every step."""
-    u = to_operator(pair)
+    by pair, up to the return to p; the operator u of pair is built once
+    unless given, and the conjugation law is checked at every step."""
+    u = to_operator(pair) if u is None else u
     cycle = [tuple(p)]
     while True:
         _, q = conjugation_action(pair, cycle[-1], u=u)
@@ -274,46 +274,14 @@ def stabilizer_orbits_within_sic() -> list:
     """Orbits of the 15 non-fiducial SIC-1 states under the unitary
     stabilizer element (the square of the antiunitary generator)."""
     sq = semidirect_product(FIDUCIAL_STABILIZER, FIDUCIAL_STABILIZER)
+    u = to_operator(sq)
     seen = {(0, 0)}
     orbits = []
     for p in np.ndindex(4, 4):
         if p not in seen:
-            orbits.append(conjugation_cycle(sq, p))
+            orbits.append(conjugation_cycle(sq, p, u))
             seen.update(orbits[-1])
     return orbits
-
-
-def _cluster_complex(values, gap: float = 1e-6):
-    """Group complex values into clusters whose centers differ by > gap.
-
-    Values are first merged exactly after rounding to 9 decimals; the few
-    distinct keys are then joined when within ``gap`` of each other.  Each
-    center is the mean of its members' raw values; clusters are ordered by
-    (re, im) of their centers rounded to 9 decimals.  Returns the
-    (center, multiplicity) pairs and the cluster index of each value.
-    """
-    values = np.asarray(values, dtype=complex)
-    # complex values sort by (re, im), as the rows of (re, im) pairs would
-    keys, key_of = np.unique(np.round(values, 9), return_inverse=True)
-    parent = list(range(len(keys)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(keys)):
-        for j in range(i + 1, len(keys)):
-            if abs(keys[i] - keys[j]) <= gap:
-                parent[find(i)] = find(j)
-    _, cluster_of = np.unique([find(i) for i in range(len(keys))], return_inverse=True)
-    member_of = cluster_of[key_of.ravel()]
-    counts = np.bincount(member_of)
-    centers = (np.bincount(member_of, values.real) + 1j * np.bincount(member_of, values.imag)) / counts
-    order = np.lexsort((np.round(centers.imag, 9), np.round(centers.real, 9)))
-    ids = np.argsort(order)[member_of]
-    return list(zip(centers[order].tolist(), counts[order].tolist())), ids
 
 
 def _distinct_triples(states):
@@ -328,11 +296,31 @@ def _distinct_triples(states):
     return t[mask], mask
 
 
-def triple_trace_census(label: int = 1, gap: float = 1e-6):
-    """Clustered values of tr(r1 r2 r3) over ordered triples of distinct
-    states of one SIC, as (value, multiplicity) pairs."""
-    vals, _ = _distinct_triples(enumerate_orbit().projectors[16 * (label - 1) : 16 * label])
-    return _cluster_complex(vals, gap)[0]
+# triple traces are one value when they split into classes at
+# TRIPLE_CENSUS_GAP (numerics.value_classes); in each SIC a value spreads
+# over 5.4e-16 and two values lie 8.5e-3 apart
+TRIPLE_CENSUS_GAP = 1e-6
+
+
+def _triple_census(states, gap: float = TRIPLE_CENSUS_GAP) -> tuple:
+    """The triple traces of a state list split by value_classes at gap: the
+    centers and counts of the classes in census order, by real part, then
+    (a conjugate pair) by imaginary part; and the (n, n, n) tensor of the
+    census class of each ordered triple of distinct states, -1 elsewhere."""
+    vals, mask = _distinct_triples(states)
+    split = value_classes(vals, gap)
+    re = value_classes(split.centers.real, gap)
+    order = np.lexsort((split.centers.imag, re.centers[re.classes]))
+    ids = np.full(mask.shape, -1)
+    ids[mask] = np.argsort(order)[split.classes]
+    return split.centers[order], split.counts[order], ids
+
+
+def triple_trace_census(label: int = 1, gap: float = TRIPLE_CENSUS_GAP):
+    """The values of tr(r1 r2 r3) over ordered triples of distinct states
+    of one SIC, as (value, multiplicity) pairs in census order."""
+    centers, counts, _ = _triple_census(enumerate_orbit().projectors[16 * (label - 1) : 16 * label], gap)
+    return list(zip(centers.tolist(), counts.tolist()))
 
 
 def permutation_orders(perms) -> np.ndarray:
@@ -455,14 +443,6 @@ def symmetry_group_of_sic(label: int = 1) -> tuple:
     return sic_symmetries(np.arange(16) + 16 * (label - 1), extended=True)
 
 
-def _triple_cluster_ids(states, gap: float = 1e-6):
-    """Tensor of census cluster ids for ordered triples of distinct states."""
-    vals, mask = _distinct_triples(states)
-    ids = -np.ones(mask.shape, dtype=int)
-    ids[mask] = _cluster_complex(vals, gap)[1]
-    return ids
-
-
 def rigid_permutations(label: int = 1, limit: int = 10):
     """Permutations of a SIC's states fixing the fiducial and preserving all
     triple traces, the first ``limit`` in lexicographic order.
@@ -472,7 +452,7 @@ def rigid_permutations(label: int = 1, limit: int = 10):
     are extended at once, level by level; one survives when every triple of
     distinct states containing k keeps its census cluster.
     """
-    ids = _triple_cluster_ids(enumerate_orbit().projectors[16 * (label - 1) : 16 * label])
+    ids = _triple_census(enumerate_orbit().projectors[16 * (label - 1) : 16 * label])[2]
     n = len(ids)
     tri = np.indices(ids.shape).reshape(3, -1)
     tri = tri[:, (tri[0] != tri[1]) & (tri[1] != tri[2]) & (tri[0] != tri[2])]

@@ -17,7 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .weyl_heisenberg import CONSTANTS, displacement_table
+from .numerics import value_classes
+from .weyl_heisenberg import CONSTANTS, _upper_pairs, displacement_table
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -251,12 +252,10 @@ def concurrence(psi: np.ndarray):
     return np.abs(np.sum((psi @ _PAULI_PRODUCTS[2, 2]) * psi, axis=-1))
 
 
-def rounded_census(values, decimals: int = 9) -> dict:
-    """{value rounded to decimals: count} over a 1-d array, keyed in order
-    of first appearance."""
-    keys, first, counts = np.unique(np.round(values, decimals), return_index=True, return_counts=True)
-    order = np.argsort(first)
-    return dict(zip(keys[order].tolist(), counts[order].tolist()))
+# concurrences are one value when they fall into one class at the gap
+# CONCURRENCE_GAP (numerics.value_classes); in each orbit SIC, either
+# basis, a value spreads over 4.5e-16 and two values lie 0.55 apart
+CONCURRENCE_GAP = 1e-9
 
 
 def _bloch_vectors(states: np.ndarray, basis: str, qubit: int) -> np.ndarray:
@@ -278,9 +277,9 @@ class ReducedStateReport(NamedTuple):
     edge_length: float | None
 
 
-# two reduced states are one when their Bloch vectors agree within
-# REDUCED_POINT_TOL in every component; on the 16 orbit SICs, either qubit,
-# coinciding points agree to 2.3e-16 and distinct ones differ by 0.39 or more
+# two reduced states are one when their Bloch vectors share a class at the
+# gap REDUCED_POINT_TOL (numerics.value_classes); in the 16 orbit SICs, either
+# qubit or basis, a point spreads over 2.6e-16 and two points lie 0.41 apart
 REDUCED_POINT_TOL = 1e-8
 
 
@@ -290,56 +289,44 @@ def reduced_state_census(
     """Distinct single-qubit reduced states of an (N, 4, 4) state list,
     such as one SIC's 16 states, and, when the eight Bloch points happen to
     be the vertices of a cube, its edge length; for an (S, N, 4, 4) stack,
-    the list of S reports from one pass.  Points within tol in every
-    component are one; each distinct point is represented by its first
-    occurrence."""
+    the list of S reports from one gbv pass.  Each list's points are split
+    by value_classes at the gap tol, and each distinct point is represented
+    by its first occurrence."""
     states = np.asarray(states)
     n = states.shape[-3]
-    points = _bloch_vectors(states.reshape(-1, 4, 4), basis, qubit).reshape(-1, n, 3)
-    close = np.max(np.abs(points[:, :, None] - points[:, None]), axis=3) <= tol
-    first = close.argmax(axis=2)  # the earliest point each one coincides with
-    rep = first == np.arange(n)
-    counts = np.bincount((first + n * np.arange(len(first))[:, None]).ravel(), minlength=first.size)
-    eight = np.count_nonzero(rep, axis=1) == 8
-    cube, edge = np.zeros(len(points), dtype=bool), np.zeros(len(points))
-    cube[eight], edge[eight] = _detect_cube(points[rep & eight[:, None]].reshape(-1, 8, 3))
-    reports = [
-        ReducedStateReport(
-            bloch_points=p[r],
-            multiplicities=tuple(c[r].tolist()),
-            is_cube=bool(ok),
-            edge_length=float(e) if ok else None,
-        )
-        for p, r, c, ok, e in zip(points, rep, counts.reshape(-1, n), cube, edge)
-    ]
+    reports = []
+    for points in _bloch_vectors(states.reshape(-1, 4, 4), basis, qubit).reshape(-1, n, 3):
+        split = value_classes(points, tol)
+        distinct = points[split.first]
+        reports.append(ReducedStateReport(distinct, tuple(split.counts.tolist()), *_detect_cube(distinct)))
     return reports[0] if states.ndim == 3 else reports
 
 
-# the cube test's cuts, with what they meet on the eight Bloch points of the
-# 16 orbit SICs' second qubits: sorted pairwise distances start a new value
-# when they step by more than CUBE_GAP_TOL, an absolute gap (a value's
-# distances agree to 1.2e-15, neighbouring values differ by 0.069 or more);
-# face and body diagonals match sqrt 2 and sqrt 3 edges within
+# the cube test's cuts, with what they meet on the 16 orbit SICs' Bloch
+# points: pairwise distances are one value when they fall into one class at
+# the gap CUBE_GAP_TOL (numerics.value_classes; a value's distances spread
+# over 1.0e-15, two values lie 0.069 apart on the second qubits and 0.032 on
+# the first); face and body diagonals match sqrt 2 and sqrt 3 edges within
 # CUBE_RATIO_TOL (to 1.4e-15 on the eight cubes; the class-2 SICs' distances
 # take seven values, not three)
 CUBE_GAP_TOL = 1e-7
 CUBE_RATIO_TOL = 1e-7
-# where sorted distances start a new value on a cube: edges, face and body diagonals
-_CUBE_STARTS = np.isin(np.arange(28), (0, 12, 24))
 
 
-def _detect_cube(points: np.ndarray):
-    """Cube test on each of a (K, 8, 3) stack of points: pairwise distances
-    must take exactly three values in ratio 1 : sqrt 2 : sqrt 3 with
-    multiplicities 12, 12, 4.  Returns (K,) flags and the (K,) shortest
-    distances, the edge lengths of the cubes."""
-    i, j = np.triu_indices(8, 1)
-    dists = np.sort(np.linalg.norm(points[:, i] - points[:, j], axis=2), axis=1)
-    starts = np.diff(dists, axis=1, prepend=-np.inf) > CUBE_GAP_TOL  # a new value begins
-    edge, face, body = dists[:, _CUBE_STARTS].T
-    ok = np.all(starts == _CUBE_STARTS, axis=1)
-    ok &= (np.abs(face - _SQRT2 * edge) <= CUBE_RATIO_TOL) & (np.abs(body - math.sqrt(3) * edge) <= CUBE_RATIO_TOL)
-    return ok, edge
+def _detect_cube(points: np.ndarray) -> tuple:
+    """Cube test on distinct points: there must be eight, and their 28
+    pairwise distances must take exactly three values, with multiplicities
+    12, 12, 4 and in ratio 1 : sqrt 2 : sqrt 3.  Returns (True, edge) for a
+    cube, the edge being the shortest distance, else (False, None)."""
+    if len(points) != 8:
+        return False, None
+    i, j = _upper_pairs(8)
+    dists = np.sort(np.linalg.norm(points[i] - points[j], axis=1))
+    edge, face, body = dists[[0, 12, 24]].tolist()
+    # sorted distances number their classes in ascending order
+    ok = value_classes(dists, CUBE_GAP_TOL).counts.tolist() == [12, 12, 4]
+    ok = ok and abs(face - _SQRT2 * edge) <= CUBE_RATIO_TOL and abs(body - math.sqrt(3) * edge) <= CUBE_RATIO_TOL
+    return ok, edge if ok else None
 
 
 def violating_signs() -> np.ndarray:

@@ -40,7 +40,6 @@ from sic4.two_qubit import (
     partial_transpose_simplex_checks,
     physical_state,
     reduced_purity,
-    rounded_census,
     sign_pattern_table,
     violating_signs,
 )
@@ -160,20 +159,31 @@ def match_sign_patterns_by_full_scan(g, basis: str = "product", tol: float = 1e-
     return np.where(counts == 1, hits.argmax(axis=1), -1)
 
 
+def coincident_point_split(points, tol: float = 1e-8) -> np.ndarray:
+    """reduced_state_census's split before value_classes: for each of N
+    points, the earliest point within tol of it in every component."""
+    return (np.max(np.abs(points[:, None] - points[None]), axis=2) <= tol).argmax(axis=1)
+
+
+def distance_value_starts(dists, gap: float = 1e-7) -> np.ndarray:
+    """_detect_cube's split before value_classes: the indices of sorted
+    distances that step above their predecessor by more than gap."""
+    return np.flatnonzero(np.diff(dists, prepend=-np.inf) > gap)
+
+
 def reduced_state_census_per_sic(states, qubit: int = 1, basis: str = "product", tol: float = 1e-8) -> tuple:
     """reduced_state_census as it was, for one SIC's (16, 4, 4) states with
     its own gbv call: (points, multiplicities, is_cube, edge)."""
     g = gbv(physical_state(states, basis))
     points = g.s if qubit == 0 else g.r
-    close = np.max(np.abs(points[:, None] - points[None]), axis=2) <= tol
-    first = close.argmax(axis=1)
+    first = coincident_point_split(points, tol)
     reps = np.flatnonzero(first == np.arange(len(points)))
     distinct = points[reps]
     is_cube, edge = False, None
     if len(distinct) == 8:
         i, j = np.triu_indices(8, 1)
         dists = np.sort(np.linalg.norm(distinct[i] - distinct[j], axis=1))
-        starts = np.flatnonzero(np.diff(dists, prepend=-np.inf) > 1e-7)
+        starts = distance_value_starts(dists)
         if np.diff(np.append(starts, len(dists))).tolist() == [12, 12, 4]:
             e, face, body = dists[starts].tolist()
             if abs(face - np.sqrt(2) * e) <= 1e-7 and abs(body - np.sqrt(3) * e) <= 1e-7:
@@ -207,6 +217,45 @@ def uniqueness_check_per_sic(indices) -> bool:
 def first_distinct_spans_by_unique(spans) -> np.ndarray:
     """The census's span dedup as it was: np.unique over rows."""
     return np.sort(np.unique(spans, axis=0, return_index=True)[1])
+
+
+def rounded_census(values, decimals: int = 9) -> dict:
+    """{value rounded to decimals: count} over a 1-d array, keyed in order
+    of first appearance: the concurrence census before value_classes."""
+    keys, first, counts = np.unique(np.round(values, decimals), return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return dict(zip(keys[order].tolist(), counts[order].tolist()))
+
+
+def cluster_complex(values, gap: float = 1e-6):
+    """The triple census's split before value_classes: complex values
+    merged exactly after rounding to 9 decimals, the distinct keys joined
+    by a union-find when within gap, each center the mean of its members'
+    raw values, and the clusters ordered by (re, im) of their centers
+    rounded to 9 decimals.  Returns the (center, multiplicity) pairs and
+    the cluster index of each value."""
+    values = np.asarray(values, dtype=complex)
+    # complex values sort by (re, im), as the rows of (re, im) pairs would
+    keys, key_of = np.unique(np.round(values, 9), return_inverse=True)
+    parent = list(range(len(keys)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(keys)):
+        for j in range(i + 1, len(keys)):
+            if abs(keys[i] - keys[j]) <= gap:
+                parent[find(i)] = find(j)
+    _, cluster_of = np.unique([find(i) for i in range(len(keys))], return_inverse=True)
+    member_of = cluster_of[key_of.ravel()]
+    counts = np.bincount(member_of)
+    centers = (np.bincount(member_of, values.real) + 1j * np.bincount(member_of, values.imag)) / counts
+    order = np.lexsort((np.round(centers.imag, 9), np.round(centers.real, 9)))
+    ids = np.argsort(order)[member_of]
+    return list(zip(centers[order].tolist(), counts[order].tolist())), ids
 
 
 def concurrence_census(states, basis: str = "product", decimals: int = 9) -> dict:

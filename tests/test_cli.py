@@ -11,7 +11,7 @@ import pytest
 
 import sic4
 import sic4.cli
-from oracles import sic_states
+from oracles import concurrence_census, sic_states
 from sic4.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -372,10 +372,12 @@ def test_all_certifies_each_sic_once_and_builds_the_family_once(monkeypatch, tmp
 
 
 def test_all_builds_few_operators(monkeypatch, tmp_path, capsys):
-    # the 16 label operators of the orbit come from one stacked pass, and a
-    # conjugation cycle builds its operator once: on a cold cache one
-    # operator per cycle (six), the stabilizer generator, the four Clifford
-    # generators and the two D' generators, fewer on a warm one
+    # the 16 label operators of the orbit come from one stacked pass, a
+    # conjugation cycle builds its operator once and the five orbits of the
+    # stabilizer square share one: on a cold cache the operators of the
+    # stabilizer generator's cycle and of its square, the stabilizer
+    # generator, the four Clifford generators and the two D' generators,
+    # fewer on a warm one
     import sic4.clifford
     import sic4.orbits
     import sic4.regrouping
@@ -391,7 +393,7 @@ def test_all_builds_few_operators(monkeypatch, tmp_path, capsys):
             monkeypatch.setattr(module, "to_operator", counted)
     assert main(["all", "--format", "json", "--out", str(tmp_path / "all.json")]) == 0
     capsys.readouterr()
-    assert 11 <= len(calls) <= 13
+    assert 7 <= len(calls) <= 9
 
 
 def test_all_checks_uniqueness_in_one_call_and_calls_gbv_on_whole_stacks(monkeypatch, tmp_path, capsys):
@@ -463,6 +465,15 @@ def test_a_corrupted_orbit_state_fails_every_section_reading_its_sic(monkeypatch
     for section in ("reconstruct", "regroup", "twoqubit_product", "twoqubit_bell"):
         assert rows[section + ".error"]["observed"] == error, section
     assert all(r["pass"] for r in report["claims"] if r["claim_id"].startswith("symmetry."))
+
+
+@pytest.mark.parametrize("basis", ["product", "bell"])
+def test_concurrence_payload_keys_equal_the_rounded_census(basis, tmp_path, capsys):
+    # the payload renders each class center to 9 decimals, the key the
+    # rounded census gave each SIC's concurrences
+    rc, report = _json_run(["twoqubit", "--basis", basis], tmp_path, capsys)
+    want = {str(n): {str(c): k for c, k in concurrence_census(sic_states(n), basis).items()} for n in range(1, 17)}
+    assert rc == 0 and report["payload"]["concurrence"] == want
 
 
 def test_all_rejects_basis(capsys):

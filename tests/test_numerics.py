@@ -1,4 +1,6 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from sic4.numerics import (
     matrix_to_json,
     proj_equal,
     projective_set_equal,
+    rank1_kets,
+    value_classes,
 )
 
 RNG = np.random.default_rng(7)
@@ -207,3 +211,99 @@ def test_matrix_from_json_rejects_non_number_entries(entry):
     obj["entries"][7] = entry
     with pytest.raises(ValueError):
         matrix_from_json(obj)
+
+
+def test_value_classes_number_classes_by_first_occurrence():
+    values = np.array([3.0, 1.0, 3.0 + 4e-12, 1.0 - 2e-12, 7.0])
+    split = value_classes(values, 1e-6)
+    assert split.classes.tolist() == [0, 1, 0, 1, 2]
+    assert split.counts.tolist() == [2, 2, 1] and split.first.tolist() == [0, 1, 4]
+    assert np.array_equal(split.centers, np.bincount(split.classes, values) / split.counts)
+    assert split.spread == pytest.approx(2e-12, rel=1e-3) and split.separation == pytest.approx(2.0)
+    # complex values and 3-vectors keep their shape in the centers
+    z = value_classes(np.array([1j, 2.0, 1j + 1e-12, 2.0]), 1e-6)
+    assert z.classes.tolist() == [0, 1, 0, 1] and z.centers.dtype == complex
+    assert z.separation == pytest.approx(math.sqrt(5))
+    v = value_classes(np.zeros((4, 3)), 1e-6)
+    assert v.centers.shape == (1, 3) and v.counts.tolist() == [4]
+    assert v.spread == 0.0 and v.separation == math.inf
+
+
+def test_value_classes_refuse_a_near_tie():
+    # two values 0.6 gap apart neither share a class (they lie beyond
+    # gap / 2) nor stand as two (their centers lie within gap)
+    for gap in (1e-9, 1e-7, 1e-6):
+        for values in (
+            np.array([0.25, 0.25 + 0.6 * gap]),
+            np.array([0.5j, 0.5j + 0.6j * gap]),
+            np.array([[0.1, 0.2, 0.3], [0.1, 0.2 + 0.6 * gap, 0.3]]),
+        ):
+            with pytest.raises(ValueError, match="spread 0, separation 6e-"):
+                value_classes(values, gap)
+    # a class wider than its gap: its members lie within gap / 2 of the
+    # first, but the center, 0.25 gap from it, lies 0.75 gap from one
+    with pytest.raises(ValueError, match="spread 7.5e-07, separation inf"):
+        value_classes(np.array([0.0, -0.5e-6] + [0.5e-6] * 4), 1e-6)
+    with pytest.raises(ValueError, match="not finite"):
+        value_classes(np.array([0.0, np.nan]), 1e-6)
+
+
+def test_value_classes_make_no_square_array():
+    # 3360 classes of one value each: an (N, N) array of distances would
+    # take 90 MB; the kernel compares centers a block at a time
+    values = np.arange(3360) * 1e-3
+    tracemalloc.start()
+    split = value_classes(values, 1e-6)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert len(split.counts) == 3360 and split.separation == pytest.approx(1e-3)
+    assert peak < 4e6
+
+
+def test_censuses_split_with_measured_margins():
+    from sic4.orbits import TRIPLE_CENSUS_GAP, _distinct_triples, enumerate_orbit
+    from sic4.two_qubit import (
+        CONCURRENCE_GAP,
+        CUBE_GAP_TOL,
+        REDUCED_POINT_TOL,
+        _bloch_vectors,
+        concurrence,
+        physical_state,
+    )
+    from sic4.weyl_heisenberg import CONSTANTS
+
+    projectors = enumerate_orbit().projectors
+    # the triple traces of each SIC and of all 16 together: 17 classes
+    vals = [_distinct_triples(s)[0] for s in projectors.reshape(16, 16, 4, 4)]
+    splits = [value_classes(v, TRIPLE_CENSUS_GAP) for v in vals]
+    pooled = value_classes(np.concatenate(vals), TRIPLE_CENSUS_GAP)
+    assert all(len(s.counts) == 17 for s in splits + [pooled])
+    assert max(s.spread for s in splits) <= 5.4e-16 and pooled.spread <= 1.1e-14 < TRIPLE_CENSUS_GAP / 2
+    assert TRIPLE_CENSUS_GAP < 8.4e-3 <= min(s.separation for s in splits + [pooled])
+    # the one real center against the smallest imaginary part of the others
+    im = np.sort(np.abs(np.stack([s.centers.imag for s in splits])), axis=1)
+    assert im[:, 0].max() <= 1e-17 and im[:, 1].min() >= 2.9e-2
+    # Bloch points of either qubit in either basis, and the cube distances
+    i, j = np.triu_indices(8, 1)
+    for basis in ("product", "bell"):
+        for qubit in (0, 1):
+            points = _bloch_vectors(projectors, basis, qubit).reshape(16, 16, 3)
+            splits = [value_classes(p, REDUCED_POINT_TOL) for p in points]
+            assert max(s.spread for s in splits) <= 2.6e-16 < REDUCED_POINT_TOL / 2
+            assert REDUCED_POINT_TOL < 0.41 <= min(s.separation for s in splits)
+            distinct = np.stack([p[s.first] for p, s in zip(points, splits)])
+            dists = np.sort(np.linalg.norm(distinct[:, i] - distinct[:, j], axis=2), axis=1)
+            splits = [value_classes(d, CUBE_GAP_TOL) for d in dists]
+            assert max(s.spread for s in splits) <= 1.0e-15 < CUBE_GAP_TOL / 2
+            # 0.069 on the qubit that gives the cube, 0.032 on the other
+            assert CUBE_GAP_TOL < 0.032 <= min(s.separation for s in splits)
+        # concurrences, SIC by SIC and pooled behind their three closed forms
+        conc = concurrence(rank1_kets(physical_state(projectors, basis)))
+        splits = [value_classes(c, CONCURRENCE_GAP) for c in conc.reshape(16, 16)]
+        assert max(s.spread for s in splits) <= 4.5e-16 < CONCURRENCE_GAP / 2
+        assert CONCURRENCE_GAP < 0.55 <= min(s.separation for s in splits)
+        root = math.sqrt(CONSTANTS.G)
+        forms = [math.sqrt(2 / 5), math.sqrt((2 + 2 * root) / 5), math.sqrt((2 - 2 * root) / 5)]
+        pooled = value_classes(np.concatenate([forms, conc]), CONCURRENCE_GAP)
+        assert pooled.counts.tolist() == [129, 65, 65]
+        assert pooled.spread <= 1.5e-15 < CONCURRENCE_GAP / 2 and 0.21 <= pooled.separation

@@ -13,8 +13,9 @@ from sic4.orbits import (
     STABILIZER_CYCLE,
     STABILIZER_MATRIX,
     STABILIZER_ORBIT_SETS,
+    TRIPLE_CENSUS_GAP,
     _distinct_triples,
-    _triple_cluster_ids,
+    _triple_census,
     conjugation_cycle,
     enumerate_orbit,
     label_permutation_group,
@@ -37,6 +38,7 @@ from sic4.orbits import (
 from sic4.weyl_heisenberg import displacement_table, verify_sic
 
 from oracles import (
+    cluster_complex,
     conjugation_cycle_per_step,
     label_permutation_group_by_dict,
     orbit_action_by_coset_loop,
@@ -253,7 +255,7 @@ def test_label_permutation_group_matches_per_element_loop(extended):
 
 
 def _cluster_complex_by_round(values, gap=1e-6):
-    """The Python-round clustering that _cluster_complex replaced."""
+    """The Python-round clustering that the 9-decimal split (oracles.cluster_complex) replaced."""
     uniq = {}
     for v in values:
         key = (round(v.real, 9), round(v.imag, 9))
@@ -303,12 +305,25 @@ def test_triple_census_matches_python_round_clustering():
         assert max(abs(c - m) for (c, _), m in zip(new, means)) <= 1e-15
         if label == 1:
             centers = np.array([c for c, _ in old])
-            ids = _triple_cluster_ids(s)
+            ids = _triple_census(s)[2]
             for a, b, c in itertools.product(range(16), repeat=3):
                 if a != b and b != c and a != c:
                     assert ids[a, b, c] == np.argmin(np.abs(centers - t[a, b, c]))
                 else:
                     assert ids[a, b, c] == -1
+
+
+def test_triple_census_classes_equal_cluster_complex():
+    # value_classes against the union-find split it replaced: the same
+    # classes, counts and centers, bit for bit, in census order
+    for label in range(1, 17):
+        vals, mask = _distinct_triples(sic_states(label))
+        old, old_ids = cluster_complex(vals)
+        centers, counts, ids = _triple_census(sic_states(label), TRIPLE_CENSUS_GAP)
+        assert counts.tolist() == [n for _, n in old]
+        assert centers.tobytes() == np.array([c for c, _ in old]).tobytes()
+        assert np.array_equal(ids[mask], old_ids) and np.all(ids[~mask] == -1)
+        assert triple_trace_census(label) == old
 
 
 def _superoperator_state_action(mats, anti, states, targets, block=64):
@@ -431,7 +446,7 @@ def _rigid_permutations_by_dfs(label=1, limit=10):
     """The backtracking search that the level-by-level rigid_permutations
     replaced: one ok() check per partial assignment."""
     states = sic_states(label)
-    ids = _triple_cluster_ids(states)
+    ids = _triple_census(states)[2]
     n = 16
     perm = [0] + [-1] * (n - 1)
     used = [False] * n

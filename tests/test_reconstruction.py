@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sic4.numerics import commutator_phase, eig_hermitian, projective_set_equal
+from sic4.numerics import CANONICAL_ZERO_TOL, commutator_phase, eig_hermitian, projective_set_equal
 from sic4.clifford import enumerate_projective_clifford
 from sic4.orbits import MATCH_TOL, enumerate_orbit, sic_symmetries, state_action, state_permutations
 from sic4.reconstruction import (
@@ -307,6 +307,14 @@ def test_phase_operator_cuts_have_measured_margins():
     assert np.max(np.abs(commutator_phase(rec.z_gen, rec.x_gen) - 1j)) <= 1e-14 < COMMUTATOR_TOL
     adjoint = commutator_phase(rec.z_gen, rec.x_gen.conj().swapaxes(-1, -2))
     assert np.min(np.abs(adjoint - 1j)) >= 2 - 1e-14
+
+
+def test_canonical_zero_cut_has_a_margin():
+    # the entries of the 32 family reconstructions' group elements that
+    # canonical_phase takes for zero, against those it does not
+    entries = np.abs(reconstruct_hw(enumerate_orbit().projectors[sic_family()[0]]).elements)
+    zero = entries <= CANONICAL_ZERO_TOL
+    assert entries[zero].max() <= 3.2e-15 < CANONICAL_ZERO_TOL < 0.707 <= entries[~zero].min()
 
 
 def test_stacked_uniqueness_equals_the_per_sic_loop():

@@ -8,11 +8,14 @@ import pytest
 from oracles import (
     SignPattern,
     avg_reduced_purity,
+    coincident_point_split,
     concurrence_census,
+    distance_value_starts,
     match_sign_pattern,
     match_sign_patterns_by_full_scan,
     partial_transpose_simplex_check,
     reduced_state_census_per_sic,
+    rounded_census,
     sic_states,
     sign_functions,
     sign_pattern,
@@ -21,6 +24,7 @@ from oracles import (
 from sic4.orbits import LABEL_GRID, FiducialOrbit, enumerate_orbit
 from sic4.regrouping import sic_family
 from sic4.two_qubit import (
+    CONCURRENCE_GAP,
     CUBE_GAP_TOL,
     CUBE_RATIO_TOL,
     GBV_STATE_TOL,
@@ -46,7 +50,7 @@ from sic4.two_qubit import (
     sign_pattern_table,
     violating_signs,
 )
-from sic4.numerics import rank1_kets as state_ket
+from sic4.numerics import rank1_kets as state_ket, value_classes
 from sic4.weyl_heisenberg import CONSTANTS, displacement
 
 C_FLAT = math.sqrt(2 / 5)  # 0.632455532
@@ -485,8 +489,8 @@ def test_cube_cuts_have_margins():
     edge, face, body = dists[:8, [0, 12, 24]].T
     ratio_dev = np.maximum(np.abs(face - math.sqrt(2) * edge), np.abs(body - math.sqrt(3) * edge))
     assert ratio_dev.max() <= 1.4e-15 < CUBE_RATIO_TOL
-    ok, edges = _detect_cube(points)
-    assert ok.tolist() == [True] * 8 + [False] * 8 and np.array_equal(edges[:8], edge)
+    ok, edges = zip(*map(_detect_cube, points))
+    assert list(ok) == [True] * 8 + [False] * 8 and list(edges[:8]) == edge.tolist()
 
 
 def test_stacked_reduced_state_census_equals_per_sic_calls():
@@ -508,3 +512,36 @@ def test_stacked_reduced_state_census_equals_per_sic_calls():
     # a list of 32 states is one list, not a stack of two
     rep = reduced_state_census(np.concatenate([sics[0], sics[0]]), 1)
     assert rep.multiplicities == (4,) * 8 and rep.is_cube
+
+
+def test_concurrence_classes_equal_rounded_census():
+    # value_classes against the 9-decimal census it replaced, SIC by SIC:
+    # the same classes and counts, and centers rounding to its keys bit for bit
+    for basis in ("product", "bell"):
+        conc = concurrence(state_ket(physical_state(enumerate_orbit().projectors, basis))).reshape(16, 16)
+        for row in conc:
+            split, hist = value_classes(row, CONCURRENCE_GAP), rounded_census(row)
+            keys = np.array(list(hist))
+            assert split.counts.tolist() == list(hist.values())
+            assert np.round(split.centers, 9).tobytes() == keys.tobytes()
+            assert np.array_equal(keys[split.classes], np.round(row, 9))
+
+
+def test_bloch_point_and_cube_classes_equal_the_splits_they_replaced():
+    # value_classes against the componentwise coincidence of Bloch points and
+    # the sorted-distance steps of the cube test, for both qubits in both
+    # bases: the same classes and counts, and the same first members
+    i, j = np.triu_indices(8, 1)
+    for basis in ("product", "bell"):
+        for qubit in (0, 1):
+            points = _bloch_vectors(enumerate_orbit().projectors, basis, qubit).reshape(16, 16, 3)
+            for p in points:
+                split, first = value_classes(p, REDUCED_POINT_TOL), coincident_point_split(p, REDUCED_POINT_TOL)
+                reps = np.flatnonzero(first == np.arange(16))
+                assert np.array_equal(split.first, reps) and np.array_equal(split.classes, np.searchsorted(reps, first))
+                assert split.counts.tolist() == np.bincount(first)[reps].tolist()
+                dists = np.sort(np.linalg.norm(p[reps][i] - p[reps][j], axis=1))
+                split, starts = value_classes(dists, CUBE_GAP_TOL), distance_value_starts(dists, CUBE_GAP_TOL)
+                assert np.array_equal(split.first, starts)
+                assert np.array_equal(split.classes, np.searchsorted(starts, np.arange(28), side="right") - 1)
+                assert split.counts.tolist() == np.diff(np.append(starts, 28)).tolist()
