@@ -257,6 +257,30 @@ def element_product(i, j) -> np.ndarray:
     return k
 
 
+def sylow_two_subgroup(elements) -> tuple:
+    """The elements of 2-power order of each row of an (S, P) array of
+    unitary element rows into enumerate_projective_clifford(4,
+    extended=True), and whether they number 16 and close under
+    element_product: the (S,) verdicts and the (S, P) mask of those
+    elements.  In a group of order 48 an order is a power of 2 exactly
+    when it divides 16, so g is one when g^16, four squarings, is the
+    identity."""
+    elements = np.asarray(elements)
+    identity = _element_of()[1]  # the row sending state 0 to 0 and 1 to 1
+    power = elements
+    for _ in range(4):
+        power = element_product(power, power)
+    two = power == identity
+    sixteen = np.count_nonzero(two, axis=1) == 16
+    sub = elements[two & sixteen[:, None]].reshape(-1, 16)
+    rows = np.arange(len(sub))[:, None]
+    member = np.zeros((len(sub), len(orbit_action())), dtype=bool)
+    member[rows, sub] = True
+    verdict = np.zeros(len(elements), dtype=bool)
+    verdict[sixteen] = np.all(member[rows[:, :, None], element_product(sub[:, :, None], sub[:, None, :])], axis=(1, 2))
+    return verdict, two
+
+
 def conjugation_cycle(pair: SymplecticPair, p, u=None) -> list:
     """The displacement indices p, q, ... visited by repeated conjugation
     by pair, up to the return to p; the operator u of pair is built once
@@ -350,45 +374,6 @@ def permutation_parities(perms) -> np.ndarray:
     return np.count_nonzero(np.triu(perms[:, :, None] > perms[:, None, :]), axis=(1, 2)) % 2
 
 
-def _is_member(rows, group) -> np.ndarray:
-    """Which permutations of a (..., n) stack are rows of the (k, n) group."""
-    return np.any(np.all(rows[..., None, :] == group, axis=-1), axis=-1)
-
-
-def two_power_subgroup(perms) -> tuple:
-    """The elements of 2-power order of a (P, n) permutation group, n <= 16,
-    as a (k, n) array, and whether they number 16 and close under
-    composition.  For an (S, P, n) stack of groups, one pass over all of
-    them: an (S, P) mask of the elements of 2-power order and the (S,)
-    verdicts."""
-    perms = np.asarray(perms)
-    stack = perms.reshape((-1,) + perms.shape[-2:])
-    s, p, n = stack.shape
-    if n > 16:
-        raise ValueError("permutations of at most 16 points expected, got %d" % n)
-    # 2-power order divides 16 on at most 16 points: p^16 is the identity
-    power, rows = stack.reshape(-1, n), np.arange(s * p)[:, None] * n
-    for _ in range(4):
-        power = power.ravel()[power + rows]
-    two = np.all(power == np.arange(n), axis=1).reshape(s, p)
-    sixteen = np.count_nonzero(two, axis=1) == 16
-    tp = stack[two & sixteen[:, None]].reshape(-1, 16, n)
-    # a permutation of n <= 16 points packs exactly into one uint64, its
-    # images as base-n digits; after[r, b] = tp[r, a] after tp[r, b], one a
-    # at a time so that no (S, 16, 16, n) array is made
-    digits = n ** np.arange(n, dtype=np.uint64)
-    keys = tp.astype(np.uint64) @ digits
-    closed = np.ones(len(tp), dtype=bool)
-    for a in range(16):
-        after = np.take_along_axis(tp[:, a, None], tp, axis=2).astype(np.uint64) @ digits
-        closed &= np.all(np.any(after[:, :, None] == keys[:, None], axis=2), axis=1)
-    verdict = np.zeros(s, dtype=bool)
-    verdict[sixteen] = closed
-    if perms.ndim == 2:
-        return perms[two[0]], bool(verdict[0])
-    return two, verdict
-
-
 class SymmetryReport(NamedTuple):
     extended_order: int
     unitary_order: int
@@ -438,11 +423,6 @@ def sic_symmetries(indices, *, extended: bool) -> tuple:
     return np.column_stack([row[keep], element[keep]]), perms[keep]
 
 
-def symmetry_group_of_sic(label: int = 1) -> tuple:
-    """sic_symmetries of one orbit SIC in the extended Clifford group."""
-    return sic_symmetries(np.arange(16) + 16 * (label - 1), extended=True)
-
-
 def rigid_permutations(label: int = 1, limit: int = 10):
     """Permutations of a SIC's states fixing the fiducial and preserving all
     triple traces, the first ``limit`` in lexicographic order.
@@ -478,28 +458,26 @@ def verify_symmetry_group_in_clifford() -> SymmetryReport:
     stabilizer.
     """
     group = enumerate_projective_clifford(4, extended=True)
-    sym, perms = symmetry_group_of_sic(1)
-    perms = perms[~group.anti[sym]]  # the unitary symmetries
-    if len(first_distinct_rows(perms)) != len(perms):
-        raise AssertionError("state action of the symmetry group is not faithful")
+    sym = sic_symmetries(np.arange(16), extended=True)[0]  # SIC 1 holds orbit states 0..15
+    unitary = sym[~group.anti[sym]]
 
     # the unique order-16 subgroup: exactly 16 elements of 2-power order,
     # closed under composition, normal, and equal to the displacements
-    tp, unique16 = two_power_subgroup(perms)
+    (unique16,), (two,) = sylow_two_subgroup(unitary[None])
+    sub = unitary[two]
     if unique16:
-        # conj[h, g] = g after tp[h] after g^-1
-        conj = np.take_along_axis(perms[None], tp[:, np.argsort(perms, axis=1)], axis=2)
-        unique16 = bool(np.all(_is_member(conj, tp)))
+        # g sub g^-1 for every unitary symmetry g
+        inverses = unitary[np.argmax(element_product(unitary[:, None], unitary) == _element_of()[1], axis=1)]
+        conj = element_product(element_product(unitary[:, None], sub), inverses[:, None])
+        unique16 = bool(np.all(np.isin(conj, sub)))
     if unique16:
-        # the displacements are the rows with F = 1, in (p1, p2) order; SIC 1
-        # holds orbit states 0..15
-        disp = orbit_action()[np.all(group.f == (1, 0, 0, 1), axis=1), :16]
-        unique16 = bool(np.all(_is_member(disp, tp)) and np.all(_is_member(tp, disp)))
+        # the displacements, the rows with F = 1, are rows 128..143 in (p1, p2) order
+        unique16 = np.array_equal(sub, np.arange(128, 144))
 
     rigid = rigid_permutations(1, limit=10)
     return SymmetryReport(
         extended_order=len(sym),
-        unitary_order=len(perms),
+        unitary_order=len(unitary),
         hw_is_unique_order16=bool(unique16),
         rigid_permutation_count=len(rigid),
     )

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .numerics import canonical_phase, commutator_phase, eig_hermitian
-from .orbits import projectively_distinct, sic_symmetries, state_permutations, two_power_subgroup
+from .orbits import projectively_distinct, sic_symmetries, state_permutations, sylow_two_subgroup
 from .weyl_heisenberg import CONSTANTS, shift_clock_products
 
 # eigenvalue of the 4-state sum paired with the phase i^k it tags
@@ -219,19 +219,19 @@ def uniqueness_check(indices):
     """Whether the projective symmetry group of a SIC of orbit states,
     given by their (16,) orbit indices and certified by the caller, has
     order 48 and exactly one order-16 subgroup; for an (S, 16) stack, the
-    (S,) verdicts of one sic_symmetries / two_power_subgroup pass.
+    (S,) verdicts of one sic_symmetries / sylow_two_subgroup pass over the
+    element rows of the groups.
 
     The certificate: a group of order 48 has order-16 subgroups exactly as
     Sylow 2-subgroups; if the elements of 2-power order number exactly 16
     and close under composition they form the unique one (two distinct
-    Sylow subgroups would overflow that count).  The states of a SIC span
-    the operators, so each symmetry permutes them differently.  A SIC whose
-    group has another order fails.
+    Sylow subgroups would overflow that count).  A SIC whose group has
+    another order fails.
     """
     indices = np.asarray(indices)
     stack = indices.reshape(-1, 16)
-    pairs, perms = sic_symmetries(stack, extended=False)
+    pairs = sic_symmetries(stack, extended=False)[0]
     order48 = np.bincount(pairs[:, 0], minlength=len(stack)) == 48
     verdict = np.zeros(len(stack), dtype=bool)
-    verdict[order48] = two_power_subgroup(perms[order48[pairs[:, 0]]].reshape(-1, 48, 16))[1]
+    verdict[order48] = sylow_two_subgroup(pairs[order48[pairs[:, 0]], 1].reshape(-1, 48))[0]
     return verdict if indices.ndim == 2 else bool(verdict[0])

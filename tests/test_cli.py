@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import logging
 import os
 import re
 import subprocess
@@ -465,6 +466,7 @@ def test_a_corrupted_orbit_state_fails_every_section_reading_its_sic(monkeypatch
     for section in ("reconstruct", "regroup", "twoqubit_product", "twoqubit_bell"):
         assert rows[section + ".error"]["observed"] == error, section
     assert all(r["pass"] for r in report["claims"] if r["claim_id"].startswith("symmetry."))
+    assert not rows["triples.cross_sic_invariant"]["pass"]
 
 
 @pytest.mark.parametrize("basis", ["product", "bell"])
@@ -603,6 +605,29 @@ def test_passing_all_does_not_import_logging(tmp_path):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_raising_sections_leave_stderr_empty(tmp_path):
+    # at --tol 1e-30 four sections raise; their tracebacks are logged at
+    # DEBUG, which no handler shows by default
+    code = "import sys, sic4.cli; sys.exit(sic4.cli.main(['all', '--tol', '1e-30', '--format', 'json', '--out', sys.argv[1]]))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = tmp_path / "r.json"
+    proc = subprocess.run([sys.executable, "-c", code, str(out)], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1 and proc.stderr == ""
+    errors = [r["claim_id"] for r in json.loads(out.read_text())["claims"] if r["claim_id"].endswith(".error")]
+    assert errors == ["reconstruct.error", "regroup.error", "twoqubit_product.error", "twoqubit_bell.error"]
+
+
+def test_a_raising_section_logs_its_traceback_at_debug(monkeypatch, tmp_path, caplog):
+    def boom(cfg, claims):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(sic4.cli, "run_triples", boom)
+    caplog.set_level(logging.DEBUG, logger="sic4.cli")
+    assert main(["triples", "--out", str(tmp_path / "r.txt")]) == 1
+    (record,) = [r for r in caplog.records if r.name == "sic4.cli"]
+    assert record.levelno == logging.DEBUG and record.exc_info[1].args == ("boom",)
 
 
 def test_passing_all_does_not_import_dataclasses(tmp_path):

@@ -28,11 +28,10 @@ from sic4.orbits import (
     stabilizer_orbits_within_sic,
     state_action,
     state_permutations,
-    symmetry_group_of_sic,
+    sylow_two_subgroup,
     triple_family,
     triple_phase,
     triple_trace_census,
-    two_power_subgroup,
     verify_symmetry_group_in_clifford,
 )
 from sic4.weyl_heisenberg import displacement_table, verify_sic
@@ -396,7 +395,9 @@ def _permutation_order_by_composition(p):
 
 
 def _two_power_subgroup_by_sets(perms):
-    """The set-based certificate that two_power_subgroup replaced."""
+    """The set-based Sylow 2-subgroup certificate on permutations: those
+    of 2-power order, and whether they number 16 and close under
+    composition."""
     tp = {p for p in perms if _permutation_order_by_composition(p) in (1, 2, 4, 8, 16)}
     closed = len(tp) == 16 and all(tuple(a[i] for i in b) in tp for a in tp for b in tp)
     return tp, closed
@@ -409,37 +410,26 @@ def test_permutation_orders_match_composition_loop():
     assert permutation_orders(perms).tolist() == want
 
 
-def test_two_power_subgroup_matches_set_certificate():
-    # the symmetry group of SIC 1 (closed) and S4 on 4 of 16 points, whose
-    # 16 elements of 2-power order do not close under composition
-    perms = sic_symmetries(np.arange(16), extended=False)[1]
-    sic_group = sorted(map(tuple, perms.tolist()))
-    s4 = [p + tuple(range(4, 16)) for p in itertools.permutations(range(4))]
-    for group, closed in ((sic_group, True), (s4, False)):
-        tp, ok = two_power_subgroup(np.array(group))
-        old_tp, old_ok = _two_power_subgroup_by_sets(group)
-        assert ok == old_ok == closed
-        assert {tuple(p) for p in tp.tolist()} == old_tp and len(tp) == 16
-
-
-
-def test_stacked_two_power_subgroup_equals_one_group_at_a_time():
-    # SIC 1's group and S4 x S2, 48 elements each (S4 x S2 has 32 of 2-power
-    # order); then S4 on points 0-3 and on 4-7, 24 each, 16 that do not close
-    sic_group = sic_symmetries(np.arange(16), extended=False)[1]
-    s4 = [p + tuple(range(4, 16)) for p in itertools.permutations(range(4))]
-    s4_s2 = [p[:4] + q + p[6:] for p in s4 for q in ((4, 5), (5, 4))]
-    s4_high = [tuple(range(4)) + tuple(4 + i for i in p[:4]) + p[8:] for p in s4]
-    cases = (([sic_group, np.array(s4_s2)], [True, False]), ([np.array(s4), np.array(s4_high)], [False, False]))
-    for stack, want in cases:
-        two, verdicts = two_power_subgroup(np.stack(stack))
-        assert verdicts.tolist() == want
-        for group, mask, verdict in zip(stack, two, verdicts):
-            tp, ok = two_power_subgroup(group)
-            assert ok == verdict and np.array_equal(group[mask], tp)
-            assert {tuple(p) for p in tp.tolist()} == _two_power_subgroup_by_sets(list(map(tuple, group.tolist())))[0]
-    with pytest.raises(ValueError, match="at most 16 points"):
-        two_power_subgroup(np.arange(17)[None])
+def test_sylow_two_subgroup_matches_set_certificate():
+    # the unitary symmetry rows of the 32 SICs and two planted sets from
+    # SIC 1's: an element of order 4 swapped for an involution outside the
+    # group (16 of 2-power order that do not close), and one of order 3
+    # swapped for it (17); the oracle composes each row's 256-point
+    # orbit_action permutation, never element_product
+    sets = sic_symmetries(np.array(_all_sic_indices()), extended=False)[0][:, 1].reshape(32, 48)
+    action = orbit_action()
+    orders = permutation_orders(action[:768])
+    outside = np.setdiff1d(np.flatnonzero(orders == 2), sets[0])[0]
+    not_closed, overfull = sets[0].copy(), sets[0].copy()
+    not_closed[np.flatnonzero(orders[sets[0]] == 4)[0]] = outside
+    overfull[np.flatnonzero(orders[sets[0]] == 3)[0]] = outside
+    sets = np.vstack([sets, not_closed, overfull])
+    verdicts, two = sylow_two_subgroup(sets)
+    for rows, mask, verdict in zip(sets, two, verdicts):
+        tp, closed = _two_power_subgroup_by_sets([tuple(p) for p in action[rows].tolist()])
+        assert verdict == closed and {tuple(p) for p in action[rows[mask]].tolist()} == tp
+    assert verdicts.tolist() == [True] * 32 + [False, False]
+    assert np.count_nonzero(two, axis=1).tolist() == [16] * 33 + [17]
 
 
 def _rigid_permutations_by_dfs(label=1, limit=10):
@@ -549,7 +539,6 @@ def test_sic_symmetries_of_sic_1():
         assert len(index) == order and perms.shape == (order, 16)
         old_index, old_perms = _symmetries_by_elements_sending(states, extended)
         assert np.array_equal(index, old_index) and np.array_equal(perms, old_perms)
-    assert np.array_equal(symmetry_group_of_sic(1)[0], sic_symmetries(np.arange(16), extended=True)[0])
 
 
 @pytest.mark.parametrize("extended", [False, True])
