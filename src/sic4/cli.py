@@ -183,7 +183,7 @@ def run_symmetry(cfg, claims: Claims):
         rep.rigid_permutation_count,
     )
 
-    perms = np.array(sorted(label_permutation_group(extended=False)))
+    perms = np.array(label_permutation_group(extended=False))
     claims.add("symmetry.label_perm_count", "distinct label permutations, unitary", 48, len(perms))
     orders, counts = np.unique(permutation_orders(perms), return_counts=True)
     claims.add(
@@ -219,7 +219,7 @@ def run_symmetry(cfg, claims: Claims):
         bool(np.all(same_cols & even) and len(first_distinct_rows(cols[:, 0])) == 12),
     )
 
-    ext = np.array(sorted(label_permutation_group(extended=True)))
+    ext = np.array(label_permutation_group(extended=True))
     claims.add("symmetry.label_perm_count_extended", "distinct label permutations, extended", 96, len(ext))
     claims.add(
         "symmetry.row_image_order_extended",
@@ -428,7 +428,7 @@ def run_reconstruct_input(cfg, claims: Claims):
 def run_regroup(cfg, claims: Claims):
     from .clifford import coset, enumerate_projective_clifford, to_operator
     from .numerics import commutator_phase, match_projective, matrix_to_json, projective_set_equal
-    from .orbits import MATCH_TOL, enumerate_orbit, orbit_action, state_action
+    from .orbits import enumerate_orbit, orbit_action, state_permutations
     from .reconstruction import COMMUTATOR_TOL
     from .regrouping import (
         CLIFFORD_GENERATORS,
@@ -511,11 +511,16 @@ def run_regroup(cfg, claims: Claims):
     )
 
     # an original SIC is carried onto a new one when the images of all its
-    # states are states of that one new SIC
-    index, ov = state_action(u[None], [False], orbit.projectors, orbit.projectors[indices.ravel()])
-    image_sic = (index // 16).reshape(16, 16)
-    matched = (ov >= 1.0 - MATCH_TOL).reshape(16, 16)
-    mapped = int(np.sum(np.all(matched & (image_sic == image_sic[:, :1]), axis=1)))
+    # states are states of that one new SIC; u fixes the fiducial and
+    # normalizes the Clifford group, so it permutes the orbit, and a u that
+    # does not carries no SIC
+    new_sic = np.full(256, -1)
+    new_sic[indices] = np.arange(16)[:, None]
+    try:
+        image_sic = new_sic[state_permutations(u[None], orbit.projectors)[0]].reshape(16, 16)
+        mapped = int(np.sum(np.all(image_sic == image_sic[:, :1], axis=1) & (image_sic[:, 0] >= 0)))
+    except ValueError:
+        mapped = 0
     claims.add(
         "regroup.equivalence_maps_family",
         "the equivalence unitary carries the original family onto the new one",

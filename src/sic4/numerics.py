@@ -250,11 +250,14 @@ def matrix_to_json(m):
 
 def matrix_from_json(obj) -> np.ndarray:
     """Inverse of matrix_to_json; for a list of such objects, the (N, d, d)
-    stack of one d, read in one array pass.  ValueError unless every entries
-    list holds d * d [re, im] pairs of finite JSON numbers (Python's json
-    reads NaN and Infinity as floats)."""
+    stack of one d, read in one array pass.  ValueError unless every dim is
+    a JSON integer and every entries list holds d * d [re, im] pairs of
+    finite JSON numbers (Python's json reads NaN and Infinity as floats)."""
     objs = [obj] if isinstance(obj, dict) else obj
-    dims = {int(o["dim"]) for o in objs}
+    for o in objs:
+        if type(o["dim"]) is not int:  # a JSON integer: no float, string or bool
+            raise ValueError("expected an integer dim, got %r" % (o["dim"],))
+    dims = {o["dim"] for o in objs}
     if len(dims) != 1:
         raise ValueError("expected one or more matrices of one dimension, got dimensions %s" % sorted(dims))
     d = dims.pop()

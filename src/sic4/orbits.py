@@ -149,34 +149,6 @@ def projectively_distinct(mats) -> bool:
     return bool(np.all((gram < (1.0 - MATCH_TOL) * norm) | np.eye(gram.shape[-1], dtype=bool)))
 
 
-def state_action(mats, anti, states, targets):
-    """Where conjugation by each of N elements sends each of M states.
-
-    ``mats`` (N, d, d) and ``anti`` (N flags) give the elements; states and
-    targets are rank-1 projectors (numerics.rank1_kets raises otherwise),
-    shared by all elements or, as (N, M, d, d) stacks, one list for each.
-    Returns the (N, M) index of the target with the largest overlap
-    |<target| g psi>|^2 = tr(target g rho g^-1), with psi-bar for an
-    antiunitary element, and that overlap; callers apply their own
-    threshold.  Kets are read off the projectors once; one batched product
-    applies every element to its kets and one GEMM (a batched product for
-    per-element targets) takes all N * M * T overlaps, so callers with many
-    elements pass them in blocks.  Orbit states have exact images in
-    orbit_action.
-    """
-    mats = np.asarray(mats, dtype=complex)
-    anti = np.asarray(anti, dtype=bool).astype(np.intp)
-    kets = np.swapaxes(rank1_kets(states), -1, -2)
-    sources = np.stack([kets, kets.conj()])  # indexed by the antiunitarity flag
-    per_element = (np.arange(len(mats)),) if kets.ndim == 3 else ()
-    images = np.swapaxes(mats @ sources[(anti,) + per_element], -1, -2)
-    bras = np.swapaxes(rank1_kets(targets), -1, -2).conj()
-    z = images @ bras if bras.ndim == 3 else images.reshape(-1, mats.shape[-1]) @ bras
-    ov = np.square(z.real)
-    ov += np.square(z.imag)
-    return ov.argmax(axis=-1).reshape(images.shape[:2]), ov.max(axis=-1).reshape(images.shape[:2])
-
-
 def stability_group(rho) -> list:
     """Extended-Clifford elements fixing an orbit projector, as a list of
     CliffordElements.
@@ -398,29 +370,24 @@ def state_permutations(mats, states) -> np.ndarray:
     return index
 
 
-def sic_symmetries(indices, *, extended: bool) -> tuple:
-    """The enumerated (extended) Clifford elements that permute a set of M
-    orbit states, given by their orbit indices: their (k,) indices into
-    enumerate_projective_clifford(4, extended=extended) and the (k, M)
-    permutations they induce, as positions in ``indices``.  For an (S, M)
-    stack of sets, one pass over all of them: a (k, 2) array of (set,
-    element) pairs, sets ascending and each set's elements ascending, and
-    the (k, M) permutations.  An element is kept when orbit_action sends
-    every state into the set; only the elements sending the set's first
-    state into it are tried on the others."""
-    indices = np.asarray(indices)
-    stack = indices.reshape(-1, indices.shape[-1])
+def sic_symmetries(indices, *, extended: bool) -> np.ndarray:
+    """The enumerated (extended) Clifford elements that permute each of an
+    (S, M) stack of sets of orbit states, given by their orbit indices, in
+    one pass: a (k, 2) array of (set, element) pairs, sets ascending and
+    each set's elements ascending, elements indexing
+    enumerate_projective_clifford(4, extended=extended).  An element is
+    kept when orbit_action sends every state of the set into it; only the
+    elements sending the set's first state into it are tried on the
+    others."""
+    stack = np.asarray(indices)
     rows = np.arange(len(stack))
-    position = np.full((len(stack), 256), -1)
-    position[rows[:, None], stack] = np.arange(stack.shape[1])
+    member = np.zeros((len(stack), 256), dtype=bool)
+    member[rows[:, None], stack] = True
     n = len(enumerate_projective_clifford(4, extended=extended))
     action = orbit_action()[:n]
-    row, element = np.nonzero(position[rows[:, None], action[:, stack[:, 0]].T] >= 0)
-    perms = position[row[:, None], action[element[:, None], stack[row]]]
-    keep = np.all(perms >= 0, axis=1)
-    if indices.ndim == 1:
-        return element[keep], perms[keep]
-    return np.column_stack([row[keep], element[keep]]), perms[keep]
+    row, element = np.nonzero(member[rows[:, None], action[:, stack[:, 0]].T])
+    keep = np.all(member[row[:, None], action[element[:, None], stack[row]]], axis=1)
+    return np.column_stack([row[keep], element[keep]])
 
 
 def rigid_permutations(label: int = 1, limit: int = 10):
@@ -458,7 +425,7 @@ def verify_symmetry_group_in_clifford() -> SymmetryReport:
     stabilizer.
     """
     group = enumerate_projective_clifford(4, extended=True)
-    sym = sic_symmetries(np.arange(16), extended=True)[0]  # SIC 1 holds orbit states 0..15
+    sym = sic_symmetries(np.arange(16)[None], extended=True)[:, 1]  # SIC 1 holds orbit states 0..15
     unitary = sym[~group.anti[sym]]
 
     # the unique order-16 subgroup: exactly 16 elements of 2-power order,
@@ -484,19 +451,12 @@ def verify_symmetry_group_in_clifford() -> SymmetryReport:
 
 
 @lru_cache(maxsize=None)
-def label_permutation_group(extended: bool = False):
-    """Distinct label permutations induced by the (extended) Clifford group,
-    each with the indices into enumerate_projective_clifford(4,
-    extended=extended) of the elements inducing it, in enumeration order;
-    permutations are keyed in order of first appearance.  One row dedup
-    groups the elements."""
+def label_permutation_group(extended: bool = False) -> tuple:
+    """The distinct label permutations induced by the (extended) Clifford
+    group, as a sorted tuple of 16-tuples of 0-based image labels."""
     n = len(enumerate_projective_clifford(4, extended=extended))
-    perms = np.ascontiguousarray(orbit_action()[:n, ::16] // 16)
-    keys = perms.view(np.dtype((np.void, perms.itemsize * perms.shape[1])))[:, 0]
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    rank = np.argsort(np.argsort(first))[inverse]  # each row's permutation, by first appearance
-    members = np.split(np.argsort(rank, kind="stable"), np.cumsum(np.bincount(rank))[:-1])
-    return dict(zip(map(tuple, perms[np.sort(first)].tolist()), (m.tolist() for m in members)))
+    perms = orbit_action()[:n, ::16] // 16
+    return tuple(sorted(map(tuple, perms[first_distinct_rows(perms)].tolist())))
 
 
 def triple_family(theta, d: int):

@@ -230,7 +230,7 @@ def uniqueness_check(indices):
     """
     indices = np.asarray(indices)
     stack = indices.reshape(-1, 16)
-    pairs = sic_symmetries(stack, extended=False)[0]
+    pairs = sic_symmetries(stack, extended=False)
     order48 = np.bincount(pairs[:, 0], minlength=len(stack)) == 48
     verdict = np.zeros(len(stack), dtype=bool)
     verdict[order48] = sylow_two_subgroup(pairs[order48[pairs[:, 0]], 1].reshape(-1, 48))[0]

@@ -29,7 +29,6 @@ from sic4.orbits import (
     fiducial_projector,
     orbit_action,
     permutation_orders,
-    state_action,
 )
 from sic4.reconstruction import _matches_reference, _quad_index, signatures
 from sic4.regrouping import fidelity_adjacency
@@ -265,6 +264,34 @@ def concurrence_census(states, basis: str = "product", decimals: int = 9) -> dic
 
 def avg_reduced_purity(states, basis: str = "product", qubit: int = 0) -> float:
     return float(np.mean(reduced_purity(states, basis, qubit)))
+
+
+def state_action(mats, anti, states, targets):
+    """Where conjugation by each of N elements sends each of M states: the
+    float reference that orbits.orbit_action is tested against.
+
+    ``mats`` (N, d, d) and ``anti`` (N flags) give the elements; states and
+    targets are rank-1 projectors (rank1_kets raises otherwise), shared by
+    all elements or, as (N, M, d, d) stacks, one list for each.  Returns the
+    (N, M) index of the target with the largest overlap
+    |<target| g psi>|^2 = tr(target g rho g^-1), with psi-bar for an
+    antiunitary element, and that overlap; callers apply their own
+    threshold.  Kets are read off the projectors once; one batched product
+    applies every element to its kets and one GEMM (a batched product for
+    per-element targets) takes all N * M * T overlaps, so callers with many
+    elements pass them in blocks.
+    """
+    mats = np.asarray(mats, dtype=complex)
+    anti = np.asarray(anti, dtype=bool).astype(np.intp)
+    kets = np.swapaxes(state_ket(states), -1, -2)
+    sources = np.stack([kets, kets.conj()])  # indexed by the antiunitarity flag
+    per_element = (np.arange(len(mats)),) if kets.ndim == 3 else ()
+    images = np.swapaxes(mats @ sources[(anti,) + per_element], -1, -2)
+    bras = np.swapaxes(state_ket(targets), -1, -2).conj()
+    z = images @ bras if bras.ndim == 3 else images.reshape(-1, mats.shape[-1]) @ bras
+    ov = np.square(z.real)
+    ov += np.square(z.imag)
+    return ov.argmax(axis=-1).reshape(images.shape[:2]), ov.max(axis=-1).reshape(images.shape[:2])
 
 
 def state_permutations_by_action(mats, states) -> np.ndarray:

@@ -169,6 +169,16 @@ def test_reconstruct_input_non_number_entry_exits_2(entry, tmp_path, capsys):
     _assert_input_error(["reconstruct", "--input", str(f)], capsys)
 
 
+@pytest.mark.parametrize("dim", [4.5, "4", 4.0], ids=repr)
+def test_reconstruct_input_non_integer_dim_exits_2(dim, tmp_path, capsys):
+    # a dim is a JSON integer; int() would read each of these as 4
+    f = _sic_file(tmp_path, sic_states(1))
+    doc = json.loads(f.read_text())
+    doc["states"][5]["dim"] = dim
+    f.write_text(json.dumps(doc))
+    _assert_input_error(["reconstruct", "--input", str(f)], capsys)
+
+
 def test_reconstruct_input_non_sic_exits_1(tmp_path, capsys):
     # a pure state off the SIC breaks the fidelities and the sum, a mixed
     # one also the projector condition; the payload names which and by how much
@@ -521,12 +531,29 @@ def test_orbit_and_symmetry_read_orbit_states_as_integers(monkeypatch, tmp_path,
     import sic4.orbits
 
     def boom(*args, **kwargs):
-        raise AssertionError("state_action called")
+        raise AssertionError("state_permutations called")
 
-    monkeypatch.setattr(sic4.orbits, "state_action", boom)
+    monkeypatch.setattr(sic4.orbits, "state_permutations", boom)
     for section, n in (("orbit", 11), ("symmetry", 12)):
         rc, report = _json_run([section], tmp_path, capsys)
         assert rc == 0 and (report["passed"], report["failed"]) == (n, 0), section
+
+
+def test_an_equivalence_unitary_off_the_orbit_fails_one_named_claim(monkeypatch, tmp_path, capsys):
+    # rho + i (1 - rho) is unitary and fixes the fiducial rho, but it does
+    # not permute the orbit: the family claim reads 0 and the claims after
+    # it still run
+    import sic4.regrouping
+    from sic4.orbits import fiducial_projector
+
+    rho = fiducial_projector()
+    monkeypatch.setattr(sic4.regrouping, "EQUIVALENCE_MATRIX", rho + 1j * (np.eye(4) - rho))
+    rc, report = _json_run(["regroup"], tmp_path, capsys)
+    rows = {r["claim_id"]: r for r in report["claims"]}
+    assert rc == 1 and len(rows) == 13 and "regroup.error" not in rows
+    family = rows["regroup.equivalence_maps_family"]
+    assert family["observed"] == 0 and not family["pass"]
+    assert rows["regroup.census_total"]["pass"] and list(rows)[-1] == "regroup.census_normal_identified"
 
 
 def test_all_passes_at_a_loose_tolerance(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from sic4.numerics import CANONICAL_ZERO_TOL, commutator_phase, eig_hermitian, projective_set_equal
 from sic4.clifford import enumerate_projective_clifford
-from sic4.orbits import MATCH_TOL, enumerate_orbit, sic_symmetries, state_action, state_permutations
+from sic4.orbits import MATCH_TOL, enumerate_orbit, orbit_action, sic_symmetries, state_permutations
 from sic4.reconstruction import (
     COMMUTATOR_TOL,
     CUBE_TRACE_TOL,
@@ -29,7 +29,7 @@ from sic4.reconstruction import (
 from sic4.regrouping import dprime_elements, regrouped_family, sic_family
 from sic4.weyl_heisenberg import displacement, fiducial_ket_d4, verify_sic
 
-from oracles import reference_quads_by_full_eigvalsh, sic_states, uniqueness_check_per_sic
+from oracles import reference_quads_by_full_eigvalsh, sic_states, state_action, uniqueness_check_per_sic
 
 G = (math.sqrt(5) - 1) / 2
 
@@ -165,7 +165,11 @@ def test_screened_symmetry_permutations_match_full_action():
         bijective = np.all(np.sort(index, axis=1) == np.arange(16), axis=1)
         full = {tuple(p) for p in index[matched & bijective].tolist()}
         assert len(full) == 48
-        perms = sic_symmetries(idx, extended=False)[1]
+        elements = sic_symmetries(idx[None], extended=False)[:, 1]
+        assert np.array_equal(elements, np.flatnonzero(~anti)[matched & bijective])
+        position = np.full(256, -1)
+        position[idx] = np.arange(16)
+        perms = position[orbit_action()[elements][:, idx]]
         assert len(perms) == 48 and {tuple(p) for p in perms.tolist()} == full
 
 
