@@ -427,9 +427,8 @@ def run_reconstruct_input(cfg, claims: Claims):
 
 def run_regroup(cfg, claims: Claims):
     from .clifford import coset, enumerate_projective_clifford, to_operator
-    from .numerics import commutator_phase, match_projective, matrix_to_json, projective_set_equal
+    from .numerics import COMMUTATOR_TOL, commutator_phase, match_projective, matrix_to_json, projective_set_equal
     from .orbits import enumerate_orbit, orbit_action, state_permutations
-    from .reconstruction import COMMUTATOR_TOL
     from .regrouping import (
         CLIFFORD_GENERATORS,
         EQUIVALENCE_MATRIX,
@@ -501,7 +500,10 @@ def run_regroup(cfg, claims: Claims):
         cov,
     )
 
-    u = equivalence_unitary()
+    try:
+        u = equivalence_unitary()
+    except AssertionError:  # a matrix that is not unitary or moves the fiducial fails the claims that read it
+        u = np.zeros((4, 4), dtype=complex)
     disp = displacement_table(4).reshape(16, 4, 4)
     claims.add(
         "regroup.equivalence_conjugates_group",
@@ -577,6 +579,7 @@ def run_twoqubit(cfg, claims: Claims, basis: str):
     from .two_qubit import (
         CONCURRENCE_GAP,
         concurrence,
+        detect_cube,
         gbv,
         match_sign_patterns,
         operator_schmidt_rank,
@@ -664,7 +667,7 @@ def run_twoqubit(cfg, claims: Claims, basis: str):
     if basis == "product":
         sics = orbit.projectors.reshape(16, 16, 4, 4)
         reps = list(zip(*(reduced_state_census(sics, q, basis) for q in (0, 1))))
-        cube = np.array([second.is_cube for _, second in reps])
+        cube, edge = zip(*(detect_cube(second.bloch_points) for _, second in reps))
         claims.add(
             "twoqubit.product_reduced_multiplicity",
             "eight reduced states per qubit, each shared by two fiducials",
@@ -675,19 +678,19 @@ def run_twoqubit(cfg, claims: Claims, basis: str):
             "twoqubit.product_cube_class1",
             "second-qubit Bloch points of class-1 SICs form a cube",
             8,
-            int(cube[:8].sum()),
+            sum(cube[:8]),
         )
         claims.add(
             "twoqubit.product_cube_class2",
             "class-2 SICs do not produce the cube",
             0,
-            int(cube[8:].sum()),
+            sum(cube[8:]),
         )
         claims.add(
             "twoqubit.product_cube_edge_dev",
             "cube edge length 2/sqrt(5)",
             0.0,
-            max((abs(s.edge_length - 2 / math.sqrt(5)) for _, s in reps[:8] if s.is_cube), default=0.0),
+            max((abs(e - 2 / math.sqrt(5)) for e in edge[:8] if e is not None), default=0.0),
         )
         certified = int(np.sum(partial_transpose_simplex_checks(violating_signs(), orbit, cfg.tol)))
         claims.add(

@@ -128,6 +128,15 @@ def proj_equal(a, b, tol: float = DEFAULT_TOL) -> bool:
     return abs(np.trace(a @ b)) >= 1 - tol
 
 
+# a commutator phase is a root r of unity when |c - r| <= COMMUTATOR_TOL.
+# reconstruct_hw: tr(z x z^dag x^dag) / 4 lies within 3.2e-15 of i, and 2
+# away before x is replaced by its adjoint; regroup.commutation_projective:
+# the D' pair commutes to -i exactly; hw_conjugate_subgroup_census: the 48
+# phases of its distinct spans lie within 1.2e-16 of a fourth root of unity,
+# sqrt 2 from the next one, and 32 of them are +-i
+COMMUTATOR_TOL = 1e-8
+
+
 def commutator_phase(a, b):
     """tr(a b a^dag b^dag) / d: the scalar c with a b = c b a when the two
     unitaries commute up to a phase; an (S,) array of them for (S, d, d)

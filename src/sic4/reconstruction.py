@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import canonical_phase, commutator_phase, eig_hermitian
+from .numerics import COMMUTATOR_TOL, canonical_phase, commutator_phase, eig_hermitian
 from .orbits import projectively_distinct, sic_symmetries, state_permutations, sylow_two_subgroup
 from .weyl_heisenberg import CONSTANTS, shift_clock_products
 
@@ -42,11 +42,8 @@ HERMITIAN_TOL = 1e-8
 # a sum eigenvalue lies within 4e-15 of the signature value it is tagged
 # with, and at least 0.30 from the other three;
 EIGENVALUE_MATCH_TOL = 1e-6
-# eigenpair residuals stay below 3.2e-15;
+# eigenpair residuals stay below 3.2e-15
 RESIDUAL_TOL = 1e-9
-# tr(z x z^dag x^dag) / 4 lies within 3.2e-15 of i, and 2 away before x
-# is replaced by its adjoint
-COMMUTATOR_TOL = 1e-8
 
 
 def signature_values() -> tuple:

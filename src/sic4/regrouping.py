@@ -21,7 +21,7 @@ from .clifford import (
     enumerate_projective_clifford,
     to_operator,
 )
-from .numerics import DEFAULT_TOL, commutator_phase, is_unitary, proj_equal
+from .numerics import COMMUTATOR_TOL, DEFAULT_TOL, commutator_phase, is_unitary, proj_equal
 from .orbits import LABEL_GRID, FiducialOrbit, element_product, enumerate_orbit, fiducial_projector
 from .orbits import first_distinct_rows, orbit_certificate
 from .weyl_heisenberg import SicReport, shift_clock_products, verify_sic
@@ -306,7 +306,8 @@ def hw_conjugate_subgroup_census() -> tuple:
     spans = np.sort(_span(x, z, identity), axis=1)
     full = np.flatnonzero(np.all(np.diff(spans, axis=1) != 0, axis=1))
     first = full[first_distinct_rows(spans[full])]  # one pair per distinct 16-element span
-    pairing = np.abs(commutator_phase(mats[x[first]], mats[z[first]]).imag) > 0.5  # primitive pairing
+    c = commutator_phase(mats[x[first]], mats[z[first]])
+    pairing = np.minimum(np.abs(c - 1j), np.abs(c + 1j)) <= COMMUTATOR_TOL  # primitive pairing
     hw_type = spans[first[pairing]]
     # normal when conjugation by each generator, g s g^-1, keeps s
     gens = np.array([index[coset(g)] for g in CLIFFORD_GENERATORS])

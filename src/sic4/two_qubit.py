@@ -273,8 +273,6 @@ def reduced_purity(states: np.ndarray, basis: str = "product", qubit: int = 0) -
 class ReducedStateReport(NamedTuple):
     bloch_points: np.ndarray  # (8, 3) distinct Bloch vectors
     multiplicities: tuple
-    is_cube: bool
-    edge_length: float | None
 
 
 # two reduced states are one when their Bloch vectors share a class at the
@@ -287,18 +285,17 @@ def reduced_state_census(
     states: np.ndarray, qubit: int = 1, basis: str = "product", tol: float = REDUCED_POINT_TOL
 ):
     """Distinct single-qubit reduced states of an (N, 4, 4) state list,
-    such as one SIC's 16 states, and, when the eight Bloch points happen to
-    be the vertices of a cube, its edge length; for an (S, N, 4, 4) stack,
-    the list of S reports from one gbv pass.  Each list's points are split
-    by value_classes at the gap tol, and each distinct point is represented
-    by its first occurrence."""
+    such as one SIC's 16 states, with their multiplicities; for an
+    (S, N, 4, 4) stack, the list of S reports from one gbv pass.  Each
+    list's points are split by value_classes at the gap tol, and each
+    distinct point is represented by its first occurrence (detect_cube
+    tests them for a cube)."""
     states = np.asarray(states)
     n = states.shape[-3]
     reports = []
     for points in _bloch_vectors(states.reshape(-1, 4, 4), basis, qubit).reshape(-1, n, 3):
         split = value_classes(points, tol)
-        distinct = points[split.first]
-        reports.append(ReducedStateReport(distinct, tuple(split.counts.tolist()), *_detect_cube(distinct)))
+        reports.append(ReducedStateReport(points[split.first], tuple(split.counts.tolist())))
     return reports[0] if states.ndim == 3 else reports
 
 
@@ -313,7 +310,7 @@ CUBE_GAP_TOL = 1e-7
 CUBE_RATIO_TOL = 1e-7
 
 
-def _detect_cube(points: np.ndarray) -> tuple:
+def detect_cube(points: np.ndarray) -> tuple:
     """Cube test on distinct points: there must be eight, and their 28
     pairwise distances must take exactly three values, with multiplicities
     12, 12, 4 and in ratio 1 : sqrt 2 : sqrt 3.  Returns (True, edge) for a

@@ -28,35 +28,32 @@ def tau(d: int) -> complex:
     return -np.exp(1j * np.pi / d)
 
 
-@lru_cache(maxsize=None)
-def _shift_clock(d: int):
-    x = np.roll(np.eye(d, dtype=complex), 1, axis=0)
-    z = np.diag(omega(d) ** np.arange(d))
-    return x, z
+def displacement(p1, p2, d: int) -> np.ndarray:
+    """Displacement operator D_(p1,p2) in dimension d; for integer arrays
+    p1, p2, the (..., d, d) stack of the operators at their elements.
 
-
-def displacement(p1: int, p2: int, d: int) -> np.ndarray:
-    """Displacement operator D_(p1,p2) in dimension d.
-
-    The indices may be arbitrary integers; the defining formula is applied
-    verbatim, so for even d the operator picks up a sign under index shifts
-    by d (period 2d), while reduced indices 0 <= p < d give the standard
-    d^2 operators.
+    The indices may be arbitrary integers: D_p = tau^(p1 p2 - r1 r2) D_r
+    for r = p mod d, so for even d the operator picks up a sign under index
+    shifts by d (period 2d), while reduced indices 0 <= p < d give the
+    standard d^2 operators of displacement_table.
     """
-    if d < 2:
+    if d < 2:  # ahead of np.mod, which warns at d = 0
         raise ValueError("dimension must be at least 2")
-    x, z = _shift_clock(d)
-    ph = tau(d) ** ((p1 * p2) % (2 * d))
-    return ph * np.linalg.matrix_power(x, p1 % d) @ np.linalg.matrix_power(z, p2 % d)
+    r1, r2 = np.mod(p1, d), np.mod(p2, d)
+    ph = tau(d) ** ((np.multiply(p1, p2) - r1 * r2) % (2 * d))
+    return np.asarray(ph)[..., None, None] * displacement_table(d)[r1, r2]
 
 
 @lru_cache(maxsize=None)
 def displacement_table(d: int) -> np.ndarray:
-    """All d^2 displacements as a read-only array indexed by [p1, p2]."""
-    t = np.empty((d, d, d, d), dtype=complex)
-    for p1 in range(d):
-        for p2 in range(d):
-            t[p1, p2] = displacement(p1, p2, d)
+    """All d^2 displacements D_(a,b) = tau^(a b) X^a Z^b, 0 <= a, b < d, as a
+    read-only array indexed by [a, b]: X the cyclic shift, Z the clock."""
+    if d < 2:
+        raise ValueError("dimension must be at least 2")
+    x = np.roll(np.eye(d, dtype=complex), 1, axis=0)
+    z = np.diag(omega(d) ** np.arange(d))
+    a, b = np.indices((d, d))
+    t = (tau(d) ** (a * b % (2 * d)))[..., None, None] * shift_clock_products(x, z).reshape(d, d, d, d)
     t.flags.writeable = False
     return t
 
@@ -82,16 +79,13 @@ def symplectic_form(p, q) -> int:
 def weyl_commutation_check(d: int, tol: float = DEFAULT_TOL) -> bool:
     """Check D_p D_q = tau^<p,q> D_(p+q) over all index pairs.
 
-    The sum p+q is fed to the defining formula unreduced, which fixes the
-    sign convention for even d.  All d^4 products are taken in one batch.
+    The sum p+q is fed to displacement unreduced, which fixes the sign
+    convention for even d.  All d^4 products are taken in one batch.
     """
     tbl = displacement_table(d)
     p = np.indices((d, d)).reshape(2, d * d, 1)
     q = p.reshape(2, 1, d * d)
-    s1, s2 = p + q
-    # D_s at unreduced s is tau^(s1 s2 - (s1 mod d)(s2 mod d)) D_(s mod d)
-    e = symplectic_form(p, q) + s1 * s2 - (s1 % d) * (s2 % d)
-    rhs = (tau(d) ** (e % (2 * d)))[:, :, None, None] * tbl[s1 % d, s2 % d]
+    rhs = (tau(d) ** (symplectic_form(p, q) % (2 * d)))[:, :, None, None] * displacement(*(p + q), d)
     lhs = tbl.reshape(d * d, 1, d, d) @ tbl.reshape(1, d * d, d, d)
     return bool(np.max(np.abs(lhs - rhs)) <= tol)
 
@@ -195,12 +189,8 @@ def generate_sic(v, d: int | None = None, label: str = "") -> SicPovm:
         d = v.size
     if not is_fiducial(v, d):
         raise ValueError("input ket is not a fiducial vector")
-    tbl = displacement_table(d)
-    states = np.empty((d * d, d, d), dtype=complex)
-    for p1 in range(d):
-        for p2 in range(d):
-            w = tbl[p1, p2] @ v
-            states[p1 * d + p2] = np.outer(w, w.conj())
+    w = displacement_table(d).reshape(d * d, d, d) @ v
+    states = w[:, :, None] * w[:, None, :].conj()
     return SicPovm(d=d, states=states, label=label)
 
 

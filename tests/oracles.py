@@ -42,7 +42,7 @@ from sic4.two_qubit import (
     sign_pattern_table,
     violating_signs,
 )
-from sic4.weyl_heisenberg import displacement_table
+from sic4.weyl_heisenberg import displacement_table, omega, tau
 
 
 def sic_states(label: int) -> np.ndarray:
@@ -399,3 +399,15 @@ def label_permutation_group_by_dict(extended: bool = False) -> dict:
     for i, perm in enumerate((orbit_action()[:n, ::16] // 16).tolist()):
         perms.setdefault(tuple(perm), []).append(i)
     return perms
+
+
+def displacement_table_by_matrix_power(d: int) -> np.ndarray:
+    """displacement_table as it was: tau^(a b) X^a Z^b pair by pair, the
+    powers taken by np.linalg.matrix_power."""
+    x = np.roll(np.eye(d, dtype=complex), 1, axis=0)
+    z = np.diag(omega(d) ** np.arange(d))
+    t = np.empty((d, d, d, d), dtype=complex)
+    for a in range(d):
+        for b in range(d):
+            t[a, b] = tau(d) ** ((a * b) % (2 * d)) * np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b)
+    return t

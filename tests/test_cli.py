@@ -556,6 +556,24 @@ def test_an_equivalence_unitary_off_the_orbit_fails_one_named_claim(monkeypatch,
     assert rows["regroup.census_total"]["pass"] and list(rows)[-1] == "regroup.census_normal_identified"
 
 
+def test_a_non_unitary_equivalence_matrix_fails_the_claims_that_read_it(monkeypatch, tmp_path, capsys):
+    # equivalence_unitary refuses the scaled matrix; the section puts the
+    # zero matrix in its place, so exactly the three claims that read u fail
+    # and the census claims after them still run
+    import sic4.regrouping
+
+    monkeypatch.setattr(sic4.regrouping, "EQUIVALENCE_MATRIX", 1.001 * sic4.regrouping.EQUIVALENCE_MATRIX)
+    rc, report = _json_run(["regroup"], tmp_path, capsys)
+    rows = {r["claim_id"]: r for r in report["claims"]}
+    assert rc == 1 and len(rows) == 13 and "regroup.error" not in rows
+    assert {k for k, r in rows.items() if not r["pass"]} == {
+        "regroup.equivalence_conjugates_group",
+        "regroup.equivalence_maps_family",
+        "regroup.clifford_index_two",
+    }
+    assert list(rows)[-1] == "regroup.census_normal_identified"
+
+
 def test_all_passes_at_a_loose_tolerance(tmp_path, capsys):
     # the fidelity-1/5 graph decides at FIDELITY_TOL, not --tol: at --tol 0.3
     # each block still has one partner, and every section runs through

@@ -160,6 +160,25 @@ def test_projective_commutation_cut_has_a_margin():
     assert 0.0 <= near <= 1e-15 < COMMUTATOR_TOL < 2.0 <= far
 
 
+def test_census_commutation_cut_has_a_margin(monkeypatch):
+    # the census keeps a span when its generators commute to +-i within
+    # COMMUTATOR_TOL; every phase lies at a fourth root of unity, sqrt 2
+    # from the next, and the cut keeps the 32 pairs that |Im c| > 0.5 keeps
+    phases = []
+
+    def spy(a, b):
+        phases.append(commutator_phase(a, b))
+        return phases[-1]
+
+    monkeypatch.setattr(regrouping, "commutator_phase", spy)
+    assert hw_conjugate_subgroup_census()[0] == 32
+    (c,) = phases
+    near, far = np.sort(np.abs(c[:, None] - np.array([1, 1j, -1, -1j])), axis=1)[:, :2].T
+    assert near.max() <= 1e-15 < COMMUTATOR_TOL < 1.41 <= far.min()
+    pairing = np.minimum(np.abs(c - 1j), np.abs(c + 1j)) <= COMMUTATOR_TOL
+    assert pairing.sum() == 32 and np.array_equal(pairing, np.abs(c.imag) > 0.5)
+
+
 def test_dprime_elements_distinct_from_displacements():
     dp = dprime_elements()
     assert dp.shape == (16, 4, 4)

@@ -33,11 +33,11 @@ from sic4.two_qubit import (
     SIGN_MATCH_TOL,
     Gbv,
     _bloch_vectors,
-    _detect_cube,
     _pattern_table,
     _table_vector,
     bell_basis_map,
     concurrence,
+    detect_cube,
     from_gbv,
     gbv,
     match_sign_patterns,
@@ -158,12 +158,13 @@ def test_average_reduced_purity():
 def test_reduced_state_cube():
     for label in range(1, 9):
         rep = reduced_state_census(sic_states(label), qubit=1, basis="product")
-        assert rep.is_cube
-        assert abs(rep.edge_length - 2 / math.sqrt(5)) < 1e-9
+        is_cube, edge_length = detect_cube(rep.bloch_points)
+        assert is_cube
+        assert abs(edge_length - 2 / math.sqrt(5)) < 1e-9
         assert len(rep.bloch_points) == 8
         assert set(rep.multiplicities) == {2}
     rep = reduced_state_census(sic_states(9), qubit=1, basis="product")
-    assert not rep.is_cube
+    assert not detect_cube(rep.bloch_points)[0]
 
 
 def test_reduced_state_multiplicities_first_qubit():
@@ -321,9 +322,10 @@ def test_reduced_state_census_matches_greedy_loop():
             points, counts, edge = _reduced_census_by_loop(sic_states(label), qubit)
             assert np.max(np.abs(rep.bloch_points - points)) <= 1e-14
             assert rep.multiplicities == counts
-            assert rep.is_cube == (edge is not None)
+            is_cube, edge_length = detect_cube(rep.bloch_points)
+            assert is_cube == (edge is not None)
             if edge is not None:
-                assert abs(rep.edge_length - edge) <= 1e-14
+                assert abs(edge_length - edge) <= 1e-14
 
 
 def test_batched_simplex_check_matches_per_pattern_loop():
@@ -489,7 +491,7 @@ def test_cube_cuts_have_margins():
     edge, face, body = dists[:8, [0, 12, 24]].T
     ratio_dev = np.maximum(np.abs(face - math.sqrt(2) * edge), np.abs(body - math.sqrt(3) * edge))
     assert ratio_dev.max() <= 1.4e-15 < CUBE_RATIO_TOL
-    ok, edges = zip(*map(_detect_cube, points))
+    ok, edges = zip(*map(detect_cube, points))
     assert list(ok) == [True] * 8 + [False] * 8 and list(edges[:8]) == edge.tolist()
 
 
@@ -505,13 +507,13 @@ def test_stacked_reduced_state_census_equals_per_sic_calls():
                 for states, rep in zip(stack, reps):
                     points, counts, is_cube, edge = reduced_state_census_per_sic(states, qubit, basis)
                     assert np.array_equal(rep.bloch_points, points) and rep.multiplicities == counts
-                    assert rep.is_cube == is_cube and rep.edge_length == edge
+                    assert detect_cube(rep.bloch_points) == (is_cube, edge)
                     one = reduced_state_census(states, qubit, basis)
                     assert np.array_equal(one.bloch_points, points) and one.multiplicities == counts
-                    assert (one.is_cube, one.edge_length) == (is_cube, edge)
+                    assert detect_cube(one.bloch_points) == (is_cube, edge)
     # a list of 32 states is one list, not a stack of two
     rep = reduced_state_census(np.concatenate([sics[0], sics[0]]), 1)
-    assert rep.multiplicities == (4,) * 8 and rep.is_cube
+    assert rep.multiplicities == (4,) * 8 and detect_cube(rep.bloch_points)[0]
 
 
 def test_concurrence_classes_equal_rounded_census():

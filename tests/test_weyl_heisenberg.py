@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from sic4.weyl_heisenberg import (
     verify_sic,
     weyl_commutation_check,
 )
+
+from oracles import displacement_table_by_matrix_power
 
 
 def test_generators_d4():
@@ -230,3 +233,39 @@ def test_shift_clock_products_match_matrix_power():
         powers = [np.stack([np.linalg.matrix_power(m, k) for k in range(4)], axis=-3) for m in (x, z)]
         old = (powers[0][..., :, None, :, :] @ powers[1][..., None, :, :, :]).reshape(shape[:-2] + (16, 4, 4))
         assert shift_clock_products(x, z).tobytes() == old.tobytes()
+
+
+def test_displacement_table_matches_per_pair_matrix_powers():
+    # equal value for value where the powers are the same products (d <= 4;
+    # signed zeros aside); matrix_power squares its way to higher powers
+    for d in range(2, 9):
+        table, want = displacement_table(d), displacement_table_by_matrix_power(d)
+        assert table.shape == (d, d, d, d) and not table.flags.writeable
+        if d <= 4:
+            assert np.array_equal(table, want)
+        else:
+            assert np.max(np.abs(table - want)) <= 1e-15
+
+
+def test_displacement_takes_index_arrays():
+    # a (2, N) array of unreduced indices, negative and past 2d among them,
+    # gives the N operators of the per-pair calls
+    rng = np.random.default_rng(24)
+    for d in (2, 3, 4, 5):
+        p = rng.integers(-3 * d, 3 * d, size=(2, 40))
+        p[:, :4] = [[-1, 2 * d, -2 * d - 1, 3 * d + 2], [2 * d + 1, -d, 5 * d, -1]]
+        stack = displacement(*p, d)
+        assert stack.shape == (40, d, d)
+        assert np.array_equal(stack, np.stack([displacement(int(a), int(b), d) for a, b in p.T]))
+        assert np.array_equal(displacement(*p.reshape(2, 5, 8), d), stack.reshape(5, 8, d, d))
+
+
+def test_a_dimension_below_two_raises_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d in (0, 1):
+            for p in ((1, 0), (np.arange(3), np.arange(3))):
+                with pytest.raises(ValueError, match="at least 2"):
+                    displacement(*p, d)
+            with pytest.raises(ValueError, match="at least 2"):
+                displacement_table(d)
