@@ -233,19 +233,23 @@ def match_projective(m, stack, tol: float = PROJECTIVE_MATCH_TOL):
     return index if m.ndim == 3 else int(index[0])
 
 
-def projective_set_equal(mats_a, mats_b, tol: float = PROJECTIVE_MATCH_TOL) -> bool:
+def projective_set_equal(mats_a, mats_b, tol: float = PROJECTIVE_MATCH_TOL):
     """Do two stacks of unitaries coincide as sets, modulo global phases?
 
     Every member of a must match a different member of b under
     match_projective.  The intended inputs are group element lists, whose
-    members are pairwise projectively distinct.
+    members are pairwise projectively distinct.  For an (S, n, d, d) first
+    argument, the (S,) verdicts of its sets; False for any other shape
+    than b's or a stack of them.
     """
     a = np.asarray(mats_a, dtype=complex)
     b = np.asarray(mats_b, dtype=complex)
-    if a.shape != b.shape or a.ndim != 3:
+    if b.ndim != 3 or a.ndim not in (3, 4) or a.shape[-3:] != b.shape:
         return False
-    index = match_projective(a, b, tol)
-    return bool(np.all(index >= 0) and len(set(index.tolist())) == len(b))
+    index = match_projective(a.reshape(-1, *b.shape[1:]), b, tol).reshape(a.shape[:-2])
+    # each set's indices are n distinct matches exactly when they sort to 0..n-1
+    equal = np.all(np.sort(index, axis=-1) == np.arange(len(b)), axis=-1)
+    return equal if a.ndim == 4 else bool(equal)
 
 
 def matrix_to_json(m):

@@ -253,6 +253,17 @@ def sylow_two_subgroup(elements) -> tuple:
     return verdict, two
 
 
+def normal_subgroups(subgroups, by) -> np.ndarray:
+    """Which rows of a (K, n) array of subgroups, each n distinct element
+    rows into enumerate_projective_clifford(4, extended=True), are
+    normalized by every element row of ``by``: the (K,) verdicts that
+    g s = s g for each g, the two cosets compared as sorted element_product
+    rows, so no inverse is needed."""
+    subgroups, by = np.asarray(subgroups), np.asarray(by)[:, None, None]
+    left = np.sort(element_product(by, subgroups), axis=-1)
+    return np.all(left == np.sort(element_product(subgroups, by), axis=-1), axis=(0, 2))
+
+
 def conjugation_cycle(pair: SymplecticPair, p, u=None) -> list:
     """The displacement indices p, q, ... visited by repeated conjugation
     by pair, up to the return to p; the operator u of pair is built once
@@ -432,14 +443,8 @@ def verify_symmetry_group_in_clifford() -> SymmetryReport:
     # closed under composition, normal, and equal to the displacements
     (unique16,), (two,) = sylow_two_subgroup(unitary[None])
     sub = unitary[two]
-    if unique16:
-        # g sub g^-1 for every unitary symmetry g
-        inverses = unitary[np.argmax(element_product(unitary[:, None], unitary) == _element_of()[1], axis=1)]
-        conj = element_product(element_product(unitary[:, None], sub), inverses[:, None])
-        unique16 = bool(np.all(np.isin(conj, sub)))
-    if unique16:
-        # the displacements, the rows with F = 1, are rows 128..143 in (p1, p2) order
-        unique16 = np.array_equal(sub, np.arange(128, 144))
+    # the displacements, the rows with F = 1, are rows 128..143 in (p1, p2) order
+    unique16 = unique16 and normal_subgroups(sub[None], unitary)[0] and np.array_equal(sub, np.arange(128, 144))
 
     rigid = rigid_permutations(1, limit=10)
     return SymmetryReport(

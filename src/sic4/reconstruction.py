@@ -144,7 +144,7 @@ def _first_match(states: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     raise ValueError("no candidate 4-subset realizes the reference signature")
 
 
-def _phase_operator(m: np.ndarray) -> np.ndarray:
+def phase_operator(m: np.ndarray) -> np.ndarray:
     """Attach i^k to the eigenket of the sum eigenvalue tagged k, for one
     4 x 4 sum or for each of an (S, 4, 4) stack."""
     w, v = eig_hermitian(m, tol=HERMITIAN_TOL)
@@ -176,7 +176,7 @@ def reconstruct_hw(states) -> ReconstructedGroup:
     """
     single = np.ndim(states) == 3
     states = np.asarray(states, dtype=complex).reshape(-1, 16, 4, 4)
-    zp = _phase_operator(_first_match(states, _quad_index()))
+    zp = phase_operator(_first_match(states, _quad_index()))
 
     perm = state_permutations(zp, states)
     powers = [np.broadcast_to(np.arange(16), perm.shape)]
@@ -188,7 +188,7 @@ def reconstruct_hw(states) -> ReconstructedGroup:
     orbits = np.sort(cycles[cycles.min(axis=-1) == np.arange(16)], axis=-1).reshape(-1, 4, 4)
 
     picks = orbits[:, np.arange(4), _ORBIT_PICKS]
-    xp = _phase_operator(_first_match(states, picks))
+    xp = phase_operator(_first_match(states, picks))
     flip = np.abs(commutator_phase(zp, xp) - 1j) > COMMUTATOR_TOL
     xp[flip] = xp[flip].conj().swapaxes(-1, -2)
     if np.any(np.abs(commutator_phase(zp, xp) - 1j) > COMMUTATOR_TOL):

@@ -21,10 +21,10 @@ from .clifford import (
     enumerate_projective_clifford,
     to_operator,
 )
-from .numerics import COMMUTATOR_TOL, DEFAULT_TOL, commutator_phase, is_unitary, proj_equal
+from .numerics import COMMUTATOR_TOL, DEFAULT_TOL, commutator_phase, is_unitary, proj_equal, projective_set_equal
 from .orbits import LABEL_GRID, FiducialOrbit, element_product, enumerate_orbit, fiducial_projector
-from .orbits import first_distinct_rows, orbit_certificate
-from .weyl_heisenberg import SicReport, shift_clock_products, verify_sic
+from .orbits import first_distinct_rows, normal_subgroups, orbit_action, orbit_certificate
+from .weyl_heisenberg import SicReport, displacement_table, shift_clock_products, verify_sic
 
 # two orbit states are fidelity-1/5 neighbours when |tr(a b) - 1/5| is at
 # most FIDELITY_TOL; every such pair is within 6.7e-16 of 1/5 and the
@@ -224,6 +224,19 @@ def dprime_elements() -> np.ndarray:
     return elements
 
 
+def covariance_group(elements):
+    """Which order-16 group a (16, 4, 4) stack of unitaries is, as a set up
+    to phases: 0 for the displacement group, 1 for its conjugate D', -1 for
+    neither; for an (S, 16, 4, 4) stack, the (S,) array of them.  D' is
+    tried only on the sets that are not the displacement group."""
+    stack = np.asarray(elements).reshape(-1, 16, 4, 4)
+    group = np.where(projective_set_equal(stack, displacement_table(4).reshape(16, 4, 4)), 0, -1)
+    other = group < 0
+    if other.any():
+        group[other] = np.where(projective_set_equal(stack[other], dprime_elements()), 1, -1)
+    return group if np.ndim(elements) == 4 else int(group[0])
+
+
 def equivalence_unitary() -> np.ndarray:
     """The unitary conjugating the displacement group onto its regrouped
     copy while fixing the fiducial projector."""
@@ -282,6 +295,15 @@ def generated_cosets(x: SymplecticPair, z: SymplecticPair) -> frozenset:
     return frozenset(names[k] for k in span[0])
 
 
+def dprime_covariant(indices) -> np.ndarray:
+    """Whether X' and Z' permute each of an (S, M) stack of sets of orbit
+    states, given by their sorted orbit indices: the (S,) verdicts that
+    the sorted images of a set's indices under both are those indices."""
+    _, index = _quotient()
+    gens = [index[coset(X_PRIME_PAIR)], index[coset(Z_PRIME_PAIR)]]
+    return np.all(np.sort(orbit_action()[gens][:, indices], axis=-1) == indices, axis=(0, 2))
+
+
 def hw_conjugate_subgroup_census() -> tuple:
     """The order-16 subgroups of the projective Clifford group unitarily
     equivalent to the displacement group, as four values: their number,
@@ -309,14 +331,7 @@ def hw_conjugate_subgroup_census() -> tuple:
     c = commutator_phase(mats[x[first]], mats[z[first]])
     pairing = np.minimum(np.abs(c - 1j), np.abs(c + 1j)) <= COMMUTATOR_TOL  # primitive pairing
     hw_type = spans[first[pairing]]
-    # normal when conjugation by each generator, g s g^-1, keeps s
-    gens = np.array([index[coset(g)] for g in CLIFFORD_GENERATORS])
-    inverses = np.argmax(element_product(gens[:, None], unitary) == identity, axis=1)
-    conjugates = element_product(element_product(gens[:, None, None], hw_type), inverses[:, None, None])
-    rows = np.arange(len(hw_type))[:, None]
-    member = np.zeros((len(hw_type), len(names)), dtype=bool)
-    member[rows, hw_type] = True
-    normal = hw_type[np.all(member[rows, conjugates], axis=(0, 2))]
+    normal = hw_type[normal_subgroups(hw_type, [index[coset(g)] for g in CLIFFORD_GENERATORS])]
 
     def named(s):
         return frozenset(names[k] for k in s.tolist())

@@ -35,13 +35,15 @@ def displacement(p1, p2, d: int) -> np.ndarray:
     The indices may be arbitrary integers: D_p = tau^(p1 p2 - r1 r2) D_r
     for r = p mod d, so for even d the operator picks up a sign under index
     shifts by d (period 2d), while reduced indices 0 <= p < d give the
-    standard d^2 operators of displacement_table.
+    standard d^2 operators of displacement_table.  The exponent is a
+    multiple of d and tau^d = (-1)^(d+1), so the factor is the exact
+    integer (-1)^(d+1) where the exponent is d mod 2d, else 1.
     """
     if d < 2:  # ahead of np.mod, which warns at d = 0
         raise ValueError("dimension must be at least 2")
     r1, r2 = np.mod(p1, d), np.mod(p2, d)
-    ph = tau(d) ** ((np.multiply(p1, p2) - r1 * r2) % (2 * d))
-    return np.asarray(ph)[..., None, None] * displacement_table(d)[r1, r2]
+    sign = np.where((np.multiply(p1, p2) - r1 * r2) % (2 * d) == d, (-1) ** (d + 1), 1)
+    return sign[..., None, None] * displacement_table(d)[r1, r2]
 
 
 @lru_cache(maxsize=None)

@@ -25,6 +25,8 @@ from sic4.orbits import (
     LABEL_GRID,
     MATCH_TOL,
     SIC_LABELING,
+    _element_of,
+    element_product,
     enumerate_orbit,
     fiducial_projector,
     orbit_action,
@@ -211,6 +213,21 @@ def uniqueness_check_per_sic(indices) -> bool:
         raise ValueError("symmetry group inside the Clifford group has order %d, expected 48" % len(perms))
     tp = perms[np.isin(permutation_orders(perms), (1, 2, 4, 8, 16))]
     return len(tp) == 16 and bool(np.all(np.any(np.all(tp[:, tp][..., None, :] == tp, axis=-1), axis=-1)))
+
+
+def normal_subgroups_by_inverses(subgroups, by) -> np.ndarray:
+    """The normality test as it was in the subgroup census and the symmetry
+    certificate: each unitary element row g of ``by`` paired with its
+    inverse by an argmax scan of its products with the 768 unitary rows,
+    and every g s g^-1 looked up in a (K, 1536) membership table of the
+    (K, n) subgroups."""
+    subgroups, by = np.asarray(subgroups), np.asarray(by)
+    inverses = np.argmax(element_product(by[:, None], np.arange(768)) == _element_of()[1], axis=1)
+    conjugates = element_product(element_product(by[:, None, None], subgroups), inverses[:, None, None])
+    rows = np.arange(len(subgroups))[:, None]
+    member = np.zeros((len(subgroups), len(orbit_action())), dtype=bool)
+    member[rows, subgroups] = True
+    return np.all(member[rows, conjugates], axis=(0, 2))
 
 
 def first_distinct_spans_by_unique(spans) -> np.ndarray:

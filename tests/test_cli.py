@@ -479,6 +479,27 @@ def test_a_corrupted_orbit_state_fails_every_section_reading_its_sic(monkeypatch
     assert not rows["triples.cross_sic_invariant"]["pass"]
 
 
+def test_a_census_that_cannot_split_fails_the_cross_sic_claim(monkeypatch, tmp_path, capsys):
+    # state 133 of SIC 9 moved by 1e-4 spreads SIC 9's triple traces past
+    # the census gap, so its census raises: the cross-SIC claim fails and
+    # the rest of the section still runs
+    from sic4.orbits import FiducialOrbit, enumerate_orbit
+
+    projectors = enumerate_orbit().projectors.copy()
+    u = np.diag(np.exp(1e-4j * np.array([1.0, -1.0, 0.5, -0.5])))  # exactly unitary
+    projectors[133] = u @ projectors[133] @ u.conj().T
+    corrupted = FiducialOrbit(projectors)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sic4") and getattr(module, "enumerate_orbit", None) is enumerate_orbit:
+            monkeypatch.setattr(module, "enumerate_orbit", lambda: corrupted)
+    rc, report = _json_run(["triples"], tmp_path, capsys)
+    rows = {r["claim_id"]: r for r in report["claims"]}
+    assert rc == 1 and "triples.error" not in rows
+    assert rows["triples.cross_sic_invariant"]["observed"] is False
+    assert [k for k, r in rows.items() if not r["pass"]] == ["triples.cross_sic_invariant"]
+    assert [r["pass"] for k, r in rows.items() if k.startswith("triples.family_")] == [True] * 3
+
+
 @pytest.mark.parametrize("basis", ["product", "bell"])
 def test_concurrence_payload_keys_equal_the_rounded_census(basis, tmp_path, capsys):
     # the payload renders each class center to 9 decimals, the key the
@@ -732,6 +753,22 @@ def test_cli_holds_no_linear_algebra():
     source = (ROOT / "src" / "sic4" / "cli.py").read_text()
     for word in ("einsum", "linalg", "matrix_power", "default_rng"):
         assert word not in source, word
+
+
+def test_cli_imports_no_private_library_name():
+    # the claim tables read the public library; a private helper they need
+    # belongs behind a public kernel
+    import ast
+
+    tree = ast.parse((ROOT / "src" / "sic4" / "cli.py").read_text())
+    private = [
+        "%s.%s" % (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "sic4")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def test_every_library_name_has_a_library_caller():

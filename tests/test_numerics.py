@@ -140,6 +140,24 @@ def test_projective_set_equal():
     assert not projective_set_equal(mats, other)
 
 
+def test_stacked_projective_set_equal_matches_per_set_calls():
+    # a stack of sets gets each set's verdict; a repeated member matches
+    # one member of b twice and fails; any shape but b's or a stack of
+    # b's is False
+    mats = np.stack([random_unitary(4) for _ in range(6)])
+    shuffled = mats[RNG.permutation(6)] * np.exp(1j * RNG.uniform(0, 2 * np.pi, size=(6, 1, 1)))
+    other, repeated = mats.copy(), mats.copy()
+    other[2] = random_unitary(4)
+    repeated[1] = 1j * mats[0]
+    stack = np.stack([mats, shuffled, other, mats[::-1], repeated])
+    verdicts = projective_set_equal(stack, mats)
+    assert verdicts.shape == (5,)
+    assert verdicts.tolist() == [projective_set_equal(s, mats) for s in stack] == [True, True, False, True, False]
+    for a in (mats[:5], stack[:, :5], stack[None], mats[0]):
+        assert projective_set_equal(a, mats) is False
+    assert projective_set_equal(mats, stack) is False
+
+
 def test_matrix_json_round_trip():
     u = random_unitary(4)
     assert np.allclose(matrix_from_json(matrix_to_json(u)), u)

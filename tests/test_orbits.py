@@ -15,10 +15,13 @@ from sic4.orbits import (
     STABILIZER_ORBIT_SETS,
     TRIPLE_CENSUS_GAP,
     _distinct_triples,
+    _element_of,
     _triple_census,
     conjugation_cycle,
+    element_product,
     enumerate_orbit,
     label_permutation_group,
+    normal_subgroups,
     orbit_action,
     orbit_certificate,
     permutation_orders,
@@ -39,6 +42,7 @@ from oracles import (
     cluster_complex,
     conjugation_cycle_per_step,
     label_permutation_group_by_dict,
+    normal_subgroups_by_inverses,
     orbit_action_by_coset_loop,
     orbit_projectors_per_label,
     sic_states,
@@ -155,6 +159,21 @@ def test_symmetry_report():
     assert rep.unitary_order == 48
     assert rep.hw_is_unique_order16
     assert rep.rigid_permutation_count == 3
+
+
+def test_normal_subgroups_match_inverse_conjugation_on_sic_1():
+    # among SIC 1's 48 unitary symmetries its Sylow 2-subgroup is normal
+    # and a subgroup of order 3 is not: 8 elements of order 3 make 4 of them
+    group = enumerate_projective_clifford(4, extended=True)
+    sym = sic_symmetries(np.arange(16)[None], extended=True)[:, 1]
+    unitary = sym[~group.anti[sym]]
+    (_,), (two,) = sylow_two_subgroup(unitary[None])
+    identity = _element_of()[1]
+    cube = element_product(unitary, element_product(unitary, unitary))
+    g = unitary[(cube == identity) & (unitary != identity)][0]
+    for sub, normal in ((unitary[two], True), (np.array([identity, g, element_product(g, g)]), False)):
+        verdict = normal_subgroups(sub[None], unitary)
+        assert verdict.tolist() == normal_subgroups_by_inverses(sub[None], unitary).tolist() == [normal]
 
 
 def test_label_permutations():

@@ -17,8 +17,8 @@ from sic4.reconstruction import (
     RESIDUAL_TOL,
     SIGNATURE_TOL,
     _matches_reference,
-    _phase_operator,
     _quad_index,
+    phase_operator,
     reconstruct_hw,
     reference_quads,
     reference_signature,
@@ -208,7 +208,7 @@ def _first_by_loop(states, candidates):
 def _generators_by_loop(states):
     """reconstruct_hw's generator search as it was, one candidate at a time."""
     quad = _first_by_loop(states, itertools.combinations(range(16), 4))
-    zp = _phase_operator(states[list(quad)].sum(axis=0))
+    zp = phase_operator(states[list(quad)].sum(axis=0))
     perm, orbits, seen = state_permutations(zp[None], states)[0], [], set()
     for start in range(16):
         if start not in seen:
@@ -219,7 +219,7 @@ def _generators_by_loop(states):
             seen.update(orbit)
             orbits.append(sorted(orbit))
     pick = _first_by_loop(states, itertools.product(*sorted(orbits)))
-    xp = _phase_operator(states[list(pick)].sum(axis=0))
+    xp = phase_operator(states[list(pick)].sum(axis=0))
     if abs(commutator_phase(zp, xp) - 1j) > 1e-8:
         xp = xp.conj().T
     return zp, xp

@@ -13,8 +13,8 @@ from sic4.clifford import (
     to_operator,
 )
 from sic4.numerics import commutator_phase, proj_equal, projective_set_equal
-from sic4.orbits import LABEL_GRID, FiducialOrbit, element_product, enumerate_orbit, first_distinct_rows
-from sic4.reconstruction import COMMUTATOR_TOL
+from sic4.orbits import LABEL_GRID, FiducialOrbit, element_product, enumerate_orbit, first_distinct_rows, normal_subgroups
+from sic4.reconstruction import COMMUTATOR_TOL, reconstruct_hw
 from sic4.regrouping import (
     CLIFFORD_GENERATORS,
     EQUIVALENCE_MATRIX,
@@ -23,6 +23,8 @@ from sic4.regrouping import (
     X_PRIME_PAIR,
     Z_PRIME_MATRIX,
     Z_PRIME_PAIR,
+    covariance_group,
+    dprime_covariant,
     dprime_literals_match,
     displacement_coset,
     dprime_elements,
@@ -37,9 +39,9 @@ from sic4.regrouping import (
     regrouped_family,
     sic_family,
 )
-from sic4.weyl_heisenberg import displacement, verify_sic
+from sic4.weyl_heisenberg import displacement, displacement_table, verify_sic
 
-from oracles import first_distinct_spans_by_unique, regroup_by_search, sic_states
+from oracles import first_distinct_spans_by_unique, normal_subgroups_by_inverses, regroup_by_search, sic_states
 
 
 def fidelity_graph(orbit, vertices):
@@ -231,6 +233,46 @@ def test_subgroup_census():
     assert dbar in set(normal_sets)
     assert all(ident in s for s in hw_type)
     assert pair_coset(X_PRIME_PAIR) != displacement_coset(1, 0)
+
+
+def test_normal_subgroups_match_inverse_conjugation_on_the_census():
+    # the census's 32 subgroups under the Clifford generators, which give
+    # the census's verdicts, and under all 768 unitary rows: D and D' alone
+    _, index = _quotient()
+    _, _, hw_type, normal_sets = hw_conjugate_subgroup_census()
+    rows = np.array([sorted(index[name] for name in s) for s in hw_type])
+    for by in ([index[coset(g)] for g in CLIFFORD_GENERATORS], np.arange(768)):
+        verdicts = normal_subgroups(rows, by)
+        assert verdicts.tolist() == normal_subgroups_by_inverses(rows, by).tolist()
+        assert [hw_type[k] for k in np.flatnonzero(verdicts)] == normal_sets and len(normal_sets) == 2
+
+
+def test_covariance_group_matches_per_set_matches(monkeypatch):
+    # 0 for the displacement group on SICs 1-16 and 1 for D' on SICs 17-32,
+    # as per-set projective_set_equal calls find them; D' is tried only on
+    # the sets that are not D, and a Haar-conjugated copy is neither
+    rec = reconstruct_hw(enumerate_orbit().projectors[sic_family()[0]])
+    disp, dp = displacement_table(4).reshape(16, 4, 4), dprime_elements()
+    want = [0 if projective_set_equal(e, disp) else 1 if projective_set_equal(e, dp) else -1 for e in rec.elements]
+    assert want == [0] * 16 + [1] * 16
+    sets = []
+
+    def spy(a, b):
+        sets.append(len(a))
+        return projective_set_equal(a, b)
+
+    monkeypatch.setattr(regrouping, "projective_set_equal", spy)
+    assert covariance_group(rec.elements).tolist() == want and sets == [32, 16]
+    assert [covariance_group(e) for e in rec.elements] == want
+    rng = np.random.default_rng(25)
+    q, r = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    assert covariance_group(u @ rec.elements[[0, 16]] @ u.conj().T).tolist() == [-1, -1]
+    assert covariance_group(u @ rec.elements[16] @ u.conj().T) == -1
+
+
+def test_dprime_permutes_the_regrouped_sics_only():
+    assert dprime_covariant(sic_family()[0]).tolist() == [False] * 16 + [True] * 16
 
 
 def _nx_cliques(g, k):

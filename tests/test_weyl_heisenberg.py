@@ -260,6 +260,19 @@ def test_displacement_takes_index_arrays():
         assert np.array_equal(displacement(*p.reshape(2, 5, 8), d), stack.reshape(5, 8, d, d))
 
 
+def test_unreduced_indices_give_exactly_plus_or_minus_the_table():
+    # the sign of an index shift is the integer (-1)^(d+1) or 1, never a
+    # complex power of tau, so D_(5,1) is exactly -D_(1,1) in d = 4
+    assert np.array_equal(displacement(5, 1, 4), -displacement_table(4)[1, 1])
+    for d in range(2, 7):
+        p = np.indices((4 * d, 4 * d)).reshape(2, -1) - 2 * d  # every index in [-2d, 2d)
+        r = p % d
+        shift = (p[0] * p[1] - r[0] * r[1]) % (2 * d)
+        sign = np.where(shift == d, (-1) ** (d + 1), 1)
+        assert np.array_equal(displacement(*p, d), sign[:, None, None] * displacement_table(d)[r[0], r[1]])
+        assert set(shift.tolist()) <= {0, d}
+
+
 def test_a_dimension_below_two_raises_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
