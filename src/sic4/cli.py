@@ -40,7 +40,7 @@ class Claims:
         observed = _coerce(observed)
         if isinstance(expected, float) or isinstance(observed, float):
             t = self.tol if tol is None else tol
-            ok = abs(float(expected) - float(observed)) <= t
+            ok = observed is not None and abs(float(expected) - float(observed)) <= t  # None: not observed
         else:
             ok = expected == observed
         row = {"claim_id": claim_id, "anchor": anchor, "expected": expected, "observed": observed}
@@ -237,27 +237,33 @@ def run_triples(cfg, claims: Claims):
     from .numerics import value_classes
     from .orbits import TRIPLE_CENSUS_GAP, triple_family, triple_phase, triple_trace_census
 
-    ref = triple_trace_census(1)
-    centers, counts, n = np.array([c for c, _ in ref]), [m for _, m in ref], len(ref)
-    claims.add("triples.cluster_count", "distinct triple-trace values in one SIC", 17, n)
-    multiplicities = list(_CENSUS_MULTIPLICITIES)
-    claims.add("triples.multiplicities", "cluster sizes over the 3360 ordered triples", multiplicities, counts)
-    # the centers lead their conjugates, so they are classes 0..n-1: a real
-    # center's conjugate falls into its own class, a paired one's into its partner's
-    conj = value_classes(np.concatenate([centers, centers.conj()]), TRIPLE_CENSUS_GAP).classes[n:]
-    claims.add("triples.real_clusters", "real triple-trace values", 1, int(np.sum(conj == np.arange(n))))
-    pairs = int(np.sum((np.arange(n) < conj) & (conj < n)))
-    claims.add("triples.conjugate_pairs", "complex values come in conjugate pairs", 8, pairs)
-    modulus_dev = np.max(np.abs(np.abs(centers) - 5**-1.5))
-    claims.add("triples.modulus_dev", "all triple traces share the modulus 5^{-3/2}", 0.0, modulus_dev)
+    # the claims reading SIC 1's census observe None when it cannot split
+    ref, n, counts, real, pairs, modulus_dev = [], None, None, None, None, None
+    try:
+        ref = triple_trace_census(1)
+        centers, counts, n = np.array([c for c, _ in ref]), [m for _, m in ref], len(ref)
+        modulus_dev = np.max(np.abs(np.abs(centers) - 5**-1.5))
+        # the centers lead their conjugates, so they are classes 0..n-1: a real
+        # center's conjugate falls into its own class, a paired one's into its partner's
+        conj = value_classes(np.concatenate([centers, centers.conj()]), TRIPLE_CENSUS_GAP).classes[n:]
+        real = int(np.sum(conj == np.arange(n)))
+        pairs = int(np.sum((np.arange(n) < conj) & (conj < n)))
+    except ValueError:
+        pass
     # every SIC's counts are SIC 1's and its k-th center lies within tol of SIC 1's
     try:
-        same = all(
+        same = bool(ref) and all(
             [m for _, m in cen] == counts and np.max(np.abs([c for c, _ in cen] - centers)) <= cfg.tol
             for cen in map(triple_trace_census, range(2, 17))
         )
     except ValueError:  # a SIC whose traces split into no classes has no census like SIC 1's
         same = False
+    claims.add("triples.cluster_count", "distinct triple-trace values in one SIC", 17, n)
+    multiplicities = list(_CENSUS_MULTIPLICITIES)
+    claims.add("triples.multiplicities", "cluster sizes over the 3360 ordered triples", multiplicities, counts)
+    claims.add("triples.real_clusters", "real triple-trace values", 1, real)
+    claims.add("triples.conjugate_pairs", "complex values come in conjugate pairs", 8, pairs)
+    claims.add("triples.modulus_dev", "all triple traces share the modulus 5^{-3/2}", 0.0, modulus_dev)
     claims.add("triples.cross_sic_invariant", "identical census for all 16 SICs", True, same)
 
     fid_dev, phase_dev, monotone = 0.0, 0.0, True
@@ -340,11 +346,13 @@ def run_reconstruct(cfg, claims: Claims):
         int(np.sum(match_projective(ops, disp) >= 0)),
     )
 
+    # an uncertified row counts as neither group, and reconstruct_hw reads certified rows only
     members, report = sic_family(cfg.tol)
-    if not report.is_sic.all():  # sic_family has raised for a regrouped row
-        raise ValueError("SIC %d fails the SIC certificate" % (np.argmin(report.is_sic) + 1))
-    rec = reconstruct_hw(orbit.projectors[members])
-    group = covariance_group(rec.elements)  # 0 the displacement group, 1 its conjugate
+    certified = report.is_sic
+    group = np.full(32, -1)  # 0 the displacement group, 1 its conjugate
+    if certified.any():
+        rec = reconstruct_hw(orbit.projectors[members[certified]])
+        group[certified] = covariance_group(rec.elements)
     claims.add(
         "reconstruct.original_family",
         "reconstruction returns the displacement group on SICs 1-16",
@@ -362,11 +370,12 @@ def run_reconstruct(cfg, claims: Claims):
         "reconstruct.uniqueness",
         "each of the 32 SICs is covariant under exactly one order-16 group",
         32,
-        int(np.count_nonzero(uniqueness_check(members))),
+        int(np.count_nonzero(uniqueness_check(members) & certified)),
     )
+    k = np.cumsum(certified) - 1  # the row of rec of each certified SIC; an uncertified one has no generators
     return {
-        "generators_sic_1": {"z": matrix_to_json(rec.z_gen[0]), "x": matrix_to_json(rec.x_gen[0])},
-        "generators_sic_17": {"z": matrix_to_json(rec.z_gen[16]), "x": matrix_to_json(rec.x_gen[16])},
+        "generators_sic_%d" % (n + 1): {"z": matrix_to_json(rec.z_gen[k[n]]), "x": matrix_to_json(rec.x_gen[k[n]])}
+        if certified[n] else None for n in (0, 16)
     }
 
 
@@ -421,7 +430,7 @@ def run_reconstruct_input(cfg, claims: Claims):
 
 
 def run_regroup(cfg, claims: Claims):
-    from .clifford import enumerate_projective_clifford, to_operator
+    from .clifford import coset, enumerate_projective_clifford, to_operator
     from .numerics import COMMUTATOR_TOL, commutator_phase, match_projective, matrix_to_json
     from .orbits import enumerate_orbit, state_permutations
     from .regrouping import (
@@ -435,18 +444,19 @@ def run_regroup(cfg, claims: Claims):
         displacement_coset,
         dprime_covariant,
         dprime_literals_match,
+        dprime_pairs,
         equivalence_unitary,
         exhaustive_regroup_scan,
         fidelity_adjacency,
-        generated_cosets,
         hw_conjugate_subgroup_census,
         sic_family,
     )
     from .weyl_heisenberg import displacement_table
 
     orbit = enumerate_orbit()
-    indices = sic_family(cfg.tol)[0][16:]  # the regrouped SICs 17-32
-    claims.add("regroup.additional_sics", "new SICs from block matching", 16, len(indices))
+    members, report = sic_family(cfg.tol)
+    indices, certified = members[16:], report.is_sic  # SICs 17-32; a claim reading a row needs it certified
+    claims.add("regroup.additional_sics", "new SICs from block matching", 16, int(np.count_nonzero(certified[16:])))
 
     n_row = exhaustive_regroup_scan(full_scan=False, tol=cfg.tol)
     claims.add("regroup.row_scan_total", "SICs found by the per-row clique scan", 32, n_row)
@@ -454,7 +464,7 @@ def run_regroup(cfg, claims: Claims):
         n_full = exhaustive_regroup_scan(full_scan=True, tol=cfg.tol)
         claims.add("regroup.full_scan_total", "SICs found scanning all 256 states", 32, n_full)
 
-    cover = np.bincount(indices.ravel(), minlength=256) + 1  # + 1: the orbit SIC of each state
+    cover = np.bincount(members[certified].ravel(), minlength=256)
     claims.add(
         "regroup.double_cover",
         "every state belongs to exactly two of the 32 SICs",
@@ -487,7 +497,7 @@ def run_regroup(cfg, claims: Claims):
         "regroup.covariance",
         "all 16 new SICs are covariant under the conjugate group",
         True,
-        bool(np.all(dprime_covariant(indices))),
+        bool(np.all(dprime_covariant(indices) & certified[16:])),
     )
 
     try:
@@ -502,15 +512,16 @@ def run_regroup(cfg, claims: Claims):
         covariance_group(u @ disp @ u.conj().T) == 1,
     )
 
-    # an original SIC is carried onto a new one when the images of all its
-    # states are states of that one new SIC; u fixes the fiducial and
-    # normalizes the Clifford group, so it permutes the orbit, and a u that
-    # does not carries no SIC
+    # a certified original SIC is carried onto a certified new one when the
+    # images of all its states are states of that one new SIC; u fixes the
+    # fiducial and normalizes the Clifford group, so it permutes the orbit,
+    # and a u that does not carries no SIC
     new_sic = np.full(256, -1)
-    new_sic[indices] = np.arange(16)[:, None]
+    new_sic[indices] = np.where(certified[16:], np.arange(16), -1)[:, None]
     try:
         image_sic = new_sic[state_permutations(u[None], orbit.projectors)[0]].reshape(16, 16)
-        mapped = int(np.sum(np.all(image_sic == image_sic[:, :1], axis=1) & (image_sic[:, 0] >= 0)))
+        carried = np.all(image_sic == image_sic[:, :1], axis=1) & (image_sic[:, 0] >= 0) & certified[:16]
+        mapped = int(np.count_nonzero(carried))
     except ValueError:
         mapped = 0
     claims.add(
@@ -535,7 +546,7 @@ def run_regroup(cfg, claims: Claims):
     claims.add("regroup.census_total", "displacement-type subgroups of the Clifford group", 32, total)
     claims.add("regroup.census_normal", "normal displacement-type subgroups", 2, normal)
     dbar = frozenset(displacement_coset(p1, p2) for p1 in range(4) for p2 in range(4))
-    dbar_prime = generated_cosets(X_PRIME_PAIR, Z_PRIME_PAIR)
+    dbar_prime = frozenset(map(coset, dprime_pairs()))
     claims.add(
         "regroup.census_normal_identified",
         "the two normal subgroups are the original and conjugate displacement groups",
@@ -636,51 +647,49 @@ def run_twoqubit(cfg, claims: Claims, basis: str):
     # the closed forms sqrt(2/5) and sqrt((2 +- 2 sqrt G)/5) lead the 256
     # concurrences, so classes 0, 1 and 2 are theirs
     forms = [math.sqrt(2 / 5), math.sqrt((2 + 2 * root) / 5), math.sqrt((2 - 2 * root) / 5)]
-    conc = value_classes(np.concatenate([forms, concurrence(rank1_kets(states))]), CONCURRENCE_GAP)
-    ids = conc.classes[3:].reshape(16, 16)
-    census = np.count_nonzero(ids[:, :, None] == np.arange(len(conc.counts)), axis=1)  # (SIC, class) counts
-    equal = int(np.count_nonzero(ids[flat_class] == 0))
+    # the claims reading the concurrence classes observe None when they cannot split
+    equal = split = concurrences = None
+    try:
+        conc = value_classes(np.concatenate([forms, concurrence(rank1_kets(states))]), CONCURRENCE_GAP)
+        ids = conc.classes[3:].reshape(16, 16)
+        census = np.count_nonzero(ids[:, :, None] == np.arange(len(conc.counts)), axis=1)  # (SIC, class) counts
+        equal = int(np.count_nonzero(ids[flat_class] == 0))
+        split = bool(np.all(census[split_class, 1:3] == 8))
+        # each SIC's classes in order of first appearance, keyed by their centers to 9 decimals
+        concurrences = {
+            str(n): {str(float("%.9f" % conc.centers[c])): int(census[n - 1, c]) for c in dict.fromkeys(sic)}
+            for n, sic in enumerate(ids.tolist(), start=1)
+        }
+    except ValueError:
+        pass
     claims.add(f"twoqubit.{pre}_equal_concurrence_count", "states in the equal-concurrence class", 128, equal)
     anchor = "other-class SICs split 8 + 8 between the two concurrence values"
-    claims.add(f"twoqubit.{pre}_split_concurrence", anchor, True, bool(np.all(census[split_class, 1:3] == 8)))
+    claims.add(f"twoqubit.{pre}_split_concurrence", anchor, True, split)
 
-    every = orbit.projectors[sic_family(cfg.tol)[0]].reshape(512, 4, 4)
-    purity = reduced_purity(every, basis).reshape(32, 16).mean(axis=1)
+    members, report = sic_family(cfg.tol)
+    purity = reduced_purity(orbit.projectors[members].reshape(512, 4, 4), basis).reshape(32, 16).mean(axis=1)
     claims.add(
         f"twoqubit.{pre}_avg_purity_dev",
         "average reduced purity of every SIC, original and regrouped",
         0.0,
-        np.max(np.abs(purity - 0.8)),
+        np.max(np.abs(purity - 0.8)) if report.is_sic.all() else None,  # None: a row is no certified SIC
     )
 
     if basis == "product":
+        # None for a SIC whose reduced-state census cannot split; the claims reading it observe None
         sics = orbit.projectors.reshape(16, 16, 4, 4)
         reps = list(zip(*(reduced_state_census(sics, q, basis) for q in (0, 1))))
-        cube, edge = zip(*(detect_cube(second.bloch_points) for _, second in reps))
-        claims.add(
-            "twoqubit.product_reduced_multiplicity",
-            "eight reduced states per qubit, each shared by two fiducials",
-            True,
-            all(len(r.bloch_points) == 8 and set(r.multiplicities) == {2} for pair in reps for r in pair),
-        )
-        claims.add(
-            "twoqubit.product_cube_class1",
-            "second-qubit Bloch points of class-1 SICs form a cube",
-            8,
-            sum(cube[:8]),
-        )
-        claims.add(
-            "twoqubit.product_cube_class2",
-            "class-2 SICs do not produce the cube",
-            0,
-            sum(cube[8:]),
-        )
-        claims.add(
-            "twoqubit.product_cube_edge_dev",
-            "cube edge length 2/sqrt(5)",
-            0.0,
-            max((abs(e - 2 / math.sqrt(5)) for e in edge[:8] if e is not None), default=0.0),
-        )
+        cube, edge = zip(*(detect_cube(second.bloch_points) if second else (None, None) for _, second in reps))
+        multiplicity = all(r and len(r.bloch_points) == 8 and set(r.multiplicities) == {2} for rs in reps for r in rs)
+        cube_class1, cube_class2 = (None if None in c else sum(c) for c in (cube[:8], cube[8:]))
+        edges = [abs(e - 2 / math.sqrt(5)) for e in edge[:8] if e is not None]
+        edge_dev = None if None in cube[:8] else max(edges, default=0.0)
+        anchor = "eight reduced states per qubit, each shared by two fiducials"
+        claims.add("twoqubit.product_reduced_multiplicity", anchor, True, multiplicity)
+        anchor = "second-qubit Bloch points of class-1 SICs form a cube"
+        claims.add("twoqubit.product_cube_class1", anchor, 8, cube_class1)
+        claims.add("twoqubit.product_cube_class2", "class-2 SICs do not produce the cube", 0, cube_class2)
+        claims.add("twoqubit.product_cube_edge_dev", "cube edge length 2/sqrt(5)", 0.0, edge_dev)
         certified = int(np.sum(partial_transpose_simplex_checks(violating_signs(), orbit, cfg.tol)))
         claims.add(
             "twoqubit.product_simplex_patterns",
@@ -700,11 +709,7 @@ def run_twoqubit(cfg, claims: Claims, basis: str):
     return {
         "basis": basis,
         "sign_patterns": rows[matched.ravel()].tolist(),
-        # each SIC's classes in order of first appearance, keyed by their centers to 9 decimals
-        "concurrence": {
-            str(n): {str(float("%.9f" % conc.centers[c])): int(census[n - 1, c]) for c in dict.fromkeys(sic)}
-            for n, sic in enumerate(ids.tolist(), start=1)
-        },
+        "concurrence": concurrences,
     }
 
 

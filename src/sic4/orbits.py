@@ -163,22 +163,12 @@ def stability_group(rho) -> list:
 
 
 @lru_cache(maxsize=1)
-def orbit_action() -> np.ndarray:
-    """Where each extended Clifford element sends each orbit state, exactly.
-
-    Entry [h, k] of the read-only int16 (1536, 256) table is the orbit index
-    of the image of state k under row h of
-    enumerate_projective_clifford(4, extended=True).  State (n, p) is rho_f
-    under g = (F_n, p), so the pairs of the cosets g s, s in the fiducial's
-    stabilizer, name it; they fill a dense _pair_key lookup in one
-    broadcast pass over the 16 labels, 16 displacements and 48 pairs s k of
-    the stabilizer's six powers s and the eight kernel pairs k.  As (F, chi)
-    (1, p) = (1, F p) (F, chi), element h sends state (n, p) to state
-    (m, q + F_h p mod 4), where (m, q) is the state of h (F_n, 0): one
-    lookup per element and label, then one affine step on 8-bit codes.
-    """
+def _state_of_pair() -> np.ndarray:
+    """The orbit state each pair sends the fiducial to, read-only int16 by
+    _pair_key, else -1.  State (n, p) is rho_f under g = (F_n, p), named by
+    the pairs g s k for the stabilizer's six powers s and the eight kernel
+    pairs k, all set in one broadcast pass."""
     d, db = 4, 8
-    group = enumerate_projective_clifford(d, extended=True)
     fn, p = np.array([pair.F for pair in SIC_LABELING]).T, np.indices((d, d)).reshape(2, d * d)
     state = np.full(db**4 * d * d, -1, dtype=np.int16)
     powers = list(itertools.accumulate([FIDUCIAL_STABILIZER] * 6, semidirect_product))
@@ -188,15 +178,37 @@ def orbit_action() -> np.ndarray:
     state[_pair_key(*names, d)] = np.arange(256).reshape(16, 16, 1, 1)
     if np.count_nonzero(state >= 0) != 256 * 6 * 8:
         raise AssertionError("stabilizer cosets of two orbit states overlap")
-    f, chi = group.f.T[:, :, None], group.chi.T[:, :, None]
-    image = state[_pair_key(*_compose(f, chi, fn[:, None, :], (0, 0), db, d), d)]  # (N, 16)
+    state.flags.writeable = False
+    return state
+
+
+def pair_action(f, chi) -> np.ndarray:
+    """The int16 (N, 256) orbit indices of the images of the orbit states
+    under N pairs (F, chi), the rows of (N, 4) f and (N, 2) chi, exactly.
+    As (F, chi) (1, p) = (1, F p) (F, chi), h sends state (n, p) to
+    (m, q + F_h p mod 4) for (m, q) the state of h (F_n, 0): one lookup per
+    pair and label, one affine step on 8-bit codes.  ValueError for a pair
+    that maps the orbit off itself."""
+    d, db = 4, 8
+    fn, p = np.array([pair.F for pair in SIC_LABELING]).T, np.indices((d, d)).reshape(2, d * d)
+    f, chi = np.asarray(f).T[:, :, None], np.asarray(chi).T[:, :, None]
+    image = _state_of_pair()[_pair_key(*_compose(f, chi, fn[:, None, :], (0, 0), db, d), d)]  # (N, 16)
     if image.min() < 0:
         raise ValueError("an element maps the orbit off itself")
     fp = _compose(f, (0, 0), (1, 0, 0, 1), p[:, None, :], db, d)[1]
     fp = (fp[0] * d + fp[1]).astype(np.uint8)  # code of F_h p, (N, 16)
     chisum = ((p[0][:, None] + p[0]) % d * d + (p[1][:, None] + p[1]) % d).astype(np.uint8)
     q = image % 16
-    action = ((image - q)[:, :, None] + chisum.ravel()[q[:, :, None] * 16 + fp[:, None, :]]).reshape(len(group), 256)
+    return ((image - q)[:, :, None] + chisum.ravel()[q[:, :, None] * 16 + fp[:, None, :]]).reshape(len(image), 256)
+
+
+@lru_cache(maxsize=1)
+def orbit_action() -> np.ndarray:
+    """pair_action of the rows of enumerate_projective_clifford(4,
+    extended=True), cached: entry [h, k] of the read-only int16 (1536, 256)
+    table is the orbit index of the image of state k under row h."""
+    group = enumerate_projective_clifford(4, extended=True)
+    action = pair_action(group.f, group.chi)
     action.flags.writeable = False
     return action
 
@@ -323,10 +335,20 @@ def _triple_census(states, gap: float = TRIPLE_CENSUS_GAP) -> tuple:
     return split.centers[order], split.counts[order], ids
 
 
+@lru_cache(maxsize=None)
+def _sic_triple_census(label: int, gap: float) -> tuple:
+    """_triple_census of orbit SIC label's states as read-only arrays, once
+    per (label, gap); ValueError, not cached, when it cannot split."""
+    census = _triple_census(enumerate_orbit().projectors[16 * (label - 1) : 16 * label], gap)
+    for a in census:
+        a.flags.writeable = False
+    return census
+
+
 def triple_trace_census(label: int = 1, gap: float = TRIPLE_CENSUS_GAP):
     """The values of tr(r1 r2 r3) over ordered triples of distinct states
     of one SIC, as (value, multiplicity) pairs in census order."""
-    centers, counts, _ = _triple_census(enumerate_orbit().projectors[16 * (label - 1) : 16 * label], gap)
+    centers, counts, _ = _sic_triple_census(label, gap)
     return list(zip(centers.tolist(), counts.tolist()))
 
 
@@ -361,7 +383,7 @@ class SymmetryReport(NamedTuple):
     extended_order: int
     unitary_order: int
     hw_is_unique_order16: bool
-    rigid_permutation_count: int
+    rigid_permutation_count: int | None  # None when SIC 1's triple census cannot split
 
 
 def state_permutations(mats, states) -> np.ndarray:
@@ -408,9 +430,10 @@ def rigid_permutations(label: int = 1, limit: int = 10):
     Used to certify that nothing beyond the unitary stabilizer survives the
     full set of triple invariants.  All partial assignments of states 0..k
     are extended at once, level by level; one survives when every triple of
-    distinct states containing k keeps its census cluster.
+    distinct states containing k keeps its census cluster.  ValueError when
+    the SIC's triple traces split into no classes.
     """
-    ids = _triple_census(enumerate_orbit().projectors[16 * (label - 1) : 16 * label])[2]
+    ids = _sic_triple_census(label, TRIPLE_CENSUS_GAP)[2]
     n = len(ids)
     tri = np.indices(ids.shape).reshape(3, -1)
     tri = tri[:, (tri[0] != tri[1]) & (tri[1] != tri[2]) & (tri[0] != tri[2])]
@@ -433,7 +456,7 @@ def verify_symmetry_group_in_clifford() -> SymmetryReport:
     Checks the 96/48 symmetry-group orders, uniqueness of the order-16
     subgroup (which equals the displacement group), and that
     triple-trace-preserving permutations are exhausted by the unitary
-    stabilizer.
+    stabilizer; that count is None when SIC 1's triple census cannot split.
     """
     group = enumerate_projective_clifford(4, extended=True)
     sym = sic_symmetries(np.arange(16)[None], extended=True)[:, 1]  # SIC 1 holds orbit states 0..15
@@ -446,12 +469,15 @@ def verify_symmetry_group_in_clifford() -> SymmetryReport:
     # the displacements, the rows with F = 1, are rows 128..143 in (p1, p2) order
     unique16 = unique16 and normal_subgroups(sub[None], unitary)[0] and np.array_equal(sub, np.arange(128, 144))
 
-    rigid = rigid_permutations(1, limit=10)
+    try:
+        rigid = len(rigid_permutations(1, limit=10))
+    except ValueError:  # SIC 1's triple traces split into no classes, so no permutation is certified
+        rigid = None
     return SymmetryReport(
         extended_order=len(sym),
         unitary_order=len(unitary),
         hw_is_unique_order16=bool(unique16),
-        rigid_permutation_count=len(rigid),
+        rigid_permutation_count=rigid,
     )
 
 

@@ -1,15 +1,16 @@
 """Reassembling the 256 fiducials into additional SIC-POVMs.
 
-Conjugation by the abelian group {I, X^2, Z^2, X^2 Z^2} splits every SIC
-of the family into four 4-state blocks.  Matching blocks across the four
-SICs of one row of the label grid at cross-fidelity 1/5 yields 16 new
-SICs, and a clique scan over the fidelity graph certifies that no other
-regrouping exists.  The new family is covariant under a conjugate copy
-of the displacement group, sitting inside the same Clifford group.
+The orbits of the 256 states under a conjugate copy D' of the
+displacement group, which sits inside the same Clifford group, are 16
+new SICs.  They are read exactly off the integer orbit action: each takes
+four states from each SIC of one row of the label grid, at cross-fidelity
+1/5.  A clique scan over the fidelity graph checks that these, with the
+16 orbit SICs, are the only 16-state SICs of the orbit.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -19,11 +20,12 @@ from .clifford import (
     _coset_names,
     coset,
     enumerate_projective_clifford,
+    semidirect_product,
     to_operator,
 )
 from .numerics import COMMUTATOR_TOL, DEFAULT_TOL, commutator_phase, is_unitary, proj_equal, projective_set_equal
-from .orbits import LABEL_GRID, FiducialOrbit, element_product, enumerate_orbit, fiducial_projector
-from .orbits import first_distinct_rows, normal_subgroups, orbit_action, orbit_certificate
+from .orbits import FiducialOrbit, element_product, enumerate_orbit, fiducial_projector, first_distinct_rows
+from .orbits import normal_subgroups, orbit_certificate, pair_action
 from .weyl_heisenberg import SicReport, displacement_table, shift_clock_products, verify_sic
 
 # two orbit states are fidelity-1/5 neighbours when |tr(a b) - 1/5| is at
@@ -31,47 +33,29 @@ from .weyl_heisenberg import SicReport, displacement_table, shift_clock_products
 # nearest other fidelity, 0.20457, is 4.57e-3 away
 FIDELITY_TOL = 1e-9
 
-# translations implementing conjugation by I, X^2, Z^2, X^2 Z^2
-_H_SHIFTS = ((0, 0), (2, 0), (0, 2), (2, 2))
 
-# _BLOCKS[n - 1, b] holds the sorted orbit indices of block b of SIC n: the
-# states (p1, p2) + _H_SHIFTS for p1, p2 in {0, 1}, where state (n, p) has
-# orbit index 16 (n - 1) + 4 p1 + p2 (no shifted index passes 3)
-_BLOCKS = np.sort(
-    16 * np.arange(16)[:, None, None]
-    + np.array([0, 1, 4, 5])[:, None]
-    + np.array([4 * a + b for a, b in _H_SHIFTS]),
-    axis=-1,
-)
+def dprime_pairs() -> list:
+    """The pairs of the 16 elements X'^a Z'^b, 0 <= a, b < 4, of the
+    conjugate displacement group D', in (a, b) order, composed with
+    semidirect_product."""
+    one = SymplecticPair((1, 0, 0, 1), (0, 0), 4)
+    x, z = (list(itertools.accumulate([g] * 3, semidirect_product, initial=one)) for g in (X_PRIME_PAIR, Z_PRIME_PAIR))
+    return [semidirect_product(a, b) for a in x for b in z]
 
 
-def regrouped_family(orbit: FiducialOrbit | None = None) -> np.ndarray:
-    """The 16 regrouped SICs 17..32 of an orbit (the enumerated one by
-    default) as a read-only int (16, 4, 4) array: matching[i, j] holds the
-    sorted orbit indices of the block that SIC 17 + i takes from the j-th
-    SIC of its grid row, so matching.reshape(16, 16) lists its states.
-    Each block of a row's first SIC has exactly one block in each other SIC
-    of the row at uniform cross-fidelity 1/5; anything else fails fast."""
-    if orbit is None:
-        orbit = enumerate_orbit()
-    matching = []
-    for row in LABEL_GRID:
-        blocks = _BLOCKS[np.subtract(row, 1)]
-        adj = fidelity_adjacency(orbit, blocks.ravel()).reshape(4, 4, 4, 4, 4, 4)
-        # partners[s, j, b]: every state of block b of SIC row[j + 1] is a
-        # fidelity-1/5 neighbour of every state of seed block s
-        partners = adj[0, :, :, 1:].all(axis=(1, 4))
-        counts = partners.sum(axis=2)
-        bad = np.argwhere(counts != 1)
-        if len(bad):
-            s, j = bad[0]
-            raise ValueError(
-                "block %r has %d fidelity-1/5 partners in SIC %d, expected 1"
-                % (tuple(blocks[0, s].tolist()), counts[s, j], row[j + 1])
-            )
-        choice = np.concatenate([np.arange(4)[:, None], partners.argmax(axis=2)], axis=1)
-        matching.append(blocks[np.arange(4), choice])
-    matching = np.concatenate(matching)
+def _dprime_action() -> np.ndarray:  # pair_action of dprime_pairs(), an int16 (16, 256) array
+    f, chi = zip(*((p.F, p.chi) for p in dprime_pairs()))
+    return pair_action(f, chi)
+
+
+def regrouped_family() -> np.ndarray:
+    """The 16 regrouped SICs 17..32 as a read-only int (16, 4, 4) array: the
+    distinct D'-orbits of the orbit states, each sorted, in ascending order,
+    read exactly off pair_action.  matching[i, j] holds the sorted orbit
+    indices of the four states that SIC 17 + i takes from the j-th SIC of
+    its label-grid row, so matching.reshape(16, 16) lists its states."""
+    orbits = np.sort(_dprime_action().T, axis=1)  # (256, 16): the D'-orbit of each state
+    matching = orbits[first_distinct_rows(orbits)].astype(int).reshape(16, 4, 4)
     matching.flags.writeable = False
     return matching
 
@@ -83,13 +67,12 @@ def sic_family(tol: float = DEFAULT_TOL) -> tuple:
     states of SIC n: np.arange(256).reshape(16, 16), then
     regrouped_family().reshape(16, 16).  report, with read-only (32,)
     fields, joins orbit_certificate(tol) to one stacked verify_sic of the
-    regrouped rows at tol; ValueError when a regrouped row fails it."""
+    regrouped rows at tol; a row that fails it reads False in
+    report.is_sic, and the claims that read that row fail."""
     orbit = enumerate_orbit()
-    regrouped = regrouped_family(orbit).reshape(16, 16)
+    regrouped = regrouped_family().reshape(16, 16)
     orbit_half = orbit_certificate(tol)
     regrouped_half = verify_sic(orbit.projectors[regrouped], 4, tol)
-    if not regrouped_half.is_sic.all():
-        raise ValueError("assembled 16-state set fails the SIC certificate")
     members = np.concatenate([np.arange(256).reshape(16, 16), regrouped])
     report = SicReport(*map(np.concatenate, zip(vars(orbit_half).values(), vars(regrouped_half).values())))
     for a in (members, *vars(report).values()):
@@ -139,34 +122,22 @@ def _cliques(adj: np.ndarray, k: int) -> list:
 
 
 def exhaustive_regroup_scan(full_scan: bool = False, tol: float = DEFAULT_TOL) -> int:
-    """Count the 16-state SICs in the enumerated orbit's fidelity-1/5 graph.
+    """Check sic_family against the enumerated orbit's fidelity-1/5 graph:
+    the number of maximal cliques of 16 or more states found, when they are
+    exactly the rows of sic_family that certify at tol, else -1.
 
-    Default mode scans each row's 64 states separately (regrouping cannot
-    mix rows); full_scan runs the clique search over all 256 vertices.
-    Every size-16 clique found must certify at tol: a row of sic_family by
-    its certificate, any other clique by its own verify_sic.
+    Default mode scans each label-grid row's 64 states separately
+    (regrouping cannot mix rows); full_scan runs the clique search over all
+    256 vertices.
     """
     orbit = enumerate_orbit()
     members, report = sic_family(tol)
-    certified = dict(zip(map(tuple, members.tolist()), report.is_sic.tolist()))
-    if full_scan:
-        vertex_sets = [np.arange(256)]
-    else:
-        vertex_sets = [_BLOCKS[np.subtract(row, 1)].ravel() for row in LABEL_GRID]
-    found = set()
-    for vertices in vertex_sets:
-        for clique in _cliques(fidelity_adjacency(orbit, vertices), 16):
-            if len(clique) > 16:
-                raise AssertionError("clique larger than a SIC cannot exist")
-            key = tuple(np.sort(vertices[clique]).tolist())
-            if key in found:
-                continue
-            if key not in certified:
-                certified[key] = verify_sic(orbit.projectors[list(key)], 4, tol).is_sic
-            if not certified[key]:
-                raise AssertionError("16-clique fails the SIC certificate")
-            found.add(key)
-    return len(found)
+    found = {
+        tuple(np.sort(vertices[clique]).tolist())
+        for vertices in np.arange(256).reshape(1 if full_scan else 4, -1)
+        for clique in _cliques(fidelity_adjacency(orbit, vertices), 16)
+    }
+    return len(found) if found == set(map(tuple, members[report.is_sic].tolist())) else -1
 
 
 X_PRIME_PAIR = SymplecticPair(F=(3, 0, 2, 3), chi=(0, 1), d=4)
@@ -287,21 +258,13 @@ def _span(x, z, identity: int) -> np.ndarray:
     return element_product(powers(x)[:, :, None], powers(z)[:, None, :]).reshape(len(x), 16)
 
 
-def generated_cosets(x: SymplecticPair, z: SymplecticPair) -> frozenset:
-    """Coset names of x^a z^b, 0 <= a, b < 4: the group <x, z> when x and
-    z commute projectively and have order 4."""
-    names, index = _quotient()
-    span = _span(index[coset(x)], index[coset(z)], index[displacement_coset(0, 0)])
-    return frozenset(names[k] for k in span[0])
-
-
 def dprime_covariant(indices) -> np.ndarray:
-    """Whether X' and Z' permute each of an (S, M) stack of sets of orbit
-    states, given by their sorted orbit indices: the (S,) verdicts that
-    the sorted images of a set's indices under both are those indices."""
-    _, index = _quotient()
-    gens = [index[coset(X_PRIME_PAIR)], index[coset(Z_PRIME_PAIR)]]
-    return np.all(np.sort(orbit_action()[gens][:, indices], axis=-1) == indices, axis=(0, 2))
+    """Whether D' permutes each of an (S, M) stack of sets of orbit states,
+    given by their sorted orbit indices: the (S,) verdicts that the sorted
+    images of a set's indices under each of its 16 elements are those
+    indices."""
+    indices = np.asarray(indices)
+    return np.all(np.sort(_dprime_action()[:, indices], axis=-1) == indices, axis=(0, 2))
 
 
 def hw_conjugate_subgroup_census() -> tuple:

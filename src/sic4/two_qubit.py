@@ -289,13 +289,18 @@ def reduced_state_census(
     (S, N, 4, 4) stack, the list of S reports from one gbv pass.  Each
     list's points are split by value_classes at the gap tol, and each
     distinct point is represented by its first occurrence (detect_cube
-    tests them for a cube)."""
+    tests them for a cube); a list whose points split into no classes
+    gets None."""
     states = np.asarray(states)
     n = states.shape[-3]
     reports = []
     for points in _bloch_vectors(states.reshape(-1, 4, 4), basis, qubit).reshape(-1, n, 3):
-        split = value_classes(points, tol)
-        reports.append(ReducedStateReport(points[split.first], tuple(split.counts.tolist())))
+        try:
+            split = value_classes(points, tol)
+        except ValueError:
+            reports.append(None)
+        else:
+            reports.append(ReducedStateReport(points[split.first], tuple(split.counts.tolist())))
     return reports[0] if states.ndim == 3 else reports
 
 

@@ -331,6 +331,7 @@ def _clear_family_caches():
     import sic4.regrouping
 
     sic4.orbits.orbit_certificate.cache_clear()
+    sic4.orbits._sic_triple_census.cache_clear()
     sic4.regrouping.sic_family.cache_clear()
 
 
@@ -451,30 +452,37 @@ def test_orbit_imports_neither_regrouping_nor_reconstruction(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_a_corrupted_orbit_state_fails_every_section_reading_its_sic(monkeypatch, tmp_path, capsys):
-    # state 133 of SIC 9 moved by 1e-6: SIC 9 fails its certificate, its
-    # block has no partner in SIC 10, and the integer symmetry checks stand
+def _corrupt_orbit_state(monkeypatch, state: int, e: float) -> None:
+    """Make every sic4 module read an orbit whose state ``state`` is moved
+    by the exactly unitary diag(exp(i e (1, -1, 0.5, -0.5))), with the
+    orbit-dependent caches cleared."""
     from sic4.orbits import FiducialOrbit, enumerate_orbit
 
     projectors = enumerate_orbit().projectors.copy()
-    h = np.diag([1.0, -1.0, 0.5, -0.5]).astype(complex)
-    u = np.cos(1e-6) * np.eye(4) + 1j * np.sin(1e-6) * h / np.linalg.norm(h, 2)
-    projectors[133] = u @ projectors[133] @ u.conj().T
+    u = np.diag(np.exp(1j * e * np.array([1.0, -1.0, 0.5, -0.5])))
+    projectors[state] = u @ projectors[state] @ u.conj().T
     corrupted = FiducialOrbit(projectors)
     for name, module in list(sys.modules.items()):
         if name.startswith("sic4") and getattr(module, "enumerate_orbit", None) is enumerate_orbit:
             monkeypatch.setattr(module, "enumerate_orbit", lambda: corrupted)
     _clear_family_caches()
+
+
+def test_a_corrupted_orbit_state_fails_every_section_reading_its_sic(monkeypatch, tmp_path, capsys):
+    # state 133 of SIC 9 moved by 1e-6: SIC 9 and the regrouped SIC holding
+    # state 133 fail their certificates, every section reading them fails
+    # named claims and runs through, and the integer symmetry checks stand
+    _corrupt_orbit_state(monkeypatch, 133, 1e-6)
     try:
         rc, report = _json_run(["all"], tmp_path, capsys)
     finally:
         _clear_family_caches()
     assert rc == 1
     rows = {r["claim_id"]: r for r in report["claims"]}
-    assert rows["orbit.sic_count"]["observed"] == 15 and "orbit.error" not in rows
-    error = "ValueError: block (133, 135, 141, 143) has 0 fidelity-1/5 partners in SIC 10, expected 1"
-    for section in ("reconstruct", "regroup", "twoqubit_product", "twoqubit_bell"):
-        assert rows[section + ".error"]["observed"] == error, section
+    assert len(report["claims"]) == 75 and not [k for k in rows if k.endswith(".error")]
+    assert rows["orbit.sic_count"]["observed"] == 15
+    for prefix in ("reconstruct.", "regroup.", "twoqubit.product_", "twoqubit.bell_"):
+        assert [k for k, r in rows.items() if k.startswith(prefix) and not r["pass"]], prefix
     assert all(r["pass"] for r in report["claims"] if r["claim_id"].startswith("symmetry."))
     assert not rows["triples.cross_sic_invariant"]["pass"]
 
@@ -483,21 +491,83 @@ def test_a_census_that_cannot_split_fails_the_cross_sic_claim(monkeypatch, tmp_p
     # state 133 of SIC 9 moved by 1e-4 spreads SIC 9's triple traces past
     # the census gap, so its census raises: the cross-SIC claim fails and
     # the rest of the section still runs
-    from sic4.orbits import FiducialOrbit, enumerate_orbit
-
-    projectors = enumerate_orbit().projectors.copy()
-    u = np.diag(np.exp(1e-4j * np.array([1.0, -1.0, 0.5, -0.5])))  # exactly unitary
-    projectors[133] = u @ projectors[133] @ u.conj().T
-    corrupted = FiducialOrbit(projectors)
-    for name, module in list(sys.modules.items()):
-        if name.startswith("sic4") and getattr(module, "enumerate_orbit", None) is enumerate_orbit:
-            monkeypatch.setattr(module, "enumerate_orbit", lambda: corrupted)
-    rc, report = _json_run(["triples"], tmp_path, capsys)
+    _corrupt_orbit_state(monkeypatch, 133, 1e-4)
+    try:
+        rc, report = _json_run(["triples"], tmp_path, capsys)
+    finally:
+        _clear_family_caches()
     rows = {r["claim_id"]: r for r in report["claims"]}
     assert rc == 1 and "triples.error" not in rows
     assert rows["triples.cross_sic_invariant"]["observed"] is False
     assert [k for k, r in rows.items() if not r["pass"]] == ["triples.cross_sic_invariant"]
     assert [r["pass"] for k, r in rows.items() if k.startswith("triples.family_")] == [True] * 3
+
+
+# the claims that sic4 all fails when one orbit state is moved by
+# diag(exp(i e (1, -1, 0.5, -0.5))): the claims reading a SIC that holds
+# the moved state fail by name, and no section ends in an .error row
+_FAMILY_FAILS = {
+    "orbit.sic_count",
+    "reconstruct.original_family",
+    "reconstruct.regrouped_family",
+    "reconstruct.uniqueness",
+    "regroup.additional_sics",
+    "regroup.covariance",
+    "regroup.double_cover",
+    "regroup.equivalence_maps_family",
+    "regroup.fidelity_graph_regular",
+    "regroup.row_scan_total",
+    "twoqubit.bell_avg_purity_dev",
+    "twoqubit.product_avg_purity_dev",
+    "twoqubit.product_reduced_multiplicity",
+}
+_SIC1_CONCURRENCE_FAILS = {
+    "twoqubit.bell_split_concurrence",
+    "twoqubit.product_cube_class1",
+    "twoqubit.product_equal_concurrence_count",
+}
+_SIC1_CENSUS_FAILS = {
+    "reconstruct.quad_operators_in_group",
+    "reconstruct.reference_quads",
+    "symmetry.rigid_permutations",
+    "triples.cluster_count",
+    "triples.conjugate_pairs",
+    "triples.cross_sic_invariant",
+    "triples.modulus_dev",
+    "triples.multiplicities",
+    "triples.real_clusters",
+    "twoqubit.bell_pattern_matches",
+    "twoqubit.product_pattern_matches",
+}
+_SIC9_FAILS = {"twoqubit.bell_equal_concurrence_count", "twoqubit.product_split_concurrence"}
+_SIC9_PATTERN_FAILS = {"triples.cross_sic_invariant", "twoqubit.bell_pattern_matches", "twoqubit.product_pattern_matches"}
+_FAULT_SWEEP = {
+    (0, 1e-9): {"twoqubit.product_cube_edge_dev"},
+    (0, 1e-8): _FAMILY_FAILS | _SIC1_CONCURRENCE_FAILS,
+    (0, 1e-4): _FAMILY_FAILS | _SIC1_CONCURRENCE_FAILS | _SIC1_CENSUS_FAILS | {"reconstruct.signature_closed_form_dev"},
+    (7, 1e-9): set(),
+    (7, 1e-8): _FAMILY_FAILS | _SIC1_CONCURRENCE_FAILS,
+    (7, 1e-4): _FAMILY_FAILS | _SIC1_CONCURRENCE_FAILS | _SIC1_CENSUS_FAILS,
+    (133, 1e-9): {"twoqubit.bell_equal_concurrence_count", "twoqubit.bell_split_concurrence"},
+    (133, 1e-8): _FAMILY_FAILS | _SIC9_FAILS | {"twoqubit.product_cube_class2"},
+    (133, 1e-4): _FAMILY_FAILS | _SIC9_FAILS | _SIC9_PATTERN_FAILS,
+    (200, 1e-9): {"twoqubit.bell_equal_concurrence_count", "twoqubit.bell_split_concurrence"},
+    (200, 1e-8): _FAMILY_FAILS | _SIC9_FAILS | {"twoqubit.product_cube_class2"},
+    (200, 1e-4): _FAMILY_FAILS | _SIC9_FAILS | _SIC9_PATTERN_FAILS,
+}
+
+
+@pytest.mark.parametrize("state, e", sorted(_FAULT_SWEEP))
+def test_a_moved_orbit_state_fails_named_claims_in_every_section(state, e, monkeypatch, tmp_path, capsys):
+    # states 0 and 7 lie in SIC 1, 133 in SIC 9 and 200 in SIC 13
+    _corrupt_orbit_state(monkeypatch, state, e)
+    try:
+        rc, report = _json_run(["all"], tmp_path, capsys)
+    finally:
+        _clear_family_caches()
+    failed = {r["claim_id"] for r in report["claims"] if not r["pass"]}
+    assert len(report["claims"]) == 75 and failed == _FAULT_SWEEP[state, e]
+    assert rc == (1 if failed else 0)
 
 
 @pytest.mark.parametrize("basis", ["product", "bell"])
@@ -603,12 +673,27 @@ def test_all_passes_at_a_loose_tolerance(tmp_path, capsys):
     assert rc == 0 and report["passed"] == 75
 
 
-def test_a_raising_single_section_exits_1_with_an_error_row(tmp_path, capsys):
-    # at --tol 1e-30 no regrouped 16-state set certifies as a SIC
-    rc, report = _json_run(["reconstruct", "--tol", "1e-30"], tmp_path, capsys)
+def test_a_raising_single_section_exits_1_with_an_error_row(monkeypatch, tmp_path, capsys):
+    # a library call that raises inside reconstruct, run alone
+    import sic4.regrouping
+
+    def boom(tol):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(sic4.regrouping, "sic_family", boom)
+    rc, report = _json_run(["reconstruct"], tmp_path, capsys)
     assert rc == 1
     (error,) = [r for r in report["claims"] if not r["pass"]]
     assert error["claim_id"] == "reconstruct.error" and error["observed"].startswith("ValueError: ")
+
+
+def test_a_family_without_certified_sics_fails_named_claims(tmp_path, capsys):
+    # at --tol 1e-30 no SIC certifies: reconstruct fails its three family
+    # claims by name instead of raising, and its other claims pass
+    rc, report = _json_run(["reconstruct", "--tol", "1e-30"], tmp_path, capsys)
+    failed = {r["claim_id"]: r["observed"] for r in report["claims"] if not r["pass"]}
+    assert rc == 1 and len(report["claims"]) == 7
+    assert failed == {"reconstruct.original_family": 0, "reconstruct.regrouped_family": 0, "reconstruct.uniqueness": 0}
 
 
 def test_no_module_but_clifford_reads_enumerated_elements():
@@ -674,15 +759,21 @@ def test_passing_all_does_not_import_logging(tmp_path):
 
 
 def test_raising_sections_leave_stderr_empty(tmp_path):
-    # at --tol 1e-30 four sections raise; their tracebacks are logged at
-    # DEBUG, which no handler shows by default
-    code = "import sys, sic4.cli; sys.exit(sic4.cli.main(['all', '--tol', '1e-30', '--format', 'json', '--out', sys.argv[1]]))"
+    # two sections made to raise, the others failing claims at --tol 1e-30;
+    # the tracebacks are logged at DEBUG, which no handler shows by default
+    code = "; ".join(
+        [
+            "import sys, sic4.cli",
+            "sic4.cli.run_reconstruct = sic4.cli.run_regroup = lambda cfg, claims: 1 / 0",
+            "sys.exit(sic4.cli.main(['all', '--tol', '1e-30', '--format', 'json', '--out', sys.argv[1]]))",
+        ]
+    )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = tmp_path / "r.json"
     proc = subprocess.run([sys.executable, "-c", code, str(out)], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 1 and proc.stderr == ""
     errors = [r["claim_id"] for r in json.loads(out.read_text())["claims"] if r["claim_id"].endswith(".error")]
-    assert errors == ["reconstruct.error", "regroup.error", "twoqubit_product.error", "twoqubit_bell.error"]
+    assert errors == ["reconstruct.error", "regroup.error"]
 
 
 def test_a_raising_section_logs_its_traceback_at_debug(monkeypatch, tmp_path, caplog):

@@ -13,7 +13,7 @@ from sic4.clifford import (
     to_operator,
 )
 from sic4.numerics import commutator_phase, proj_equal, projective_set_equal
-from sic4.orbits import LABEL_GRID, FiducialOrbit, element_product, enumerate_orbit, first_distinct_rows, normal_subgroups
+from sic4.orbits import LABEL_GRID, element_product, enumerate_orbit, first_distinct_rows, normal_subgroups, pair_action
 from sic4.reconstruction import COMMUTATOR_TOL, reconstruct_hw
 from sic4.regrouping import (
     CLIFFORD_GENERATORS,
@@ -76,7 +76,7 @@ def test_h_orbit_internal_fidelities():
 
 def test_regroup_row():
     orbit = enumerate_orbit()
-    matching = regrouped_family(orbit)
+    matching = regrouped_family()
     for s in orbit.projectors[matching.reshape(16, 16)[:4]]:
         assert verify_sic(s, 4).is_sic
     assert matching.shape == (16, 4, 4) and matching.dtype.kind == "i"
@@ -86,21 +86,22 @@ def test_regroup_row():
 
 def test_regrouped_family_matches_the_per_block_search():
     orbit = enumerate_orbit()
-    matching, members = regrouped_family(orbit), sic_family()[0]
+    matching, members = regrouped_family(), sic_family()[0]
     old_matching, old_states = regroup_by_search(orbit)
     assert matching.tolist() == [[list(b) for b in m] for m in old_matching]
     assert np.array_equal(members[16:], matching.reshape(16, 16))
     assert all(np.array_equal(orbit.projectors[row], old) for row, old in zip(members[16:], old_states))
 
 
-def test_regrouped_family_rejects_a_block_without_a_unique_partner():
-    # with states 0 (SIC 1) and 16 (SIC 2) swapped, the first block of SIC 1
-    # has no block of SIC 3 at uniform cross-fidelity 1/5
-    projectors = enumerate_orbit().projectors.copy()
-    projectors[[0, 16]] = projectors[[16, 0]]
-    message = r"block \(0, 2, 8, 10\) has 0 fidelity-1/5 partners in SIC 3, expected 1"
-    with pytest.raises(ValueError, match=message):
-        regrouped_family(FiducialOrbit(projectors))
+def test_pair_action_orbits_of_d_and_d_prime_are_the_family_rows():
+    # the D-orbits of the orbit states are the 16 orbit SICs, the D'-orbits
+    # the per-block search's 16 regrouped SICs
+    chi = np.indices((4, 4)).reshape(2, 16).T
+    action = pair_action(np.tile([1, 0, 0, 1], (16, 1)), chi)
+    d_orbits = np.sort(action.T, axis=1)
+    assert np.array_equal(d_orbits[first_distinct_rows(d_orbits)], np.arange(256).reshape(16, 16))
+    old_matching, _ = regroup_by_search(enumerate_orbit())
+    assert regrouped_family().tolist() == [[list(b) for b in m] for m in old_matching]
 
 
 def test_regrouped_family():
@@ -482,8 +483,7 @@ def test_sic_family_is_built_once_and_read_only():
     for a in (members, *vars(report).values()):
         with pytest.raises(ValueError):
             a[0] = a[1]
-    # another orbit object gets its own build of the partner reduction
-    orbit = enumerate_orbit()
-    fresh = regrouped_family(FiducialOrbit(orbit.projectors.copy()))
+    # another call builds the D'-orbits afresh
+    fresh = regrouped_family()
     assert np.array_equal(fresh.reshape(16, 16), members[16:])
     assert not members.flags.writeable and not fresh.flags.writeable
