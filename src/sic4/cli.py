@@ -86,35 +86,19 @@ def run_orbit(cfg, claims: Claims):
     )
 
     orbit = enumerate_orbit()
-    claims.add(
-        "orbit.distinct_fiducials",
-        "projectively distinct states on the orbit",
-        256,
-        256 if projectively_distinct(orbit.projectors) else -1,
-    )
+    anchor = "projectively distinct states on the orbit"
+    claims.add("orbit.distinct_fiducials", anchor, 256, 256 if projectively_distinct(orbit.projectors) else -1)
     sic_ok = int(orbit_certificate(cfg.tol).is_sic.sum())
     claims.add("orbit.sic_count", "certified SIC-POVMs on the orbit", 16, sic_ok)
-    claims.add(
-        "orbit.unitary_group_order",
-        "projective Clifford group order",
-        768,
-        len(enumerate_projective_clifford(4, extended=False)),
-    )
-    claims.add(
-        "orbit.extended_group_order",
-        "projective extended Clifford group order",
-        1536,
-        len(enumerate_projective_clifford(4, extended=True)),
-    )
+    anchor = "projective Clifford group order"
+    claims.add("orbit.unitary_group_order", anchor, 768, len(enumerate_projective_clifford(4, extended=False)))
+    anchor = "projective extended Clifford group order"
+    claims.add("orbit.extended_group_order", anchor, 1536, len(enumerate_projective_clifford(4, extended=True)))
 
     stab = stability_group(orbit.projectors[0])
     claims.add("orbit.stabilizer_order_extended", "stability group of the fiducial", 6, len(stab))
-    claims.add(
-        "orbit.stabilizer_order_unitary",
-        "unitary part of the stability group",
-        3,
-        sum(not e.op.antiunitary for e in stab),
-    )
+    anchor = "unitary part of the stability group"
+    claims.add("orbit.stabilizer_order_unitary", anchor, 3, sum(not e.op.antiunitary for e in stab))
     gen = to_operator(FIDUCIAL_STABILIZER)
     claims.add(
         "orbit.stabilizer_generator_matches",
@@ -129,104 +113,42 @@ def run_orbit(cfg, claims: Claims):
         [list(q) for q in conjugation_cycle(FIDUCIAL_STABILIZER, STABILIZER_CYCLE[0])],
     )
     orbs = {frozenset(o) for o in stabilizer_orbits_within_sic()}
-    claims.add(
-        "orbit.stabilizer_orbit_partition",
-        "five 3-state orbits of the stabilizer square",
-        True,
-        orbs == set(STABILIZER_ORBIT_SETS),
-    )
-    claims.add(
-        "orbit.orbit_stabilizer_product",
-        "orbit size times stabilizer order",
-        1536,
-        256 * len(stab),
-    )
+    anchor = "five 3-state orbits of the stabilizer square"
+    claims.add("orbit.stabilizer_orbit_partition", anchor, True, orbs == set(STABILIZER_ORBIT_SETS))
+    claims.add("orbit.orbit_stabilizer_product", "orbit size times stabilizer order", 1536, 256 * len(stab))
     return {
         "stabilizer_generator": _pair_json(FIDUCIAL_STABILIZER),
         "orbit_partition": [sorted(map(list, s)) for s in STABILIZER_ORBIT_SETS],
     }
 
 
-def _row_actions(perms: np.ndarray) -> tuple:
-    """How label permutations act on the rows of the label grid, labels
-    0-based with row r holding 4r..4r+3: the (P, 4) image row of each row,
-    -1 where a row is not sent onto one row, and the (P, 4, 4) grid of
-    images."""
-    grid = perms.reshape(-1, 4, 4)
-    rows = grid // 4
-    return np.where(np.all(rows == rows[:, :, :1], axis=2), rows[:, :, 0], -1), grid
-
-
 def run_symmetry(cfg, claims: Claims):
-    from .orbits import (
-        first_distinct_rows,
-        label_permutation_group,
-        permutation_orders,
-        permutation_parities,
-        verify_symmetry_group_in_clifford,
-    )
+    from .orbits import label_action, verify_symmetry_group_in_clifford
 
     rep = verify_symmetry_group_in_clifford()
     claims.add("symmetry.extended_order", "extended symmetry group of one SIC", 96, rep.extended_order)
     claims.add("symmetry.unitary_order", "unitary symmetry group of one SIC", 48, rep.unitary_order)
-    claims.add(
-        "symmetry.hw_unique_order16",
-        "displacement group is the unique order-16 subgroup",
-        True,
-        rep.hw_is_unique_order16,
-    )
-    claims.add(
-        "symmetry.rigid_permutations",
-        "state permutations preserving all triple traces",
-        3,
-        rep.rigid_permutation_count,
-    )
+    anchor = "displacement group is the unique order-16 subgroup"
+    claims.add("symmetry.hw_unique_order16", anchor, True, rep.hw_is_unique_order16)
+    anchor = "state permutations preserving all triple traces"
+    claims.add("symmetry.rigid_permutations", anchor, 3, rep.rigid_permutation_count)
 
-    perms = np.array(label_permutation_group(extended=False))
-    claims.add("symmetry.label_perm_count", "distinct label permutations, unitary", 48, len(perms))
-    orders, counts = np.unique(permutation_orders(perms), return_counts=True)
-    claims.add(
-        "symmetry.order_census",
-        "element orders in the quotient symmetry group",
-        {1: 1, 2: 7, 3: 8, 4: 24, 6: 8},
-        dict(zip(orders.tolist(), counts.tolist())),
-    )
+    act = label_action(extended=False)
+    claims.add("symmetry.label_perm_count", "distinct label permutations, unitary", 48, len(act.permutations))
+    anchor = "element orders in the quotient symmetry group"
+    claims.add("symmetry.order_census", anchor, {1: 1, 2: 7, 3: 8, 4: 24, 6: 8}, act.order_census)
+    claims.add("symmetry.row_partition_preserved", "label rows map onto label rows", True, act.rows_preserved)
+    claims.add("symmetry.row_image_order", "induced group on the four rows", 4, act.row_group_order)
+    anchor = "subgroup acting trivially on rows"
+    claims.add("symmetry.row_preserving_order", anchor, 12, act.row_fixing_order)
+    anchor = "row-preserving elements permute columns evenly, same way in every row"
+    claims.add("symmetry.row_preserving_column_action", anchor, True, act.columns_even_alike)
 
-    actions, grid = _row_actions(perms)
-    claims.add(
-        "symmetry.row_partition_preserved",
-        "label rows map onto label rows",
-        True,
-        bool(np.all(actions >= 0)),
-    )
-    row_images = len(first_distinct_rows(actions))
-    claims.add("symmetry.row_image_order", "induced group on the four rows", 4, row_images)
-    row_preserving = np.all(actions == np.arange(4), axis=1)
-    claims.add(
-        "symmetry.row_preserving_order",
-        "subgroup acting trivially on rows",
-        12,
-        int(row_preserving.sum()),
-    )
-    cols = grid[row_preserving] % 4  # the column permutation in each row
-    same_cols = np.all(cols == cols[:, :1], axis=(1, 2))
-    even = permutation_parities(cols[:, 0]) == 0
-    claims.add(
-        "symmetry.row_preserving_column_action",
-        "row-preserving elements permute columns evenly, same way in every row",
-        True,
-        bool(np.all(same_cols & even) and len(first_distinct_rows(cols[:, 0])) == 12),
-    )
-
-    ext = np.array(label_permutation_group(extended=True))
-    claims.add("symmetry.label_perm_count_extended", "distinct label permutations, extended", 96, len(ext))
-    claims.add(
-        "symmetry.row_image_order_extended",
-        "induced row group under the extended Clifford action",
-        8,
-        len(first_distinct_rows(_row_actions(ext)[0])),
-    )
-    return {"label_permutations": (perms + 1).tolist()}
+    ext = label_action(extended=True)
+    claims.add("symmetry.label_perm_count_extended", "distinct label permutations, extended", 96, len(ext.permutations))
+    anchor = "induced row group under the extended Clifford action"
+    claims.add("symmetry.row_image_order_extended", anchor, 8, ext.row_group_order)
+    return {"label_permutations": (act.permutations + 1).tolist()}
 
 
 # multiplicities of the 17 trace clusters, sorted by (re, im) of the center
@@ -234,80 +156,36 @@ _CENSUS_MULTIPLICITIES = (144, 144, 288, 288, 288, 288, 96, 96, 288, 288, 144, 1
 
 
 def run_triples(cfg, claims: Claims):
-    from .numerics import value_classes
-    from .orbits import TRIPLE_CENSUS_GAP, triple_family, triple_phase, triple_trace_census
+    from .orbits import triple_census_report, triple_family_deviations
 
     # the claims reading SIC 1's census observe None when it cannot split
-    ref, n, counts, real, pairs, modulus_dev = [], None, None, None, None, None
-    try:
-        ref = triple_trace_census(1)
-        centers, counts, n = np.array([c for c, _ in ref]), [m for _, m in ref], len(ref)
-        modulus_dev = np.max(np.abs(np.abs(centers) - 5**-1.5))
-        # the centers lead their conjugates, so they are classes 0..n-1: a real
-        # center's conjugate falls into its own class, a paired one's into its partner's
-        conj = value_classes(np.concatenate([centers, centers.conj()]), TRIPLE_CENSUS_GAP).classes[n:]
-        real = int(np.sum(conj == np.arange(n)))
-        pairs = int(np.sum((np.arange(n) < conj) & (conj < n)))
-    except ValueError:
-        pass
-    # every SIC's counts are SIC 1's and its k-th center lies within tol of SIC 1's
-    try:
-        same = bool(ref) and all(
-            [m for _, m in cen] == counts and np.max(np.abs([c for c, _ in cen] - centers)) <= cfg.tol
-            for cen in map(triple_trace_census, range(2, 17))
-        )
-    except ValueError:  # a SIC whose traces split into no classes has no census like SIC 1's
-        same = False
-    claims.add("triples.cluster_count", "distinct triple-trace values in one SIC", 17, n)
+    rep = triple_census_report(cfg.tol)
+    claims.add("triples.cluster_count", "distinct triple-trace values in one SIC", 17, len(rep.census) or None)
     multiplicities = list(_CENSUS_MULTIPLICITIES)
-    claims.add("triples.multiplicities", "cluster sizes over the 3360 ordered triples", multiplicities, counts)
-    claims.add("triples.real_clusters", "real triple-trace values", 1, real)
-    claims.add("triples.conjugate_pairs", "complex values come in conjugate pairs", 8, pairs)
-    claims.add("triples.modulus_dev", "all triple traces share the modulus 5^{-3/2}", 0.0, modulus_dev)
-    claims.add("triples.cross_sic_invariant", "identical census for all 16 SICs", True, same)
+    anchor = "cluster sizes over the 3360 ordered triples"
+    claims.add("triples.multiplicities", anchor, multiplicities, rep.multiplicities)
+    claims.add("triples.real_clusters", "real triple-trace values", 1, rep.real)
+    claims.add("triples.conjugate_pairs", "complex values come in conjugate pairs", 8, rep.pairs)
+    anchor = "all triple traces share the modulus 5^{-3/2}"
+    claims.add("triples.modulus_dev", anchor, 0.0, rep.modulus_dev)
+    anchor = "identical census for all 16 SICs"
+    claims.add("triples.cross_sic_invariant", anchor, True, rep.cross_sic_invariant)
 
-    fid_dev, phase_dev, monotone = 0.0, 0.0, True
-    thetas = np.linspace(-math.pi, math.pi, 100, endpoint=False)
-    for d in (3, 4, 5):
-        f1, f2, f3 = triple_family(thetas, d)
-        o12, o23, o31 = (np.sum(a.conj() * b, axis=1) for a, b in ((f1, f2), (f2, f3), (f3, f1)))
-        fid_dev = max(fid_dev, np.max(np.abs(np.abs([o12, o23, o31]) ** 2 - 1 / (d + 1))))
-        phase = triple_phase(thetas, d)
-        phase_dev = max(phase_dev, np.max(np.abs(np.angle(o12 * o23 * o31) - phase)))
-        monotone = monotone and bool(np.all(np.diff(phase) > 0))
-    claims.add(
-        "triples.family_fidelity_dev",
-        "three-state family keeps pairwise fidelity 1/(d+1), d = 3, 4, 5",
-        0.0,
-        fid_dev,
-        tol=1e-10,
-    )
-    claims.add(
-        "triples.family_phase_dev",
-        "triple-trace phase matches its closed form",
-        0.0,
-        phase_dev,
-        tol=1e-10,
-    )
+    fid_dev, phase_dev, monotone = triple_family_deviations()
+    anchor = "three-state family keeps pairwise fidelity 1/(d+1), d = 3, 4, 5"
+    claims.add("triples.family_fidelity_dev", anchor, 0.0, fid_dev, tol=1e-10)
+    claims.add("triples.family_phase_dev", "triple-trace phase matches its closed form", 0.0, phase_dev, tol=1e-10)
     claims.add("triples.family_phase_monotone", "phase strictly increasing on the grid", True, monotone)
     return {
-        "census": [[float(c.real), float(c.imag), int(n)] for c, n in ref],
+        "census": [[float(c.real), float(c.imag), int(n)] for c, n in rep.census],
     }
 
 
 def run_reconstruct(cfg, claims: Claims):
     from .orbits import enumerate_orbit
-    from .reconstruction import (
-        phase_operator,
-        reconstruct_hw,
-        reference_quads,
-        reference_signature,
-        signature_values,
-        signatures,
-        uniqueness_check,
-    )
-    from .regrouping import covariance_group, sic_family
+    from .reconstruction import phase_operator, reference_quads, reference_signature, signature_values, signatures
     from .numerics import match_projective, matrix_to_json
+    from .regrouping import reconstruct_family
     from .weyl_heisenberg import displacement_table
 
     orbit = enumerate_orbit()
@@ -321,62 +199,27 @@ def run_reconstruct(cfg, claims: Claims):
         float(np.max(np.abs(w - np.array(reference_signature())))),
         tol=1e-10,
     )
-    claims.add(
-        "reconstruct.signature_sum",
-        "the four signature values sum to the dimension",
-        4.0,
-        float(sum(signature_values())),
-        tol=1e-10,
-    )
+    anchor = "the four signature values sum to the dimension"
+    claims.add("reconstruct.signature_sum", anchor, 4.0, float(sum(signature_values())), tol=1e-10)
 
     matching = reference_quads(sic1)
-    claims.add(
-        "reconstruct.reference_quads",
-        "4-subsets of one SIC realizing the signature",
-        24,
-        len(matching),
-    )
+    claims.add("reconstruct.reference_quads", "4-subsets of one SIC realizing the signature", 24, len(matching))
 
     disp = displacement_table(4).reshape(16, 4, 4)
     ops = phase_operator(sic1[matching].sum(axis=1))
-    claims.add(
-        "reconstruct.quad_operators_in_group",
-        "every qualifying 4-subset induces a displacement element",
-        24,
-        int(np.sum(match_projective(ops, disp) >= 0)),
-    )
+    anchor = "every qualifying 4-subset induces a displacement element"
+    claims.add("reconstruct.quad_operators_in_group", anchor, 24, int(np.sum(match_projective(ops, disp) >= 0)))
 
-    # an uncertified row counts as neither group, and reconstruct_hw reads certified rows only
-    members, report = sic_family(cfg.tol)
-    certified = report.is_sic
-    group = np.full(32, -1)  # 0 the displacement group, 1 its conjugate
-    if certified.any():
-        rec = reconstruct_hw(orbit.projectors[members[certified]])
-        group[certified] = covariance_group(rec.elements)
-    claims.add(
-        "reconstruct.original_family",
-        "reconstruction returns the displacement group on SICs 1-16",
-        16,
-        int(np.count_nonzero(group[:16] == 0)),
-    )
-    claims.add(
-        "reconstruct.regrouped_family",
-        "reconstruction returns the conjugate group on SICs 17-32",
-        16,
-        int(np.count_nonzero(group[16:] == 1)),
-    )
-
-    claims.add(
-        "reconstruct.uniqueness",
-        "each of the 32 SICs is covariant under exactly one order-16 group",
-        32,
-        int(np.count_nonzero(uniqueness_check(members) & certified)),
-    )
-    k = np.cumsum(certified) - 1  # the row of rec of each certified SIC; an uncertified one has no generators
-    return {
-        "generators_sic_%d" % (n + 1): {"z": matrix_to_json(rec.z_gen[k[n]]), "x": matrix_to_json(rec.x_gen[k[n]])}
-        if certified[n] else None for n in (0, 16)
-    }
+    # an uncertified row counts as neither group, uniquely covariant under none, and has no generators
+    group, unique, generators = reconstruct_family(cfg.tol)
+    anchor = "reconstruction returns the displacement group on SICs 1-16"
+    claims.add("reconstruct.original_family", anchor, 16, group[:16].count(0))
+    anchor = "reconstruction returns the conjugate group on SICs 17-32"
+    claims.add("reconstruct.regrouped_family", anchor, 16, group[16:].count(1))
+    anchor = "each of the 32 SICs is covariant under exactly one order-16 group"
+    claims.add("reconstruct.uniqueness", anchor, 32, unique.count(True))
+    pairs = {"generators_sic_%d" % (n + 1): generators[n] for n in (0, 16)}  # None: an uncertified SIC
+    return {k: None if g is None else {"z": matrix_to_json(g[0]), "x": matrix_to_json(g[1])} for k, g in pairs.items()}
 
 
 class _InputError(Exception):
@@ -416,12 +259,7 @@ def run_reconstruct_input(cfg, claims: Claims):
         deviations = [x if math.isfinite(x) else None for x in deviations]
         return {"sic_deviations": dict(zip(("fidelity", "state", "completeness"), deviations)), "tol": cfg.tol}
     verdict = ("displacement", "conjugate-displacement", "other")[covariance_group(rec.elements)]
-    claims.add(
-        "reconstruct.input_group",
-        "reconstructed covariance group identified",
-        verdict,
-        verdict,
-    )
+    claims.add("reconstruct.input_group", "reconstructed covariance group identified", verdict, verdict)
     return {
         "generators": {"z": matrix_to_json(rec.z_gen), "x": matrix_to_json(rec.x_gen)},
         "elements": matrix_to_json(rec.elements),
@@ -430,33 +268,37 @@ def run_reconstruct_input(cfg, claims: Claims):
 
 
 def run_regroup(cfg, claims: Claims):
-    from .clifford import coset, enumerate_projective_clifford, to_operator
-    from .numerics import COMMUTATOR_TOL, commutator_phase, match_projective, matrix_to_json
-    from .orbits import enumerate_orbit, state_permutations
+    from .clifford import coset
+    from .numerics import matrix_to_json
+    from .orbits import enumerate_orbit
     from .regrouping import (
-        CLIFFORD_GENERATORS,
         EQUIVALENCE_MATRIX,
         X_PRIME_MATRIX,
         X_PRIME_PAIR,
         Z_PRIME_MATRIX,
         Z_PRIME_PAIR,
+        carried_sics,
+        clifford_index_two,
         covariance_group,
         displacement_coset,
-        dprime_covariant,
+        double_cover,
         dprime_literals_match,
         dprime_pairs,
+        dprime_permutes,
         equivalence_unitary,
         exhaustive_regroup_scan,
         fidelity_adjacency,
         hw_conjugate_subgroup_census,
+        primitive_commutation,
         sic_family,
     )
     from .weyl_heisenberg import displacement_table
 
     orbit = enumerate_orbit()
     members, report = sic_family(cfg.tol)
-    indices, certified = members[16:], report.is_sic  # SICs 17-32; a claim reading a row needs it certified
-    claims.add("regroup.additional_sics", "new SICs from block matching", 16, int(np.count_nonzero(certified[16:])))
+    indices, certified = members[16:], report.is_sic[16:]  # SICs 17-32; a claim reading a row needs it certified
+    anchor = "new SICs as the orbits of the conjugate displacement group"
+    claims.add("regroup.additional_sics", anchor, 16, int(np.count_nonzero(certified)))
 
     n_row = exhaustive_regroup_scan(full_scan=False, tol=cfg.tol)
     claims.add("regroup.row_scan_total", "SICs found by the per-row clique scan", 32, n_row)
@@ -464,95 +306,39 @@ def run_regroup(cfg, claims: Claims):
         n_full = exhaustive_regroup_scan(full_scan=True, tol=cfg.tol)
         claims.add("regroup.full_scan_total", "SICs found scanning all 256 states", 32, n_full)
 
-    cover = np.bincount(members[certified].ravel(), minlength=256)
-    claims.add(
-        "regroup.double_cover",
-        "every state belongs to exactly two of the 32 SICs",
-        True,
-        bool(np.all(cover == 2)),
-    )
+    anchor = "every state belongs to exactly two of the 32 SICs"
+    claims.add("regroup.double_cover", anchor, True, double_cover(cfg.tol))
     degrees = set(fidelity_adjacency(orbit, range(256)).sum(axis=1).tolist())
-    claims.add(
-        "regroup.fidelity_graph_regular",
-        "fidelity-1/5 graph is regular across the orbit",
-        True,
-        len(degrees) == 1,
-    )
+    anchor = "fidelity-1/5 graph is regular across the orbit"
+    claims.add("regroup.fidelity_graph_regular", anchor, True, len(degrees) == 1)
 
-    claims.add(
-        "regroup.generators_match_parametrization",
-        "written-out generators equal their symplectic parametrization",
-        True,
-        dprime_literals_match(),
-    )
-    comm = commutator_phase(Z_PRIME_MATRIX, X_PRIME_MATRIX)
-    claims.add(
-        "regroup.commutation_projective",
-        "clock and shift commute up to a fourth root of unity",
-        True,
-        bool(min(abs(comm - 1j), abs(comm + 1j)) <= COMMUTATOR_TOL),
-    )
-
-    claims.add(
-        "regroup.covariance",
-        "all 16 new SICs are covariant under the conjugate group",
-        True,
-        bool(np.all(dprime_covariant(indices) & certified[16:])),
-    )
+    anchor = "written-out generators equal their symplectic parametrization"
+    claims.add("regroup.generators_match_parametrization", anchor, True, dprime_literals_match())
+    commute = bool(primitive_commutation(Z_PRIME_MATRIX, X_PRIME_MATRIX))
+    claims.add("regroup.commutation_projective", "clock and shift commute up to a fourth root of unity", True, commute)
+    # the literal group permutes the float states of each new SIC, all certified
+    covariant = bool(certified.all() and dprime_permutes(orbit.projectors[indices]).all())
+    claims.add("regroup.covariance", "all 16 new SICs are covariant under the conjugate group", True, covariant)
 
     try:
         u = equivalence_unitary()
     except AssertionError:  # a matrix that is not unitary or moves the fiducial fails the claims that read it
         u = np.zeros((4, 4), dtype=complex)
     disp = displacement_table(4).reshape(16, 4, 4)
-    claims.add(
-        "regroup.equivalence_conjugates_group",
-        "the equivalence unitary maps the displacement group onto its conjugate",
-        True,
-        covariance_group(u @ disp @ u.conj().T) == 1,
-    )
-
-    # a certified original SIC is carried onto a certified new one when the
-    # images of all its states are states of that one new SIC; u fixes the
-    # fiducial and normalizes the Clifford group, so it permutes the orbit,
-    # and a u that does not carries no SIC
-    new_sic = np.full(256, -1)
-    new_sic[indices] = np.where(certified[16:], np.arange(16), -1)[:, None]
-    try:
-        image_sic = new_sic[state_permutations(u[None], orbit.projectors)[0]].reshape(16, 16)
-        carried = np.all(image_sic == image_sic[:, :1], axis=1) & (image_sic[:, 0] >= 0) & certified[:16]
-        mapped = int(np.count_nonzero(carried))
-    except ValueError:
-        mapped = 0
-    claims.add(
-        "regroup.equivalence_maps_family",
-        "the equivalence unitary carries the original family onto the new one",
-        16,
-        mapped,
-    )
-
-    # u normalizes the Clifford group when it conjugates each generator into it
-    mats = enumerate_projective_clifford(4, extended=False).mats
-    clifford_gens = np.stack([to_operator(g).matrix for g in CLIFFORD_GENERATORS])
-    normalizes = np.all(match_projective(u @ clifford_gens @ u.conj().T, mats) >= 0)
-    claims.add(
-        "regroup.clifford_index_two",
-        "the equivalence unitary extends the Clifford group by exactly one step",
-        True,
-        bool(match_projective(u @ u, mats) >= 0 and match_projective(u, mats) < 0 and normalizes),
-    )
+    anchor = "the equivalence unitary maps the displacement group onto its conjugate"
+    claims.add("regroup.equivalence_conjugates_group", anchor, True, covariance_group(u @ disp @ u.conj().T) == 1)
+    anchor = "the equivalence unitary carries the original family onto the new one"
+    claims.add("regroup.equivalence_maps_family", anchor, 16, carried_sics(u, cfg.tol))
+    anchor = "the equivalence unitary extends the Clifford group by exactly one step"
+    claims.add("regroup.clifford_index_two", anchor, True, clifford_index_two(u))
 
     total, normal, _, normal_sets = hw_conjugate_subgroup_census()
     claims.add("regroup.census_total", "displacement-type subgroups of the Clifford group", 32, total)
     claims.add("regroup.census_normal", "normal displacement-type subgroups", 2, normal)
     dbar = frozenset(displacement_coset(p1, p2) for p1 in range(4) for p2 in range(4))
     dbar_prime = frozenset(map(coset, dprime_pairs()))
-    claims.add(
-        "regroup.census_normal_identified",
-        "the two normal subgroups are the original and conjugate displacement groups",
-        True,
-        set(normal_sets) == {dbar, dbar_prime},
-    )
+    anchor = "the two normal subgroups are the original and conjugate displacement groups"
+    claims.add("regroup.census_normal_identified", anchor, True, set(normal_sets) == {dbar, dbar_prime})
 
     return {
         "regrouped_sics": [
@@ -573,144 +359,63 @@ def run_regroup(cfg, claims: Claims):
 
 
 def run_twoqubit(cfg, claims: Claims, basis: str):
-    from .numerics import rank1_kets, value_classes
-    from .orbits import LABEL_GRID, enumerate_orbit
+    from .orbits import enumerate_orbit
     from .regrouping import sic_family
     from .two_qubit import (
-        CONCURRENCE_GAP,
-        concurrence,
-        detect_cube,
+        concurrence_classes,
+        cube_census,
         gbv,
-        match_sign_patterns,
         operator_schmidt_rank,
         partial_transpose_simplex_checks,
         physical_state,
-        reduced_purity,
-        reduced_state_census,
-        sign_pattern_table,
+        purity_dev,
+        sign_census,
         violating_signs,
     )
-    from .weyl_heisenberg import CONSTANTS, displacement
+    from .weyl_heisenberg import displacement
 
     orbit = enumerate_orbit()
     pre = basis
     states = physical_state(orbit.projectors, basis)  # SIC by SIC, 16 states each
+    g = gbv(states)  # the basis's one Pauli expansion; every Bloch vector below is read off it
+    anchor = "pure-state Bloch norm over all 256 fiducials"
+    claims.add(f"twoqubit.{pre}_gbv_norm_dev", anchor, 0.0, np.max(np.abs(g.norm_sq() - 3.0)))
+    signs = sign_census(g, basis)
+    claims.add(f"twoqubit.{pre}_pattern_matches", "fiducials matching the sign-pattern tables", 256, signs.matches)
+    anchor = "SICs 1-8 carry class-1 patterns, SICs 9-16 class-2"
+    claims.add(f"twoqubit.{pre}_class_split", anchor, True, signs.class_split)
+    claims.add(f"twoqubit.{pre}_sign_constancy", "sign functions constant within each SIC", True, signs.constant)
+    anchor = "sign functions constant along rows and columns of the label grid"
+    claims.add(f"twoqubit.{pre}_sign_table", anchor, True, signs.table)
 
-    g = gbv(states)
-    claims.add(
-        f"twoqubit.{pre}_gbv_norm_dev",
-        "pure-state Bloch norm over all 256 fiducials",
-        0.0,
-        np.max(np.abs(g.norm_sq() - 3.0)),
-    )
-    row = match_sign_patterns(g, basis).reshape(16, 16)
-    matched = row >= 0
-    # per state: class id, the eight signs, h1, h2, h3 (meaningless where unmatched)
-    columns = sign_pattern_table(basis)[1][row]
-    claims.add(
-        f"twoqubit.{pre}_pattern_matches",
-        "fiducials matching the sign-pattern tables",
-        256,
-        int(matched.sum()),
-    )
-    first_eight = np.arange(1, 17)[:, None] <= 8
-    claims.add(
-        f"twoqubit.{pre}_class_split",
-        "SICs 1-8 carry class-1 patterns, SICs 9-16 class-2",
-        True,
-        bool(np.all(~matched | (first_eight == (columns[..., 0] == 1)))),
-    )
-    h = columns[..., 9:]
-    h_sic = h[np.arange(16), matched.argmax(axis=1)]  # at each SIC's first matched state
-    constant = matched.any(axis=1) & np.all(~matched[..., None] | (h == h_sic[:, None]), axis=(1, 2))
-    claims.add(
-        f"twoqubit.{pre}_sign_constancy",
-        "sign functions constant within each SIC",
-        True,
-        bool(constant.all()),
-    )
-    # h1 by row of the label grid, (h2, h3) by column
-    h_grid = np.empty((16, 3), dtype=int)
-    h_grid[np.array(LABEL_GRID) - 1] = np.dstack(
-        np.broadcast_arrays([[-1], [1], [1], [-1]], [[1, 1, -1, -1]], [[-1, 1, 1, -1]])
-    )
-    claims.add(
-        f"twoqubit.{pre}_sign_table",
-        "sign functions constant along rows and columns of the label grid",
-        True,
-        bool(constant.all() and np.array_equal(h_sic, h_grid)),
-    )
-
-    root = math.sqrt(CONSTANTS.G)
-    flat_class = slice(0, 8) if basis == "product" else slice(8, 16)  # SICs 1-8 or 9-16
-    split_class = slice(8, 16) if basis == "product" else slice(0, 8)
-    # the closed forms sqrt(2/5) and sqrt((2 +- 2 sqrt G)/5) lead the 256
-    # concurrences, so classes 0, 1 and 2 are theirs
-    forms = [math.sqrt(2 / 5), math.sqrt((2 + 2 * root) / 5), math.sqrt((2 - 2 * root) / 5)]
-    # the claims reading the concurrence classes observe None when they cannot split
-    equal = split = concurrences = None
-    try:
-        conc = value_classes(np.concatenate([forms, concurrence(rank1_kets(states))]), CONCURRENCE_GAP)
-        ids = conc.classes[3:].reshape(16, 16)
-        census = np.count_nonzero(ids[:, :, None] == np.arange(len(conc.counts)), axis=1)  # (SIC, class) counts
-        equal = int(np.count_nonzero(ids[flat_class] == 0))
-        split = bool(np.all(census[split_class, 1:3] == 8))
-        # each SIC's classes in order of first appearance, keyed by their centers to 9 decimals
-        concurrences = {
-            str(n): {str(float("%.9f" % conc.centers[c])): int(census[n - 1, c]) for c in dict.fromkeys(sic)}
-            for n, sic in enumerate(ids.tolist(), start=1)
-        }
-    except ValueError:
-        pass
-    claims.add(f"twoqubit.{pre}_equal_concurrence_count", "states in the equal-concurrence class", 128, equal)
+    conc = concurrence_classes(states, basis)  # None fields when the concurrences cannot split
+    claims.add(f"twoqubit.{pre}_equal_concurrence_count", "states in the equal-concurrence class", 128, conc.equal)
     anchor = "other-class SICs split 8 + 8 between the two concurrence values"
-    claims.add(f"twoqubit.{pre}_split_concurrence", anchor, True, split)
+    claims.add(f"twoqubit.{pre}_split_concurrence", anchor, True, conc.split)
 
     members, report = sic_family(cfg.tol)
-    purity = reduced_purity(orbit.projectors[members].reshape(512, 4, 4), basis).reshape(32, 16).mean(axis=1)
     claims.add(
         f"twoqubit.{pre}_avg_purity_dev",
         "average reduced purity of every SIC, original and regrouped",
         0.0,
-        np.max(np.abs(purity - 0.8)) if report.is_sic.all() else None,  # None: a row is no certified SIC
+        purity_dev(g.s, members) if report.is_sic.all() else None,  # None: a row is no certified SIC
     )
 
     if basis == "product":
-        # None for a SIC whose reduced-state census cannot split; the claims reading it observe None
-        sics = orbit.projectors.reshape(16, 16, 4, 4)
-        reps = list(zip(*(reduced_state_census(sics, q, basis) for q in (0, 1))))
-        cube, edge = zip(*(detect_cube(second.bloch_points) if second else (None, None) for _, second in reps))
-        multiplicity = all(r and len(r.bloch_points) == 8 and set(r.multiplicities) == {2} for rs in reps for r in rs)
-        cube_class1, cube_class2 = (None if None in c else sum(c) for c in (cube[:8], cube[8:]))
-        edges = [abs(e - 2 / math.sqrt(5)) for e in edge[:8] if e is not None]
-        edge_dev = None if None in cube[:8] else max(edges, default=0.0)
+        cube = cube_census(g)  # None fields for a SIC whose reduced-state census cannot split
         anchor = "eight reduced states per qubit, each shared by two fiducials"
-        claims.add("twoqubit.product_reduced_multiplicity", anchor, True, multiplicity)
+        claims.add("twoqubit.product_reduced_multiplicity", anchor, True, cube.multiplicity)
         anchor = "second-qubit Bloch points of class-1 SICs form a cube"
-        claims.add("twoqubit.product_cube_class1", anchor, 8, cube_class1)
-        claims.add("twoqubit.product_cube_class2", "class-2 SICs do not produce the cube", 0, cube_class2)
-        claims.add("twoqubit.product_cube_edge_dev", "cube edge length 2/sqrt(5)", 0.0, edge_dev)
+        claims.add("twoqubit.product_cube_class1", anchor, 8, cube.class1)
+        claims.add("twoqubit.product_cube_class2", "class-2 SICs do not produce the cube", 0, cube.class2)
+        claims.add("twoqubit.product_cube_edge_dev", "cube edge length 2/sqrt(5)", 0.0, cube.edge_dev)
         certified = int(np.sum(partial_transpose_simplex_checks(violating_signs(), orbit, cfg.tol)))
-        claims.add(
-            "twoqubit.product_simplex_patterns",
-            "excluded sign assignments encode partial transposes of fiducials",
-            128,
-            certified,
-        )
+        anchor = "excluded sign assignments encode partial transposes of fiducials"
+        claims.add("twoqubit.product_simplex_patterns", anchor, 128, certified)
 
-    claims.add(
-        f"twoqubit.{pre}_shift_nonlocal",
-        "the shift generator is not a product of single-qubit unitaries",
-        2,
-        operator_schmidt_rank(displacement(1, 0, 4)),
-    )
-    lab, k = np.indices((16, 16))
-    rows = np.column_stack([lab.ravel() + 1, k.ravel(), columns.reshape(256, 12)[:, 1:]])
-    return {
-        "basis": basis,
-        "sign_patterns": rows[matched.ravel()].tolist(),
-        "concurrence": concurrences,
-    }
+    anchor = "the shift generator is not a product of single-qubit unitaries"
+    claims.add(f"twoqubit.{pre}_shift_nonlocal", anchor, 2, operator_schmidt_rank(displacement(1, 0, 4)))
+    return {"basis": basis, "sign_patterns": signs.rows, "concurrence": conc.classes}
 
 
 # --- report rendering ------------------------------------------------------

@@ -352,6 +352,59 @@ def triple_trace_census(label: int = 1, gap: float = TRIPLE_CENSUS_GAP):
     return list(zip(centers.tolist(), counts.tolist()))
 
 
+class TripleCensusReport(NamedTuple):
+    census: list  # SIC 1's (value, multiplicity) pairs, [] when its census cannot split
+    multiplicities: list | None
+    real: int | None  # values whose conjugate falls into their own class
+    pairs: int | None  # pairs of values whose conjugates fall into each other's class
+    modulus_dev: float | None  # the largest ||value| - 5^(-3/2)|
+    cross_sic_invariant: bool  # every SIC's census is SIC 1's to within tol
+
+
+def triple_census_report(tol: float = DEFAULT_TOL) -> TripleCensusReport:
+    """SIC 1's triple-trace census and its facts at TRIPLE_CENSUS_GAP: the
+    centers lead their conjugates in one value_classes call, so they are
+    classes 0..n-1.  cross_sic_invariant decides at tol: every SIC's counts
+    are SIC 1's and its k-th center lies within tol of SIC 1's.  A census
+    that cannot split leaves the facts that read it None, and
+    cross_sic_invariant False."""
+    census, counts, real, pairs, modulus_dev = [], None, None, None, None
+    try:
+        census = triple_trace_census(1)
+        centers, counts, n = np.array([c for c, _ in census]), [m for _, m in census], len(census)
+        modulus_dev = np.max(np.abs(np.abs(centers) - 5**-1.5))
+        conj = value_classes(np.concatenate([centers, centers.conj()]), TRIPLE_CENSUS_GAP).classes[n:]
+        real = int(np.sum(conj == np.arange(n)))
+        pairs = int(np.sum((np.arange(n) < conj) & (conj < n)))
+    except ValueError:
+        pass
+    try:
+        same = bool(census) and all(
+            [m for _, m in cen] == counts and np.max(np.abs([c for c, _ in cen] - centers)) <= tol
+            for cen in map(triple_trace_census, range(2, 17))
+        )
+    except ValueError:  # a SIC whose traces split into no classes has no census like SIC 1's
+        same = False
+    return TripleCensusReport(census, counts, real, pairs, modulus_dev, same)
+
+
+def triple_family_deviations() -> tuple:
+    """The three-state family of triple_family on 100 angles in [-pi, pi),
+    over d = 3, 4, 5: the largest deviation of a pairwise fidelity from
+    1/(d+1), the largest deviation of the triple-product phase from
+    triple_phase, and whether that phase increases strictly along the grid."""
+    fid_dev, phase_dev, monotone = 0.0, 0.0, True
+    thetas = np.linspace(-np.pi, np.pi, 100, endpoint=False)
+    for d in (3, 4, 5):
+        f1, f2, f3 = triple_family(thetas, d)
+        o12, o23, o31 = (np.sum(a.conj() * b, axis=1) for a, b in ((f1, f2), (f2, f3), (f3, f1)))
+        fid_dev = max(fid_dev, np.max(np.abs(np.abs([o12, o23, o31]) ** 2 - 1 / (d + 1))))
+        phase = triple_phase(thetas, d)
+        phase_dev = max(phase_dev, np.max(np.abs(np.angle(o12 * o23 * o31) - phase)))
+        monotone = monotone and bool(np.all(np.diff(phase) > 0))
+    return fid_dev, phase_dev, monotone
+
+
 def permutation_orders(perms) -> np.ndarray:
     """Orders of a (P, n) stack of permutations given as rows of images."""
     perms = np.asarray(perms)
@@ -478,6 +531,37 @@ def verify_symmetry_group_in_clifford() -> SymmetryReport:
         unitary_order=len(unitary),
         hw_is_unique_order16=bool(unique16),
         rigid_permutation_count=rigid,
+    )
+
+
+class LabelAction(NamedTuple):
+    permutations: np.ndarray  # (P, 16) label permutations, 0-based, as label_permutation_group
+    order_census: dict  # element order -> number of permutations of that order
+    rows_preserved: bool  # each permutation maps every label-grid row onto a row
+    row_group_order: int  # distinct permutations induced on the four rows
+    row_fixing_order: int  # permutations fixing every row
+    columns_even_alike: bool  # those permute the columns evenly, alike in each row, in 12 ways
+
+
+def label_action(extended: bool = False) -> LabelAction:
+    """How label_permutation_group(extended) acts on the rows and columns
+    of the label grid, labels 0-based with row r holding 4r..4r+3."""
+    perms = np.array(label_permutation_group(extended=extended))
+    orders, counts = np.unique(permutation_orders(perms), return_counts=True)
+    grid = perms.reshape(-1, 4, 4)
+    rows = grid // 4
+    # the image row of each row, -1 where a row is not sent onto one row
+    actions = np.where(np.all(rows == rows[:, :, :1], axis=2), rows[:, :, 0], -1)
+    fixing = np.all(actions == np.arange(4), axis=1)
+    cols = grid[fixing] % 4  # the column permutation in each row
+    even_alike = np.all(cols == cols[:, :1], axis=(1, 2)) & (permutation_parities(cols[:, 0]) == 0)
+    return LabelAction(
+        perms,
+        dict(zip(orders.tolist(), counts.tolist())),
+        bool(np.all(actions >= 0)),
+        len(first_distinct_rows(actions)),
+        int(fixing.sum()),
+        bool(np.all(even_alike) and len(first_distinct_rows(cols[:, 0])) == 12),
     )
 
 

@@ -23,9 +23,10 @@ from .clifford import (
     semidirect_product,
     to_operator,
 )
-from .numerics import COMMUTATOR_TOL, DEFAULT_TOL, commutator_phase, is_unitary, proj_equal, projective_set_equal
+from .numerics import COMMUTATOR_TOL, DEFAULT_TOL, commutator_phase, is_unitary, match_projective, proj_equal
+from .numerics import projective_set_equal
 from .orbits import FiducialOrbit, element_product, enumerate_orbit, fiducial_projector, first_distinct_rows
-from .orbits import normal_subgroups, orbit_certificate, pair_action
+from .orbits import normal_subgroups, orbit_certificate, pair_action, state_permutations
 from .weyl_heisenberg import SicReport, displacement_table, shift_clock_products, verify_sic
 
 # two orbit states are fidelity-1/5 neighbours when |tr(a b) - 1/5| is at
@@ -43,18 +44,14 @@ def dprime_pairs() -> list:
     return [semidirect_product(a, b) for a in x for b in z]
 
 
-def _dprime_action() -> np.ndarray:  # pair_action of dprime_pairs(), an int16 (16, 256) array
-    f, chi = zip(*((p.F, p.chi) for p in dprime_pairs()))
-    return pair_action(f, chi)
-
-
 def regrouped_family() -> np.ndarray:
     """The 16 regrouped SICs 17..32 as a read-only int (16, 4, 4) array: the
     distinct D'-orbits of the orbit states, each sorted, in ascending order,
     read exactly off pair_action.  matching[i, j] holds the sorted orbit
     indices of the four states that SIC 17 + i takes from the j-th SIC of
     its label-grid row, so matching.reshape(16, 16) lists its states."""
-    orbits = np.sort(_dprime_action().T, axis=1)  # (256, 16): the D'-orbit of each state
+    f, chi = zip(*((p.F, p.chi) for p in dprime_pairs()))
+    orbits = np.sort(pair_action(f, chi).T, axis=1)  # (256, 16): the D'-orbit of each state
     matching = orbits[first_distinct_rows(orbits)].astype(int).reshape(16, 4, 4)
     matching.flags.writeable = False
     return matching
@@ -140,6 +137,33 @@ def exhaustive_regroup_scan(full_scan: bool = False, tol: float = DEFAULT_TOL) -
     return len(found) if found == set(map(tuple, members[report.is_sic].tolist())) else -1
 
 
+def double_cover(tol: float = DEFAULT_TOL) -> bool:
+    """Whether the rows of sic_family that certify at tol hold every orbit
+    state exactly twice."""
+    members, report = sic_family(tol)
+    return bool(np.all(np.bincount(members[report.is_sic].ravel(), minlength=256) == 2))
+
+
+def reconstruct_family(tol: float = DEFAULT_TOL) -> tuple:
+    """The covariance groups of the 32 SICs of sic_family(tol), from one
+    stacked reconstruct_hw call on the rows that certify at tol: three
+    lists over the rows, covariance_group of each recovered group (0 the
+    displacement group, 1 its conjugate D', -1 neither), the verdicts of
+    one uniqueness_check call, and the (z, x) generators.  An uncertified
+    row reads -1, False and None."""
+    from .reconstruction import reconstruct_hw, uniqueness_check  # only the reconstructing sections load it
+
+    members, report = sic_family(tol)
+    certified = report.is_sic
+    group, generators = np.full(32, -1), [None] * 32
+    if certified.any():
+        rec = reconstruct_hw(enumerate_orbit().projectors[members[certified]])
+        group[certified] = covariance_group(rec.elements)
+        for n, z, x in zip(np.flatnonzero(certified).tolist(), rec.z_gen, rec.x_gen):
+            generators[n] = (z, x)
+    return group.tolist(), (uniqueness_check(members) & certified).tolist(), generators
+
+
 X_PRIME_PAIR = SymplecticPair(F=(3, 0, 2, 3), chi=(0, 1), d=4)
 Z_PRIME_PAIR = SymplecticPair(F=(3, 2, 0, 3), chi=(3, 0), d=4)
 
@@ -175,22 +199,12 @@ def dprime_literals_match() -> bool:
     return all(proj_equal(to_operator(pair).matrix, literal) for pair, literal in pairs)
 
 
-def dprime_generators() -> tuple:
-    """Shift/clock generators of the regrouped family's covariance group.
-
-    Returned as fresh copies of the literal matrices, which are checked
-    projectively against their symplectic-pair parametrization on the
-    first call.
-    """
-    if not dprime_literals_match():
-        raise AssertionError("parametrized operator disagrees with its literal matrix")
-    return X_PRIME_MATRIX.copy(), Z_PRIME_MATRIX.copy()
-
-
 @lru_cache(maxsize=1)
 def dprime_elements() -> np.ndarray:
-    """The 16 projective elements of the conjugate displacement group, read-only."""
-    elements = shift_clock_products(*dprime_generators())
+    """The 16 projective elements of the conjugate displacement group, read-only:
+    the products of the literal generators X_PRIME_MATRIX and Z_PRIME_MATRIX,
+    which dprime_literals_match checks against their parametrization."""
+    elements = shift_clock_products(X_PRIME_MATRIX, Z_PRIME_MATRIX)
     elements.flags.writeable = False
     return elements
 
@@ -218,6 +232,34 @@ def equivalence_unitary() -> np.ndarray:
     if not proj_equal(u @ rho @ u.conj().T, rho):
         raise AssertionError("equivalence matrix moves the fiducial state")
     return u.copy()
+
+
+def carried_sics(u, tol: float = DEFAULT_TOL) -> int:
+    """How many of the orbit SICs 1-16 the unitary u carries onto the
+    regrouped SICs 17-32: a SIC is carried when the images of all its
+    states, matched by state_permutations, are the states of one regrouped
+    SIC and both rows certify at tol.  0 when u does not permute the orbit,
+    as a u that fixes the fiducial and normalizes the Clifford group does."""
+    members, report = sic_family(tol)
+    certified = report.is_sic
+    new_sic = np.full(256, -1)
+    new_sic[members[16:]] = np.where(certified[16:], np.arange(16), -1)[:, None]
+    try:
+        image_sic = new_sic[state_permutations(u[None], enumerate_orbit().projectors)[0]].reshape(16, 16)
+    except ValueError:
+        return 0
+    carried = np.all(image_sic == image_sic[:, :1], axis=1) & (image_sic[:, 0] >= 0) & certified[:16]
+    return int(np.count_nonzero(carried))
+
+
+def clifford_index_two(u) -> bool:
+    """Whether the unitary u extends the unitary Clifford group by exactly
+    one step: u lies outside it, u^2 inside, and u normalizes it,
+    conjugating each of CLIFFORD_GENERATORS into it."""
+    mats = enumerate_projective_clifford(4, extended=False).mats
+    generators = np.stack([to_operator(g).matrix for g in CLIFFORD_GENERATORS])
+    normalizes = np.all(match_projective(u @ generators @ u.conj().T, mats) >= 0)
+    return bool(match_projective(u @ u, mats) >= 0 and match_projective(u, mats) < 0 and normalizes)
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +300,17 @@ def _span(x, z, identity: int) -> np.ndarray:
     return element_product(powers(x)[:, :, None], powers(z)[:, None, :]).reshape(len(x), 16)
 
 
-def dprime_covariant(indices) -> np.ndarray:
-    """Whether D' permutes each of an (S, M) stack of sets of orbit states,
-    given by their sorted orbit indices: the (S,) verdicts that the sorted
-    images of a set's indices under each of its 16 elements are those
-    indices."""
-    indices = np.asarray(indices)
-    return np.all(np.sort(_dprime_action()[:, indices], axis=-1) == indices, axis=(0, 2))
+def dprime_permutes(states) -> np.ndarray:
+    """Whether conjugation by the 16 matrices of dprime_elements() permutes
+    each of an (S, M, 4, 4) stack of rank-1 state lists: the (S,) verdicts
+    of one state_permutations call per list, on the float states."""
+    verdicts = np.ones(len(states), dtype=bool)
+    for k, listed in enumerate(states):
+        try:
+            state_permutations(dprime_elements(), listed)
+        except ValueError:
+            verdicts[k] = False
+    return verdicts
 
 
 def hw_conjugate_subgroup_census() -> tuple:
@@ -291,15 +337,21 @@ def hw_conjugate_subgroup_census() -> tuple:
     spans = np.sort(_span(x, z, identity), axis=1)
     full = np.flatnonzero(np.all(np.diff(spans, axis=1) != 0, axis=1))
     first = full[first_distinct_rows(spans[full])]  # one pair per distinct 16-element span
-    c = commutator_phase(mats[x[first]], mats[z[first]])
-    pairing = np.minimum(np.abs(c - 1j), np.abs(c + 1j)) <= COMMUTATOR_TOL  # primitive pairing
-    hw_type = spans[first[pairing]]
+    hw_type = spans[first[primitive_commutation(mats[x[first]], mats[z[first]])]]
     normal = hw_type[normal_subgroups(hw_type, [index[coset(g)] for g in CLIFFORD_GENERATORS])]
 
     def named(s):
         return frozenset(names[k] for k in s.tolist())
 
     return len(hw_type), len(normal), [named(s) for s in hw_type], [named(s) for s in normal]
+
+
+def primitive_commutation(a, b) -> np.ndarray:
+    """Whether the commutator phase of a and b, or of each pair of two
+    stacks, is a primitive fourth root of unity, +-i, within
+    COMMUTATOR_TOL: the commutation of a displacement-type generator pair."""
+    c = commutator_phase(a, b)
+    return np.minimum(np.abs(c - 1j), np.abs(c + 1j)) <= COMMUTATOR_TOL
 
 
 def displacement_coset(p1: int, p2: int):

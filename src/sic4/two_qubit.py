@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import value_classes
+from .numerics import rank1_kets, value_classes
 from .weyl_heisenberg import CONSTANTS, _upper_pairs, displacement_table
 
 _SQRT2 = math.sqrt(2.0)
@@ -219,6 +219,35 @@ def match_sign_patterns(g: Gbv, basis: str = "product", tol: float = SIGN_MATCH_
     return rows
 
 
+class SignCensus(NamedTuple):
+    matches: int  # orbit states reproducing a row of sign_pattern_table
+    class_split: bool  # where matched, SICs 1-8 carry class-1 rows, SICs 9-16 class-2
+    constant: bool  # h1, h2, h3 are constant within each SIC
+    table: bool  # and follow the label grid: h1 by row, h2 and h3 by column
+    rows: list  # per matched state: SIC label, state, the eight signs, h1, h2, h3
+
+
+def sign_census(g: Gbv, basis: str) -> SignCensus:
+    """The sign patterns of the 256 orbit states, from their Gbv in SIC
+    order, 16 states each: match_sign_patterns, then the class of each SIC
+    and its sign functions."""
+    row = match_sign_patterns(g, basis).reshape(16, 16)
+    matched = row >= 0
+    # per state: class id, the eight signs, h1, h2, h3 (meaningless where unmatched)
+    columns = sign_pattern_table(basis)[1][row]
+    first_eight = np.arange(1, 17)[:, None] <= 8
+    class_split = bool(np.all(~matched | (first_eight == (columns[..., 0] == 1))))
+    h = columns[..., 9:]
+    h_sic = h[np.arange(16), matched.argmax(axis=1)]  # at each SIC's first matched state
+    constant = bool(np.all(matched.any(axis=1) & np.all(~matched[..., None] | (h == h_sic[:, None]), axis=(1, 2))))
+    # label 4 r + c + 1 sits in row r, column c of orbits.LABEL_GRID
+    h_grid = np.stack(np.broadcast_arrays([[-1], [1], [1], [-1]], [[1, 1, -1, -1]], [[-1, 1, 1, -1]]), axis=-1)
+    lab, k = np.indices((16, 16))
+    rows = np.column_stack([lab.ravel() + 1, k.ravel(), columns.reshape(256, 12)[:, 1:]])
+    table = constant and np.array_equal(h_sic, h_grid.reshape(16, 3))
+    return SignCensus(int(matched.sum()), class_split, constant, table, rows[matched.ravel()].tolist())
+
+
 def bell_basis_map() -> np.ndarray:
     """Unitary whose columns are the Bell kets in product coordinates."""
     s = 1.0 / _SQRT2
@@ -258,16 +287,49 @@ def concurrence(psi: np.ndarray):
 CONCURRENCE_GAP = 1e-9
 
 
-def _bloch_vectors(states: np.ndarray, basis: str, qubit: int) -> np.ndarray:
-    """Bloch vectors of one qubit's reduced states, for an (N, 4, 4) stack."""
-    g = gbv(physical_state(states, basis))
-    return g.s if qubit == 0 else g.r
+class ConcurrenceCensus(NamedTuple):
+    equal: int | None  # states at sqrt(2/5) in the SICs of the basis's equal class
+    split: bool | None  # the other SICs split 8 + 8 between the other two values
+    classes: dict | None  # per SIC label, its classes' centers to 9 decimals -> counts
 
 
-def reduced_purity(states: np.ndarray, basis: str = "product", qubit: int = 0) -> np.ndarray:
-    """tr(red^2) = (1 + |b|^2) / 2 of the reduced state, Bloch vector b, of
-    each state of an (N, 4, 4) stack."""
-    return (1.0 + np.sum(_bloch_vectors(states, basis, qubit) ** 2, axis=-1)) / 2
+def concurrence_classes(states, basis: str) -> ConcurrenceCensus:
+    """The concurrence census of the 256 orbit states, given in product
+    coordinates (physical_state of the orbit in basis) in SIC order.  The
+    closed forms sqrt(2/5) and sqrt((2 +- 2 sqrt G)/5) lead the values, so
+    classes 0, 1 and 2 are theirs; each SIC's classes are listed in order
+    of first appearance.  SICs 1-8 hold the equal class in the product
+    basis and SICs 9-16 in the Bell basis.  Every field is None when the
+    values split into no classes at CONCURRENCE_GAP."""
+    root = math.sqrt(CONSTANTS.G)
+    forms = [math.sqrt(2 / 5), math.sqrt((2 + 2 * root) / 5), math.sqrt((2 - 2 * root) / 5)]
+    equal_sics, split_sics = (slice(0, 8), slice(8, 16)) if basis == "product" else (slice(8, 16), slice(0, 8))
+    try:
+        conc = value_classes(np.concatenate([forms, concurrence(rank1_kets(states))]), CONCURRENCE_GAP)
+    except ValueError:
+        return ConcurrenceCensus(None, None, None)
+    ids = conc.classes[3:].reshape(16, 16)
+    census = np.count_nonzero(ids[:, :, None] == np.arange(len(conc.counts)), axis=1)  # (SIC, class) counts
+    classes = {
+        str(n): {str(float("%.9f" % conc.centers[c])): int(census[n - 1, c]) for c in dict.fromkeys(sic)}
+        for n, sic in enumerate(ids.tolist(), start=1)
+    }
+    equal, split = int(np.count_nonzero(ids[equal_sics] == 0)), bool(np.all(census[split_sics, 1:3] == 8))
+    return ConcurrenceCensus(equal, split, classes)
+
+
+def reduced_purity(bloch) -> np.ndarray:
+    """tr(red^2) = (1 + |b|^2) / 2 of the single-qubit reduced state with
+    Bloch vector b, over a (..., 3) array such as Gbv.s or Gbv.r."""
+    return (1.0 + np.sum(np.asarray(bloch) ** 2, axis=-1)) / 2
+
+
+def purity_dev(bloch, members) -> float:
+    """The largest |mean reduced purity - 4/5| over the rows of an (S, n)
+    index array into the (N, 3) Bloch vectors of N states: how far the
+    sets, such as the 32 SICs of regrouping.sic_family, stray from the
+    paper's average purity 0.8."""
+    return np.max(np.abs(reduced_purity(bloch)[members].mean(axis=1) - 0.8))
 
 
 class ReducedStateReport(NamedTuple):
@@ -281,27 +343,24 @@ class ReducedStateReport(NamedTuple):
 REDUCED_POINT_TOL = 1e-8
 
 
-def reduced_state_census(
-    states: np.ndarray, qubit: int = 1, basis: str = "product", tol: float = REDUCED_POINT_TOL
-):
-    """Distinct single-qubit reduced states of an (N, 4, 4) state list,
-    such as one SIC's 16 states, with their multiplicities; for an
-    (S, N, 4, 4) stack, the list of S reports from one gbv pass.  Each
-    list's points are split by value_classes at the gap tol, and each
-    distinct point is represented by its first occurrence (detect_cube
-    tests them for a cube); a list whose points split into no classes
-    gets None."""
-    states = np.asarray(states)
-    n = states.shape[-3]
+def reduced_state_census(points, tol: float = REDUCED_POINT_TOL):
+    """Distinct single-qubit reduced states of a list of states, given by
+    their (N, 3) Bloch vectors (Gbv.s for the first qubit, Gbv.r for the
+    second), such as one SIC's 16, with their multiplicities; for an
+    (S, N, 3) stack, the list of S reports.  Each list's points are split
+    by value_classes at the gap tol, and each distinct point is
+    represented by its first occurrence (detect_cube tests them for a
+    cube); a list whose points split into no classes gets None."""
+    points = np.asarray(points)
     reports = []
-    for points in _bloch_vectors(states.reshape(-1, 4, 4), basis, qubit).reshape(-1, n, 3):
+    for p in points.reshape((-1,) + points.shape[-2:]):
         try:
-            split = value_classes(points, tol)
+            split = value_classes(p, tol)
         except ValueError:
             reports.append(None)
         else:
-            reports.append(ReducedStateReport(points[split.first], tuple(split.counts.tolist())))
-    return reports[0] if states.ndim == 3 else reports
+            reports.append(ReducedStateReport(p[split.first], tuple(split.counts.tolist())))
+    return reports[0] if points.ndim == 2 else reports
 
 
 # the cube test's cuts, with what they meet on the 16 orbit SICs' Bloch
@@ -329,6 +388,25 @@ def detect_cube(points: np.ndarray) -> tuple:
     ok = value_classes(dists, CUBE_GAP_TOL).counts.tolist() == [12, 12, 4]
     ok = ok and abs(face - _SQRT2 * edge) <= CUBE_RATIO_TOL and abs(body - math.sqrt(3) * edge) <= CUBE_RATIO_TOL
     return ok, edge if ok else None
+
+
+class CubeCensus(NamedTuple):
+    multiplicity: bool  # each qubit of each SIC: eight reduced states, each twice
+    class1: int | None  # SICs 1-8 whose second-qubit points form a cube
+    class2: int | None  # SICs 9-16 doing so; None where a SIC's points cannot split
+    edge_dev: float | None  # the largest |edge - 2/sqrt 5| of the SIC 1-8 cubes
+
+
+def cube_census(g: Gbv) -> CubeCensus:
+    """The reduced-state census of both qubits of each orbit SIC, from the
+    Gbv of the 256 orbit states in SIC order, and detect_cube on each
+    SIC's second-qubit points."""
+    first, second = (reduced_state_census(v.reshape(16, 16, 3)) for v in (g.s, g.r))
+    cube, edge = zip(*(detect_cube(r.bloch_points) if r else (None, None) for r in second))
+    multiplicity = all(r and len(r.bloch_points) == 8 and set(r.multiplicities) == {2} for r in first + second)
+    class1, class2 = (None if None in c else sum(c) for c in (cube[:8], cube[8:]))
+    edges = [abs(e - 2 / math.sqrt(5)) for e in edge[:8] if e is not None]
+    return CubeCensus(multiplicity, class1, class2, None if class1 is None else max(edges, default=0.0))
 
 
 def violating_signs() -> np.ndarray:

@@ -30,10 +30,11 @@ from sic4.orbits import (
     enumerate_orbit,
     fiducial_projector,
     orbit_action,
+    pair_action,
     permutation_orders,
 )
 from sic4.reconstruction import _matches_reference, _quad_index, signatures
-from sic4.regrouping import fidelity_adjacency
+from sic4.regrouping import dprime_pairs, fidelity_adjacency
 from sic4.two_qubit import (
     concurrence,
     gbv,
@@ -279,8 +280,16 @@ def concurrence_census(states, basis: str = "product", decimals: int = 9) -> dic
     return rounded_census(concurrence(state_ket(physical_state(states, basis))), decimals)
 
 
+def bloch_vectors(states, basis: str = "product", qubit: int = 0) -> np.ndarray:
+    """The Bloch vectors of one qubit's reduced states of a (..., 4, 4)
+    stack of states of the defining basis, read off one gbv call."""
+    states = np.asarray(states)
+    g = gbv(physical_state(states.reshape(-1, 4, 4), basis))
+    return (g.s if qubit == 0 else g.r).reshape(states.shape[:-2] + (3,))
+
+
 def avg_reduced_purity(states, basis: str = "product", qubit: int = 0) -> float:
-    return float(np.mean(reduced_purity(states, basis, qubit)))
+    return float(np.mean(reduced_purity(bloch_vectors(states, basis, qubit))))
 
 
 def state_action(mats, anti, states, targets):
@@ -428,3 +437,14 @@ def displacement_table_by_matrix_power(d: int) -> np.ndarray:
         for b in range(d):
             t[a, b] = tau(d) ** ((a * b) % (2 * d)) * np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b)
     return t
+
+
+def dprime_covariant(indices) -> np.ndarray:
+    """Whether D' permutes each of an (S, M) stack of sets of orbit states,
+    given by their sorted orbit indices, exactly: the (S,) verdicts that
+    the sorted images of a set's indices under the pair_action of each of
+    the 16 dprime_pairs are those indices.  The integer form of
+    regrouping.dprime_permutes, which asks it of the float states."""
+    f, chi = zip(*((p.F, p.chi) for p in dprime_pairs()))
+    indices = np.asarray(indices)
+    return np.all(np.sort(pair_action(f, chi)[:, indices], axis=-1) == indices, axis=(0, 2))

@@ -429,10 +429,9 @@ def test_all_checks_uniqueness_in_one_call_and_calls_gbv_on_whole_stacks(monkeyp
     capsys.readouterr()
     # the 32 SICs in one stacked certificate
     assert checked == [32]
-    # per basis: the 256 fiducials, the 512 family states' purities, and,
-    # in the product basis, the reduced-state census of each qubit; no call
-    # for one SIC's 16 states
-    assert sorted(sizes) == [256] * 4 + [512] * 2
+    # one Pauli expansion of the 256 fiducials per basis: the family states'
+    # purities and both qubits' reduced-state censuses read its Bloch vectors
+    assert sorted(sizes) == [256] * 2
 
 
 def test_orbit_imports_neither_regrouping_nor_reconstruction(tmp_path):
@@ -568,6 +567,35 @@ def test_a_moved_orbit_state_fails_named_claims_in_every_section(state, e, monke
     failed = {r["claim_id"] for r in report["claims"] if not r["pass"]}
     assert len(report["claims"]) == 75 and failed == _FAULT_SWEEP[state, e]
     assert rc == (1 if failed else 0)
+
+
+def test_a_wrong_dprime_literal_fails_named_claims(monkeypatch, tmp_path, capsys):
+    # Z' written as the shift X: the literal check, the commutation, the
+    # literal group's covariance of the new SICs and both identifications
+    # of D' fail by name, and no section ends in an .error row
+    import sic4.regrouping
+    from sic4.weyl_heisenberg import displacement
+
+    def clear():
+        sic4.regrouping.dprime_elements.cache_clear()
+        sic4.regrouping.dprime_literals_match.cache_clear()
+
+    monkeypatch.setattr(sic4.regrouping, "Z_PRIME_MATRIX", displacement(1, 0, 4))
+    clear()
+    try:
+        rc, report = _json_run(["all"], tmp_path, capsys)
+    finally:
+        monkeypatch.undo()
+        clear()
+    failed = {r["claim_id"] for r in report["claims"] if not r["pass"]}
+    assert rc == 1 and len(report["claims"]) == 75
+    assert failed == {
+        "reconstruct.regrouped_family",
+        "regroup.generators_match_parametrization",
+        "regroup.commutation_projective",
+        "regroup.covariance",
+        "regroup.equivalence_conjugates_group",
+    }
 
 
 @pytest.mark.parametrize("basis", ["product", "bell"])
@@ -842,7 +870,7 @@ def test_cli_imports_build_no_tables():
 def test_cli_holds_no_linear_algebra():
     # the claim tables read library results; the mathematics stays there
     source = (ROOT / "src" / "sic4" / "cli.py").read_text()
-    for word in ("einsum", "linalg", "matrix_power", "default_rng"):
+    for word in ("einsum", "linalg", "matrix_power", "default_rng", "bincount", "cumsum", "dstack", "column_stack"):
         assert word not in source, word
 
 

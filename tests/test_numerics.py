@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import canonical_key, compose
+from oracles import bloch_vectors, canonical_key, compose
 from sic4.numerics import (
     GroupElement,
     canonical_phase,
@@ -284,7 +284,6 @@ def test_censuses_split_with_measured_margins():
         CONCURRENCE_GAP,
         CUBE_GAP_TOL,
         REDUCED_POINT_TOL,
-        _bloch_vectors,
         concurrence,
         physical_state,
     )
@@ -305,7 +304,7 @@ def test_censuses_split_with_measured_margins():
     i, j = np.triu_indices(8, 1)
     for basis in ("product", "bell"):
         for qubit in (0, 1):
-            points = _bloch_vectors(projectors, basis, qubit).reshape(16, 16, 3)
+            points = bloch_vectors(projectors, basis, qubit).reshape(16, 16, 3)
             splits = [value_classes(p, REDUCED_POINT_TOL) for p in points]
             assert max(s.spread for s in splits) <= 2.6e-16 < REDUCED_POINT_TOL / 2
             assert REDUCED_POINT_TOL < 0.41 <= min(s.separation for s in splits)

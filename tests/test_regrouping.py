@@ -24,11 +24,10 @@ from sic4.regrouping import (
     Z_PRIME_MATRIX,
     Z_PRIME_PAIR,
     covariance_group,
-    dprime_covariant,
     dprime_literals_match,
     displacement_coset,
     dprime_elements,
-    dprime_generators,
+    dprime_permutes,
     equivalence_unitary,
     _cliques,
     _quotient,
@@ -41,7 +40,7 @@ from sic4.regrouping import (
 )
 from sic4.weyl_heisenberg import displacement, displacement_table, verify_sic
 
-from oracles import first_distinct_spans_by_unique, normal_subgroups_by_inverses, regroup_by_search, sic_states
+from oracles import dprime_covariant, first_distinct_spans_by_unique, normal_subgroups_by_inverses, regroup_by_search, sic_states
 
 
 def fidelity_graph(orbit, vertices):
@@ -140,9 +139,6 @@ def test_exhaustive_scan_counts():
 
 
 def test_dprime_generator_matrices():
-    xp, zp = dprime_generators()
-    assert proj_equal(xp, X_PRIME_MATRIX)
-    assert proj_equal(zp, Z_PRIME_MATRIX)
     assert proj_equal(to_operator(X_PRIME_PAIR).matrix, X_PRIME_MATRIX)
     assert proj_equal(to_operator(Z_PRIME_PAIR).matrix, Z_PRIME_MATRIX)
 
@@ -193,7 +189,7 @@ def test_dprime_elements_distinct_from_displacements():
 
 def test_regrouped_sics_covariant_under_dprime():
     sics = enumerate_orbit().projectors[sic_family()[0][16:]]
-    xp, zp = dprime_generators()
+    xp, zp = X_PRIME_MATRIX, Z_PRIME_MATRIX
     for s in (sics[0], sics[7], sics[15]):
         flat = s.reshape(16, 16)
         for gen in (xp, zp):
@@ -273,7 +269,10 @@ def test_covariance_group_matches_per_set_matches(monkeypatch):
 
 
 def test_dprime_permutes_the_regrouped_sics_only():
-    assert dprime_covariant(sic_family()[0]).tolist() == [False] * 16 + [True] * 16
+    # the float literal group on the float states, and the exact D'-orbits
+    members = sic_family()[0]
+    assert dprime_permutes(enumerate_orbit().projectors[members]).tolist() == [False] * 16 + [True] * 16
+    assert dprime_covariant(members).tolist() == [False] * 16 + [True] * 16
 
 
 def _nx_cliques(g, k):
@@ -439,7 +438,7 @@ def test_primitive_pairing_cut_has_a_margin():
     assert np.bincount(dist.argmin(axis=1), minlength=4).tolist() == [1212, 336, 768, 768]
 
 
-def test_dprime_generators_check_once_and_return_fresh_copies(monkeypatch):
+def test_dprime_literals_are_checked_once(monkeypatch):
     calls = []
 
     def counting(pair):
@@ -448,13 +447,10 @@ def test_dprime_generators_check_once_and_return_fresh_copies(monkeypatch):
 
     monkeypatch.setattr(regrouping, "to_operator", counting)
     dprime_literals_match.cache_clear()
-    xp, zp = dprime_generators()
+    assert dprime_literals_match()
     assert len(calls) == 2
-    xp[0, 0] = zp[0, 1] = 7.0
-    again = dprime_generators()
+    assert dprime_literals_match()
     assert len(calls) == 2  # the second call makes no to_operator calls
-    assert np.array_equal(again[0], X_PRIME_MATRIX) and np.array_equal(again[1], Z_PRIME_MATRIX)
-    assert X_PRIME_MATRIX[0, 0] == 1 and again[0] is not xp
 
 
 def test_quotient_names_match_coset_loop(monkeypatch):

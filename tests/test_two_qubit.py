@@ -8,6 +8,7 @@ import pytest
 from oracles import (
     SignPattern,
     avg_reduced_purity,
+    bloch_vectors,
     coincident_point_split,
     concurrence_census,
     distance_value_starts,
@@ -32,7 +33,6 @@ from sic4.two_qubit import (
     REDUCED_POINT_TOL,
     SIGN_MATCH_TOL,
     Gbv,
-    _bloch_vectors,
     _pattern_table,
     _table_vector,
     bell_basis_map,
@@ -157,18 +157,18 @@ def test_average_reduced_purity():
 
 def test_reduced_state_cube():
     for label in range(1, 9):
-        rep = reduced_state_census(sic_states(label), qubit=1, basis="product")
+        rep = reduced_state_census(bloch_vectors(sic_states(label), "product", 1))
         is_cube, edge_length = detect_cube(rep.bloch_points)
         assert is_cube
         assert abs(edge_length - 2 / math.sqrt(5)) < 1e-9
         assert len(rep.bloch_points) == 8
         assert set(rep.multiplicities) == {2}
-    rep = reduced_state_census(sic_states(9), qubit=1, basis="product")
+    rep = reduced_state_census(bloch_vectors(sic_states(9), "product", 1))
     assert not detect_cube(rep.bloch_points)[0]
 
 
 def test_reduced_state_multiplicities_first_qubit():
-    rep = reduced_state_census(sic_states(1), qubit=0, basis="product")
+    rep = reduced_state_census(bloch_vectors(sic_states(1), "product", 0))
     assert len(rep.bloch_points) == 8
     assert set(rep.multiplicities) == {2}
 
@@ -304,7 +304,7 @@ def test_stacked_calls_match_per_state_oracles():
         assert g.flat().shape == (256, 15) and g.norm_sq().shape == (256,)
         rows = match_sign_patterns(g, basis)
         conc = concurrence(state_ket(states))
-        purity = reduced_purity(orbit.projectors, basis)
+        purity = reduced_purity(g.s)
         for k in range(256):
             r, s, c = _gbv_by_kron(states[k])
             assert np.max(np.abs(g.flat()[k] - np.concatenate([r, s, c.ravel()]))) <= 1e-14
@@ -318,7 +318,7 @@ def test_stacked_calls_match_per_state_oracles():
 def test_reduced_state_census_matches_greedy_loop():
     for label in range(1, 17):
         for qubit in (0, 1):
-            rep = reduced_state_census(sic_states(label), qubit, "product")
+            rep = reduced_state_census(bloch_vectors(sic_states(label), "product", qubit))
             points, counts, edge = _reduced_census_by_loop(sic_states(label), qubit)
             assert np.max(np.abs(rep.bloch_points - points)) <= 1e-14
             assert rep.multiplicities == counts
@@ -472,14 +472,14 @@ def test_gbv_state_cut_has_a_margin():
 
 def test_reduced_point_cut_has_a_margin():
     for qubit in (0, 1):
-        points = _bloch_vectors(enumerate_orbit().projectors, "product", qubit).reshape(16, 16, 3)
+        points = bloch_vectors(enumerate_orbit().projectors, "product", qubit).reshape(16, 16, 3)
         dist = np.max(np.abs(points[:, :, None] - points[:, None]), axis=3)
         same = dist <= REDUCED_POINT_TOL
         assert dist[same].max() <= 2.3e-16 < REDUCED_POINT_TOL < 0.39 <= dist[~same].min()
 
 
 def test_cube_cuts_have_margins():
-    reps = reduced_state_census(enumerate_orbit().projectors.reshape(16, 16, 4, 4))
+    reps = reduced_state_census(bloch_vectors(enumerate_orbit().projectors.reshape(16, 16, 4, 4), "product", 1))
     points = np.stack([rep.bloch_points for rep in reps])
     i, j = np.triu_indices(8, 1)
     dists = np.sort(np.linalg.norm(points[:, i] - points[:, j], axis=2), axis=1)
@@ -502,17 +502,17 @@ def test_stacked_reduced_state_census_equals_per_sic_calls():
     for basis in ("product", "bell"):
         for qubit in (0, 1):
             for stack in (sics, odd):
-                reps = reduced_state_census(stack, qubit, basis)
+                reps = reduced_state_census(bloch_vectors(stack, basis, qubit))
                 assert len(reps) == len(stack)
                 for states, rep in zip(stack, reps):
                     points, counts, is_cube, edge = reduced_state_census_per_sic(states, qubit, basis)
                     assert np.array_equal(rep.bloch_points, points) and rep.multiplicities == counts
                     assert detect_cube(rep.bloch_points) == (is_cube, edge)
-                    one = reduced_state_census(states, qubit, basis)
+                    one = reduced_state_census(bloch_vectors(states, basis, qubit))
                     assert np.array_equal(one.bloch_points, points) and one.multiplicities == counts
                     assert detect_cube(one.bloch_points) == (is_cube, edge)
     # a list of 32 states is one list, not a stack of two
-    rep = reduced_state_census(np.concatenate([sics[0], sics[0]]), 1)
+    rep = reduced_state_census(bloch_vectors(np.concatenate([sics[0], sics[0]]), "product", 1))
     assert rep.multiplicities == (4,) * 8 and detect_cube(rep.bloch_points)[0]
 
 
@@ -536,7 +536,7 @@ def test_bloch_point_and_cube_classes_equal_the_splits_they_replaced():
     i, j = np.triu_indices(8, 1)
     for basis in ("product", "bell"):
         for qubit in (0, 1):
-            points = _bloch_vectors(enumerate_orbit().projectors, basis, qubit).reshape(16, 16, 3)
+            points = bloch_vectors(enumerate_orbit().projectors, basis, qubit).reshape(16, 16, 3)
             for p in points:
                 split, first = value_classes(p, REDUCED_POINT_TOL), coincident_point_split(p, REDUCED_POINT_TOL)
                 reps = np.flatnonzero(first == np.arange(16))
