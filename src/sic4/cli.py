@@ -86,19 +86,35 @@ def run_orbit(cfg, claims: Claims):
     )
 
     orbit = enumerate_orbit()
-    anchor = "projectively distinct states on the orbit"
-    claims.add("orbit.distinct_fiducials", anchor, 256, 256 if projectively_distinct(orbit.projectors) else -1)
+    claims.add(
+        "orbit.distinct_fiducials",
+        "projectively distinct states on the orbit",
+        256,
+        256 if projectively_distinct(orbit.projectors) else -1,
+    )
     sic_ok = int(orbit_certificate(cfg.tol).is_sic.sum())
     claims.add("orbit.sic_count", "certified SIC-POVMs on the orbit", 16, sic_ok)
-    anchor = "projective Clifford group order"
-    claims.add("orbit.unitary_group_order", anchor, 768, len(enumerate_projective_clifford(4, extended=False)))
-    anchor = "projective extended Clifford group order"
-    claims.add("orbit.extended_group_order", anchor, 1536, len(enumerate_projective_clifford(4, extended=True)))
+    claims.add(
+        "orbit.unitary_group_order",
+        "projective Clifford group order",
+        768,
+        len(enumerate_projective_clifford(4, extended=False)),
+    )
+    claims.add(
+        "orbit.extended_group_order",
+        "projective extended Clifford group order",
+        1536,
+        len(enumerate_projective_clifford(4, extended=True)),
+    )
 
     stab = stability_group(orbit.projectors[0])
     claims.add("orbit.stabilizer_order_extended", "stability group of the fiducial", 6, len(stab))
-    anchor = "unitary part of the stability group"
-    claims.add("orbit.stabilizer_order_unitary", anchor, 3, sum(not e.op.antiunitary for e in stab))
+    claims.add(
+        "orbit.stabilizer_order_unitary",
+        "unitary part of the stability group",
+        3,
+        sum(not e.op.antiunitary for e in stab),
+    )
     gen = to_operator(FIDUCIAL_STABILIZER)
     claims.add(
         "orbit.stabilizer_generator_matches",
@@ -113,9 +129,18 @@ def run_orbit(cfg, claims: Claims):
         [list(q) for q in conjugation_cycle(FIDUCIAL_STABILIZER, STABILIZER_CYCLE[0])],
     )
     orbs = {frozenset(o) for o in stabilizer_orbits_within_sic()}
-    anchor = "five 3-state orbits of the stabilizer square"
-    claims.add("orbit.stabilizer_orbit_partition", anchor, True, orbs == set(STABILIZER_ORBIT_SETS))
-    claims.add("orbit.orbit_stabilizer_product", "orbit size times stabilizer order", 1536, 256 * len(stab))
+    claims.add(
+        "orbit.stabilizer_orbit_partition",
+        "five 3-state orbits of the stabilizer square",
+        True,
+        orbs == set(STABILIZER_ORBIT_SETS),
+    )
+    claims.add(
+        "orbit.orbit_stabilizer_product",
+        "orbit size times stabilizer order",
+        1536,
+        256 * len(stab),
+    )
     return {
         "stabilizer_generator": _pair_json(FIDUCIAL_STABILIZER),
         "orbit_partition": [sorted(map(list, s)) for s in STABILIZER_ORBIT_SETS],
@@ -128,27 +153,34 @@ def run_symmetry(cfg, claims: Claims):
     rep = verify_symmetry_group_in_clifford()
     claims.add("symmetry.extended_order", "extended symmetry group of one SIC", 96, rep.extended_order)
     claims.add("symmetry.unitary_order", "unitary symmetry group of one SIC", 48, rep.unitary_order)
-    anchor = "displacement group is the unique order-16 subgroup"
-    claims.add("symmetry.hw_unique_order16", anchor, True, rep.hw_is_unique_order16)
-    anchor = "state permutations preserving all triple traces"
-    claims.add("symmetry.rigid_permutations", anchor, 3, rep.rigid_permutation_count)
+    claims.add(
+        "symmetry.hw_unique_order16",
+        "displacement group is the unique order-16 subgroup",
+        True,
+        rep.hw_is_unique_order16,
+    )
+    claims.add(
+        "symmetry.rigid_permutations",
+        "state permutations preserving all triple traces",
+        3,
+        rep.rigid_permutation_count,
+    )
 
-    act = label_action(extended=False)
-    claims.add("symmetry.label_perm_count", "distinct label permutations, unitary", 48, len(act.permutations))
+    perms, orders, rows_kept, row_group, row_fixing, columns = label_action(extended=False)
+    claims.add("symmetry.label_perm_count", "distinct label permutations, unitary", 48, len(perms))
     anchor = "element orders in the quotient symmetry group"
-    claims.add("symmetry.order_census", anchor, {1: 1, 2: 7, 3: 8, 4: 24, 6: 8}, act.order_census)
-    claims.add("symmetry.row_partition_preserved", "label rows map onto label rows", True, act.rows_preserved)
-    claims.add("symmetry.row_image_order", "induced group on the four rows", 4, act.row_group_order)
-    anchor = "subgroup acting trivially on rows"
-    claims.add("symmetry.row_preserving_order", anchor, 12, act.row_fixing_order)
+    claims.add("symmetry.order_census", anchor, {1: 1, 2: 7, 3: 8, 4: 24, 6: 8}, orders)
+    claims.add("symmetry.row_partition_preserved", "label rows map onto label rows", True, rows_kept)
+    claims.add("symmetry.row_image_order", "induced group on the four rows", 4, row_group)
+    claims.add("symmetry.row_preserving_order", "subgroup acting trivially on rows", 12, row_fixing)
     anchor = "row-preserving elements permute columns evenly, same way in every row"
-    claims.add("symmetry.row_preserving_column_action", anchor, True, act.columns_even_alike)
+    claims.add("symmetry.row_preserving_column_action", anchor, True, columns)
 
-    ext = label_action(extended=True)
-    claims.add("symmetry.label_perm_count_extended", "distinct label permutations, extended", 96, len(ext.permutations))
+    ext, _, _, ext_row_group, _, _ = label_action(extended=True)
+    claims.add("symmetry.label_perm_count_extended", "distinct label permutations, extended", 96, len(ext))
     anchor = "induced row group under the extended Clifford action"
-    claims.add("symmetry.row_image_order_extended", anchor, 8, ext.row_group_order)
-    return {"label_permutations": (act.permutations + 1).tolist()}
+    claims.add("symmetry.row_image_order_extended", anchor, 8, ext_row_group)
+    return {"label_permutations": (perms + 1).tolist()}
 
 
 # multiplicities of the 17 trace clusters, sorted by (re, im) of the center
@@ -159,25 +191,33 @@ def run_triples(cfg, claims: Claims):
     from .orbits import triple_census_report, triple_family_deviations
 
     # the claims reading SIC 1's census observe None when it cannot split
-    rep = triple_census_report(cfg.tol)
-    claims.add("triples.cluster_count", "distinct triple-trace values in one SIC", 17, len(rep.census) or None)
-    multiplicities = list(_CENSUS_MULTIPLICITIES)
+    census, counts, real, pairs, modulus_dev, same = triple_census_report(cfg.tol)
+    claims.add("triples.cluster_count", "distinct triple-trace values in one SIC", 17, len(census) or None)
     anchor = "cluster sizes over the 3360 ordered triples"
-    claims.add("triples.multiplicities", anchor, multiplicities, rep.multiplicities)
-    claims.add("triples.real_clusters", "real triple-trace values", 1, rep.real)
-    claims.add("triples.conjugate_pairs", "complex values come in conjugate pairs", 8, rep.pairs)
-    anchor = "all triple traces share the modulus 5^{-3/2}"
-    claims.add("triples.modulus_dev", anchor, 0.0, rep.modulus_dev)
-    anchor = "identical census for all 16 SICs"
-    claims.add("triples.cross_sic_invariant", anchor, True, rep.cross_sic_invariant)
+    claims.add("triples.multiplicities", anchor, _CENSUS_MULTIPLICITIES, counts)
+    claims.add("triples.real_clusters", "real triple-trace values", 1, real)
+    claims.add("triples.conjugate_pairs", "complex values come in conjugate pairs", 8, pairs)
+    claims.add("triples.modulus_dev", "all triple traces share the modulus 5^{-3/2}", 0.0, modulus_dev)
+    claims.add("triples.cross_sic_invariant", "identical census for all 16 SICs", True, same)
 
     fid_dev, phase_dev, monotone = triple_family_deviations()
-    anchor = "three-state family keeps pairwise fidelity 1/(d+1), d = 3, 4, 5"
-    claims.add("triples.family_fidelity_dev", anchor, 0.0, fid_dev, tol=1e-10)
-    claims.add("triples.family_phase_dev", "triple-trace phase matches its closed form", 0.0, phase_dev, tol=1e-10)
+    claims.add(
+        "triples.family_fidelity_dev",
+        "three-state family keeps pairwise fidelity 1/(d+1), d = 3, 4, 5",
+        0.0,
+        fid_dev,
+        tol=1e-10,
+    )
+    claims.add(
+        "triples.family_phase_dev",
+        "triple-trace phase matches its closed form",
+        0.0,
+        phase_dev,
+        tol=1e-10,
+    )
     claims.add("triples.family_phase_monotone", "phase strictly increasing on the grid", True, monotone)
     return {
-        "census": [[float(c.real), float(c.imag), int(n)] for c, n in rep.census],
+        "census": [[float(c.real), float(c.imag), int(n)] for c, n in census],
     }
 
 
@@ -188,8 +228,7 @@ def run_reconstruct(cfg, claims: Claims):
     from .regrouping import reconstruct_family
     from .weyl_heisenberg import displacement_table
 
-    orbit = enumerate_orbit()
-    sic1 = orbit.projectors[:16]
+    sic1 = enumerate_orbit().projectors[:16]
     # states 0-3 of SIC 1 are Z^j rho Z^-j, so they sum to the clock orbit of rho
     w = signatures(sic1, np.arange(4)[None])[0]
     claims.add(
@@ -199,16 +238,30 @@ def run_reconstruct(cfg, claims: Claims):
         float(np.max(np.abs(w - np.array(reference_signature())))),
         tol=1e-10,
     )
-    anchor = "the four signature values sum to the dimension"
-    claims.add("reconstruct.signature_sum", anchor, 4.0, float(sum(signature_values())), tol=1e-10)
+    claims.add(
+        "reconstruct.signature_sum",
+        "the four signature values sum to the dimension",
+        4.0,
+        float(sum(signature_values())),
+        tol=1e-10,
+    )
 
     matching = reference_quads(sic1)
-    claims.add("reconstruct.reference_quads", "4-subsets of one SIC realizing the signature", 24, len(matching))
+    claims.add(
+        "reconstruct.reference_quads",
+        "4-subsets of one SIC realizing the signature",
+        24,
+        len(matching),
+    )
 
     disp = displacement_table(4).reshape(16, 4, 4)
     ops = phase_operator(sic1[matching].sum(axis=1))
-    anchor = "every qualifying 4-subset induces a displacement element"
-    claims.add("reconstruct.quad_operators_in_group", anchor, 24, int(np.sum(match_projective(ops, disp) >= 0)))
+    claims.add(
+        "reconstruct.quad_operators_in_group",
+        "every qualifying 4-subset induces a displacement element",
+        24,
+        int(np.sum(match_projective(ops, disp) >= 0)),
+    )
 
     # an uncertified row counts as neither group, uniquely covariant under none, and has no generators
     group, unique, generators = reconstruct_family(cfg.tol)
@@ -259,7 +312,12 @@ def run_reconstruct_input(cfg, claims: Claims):
         deviations = [x if math.isfinite(x) else None for x in deviations]
         return {"sic_deviations": dict(zip(("fidelity", "state", "completeness"), deviations)), "tol": cfg.tol}
     verdict = ("displacement", "conjugate-displacement", "other")[covariance_group(rec.elements)]
-    claims.add("reconstruct.input_group", "reconstructed covariance group identified", verdict, verdict)
+    claims.add(
+        "reconstruct.input_group",
+        "reconstructed covariance group identified",
+        verdict,
+        verdict,
+    )
     return {
         "generators": {"z": matrix_to_json(rec.z_gen), "x": matrix_to_json(rec.x_gen)},
         "elements": matrix_to_json(rec.elements),
@@ -309,11 +367,19 @@ def run_regroup(cfg, claims: Claims):
     anchor = "every state belongs to exactly two of the 32 SICs"
     claims.add("regroup.double_cover", anchor, True, double_cover(cfg.tol))
     degrees = set(fidelity_adjacency(orbit, range(256)).sum(axis=1).tolist())
-    anchor = "fidelity-1/5 graph is regular across the orbit"
-    claims.add("regroup.fidelity_graph_regular", anchor, True, len(degrees) == 1)
+    claims.add(
+        "regroup.fidelity_graph_regular",
+        "fidelity-1/5 graph is regular across the orbit",
+        True,
+        len(degrees) == 1,
+    )
 
-    anchor = "written-out generators equal their symplectic parametrization"
-    claims.add("regroup.generators_match_parametrization", anchor, True, dprime_literals_match())
+    claims.add(
+        "regroup.generators_match_parametrization",
+        "written-out generators equal their symplectic parametrization",
+        True,
+        dprime_literals_match(),
+    )
     commute = bool(primitive_commutation(Z_PRIME_MATRIX, X_PRIME_MATRIX))
     claims.add("regroup.commutation_projective", "clock and shift commute up to a fourth root of unity", True, commute)
     # the literal group permutes the float states of each new SIC, all certified
@@ -325,8 +391,12 @@ def run_regroup(cfg, claims: Claims):
     except AssertionError:  # a matrix that is not unitary or moves the fiducial fails the claims that read it
         u = np.zeros((4, 4), dtype=complex)
     disp = displacement_table(4).reshape(16, 4, 4)
-    anchor = "the equivalence unitary maps the displacement group onto its conjugate"
-    claims.add("regroup.equivalence_conjugates_group", anchor, True, covariance_group(u @ disp @ u.conj().T) == 1)
+    claims.add(
+        "regroup.equivalence_conjugates_group",
+        "the equivalence unitary maps the displacement group onto its conjugate",
+        True,
+        covariance_group(u @ disp @ u.conj().T) == 1,
+    )
     anchor = "the equivalence unitary carries the original family onto the new one"
     claims.add("regroup.equivalence_maps_family", anchor, 16, carried_sics(u, cfg.tol))
     anchor = "the equivalence unitary extends the Clifford group by exactly one step"
@@ -337,8 +407,12 @@ def run_regroup(cfg, claims: Claims):
     claims.add("regroup.census_normal", "normal displacement-type subgroups", 2, normal)
     dbar = frozenset(displacement_coset(p1, p2) for p1 in range(4) for p2 in range(4))
     dbar_prime = frozenset(map(coset, dprime_pairs()))
-    anchor = "the two normal subgroups are the original and conjugate displacement groups"
-    claims.add("regroup.census_normal_identified", anchor, True, set(normal_sets) == {dbar, dbar_prime})
+    claims.add(
+        "regroup.census_normal_identified",
+        "the two normal subgroups are the original and conjugate displacement groups",
+        True,
+        set(normal_sets) == {dbar, dbar_prime},
+    )
 
     return {
         "regrouped_sics": [
@@ -378,20 +452,24 @@ def run_twoqubit(cfg, claims: Claims, basis: str):
     pre = basis
     states = physical_state(orbit.projectors, basis)  # SIC by SIC, 16 states each
     g = gbv(states)  # the basis's one Pauli expansion; every Bloch vector below is read off it
-    anchor = "pure-state Bloch norm over all 256 fiducials"
-    claims.add(f"twoqubit.{pre}_gbv_norm_dev", anchor, 0.0, np.max(np.abs(g.norm_sq() - 3.0)))
-    signs = sign_census(g, basis)
-    claims.add(f"twoqubit.{pre}_pattern_matches", "fiducials matching the sign-pattern tables", 256, signs.matches)
+    claims.add(
+        f"twoqubit.{pre}_gbv_norm_dev",
+        "pure-state Bloch norm over all 256 fiducials",
+        0.0,
+        np.max(np.abs(g.norm_sq() - 3.0)),
+    )
+    matches, class_split, constant, table, sign_rows = sign_census(g, basis)
+    claims.add(f"twoqubit.{pre}_pattern_matches", "fiducials matching the sign-pattern tables", 256, matches)
     anchor = "SICs 1-8 carry class-1 patterns, SICs 9-16 class-2"
-    claims.add(f"twoqubit.{pre}_class_split", anchor, True, signs.class_split)
-    claims.add(f"twoqubit.{pre}_sign_constancy", "sign functions constant within each SIC", True, signs.constant)
+    claims.add(f"twoqubit.{pre}_class_split", anchor, True, class_split)
+    claims.add(f"twoqubit.{pre}_sign_constancy", "sign functions constant within each SIC", True, constant)
     anchor = "sign functions constant along rows and columns of the label grid"
-    claims.add(f"twoqubit.{pre}_sign_table", anchor, True, signs.table)
+    claims.add(f"twoqubit.{pre}_sign_table", anchor, True, table)
 
-    conc = concurrence_classes(states, basis)  # None fields when the concurrences cannot split
-    claims.add(f"twoqubit.{pre}_equal_concurrence_count", "states in the equal-concurrence class", 128, conc.equal)
+    equal, split, concurrences = concurrence_classes(states, basis)  # None when they cannot split
+    claims.add(f"twoqubit.{pre}_equal_concurrence_count", "states in the equal-concurrence class", 128, equal)
     anchor = "other-class SICs split 8 + 8 between the two concurrence values"
-    claims.add(f"twoqubit.{pre}_split_concurrence", anchor, True, conc.split)
+    claims.add(f"twoqubit.{pre}_split_concurrence", anchor, True, split)
 
     members, report = sic_family(cfg.tol)
     claims.add(
@@ -402,20 +480,29 @@ def run_twoqubit(cfg, claims: Claims, basis: str):
     )
 
     if basis == "product":
-        cube = cube_census(g)  # None fields for a SIC whose reduced-state census cannot split
+        # None for a half holding a SIC whose reduced-state census cannot split
+        multiplicity, cube_class1, cube_class2, edge_dev = cube_census(g)
         anchor = "eight reduced states per qubit, each shared by two fiducials"
-        claims.add("twoqubit.product_reduced_multiplicity", anchor, True, cube.multiplicity)
+        claims.add("twoqubit.product_reduced_multiplicity", anchor, True, multiplicity)
         anchor = "second-qubit Bloch points of class-1 SICs form a cube"
-        claims.add("twoqubit.product_cube_class1", anchor, 8, cube.class1)
-        claims.add("twoqubit.product_cube_class2", "class-2 SICs do not produce the cube", 0, cube.class2)
-        claims.add("twoqubit.product_cube_edge_dev", "cube edge length 2/sqrt(5)", 0.0, cube.edge_dev)
+        claims.add("twoqubit.product_cube_class1", anchor, 8, cube_class1)
+        claims.add("twoqubit.product_cube_class2", "class-2 SICs do not produce the cube", 0, cube_class2)
+        claims.add("twoqubit.product_cube_edge_dev", "cube edge length 2/sqrt(5)", 0.0, edge_dev)
         certified = int(np.sum(partial_transpose_simplex_checks(violating_signs(), orbit, cfg.tol)))
-        anchor = "excluded sign assignments encode partial transposes of fiducials"
-        claims.add("twoqubit.product_simplex_patterns", anchor, 128, certified)
+        claims.add(
+            "twoqubit.product_simplex_patterns",
+            "excluded sign assignments encode partial transposes of fiducials",
+            128,
+            certified,
+        )
 
-    anchor = "the shift generator is not a product of single-qubit unitaries"
-    claims.add(f"twoqubit.{pre}_shift_nonlocal", anchor, 2, operator_schmidt_rank(displacement(1, 0, 4)))
-    return {"basis": basis, "sign_patterns": signs.rows, "concurrence": conc.classes}
+    claims.add(
+        f"twoqubit.{pre}_shift_nonlocal",
+        "the shift generator is not a product of single-qubit unitaries",
+        2,
+        operator_schmidt_rank(displacement(1, 0, 4)),
+    )
+    return {"basis": basis, "sign_patterns": sign_rows, "concurrence": concurrences}
 
 
 # --- report rendering ------------------------------------------------------

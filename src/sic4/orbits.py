@@ -352,22 +352,16 @@ def triple_trace_census(label: int = 1, gap: float = TRIPLE_CENSUS_GAP):
     return list(zip(centers.tolist(), counts.tolist()))
 
 
-class TripleCensusReport(NamedTuple):
-    census: list  # SIC 1's (value, multiplicity) pairs, [] when its census cannot split
-    multiplicities: list | None
-    real: int | None  # values whose conjugate falls into their own class
-    pairs: int | None  # pairs of values whose conjugates fall into each other's class
-    modulus_dev: float | None  # the largest ||value| - 5^(-3/2)|
-    cross_sic_invariant: bool  # every SIC's census is SIC 1's to within tol
-
-
-def triple_census_report(tol: float = DEFAULT_TOL) -> TripleCensusReport:
-    """SIC 1's triple-trace census and its facts at TRIPLE_CENSUS_GAP: the
-    centers lead their conjugates in one value_classes call, so they are
-    classes 0..n-1.  cross_sic_invariant decides at tol: every SIC's counts
-    are SIC 1's and its k-th center lies within tol of SIC 1's.  A census
-    that cannot split leaves the facts that read it None, and
-    cross_sic_invariant False."""
+def triple_census_report(tol: float = DEFAULT_TOL) -> tuple:
+    """SIC 1's triple-trace census and its facts at TRIPLE_CENSUS_GAP, as
+    six values: triple_trace_census(1); its multiplicities; the number of
+    real values, whose conjugate falls into their own class; the number of
+    conjugate pairs, two values whose conjugates fall into each other's
+    class; the largest ||value| - 5^(-3/2)|; and whether every SIC's counts
+    are SIC 1's with its k-th center within tol of SIC 1's.  The centers
+    lead their conjugates in one value_classes call, so they are classes
+    0..n-1.  A census that cannot split reads [] and leaves the facts that
+    read it None, and the cross-SIC verdict False."""
     census, counts, real, pairs, modulus_dev = [], None, None, None, None
     try:
         census = triple_trace_census(1)
@@ -385,7 +379,7 @@ def triple_census_report(tol: float = DEFAULT_TOL) -> TripleCensusReport:
         )
     except ValueError:  # a SIC whose traces split into no classes has no census like SIC 1's
         same = False
-    return TripleCensusReport(census, counts, real, pairs, modulus_dev, same)
+    return census, counts, real, pairs, modulus_dev, same
 
 
 def triple_family_deviations() -> tuple:
@@ -534,18 +528,14 @@ def verify_symmetry_group_in_clifford() -> SymmetryReport:
     )
 
 
-class LabelAction(NamedTuple):
-    permutations: np.ndarray  # (P, 16) label permutations, 0-based, as label_permutation_group
-    order_census: dict  # element order -> number of permutations of that order
-    rows_preserved: bool  # each permutation maps every label-grid row onto a row
-    row_group_order: int  # distinct permutations induced on the four rows
-    row_fixing_order: int  # permutations fixing every row
-    columns_even_alike: bool  # those permute the columns evenly, alike in each row, in 12 ways
-
-
-def label_action(extended: bool = False) -> LabelAction:
+def label_action(extended: bool = False) -> tuple:
     """How label_permutation_group(extended) acts on the rows and columns
-    of the label grid, labels 0-based with row r holding 4r..4r+3."""
+    of the label grid, labels 0-based with row r holding 4r..4r+3, as six
+    values: the permutations as a (P, 16) array; the number of them of
+    each element order; whether each maps every row onto a row; the number
+    of distinct permutations they induce on the four rows; the number
+    fixing every row; and whether those permute the columns evenly, alike
+    in each row, in 12 distinct ways."""
     perms = np.array(label_permutation_group(extended=extended))
     orders, counts = np.unique(permutation_orders(perms), return_counts=True)
     grid = perms.reshape(-1, 4, 4)
@@ -555,14 +545,9 @@ def label_action(extended: bool = False) -> LabelAction:
     fixing = np.all(actions == np.arange(4), axis=1)
     cols = grid[fixing] % 4  # the column permutation in each row
     even_alike = np.all(cols == cols[:, :1], axis=(1, 2)) & (permutation_parities(cols[:, 0]) == 0)
-    return LabelAction(
-        perms,
-        dict(zip(orders.tolist(), counts.tolist())),
-        bool(np.all(actions >= 0)),
-        len(first_distinct_rows(actions)),
-        int(fixing.sum()),
-        bool(np.all(even_alike) and len(first_distinct_rows(cols[:, 0])) == 12),
-    )
+    columns = bool(np.all(even_alike) and len(first_distinct_rows(cols[:, 0])) == 12)
+    census = dict(zip(orders.tolist(), counts.tolist()))
+    return perms, census, bool(np.all(actions >= 0)), len(first_distinct_rows(actions)), int(fixing.sum()), columns
 
 
 @lru_cache(maxsize=None)

@@ -219,18 +219,14 @@ def match_sign_patterns(g: Gbv, basis: str = "product", tol: float = SIGN_MATCH_
     return rows
 
 
-class SignCensus(NamedTuple):
-    matches: int  # orbit states reproducing a row of sign_pattern_table
-    class_split: bool  # where matched, SICs 1-8 carry class-1 rows, SICs 9-16 class-2
-    constant: bool  # h1, h2, h3 are constant within each SIC
-    table: bool  # and follow the label grid: h1 by row, h2 and h3 by column
-    rows: list  # per matched state: SIC label, state, the eight signs, h1, h2, h3
-
-
-def sign_census(g: Gbv, basis: str) -> SignCensus:
+def sign_census(g: Gbv, basis: str) -> tuple:
     """The sign patterns of the 256 orbit states, from their Gbv in SIC
-    order, 16 states each: match_sign_patterns, then the class of each SIC
-    and its sign functions."""
+    order, 16 states each, as five values: the number of states matching a
+    row of sign_pattern_table(basis); whether, where matched, SICs 1-8
+    carry class-1 rows and SICs 9-16 class-2 rows; whether h1, h2, h3 are
+    constant within each SIC; whether they also follow the label grid, h1
+    by row and h2, h3 by column; and per matched state the row SIC label,
+    state, the eight signs, h1, h2, h3."""
     row = match_sign_patterns(g, basis).reshape(16, 16)
     matched = row >= 0
     # per state: class id, the eight signs, h1, h2, h3 (meaningless where unmatched)
@@ -245,7 +241,7 @@ def sign_census(g: Gbv, basis: str) -> SignCensus:
     lab, k = np.indices((16, 16))
     rows = np.column_stack([lab.ravel() + 1, k.ravel(), columns.reshape(256, 12)[:, 1:]])
     table = constant and np.array_equal(h_sic, h_grid.reshape(16, 3))
-    return SignCensus(int(matched.sum()), class_split, constant, table, rows[matched.ravel()].tolist())
+    return int(matched.sum()), class_split, constant, table, rows[matched.ravel()].tolist()
 
 
 def bell_basis_map() -> np.ndarray:
@@ -287,35 +283,30 @@ def concurrence(psi: np.ndarray):
 CONCURRENCE_GAP = 1e-9
 
 
-class ConcurrenceCensus(NamedTuple):
-    equal: int | None  # states at sqrt(2/5) in the SICs of the basis's equal class
-    split: bool | None  # the other SICs split 8 + 8 between the other two values
-    classes: dict | None  # per SIC label, its classes' centers to 9 decimals -> counts
-
-
-def concurrence_classes(states, basis: str) -> ConcurrenceCensus:
+def concurrence_classes(states, basis: str) -> tuple:
     """The concurrence census of the 256 orbit states, given in product
-    coordinates (physical_state of the orbit in basis) in SIC order.  The
-    closed forms sqrt(2/5) and sqrt((2 +- 2 sqrt G)/5) lead the values, so
-    classes 0, 1 and 2 are theirs; each SIC's classes are listed in order
-    of first appearance.  SICs 1-8 hold the equal class in the product
-    basis and SICs 9-16 in the Bell basis.  Every field is None when the
-    values split into no classes at CONCURRENCE_GAP."""
+    coordinates (physical_state of the orbit in basis) in SIC order, as
+    three values: the number of states at sqrt(2/5) in the SICs of the
+    equal class (SICs 1-8 in the product basis, 9-16 in the Bell basis);
+    whether each other SIC splits 8 + 8 between sqrt((2 +- 2 sqrt G)/5);
+    and per SIC label its classes, in order of first appearance, as their
+    centers written to 9 decimals with their counts.  The closed forms lead
+    the values, so classes 0, 1 and 2 are theirs.  All three are None when
+    the values split into no classes at CONCURRENCE_GAP."""
     root = math.sqrt(CONSTANTS.G)
     forms = [math.sqrt(2 / 5), math.sqrt((2 + 2 * root) / 5), math.sqrt((2 - 2 * root) / 5)]
     equal_sics, split_sics = (slice(0, 8), slice(8, 16)) if basis == "product" else (slice(8, 16), slice(0, 8))
     try:
         conc = value_classes(np.concatenate([forms, concurrence(rank1_kets(states))]), CONCURRENCE_GAP)
     except ValueError:
-        return ConcurrenceCensus(None, None, None)
+        return None, None, None
     ids = conc.classes[3:].reshape(16, 16)
     census = np.count_nonzero(ids[:, :, None] == np.arange(len(conc.counts)), axis=1)  # (SIC, class) counts
     classes = {
         str(n): {str(float("%.9f" % conc.centers[c])): int(census[n - 1, c]) for c in dict.fromkeys(sic)}
         for n, sic in enumerate(ids.tolist(), start=1)
     }
-    equal, split = int(np.count_nonzero(ids[equal_sics] == 0)), bool(np.all(census[split_sics, 1:3] == 8))
-    return ConcurrenceCensus(equal, split, classes)
+    return int(np.count_nonzero(ids[equal_sics] == 0)), bool(np.all(census[split_sics, 1:3] == 8)), classes
 
 
 def reduced_purity(bloch) -> np.ndarray:
@@ -390,23 +381,20 @@ def detect_cube(points: np.ndarray) -> tuple:
     return ok, edge if ok else None
 
 
-class CubeCensus(NamedTuple):
-    multiplicity: bool  # each qubit of each SIC: eight reduced states, each twice
-    class1: int | None  # SICs 1-8 whose second-qubit points form a cube
-    class2: int | None  # SICs 9-16 doing so; None where a SIC's points cannot split
-    edge_dev: float | None  # the largest |edge - 2/sqrt 5| of the SIC 1-8 cubes
-
-
-def cube_census(g: Gbv) -> CubeCensus:
+def cube_census(g: Gbv) -> tuple:
     """The reduced-state census of both qubits of each orbit SIC, from the
     Gbv of the 256 orbit states in SIC order, and detect_cube on each
-    SIC's second-qubit points."""
+    SIC's second-qubit points, as four values: whether each qubit of each
+    SIC has eight reduced states, each twice; how many of SICs 1-8 and of
+    SICs 9-16 give a cube; and the largest |edge - 2/sqrt 5| of the SIC
+    1-8 cubes.  A count reads None when a SIC of its half cannot split,
+    and so does the edge deviation with the first count."""
     first, second = (reduced_state_census(v.reshape(16, 16, 3)) for v in (g.s, g.r))
     cube, edge = zip(*(detect_cube(r.bloch_points) if r else (None, None) for r in second))
     multiplicity = all(r and len(r.bloch_points) == 8 and set(r.multiplicities) == {2} for r in first + second)
     class1, class2 = (None if None in c else sum(c) for c in (cube[:8], cube[8:]))
     edges = [abs(e - 2 / math.sqrt(5)) for e in edge[:8] if e is not None]
-    return CubeCensus(multiplicity, class1, class2, None if class1 is None else max(edges, default=0.0))
+    return multiplicity, class1, class2, None if class1 is None else max(edges, default=0.0)
 
 
 def violating_signs() -> np.ndarray:

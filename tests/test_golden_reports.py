@@ -65,7 +65,10 @@ def mismatches(want, got, path: str = "") -> list:
     if isinstance(want, dict):
         if not isinstance(got, dict):
             return [path]
-        return [m for k, v in want.items() for m in (mismatches(v, got[k], "%s/%s" % (path, k)) if k in got else [path + "/" + k])]
+        found = []
+        for k, v in want.items():
+            found += mismatches(v, got[k], path + "/" + k) if k in got else [path + "/" + k]
+        return found
     if isinstance(want, list):
         if not isinstance(got, list) or len(got) != len(want):
             return [path]
@@ -93,8 +96,9 @@ def test_report_equals_the_golden_file(argv, golden, tmp_path, capsys):
 
         projectors = enumerate_orbit().projectors
         sics = report["payload"]["regrouped_sics"]
-        rows = [[k for block in blocks for k in block["members"]] for blocks in golden["regroup"]["payload"]["matching"]]
-        want = [{"label": "sic-%d" % n, "states": matrix_to_json(projectors[row])} for n, row in enumerate(rows, start=17)]
+        matching = golden["regroup"]["payload"]["matching"]
+        rows = [[k for block in blocks for k in block["members"]] for blocks in matching]
+        want = [{"label": "sic-%d" % n, "states": matrix_to_json(projectors[row])} for n, row in enumerate(rows, 17)]
         assert mismatches(want, sics) == []
 
 

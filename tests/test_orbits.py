@@ -20,6 +20,7 @@ from sic4.orbits import (
     conjugation_cycle,
     element_product,
     enumerate_orbit,
+    label_action,
     label_permutation_group,
     normal_subgroups,
     orbit_action,
@@ -31,7 +32,9 @@ from sic4.orbits import (
     stabilizer_orbits_within_sic,
     state_permutations,
     sylow_two_subgroup,
+    triple_census_report,
     triple_family,
+    triple_family_deviations,
     triple_phase,
     triple_trace_census,
     verify_symmetry_group_in_clifford,
@@ -683,3 +686,38 @@ def test_label_permutation_group_matches_dict_loop(extended):
     old = label_permutation_group_by_dict(extended)
     assert new == tuple(sorted(old))
     assert all(type(x) is int for key in new for x in key)
+
+
+@pytest.mark.parametrize("extended", [False, True])
+def test_label_action_matches_a_loop_over_the_permutations(extended):
+    # each permutation's image rows as sets, one permutation at a time; the
+    # row-fixing ones' column permutations and their inversion parities
+    permutations, order_census, rows_preserved, row_group_order, row_fixing_order, columns = label_action(extended)
+    perms = [list(p) for p in label_permutation_group(extended=extended)]
+    assert permutations.tolist() == perms
+    images = []
+    for p in perms:
+        rows = [{p[4 * r + c] // 4 for c in range(4)} for r in range(4)]
+        images.append(tuple(min(s) if len(s) == 1 else -1 for s in rows))
+    assert rows_preserved == all(-1 not in image for image in images)
+    assert row_group_order == len(set(images))
+    fixing = [p for p, image in zip(perms, images) if image == (0, 1, 2, 3)]
+    assert row_fixing_order == len(fixing)
+    cols = [[tuple(p[4 * r + c] % 4 for c in range(4)) for r in range(4)] for p in fixing]
+    alike = all(len(set(c)) == 1 for c in cols)
+    even = all(sum(a > b for i, a in enumerate(c[0]) for b in c[0][i + 1 :]) % 2 == 0 for c in cols)
+    assert columns == (alike and even and len({c[0] for c in cols}) == 12)
+    orders = [_permutation_order_by_composition(tuple(p)) for p in perms]
+    assert order_census == {k: orders.count(k) for k in sorted(set(orders))}
+    want = (48, 4, 12, True) if not extended else (96, 8)
+    assert (len(perms), row_group_order, row_fixing_order, columns)[: len(want)] == want
+
+
+def test_triple_census_report_decides_the_cross_sic_check_at_tol():
+    census, counts, real, pairs, modulus_dev, same = triple_census_report()
+    assert census == triple_trace_census(1) and counts == [m for _, m in census]
+    assert (len(census), real, pairs, same) == (17, 1, 8, True) and modulus_dev <= 3e-16
+    # the SICs' centers agree to about 1e-16, not to 1e-30
+    assert not triple_census_report(1e-30)[5]
+    fid_dev, phase_dev, monotone = triple_family_deviations()
+    assert fid_dev <= 2e-16 and phase_dev <= 5e-16 and monotone

@@ -23,7 +23,10 @@ from sic4.regrouping import (
     X_PRIME_PAIR,
     Z_PRIME_MATRIX,
     Z_PRIME_PAIR,
+    carried_sics,
+    clifford_index_two,
     covariance_group,
+    double_cover,
     dprime_literals_match,
     displacement_coset,
     dprime_elements,
@@ -35,12 +38,20 @@ from sic4.regrouping import (
     exhaustive_regroup_scan,
     fidelity_adjacency,
     hw_conjugate_subgroup_census,
+    primitive_commutation,
+    reconstruct_family,
     regrouped_family,
     sic_family,
 )
 from sic4.weyl_heisenberg import displacement, displacement_table, verify_sic
 
-from oracles import dprime_covariant, first_distinct_spans_by_unique, normal_subgroups_by_inverses, regroup_by_search, sic_states
+from oracles import (
+    dprime_covariant,
+    first_distinct_spans_by_unique,
+    normal_subgroups_by_inverses,
+    regroup_by_search,
+    sic_states,
+)
 
 
 def fidelity_graph(orbit, vertices):
@@ -483,3 +494,29 @@ def test_sic_family_is_built_once_and_read_only():
     fresh = regrouped_family()
     assert np.array_equal(fresh.reshape(16, 16), members[16:])
     assert not members.flags.writeable and not fresh.flags.writeable
+
+
+def test_family_readers_count_certified_rows_only():
+    # every row certifies at DEFAULT_TOL and none at 1e-30: an uncertified
+    # row reads as neither group, not unique and without generators, and
+    # the double cover and the carried SICs count certified rows only
+    u = equivalence_unitary()
+    group, unique, generators = reconstruct_family()
+    assert group == [0] * 16 + [1] * 16 and unique == [True] * 32
+    assert all(z.shape == x.shape == (4, 4) for z, x in generators)
+    assert double_cover() and carried_sics(u) == 16
+    assert reconstruct_family(1e-30) == ([-1] * 32, [False] * 32, [None] * 32)
+    assert not double_cover(1e-30) and carried_sics(u, 1e-30) == 0
+
+
+def test_the_identity_neither_carries_the_family_nor_leaves_the_clifford_group():
+    one = np.eye(4, dtype=complex)
+    assert clifford_index_two(equivalence_unitary()) and not clifford_index_two(one)
+    assert carried_sics(one) == 0  # it keeps each orbit SIC in place
+
+
+def test_primitive_commutation_takes_pairs_and_stacks():
+    x, z = displacement(1, 0, 4), displacement(0, 1, 4)
+    assert primitive_commutation(z, x) and primitive_commutation(Z_PRIME_MATRIX, X_PRIME_MATRIX)
+    pairs = primitive_commutation(np.stack([z, z @ z, z]), np.stack([x, x @ x, np.eye(4)]))
+    assert pairs.tolist() == [True, False, False]

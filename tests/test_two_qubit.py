@@ -37,6 +37,7 @@ from sic4.two_qubit import (
     _table_vector,
     bell_basis_map,
     concurrence,
+    cube_census,
     detect_cube,
     from_gbv,
     gbv,
@@ -47,6 +48,7 @@ from sic4.two_qubit import (
     physical_state,
     reduced_purity,
     reduced_state_census,
+    sign_census,
     sign_pattern_table,
     violating_signs,
 )
@@ -547,3 +549,28 @@ def test_bloch_point_and_cube_classes_equal_the_splits_they_replaced():
                 assert np.array_equal(split.first, starts)
                 assert np.array_equal(split.classes, np.searchsorted(starts, np.arange(28), side="right") - 1)
                 assert split.counts.tolist() == np.diff(np.append(starts, 28)).tolist()
+
+
+@pytest.mark.parametrize("basis", ["product", "bell"])
+def test_sign_census_matches_per_state_patterns(basis):
+    # the single-GBV matcher state by state: SICs 1-8 in class 1, 9-16 in
+    # class 2, and h1 by row, (h2, h3) by column of the label grid
+    g = gbv(physical_state(enumerate_orbit().projectors, basis))
+    rows = []
+    for k in range(256):
+        p = match_sign_pattern(Gbv(g.r[k], g.s[k], g.C[k]), basis)
+        label, state = divmod(k, 16)
+        h = astuple(sign_functions(p))
+        assert p.class_id == (1 if label < 8 else 2) and h == (ROW_H1[label // 4], *COL_H23[label % 4])
+        rows.append([label + 1, state, *p.signs, *h])
+    assert sign_census(g, basis) == (256, True, True, True, rows)
+
+
+def test_cube_census_matches_per_sic_censuses():
+    g = gbv(enumerate_orbit().projectors)
+    per_sic = [[reduced_state_census_per_sic(sic_states(n), q) for q in (0, 1)] for n in range(1, 17)]
+    multiplicity = all(len(points) == 8 and set(counts) == {2} for sic in per_sic for points, counts, _, _ in sic)
+    cubes = [second[2] for _, second in per_sic]
+    edge_dev = max(abs(second[3] - 2 / math.sqrt(5)) for _, second in per_sic[:8])
+    assert cube_census(g) == (multiplicity, sum(cubes[:8]), sum(cubes[8:]), edge_dev)
+    assert cube_census(g)[:3] == (True, 8, 0)
