@@ -1,11 +1,13 @@
 import importlib.util
 import itertools
+import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sic4.cli import main
 from sic4.numerics import CANONICAL_ZERO_TOL, commutator_phase, eig_hermitian, projective_set_equal
 from sic4.clifford import enumerate_projective_clifford
 from sic4.orbits import MATCH_TOL, enumerate_orbit, orbit_action, sic_symmetries, state_permutations
@@ -247,6 +249,33 @@ def test_reconstruct_generators_match_loop_on_perfbench_inputs():
         zp, xp = _generators_by_loop(states)
         assert np.array_equal(rec.z_gen, zp) and np.array_equal(rec.x_gen, xp)
     assert cases == {"displacement", "conjugate-displacement", "other"}
+
+
+def test_input_verdicts_match_the_case_each_perfbench_file_was_built_as(tmp_path, capsys):
+    # the rule of perfbench's input_verdict_ok: a SIC file exits 0 with its
+    # group named in the claim row and the payload, a not-SIC file exits 1
+    # with input_is_sic false and its deviations reported
+    out = tmp_path / "report.json"
+    batch = _load_perfbench_inputs().write_batch(5, tmp_path / "batch")
+    for path, case in batch:
+        rc = main(["reconstruct", "--input", str(path), "--format", "json", "--out", str(out)])
+        report = json.loads(out.read_text())
+        rows = {r["claim_id"]: r for r in report["claims"]}
+        is_sic = rows["reconstruct.input_is_sic"]["observed"]
+        if case == "not-sic":
+            assert (rc, is_sic) == (1, False), path.name
+            assert set(report["payload"]["sic_deviations"]) == {"fidelity", "state", "completeness"}
+        else:
+            group = rows["reconstruct.input_group"]
+            assert (rc, is_sic, group["observed"], group["pass"]) == (0, True, case, True), path.name
+            assert report["payload"]["group"] == case, path.name
+    capsys.readouterr()
+    assert len(batch) == 128 and {case for _, case in batch} == {
+        "displacement",
+        "conjugate-displacement",
+        "other",
+        "not-sic",
+    }
 
 
 def _family_and_copies(seed=13):
