@@ -437,9 +437,14 @@ def state_permutations(mats, states) -> np.ndarray:
     """How each of N unitaries permutes a list of M rank-1 states by
     conjugation, as an (N, M) index array; for an (N, M, d, d) stack, how
     each permutes its own list.  ValueError when one does not permute its
-    states.  The kets k are read off the states once, and one product takes
-    every overlap <k_j| U |k_i>: state i goes to the j of largest modulus."""
-    kets = rank1_kets(states)
+    states.  The kets are read off the states once, for ket_permutations."""
+    return ket_permutations(mats, rank1_kets(states))
+
+
+def ket_permutations(mats, kets) -> np.ndarray:
+    """state_permutations of the states k k^dag of an (M, d) list of kets,
+    or of an (N, M, d) stack: one product takes every overlap
+    <k_j| U |k_i>, and state i goes to the j of largest modulus."""
     z = kets.conj() @ np.asarray(mats, dtype=complex) @ np.swapaxes(kets, -1, -2)  # [n, j, i]
     ov = np.square(z.real)
     ov += np.square(z.imag)

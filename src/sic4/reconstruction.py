@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import COMMUTATOR_TOL, canonical_phase, commutator_phase, eig_hermitian
-from .orbits import projectively_distinct, sic_symmetries, state_permutations, sylow_two_subgroup
+from .numerics import COMMUTATOR_TOL, canonical_phase, commutator_phase, rank1_kets
+from .orbits import ket_permutations, projectively_distinct, sic_symmetries, sylow_two_subgroup
 from .weyl_heisenberg import CONSTANTS, shift_clock_products
 
 # eigenvalue of the 4-state sum paired with the phase i^k it tags
@@ -31,9 +31,12 @@ _SQ5 = math.sqrt(5.0)
 SIGNATURE_TOL = 1e-8
 
 # candidate 4-subsets screened at a time while reconstruct_hw looks for the
-# first qualifying one; on SICs in random state order that one comes about
-# 40 candidates in, on orbit SICs at once
-QUAD_BLOCK = 16
+# first qualifying one.  On the 192 SIC files of perfbench seeds 7 and 8,
+# whose states come in random order, that one lies at median 37, p90 76 and
+# max 90 of the 1820 in itertools.combinations order, so one block of 48
+# resolves a median file and two resolve every one; on orbit SICs it is the
+# first candidate
+QUAD_BLOCK = 48
 
 # cuts of the phase-operator step, with what they meet on the 32 SICs and on
 # Haar-conjugated, state-shuffled copies: qualifying 4-state sums are
@@ -124,6 +127,10 @@ def _quad_index() -> np.ndarray:
 _ORBIT_PICKS = np.indices((4,) * 4).reshape(4, -1).T
 _ORBIT_PICKS.flags.writeable = False
 
+# the phase i^k attached to the eigenket tagged k
+_PHASES = np.array([1, 1j, -1, -1j])
+_PHASES.flags.writeable = False
+
 
 def _first_match(states: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """For each SIC of an (S, 16, d, d) stack, the state sum of the first
@@ -146,17 +153,19 @@ def _first_match(states: np.ndarray, candidates: np.ndarray) -> np.ndarray:
 
 def phase_operator(m: np.ndarray) -> np.ndarray:
     """Attach i^k to the eigenket of the sum eigenvalue tagged k, for one
-    4 x 4 sum or for each of an (S, 4, 4) stack."""
-    w, v = eig_hermitian(m, tol=HERMITIAN_TOL)
+    4 x 4 sum or for each of an (S, 4, 4) stack: the sum of i^k v v^dag
+    over the eigenpairs, as one product.  The phase of each eigenket
+    cancels in v v^dag, so eigh's eigenkets are used as they come."""
+    if np.max(np.abs(m - m.conj().swapaxes(-1, -2))) > HERMITIAN_TOL:
+        raise ValueError("matrix is not Hermitian within tol")
+    w, v = np.linalg.eigh(m)
     dist = np.abs(w[..., :, None] - _SIGNATURE)  # eigenvalue x tag k
     k = dist.argmin(axis=-1)
     if np.any(dist.min(axis=-1) > EIGENVALUE_MATCH_TOL) or np.any(np.sort(k, axis=-1) != np.arange(4)):
         raise ValueError("sum eigenvalues do not realize the reference signature")
     if np.max(np.abs(m @ v - v * w[..., None, :])) > RESIDUAL_TOL:
         raise AssertionError("eigenpair residual exceeds tolerance")
-    projectors = v[..., :, None, :] * v[..., None, :, :].conj()  # [..., a, b, eigenpair]
-    terms = np.array([1, 1j, -1, -1j])[k][..., None, None, :] * projectors
-    return terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]  # summed in eigenpair order
+    return (v * _PHASES[k][..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 class ReconstructedGroup(NamedTuple):
@@ -178,12 +187,13 @@ def reconstruct_hw(states) -> ReconstructedGroup:
     states = np.asarray(states, dtype=complex).reshape(-1, 16, 4, 4)
     zp = phase_operator(_first_match(states, _quad_index()))
 
-    perm = state_permutations(zp, states)
-    powers = [np.broadcast_to(np.arange(16), perm.shape)]
-    for _ in range(4):
-        powers.append(perm[np.arange(len(perm))[:, None], powers[-1]])
-    cycles = np.stack(powers[:4], axis=-1)  # the clock orbit of each state
-    if np.any(powers[4] != powers[0]) or np.any(cycles[..., 1:] == cycles[..., :1]):
+    kets = rank1_kets(states)  # read once, for both generators' permutations
+    perm = ket_permutations(zp, kets)
+    rows = np.arange(len(perm))[:, None]
+    square = perm[rows, perm]
+    cube = perm[rows, square]
+    cycles = np.stack([np.broadcast_to(np.arange(16), perm.shape), perm, square, cube], axis=-1)  # each state's clock orbit
+    if np.any(perm[rows, cube] != np.arange(16)) or np.any(cycles[..., 1:] == cycles[..., :1]):
         raise ValueError("clock generator does not split the SIC into four 4-orbits")
     orbits = np.sort(cycles[cycles.min(axis=-1) == np.arange(16)], axis=-1).reshape(-1, 4, 4)
 
@@ -194,7 +204,7 @@ def reconstruct_hw(states) -> ReconstructedGroup:
     if np.any(np.abs(commutator_phase(zp, xp) - 1j) > COMMUTATOR_TOL):
         raise ValueError("generators do not satisfy the clock-shift commutation")
 
-    state_permutations(xp, states)  # covariance under the second generator
+    ket_permutations(xp, kets)  # covariance under the second generator
 
     elements = canonical_phase(shift_clock_products(xp, zp).reshape(-1, 4, 4)).reshape(-1, 16, 4, 4)
     if not projectively_distinct(elements):

@@ -17,7 +17,9 @@ from sic4.reconstruction import (
     EIGENVALUE_MATCH_TOL,
     HERMITIAN_TOL,
     RESIDUAL_TOL,
+    QUAD_BLOCK,
     SIGNATURE_TOL,
+    _first_match,
     _matches_reference,
     _quad_index,
     phase_operator,
@@ -249,6 +251,70 @@ def test_reconstruct_generators_match_loop_on_perfbench_inputs():
         zp, xp = _generators_by_loop(states)
         assert np.array_equal(rec.z_gen, zp) and np.array_equal(rec.x_gen, xp)
     assert cases == {"displacement", "conjugate-displacement", "other"}
+
+    # the z search's first qualifying 4-subset in the first and in the second
+    # candidate block, for an orbit SIC and a Haar-conjugated one, each SIC
+    # alone and all four in one stack
+    u = inputs.haar_unitary(np.random.default_rng(12))
+    sics = [sic_states(5), u @ sic_states(11)[sic_family()[0][20] % 16] @ u.conj().T]
+    stack = np.stack([_states_in_block(sic, block, seed) for seed, sic in enumerate(sics) for block in (0, 1)])
+    assert [_first_hit(s, _quad_index()) // QUAD_BLOCK for s in stack] == [0, 1, 0, 1]
+    rec = reconstruct_hw(stack)
+    for k, states in enumerate(stack):
+        zp, xp = _generators_by_loop(states)
+        assert np.array_equal(rec.z_gen[k], zp) and np.array_equal(rec.x_gen[k], xp)
+        one = reconstruct_hw(states)
+        assert np.array_equal(one.z_gen, zp) and np.array_equal(one.x_gen, xp)
+
+
+def _first_hit(states, candidates) -> int:
+    """Position of the first row of a (Q, 4) candidate array whose state sum
+    realizes the reference signature."""
+    return int(np.flatnonzero(_matches_reference(signatures(states, candidates)))[0])
+
+
+def _in_block(block: int, draw, first_hit):
+    """The first of up to 500 draws whose first match lies in candidate
+    block ``block``."""
+    for _ in range(500):
+        drawn = draw()
+        if first_hit(drawn) // QUAD_BLOCK == block:
+            return drawn
+    raise AssertionError("no draw puts the first match in block %d" % block)
+
+
+def _states_in_block(sic, block: int, seed: int):
+    """A SIC's states in the first seeded random order whose first qualifying
+    4-subset, in itertools.combinations order, lies in candidate block
+    ``block`` of the z search."""
+    rng = np.random.default_rng(seed)
+    return _in_block(block, lambda: sic[rng.permutation(16)], lambda s: _first_hit(s, _quad_index()))
+
+
+def test_first_match_crosses_two_block_boundaries_as_the_loop():
+    # no state order takes the z search past position 90: every pair of a
+    # SIC's states lies in a qualifying 4-subset, so one holds states 0 and
+    # 1, and (0, 1, 14, 15) is the 91st subset.  The third block is reached
+    # here by each SIC's own seeded order of the 1820 candidates, one stack
+    # of three SICs resolving in blocks 0, 1 and 2
+    index = _quad_index()
+    sics = _family_and_copies()[[0, 20, 40]]
+    for states in sics:
+        pairs = np.zeros((16, 16), dtype=int)
+        for quad in reference_quads(states):
+            pairs[np.ix_(quad, quad)] += 1
+        assert pairs.min() >= 1
+        assert _first_hit(states, index) <= 90 == math.comb(14, 2) - 1
+    rng = np.random.default_rng(28)
+    candidates = [
+        _in_block(block, lambda: index[rng.permutation(len(index))], lambda order: _first_hit(states, order))
+        for block, states in enumerate(sics)
+    ]
+    sums = _first_match(sics, np.stack(candidates))
+    for states, order, m in zip(sics, candidates, sums):
+        quad = _first_by_loop(states, order)
+        assert np.array_equal(m, states[list(quad)].sum(axis=0))
+    assert [_first_hit(s, o) // QUAD_BLOCK for s, o in zip(sics, candidates)] == [0, 1, 2]
 
 
 def test_input_verdicts_match_the_case_each_perfbench_file_was_built_as(tmp_path, capsys):
