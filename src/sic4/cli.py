@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import time
 
@@ -345,7 +346,7 @@ def run_regroup(cfg, claims: Claims):
         dprime_permutes,
         equivalence_unitary,
         exhaustive_regroup_scan,
-        fidelity_adjacency,
+        fidelity_graph,
         hw_conjugate_subgroup_census,
         primitive_commutation,
         sic_family,
@@ -366,7 +367,7 @@ def run_regroup(cfg, claims: Claims):
 
     anchor = "every state belongs to exactly two of the 32 SICs"
     claims.add("regroup.double_cover", anchor, True, double_cover(cfg.tol))
-    degrees = set(fidelity_adjacency(orbit, range(256)).sum(axis=1).tolist())
+    degrees = set(fidelity_graph().sum(axis=1).tolist())
     claims.add(
         "regroup.fidelity_graph_regular",
         "fidelity-1/5 graph is regular across the orbit",
@@ -648,7 +649,14 @@ def main(argv=None) -> int:
             return 2
         print("report written to %s (%d/%d passed)" % (cfg.out, passed, len(claims.rows)))
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader went away: send stdout to devnull, so that the flush
+            # at interpreter exit cannot raise again, and end as Python's
+            # documented idiom does
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
     return 0 if passed == len(claims.rows) else 1
 
 

@@ -86,6 +86,15 @@ def fidelity_adjacency(orbit: FiducialOrbit, vertices) -> np.ndarray:
     return upper | upper.T
 
 
+@lru_cache(maxsize=1)
+def fidelity_graph() -> np.ndarray:
+    """fidelity_adjacency of all 256 orbit states, built once and read-only,
+    for the full clique scan and the regularity claim."""
+    adj = fidelity_adjacency(enumerate_orbit(), range(256))
+    adj.flags.writeable = False
+    return adj
+
+
 def _bits(mask: int):  # indices of the set bits, lowest first
     while mask:
         low = mask & -mask
@@ -127,13 +136,12 @@ def exhaustive_regroup_scan(full_scan: bool = False, tol: float = DEFAULT_TOL) -
     (regrouping cannot mix rows); full_scan runs the clique search over all
     256 vertices.
     """
-    orbit = enumerate_orbit()
     members, report = sic_family(tol)
-    found = {
-        tuple(np.sort(vertices[clique]).tolist())
-        for vertices in np.arange(256).reshape(1 if full_scan else 4, -1)
-        for clique in _cliques(fidelity_adjacency(orbit, vertices), 16)
-    }
+    if full_scan:
+        graphs = [(np.arange(256), fidelity_graph())]
+    else:
+        graphs = [(rows, fidelity_adjacency(enumerate_orbit(), rows)) for rows in np.arange(256).reshape(4, 64)]
+    found = {tuple(np.sort(vertices[clique]).tolist()) for vertices, adj in graphs for clique in _cliques(adj, 16)}
     return len(found) if found == set(map(tuple, members[report.is_sic].tolist())) else -1
 
 

@@ -312,13 +312,13 @@ def test_json_report_parses_as_its_indented_form(section, monkeypatch, tmp_path,
 def test_cached_arrays_are_read_only(capsys):
     from sic4.clifford import enumerate_projective_clifford
     from sic4.orbits import enumerate_orbit
-    from sic4.regrouping import dprime_elements
+    from sic4.regrouping import dprime_elements, fidelity_graph
     from sic4.weyl_heisenberg import displacement_table
 
     orbit = enumerate_orbit()
     group = enumerate_projective_clifford(4, extended=True)
     arrays = (orbit.projectors, sic_states(2), group.f, group.chi, group.mats, group.anti)
-    arrays += (displacement_table(4), group[5].op.matrix, dprime_elements())
+    arrays += (displacement_table(4), group[5].op.matrix, dprime_elements(), fidelity_graph())
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = a[1]
@@ -333,6 +333,7 @@ def _clear_family_caches():
     sic4.orbits.orbit_certificate.cache_clear()
     sic4.orbits._sic_triple_census.cache_clear()
     sic4.regrouping.sic_family.cache_clear()
+    sic4.regrouping.fidelity_graph.cache_clear()
 
 
 def _count_certified_sics(monkeypatch) -> list:
@@ -929,3 +930,39 @@ def test_every_library_name_has_a_library_caller():
         if node.name not in sic4.__all__ and all(id(node) in inside for inside in refs.get(node.name, []))
     ]
     assert dead == []
+
+
+def test_a_reader_closing_the_pipe_ends_the_run_quietly_with_exit_1():
+    # the child prints only once stdin is closed, after both ends of its
+    # stdout pipe are closed here, so its report meets a pipe with no reader
+    code = "import sys; sys.stdin.read(); from sic4.cli import main; sys.exit(main(['twoqubit', '--format', 'tsv']))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    read_end, write_end = os.pipe()
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code], stdin=subprocess.PIPE, stdout=write_end, stderr=subprocess.PIPE, env=env
+        )
+    finally:
+        os.close(write_end)
+        os.close(read_end)
+    _, err = proc.communicate(b"", timeout=300)
+    assert (proc.returncode, err.decode()) == (1, "")
+
+
+@pytest.mark.parametrize("full_scan", [[], ["--full-scan"]])
+def test_regroup_builds_the_256_vertex_fidelity_graph_once(full_scan, monkeypatch, capsys):
+    # the per-row clique scan builds four 64-vertex graphs; the full scan
+    # and the regularity claim share one 256-vertex graph
+    import sic4.regrouping
+
+    sizes, fidelity_adjacency = [], sic4.regrouping.fidelity_adjacency
+
+    def spy(orbit, vertices):
+        sizes.append(len(vertices))
+        return fidelity_adjacency(orbit, vertices)
+
+    monkeypatch.setattr(sic4.regrouping, "fidelity_adjacency", spy)
+    sic4.regrouping.fidelity_graph.cache_clear()
+    assert main(["regroup"] + full_scan) == 0
+    capsys.readouterr()
+    assert sizes == [64, 64, 64, 64, 256]
