@@ -647,16 +647,15 @@ def main(argv=None) -> int:
         except OSError as exc:
             print("sic4: error: --out %s: %s" % (cfg.out, exc.strerror or exc), file=sys.stderr)
             return 2
-        print("report written to %s (%d/%d passed)" % (cfg.out, passed, len(claims.rows)))
-    else:
-        try:
-            print(text, flush=True)
-        except BrokenPipeError:
-            # the reader went away: send stdout to devnull, so that the flush
-            # at interpreter exit cannot raise again, and end as Python's
-            # documented idiom does
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return 1
+        text = "report written to %s (%d/%d passed)" % (cfg.out, passed, len(claims.rows))
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader went away: send stdout to devnull, so that the flush at
+        # interpreter exit cannot raise again, and end as Python's documented
+        # idiom does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0 if passed == len(claims.rows) else 1
 
 

@@ -19,7 +19,7 @@ from sic4.clifford import (
     semidirect_product,
     to_operator,
 )
-from sic4.numerics import DEFAULT_TOL, GroupElement, canonical_phase, conjugate, proj_equal, rank1_kets as state_ket
+from sic4.numerics import DEFAULT_TOL, GroupElement, canonical_phase, conjugate, eig_hermitian, proj_equal, rank1_kets as state_ket
 from sic4.orbits import (
     FIDUCIAL_STABILIZER,
     LABEL_GRID,
@@ -33,7 +33,7 @@ from sic4.orbits import (
     pair_action,
     permutation_orders,
 )
-from sic4.reconstruction import _matches_reference, _quad_index, signatures
+from sic4.reconstruction import HERMITIAN_TOL, _matches_reference, _quad_index, signature_values, signatures
 from sic4.regrouping import dprime_pairs, fidelity_adjacency
 from sic4.two_qubit import (
     concurrence,
@@ -198,6 +198,17 @@ def reference_quads_by_full_eigvalsh(states) -> np.ndarray:
     the tr(m^3) screen."""
     index = _quad_index()
     return index[_matches_reference(signatures(states, index))]
+
+
+def phase_operator_by_projectors(m) -> np.ndarray:
+    """phase_operator as it was: eig_hermitian's phase-fixed eigenkets, the
+    four projectors v v^dag each scaled by its i^k and summed in eigenpair
+    order.  Only the eigenvalue tagging is shared with the library."""
+    w, v = eig_hermitian(m, tol=HERMITIAN_TOL)
+    k = np.abs(w[..., :, None] - np.array(signature_values())).argmin(axis=-1)
+    projectors = v[..., :, None, :] * v[..., None, :, :].conj()  # [..., a, b, eigenpair]
+    terms = np.array([1, 1j, -1, -1j])[k][..., None, None, :] * projectors
+    return terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]
 
 
 def uniqueness_check_per_sic(indices) -> bool:

@@ -932,10 +932,13 @@ def test_every_library_name_has_a_library_caller():
     assert dead == []
 
 
-def test_a_reader_closing_the_pipe_ends_the_run_quietly_with_exit_1():
+@pytest.mark.parametrize("out", [False, True])
+def test_a_reader_closing_the_pipe_ends_the_run_quietly_with_exit_1(out, tmp_path):
     # the child prints only once stdin is closed, after both ends of its
-    # stdout pipe are closed here, so its report meets a pipe with no reader
-    code = "import sys; sys.stdin.read(); from sic4.cli import main; sys.exit(main(['twoqubit', '--format', 'tsv']))"
+    # stdout pipe are closed here, so its report, or with --out its one
+    # summary line, meets a pipe with no reader
+    argv = ["twoqubit", "--format", "tsv"] + (["--out", str(tmp_path / "r.tsv")] if out else [])
+    code = "import sys; sys.stdin.read(); from sic4.cli import main; sys.exit(main(%r))" % argv
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     read_end, write_end = os.pipe()
     try:

@@ -33,7 +33,13 @@ from sic4.reconstruction import (
 from sic4.regrouping import dprime_elements, regrouped_family, sic_family
 from sic4.weyl_heisenberg import displacement, fiducial_ket_d4, verify_sic
 
-from oracles import reference_quads_by_full_eigvalsh, sic_states, state_action, uniqueness_check_per_sic
+from oracles import (
+    phase_operator_by_projectors,
+    reference_quads_by_full_eigvalsh,
+    sic_states,
+    state_action,
+    uniqueness_check_per_sic,
+)
 
 G = (math.sqrt(5) - 1) / 2
 
@@ -253,10 +259,10 @@ def test_reconstruct_generators_match_loop_on_perfbench_inputs():
     assert cases == {"displacement", "conjugate-displacement", "other"}
 
     # the z search's first qualifying 4-subset in the first and in the second
-    # candidate block, for an orbit SIC and a Haar-conjugated one, each SIC
-    # alone and all four in one stack
+    # candidate block, for orbit SIC 5 and a Haar-conjugated copy of
+    # regrouped SIC 21, each order alone and all four in one stack
     u = inputs.haar_unitary(np.random.default_rng(12))
-    sics = [sic_states(5), u @ sic_states(11)[sic_family()[0][20] % 16] @ u.conj().T]
+    sics = [sic_states(5), u @ enumerate_orbit().projectors[sic_family()[0][20]] @ u.conj().T]
     stack = np.stack([_states_in_block(sic, block, seed) for seed, sic in enumerate(sics) for block in (0, 1)])
     assert [_first_hit(s, _quad_index()) // QUAD_BLOCK for s in stack] == [0, 1, 0, 1]
     rec = reconstruct_hw(stack)
@@ -402,6 +408,9 @@ def test_phase_operator_cuts_have_measured_margins():
     dist = np.sort(np.abs(w[..., None] - np.array(signature_values())), axis=-1)
     assert dist[..., 0].max() <= 1e-14 < EIGENVALUE_MATCH_TOL < 0.3 <= dist[..., 1].min()
     assert np.max(np.abs(m @ v - v * w[..., None, :])) <= 1e-14 < RESIDUAL_TOL
+    # one product of eigh's eigenkets against the summed projectors of the
+    # phase-fixed ones: the same operators, up to rounding
+    assert np.max(np.abs(phase_operator(m) - phase_operator_by_projectors(m))) <= 1e-14
     rec = reconstruct_hw(sics)
     assert np.max(np.abs(commutator_phase(rec.z_gen, rec.x_gen) - 1j)) <= 1e-14 < COMMUTATOR_TOL
     adjoint = commutator_phase(rec.z_gen, rec.x_gen.conj().swapaxes(-1, -2))
