@@ -1,7 +1,7 @@
 """Construction and numerical certification of dimension-4 SIC-POVMs
 covariant under the Weyl-Heisenberg group."""
 
-from .numerics import DEFAULT_TOL, GroupElement, eig_hermitian, proj_equal
+from .numerics import DEFAULT_TOL, GroupElement, proj_equal
 from .weyl_heisenberg import (
     CONSTANTS,
     SicPovm,
@@ -16,7 +16,6 @@ from .weyl_heisenberg import (
 __all__ = [
     "DEFAULT_TOL",
     "GroupElement",
-    "eig_hermitian",
     "proj_equal",
     "CONSTANTS",
     "SicPovm",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import os
@@ -290,7 +291,8 @@ def _read_input_states(path: str) -> np.ndarray:
             states = matrix_from_json(json.load(fh)["states"])
     except OSError as exc:
         raise _InputError(exc.strerror or str(exc)) from None
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers JSONDecodeError
+    # ValueError covers JSONDecodeError; RecursionError a file nested too deep to decode
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise _InputError("not a SIC file (%s: %s)" % (type(exc).__name__, exc)) from None
     if states.shape != (16, 4, 4):
         raise _InputError("expected 16 states of dimension 4, got shape %s" % (states.shape,))
@@ -656,6 +658,12 @@ def main(argv=None) -> int:
         # idiom does
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    if argv is None:
+        # run as the command, the process ends next: move the heap out of the
+        # collector's reach, so that the collections of interpreter shutdown
+        # skip the objects of numpy's and sic4's imports (the memory is freed
+        # with the process either way)
+        gc.freeze()
     return 0 if passed == len(claims.rows) else 1
 
 

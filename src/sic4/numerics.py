@@ -147,20 +147,6 @@ def commutator_phase(a, b):
     return c / a.shape[-1] if c.ndim else complex(c) / a.shape[-1]
 
 
-def eig_hermitian(m, tol: float = DEFAULT_TOL):
-    """Ascending eigenvalues and column eigenvectors of a Hermitian matrix,
-    or of each of an (S, d, d) stack (ValueError beyond ``tol`` from
-    Hermitian), each eigenvector scaled so its first largest-magnitude
-    component is real and positive."""
-    m = _as_complex(m, stacked=np.ndim(m) == 3)
-    if np.max(np.abs(m - m.conj().swapaxes(-1, -2))) > tol:
-        raise ValueError("matrix is not Hermitian within tol")
-    w, v = np.linalg.eigh(m)
-    top = np.take_along_axis(v, np.abs(v).argmax(axis=-2)[..., None, :], axis=-2)
-    # np.hypot rounds |x| as abs() of one complex scalar does; np.abs of an array can be an ulp off
-    return w, v / (top / np.hypot(top.real, top.imag))
-
-
 def canonical_phase(m) -> np.ndarray:
     """Rescale by a global phase so the first nonzero entry (row-major) is
     real positive; each matrix of an (S, d, d) stack by its own phase."""

@@ -19,7 +19,15 @@ from sic4.clifford import (
     semidirect_product,
     to_operator,
 )
-from sic4.numerics import DEFAULT_TOL, GroupElement, canonical_phase, conjugate, eig_hermitian, proj_equal, rank1_kets as state_ket
+from sic4.numerics import (
+    DEFAULT_TOL,
+    GroupElement,
+    _as_complex,
+    canonical_phase,
+    conjugate,
+    proj_equal,
+    rank1_kets as state_ket,
+)
 from sic4.orbits import (
     FIDUCIAL_STABILIZER,
     LABEL_GRID,
@@ -198,6 +206,20 @@ def reference_quads_by_full_eigvalsh(states) -> np.ndarray:
     the tr(m^3) screen."""
     index = _quad_index()
     return index[_matches_reference(signatures(states, index))]
+
+
+def eig_hermitian(m, tol: float = DEFAULT_TOL):
+    """Ascending eigenvalues and column eigenvectors of a Hermitian matrix,
+    or of each of an (S, d, d) stack (ValueError beyond ``tol`` from
+    Hermitian), each eigenvector scaled so its first largest-magnitude
+    component is real and positive."""
+    m = _as_complex(m, stacked=np.ndim(m) == 3)
+    if np.max(np.abs(m - m.conj().swapaxes(-1, -2))) > tol:
+        raise ValueError("matrix is not Hermitian within tol")
+    w, v = np.linalg.eigh(m)
+    top = np.take_along_axis(v, np.abs(v).argmax(axis=-2)[..., None, :], axis=-2)
+    # np.hypot rounds |x| as abs() of one complex scalar does; np.abs of an array can be an ulp off
+    return w, v / (top / np.hypot(top.real, top.imag))
 
 
 def phase_operator_by_projectors(m) -> np.ndarray:

@@ -139,6 +139,18 @@ def test_reconstruct_input_without_states_exits_2(tmp_path, capsys):
     _assert_input_error(["reconstruct", "--input", str(f)], capsys)
 
 
+def test_reconstruct_input_nested_too_deep_to_decode_exits_2(tmp_path, capsys):
+    # the json decoder gives up on such a file with a RecursionError
+    f = tmp_path / "sic.json"
+    f.write_text('{"states": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    out = tmp_path / "report.json"
+    assert main(["reconstruct", "--input", str(f), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("sic4: error: --input %s: not a SIC file (RecursionError: " % f)
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("shape", ["fifteen", "dim2", "ragged", "mixed"])
 def test_reconstruct_input_wrong_states_exits_2(shape, tmp_path, capsys):
     states = list(sic_states(1))
@@ -969,3 +981,28 @@ def test_regroup_builds_the_256_vertex_fidelity_graph_once(full_scan, monkeypatc
     assert main(["regroup"] + full_scan) == 0
     capsys.readouterr()
     assert sizes == [64, 64, 64, 64, 256]
+
+
+def test_only_the_command_freezes_the_heap_and_its_claims_are_the_in_process_ones(tmp_path, capsys):
+    # main() run as the command freezes the heap once its report is out, so
+    # that interpreter shutdown does not collect it; main(argv) leaves the
+    # collector as it was
+    import gc
+
+    frozen = gc.get_freeze_count()
+    assert main(["all", "--format", "json", "--out", str(tmp_path / "in-process.json")]) == 0
+    capsys.readouterr()
+    assert gc.get_freeze_count() == frozen
+    code = (
+        "import gc, sys; from sic4.cli import main; rc = main(); "
+        "print(gc.get_freeze_count(), file=sys.stderr); sys.exit(rc)"
+    )
+    out = tmp_path / "command.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "all", "--format", "json", "--out", str(out)],
+        capture_output=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0 and int(proc.stderr) > 0
+    claims = [json.loads(p.read_text())["claims"] for p in (tmp_path / "in-process.json", out)]
+    assert claims[0] == claims[1]

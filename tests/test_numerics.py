@@ -5,13 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import bloch_vectors, canonical_key, compose
+from oracles import bloch_vectors, canonical_key, compose, eig_hermitian
 from sic4.numerics import (
     GroupElement,
     canonical_phase,
     commutator_phase,
     conjugate,
-    eig_hermitian,
     is_unitary,
     matrix_from_json,
     matrix_to_json,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sic4.cli import main
-from sic4.numerics import CANONICAL_ZERO_TOL, commutator_phase, eig_hermitian, projective_set_equal
+from sic4.numerics import CANONICAL_ZERO_TOL, commutator_phase, projective_set_equal
 from sic4.clifford import enumerate_projective_clifford
 from sic4.orbits import MATCH_TOL, enumerate_orbit, orbit_action, sic_symmetries, state_permutations
 from sic4.reconstruction import (
@@ -34,6 +34,7 @@ from sic4.regrouping import dprime_elements, regrouped_family, sic_family
 from sic4.weyl_heisenberg import displacement, fiducial_ket_d4, verify_sic
 
 from oracles import (
+    eig_hermitian,
     phase_operator_by_projectors,
     reference_quads_by_full_eigvalsh,
     sic_states,
