@@ -659,10 +659,8 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     if argv is None:
-        # run as the command, the process ends next: move the heap out of the
-        # collector's reach, so that the collections of interpreter shutdown
-        # skip the objects of numpy's and sic4's imports (the memory is freed
-        # with the process either way)
+        # run as the command, so the process ends next: let the collections of
+        # interpreter shutdown skip the heap that numpy's and sic4's imports built
         gc.freeze()
     return 0 if passed == len(claims.rows) else 1
 
