@@ -524,10 +524,9 @@ def _render_text(report) -> str:
             % (mark, c["claim_id"], json.dumps(c["expected"]), json.dumps(c["observed"]))
         )
     lines.append("")
-    lines.append(
-        "%d/%d claims passed in %d ms"
-        % (report["passed"], report["passed"] + report["failed"], report["runtime_ms"])
-    )
+    slowest = max(report["timings_ms"].items(), key=lambda item: item[1])
+    total = (report["passed"], report["passed"] + report["failed"], report["runtime_ms"])
+    lines.append("%d/%d claims passed in %d ms; slowest section %s, %.1f ms" % (total + slowest))
     return "\n".join(lines)
 
 
@@ -605,8 +604,9 @@ def main(argv=None) -> int:
     if name != "all":
         key = "twoqubit_" + cfg.basis if name == "twoqubit" else name
         sections = {key: sections[key]}
-    payload: dict = {}
+    payload, timings = {}, {}  # timings: the milliseconds of each section that ran
     for section, run in sections.items():
+        start = time.monotonic()
         try:
             result = run(cfg, claims)
         except _InputError as exc:
@@ -621,6 +621,7 @@ def main(argv=None) -> int:
         else:
             if name != "all":
                 payload = result
+        timings[section] = round((time.monotonic() - start) * 1000, 3)
 
     passed = sum(c["pass"] for c in claims.rows)
     report = {
@@ -631,6 +632,7 @@ def main(argv=None) -> int:
         "passed": passed,
         "failed": len(claims.rows) - passed,
         "runtime_ms": int((time.monotonic() - t0) * 1000),
+        "timings_ms": timings,
     }
     if cfg.format == "json":
         report["payload"] = payload

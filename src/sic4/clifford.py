@@ -192,17 +192,18 @@ def coset(pair: SymplecticPair) -> tuple:
 def _sector(d: int, det: int) -> tuple:
     """(F, chi, matrices, flags) of one pair per kernel coset of the pairs
     with det F = det, the first pair met in enumeration order (F outer, chi
-    inner); the matrices are checked unitary as one stack."""
-    db = 2 * d
-    fs = np.array(symplectic_group_matrices(db, det))
-    chis = np.array(list(itertools.product(range(d), repeat=2)))
-    f = np.repeat(fs, len(chis), axis=0)
-    chi = np.tile(chis, (len(fs), 1))
-    first = np.sort(np.unique(_coset_keys(f.T, chi.T, d), return_index=True)[1])
-    mats, anti = _operators(f[first].T, chi[first].T, d)
+    inner).  A coset's pairs run once over a symplectic class F K (K the
+    kernel's F-parts), so the first is (least F, chi), the F its coset key
+    names: D_chi V_F, one V_F per class, checked unitary as one stack."""
+    f = np.array(symplectic_group_matrices(2 * d, det))
+    zero = np.zeros((2, len(f)), dtype=int)
+    least = f[_coset_keys(f.T, zero, d) // (d * d) == _pair_key(f.T, zero, d) // (d * d)]
+    v, anti = _operators(least.T, zero[:, : len(least)], d)
+    mats = (displacement_table(d).reshape(d * d, d, d) @ v[:, None]).reshape(-1, d, d)
     if not is_unitary(mats, 1e-8):
         raise ValueError("GroupElement matrix is not unitary within tol")
-    return f[first], chi[first], mats, anti
+    chi = np.indices((d, d)).reshape(2, -1).T
+    return np.repeat(least, d * d, axis=0), np.tile(chi, (len(least), 1)), mats, np.repeat(anti, d * d)
 
 
 class CliffordGroup(_FrozenRecord):
@@ -230,8 +231,8 @@ class CliffordGroup(_FrozenRecord):
 def enumerate_projective_clifford(d: int, /, *, extended: bool) -> CliffordGroup:
     """All projectively distinct Clifford elements as one CliffordGroup.
 
-    Iterates every (F, chi) pair in the chosen determinant sector(s) and
-    keeps the first pair of each kernel coset.  For d = 4 this yields 768
+    Keeps the first (F, chi) pair of each kernel coset of the chosen
+    sector(s), built one symplectic class at a time.  For d = 4 this yields 768
     unitary rows, then 768 antiunitary ones with extended=True.  The one
     accepted call form, (d, extended=...), keeps one cache entry per group.
     """

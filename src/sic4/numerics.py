@@ -178,33 +178,65 @@ def value_classes(values, gap: float) -> ValueClasses:
     are finite and 2 spread <= gap < separation, so classes are never merged
     silently.  Each pass compares all values with one leader, or a block of
     centers with all centers: no (N, N) array is made."""
+    return value_class_rows(np.asarray(values)[None], gap, strict=True)[0]
+
+
+def value_class_rows(values, gap: float, candidates=None, *, strict: bool = False) -> list:
+    """value_classes of each row of an (S, N, ...) stack, each leader pass
+    and class sum serving every row: S ValueClasses, None for a row that
+    cannot split (strict: ValueError).  A row of the optional (S, N) int
+    candidates >= 0 labels the row's classes if 8 spread <= gap <
+    separation: members then lie within gap / 4 of each other, others
+    beyond 3 gap / 4, so the leader passes would split them alike, bit for
+    bit; else the row runs the leader passes."""
     values = np.asarray(values)
-    flat = np.ascontiguousarray(values.reshape(len(values), -1))
-    x = np.ascontiguousarray((flat.view(float) if np.iscomplexobj(flat) else flat.astype(float, copy=False)).T)
-    if not np.isfinite(x).all():
-        raise ValueError("values to split into classes are not finite")
-    classes, unclassed, first = np.zeros(len(values), dtype=np.intp), np.ones(len(values), dtype=bool), []
-    while unclassed[i := unclassed.argmax()]:
-        near = unclassed & (np.square(x - x[:, i, None]).sum(axis=0) <= gap * gap / 4)
-        classes[near] = len(first)
+    if not len(values):
+        return []
+    s, n = values.shape[:2]
+    flat = np.ascontiguousarray(values.reshape(s, n, -1))
+    x = (flat.view(float) if np.iscomplexobj(flat) else flat.astype(float, copy=False)).transpose(2, 0, 1)
+    finite, rows = np.isfinite(x).all(axis=(0, 2)), np.arange(s)
+    x = np.ascontiguousarray(np.where(finite[:, None], x, 0.0) if not finite.all() else x)  # (C, S, N) components
+    classes, unclassed = np.zeros((s, n), dtype=np.intp), np.repeat(finite[:, None] & (candidates is None), n, axis=1)
+    if candidates is not None:  # numbered by first occurrence, row after row
+        key = candidates + rows[:, None] * (np.max(candidates) + 1)
+        _, lead, inverse = np.unique(key.astype(np.min_scalar_type(key.max())), True, True)  # small ints sort fast
+        classes = np.argsort(np.argsort(lead))[inverse].reshape(s, n)
+        classes -= classes[:, :1]  # a row's first value is of its first class
+    p = 0  # pass p leads class p of each row with a value left
+    while unclassed[rows, i := unclassed.argmax(axis=1)].any():
+        near = unclassed & (np.square(x - x[:, rows, i, None]).sum(axis=0) <= gap * gap / 4)
+        classes[near], p = p, p + 1
         unclassed ^= near
-        first.append(i)
-    k = len(first)
-    counts = np.bincount(classes, minlength=k)
-    sums = np.array([np.bincount(classes, row, k) for row in x])  # (C, K): each component summed per class
-    c = sums / counts
+    # classes numbered by first occurrence: each class's first member raises the running maximum
+    start = np.diff(np.maximum.accumulate(classes, axis=1), axis=1, prepend=-1) > 0
+    k, first, m = start.sum(axis=1), np.nonzero(start)[1], start.sum(axis=1).max()
+    key = (classes + m * rows[:, None]).ravel()
+    counts = np.bincount(key, minlength=s * m).reshape(s, m)
+    sums = np.array([np.bincount(key, row, s * m) for row in x.reshape(len(x), -1)]).reshape(-1, s, m)
+    c = np.where(np.arange(m) < k[:, None], sums / np.maximum(counts, 1), np.nan)  # (C, S, M) class means, NaN pads
     if np.iscomplexobj(values):
         sums = sums[0::2] + 1j * sums[1::2]
-    centers = (sums.T / counts[:, None]).reshape((k,) + values.shape[1:])
-    spread = math.sqrt(np.square(x - np.take(c, classes, axis=1)).sum(axis=0).max())
-    separation, rows = math.inf, max(1, (1 << 16) // k)
-    for j in range(0, k, rows):  # a block of centers against all, at most 65,536 pairs
-        square = np.square(c[:, j : j + rows, None] - c[:, None]).sum(axis=0)
-        square.reshape(-1)[j :: k + 1] = np.inf  # center j + t against itself, in row t
-        separation = min(separation, math.sqrt(square.min()))
-    if 2 * spread > gap or separation <= gap:
-        raise ValueError("no split into classes at gap %.3g: spread %.3g, separation %.3g" % (gap, spread, separation))
-    return ValueClasses(classes, counts, np.array(first), centers, spread, separation)
+    centers = sums.transpose(1, 2, 0) / np.maximum(counts, 1)[:, :, None]
+    spread = np.sqrt(np.square(x - c.reshape(len(c), -1).take(key, axis=1).reshape(x.shape)).sum(axis=0).max(axis=1))
+    square_min, block = np.full(s, np.inf), max(1, (1 << 16) // (s * m))
+    for j in range(0, m, block):  # a block of centers against all, at most 65,536 pairs; fmin skips padding
+        t = np.arange(j, min(j + block, m))[:, None]
+        square = np.where(t != np.arange(m), np.square(c[:, :, t] - c[:, :, None]).sum(axis=0), np.inf)
+        square_min = np.fmin(square_min, np.fmin.reduce(square, axis=(1, 2)))
+    separation, first = np.sqrt(square_min), np.split(first, np.cumsum(k)[:-1])
+    splits = [
+        ValueClasses(classes[r], counts[r, :kr], first[r], centers[r, :kr].reshape((kr,) + values.shape[2:]), *sd)
+        for r, kr, sd in zip(rows, k, zip(spread.tolist(), separation.tolist()))
+    ]
+    redo = finite & ~((8 * spread <= gap) & (gap < separation)) & (candidates is not None)
+    fail = ~(finite & (2 * spread <= gap) & (gap < separation) | redo)
+    if strict and fail.any():
+        r = fail.argmax()
+        text = "no split into classes at gap %.3g: spread %.3g, separation %.3g" % (gap, spread[r], separation[r])
+        raise ValueError(text if finite[r] else "values to split into classes are not finite")
+    again = iter(value_class_rows(values[redo], gap, strict=strict) if redo.any() else ())
+    return [next(again) if redo[r] else None if fail[r] else split for r, split in enumerate(splits)]
 
 
 def match_projective(m, stack, tol: float = PROJECTIVE_MATCH_TOL):

@@ -31,7 +31,7 @@ from .clifford import (
     semidirect_product,
     to_operator,
 )
-from .numerics import DEFAULT_TOL, is_unitary, rank1_kets, value_classes
+from .numerics import DEFAULT_TOL, is_unitary, rank1_kets, value_class_rows, value_classes
 from .weyl_heisenberg import SicReport, displacement_table, fiducial_ket_d4, verify_sic
 
 # symplectic sources of the 16 SIC labels, det = +1 mod 8
@@ -206,9 +206,13 @@ def pair_action(f, chi) -> np.ndarray:
 def orbit_action() -> np.ndarray:
     """pair_action of the rows of enumerate_projective_clifford(4,
     extended=True), cached: entry [h, k] of the read-only int16 (1536, 256)
-    table is the orbit index of the image of state k under row h."""
+    table is the orbit index of the image of state k under row h.  Row
+    16 c + 4 chi1 + chi2 is (1, chi) (F_c, 0): pair_action of the 96 rows
+    of symplectic classes, then one gather through D_chi's row."""
     group = enumerate_projective_clifford(4, extended=True)
-    action = pair_action(group.f, group.chi)
+    classes = pair_action(group.f[::16], group.chi[::16])
+    shifts = pair_action(np.tile((1, 0, 0, 1), (16, 1)), group.chi[:16])  # [chi, k]: D_chi moves state k
+    action = shifts.ravel()[classes[:, None] + 256 * np.arange(16)[:, None]].reshape(-1, 256)
     action.flags.writeable = False
     return action
 
@@ -304,15 +308,15 @@ def stabilizer_orbits_within_sic() -> list:
 
 
 def _distinct_triples(states):
-    """tr(r_a r_b r_c) for the ordered triples of distinct rank-1 states,
-    in lexicographic (a, b, c) order, and the (n, n, n) mask selecting
-    them; the trace is G[a, b] G[b, c] G[c, a] over the ket Gram matrix."""
+    """tr(r_a r_b r_c) for the ordered triples of distinct rank-1 states
+    (for an (S, n, d, d) stack, of each list), in lexicographic (a, b, c)
+    order, and the (n, n, n) mask selecting them: G[a, b] G[b, c] G[c, a]."""
     kets = rank1_kets(states)
-    gram = kets.conj() @ kets.T
-    t = gram[:, :, None] * gram[None, :, :] * gram.T[:, None, :]
-    a, b, c = np.indices(t.shape)
+    gram = kets.conj() @ np.swapaxes(kets, -1, -2)
+    t = gram[..., :, :, None] * gram[..., None, :, :] * np.swapaxes(gram, -1, -2)[..., :, None, :]
+    a, b, c = np.indices(t.shape[-3:])
     mask = (a != b) & (b != c) & (a != c)
-    return t[mask], mask
+    return t[..., mask], mask
 
 
 # triple traces are one value when they split into classes at
@@ -321,34 +325,53 @@ def _distinct_triples(states):
 TRIPLE_CENSUS_GAP = 1e-6
 
 
-def _triple_census(states, gap: float = TRIPLE_CENSUS_GAP) -> tuple:
-    """The triple traces of a state list split by value_classes at gap: the
+def _triple_census(states, gap: float = TRIPLE_CENSUS_GAP, candidates=None):
+    """The triple traces of a state list split into classes at gap: the
     centers and counts of the classes in census order, by real part, then
     (a conjugate pair) by imaginary part; and the (n, n, n) tensor of the
-    census class of each ordered triple of distinct states, -1 elsewhere."""
+    census class of each ordered triple of distinct states, -1 elsewhere.
+    For an (S, n, d, d) stack, the S censuses, split with the optional
+    (S, M) candidate classes.  ValueError unless each list splits, and
+    into as many classes as the others."""
     vals, mask = _distinct_triples(states)
-    split = value_classes(vals, gap)
-    re = value_classes(split.centers.real, gap)
-    order = np.lexsort((split.centers.imag, re.centers[re.classes]))
-    ids = np.full(mask.shape, -1)
-    ids[mask] = np.argsort(order)[split.classes]
-    return split.centers[order], split.counts[order], ids
+    splits = value_class_rows(vals.reshape(-1, mask.sum()), gap, candidates, strict=True)
+    centers = np.stack([split.centers for split in splits])  # ValueError for unlike numbers of classes
+    real = value_class_rows(centers.real, gap, strict=True)
+    order = np.lexsort((centers.imag, np.stack([r.centers[r.classes] for r in real])), axis=-1)
+    ids = np.full((len(splits),) + mask.shape, -1)
+    ids[:, mask] = np.take_along_axis(np.argsort(order, axis=1), np.stack([split.classes for split in splits]), axis=1)
+    censuses = [(c[o], split.counts[o], i) for c, o, split, i in zip(centers, order, splits, ids)]
+    return censuses[0] if np.ndim(states) == 3 else censuses
 
 
 @lru_cache(maxsize=None)
-def _sic_triple_census(label: int, gap: float) -> tuple:
-    """_triple_census of orbit SIC label's states as read-only arrays, once
-    per (label, gap); ValueError, not cached, when it cannot split."""
-    census = _triple_census(enumerate_orbit().projectors[16 * (label - 1) : 16 * label], gap)
-    for a in census:
+def _sic_triple_census(labels: tuple, gap: float) -> tuple:
+    """_triple_census of the states of the orbit SICs of labels, as
+    read-only arrays, once per (labels, gap); ValueError, not cached, when
+    it cannot split.  V_n sends SIC 1 onto SIC n, exactly by pair_action,
+    keeping every triple trace: it carries SIC 1's classes onto the
+    candidates of SIC n's, unless SIC 1 is among the labels."""
+    try:
+        ids = None if 1 in labels else _sic_triple_census((1,), gap)[0][2]
+    except ValueError:  # SIC 1 cannot split, and seeds nothing
+        ids = None
+    if ids is not None:
+        image = pair_action([pair.F for pair in SIC_LABELING], np.zeros((16, 2), dtype=int))[np.array(labels) - 1, :16]
+        source = np.argsort(image % 16, axis=1)[:, :, None, None]  # the state of SIC 1 sent to each of SIC n's
+        ids = ids[source, np.swapaxes(source, 1, 2), np.swapaxes(source, 1, 3)][:, ids >= 0]
+    censuses = _triple_census(enumerate_orbit().projectors.reshape(16, 16, 4, 4)[np.array(labels) - 1], gap, ids)
+    for a in itertools.chain.from_iterable(censuses):
         a.flags.writeable = False
-    return census
+    return tuple(censuses)
 
 
-def triple_trace_census(label: int = 1, gap: float = TRIPLE_CENSUS_GAP):
+def triple_trace_census(label=1, gap: float = TRIPLE_CENSUS_GAP):
     """The values of tr(r1 r2 r3) over ordered triples of distinct states
-    of one SIC, as (value, multiplicity) pairs in census order."""
-    centers, counts, _ = _sic_triple_census(label, gap)
+    of one SIC, as (value, multiplicity) pairs in census order; for a tuple
+    of L labels, the SICs split together, their (L, K) centers and counts."""
+    if isinstance(label, tuple):
+        return tuple(np.stack(a) for a in list(zip(*_sic_triple_census(label, gap)))[:2])
+    centers, counts, _ = _sic_triple_census((label,), gap)[0]
     return list(zip(centers.tolist(), counts.tolist()))
 
 
@@ -357,11 +380,11 @@ def triple_census_report(tol: float = DEFAULT_TOL) -> tuple:
     six values: triple_trace_census(1); its multiplicities; the number of
     real values, whose conjugate falls into their own class; the number of
     conjugate pairs, two values whose conjugates fall into each other's
-    class; the largest ||value| - 5^(-3/2)|; and whether every SIC's counts
-    are SIC 1's with its k-th center within tol of SIC 1's.  The centers
-    lead their conjugates in one value_classes call, so they are classes
-    0..n-1.  A census that cannot split reads [] and leaves the facts that
-    read it None, and the cross-SIC verdict False."""
+    class; the largest ||value| - 5^(-3/2)|; and whether SICs 2-16, split
+    together, have SIC 1's counts with their k-th centers within tol of
+    SIC 1's.  The centers lead their conjugates in one value_classes call,
+    so they are classes 0..n-1.  A census that cannot split reads [] and
+    leaves the facts that read it None, and the cross-SIC verdict False."""
     census, counts, real, pairs, modulus_dev = [], None, None, None, None
     try:
         census = triple_trace_census(1)
@@ -373,10 +396,8 @@ def triple_census_report(tol: float = DEFAULT_TOL) -> tuple:
     except ValueError:
         pass
     try:
-        same = bool(census) and all(
-            [m for _, m in cen] == counts and np.max(np.abs([c for c, _ in cen] - centers)) <= tol
-            for cen in map(triple_trace_census, range(2, 17))
-        )
+        others, others_counts = triple_trace_census(tuple(range(2, 17)))
+        same = bool(census) and bool(np.all(others_counts == counts) and np.max(np.abs(others - centers)) <= tol)
     except ValueError:  # a SIC whose traces split into no classes has no census like SIC 1's
         same = False
     return census, counts, real, pairs, modulus_dev, same
@@ -485,7 +506,7 @@ def rigid_permutations(label: int = 1, limit: int = 10):
     distinct states containing k keeps its census cluster.  ValueError when
     the SIC's triple traces split into no classes.
     """
-    ids = _sic_triple_census(label, TRIPLE_CENSUS_GAP)[2]
+    ids = _sic_triple_census((label,), TRIPLE_CENSUS_GAP)[0][2]
     n = len(ids)
     tri = np.indices(ids.shape).reshape(3, -1)
     tri = tri[:, (tri[0] != tri[1]) & (tri[1] != tri[2]) & (tri[0] != tri[2])]

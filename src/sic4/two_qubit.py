@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import rank1_kets, value_classes
+from .numerics import rank1_kets, value_class_rows, value_classes
 from .weyl_heisenberg import CONSTANTS, _upper_pairs, displacement_table
 
 _SQRT2 = math.sqrt(2.0)
@@ -338,20 +338,14 @@ def reduced_state_census(points, tol: float = REDUCED_POINT_TOL):
     """Distinct single-qubit reduced states of a list of states, given by
     their (N, 3) Bloch vectors (Gbv.s for the first qubit, Gbv.r for the
     second), such as one SIC's 16, with their multiplicities; for an
-    (S, N, 3) stack, the list of S reports.  Each list's points are split
-    by value_classes at the gap tol, and each distinct point is
-    represented by its first occurrence (detect_cube tests them for a
+    (S, N, 3) stack, the list of S reports.  The lists' points are split
+    by one value_class_rows call at the gap tol, and each distinct point
+    is represented by its first occurrence (detect_cube tests them for a
     cube); a list whose points split into no classes gets None."""
-    points = np.asarray(points)
-    reports = []
-    for p in points.reshape((-1,) + points.shape[-2:]):
-        try:
-            split = value_classes(p, tol)
-        except ValueError:
-            reports.append(None)
-        else:
-            reports.append(ReducedStateReport(p[split.first], tuple(split.counts.tolist())))
-    return reports[0] if points.ndim == 2 else reports
+    stack = np.reshape(points, (-1,) + np.shape(points)[-2:])
+    splits = value_class_rows(stack, tol)
+    reports = [s and ReducedStateReport(p[s.first], tuple(s.counts.tolist())) for p, s in zip(stack, splits)]
+    return reports[0] if np.ndim(points) == 2 else reports
 
 
 # the cube test's cuts, with what they meet on the 16 orbit SICs' Bloch
@@ -365,33 +359,42 @@ CUBE_GAP_TOL = 1e-7
 CUBE_RATIO_TOL = 1e-7
 
 
-def detect_cube(points: np.ndarray) -> tuple:
+def detect_cube(points) -> tuple:
     """Cube test on distinct points: there must be eight, and their 28
     pairwise distances must take exactly three values, with multiplicities
     12, 12, 4 and in ratio 1 : sqrt 2 : sqrt 3.  Returns (True, edge) for a
-    cube, the edge being the shortest distance, else (False, None)."""
-    if len(points) != 8:
-        return False, None
+    cube, the edge being the shortest distance, else (False, None); for a
+    list of S point arrays, the S flags and the S edges, the distances of
+    every eight points split by one value_class_rows call, and (None, None)
+    for an entry None.  Distances that split into no classes make no cube."""
+    one = isinstance(points, np.ndarray) and points.ndim == 2
+    sets = [points] if one else list(points)
+    ok, edges = [None if p is None else False for p in sets], [None] * len(sets)
+    eight = [k for k, p in enumerate(sets) if p is not None and len(p) == 8]
     i, j = _upper_pairs(8)
-    dists = np.sort(np.linalg.norm(points[i] - points[j], axis=1))
-    edge, face, body = dists[[0, 12, 24]].tolist()
+    cubes = np.array([sets[k] for k in eight]).reshape(-1, 8, 3)
+    dists = np.sort(np.linalg.norm(cubes[:, i] - cubes[:, j], axis=2), axis=1)
     # sorted distances number their classes in ascending order
-    ok = value_classes(dists, CUBE_GAP_TOL).counts.tolist() == [12, 12, 4]
-    ok = ok and abs(face - _SQRT2 * edge) <= CUBE_RATIO_TOL and abs(body - math.sqrt(3) * edge) <= CUBE_RATIO_TOL
-    return ok, edge if ok else None
+    splits = value_class_rows(dists, CUBE_GAP_TOL)
+    for k, split, (edge, face, body) in zip(eight, splits, dists[:, [0, 12, 24]].tolist()):
+        ok[k] = bool(split) and split.counts.tolist() == [12, 12, 4] and abs(face - _SQRT2 * edge) <= CUBE_RATIO_TOL
+        ok[k] = ok[k] and abs(body - math.sqrt(3) * edge) <= CUBE_RATIO_TOL
+        edges[k] = edge if ok[k] else None
+    return (ok[0], edges[0]) if one else (ok, edges)
 
 
 def cube_census(g: Gbv) -> tuple:
-    """The reduced-state census of both qubits of each orbit SIC, from the
-    Gbv of the 256 orbit states in SIC order, and detect_cube on each
-    SIC's second-qubit points, as four values: whether each qubit of each
-    SIC has eight reduced states, each twice; how many of SICs 1-8 and of
-    SICs 9-16 give a cube; and the largest |edge - 2/sqrt 5| of the SIC
-    1-8 cubes.  A count reads None when a SIC of its half cannot split,
-    and so does the edge deviation with the first count."""
-    first, second = (reduced_state_census(v.reshape(16, 16, 3)) for v in (g.s, g.r))
-    cube, edge = zip(*(detect_cube(r.bloch_points) if r else (None, None) for r in second))
-    multiplicity = all(r and len(r.bloch_points) == 8 and set(r.multiplicities) == {2} for r in first + second)
+    """The reduced-state census of both qubits of each orbit SIC in one
+    call, from the Gbv of the 256 orbit states in SIC order, and one
+    detect_cube call on the SICs' second-qubit points, as four values:
+    whether each qubit of each SIC has eight reduced states, each twice;
+    how many of SICs 1-8 and of SICs 9-16 give a cube; and the largest
+    |edge - 2/sqrt 5| of the SIC 1-8 cubes.  A count reads None when a SIC
+    of its half cannot split, and so does the edge deviation with the
+    first count."""
+    reports = reduced_state_census(np.concatenate([g.s, g.r]).reshape(32, 16, 3))
+    cube, edge = detect_cube([r and r.bloch_points for r in reports[16:]])
+    multiplicity = all(r and len(r.bloch_points) == 8 and set(r.multiplicities) == {2} for r in reports)
     class1, class2 = (None if None in c else sum(c) for c in (cube[:8], cube[8:]))
     edges = [abs(e - 2 / math.sqrt(5)) for e in edge[:8] if e is not None]
     return multiplicity, class1, class2, None if class1 is None else max(edges, default=0.0)

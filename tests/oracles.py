@@ -12,6 +12,8 @@ import numpy as np
 
 from sic4.clifford import (
     _compose,
+    _coset_keys,
+    _operators,
     _pair_key,
     conjugation_action,
     enumerate_projective_clifford,
@@ -406,6 +408,18 @@ def coset_keys_int64(f, chi, d: int) -> np.ndarray:
     views of the (N, 4) and (N, 2) enumeration arrays."""
     db = 2 * d
     return np.min([_pair_key(*_compose(f, chi, k.F, k.chi, db, d), d) for k in kernel_pairs(d)], axis=0)
+
+
+def sector_by_pair_selection(d: int, det: int) -> tuple:
+    """clifford._sector as it was: every one of the pairs with det F = det,
+    F outer and chi inner, named by its coset key, the first pair of each
+    name kept, and the kept pairs' operators built from their own (F, chi)."""
+    fs = np.array(symplectic_group_matrices_by_loop(2 * d, det))
+    chis = np.array(list(itertools.product(range(d), repeat=2)))
+    f, chi = np.repeat(fs, len(chis), axis=0), np.tile(chis, (len(fs), 1))
+    first = np.sort(np.unique(_coset_keys(f.T, chi.T, d), return_index=True)[1])
+    mats, anti = _operators(f[first].T, chi[first].T, d)
+    return f[first], chi[first], mats, anti
 
 
 def orbit_projectors_per_label() -> np.ndarray:

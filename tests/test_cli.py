@@ -251,13 +251,34 @@ def test_reconstruct_input_certifies_once(sic, monkeypatch, tmp_path, capsys):
 
 
 def _json_run(argv, tmp_path, capsys):
-    """Exit code and parsed report, without runtime_ms, of one --format json call."""
+    """Exit code and parsed report, without runtime_ms and timings_ms, of one
+    --format json call."""
     out = tmp_path / "r.json"
     rc = main(argv + ["--format", "json", "--out", str(out)])
     capsys.readouterr()
     report = json.loads(out.read_text())
-    del report["runtime_ms"]
+    del report["runtime_ms"], report["timings_ms"]
     return rc, report
+
+
+_ALL_SECTIONS = ["orbit", "symmetry", "triples", "reconstruct", "regroup", "twoqubit_product", "twoqubit_bell"]
+
+
+@pytest.mark.parametrize(
+    "argv, sections",
+    [(["all"], _ALL_SECTIONS), (["twoqubit", "--basis", "bell"], ["twoqubit_bell"]), (["symmetry"], ["symmetry"])],
+)
+def test_timings_name_exactly_the_sections_that_ran(argv, sections, monkeypatch, tmp_path, capsys):
+    if argv == ["symmetry"]:  # a section that raises is timed as well
+        monkeypatch.setattr(sic4.cli, "run_symmetry", lambda cfg, claims: 1 / 0)
+    out = tmp_path / "r.json"
+    main(argv + ["--format", "json", "--out", str(out)])
+    capsys.readouterr()
+    timings = json.loads(out.read_text())["timings_ms"]
+    assert list(timings) == sections and all(type(t) is float and t >= 0 for t in timings.values())
+    main(argv)
+    slowest = capsys.readouterr().out.splitlines()[-1].split("slowest section ")[1].split(",")[0]
+    assert slowest in sections
 
 
 def test_one_parser_serves_a_sequence_of_calls(monkeypatch, tmp_path, capsys):

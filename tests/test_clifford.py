@@ -10,6 +10,7 @@ from oracles import (
     compose,
     coset_keys_int64,
     elements_proj_equal,
+    sector_by_pair_selection,
     symplectic_group_matrices_by_loop,
 )
 import sic4.clifford as clifford
@@ -316,7 +317,7 @@ def test_sector_refuses_a_non_unitary_row(monkeypatch):
 
     def planted(f, chi, d):
         mats, anti = operators(f, chi, d)
-        mats[100] *= 1.0 + 1e-6
+        mats[len(mats) // 2] *= 1.0 + 1e-6
         return mats, anti
 
     monkeypatch.setattr(clifford, "_operators", planted)
@@ -363,3 +364,13 @@ def test_coset_keys_match_int64_keys(det):
     old = coset_keys_int64(f.T, chi.T, 4)
     assert old.dtype == np.int64
     assert np.array_equal(_coset_keys(f.T, chi.T, 4), old)
+
+
+@pytest.mark.parametrize("det", [1, 7])
+def test_sector_per_symplectic_class_equals_per_pair_selection(det):
+    # one V_F per symplectic class, displaced by every D_chi, against the
+    # first pair of each coset over all 6,144 pairs and its own operator
+    got, want = clifford._sector(4, det), sector_by_pair_selection(4, det)
+    assert len(want[0]) == 6144 // 8
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)

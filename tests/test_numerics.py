@@ -17,6 +17,7 @@ from sic4.numerics import (
     proj_equal,
     projective_set_equal,
     rank1_kets,
+    value_class_rows,
     value_classes,
 )
 
@@ -323,3 +324,93 @@ def test_censuses_split_with_measured_margins():
         pooled = value_classes(np.concatenate([forms, conc]), CONCURRENCE_GAP)
         assert pooled.counts.tolist() == [129, 65, 65]
         assert pooled.spread <= 1.5e-15 < CONCURRENCE_GAP / 2 and 0.21 <= pooled.separation
+
+
+def _one_row_split(values, gap):
+    """value_classes of one row, None where it raises."""
+    try:
+        return value_classes(values, gap)
+    except ValueError:
+        return None
+
+
+def _assert_same_split(got, want):
+    """Two splits are one: classes, counts, first and centers bit for bit,
+    spread and separation equal; or both None."""
+    assert (got is None) == (want is None)
+    if want is not None:
+        for a, b in zip(got[:4], want[:4]):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert (got.spread, got.separation) == (want.spread, want.separation)
+
+
+def _census_families():
+    """(values, gap) of each census family, one row per orbit SIC: triple
+    traces, Bloch points of either qubit in either basis, the distinct
+    second-qubit points' cube distances and the concurrences."""
+    from sic4.orbits import TRIPLE_CENSUS_GAP, _distinct_triples, enumerate_orbit
+    from sic4.two_qubit import CONCURRENCE_GAP, CUBE_GAP_TOL, REDUCED_POINT_TOL, concurrence, physical_state
+
+    projectors = enumerate_orbit().projectors
+    yield _distinct_triples(projectors.reshape(16, 16, 4, 4))[0], TRIPLE_CENSUS_GAP
+    i, j = np.triu_indices(8, 1)
+    for basis in ("product", "bell"):
+        for qubit in (0, 1):
+            points = bloch_vectors(projectors, basis, qubit).reshape(16, 16, 3)
+            yield points, REDUCED_POINT_TOL
+            distinct = np.stack([p[value_classes(p, REDUCED_POINT_TOL).first] for p in points])
+            yield np.sort(np.linalg.norm(distinct[:, i] - distinct[:, j], axis=2), axis=1), CUBE_GAP_TOL
+        yield concurrence(rank1_kets(physical_state(projectors, basis))).reshape(16, 16), CONCURRENCE_GAP
+
+
+def test_stacked_rows_equal_one_row_splits():
+    for values, gap in _census_families():
+        splits = value_class_rows(values, gap)
+        assert len(splits) == len(values) and all(splits)
+        for row, split in zip(values, splits):
+            _assert_same_split(split, value_classes(row, gap))
+    # planted rows: a near tie and a NaN read None where the one-row call raises
+    gap = 1e-6
+    rows = np.array([[0.25, 0.25, 3.0, 3.0], [0.25, 0.25 + 0.6 * gap, 3.0, 3.0], [0.25, np.nan, 3.0, 3.0]])
+    splits = value_class_rows(rows, gap)
+    assert splits[0] is not None and splits[1:] == [None, None]
+    for row, split in zip(rows, splits):
+        _assert_same_split(split, _one_row_split(row, gap))
+    with pytest.raises(ValueError, match="spread 0, separation 6e-07"):
+        value_class_rows(rows[:2], gap, strict=True)
+    with pytest.raises(ValueError, match="not finite"):
+        value_class_rows(rows[::2], gap, strict=True)
+
+
+def test_correct_candidates_give_the_leader_pass_split():
+    from sic4.orbits import TRIPLE_CENSUS_GAP, _distinct_triples, enumerate_orbit
+
+    vals = _distinct_triples(enumerate_orbit().projectors.reshape(16, 16, 4, 4))[0]
+    want = value_class_rows(vals, TRIPLE_CENSUS_GAP)
+    # each row's own classes under other names: SIC 1's class ids reach SIC n the same way
+    names = np.random.default_rng(3).permutation(17)
+    candidates = np.stack([names[w.classes] for w in want])
+    for got, w in zip(value_class_rows(vals, TRIPLE_CENSUS_GAP, candidates), want):
+        _assert_same_split(got, w)
+
+
+def test_candidates_not_clear_of_the_gap_fall_back_to_the_leader_passes(monkeypatch):
+    import sic4.numerics
+
+    gap = 1e-6
+    # row 0: a true split taken as given; row 1: a shuffled partition; row 2:
+    # the true classes, but one spreads 1.3e-7, just over gap / 8
+    rows = np.array([[0.0, 1.0, 0.0, 1.0], [0.0, 1.0, 0.0, 1.0], [0.0, 1.0, 2.6e-7, 1.0]])
+    candidates = np.array([[5, 2, 5, 2], [0, 0, 1, 1], [0, 1, 0, 1]])
+    calls, split_rows = [], sic4.numerics.value_class_rows
+
+    def counted(values, *args, **kwargs):
+        calls.append(len(values))
+        return split_rows(values, *args, **kwargs)
+
+    monkeypatch.setattr(sic4.numerics, "value_class_rows", counted)
+    got = counted(rows, gap, candidates)
+    assert calls == [3, 2]  # rows 1 and 2 ran the leader passes
+    assert got[2].spread == pytest.approx(1.3e-7) and 2 * got[2].spread <= gap
+    for split, row in zip(got, rows):
+        _assert_same_split(split, value_classes(row, gap))

@@ -16,6 +16,7 @@ from sic4.orbits import (
     TRIPLE_CENSUS_GAP,
     _distinct_triples,
     _element_of,
+    _sic_triple_census,
     _triple_census,
     conjugation_cycle,
     element_product,
@@ -25,6 +26,7 @@ from sic4.orbits import (
     normal_subgroups,
     orbit_action,
     orbit_certificate,
+    pair_action,
     permutation_orders,
     rigid_permutations,
     sic_symmetries,
@@ -721,3 +723,20 @@ def test_triple_census_report_decides_the_cross_sic_check_at_tol():
     assert not triple_census_report(1e-30)[5]
     fid_dev, phase_dev, monotone = triple_family_deviations()
     assert fid_dev <= 2e-16 and phase_dev <= 5e-16 and monotone
+
+
+def test_orbit_action_per_symplectic_class_equals_pair_action_of_every_row():
+    # the 96 class rows displaced by one gather, against pair_action of all 1536 rows
+    group = enumerate_projective_clifford(4, extended=True)
+    assert orbit_action().dtype == np.int16 and np.array_equal(orbit_action(), pair_action(group.f, group.chi))
+
+
+def test_seeded_triple_censuses_equal_each_sics_own_split():
+    # SICs 2-16 split together, seeded by SIC 1's classes through the label
+    # map, against each SIC's unseeded census of its own states
+    for label, (centers, counts, ids) in enumerate(_sic_triple_census(tuple(range(2, 17)), TRIPLE_CENSUS_GAP), 2):
+        want = _triple_census(sic_states(label), TRIPLE_CENSUS_GAP)
+        assert centers.tobytes() == want[0].tobytes() and np.array_equal(counts, want[1])
+        assert np.array_equal(ids, want[2]) and not ids.flags.writeable
+    centers, counts = triple_trace_census(tuple(range(1, 17)))
+    assert centers.shape == counts.shape == (16, 17) and np.all(counts == counts[0])
