@@ -185,23 +185,21 @@ def value_class_rows(values, gap: float, candidates=None, *, strict: bool = Fals
     """value_classes of each row of an (S, N, ...) stack, each leader pass
     and class sum serving every row: S ValueClasses, None for a row that
     cannot split (strict: ValueError).  A row of the optional (S, N) int
-    candidates >= 0 labels the row's classes if 8 spread <= gap <
-    separation: members then lie within gap / 4 of each other, others
-    beyond 3 gap / 4, so the leader passes would split them alike, bit for
-    bit; else the row runs the leader passes."""
+    candidates >= 0 names the row's classes if 8 spread <= gap < separation:
+    members then lie within gap / 4 of each other, others beyond 3 gap / 4,
+    so the leader passes split alike, bit for bit; else they run."""
     values = np.asarray(values)
-    if not len(values):
-        return []
     s, n = values.shape[:2]
-    flat = np.ascontiguousarray(values.reshape(s, n, -1))
-    x = (flat.view(float) if np.iscomplexobj(flat) else flat.astype(float, copy=False)).transpose(2, 0, 1)
+    flat = np.moveaxis(values.reshape(s, n, -1), -1, 0)
+    x = np.concatenate([flat.real, flat.imag] if np.iscomplexobj(flat) else [flat], dtype=float)  # (C, S, N)
     finite, rows = np.isfinite(x).all(axis=(0, 2)), np.arange(s)
-    x = np.ascontiguousarray(np.where(finite[:, None], x, 0.0) if not finite.all() else x)  # (C, S, N) components
+    x = x if finite.all() else np.where(finite[:, None], x, 0.0)
     classes, unclassed = np.zeros((s, n), dtype=np.intp), np.repeat(finite[:, None] & (candidates is None), n, axis=1)
     if candidates is not None:  # numbered by first occurrence, row after row
-        key = candidates + rows[:, None] * (np.max(candidates) + 1)
-        _, lead, inverse = np.unique(key.astype(np.min_scalar_type(key.max())), True, True)  # small ints sort fast
-        classes = np.argsort(np.argsort(lead))[inverse].reshape(s, n)
+        span = np.max(candidates) + 1
+        key = (candidates + rows[:, None] * span).astype(np.min_scalar_type(s * span))  # small ints sort fast
+        _, lead, classes = np.unique(key, True, True)
+        classes = np.argsort(np.argsort(lead))[classes].reshape(s, n)
         classes -= classes[:, :1]  # a row's first value is of its first class
     p = 0  # pass p leads class p of each row with a value left
     while unclassed[rows, i := unclassed.argmax(axis=1)].any():
@@ -216,9 +214,11 @@ def value_class_rows(values, gap: float, candidates=None, *, strict: bool = Fals
     sums = np.array([np.bincount(key, row, s * m) for row in x.reshape(len(x), -1)]).reshape(-1, s, m)
     c = np.where(np.arange(m) < k[:, None], sums / np.maximum(counts, 1), np.nan)  # (C, S, M) class means, NaN pads
     if np.iscomplexobj(values):
-        sums = sums[0::2] + 1j * sums[1::2]
+        sums = sums[: len(sums) // 2] + 1j * sums[len(sums) // 2 :]
     centers = sums.transpose(1, 2, 0) / np.maximum(counts, 1)[:, :, None]
-    spread = np.sqrt(np.square(x - c.reshape(len(c), -1).take(key, axis=1).reshape(x.shape)).sum(axis=0).max(axis=1))
+    dev = c.reshape(len(c), -1).take(key, axis=1).reshape(x.shape)  # each value's center, then its offset
+    dev -= x
+    spread = np.sqrt(np.square(dev, out=dev).sum(axis=0).max(axis=1))
     square_min, block = np.full(s, np.inf), max(1, (1 << 16) // (s * m))
     for j in range(0, m, block):  # a block of centers against all, at most 65,536 pairs; fmin skips padding
         t = np.arange(j, min(j + block, m))[:, None]

@@ -212,7 +212,7 @@ def orbit_action() -> np.ndarray:
     group = enumerate_projective_clifford(4, extended=True)
     classes = pair_action(group.f[::16], group.chi[::16])
     shifts = pair_action(np.tile((1, 0, 0, 1), (16, 1)), group.chi[:16])  # [chi, k]: D_chi moves state k
-    action = shifts.ravel()[classes[:, None] + 256 * np.arange(16)[:, None]].reshape(-1, 256)
+    action = shifts.ravel()[classes[:, None] + 256 * np.arange(16, dtype=np.int16)[:, None]].reshape(-1, 256)
     action.flags.writeable = False
     return action
 
@@ -329,10 +329,9 @@ def _triple_census(states, gap: float = TRIPLE_CENSUS_GAP, candidates=None):
     """The triple traces of a state list split into classes at gap: the
     centers and counts of the classes in census order, by real part, then
     (a conjugate pair) by imaginary part; and the (n, n, n) tensor of the
-    census class of each ordered triple of distinct states, -1 elsewhere.
-    For an (S, n, d, d) stack, the S censuses, split with the optional
-    (S, M) candidate classes.  ValueError unless each list splits, and
-    into as many classes as the others."""
+    census class of each ordered triple of distinct states, -1 elsewhere;
+    for an (S, n, d, d) stack, the S censuses, seeded by optional (S, M)
+    candidate classes.  ValueError unless all split into K classes."""
     vals, mask = _distinct_triples(states)
     splits = value_class_rows(vals.reshape(-1, mask.sum()), gap, candidates, strict=True)
     centers = np.stack([split.centers for split in splits])  # ValueError for unlike numbers of classes
@@ -346,11 +345,12 @@ def _triple_census(states, gap: float = TRIPLE_CENSUS_GAP, candidates=None):
 
 @lru_cache(maxsize=None)
 def _sic_triple_census(labels: tuple, gap: float) -> tuple:
-    """_triple_census of the states of the orbit SICs of labels, as
-    read-only arrays, once per (labels, gap); ValueError, not cached, when
-    it cannot split.  V_n sends SIC 1 onto SIC n, exactly by pair_action,
-    keeping every triple trace: it carries SIC 1's classes onto the
-    candidates of SIC n's, unless SIC 1 is among the labels."""
+    """_triple_census of the orbit SICs of labels, as read-only arrays, once
+    per (labels, gap); ValueError, not cached, when it cannot split.  Unless
+    1 is a label, SIC 1's classes seed SIC n's, carried by the exact map
+    (pair_action) of V_n, which sends SIC 1 onto SIC n keeping each trace."""
+    if len(labels) > 8:  # at most 8 SICs a split: 15 at once ran slower and raised a run's peak RSS 0.8 MB
+        return _sic_triple_census(labels[:8], gap) + _sic_triple_census(labels[8:], gap)
     try:
         ids = None if 1 in labels else _sic_triple_census((1,), gap)[0][2]
     except ValueError:  # SIC 1 cannot split, and seeds nothing
@@ -358,7 +358,7 @@ def _sic_triple_census(labels: tuple, gap: float) -> tuple:
     if ids is not None:
         image = pair_action([pair.F for pair in SIC_LABELING], np.zeros((16, 2), dtype=int))[np.array(labels) - 1, :16]
         source = np.argsort(image % 16, axis=1)[:, :, None, None]  # the state of SIC 1 sent to each of SIC n's
-        ids = ids[source, np.swapaxes(source, 1, 2), np.swapaxes(source, 1, 3)][:, ids >= 0]
+        ids = ids.astype(np.int16)[source, np.swapaxes(source, 1, 2), np.swapaxes(source, 1, 3)][:, ids >= 0]
     censuses = _triple_census(enumerate_orbit().projectors.reshape(16, 16, 4, 4)[np.array(labels) - 1], gap, ids)
     for a in itertools.chain.from_iterable(censuses):
         a.flags.writeable = False

@@ -375,7 +375,7 @@ def detect_cube(points) -> tuple:
     cubes = np.array([sets[k] for k in eight]).reshape(-1, 8, 3)
     dists = np.sort(np.linalg.norm(cubes[:, i] - cubes[:, j], axis=2), axis=1)
     # sorted distances number their classes in ascending order
-    splits = value_class_rows(dists, CUBE_GAP_TOL)
+    splits = value_class_rows(dists, CUBE_GAP_TOL) if eight else []
     for k, split, (edge, face, body) in zip(eight, splits, dists[:, [0, 12, 24]].tolist()):
         ok[k] = bool(split) and split.counts.tolist() == [12, 12, 4] and abs(face - _SQRT2 * edge) <= CUBE_RATIO_TOL
         ok[k] = ok[k] and abs(body - math.sqrt(3) * edge) <= CUBE_RATIO_TOL
