@@ -193,8 +193,8 @@ def _sector(d: int, det: int) -> tuple:
     """(F, chi, matrices, flags) of one pair per kernel coset of the pairs
     with det F = det, the first pair met in enumeration order (F outer, chi
     inner).  A coset's pairs run once over a symplectic class F K (K the
-    kernel's F-parts), so the first is (least F, chi), the F its coset key
-    names: D_chi V_F, one V_F per class, checked unitary as one stack."""
+    kernel's F-parts), so the first is (least F, chi), the F that is the F
+    part of its coset key: D_chi V_F, one V_F per class, one unitary check."""
     f = np.array(symplectic_group_matrices(2 * d, det))
     zero = np.zeros((2, len(f)), dtype=int)
     least = f[_coset_keys(f.T, zero, d) // (d * d) == _pair_key(f.T, zero, d) // (d * d)]
@@ -232,7 +232,7 @@ def enumerate_projective_clifford(d: int, /, *, extended: bool) -> CliffordGroup
     """All projectively distinct Clifford elements as one CliffordGroup.
 
     Keeps the first (F, chi) pair of each kernel coset of the chosen
-    sector(s), built one symplectic class at a time.  For d = 4 this yields 768
+    sector(s), one symplectic class at a time.  For d = 4 this yields 768
     unitary rows, then 768 antiunitary ones with extended=True.  The one
     accepted call form, (d, extended=...), keeps one cache entry per group.
     """

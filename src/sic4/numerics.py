@@ -1,6 +1,6 @@
 """Shared numerical primitives: unitary/antiunitary operators, kets of
-rank-1 states, projective comparison, Hermitian eigendecomposition, the
-split of values into classes and matrix (de)serialization.
+rank-1 states, projective comparison, the split of values into classes
+(one list, or each row of a stack) and matrix (de)serialization.
 
 All comparisons are absolute-tolerance based; the package-wide default is
 ``DEFAULT_TOL``.
@@ -8,7 +8,6 @@ All comparisons are absolute-tolerance based; the package-wide default is
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -201,8 +200,9 @@ def value_class_rows(values, gap: float, candidates=None, *, strict: bool = Fals
         _, lead, classes = np.unique(key, True, True)
         classes = np.argsort(np.argsort(lead))[classes].reshape(s, n)
         classes -= classes[:, :1]  # a row's first value is of its first class
-    p = 0  # pass p leads class p of each row with a value left
-    while unclassed[rows, i := unclassed.argmax(axis=1)].any():
+    p = 0  # pass p leads class p of each row with a value left; a row without one takes nothing
+    while unclassed.any():
+        i = unclassed.argmax(axis=1)
         near = unclassed & (np.square(x - x[:, rows, i, None]).sum(axis=0) <= gap * gap / 4)
         classes[near], p = p, p + 1
         unclassed ^= near
@@ -224,10 +224,10 @@ def value_class_rows(values, gap: float, candidates=None, *, strict: bool = Fals
         t = np.arange(j, min(j + block, m))[:, None]
         square = np.where(t != np.arange(m), np.square(c[:, :, t] - c[:, :, None]).sum(axis=0), np.inf)
         square_min = np.fmin(square_min, np.fmin.reduce(square, axis=(1, 2)))
-    separation, first = np.sqrt(square_min), np.split(first, np.cumsum(k)[:-1])
+    separation, ends = np.sqrt(square_min), np.cumsum(k).tolist()
     splits = [
-        ValueClasses(classes[r], counts[r, :kr], first[r], centers[r, :kr].reshape((kr,) + values.shape[2:]), *sd)
-        for r, kr, sd in zip(rows, k, zip(spread.tolist(), separation.tolist()))
+        ValueClasses(classes[r], counts[r, :kr], first[e - kr : e], centers[r, :kr].reshape(-1, *values.shape[2:]), *sd)
+        for r, kr, e, sd in zip(rows, k.tolist(), ends, zip(spread.tolist(), separation.tolist()))
     ]
     redo = finite & ~((8 * spread <= gap) & (gap < separation)) & (candidates is not None)
     fail = ~(finite & (2 * spread <= gap) & (gap < separation) | redo)

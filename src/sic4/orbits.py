@@ -352,14 +352,14 @@ def _sic_triple_census(labels: tuple, gap: float) -> tuple:
     if len(labels) > 8:  # at most 8 SICs a split: 15 at once ran slower and raised a run's peak RSS 0.8 MB
         return _sic_triple_census(labels[:8], gap) + _sic_triple_census(labels[8:], gap)
     try:
-        ids = None if 1 in labels else _sic_triple_census((1,), gap)[0][2]
+        seeds = None if 1 in labels else _sic_triple_census((1,), gap)[0][2]
     except ValueError:  # SIC 1 cannot split, and seeds nothing
-        ids = None
-    if ids is not None:
+        seeds = None
+    if seeds is not None:
         image = pair_action([pair.F for pair in SIC_LABELING], np.zeros((16, 2), dtype=int))[np.array(labels) - 1, :16]
         source = np.argsort(image % 16, axis=1)[:, :, None, None]  # the state of SIC 1 sent to each of SIC n's
-        ids = ids.astype(np.int16)[source, np.swapaxes(source, 1, 2), np.swapaxes(source, 1, 3)][:, ids >= 0]
-    censuses = _triple_census(enumerate_orbit().projectors.reshape(16, 16, 4, 4)[np.array(labels) - 1], gap, ids)
+        seeds = seeds.astype(np.int16)[source, np.swapaxes(source, 1, 2), np.swapaxes(source, 1, 3)][:, seeds >= 0]
+    censuses = _triple_census(enumerate_orbit().projectors.reshape(16, 16, 4, 4)[np.array(labels) - 1], gap, seeds)
     for a in itertools.chain.from_iterable(censuses):
         a.flags.writeable = False
     return tuple(censuses)
