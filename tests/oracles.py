@@ -6,6 +6,7 @@ per-item checks.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ from sic4.clifford import (
 from sic4.numerics import (
     DEFAULT_TOL,
     GroupElement,
+    ValueClasses,
     _as_complex,
     canonical_phase,
     conjugate,
@@ -420,6 +422,39 @@ def sector_by_pair_selection(d: int, det: int) -> tuple:
     first = np.sort(np.unique(_coset_keys(f.T, chi.T, d), return_index=True)[1])
     mats, anti = _operators(f[first].T, chi[first].T, d)
     return f[first], chi[first], mats, anti
+
+
+def value_classes_one_list(values, gap: float) -> ValueClasses:
+    """numerics.value_classes as it was before the stacked kernel: the
+    leader passes and the class sums of one list, and ValueError when it
+    cannot split."""
+    values = np.asarray(values)
+    flat = np.ascontiguousarray(values.reshape(len(values), -1))
+    x = np.ascontiguousarray((flat.view(float) if np.iscomplexobj(flat) else flat.astype(float, copy=False)).T)
+    if not np.isfinite(x).all():
+        raise ValueError("values to split into classes are not finite")
+    classes, unclassed, first = np.zeros(len(values), dtype=np.intp), np.ones(len(values), dtype=bool), []
+    while unclassed[i := unclassed.argmax()]:
+        near = unclassed & (np.square(x - x[:, i, None]).sum(axis=0) <= gap * gap / 4)
+        classes[near] = len(first)
+        unclassed ^= near
+        first.append(i)
+    k = len(first)
+    counts = np.bincount(classes, minlength=k)
+    sums = np.array([np.bincount(classes, row, k) for row in x])
+    c = sums / counts
+    if np.iscomplexobj(values):
+        sums = sums[0::2] + 1j * sums[1::2]
+    centers = (sums.T / counts[:, None]).reshape((k,) + values.shape[1:])
+    spread = math.sqrt(np.square(x - np.take(c, classes, axis=1)).sum(axis=0).max())
+    separation, rows = math.inf, max(1, (1 << 16) // k)
+    for j in range(0, k, rows):
+        square = np.square(c[:, j : j + rows, None] - c[:, None]).sum(axis=0)
+        square.reshape(-1)[j :: k + 1] = np.inf
+        separation = min(separation, math.sqrt(square.min()))
+    if 2 * spread > gap or separation <= gap:
+        raise ValueError("no split into classes at gap %.3g: spread %.3g, separation %.3g" % (gap, spread, separation))
+    return ValueClasses(classes, counts, np.array(first), centers, spread, separation)
 
 
 def orbit_projectors_per_label() -> np.ndarray:

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import bloch_vectors, canonical_key, compose, eig_hermitian
+from oracles import bloch_vectors, canonical_key, compose, eig_hermitian, value_classes_one_list
 from sic4.numerics import (
     GroupElement,
     canonical_phase,
@@ -326,10 +326,10 @@ def test_censuses_split_with_measured_margins():
         assert pooled.spread <= 1.5e-15 < CONCURRENCE_GAP / 2 and 0.21 <= pooled.separation
 
 
-def _one_row_split(values, gap):
-    """value_classes of one row, None where it raises."""
+def _one_row_split(split, values, gap):
+    """A one-list split of values, None where it raises."""
     try:
-        return value_classes(values, gap)
+        return split(values, gap)
     except ValueError:
         return None
 
@@ -364,18 +364,21 @@ def _census_families():
 
 
 def test_stacked_rows_equal_one_row_splits():
+    # each row against the one-row call and the one-list kernel it replaced
     for values, gap in _census_families():
         splits = value_class_rows(values, gap)
         assert len(splits) == len(values) and all(splits)
         for row, split in zip(values, splits):
             _assert_same_split(split, value_classes(row, gap))
+            _assert_same_split(split, value_classes_one_list(row, gap))
     # planted rows: a near tie and a NaN read None where the one-row call raises
     gap = 1e-6
     rows = np.array([[0.25, 0.25, 3.0, 3.0], [0.25, 0.25 + 0.6 * gap, 3.0, 3.0], [0.25, np.nan, 3.0, 3.0]])
     splits = value_class_rows(rows, gap)
     assert splits[0] is not None and splits[1:] == [None, None]
     for row, split in zip(rows, splits):
-        _assert_same_split(split, _one_row_split(row, gap))
+        _assert_same_split(split, _one_row_split(value_classes, row, gap))
+        _assert_same_split(split, _one_row_split(value_classes_one_list, row, gap))
     with pytest.raises(ValueError, match="spread 0, separation 6e-07"):
         value_class_rows(rows[:2], gap, strict=True)
     with pytest.raises(ValueError, match="not finite"):
