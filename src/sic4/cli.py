@@ -308,19 +308,20 @@ def run_reconstruct_input(cfg, claims: Claims):
 
     states = _read_input_states(cfg.input_path)
     dev = verify_sic(states, 4, cfg.tol)
-    rec = reconstruct_hw(states) if dev.is_sic else None
     claims.add("reconstruct.input_is_sic", "input passes the SIC certificate", True, dev.is_sic)
-    if rec is None:  # which SIC condition failed, and by how much; null beyond the float range
+    if not dev.is_sic:  # which SIC condition failed, and by how much; null beyond the float range
         deviations = (dev.max_fidelity_deviation, dev.max_state_deviation, dev.completeness_deviation)
         deviations = [x if math.isfinite(x) else None for x in deviations]
         return {"sic_deviations": dict(zip(("fidelity", "state", "completeness"), deviations)), "tol": cfg.tol}
-    verdict = ("displacement", "conjugate-displacement", "other")[covariance_group(rec.elements)]
-    claims.add(
-        "reconstruct.input_group",
-        "reconstructed covariance group identified",
-        verdict,
-        verdict,
-    )
+    groups = ("displacement", "conjugate-displacement", "other")
+    anchor = "reconstructed covariance group identified"
+    try:
+        rec = reconstruct_hw(states)
+    except ValueError as exc:  # certified at --tol, yet no covariance group rebuilds from the states
+        claims.add("reconstruct.input_group", anchor, groups, None)
+        return {"group": None, "reason": "%s: %s" % (type(exc).__name__, exc)}
+    verdict = groups[covariance_group(rec.elements)]
+    claims.add("reconstruct.input_group", anchor, verdict, verdict)
     return {
         "generators": {"z": matrix_to_json(rec.z_gen), "x": matrix_to_json(rec.x_gen)},
         "elements": matrix_to_json(rec.elements),

@@ -23,11 +23,6 @@ PROJECTIVE_MATCH_TOL = 1e-7
 # state; beyond it the state is not rank-1 and k would not represent it
 RANK1_TOL = 1e-6
 
-# canonical_phase takes an entry at or below CANONICAL_ZERO_TOL in modulus
-# for zero; the 32 family reconstructions' group elements have zero entries
-# up to 3.2e-15 and nonzero ones of 0.707 or more
-CANONICAL_ZERO_TOL = 1e-6
-
 
 def _as_complex(m, stacked: bool = False) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
@@ -147,15 +142,18 @@ def commutator_phase(a, b):
 
 
 def canonical_phase(m) -> np.ndarray:
-    """Rescale by a global phase so the first nonzero entry (row-major) is
-    real positive; each matrix of an (S, d, d) stack by its own phase."""
+    """Rescale by a global phase so the pivot is real positive: the first
+    entry (row-major) whose modulus is at least half the largest; each
+    matrix of an (S, d, d) stack by its own phase.  A d x d unitary has an
+    entry of modulus 1 / sqrt(d) or more, so its pivot has 1 / (2 sqrt(d))."""
     m = _as_complex(m, stacked=np.ndim(m) == 3)
     flat = m.reshape(m.shape[:-2] + (-1,))
-    nonzero = np.abs(flat) > CANONICAL_ZERO_TOL
-    if not np.all(nonzero.any(axis=-1)):
+    size = np.abs(flat)
+    top = size.max(axis=-1, keepdims=True)
+    if not np.all(top > 0):
         raise ValueError("zero matrix has no canonical phase")
-    first = np.take_along_axis(flat, nonzero.argmax(axis=-1)[..., None], axis=-1)[..., None]
-    return m / (first / np.hypot(first.real, first.imag))
+    pivot = np.take_along_axis(flat, (size >= top / 2).argmax(axis=-1)[..., None], axis=-1)[..., None]
+    return m / (pivot / np.hypot(pivot.real, pivot.imag))
 
 
 class ValueClasses(NamedTuple):

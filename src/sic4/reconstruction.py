@@ -38,14 +38,8 @@ SIGNATURE_TOL = 1e-8
 # first candidate
 QUAD_BLOCK = 48
 
-# cuts of the phase-operator step, with what they meet on the 32 SICs and on
-# Haar-conjugated, state-shuffled copies: qualifying 4-state sums are
-# Hermitian to 6e-16;
-HERMITIAN_TOL = 1e-8
-# a sum eigenvalue lies within 4e-15 of the signature value it is tagged
-# with, and at least 0.30 from the other three;
-EIGENVALUE_MATCH_TOL = 1e-6
-# eigenpair residuals stay below 3.2e-15
+# largest eigenpair residual of the phase-operator step; on the 32 SICs and
+# on Haar-conjugated, state-shuffled copies residuals stay below 3.2e-15
 RESIDUAL_TOL = 1e-9
 
 
@@ -64,19 +58,18 @@ def reference_signature() -> tuple:
     return tuple(sorted(signature_values()))
 
 
-# both as read-only arrays, for the per-candidate comparisons
-_SIGNATURE = np.array(signature_values())
+# as a read-only array, for the per-candidate comparisons
 _REFERENCE = np.array(reference_signature())
-_SIGNATURE.flags.writeable = _REFERENCE.flags.writeable = False
+_REFERENCE.flags.writeable = False
 
 # a sum m of four rank-1 states has tr(m^3) = tr(G^3) for the 4 x 4 Gram
 # block G of their kets, the sum of its cubed eigenvalues.  A sum within
 # SIGNATURE_TOL of the signature in every eigenvalue has it within
-# 12 max(lambda)^2 SIGNATURE_TOL < 6.1e-7 of the reference, so the screen
-# drops no qualifying sum.  On the 32 SICs and Haar-conjugated, state-shuffled
-# copies qualifying sums lie within 6.4e-14 of the reference trace and every
-# other 4-subset at least 0.019 away
-CUBE_TRACE_TOL = 1e-6
+# 12 (max(lambda) + SIGNATURE_TOL)^2 SIGNATURE_TOL, about 6.1e-7, of the
+# reference, so the screen drops no qualifying sum.  On the 32 SICs and
+# Haar-conjugated, state-shuffled copies qualifying sums lie within 6.4e-14
+# of the reference trace and every other 4-subset at least 0.019 away
+CUBE_TRACE_TOL = 12 * (_REFERENCE[-1] + SIGNATURE_TOL) ** 2 * SIGNATURE_TOL
 _REFERENCE_CUBE = float(np.sum(_REFERENCE**3))
 
 
@@ -103,13 +96,19 @@ def _matches_reference(sigs: np.ndarray) -> np.ndarray:
     return np.all(np.abs(sigs - _REFERENCE) <= SIGNATURE_TOL, axis=-1)
 
 
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m^dag) / 2 of each sum of a (..., 4, 4) stack: the operator whose
+    eigenvalues the screen and the phase operators read."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2
+
+
 def _qualifying(m: np.ndarray) -> np.ndarray:
     """Which sums of a (..., 4, 4) stack realize the reference signature:
-    those passing the tr(m^3) screen, then _matches_reference on their
-    eigenvalues."""
+    those passing the tr(m^3) screen, then _matches_reference on the
+    eigenvalues of their Hermitian parts."""
     cube = np.sum(m @ m * m.swapaxes(-1, -2), axis=(-2, -1)).real
     ok = np.abs(cube - _REFERENCE_CUBE) <= CUBE_TRACE_TOL
-    ok[ok] = _matches_reference(np.linalg.eigvalsh(m[ok]))
+    ok[ok] = _matches_reference(np.linalg.eigvalsh(_hermitian_part(m[ok])))
     return ok
 
 
@@ -127,8 +126,10 @@ def _quad_index() -> np.ndarray:
 _ORBIT_PICKS = np.indices((4,) * 4).reshape(4, -1).T
 _ORBIT_PICKS.flags.writeable = False
 
-# the phase i^k attached to the eigenket tagged k
-_PHASES = np.array([1, 1j, -1, -1j])
+# the phases i^k of the tags k of signature_values, in ascending order of
+# their eigenvalues: a sum realizing the signature gives i^k to eigh's k-th
+# eigenket
+_PHASES = np.array([1, 1j, -1, -1j])[np.argsort(signature_values())]
 _PHASES.flags.writeable = False
 
 
@@ -154,18 +155,16 @@ def _first_match(states: np.ndarray, candidates: np.ndarray) -> np.ndarray:
 def phase_operator(m: np.ndarray) -> np.ndarray:
     """Attach i^k to the eigenket of the sum eigenvalue tagged k, for one
     4 x 4 sum or for each of an (S, 4, 4) stack: the sum of i^k v v^dag
-    over the eigenpairs, as one product.  The phase of each eigenket
-    cancels in v v^dag, so eigh's eigenkets are used as they come."""
-    if np.max(np.abs(m - m.conj().swapaxes(-1, -2))) > HERMITIAN_TOL:
-        raise ValueError("matrix is not Hermitian within tol")
-    w, v = np.linalg.eigh(m)
-    dist = np.abs(w[..., :, None] - _SIGNATURE)  # eigenvalue x tag k
-    k = dist.argmin(axis=-1)
-    if np.any(dist.min(axis=-1) > EIGENVALUE_MATCH_TOL) or np.any(np.sort(k, axis=-1) != np.arange(4)):
+    over the eigenpairs of the Hermitian part (m + m^dag) / 2, as one
+    product.  The phase of each eigenket cancels in v v^dag, so eigh's
+    eigenkets are used as they come."""
+    h = _hermitian_part(m)
+    w, v = np.linalg.eigh(h)
+    if not np.all(_matches_reference(w)):
         raise ValueError("sum eigenvalues do not realize the reference signature")
-    if np.max(np.abs(m @ v - v * w[..., None, :])) > RESIDUAL_TOL:
+    if np.max(np.abs(h @ v - v * w[..., None, :])) > RESIDUAL_TOL:
         raise AssertionError("eigenpair residual exceeds tolerance")
-    return (v * _PHASES[k][..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return (v * _PHASES) @ v.conj().swapaxes(-1, -2)
 
 
 class ReconstructedGroup(NamedTuple):

@@ -413,20 +413,16 @@ def partial_transpose(m: np.ndarray) -> np.ndarray:
     return m.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(m.shape)
 
 
-def partial_transpose_simplex_checks(signs, orbit=None, tol: float = 1e-9) -> np.ndarray:
+def partial_transpose_simplex_checks(signs, orbit, tol: float = 1e-9) -> np.ndarray:
     """Certify constraint-violating product-basis class-1 sign assignments,
     the columns of an (8, N) int array such as violating_signs(), one flag
     per assignment: the operator Q each encodes is Hermitian, trace 1, not
     PSD, satisfies the 15 simplex equations tr(Q D_p Q D_p^dag) = 1/5, and
-    its partial transpose is one of the 256 fiducials.  All assignments are
-    checked in one pass."""
+    its partial transpose is one of the 256 fiducials of orbit, an
+    enumerate_orbit() result.  All assignments are checked in one pass."""
     signs = np.asarray(signs).reshape(8, -1)
     if np.any(_constraint("product", 1, signs) != -1):
         raise ValueError("assignment satisfies the sign constraint, nothing to check")
-    if orbit is None:
-        from .orbits import enumerate_orbit
-
-        orbit = enumerate_orbit()
     vec = _table_vector("product", 1, signs)
     q = from_gbv(Gbv(r=vec[:, :3], s=vec[:, 3:6], C=vec[:, 6:].reshape(-1, 3, 3)))
     ok = np.max(np.abs(q - q.conj().transpose(0, 2, 1)), axis=(1, 2)) <= tol

@@ -45,7 +45,7 @@ from sic4.orbits import (
     pair_action,
     permutation_orders,
 )
-from sic4.reconstruction import HERMITIAN_TOL, _matches_reference, _quad_index, signature_values, signatures
+from sic4.reconstruction import _matches_reference, _quad_index, signature_values, signatures
 from sic4.regrouping import dprime_pairs, fidelity_adjacency
 from sic4.two_qubit import (
     concurrence,
@@ -230,7 +230,7 @@ def phase_operator_by_projectors(m) -> np.ndarray:
     """phase_operator as it was: eig_hermitian's phase-fixed eigenkets, the
     four projectors v v^dag each scaled by its i^k and summed in eigenpair
     order.  Only the eigenvalue tagging is shared with the library."""
-    w, v = eig_hermitian(m, tol=HERMITIAN_TOL)
+    w, v = eig_hermitian(m, tol=1e-8)
     k = np.abs(w[..., :, None] - np.array(signature_values())).argmin(axis=-1)
     projectors = v[..., :, None, :] * v[..., None, :, :].conj()  # [..., a, b, eigenpair]
     terms = np.array([1, 1j, -1, -1j])[k][..., None, None, :] * projectors

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import bloch_vectors, canonical_key, compose, eig_hermitian, value_classes_one_list
 from sic4.numerics import (
@@ -104,8 +106,39 @@ def test_canonical_phase_and_key():
     assert k1 == k2
     c = canonical_phase(u)
     flat = c.ravel()
-    first = flat[np.argmax(np.abs(flat) > 1e-6)]
-    assert abs(first.imag) < 1e-12 and first.real > 0
+    pivot = flat[np.argmax(np.abs(flat) >= np.abs(flat).max() / 2)]
+    assert abs(pivot.imag) < 1e-12 and pivot.real > 0
+
+
+def _haar_unitaries(seed, shape):
+    """Haar-random unitaries of shape (..., d, d) from one seed."""
+    z = np.random.default_rng(seed).normal(size=shape + (2,)).view(complex)[..., 0]
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(d=st.integers(2, 5), count=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+def test_canonical_phase_properties_on_haar_unitaries(d, count, seed):
+    # count 0 draws one matrix, else a stack of count
+    u = _haar_unitaries(seed, (max(count, 1), d, d))
+    u = u if count else u[0]
+    c = canonical_phase(u)
+    flat, out = u.reshape(-1, d * d), c.reshape(-1, d * d)
+    rows, size = np.arange(len(flat)), np.abs(flat)
+    pivot = (size >= size.max(axis=1, keepdims=True) / 2).argmax(axis=1)
+    # the input times one unit phase per matrix, which makes the pivot real positive
+    phase = out[rows, pivot] / flat[rows, pivot]
+    assert np.max(np.abs(np.abs(phase) - 1)) <= 1e-15
+    assert np.max(np.abs(out - phase[:, None] * flat)) <= 1e-15
+    assert np.max(np.abs(out[rows, pivot].imag)) <= 1e-15 and out[rows, pivot].real.min() > 0
+    assert size[rows, pivot].min() >= 1 / (2 * math.sqrt(d))
+    rng = np.random.default_rng(seed)
+    turned = u * np.exp(1j * rng.uniform(0, 2 * np.pi, u.shape[:-2] + (1, 1)))
+    assert np.max(np.abs(canonical_phase(turned) - c)) <= 1e-14
+    delta = 1e-15 * (rng.uniform(-1, 1, u.shape) + 1j * rng.uniform(-1, 1, u.shape))
+    assert np.max(np.abs(canonical_phase(u + delta) - c)) <= 1e-13
 
 
 def test_stacked_kernels_match_their_per_matrix_loops():
@@ -124,7 +157,7 @@ def test_stacked_kernels_match_their_per_matrix_loops():
             vk[:, j] = vk[:, j] / (vk[i, j] / abs(vk[i, j]))
         assert np.array_equal(w[k], wk) and np.array_equal(v[k], vk)
         assert np.array_equal(eig_hermitian(h[k])[1], vk)
-        x = next(x for x in u[k].ravel() if abs(x) > 1e-6)
+        x = next(x for x in u[k].ravel() if abs(x) >= np.abs(u[k]).max() / 2)
         assert np.array_equal(c[k], u[k] / (x / abs(x))) and np.array_equal(canonical_phase(u[k]), c[k])
         assert phases[k] == commutator_phase(u[k], u[5 - k])
 

@@ -8,14 +8,12 @@ import numpy as np
 import pytest
 
 from sic4.cli import main
-from sic4.numerics import CANONICAL_ZERO_TOL, commutator_phase, projective_set_equal
+from sic4.numerics import canonical_phase, commutator_phase, projective_set_equal
 from sic4.clifford import enumerate_projective_clifford
 from sic4.orbits import MATCH_TOL, enumerate_orbit, orbit_action, sic_symmetries, state_permutations
 from sic4.reconstruction import (
     COMMUTATOR_TOL,
     CUBE_TRACE_TOL,
-    EIGENVALUE_MATCH_TOL,
-    HERMITIAN_TOL,
     RESIDUAL_TOL,
     QUAD_BLOCK,
     SIGNATURE_TOL,
@@ -351,6 +349,79 @@ def test_input_verdicts_match_the_case_each_perfbench_file_was_built_as(tmp_path
     }
 
 
+def test_a_certified_sic_whose_group_does_not_rebuild_fails_one_named_row(monkeypatch, tmp_path, capsys):
+    # at --tol 0.3 each not-SIC file of the seed-7 batch passes verify_sic,
+    # then reconstruct_hw finds no covariance group: the certificate row
+    # stays, input_group fails with observed null and the payload names why
+    out = tmp_path / "report.json"
+    batch = [path for path, case in _load_perfbench_inputs().write_batch(7, tmp_path / "batch") if case == "not-sic"]
+    assert len(batch) == 32
+    for path in batch:
+        rc = main(["reconstruct", "--input", str(path), "--tol", "0.3", "--format", "json", "--out", str(out)])
+        report = json.loads(out.read_text())
+        rows = [(r["claim_id"], r["observed"], r["pass"]) for r in report["claims"]]
+        assert rc == 1 and rows == [("reconstruct.input_is_sic", True, True), ("reconstruct.input_group", None, False)]
+        assert report["payload"] == {"group": None, "reason": "ValueError: conjugation does not permute the state set"}
+    assert capsys.readouterr().err == ""
+
+    def broken(states):
+        raise AssertionError("planted")
+
+    # a failed internal check is not a verdict on the input: it stays an error row
+    monkeypatch.setattr("sic4.reconstruction.reconstruct_hw", broken)
+    assert main(["reconstruct", "--input", str(batch[0]), "--tol", "0.3", "--format", "json", "--out", str(out)]) == 1
+    rows = [(r["claim_id"], r["observed"]) for r in json.loads(out.read_text())["claims"]]
+    assert rows == [("reconstruct.input_is_sic", True), ("reconstruct.error", "AssertionError: planted")]
+
+
+def _sic_1_with_an_anti_hermitian_part(scale, seed):
+    """SIC 1's states plus a seeded traceless anti-Hermitian part that sums
+    to zero over the states, its largest entry scale: verify_sic reads twice
+    that as the states' distance from Hermitian."""
+    x = np.random.default_rng(seed).normal(size=(16, 4, 4, 2)).view(complex)[..., 0]
+    skew = x - x.conj().swapaxes(1, 2)
+    skew -= np.trace(skew, axis1=1, axis2=2)[:, None, None] * np.eye(4) / 4
+    skew -= skew.mean(axis=0)
+    return sic_states(1) + skew * (scale / np.abs(skew).max())
+
+
+@pytest.mark.parametrize("scale", [2e-9, 4.9e-9])
+def test_a_sic_certified_with_an_anti_hermitian_part_reconstructs(scale, tmp_path, capsys):
+    # certified within --tol 1e-8, the states' Hermiticity is settled: the
+    # reconstruction reads each sum's Hermitian part, so the screen takes
+    # the 4-subsets of the Hermitian SIC and the phase operators rebuild it
+    from sic4.numerics import matrix_to_json
+
+    quads = reference_quads(sic_states(1))
+    for seed in range(8):
+        assert np.array_equal(reference_quads(_sic_1_with_an_anti_hermitian_part(scale, seed)), quads)
+    states = _sic_1_with_an_anti_hermitian_part(scale, 1)
+    assert verify_sic(states, 4, 1e-8).is_sic
+    f, out = tmp_path / "sic.json", tmp_path / "report.json"
+    f.write_text(json.dumps({"states": matrix_to_json(states)}))
+    assert main(["reconstruct", "--input", str(f), "--tol", "1e-8", "--format", "json", "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = [(r["claim_id"], r["observed"]) for r in json.loads(out.read_text())["claims"]]
+    assert rows == [("reconstruct.input_is_sic", True), ("reconstruct.input_group", "displacement")]
+
+
+def test_reported_elements_of_the_perfbench_sics_are_well_conditioned():
+    # the SIC files of perfbench seeds 7-9: every pivot of canonical_phase
+    # has modulus 0.25 or more, so a 1e-15 change of the elements moves
+    # their reported form by 3.0e-15.  Pivoting on the first entry above
+    # 1e-6 instead took one of modulus 4.0e-5 and moved it by 1.2e-11
+    inputs = _load_perfbench_inputs()
+    kets = np.array([k for seed in (7, 8, 9) for case, k in inputs.make_batch(seed) if case != "not-sic"])
+    elements = reconstruct_hw(kets[..., :, None] * kets[..., None, :].conj()).elements.reshape(-1, 4, 4)
+    assert len(elements) == 288 * 16
+    size = np.abs(elements.reshape(-1, 16))
+    pivot = (size >= size.max(axis=1, keepdims=True) / 2).argmax(axis=1)
+    assert size[np.arange(len(size)), pivot].min() >= 0.25
+    rng = np.random.default_rng(31)
+    delta = 1e-15 * (rng.uniform(-1, 1, elements.shape) + 1j * rng.uniform(-1, 1, elements.shape))
+    assert np.max(np.abs(canonical_phase(elements + delta) - elements)) <= 1e-13
+
+
 def _family_and_copies(seed=13):
     """The states of the 32 SICs, then of each conjugated by a seeded Haar
     unitary with its states shuffled, as a (64, 16, 4, 4) stack."""
@@ -404,10 +475,7 @@ def test_phase_operator_cuts_have_measured_margins():
     sics = _family_and_copies()
     m = np.concatenate([s[reference_quads(s)].sum(axis=1) for s in sics])
     assert len(m) == 64 * 24
-    assert np.max(np.abs(m - m.conj().swapaxes(-1, -2))) <= 1e-15 < HERMITIAN_TOL
-    w, v = eig_hermitian(m, tol=HERMITIAN_TOL)
-    dist = np.sort(np.abs(w[..., None] - np.array(signature_values())), axis=-1)
-    assert dist[..., 0].max() <= 1e-14 < EIGENVALUE_MATCH_TOL < 0.3 <= dist[..., 1].min()
+    w, v = eig_hermitian(m)
     assert np.max(np.abs(m @ v - v * w[..., None, :])) <= 1e-14 < RESIDUAL_TOL
     # one product of eigh's eigenkets against the summed projectors of the
     # phase-fixed ones: the same operators, up to rounding
@@ -418,12 +486,18 @@ def test_phase_operator_cuts_have_measured_margins():
     assert np.min(np.abs(adjoint - 1j)) >= 2 - 1e-14
 
 
-def test_canonical_zero_cut_has_a_margin():
-    # the entries of the 32 family reconstructions' group elements that
-    # canonical_phase takes for zero, against those it does not
-    entries = np.abs(reconstruct_hw(enumerate_orbit().projectors[sic_family()[0]]).elements)
-    zero = entries <= CANONICAL_ZERO_TOL
-    assert entries[zero].max() <= 3.2e-15 < CANONICAL_ZERO_TOL < 0.707 <= entries[~zero].min()
+def test_canonical_pivots_of_the_family_reconstructions():
+    # canonical_phase pivots on the first entry of at least half the largest
+    # modulus.  On the 32 family reconstructions' group elements that is the
+    # first entry above 1e-6, the rule it replaced, and every pivot has
+    # modulus 0.707 or more, above the floor 1 / (2 sqrt 4) of any unitary
+    elements = reconstruct_hw(enumerate_orbit().projectors[sic_family()[0]]).elements.reshape(-1, 16)
+    size = np.abs(elements)
+    pivot = (size >= size.max(axis=1, keepdims=True) / 2).argmax(axis=1)
+    assert np.array_equal(pivot, (size > 1e-6).argmax(axis=1))
+    entries = elements[np.arange(len(elements)), pivot]
+    assert np.abs(entries).min() >= 0.707 > 0.25
+    assert np.max(np.abs(entries.imag)) <= 1e-15 and entries.real.min() > 0
 
 
 def test_stacked_uniqueness_equals_the_per_sic_loop():
