@@ -61,6 +61,8 @@ def _pair_json(pair) -> dict:
 
 
 # --- subcommand runners ----------------------------------------------------
+# each adds its claims and returns a function building its payload, which
+# main calls only for a report that prints it
 
 
 def run_orbit(cfg, claims: Claims):
@@ -143,7 +145,7 @@ def run_orbit(cfg, claims: Claims):
         1536,
         256 * len(stab),
     )
-    return {
+    return lambda: {
         "stabilizer_generator": _pair_json(FIDUCIAL_STABILIZER),
         "orbit_partition": [sorted(map(list, s)) for s in STABILIZER_ORBIT_SETS],
     }
@@ -182,7 +184,7 @@ def run_symmetry(cfg, claims: Claims):
     claims.add("symmetry.label_perm_count_extended", "distinct label permutations, extended", 96, len(ext))
     anchor = "induced row group under the extended Clifford action"
     claims.add("symmetry.row_image_order_extended", anchor, 8, ext_row_group)
-    return {"label_permutations": (perms + 1).tolist()}
+    return lambda: {"label_permutations": (perms + 1).tolist()}
 
 
 # multiplicities of the 17 trace clusters, sorted by (re, im) of the center
@@ -218,7 +220,7 @@ def run_triples(cfg, claims: Claims):
         tol=1e-10,
     )
     claims.add("triples.family_phase_monotone", "phase strictly increasing on the grid", True, monotone)
-    return {
+    return lambda: {
         "census": [[float(c.real), float(c.imag), int(n)] for c, n in census],
     }
 
@@ -274,7 +276,7 @@ def run_reconstruct(cfg, claims: Claims):
     anchor = "each of the 32 SICs is covariant under exactly one order-16 group"
     claims.add("reconstruct.uniqueness", anchor, 32, unique.count(True))
     pairs = {"generators_sic_%d" % (n + 1): generators[n] for n in (0, 16)}  # None: an uncertified SIC
-    return {k: None if g is None else {"z": matrix_to_json(g[0]), "x": matrix_to_json(g[1])} for k, g in pairs.items()}
+    return lambda: {k: g and {"z": matrix_to_json(g[0]), "x": matrix_to_json(g[1])} for k, g in pairs.items()}
 
 
 class _InputError(Exception):
@@ -312,17 +314,18 @@ def run_reconstruct_input(cfg, claims: Claims):
     if not dev.is_sic:  # which SIC condition failed, and by how much; null beyond the float range
         deviations = (dev.max_fidelity_deviation, dev.max_state_deviation, dev.completeness_deviation)
         deviations = [x if math.isfinite(x) else None for x in deviations]
-        return {"sic_deviations": dict(zip(("fidelity", "state", "completeness"), deviations)), "tol": cfg.tol}
+        return lambda: {"sic_deviations": dict(zip(("fidelity", "state", "completeness"), deviations)), "tol": cfg.tol}
     groups = ("displacement", "conjugate-displacement", "other")
     anchor = "reconstructed covariance group identified"
     try:
         rec = reconstruct_hw(states)
     except ValueError as exc:  # certified at --tol, yet no covariance group rebuilds from the states
         claims.add("reconstruct.input_group", anchor, groups, None)
-        return {"group": None, "reason": "%s: %s" % (type(exc).__name__, exc)}
+        reason = "%s: %s" % (type(exc).__name__, exc)  # exc is unbound once the except clause ends
+        return lambda: {"group": None, "reason": reason}
     verdict = groups[covariance_group(rec.elements)]
     claims.add("reconstruct.input_group", anchor, verdict, verdict)
-    return {
+    return lambda: {
         "generators": {"z": matrix_to_json(rec.z_gen), "x": matrix_to_json(rec.x_gen)},
         "elements": matrix_to_json(rec.elements),
         "group": verdict,
@@ -418,7 +421,7 @@ def run_regroup(cfg, claims: Claims):
         set(normal_sets) == {dbar, dbar_prime},
     )
 
-    return {
+    return lambda: {
         "regrouped_sics": [
             {"label": "sic-%d" % label, "states": matrix_to_json(orbit.projectors[row])}
             for label, row in enumerate(indices, start=17)
@@ -506,7 +509,7 @@ def run_twoqubit(cfg, claims: Claims, basis: str):
         2,
         operator_schmidt_rank(displacement(1, 0, 4)),
     )
-    return {"basis": basis, "sign_patterns": sign_rows, "concurrence": concurrences}
+    return lambda: {"basis": basis, "sign_patterns": sign_rows, "concurrence": concurrences}
 
 
 # --- report rendering ------------------------------------------------------
@@ -609,7 +612,9 @@ def main(argv=None) -> int:
     for section, run in sections.items():
         start = time.monotonic()
         try:
-            result = run(cfg, claims)
+            build = run(cfg, claims)
+            if name != "all" and cfg.format != "text":  # only a json or tsv report of one section prints it
+                payload = build()
         except _InputError as exc:
             print("sic4: error: --input %s: %s" % (cfg.input_path, exc), file=sys.stderr)
             return 2
@@ -619,9 +624,6 @@ def main(argv=None) -> int:
             logging.getLogger(__name__).debug("section %s raised", section, exc_info=True)
             error = "%s: %s" % (type(exc).__name__, exc)
             claims.add(section + ".error", "the section runs to completion", None, error)
-        else:
-            if name != "all":
-                payload = result
         timings[section] = round((time.monotonic() - start) * 1000, 3)
 
     passed = sum(c["pass"] for c in claims.rows)

@@ -178,30 +178,22 @@ def value_classes(values, gap: float) -> ValueClasses:
     return value_class_rows(np.asarray(values)[None], gap, strict=True)[0]
 
 
-def value_class_rows(values, gap: float, candidates=None, *, strict: bool = False) -> list:
+def value_class_rows(values, gap: float, *, strict: bool = False) -> list:
     """value_classes of each row of an (S, N, ...) stack, each leader pass
     and class sum serving every row: S ValueClasses, None for a row that
-    cannot split (strict: ValueError).  A row of the optional (S, N) int
-    candidates >= 0 names the row's classes if 8 spread <= gap < separation:
-    members then lie within gap / 4 of each other, others beyond 3 gap / 4,
-    so the leader passes split alike, bit for bit; else they run."""
+    cannot split (strict: ValueError)."""
     values = np.asarray(values)
     s, n = values.shape[:2]
     flat = np.moveaxis(values.reshape(s, n, -1), -1, 0)
     x = np.concatenate([flat.real, flat.imag] if np.iscomplexobj(flat) else [flat], dtype=float)  # (C, S, N)
     finite, rows = np.isfinite(x).all(axis=(0, 2)), np.arange(s)
     x = x if finite.all() else np.where(finite[:, None], x, 0.0)
-    classes, unclassed = np.zeros((s, n), dtype=np.intp), np.repeat(finite[:, None] & (candidates is None), n, axis=1)
-    if candidates is not None:  # numbered by first occurrence, row after row
-        span = np.max(candidates) + 1
-        key = (candidates + rows[:, None] * span).astype(np.min_scalar_type(s * span))  # small ints sort fast
-        _, lead, classes = np.unique(key, True, True)
-        classes = np.argsort(np.argsort(lead))[classes].reshape(s, n)
-        classes -= classes[:, :1]  # a row's first value is of its first class
-    p = 0  # pass p leads class p of each row with a value left; a row without one takes nothing
+    classes, unclassed = np.zeros((s, n), dtype=np.intp), np.repeat(finite[:, None], n, axis=1)
+    p, diff = 0, np.empty_like(x)  # pass p leads class p of each row with a value left; a row without one takes nothing
     while unclassed.any():
         i = unclassed.argmax(axis=1)
-        near = unclassed & (np.square(x - x[:, rows, i, None]).sum(axis=0) <= gap * gap / 4)
+        np.subtract(x, x[:, rows, i, None], out=diff)  # squared in place, into one buffer for every pass
+        near = unclassed & (np.square(diff, out=diff).sum(axis=0) <= gap * gap / 4)
         classes[near], p = p, p + 1
         unclassed ^= near
     # classes numbered by first occurrence: each class's first member raises the running maximum
@@ -227,14 +219,12 @@ def value_class_rows(values, gap: float, candidates=None, *, strict: bool = Fals
         ValueClasses(classes[r], counts[r, :kr], first[e - kr : e], centers[r, :kr].reshape(-1, *values.shape[2:]), *sd)
         for r, kr, e, sd in zip(rows, k.tolist(), ends, zip(spread.tolist(), separation.tolist()))
     ]
-    redo = finite & ~((8 * spread <= gap) & (gap < separation)) & (candidates is not None)
-    fail = ~(finite & (2 * spread <= gap) & (gap < separation) | redo)
+    fail = ~(finite & (2 * spread <= gap) & (gap < separation))
     if strict and fail.any():
         r = fail.argmax()
         text = "no split into classes at gap %.3g: spread %.3g, separation %.3g" % (gap, spread[r], separation[r])
         raise ValueError(text if finite[r] else "values to split into classes are not finite")
-    again = iter(value_class_rows(values[redo], gap, strict=strict) if redo.any() else ())
-    return [next(again) if redo[r] else None if fail[r] else split for r, split in enumerate(splits)]
+    return [None if fail[r] else split for r, split in enumerate(splits)]
 
 
 def match_projective(m, stack, tol: float = PROJECTIVE_MATCH_TOL):

@@ -325,15 +325,15 @@ def _distinct_triples(states):
 TRIPLE_CENSUS_GAP = 1e-6
 
 
-def _triple_census(states, gap: float = TRIPLE_CENSUS_GAP, candidates=None):
+def _triple_census(states, gap: float = TRIPLE_CENSUS_GAP):
     """The triple traces of a state list split into classes at gap: the
     centers and counts of the classes in census order, by real part, then
     (a conjugate pair) by imaginary part; and the (n, n, n) tensor of the
     census class of each ordered triple of distinct states, -1 elsewhere;
-    for an (S, n, d, d) stack, the S censuses, seeded by optional (S, M)
-    candidate classes.  ValueError unless all split into K classes."""
+    for an (S, n, d, d) stack, the S censuses.  ValueError unless all split
+    into K classes."""
     vals, mask = _distinct_triples(states)
-    splits = value_class_rows(vals.reshape(-1, mask.sum()), gap, candidates, strict=True)
+    splits = value_class_rows(vals.reshape(-1, mask.sum()), gap, strict=True)
     centers = np.stack([split.centers for split in splits])  # ValueError for unlike numbers of classes
     real = value_class_rows(centers.real, gap, strict=True)
     order = np.lexsort((centers.imag, np.stack([r.centers[r.classes] for r in real])), axis=-1)
@@ -344,35 +344,41 @@ def _triple_census(states, gap: float = TRIPLE_CENSUS_GAP, candidates=None):
 
 
 @lru_cache(maxsize=None)
-def _sic_triple_census(labels: tuple, gap: float) -> tuple:
-    """_triple_census of the orbit SICs of labels, as read-only arrays, once
-    per (labels, gap); ValueError, not cached, when it cannot split.  Unless
-    1 is a label, SIC 1's classes seed SIC n's, carried by the exact map
-    (pair_action) of V_n, which sends SIC 1 onto SIC n keeping each trace."""
-    if len(labels) > 8:  # at most 8 SICs a split: 15 at once ran slower and raised a run's peak RSS 0.8 MB
-        return _sic_triple_census(labels[:8], gap) + _sic_triple_census(labels[8:], gap)
-    try:
-        seeds = None if 1 in labels else _sic_triple_census((1,), gap)[0][2]
-    except ValueError:  # SIC 1 cannot split, and seeds nothing
-        seeds = None
-    if seeds is not None:
-        image = pair_action([pair.F for pair in SIC_LABELING], np.zeros((16, 2), dtype=int))[np.array(labels) - 1, :16]
-        source = np.argsort(image % 16, axis=1)[:, :, None, None]  # the state of SIC 1 sent to each of SIC n's
-        seeds = seeds.astype(np.int16)[source, np.swapaxes(source, 1, 2), np.swapaxes(source, 1, 3)][:, seeds >= 0]
-    censuses = _triple_census(enumerate_orbit().projectors.reshape(16, 16, 4, 4)[np.array(labels) - 1], gap, seeds)
-    for a in itertools.chain.from_iterable(censuses):
+def _sic_triple_census(label: int, gap: float) -> tuple:
+    """_triple_census of orbit SIC label, as read-only arrays, once per
+    (label, gap); ValueError, not cached, when it cannot split."""
+    census = _triple_census(enumerate_orbit().projectors[16 * (label - 1) : 16 * label], gap)
+    for a in census:
         a.flags.writeable = False
-    return tuple(censuses)
+    return census
 
 
-def triple_trace_census(label=1, gap: float = TRIPLE_CENSUS_GAP):
+def triple_trace_census(label: int = 1, gap: float = TRIPLE_CENSUS_GAP) -> list:
     """The values of tr(r1 r2 r3) over ordered triples of distinct states
-    of one SIC, as (value, multiplicity) pairs in census order; for a tuple
-    of L labels, the SICs split together, their (L, K) centers and counts."""
-    if isinstance(label, tuple):
-        return tuple(np.stack(a) for a in list(zip(*_sic_triple_census(label, gap)))[:2])
-    centers, counts, _ = _sic_triple_census((label,), gap)[0]
+    of one SIC, as (value, multiplicity) pairs in census order."""
+    centers, counts, _ = _sic_triple_census(label, gap)
     return list(zip(centers.tolist(), counts.tolist()))
+
+
+def _carried_triple_census(gap: float = TRIPLE_CENSUS_GAP) -> tuple:
+    """SIC 1's triple census carried to SICs 2-16 by the exact label map
+    (pair_action) of V_n, which sends SIC 1 onto SIC n keeping each trace:
+    the (15, 16, 4, 4) states of SICs 2-16, state k of row n - 2 the image
+    of SIC 1's state k; the (15, K) centers of their traces in SIC 1's
+    census classes; and whether 8 spread <= gap < separation holds in each
+    row.  Then members lie within gap / 4 of each other and others beyond
+    3 gap / 4, so a row's own split has these classes.  ValueError when
+    SIC 1's census cannot split."""
+    _, counts, ids = _sic_triple_census(1, gap)
+    image = pair_action([pair.F for pair in SIC_LABELING], np.zeros((16, 2), dtype=int))[1:, :16]
+    states = enumerate_orbit().projectors[image]
+    vals, mask = _distinct_triples(states)  # (15, 3360), lined up with SIC 1's triples
+    classes, k = ids[mask], len(counts)
+    member = (classes[:, None] == np.arange(k)).astype(float)  # (3360, K): the class sums in one product
+    centers = (vals.real @ member + 1j * (vals.imag @ member)) / counts
+    spread = np.abs(vals - centers[:, classes]).max(axis=1)
+    apart = np.abs(centers[:, :, None] - centers[:, None, :]) + np.diag(np.full(k, np.inf))
+    return states, centers, (8 * spread <= gap) & (gap < apart.min(axis=(1, 2)))
 
 
 def triple_census_report(tol: float = DEFAULT_TOL) -> tuple:
@@ -380,12 +386,14 @@ def triple_census_report(tol: float = DEFAULT_TOL) -> tuple:
     six values: triple_trace_census(1); its multiplicities; the number of
     real values, whose conjugate falls into their own class; the number of
     conjugate pairs, two values whose conjugates fall into each other's
-    class; the largest ||value| - 5^(-3/2)|; and whether SICs 2-16, split
-    together, have SIC 1's counts with their k-th centers within tol of
-    SIC 1's.  The centers lead their conjugates in one value_classes call,
-    so they are classes 0..n-1.  A census that cannot split reads [] and
-    leaves the facts that read it None, and the cross-SIC verdict False."""
-    census, counts, real, pairs, modulus_dev = [], None, None, None, None
+    class; the largest ||value| - 5^(-3/2)|; and whether SICs 2-16 have
+    SIC 1's counts with their k-th centers within tol of SIC 1's.  Those
+    SICs take SIC 1's classes (_carried_triple_census); a row not clear of
+    the gap splits its own traces.  The centers lead their conjugates in
+    one value_classes call, so they are classes 0..n-1.  A census that
+    cannot split reads [] and leaves the facts that read it None, and the
+    cross-SIC verdict False."""
+    census, counts, real, pairs, modulus_dev, same = [], None, None, None, None, False
     try:
         census = triple_trace_census(1)
         centers, counts, n = np.array([c for c, _ in census]), [m for _, m in census], len(census)
@@ -395,11 +403,17 @@ def triple_census_report(tol: float = DEFAULT_TOL) -> tuple:
         pairs = int(np.sum((np.arange(n) < conj) & (conj < n)))
     except ValueError:
         pass
-    try:
-        others, others_counts = triple_trace_census(tuple(range(2, 17)))
-        same = bool(census) and bool(np.all(others_counts == counts) and np.max(np.abs(others - centers)) <= tol)
-    except ValueError:  # a SIC whose traces split into no classes has no census like SIC 1's
-        same = False
+    if census:
+        try:
+            states, others, clear = _carried_triple_census()
+            others, counted = others[clear], True
+            if not clear.all():
+                own = _triple_census(states[~clear])
+                counted = np.all(np.stack([m for _, m, _ in own]) == counts)
+                others = np.concatenate([others, np.stack([c for c, _, _ in own])])
+            same = bool(counted and np.max(np.abs(others - centers)) <= tol)
+        except ValueError:  # a SIC whose traces split into no classes has no census like SIC 1's
+            pass
     return census, counts, real, pairs, modulus_dev, same
 
 
@@ -506,7 +520,7 @@ def rigid_permutations(label: int = 1, limit: int = 10):
     distinct states containing k keeps its census cluster.  ValueError when
     the SIC's triple traces split into no classes.
     """
-    ids = _sic_triple_census((label,), TRIPLE_CENSUS_GAP)[0][2]
+    ids = _sic_triple_census(label, TRIPLE_CENSUS_GAP)[2]
     n = len(ids)
     tri = np.indices(ids.shape).reshape(3, -1)
     tri = tri[:, (tri[0] != tri[1]) & (tri[1] != tri[2]) & (tri[0] != tri[2])]

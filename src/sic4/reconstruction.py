@@ -85,10 +85,10 @@ def _sums(states, quads: np.ndarray) -> np.ndarray:
 
 
 def signatures(states, quads: np.ndarray) -> np.ndarray:
-    """Sorted eigenvalues of the state sums of each row of a (Q, 4) index
-    array, summed in row order; for an (S, 16, d, d) stack of states, of
-    each SIC's own rows of an (S, Q, 4) array."""
-    return np.linalg.eigvalsh(_sums(states, quads))
+    """Sorted eigenvalues of the Hermitian parts of the state sums of each
+    row of a (Q, 4) index array, summed in row order; for an (S, 16, d, d)
+    stack of states, of each SIC's own rows of an (S, Q, 4) array."""
+    return np.linalg.eigvalsh(_hermitian_part(_sums(states, quads)))
 
 
 def _matches_reference(sigs: np.ndarray) -> np.ndarray:

@@ -95,35 +95,29 @@ def fidelity_graph() -> np.ndarray:
     return adj
 
 
-def _bits(mask: int):  # indices of the set bits, lowest first
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _cliques(adj: np.ndarray, k: int) -> list:
-    """The maximal cliques of at least k vertices, as index lists: Bron-Kerbosch
-    with pivoting (Bron & Kerbosch 1973) on int-bitmask neighbour sets.  The
-    pivot maximizes |P & N(u)|; a branch with |R| + |P| < k is cut, as none of
-    its cliques can reach k vertices."""
-    rows = np.packbits(adj, axis=1, bitorder="little")
-    nbr = [int.from_bytes(row.tobytes(), "little") for row in rows]
-    found = []
+    """The maximal cliques of at least k vertices, as ascending index lists.
+    All partial cliques grow at once, level by level, each by a common
+    neighbour above its last vertex, so a clique is built once, from its
+    ascending prefixes; neighbour sets are rows of uint64 bitset words.  A
+    clique is maximal when its vertices have no common neighbour left; a
+    partial clique is cut when its size plus its candidates falls short of
+    k, as none of its cliques can reach k vertices."""
+    n = len(adj)
+    pad = ((0, 0), (0, -n % 64))
 
-    def expand(r, p, x):
-        if len(r) + p.bit_count() < k:
-            return
-        if not p | x:
-            found.append(r)
-            return
-        pivot = max(_bits(p | x), key=lambda u: (p & nbr[u]).bit_count())
-        for v in _bits(p & ~nbr[pivot]):
-            expand(r + [v], p & nbr[v], x & nbr[v])
-            p &= ~(1 << v)
-            x |= 1 << v
+    def words(mask):  # each row of a boolean (n, n) mask as uint64 words, vertex v at bit v
+        return np.packbits(np.pad(mask, pad), axis=1, bitorder="little").view("<u8")
 
-    expand([], (1 << len(adj)) - 1, 0)
+    nbr, above = words(adj), words(np.arange(n) > np.arange(n)[:, None])
+    clique, common, found = np.arange(n)[:, None], nbr, []
+    while len(clique):
+        if clique.shape[1] >= k:
+            found += clique[~common.any(axis=1)].tolist()
+        cand = common & above[clique[:, -1]]
+        grow = clique.shape[1] + np.bitwise_count(cand).sum(axis=1) >= k
+        row, v = np.nonzero(np.unpackbits(cand[grow].view(np.uint8), axis=1, count=n, bitorder="little"))
+        clique, common = np.column_stack([clique[grow][row], v]), common[grow][row] & nbr[v]
     return found
 
 
@@ -133,15 +127,13 @@ def exhaustive_regroup_scan(full_scan: bool = False, tol: float = DEFAULT_TOL) -
     exactly the rows of sic_family that certify at tol, else -1.
 
     Default mode scans each label-grid row's 64 states separately
-    (regrouping cannot mix rows); full_scan runs the clique search over all
-    256 vertices.
+    (regrouping cannot mix rows), a 64 x 64 block of fidelity_graph() each;
+    full_scan runs the clique search over all 256 vertices.
     """
     members, report = sic_family(tol)
-    if full_scan:
-        graphs = [(np.arange(256), fidelity_graph())]
-    else:
-        graphs = [(rows, fidelity_adjacency(enumerate_orbit(), rows)) for rows in np.arange(256).reshape(4, 64)]
-    found = {tuple(np.sort(vertices[clique]).tolist()) for vertices, adj in graphs for clique in _cliques(adj, 16)}
+    graph, step = fidelity_graph(), 256 if full_scan else 64
+    blocks = range(0, 256, step)
+    found = {tuple(lo + v for v in c) for lo in blocks for c in _cliques(graph[lo : lo + step, lo : lo + step], 16)}
     return len(found) if found == set(map(tuple, members[report.is_sic].tolist())) else -1
 
 

@@ -668,6 +668,28 @@ def test_all_turns_a_raising_section_into_a_fail_row(subcommand, monkeypatch, tm
         assert len(rows) == 1 and report["payload"] == {}
 
 
+def test_only_a_printed_payload_is_built(monkeypatch, tmp_path, capsys):
+    # all prints no payload in any format, nor does a text report, so no
+    # runner's payload builder is called; a json or tsv report of one
+    # section calls its own once
+    built = []
+    for name in ("run_orbit", "run_symmetry", "run_triples", "run_reconstruct", "run_regroup", "run_twoqubit"):
+
+        def spy(*args, run=getattr(sic4.cli, name), name=name, **kwargs):
+            build = run(*args, **kwargs)
+            return lambda: built.append(name) or build()
+
+        monkeypatch.setattr(sic4.cli, name, spy)
+    for argv in (["all", "--format", "json"], ["all", "--format", "tsv"], ["all"], ["regroup"]):
+        assert main(argv + ["--out", str(tmp_path / "r")]) == 0
+    assert built == []
+    report = _json_run(["regroup"], tmp_path, capsys)[1]
+    assert built == ["run_regroup"] and len(report["payload"]["regrouped_sics"]) == 16
+    assert main(["twoqubit", "--format", "tsv", "--out", str(tmp_path / "r")]) == 0
+    assert built == ["run_regroup", "run_twoqubit"]
+    capsys.readouterr()
+
+
 def test_symmetry_matches_ignore_a_loose_tolerance(tmp_path, capsys):
     # stabilizer and symmetry matches use MATCH_TOL, not --tol: at --tol 0.3
     # the stabilizer stays of order 6 and the symmetry section runs through
@@ -987,8 +1009,8 @@ def test_a_reader_closing_the_pipe_ends_the_run_quietly_with_exit_1(out, tmp_pat
 
 @pytest.mark.parametrize("full_scan", [[], ["--full-scan"]])
 def test_regroup_builds_the_256_vertex_fidelity_graph_once(full_scan, monkeypatch, capsys):
-    # the per-row clique scan builds four 64-vertex graphs; the full scan
-    # and the regularity claim share one 256-vertex graph
+    # both clique scans read blocks of the one 256-vertex graph that the
+    # regularity claim reads too
     import sic4.regrouping
 
     sizes, fidelity_adjacency = [], sic4.regrouping.fidelity_adjacency
@@ -1001,7 +1023,7 @@ def test_regroup_builds_the_256_vertex_fidelity_graph_once(full_scan, monkeypatc
     sic4.regrouping.fidelity_graph.cache_clear()
     assert main(["regroup"] + full_scan) == 0
     capsys.readouterr()
-    assert sizes == [64, 64, 64, 64, 256]
+    assert sizes == [256]
 
 
 def test_only_the_command_freezes_the_heap_and_its_claims_are_the_in_process_ones(tmp_path, capsys):

@@ -416,37 +416,3 @@ def test_stacked_rows_equal_one_row_splits():
         value_class_rows(rows[:2], gap, strict=True)
     with pytest.raises(ValueError, match="not finite"):
         value_class_rows(rows[::2], gap, strict=True)
-
-
-def test_correct_candidates_give_the_leader_pass_split():
-    from sic4.orbits import TRIPLE_CENSUS_GAP, _distinct_triples, enumerate_orbit
-
-    vals = _distinct_triples(enumerate_orbit().projectors.reshape(16, 16, 4, 4))[0]
-    want = value_class_rows(vals, TRIPLE_CENSUS_GAP)
-    # each row's own classes under other names: SIC 1's class ids reach SIC n the same way
-    names = np.random.default_rng(3).permutation(17)
-    candidates = np.stack([names[w.classes] for w in want])
-    for got, w in zip(value_class_rows(vals, TRIPLE_CENSUS_GAP, candidates), want):
-        _assert_same_split(got, w)
-
-
-def test_candidates_not_clear_of_the_gap_fall_back_to_the_leader_passes(monkeypatch):
-    import sic4.numerics
-
-    gap = 1e-6
-    # row 0: a true split taken as given; row 1: a shuffled partition; row 2:
-    # the true classes, but one spreads 1.3e-7, just over gap / 8
-    rows = np.array([[0.0, 1.0, 0.0, 1.0], [0.0, 1.0, 0.0, 1.0], [0.0, 1.0, 2.6e-7, 1.0]])
-    candidates = np.array([[5, 2, 5, 2], [0, 0, 1, 1], [0, 1, 0, 1]])
-    calls, split_rows = [], sic4.numerics.value_class_rows
-
-    def counted(values, *args, **kwargs):
-        calls.append(len(values))
-        return split_rows(values, *args, **kwargs)
-
-    monkeypatch.setattr(sic4.numerics, "value_class_rows", counted)
-    got = counted(rows, gap, candidates)
-    assert calls == [3, 2]  # rows 1 and 2 ran the leader passes
-    assert got[2].spread == pytest.approx(1.3e-7) and 2 * got[2].spread <= gap
-    for split, row in zip(got, rows):
-        _assert_same_split(split, value_classes(row, gap))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sic4.clifford import conjugation_action, enumerate_projective_clifford, to_operator
-from sic4.numerics import DEFAULT_TOL, conjugate, proj_equal
+from sic4.numerics import DEFAULT_TOL, conjugate, proj_equal, value_classes
 from sic4.orbits import (
     FIDUCIAL_STABILIZER,
     LABEL_GRID,
@@ -14,6 +14,8 @@ from sic4.orbits import (
     STABILIZER_MATRIX,
     STABILIZER_ORBIT_SETS,
     TRIPLE_CENSUS_GAP,
+    FiducialOrbit,
+    _carried_triple_census,
     _distinct_triples,
     _element_of,
     _sic_triple_census,
@@ -731,12 +733,47 @@ def test_orbit_action_per_symplectic_class_equals_pair_action_of_every_row():
     assert orbit_action().dtype == np.int16 and np.array_equal(orbit_action(), pair_action(group.f, group.chi))
 
 
-def test_seeded_triple_censuses_equal_each_sics_own_split():
-    # SICs 2-16 split together, seeded by SIC 1's classes through the label
-    # map, against each SIC's unseeded census of its own states
-    for label, (centers, counts, ids) in enumerate(_sic_triple_census(tuple(range(2, 17)), TRIPLE_CENSUS_GAP), 2):
-        want = _triple_census(sic_states(label), TRIPLE_CENSUS_GAP)
-        assert centers.tobytes() == want[0].tobytes() and np.array_equal(counts, want[1])
-        assert np.array_equal(ids, want[2]) and not ids.flags.writeable
-    centers, counts = triple_trace_census(tuple(range(1, 17)))
-    assert centers.shape == counts.shape == (16, 17) and np.all(counts == counts[0])
+def test_carried_triple_censuses_equal_each_sics_own_split():
+    # SICs 2-16 take SIC 1's classes through the exact label map, against
+    # each SIC's unseeded census of its own states
+    states, centers, clear = _carried_triple_census()
+    counts = _triple_census(sic_states(1))[1]
+    assert clear.all() and centers.shape == (15, 17)
+    for label, own, row in zip(range(2, 17), states, centers):
+        assert sorted(enumerate_orbit().find(s) for s in own) == list(range(16 * label - 16, 16 * label))
+        want_centers, want_counts, _ = _triple_census(sic_states(label), TRIPLE_CENSUS_GAP)
+        assert np.array_equal(counts, want_counts) and np.max(np.abs(row - want_centers)) <= 1e-15
+
+
+def _own_census_verdict(projectors, tol: float) -> bool:
+    """The cross-SIC check on each SIC's own census: SICs 2-16 have SIC 1's
+    counts, and their k-th centers lie within tol of SIC 1's."""
+    ref_centers, ref_counts, _ = _triple_census(projectors[:16])
+    for states in projectors[16:].reshape(15, 16, 4, 4):
+        centers, counts, _ = _triple_census(states)
+        if not (np.array_equal(counts, ref_counts) and np.max(np.abs(centers - ref_centers)) <= tol):
+            return False
+    return True
+
+
+def test_a_sic_not_clear_of_the_gap_splits_its_own_triple_traces(monkeypatch):
+    # state 133 of SIC 9 moved by diag(exp(6e-7 i (1, -1, 0.5, -0.5))):
+    # SIC 9's traces spread 1.35e-7 from their centers, just over gap / 8,
+    # so that row splits its own traces, and the verdict is the one of
+    # every SIC's own census at each tol
+    import sic4.orbits
+
+    projectors = enumerate_orbit().projectors.copy()
+    u = np.diag(np.exp(6e-7j * np.array([1.0, -1.0, 0.5, -0.5])))
+    projectors[133] = u @ projectors[133] @ u.conj().T
+    monkeypatch.setattr(sic4.orbits, "enumerate_orbit", lambda: FiducialOrbit(projectors))
+    _sic_triple_census.cache_clear()
+    try:
+        spread = value_classes(_distinct_triples(projectors[128:144])[0], TRIPLE_CENSUS_GAP).spread
+        assert TRIPLE_CENSUS_GAP / 8 < spread < TRIPLE_CENSUS_GAP / 4
+        assert np.flatnonzero(~_carried_triple_census()[2]).tolist() == [7]  # SIC 9 only
+        verdicts = [triple_census_report(tol)[5] for tol in (1e-9, 1e-8, 1e-7, 1e-6)]
+        assert verdicts == [_own_census_verdict(projectors, tol) for tol in (1e-9, 1e-8, 1e-7, 1e-6)]
+        assert True in verdicts and False in verdicts
+    finally:
+        _sic_triple_census.cache_clear()

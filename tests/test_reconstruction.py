@@ -405,6 +405,14 @@ def test_a_sic_certified_with_an_anti_hermitian_part_reconstructs(scale, tmp_pat
     assert rows == [("reconstruct.input_is_sic", True), ("reconstruct.input_group", "displacement")]
 
 
+def test_signatures_read_the_hermitian_part_of_each_sum():
+    # with a 4.9e-9 anti-Hermitian part, the lower triangles of some sums
+    # of seeds 2, 3 and 5 miss the signature; their Hermitian parts do not
+    for seed in (2, 3, 5):
+        states = _sic_1_with_an_anti_hermitian_part(4.9e-9, seed)
+        assert len(reference_quads(states)) == len(reference_quads_by_full_eigvalsh(states)) == 24
+
+
 def test_reported_elements_of_the_perfbench_sics_are_well_conditioned():
     # the SIC files of perfbench seeds 7-9: every pivot of canonical_phase
     # has modulus 0.25 or more, so a 1e-15 change of the elements moves
