@@ -67,7 +67,7 @@ def _pair_json(pair) -> dict:
 
 def run_orbit(cfg, claims: Claims):
     from .clifford import enumerate_projective_clifford, to_operator
-    from .numerics import proj_equal
+    from .numerics import proj_equal, projectively_distinct
     from .orbits import (
         FIDUCIAL_STABILIZER,
         STABILIZER_CYCLE,
@@ -76,7 +76,6 @@ def run_orbit(cfg, claims: Claims):
         conjugation_cycle,
         enumerate_orbit,
         orbit_certificate,
-        projectively_distinct,
         stability_group,
         stabilizer_orbits_within_sic,
     )

@@ -201,7 +201,7 @@ def _sector(d: int, det: int) -> tuple:
     v, anti = _operators(least.T, zero[:, : len(least)], d)
     mats = (displacement_table(d).reshape(d * d, d, d) @ v[:, None]).reshape(-1, d, d)
     if not is_unitary(mats, 1e-8):
-        raise ValueError("GroupElement matrix is not unitary within tol")
+        raise ValueError("sector matrices D_chi V_F are not unitary within tol")
     chi = np.indices((d, d)).reshape(2, -1).T
     return np.repeat(least, d * d, axis=0), np.tile(chi, (len(least), 1)), mats, np.repeat(anti, d * d)
 

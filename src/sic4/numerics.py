@@ -1,9 +1,10 @@
 """Shared numerical primitives: unitary/antiunitary operators, kets of
-rank-1 states, projective comparison, the split of values into classes
-(one list, or each row of a stack) and matrix (de)serialization.
+rank-1 states, the overlap kernel that decides equality up to a phase, the
+split of values into classes (one list, or each row of a stack) and matrix
+(de)serialization.
 
-All comparisons are absolute-tolerance based; the package-wide default is
-``DEFAULT_TOL``.
+Comparisons are absolute-tolerance based, except MATCH_TOL's cut on a
+normalized overlap; the package-wide default tolerance is ``DEFAULT_TOL``.
 """
 
 from __future__ import annotations
@@ -13,11 +14,6 @@ from typing import NamedTuple
 import numpy as np
 
 DEFAULT_TOL = 1e-9
-
-# a unitary g of a stack equals the query m up to a phase when
-# |tr(m^dag g)| >= d - PROJECTIVE_MATCH_TOL; on the d = 4 Clifford group a
-# match scores 4 - 1e-15 and the best non-match 2.83
-PROJECTIVE_MATCH_TOL = 1e-7
 
 # largest entry of rho - k k^dag for the ket k that rank1_kets reads off a
 # state; beyond it the state is not rank-1 and k would not represent it
@@ -99,27 +95,6 @@ def rank1_kets(states) -> np.ndarray:
     if not dev <= RANK1_TOL:  # also refuses NaN
         raise ValueError("state is not a rank-1 projector (deviation %.3g)" % dev)
     return kets.reshape(states.shape[:-1])
-
-
-def proj_equal(a, b, tol: float = DEFAULT_TOL) -> bool:
-    """Equality up to a global phase.
-
-    Both arguments must be unitary matrices, or both rank-1 Hermitian
-    projectors.  For unitaries the criterion is |tr(a^dag b)| >= d - tol,
-    for projectors |tr(a b)| >= 1 - tol.
-    """
-    a = _as_complex(a)
-    b = _as_complex(b)
-    if a.shape != b.shape:
-        return False
-    d = a.shape[0]
-    # crude unitarity probe distinguishes the two supported cases
-    if is_unitary(a, 1e-6) and is_unitary(b, 1e-6):
-        return abs(np.trace(a.conj().T @ b)) >= d - tol
-    herm = max(np.max(np.abs(a - a.conj().T)), np.max(np.abs(b - b.conj().T)))
-    if herm > 1e-6:
-        raise ValueError("proj_equal expects two unitaries or two Hermitian projectors")
-    return abs(np.trace(a @ b)) >= 1 - tol
 
 
 # a commutator phase is a root r of unity when |c - r| <= COMMUTATOR_TOL.
@@ -227,32 +202,63 @@ def value_class_rows(values, gap: float, *, strict: bool = False) -> list:
     return [None if fail[r] else split for r, split in enumerate(splits)]
 
 
-def match_projective(m, stack, tol: float = PROJECTIVE_MATCH_TOL):
-    """Index of the unitary in ``stack`` projectively equal to m, else -1;
+# two matrices are equal up to a phase when their overlap reaches 1 - MATCH_TOL:
+# matches come within 2.7e-15 of 1, non-matches reach 0.762 (orbit states, also
+# against partial transposes), 0.707 (unitary Cliffords), 0.5 (groups vs D, D')
+MATCH_TOL = 1e-6
+
+
+def overlaps(a, b=None) -> np.ndarray:
+    """The (..., Q, N) overlaps |tr(a^dag b)| / max(tr(a^dag a), tr(b^dag b))
+    of each matrix of an (..., Q, d, d) stack a with each of an (..., N, d, d)
+    stack b, or of a with itself, norms read off the Gram diagonal.  One at
+    most (Cauchy-Schwarz), 1 exactly when a = e^{i phi} b, 0 with a zero matrix."""
+    a, tiny = np.asarray(a, dtype=complex), np.finfo(float).tiny
+    a = a.reshape(a.shape[:-2] + (-1,))
+    if b is None:
+        out = np.abs(a.conj() @ a.swapaxes(-1, -2))
+        na = nb = np.maximum(np.diagonal(out, axis1=-2, axis2=-1), tiny)
+    else:
+        b = np.asarray(b, dtype=complex).reshape(np.shape(b)[:-2] + (-1,))
+        out = np.abs(a.conj() @ b.swapaxes(-1, -2))
+        na, nb = (np.maximum(np.einsum("...k,...k->...", m.conj(), m).real, tiny) for m in (a, b))
+    return np.divide(out, np.maximum(na[..., :, None], nb[..., None, :]), out=out)
+
+
+def match_projective(m, stack):
+    """Index of the matrix in ``stack`` equal to m up to a phase, else -1;
     for a (Q, d, d) stack of queries, an array of Q such indices."""
-    m = np.asarray(m, dtype=complex)
-    stack = np.asarray(stack, dtype=complex)
-    d = m.shape[-1]
-    scores = np.abs(m.reshape(-1, d * d).conj() @ stack.reshape(len(stack), d * d).T)
-    best = scores.argmax(axis=1)
-    index = np.where(scores[np.arange(len(best)), best] >= d - tol, best, -1)
-    return index if m.ndim == 3 else int(index[0])
+    scores = overlaps(np.reshape(m, (-1,) + np.shape(m)[-2:]), stack)
+    index = np.where(scores.max(axis=1) >= 1.0 - MATCH_TOL, scores.argmax(axis=1), -1)
+    return index if np.ndim(m) == 3 else int(index[0])
 
 
-def projective_set_equal(mats_a, mats_b, tol: float = PROJECTIVE_MATCH_TOL):
-    """Do two stacks of unitaries coincide as sets, modulo global phases?
+def proj_equal(a, b) -> bool:
+    """Whether two square matrices of one shape are equal up to a global phase."""
+    a, b = _as_complex(a), _as_complex(b)
+    return a.shape == b.shape and match_projective(a, b[None]) == 0
+
+
+def projectively_distinct(mats) -> bool:
+    """Whether no two matrices of a stack are equal up to a phase; an
+    (S, N, d, d) input asks this of each of its S stacks."""
+    o = overlaps(mats)
+    return bool(np.all((o < 1.0 - MATCH_TOL) | np.eye(o.shape[-1], dtype=bool)))
+
+
+def projective_set_equal(mats_a, mats_b):
+    """Do two stacks of matrices coincide as sets, modulo global phases?
 
     Every member of a must match a different member of b under
-    match_projective.  The intended inputs are group element lists, whose
-    members are pairwise projectively distinct.  For an (S, n, d, d) first
-    argument, the (S,) verdicts of its sets; False for any other shape
-    than b's or a stack of them.
+    match_projective, as for group element lists.  For an (S, n, d, d)
+    first argument, the (S,) verdicts of its sets; False for any other
+    shape than b's or a stack of them.
     """
     a = np.asarray(mats_a, dtype=complex)
     b = np.asarray(mats_b, dtype=complex)
     if b.ndim != 3 or a.ndim not in (3, 4) or a.shape[-3:] != b.shape:
         return False
-    index = match_projective(a.reshape(-1, *b.shape[1:]), b, tol).reshape(a.shape[:-2])
+    index = match_projective(a.reshape(-1, *b.shape[1:]), b).reshape(a.shape[:-2])
     # each set's indices are n distinct matches exactly when they sort to 0..n-1
     equal = np.all(np.sort(index, axis=-1) == np.arange(len(b)), axis=-1)
     return equal if a.ndim == 4 else bool(equal)

@@ -31,7 +31,8 @@ from .clifford import (
     semidirect_product,
     to_operator,
 )
-from .numerics import DEFAULT_TOL, is_unitary, rank1_kets, value_class_rows, value_classes
+from .numerics import DEFAULT_TOL, MATCH_TOL, is_unitary, match_projective, rank1_kets, value_class_rows
+from .numerics import value_classes
 from .weyl_heisenberg import SicReport, displacement_table, fiducial_ket_d4, verify_sic
 
 # symplectic sources of the 16 SIC labels, det = +1 mod 8
@@ -86,11 +87,6 @@ STABILIZER_ORBIT_SETS = (
 
 LABEL_GRID = ((1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12), (13, 14, 15, 16))
 
-# overlap |<target| g psi>|^2 at or above 1 - MATCH_TOL names the image of
-# a bare state; states of the orbit are moved by orbit_action, exactly
-MATCH_TOL = 1e-6
-
-
 def fiducial_projector() -> np.ndarray:
     v = fiducial_ket_d4()
     return np.outer(v, v.conj())
@@ -101,11 +97,9 @@ class FiducialOrbit(NamedTuple):
 
     projectors: np.ndarray  # (256, 4, 4)
 
-    def find(self, rho, tol: float = MATCH_TOL) -> int:
+    def find(self, rho) -> int:
         """Global index of the orbit projector equal to rho, or -1."""
-        ov = np.abs(np.einsum("nij,ji->n", self.projectors, np.asarray(rho, dtype=complex)))
-        i = int(np.argmax(ov))
-        return i if ov[i] >= 1.0 - tol else -1
+        return match_projective(rho, self.projectors)
 
 
 @lru_cache(maxsize=None)
@@ -113,17 +107,14 @@ def enumerate_orbit() -> FiducialOrbit:
     """Build the 256-projector orbit, one SIC per label.
 
     State (n, p) is D_p V_n rho_f V_n^dag D_p^dag, the 16 V_n built in one
-    stacked pass and checked unitary.  Projective distinctness of all 256
-    projectors is asserted.
+    stacked pass and checked unitary.
     """
     mats, _ = _operators(np.array([pair.F for pair in SIC_LABELING]).T, np.zeros((2, 16), dtype=int), 4)
     if not is_unitary(mats, 1e-8):
-        raise ValueError("GroupElement matrix is not unitary within tol")
+        raise ValueError("SIC label operators V_n are not unitary within tol")
     fids = mats @ fiducial_projector() @ mats.conj().swapaxes(-1, -2)
     disp = displacement_table(4).reshape(16, 4, 4)
     projs = (disp @ fids[:, None] @ disp.conj().swapaxes(-1, -2)).reshape(256, 4, 4)
-    if not projectively_distinct(projs):
-        raise AssertionError("orbit projectors are not projectively distinct")
     projs.flags.writeable = False
     return FiducialOrbit(projs)
 
@@ -136,17 +127,6 @@ def orbit_certificate(tol: float = DEFAULT_TOL) -> SicReport:
     for field in vars(report).values():
         field.flags.writeable = False
     return report
-
-
-def projectively_distinct(mats) -> bool:
-    """Whether no two of a stack of rank-1 projectors, or of unitaries, are
-    equal up to a phase: every |tr(a^dag b)| between distinct members stays
-    below 1 - MATCH_TOL times |tr(a^dag a)| (1 for a projector, d for a
-    unitary).  An (S, N, d, d) input asks this of each of its S stacks."""
-    flat = np.asarray(mats).reshape(np.shape(mats)[:-2] + (-1,))
-    gram = np.abs(flat.conj() @ flat.swapaxes(-1, -2))
-    norm = np.diagonal(gram, axis1=-2, axis2=-1)[..., None, :]
-    return bool(np.all((gram < (1.0 - MATCH_TOL) * norm) | np.eye(gram.shape[-1], dtype=bool)))
 
 
 def stability_group(rho) -> list:
@@ -479,7 +459,8 @@ def state_permutations(mats, states) -> np.ndarray:
 def ket_permutations(mats, kets) -> np.ndarray:
     """state_permutations of the states k k^dag of an (M, d) list of kets,
     or of an (N, M, d) stack: one product takes every overlap
-    <k_j| U |k_i>, and state i goes to the j of largest modulus."""
+    <k_j| U |k_i>, and state i goes to the j of largest modulus, which
+    must reach 1 - MATCH_TOL: the overlap kernel's cut, read on kets."""
     z = kets.conj() @ np.asarray(mats, dtype=complex) @ np.swapaxes(kets, -1, -2)  # [n, j, i]
     ov = np.square(z.real)
     ov += np.square(z.imag)

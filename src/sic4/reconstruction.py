@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import COMMUTATOR_TOL, canonical_phase, commutator_phase, rank1_kets
-from .orbits import ket_permutations, projectively_distinct, sic_symmetries, sylow_two_subgroup
+from .numerics import COMMUTATOR_TOL, canonical_phase, commutator_phase, projectively_distinct, rank1_kets
+from .orbits import ket_permutations, sic_symmetries, sylow_two_subgroup
 from .weyl_heisenberg import CONSTANTS, shift_clock_products
 
 # eigenvalue of the 4-state sum paired with the phase i^k it tags

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import rank1_kets, value_class_rows, value_classes
+from .numerics import match_projective, rank1_kets, value_class_rows, value_classes
 from .weyl_heisenberg import CONSTANTS, _upper_pairs, displacement_table
 
 _SQRT2 = math.sqrt(2.0)
@@ -26,11 +26,6 @@ _SQRT2 = math.sqrt(2.0)
 # NON_PSD_CUT: well clear of rounding noise (about 1e-16) on a PSD operator
 # and of the -1/sqrt(10) that every violating pattern's operator has
 NON_PSD_CUT = -1e-6
-
-# a partial transpose is a fiducial when its overlap |tr(rho pt)| with some
-# orbit projector reaches 1 - PT_MATCH_TOL; the matches reach 1 to 1e-15 and
-# the next-best overlap is 0.76, the largest fidelity between two fiducials
-PT_MATCH_TOL = 1e-8
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -434,9 +429,7 @@ def partial_transpose_simplex_checks(signs, orbit, tol: float = 1e-9) -> np.ndar
     qd = (q.reshape(-1, 4) @ disp.transpose(1, 0, 2).reshape(4, -1)).reshape(-1, 4, 15, 4)
     simplex = np.einsum("pikl,plj,kij->pk", qd, q, disp.conj())
     ok &= np.all(np.abs(simplex - 0.2) <= tol, axis=1)
-    # |tr(rho pt)| for every orbit projector rho and partial transpose pt
-    fid = np.abs(orbit.projectors.reshape(256, 16).conj() @ partial_transpose(q).reshape(-1, 16).T)
-    return ok & (np.max(fid, axis=0) >= 1.0 - PT_MATCH_TOL)
+    return ok & (match_projective(partial_transpose(q), orbit.projectors) >= 0)
 
 
 def operator_schmidt_rank(m: np.ndarray, tol: float = 1e-9) -> int:

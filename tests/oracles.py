@@ -24,18 +24,18 @@ from sic4.clifford import (
 )
 from sic4.numerics import (
     DEFAULT_TOL,
+    MATCH_TOL,
     GroupElement,
     ValueClasses,
     _as_complex,
     canonical_phase,
     conjugate,
-    proj_equal,
+    is_unitary,
     rank1_kets as state_ket,
 )
 from sic4.orbits import (
     FIDUCIAL_STABILIZER,
     LABEL_GRID,
-    MATCH_TOL,
     SIC_LABELING,
     _element_of,
     element_product,
@@ -72,8 +72,27 @@ def compose(a: GroupElement, b: GroupElement) -> GroupElement:
     return GroupElement(a.matrix @ mb, a.antiunitary != b.antiunitary)
 
 
+def probe_proj_equal(a, b, tol: float = DEFAULT_TOL) -> bool:
+    """numerics.proj_equal as it was before the overlap kernel: equality up
+    to a global phase of two unitaries, |tr(a^dag b)| >= d - tol, or of two
+    rank-1 Hermitian projectors, |tr(a b)| >= 1 - tol, told apart by probing
+    the arguments; ValueError for any other pair."""
+    a = _as_complex(a)
+    b = _as_complex(b)
+    if a.shape != b.shape:
+        return False
+    d = a.shape[0]
+    # crude unitarity probe distinguishes the two supported cases
+    if is_unitary(a, 1e-6) and is_unitary(b, 1e-6):
+        return abs(np.trace(a.conj().T @ b)) >= d - tol
+    herm = max(np.max(np.abs(a - a.conj().T)), np.max(np.abs(b - b.conj().T)))
+    if herm > 1e-6:
+        raise ValueError("proj_equal expects two unitaries or two Hermitian projectors")
+    return abs(np.trace(a @ b)) >= 1 - tol
+
+
 def elements_proj_equal(a: GroupElement, b: GroupElement, tol: float = DEFAULT_TOL) -> bool:
-    return a.antiunitary == b.antiunitary and proj_equal(a.matrix, b.matrix, tol)
+    return a.antiunitary == b.antiunitary and probe_proj_equal(a.matrix, b.matrix, tol)
 
 
 def canonical_key(m, decimals: int = 6) -> bytes:

@@ -417,6 +417,29 @@ def test_all_certifies_each_sic_once_and_builds_the_family_once(monkeypatch, tmp
         assert len(builds) == 1, argv
 
 
+def test_cold_all_decides_orbit_distinctness_once(monkeypatch, tmp_path, capsys):
+    # orbit.distinct_fiducials is the one decision on the 256 orbit states:
+    # building the orbit checks nothing, so a cold run makes one 256 x 256 Gram
+    import sic4.numerics
+
+    shapes, distinct = [], sic4.numerics.projectively_distinct
+
+    def counted(mats):
+        shapes.append(np.shape(mats))
+        return distinct(mats)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sic4") and getattr(module, "projectively_distinct", None) is distinct:
+            monkeypatch.setattr(module, "projectively_distinct", counted)
+    for module in [m for name, m in sys.modules.items() if name.startswith("sic4.")]:
+        for f in vars(module).values():
+            if callable(getattr(f, "cache_clear", None)):
+                f.cache_clear()
+    assert main(["all", "--format", "json", "--out", str(tmp_path / "all.json")]) == 0
+    capsys.readouterr()
+    assert shapes.count((256, 4, 4)) == 1
+
+
 def test_all_builds_few_operators(monkeypatch, tmp_path, capsys):
     # the 16 label operators of the orbit come from one stacked pass, a
     # conjugation cycle builds its operator once and the five orbits of the

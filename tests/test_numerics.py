@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bloch_vectors, canonical_key, compose, eig_hermitian, value_classes_one_list
+from oracles import bloch_vectors, canonical_key, compose, eig_hermitian, probe_proj_equal, value_classes_one_list
+from sic4.clifford import enumerate_projective_clifford
 from sic4.numerics import (
+    MATCH_TOL,
     GroupElement,
     canonical_phase,
     commutator_phase,
@@ -16,12 +18,18 @@ from sic4.numerics import (
     is_unitary,
     matrix_from_json,
     matrix_to_json,
+    overlaps,
     proj_equal,
     projective_set_equal,
     rank1_kets,
     value_class_rows,
     value_classes,
 )
+from sic4.orbits import enumerate_orbit
+from sic4.reconstruction import reconstruct_hw
+from sic4.regrouping import dprime_elements, sic_family
+from sic4.two_qubit import Gbv, _table_vector, from_gbv, partial_transpose, violating_signs
+from sic4.weyl_heisenberg import displacement_table
 
 RNG = np.random.default_rng(7)
 
@@ -139,6 +147,69 @@ def test_canonical_phase_properties_on_haar_unitaries(d, count, seed):
     assert np.max(np.abs(canonical_phase(turned) - c)) <= 1e-14
     delta = 1e-15 * (rng.uniform(-1, 1, u.shape) + 1j * rng.uniform(-1, 1, u.shape))
     assert np.max(np.abs(canonical_phase(u + delta) - c)) <= 1e-13
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    d=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+    theta=st.floats(0, 2 * math.pi),
+    delta=st.floats(1e-2, 1),
+    state=st.booleans(),
+)
+def test_proj_equal_properties_on_haar_unitaries_and_states(d, seed, theta, delta, state):
+    u, w = _haar_unitaries(seed, (2, d, d))
+    rng, phase = np.random.default_rng(seed), np.exp(1j * theta)
+    if state:  # rank-1 states of Haar kets: the first, its turned ket, another, and a ket at angle arctan(delta)
+        ket = u[:, 0] + delta * u[:, 1]
+        a, same = np.outer(u[:, 0], u[:, 0].conj()), np.outer(phase * u[:, 0], (phase * u[:, 0]).conj())
+        other, near = np.outer(w[:, 0], w[:, 0].conj()), np.outer(ket, ket.conj()) / (1 + delta**2)
+    else:  # Haar unitaries: the first, turned, another, and the first times exp(i delta H), H's eigenvalues on [-1, 1]
+        a, same, other = u, phase * u, w
+        near = u @ (w * np.exp(1j * delta * np.linspace(-1, 1, d))) @ w.conj().T
+    # a move of Frobenius norm delta orthogonal to a, so no phase of a
+    e = rng.normal(size=(d, d, 2)).view(complex)[..., 0]
+    e -= np.vdot(a, e) / np.vdot(a, a) * a
+    moved = a + delta * e / np.linalg.norm(e)
+    assert proj_equal(phase * a, a)
+    assert not proj_equal(2 * a, a)
+    assert not proj_equal(moved, a)
+    # on unitary or rank-1 pairs the overlap kernel agrees with the probe-based criterion
+    for b, equal in ((same, True), (other, False), (near, False)):
+        assert proj_equal(a, b) == probe_proj_equal(a, b) == equal
+
+
+def test_match_tol_sits_far_inside_every_measured_match_and_non_match():
+    # every overlap the library compares is within 1e-14 of 1 (a match) or
+    # at most 0.77, so MATCH_TOL (1e-6) is six orders of magnitude inside
+    # both; orbit states and Clifford matrices match phase-turned copies
+    def margins(o, match):
+        return 1 - o[match].min(), o[~match].max()
+
+    rng = np.random.default_rng(33)
+    orbit = enumerate_orbit().projectors
+    mats = enumerate_projective_clifford(4, extended=False).mats
+    found = {}
+    for name, stack in (("orbit", orbit), ("clifford", mats)):
+        turned = stack * np.exp(1j * rng.uniform(0, 2 * np.pi, (len(stack), 1, 1)))
+        found[name] = margins(overlaps(stack, turned), np.eye(len(stack), dtype=bool))
+    members, _ = sic_family()
+    elements = reconstruct_hw(orbit[members]).elements.reshape(32, 16, 4, 4)
+    for group, own in ((displacement_table(4).reshape(16, 4, 4), slice(0, 16)), (dprime_elements(), slice(16, 32))):
+        o = overlaps(elements, group)  # (32, 16, 16)
+        match = o >= 1 - MATCH_TOL
+        # an element matches at most one member; each own SIC's 16 elements match the 16 members
+        assert match.sum(axis=-1).max() == 1 and match[own].any(axis=-1).all()
+        assert np.all(np.sort(o[own].argmax(axis=-1), axis=-1) == np.arange(16))
+        found["group", own.start] = margins(o, match)
+    vec = _table_vector("product", 1, violating_signs())
+    q = from_gbv(Gbv(r=vec[:, :3], s=vec[:, 3:6], C=vec[:, 6:].reshape(-1, 3, 3)))
+    o = overlaps(partial_transpose(q), orbit)
+    match = o >= 1 - MATCH_TOL
+    assert match.sum(axis=1).tolist() == [1] * 128
+    found["partial transposes"] = margins(o, match)
+    for name, (match_dev, best_non_match) in found.items():
+        assert match_dev <= 1e-14 and best_non_match <= 0.77, name
 
 
 def test_stacked_kernels_match_their_per_matrix_loops():

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from sic4.clifford import conjugation_action, enumerate_projective_clifford, to_operator
-from sic4.numerics import DEFAULT_TOL, conjugate, proj_equal, value_classes
+from sic4.numerics import DEFAULT_TOL, MATCH_TOL, conjugate, proj_equal, value_classes
 from sic4.orbits import (
     FIDUCIAL_STABILIZER,
     LABEL_GRID,
-    MATCH_TOL,
     SIC_LABELING,
     STABILIZER_CYCLE,
     STABILIZER_MATRIX,

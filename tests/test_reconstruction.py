@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from sic4.cli import main
-from sic4.numerics import canonical_phase, commutator_phase, projective_set_equal
+from sic4.numerics import MATCH_TOL, canonical_phase, commutator_phase, projective_set_equal
 from sic4.clifford import enumerate_projective_clifford
-from sic4.orbits import MATCH_TOL, enumerate_orbit, orbit_action, sic_symmetries, state_permutations
+from sic4.orbits import enumerate_orbit, orbit_action, sic_symmetries, state_permutations
 from sic4.reconstruction import (
     COMMUTATOR_TOL,
     CUBE_TRACE_TOL,
