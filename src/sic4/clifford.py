@@ -134,15 +134,15 @@ class CliffordElement(_FrozenRecord):
         vars(self).update(source=source, op=op)
 
 
-def conjugation_action(pair: SymplecticPair, p, tol: float = DEFAULT_TOL, *, u: GroupElement | None = None):
+def conjugation_action(pair: SymplecticPair, p, *, u: GroupElement | None = None):
     """Phase exponent and image index of D_p under conjugation by (F, chi).
 
     Returns (e, q) with U D_p U^-1 = omega^e D_q, both reduced mod d.  The
     operator identity itself is exact only for the mod-2d representative of
     F p (for even d the displacement index has period 2d, and reduction mod
-    d can cost a sign); it is verified in that form and a ValueError is
-    raised on failure.  A caller conjugating by one pair many times passes
-    its operator u = to_operator(pair), built once.
+    d can cost a sign); it is verified in that form to DEFAULT_TOL, and a
+    ValueError is raised on failure.  A caller conjugating by one pair many
+    times passes its operator u = to_operator(pair), built once.
     """
     d = pair.d
     db = pair.dbar
@@ -154,7 +154,7 @@ def conjugation_action(pair: SymplecticPair, p, tol: float = DEFAULT_TOL, *, u: 
     dp = displacement_table(d)[p[0] % d, p[1] % d]
     lhs = conjugate(u, dp)
     rhs = omega(d) ** e * displacement(qf[0], qf[1], d)
-    if np.max(np.abs(lhs - rhs)) > tol:
+    if np.max(np.abs(lhs - rhs)) > DEFAULT_TOL:
         raise ValueError("conjugation law violated for %r at p=%r" % (pair, p))
     return e, (big[0] % d, big[1] % d)
 

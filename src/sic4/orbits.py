@@ -340,16 +340,16 @@ def triple_trace_census(label: int = 1, gap: float = TRIPLE_CENSUS_GAP) -> list:
     return list(zip(centers.tolist(), counts.tolist()))
 
 
-def _carried_triple_census(gap: float = TRIPLE_CENSUS_GAP) -> tuple:
+def _carried_triple_census() -> tuple:
     """SIC 1's triple census carried to SICs 2-16 by the exact label map
     (pair_action) of V_n, which sends SIC 1 onto SIC n keeping each trace:
     the (15, 16, 4, 4) states of SICs 2-16, state k of row n - 2 the image
     of SIC 1's state k; the (15, K) centers of their traces in SIC 1's
     census classes; and whether 8 spread <= gap < separation holds in each
-    row.  Then members lie within gap / 4 of each other and others beyond
-    3 gap / 4, so a row's own split has these classes.  ValueError when
-    SIC 1's census cannot split."""
-    _, counts, ids = _sic_triple_census(1, gap)
+    row, gap = TRIPLE_CENSUS_GAP.  Then members lie within gap / 4 of each
+    other and others beyond 3 gap / 4, so a row's own split has these
+    classes.  ValueError when SIC 1's census cannot split."""
+    _, counts, ids = _sic_triple_census(1, TRIPLE_CENSUS_GAP)
     image = pair_action([pair.F for pair in SIC_LABELING], np.zeros((16, 2), dtype=int))[1:, :16]
     states = enumerate_orbit().projectors[image]
     vals, mask = _distinct_triples(states)  # (15, 3360), lined up with SIC 1's triples
@@ -358,7 +358,7 @@ def _carried_triple_census(gap: float = TRIPLE_CENSUS_GAP) -> tuple:
     centers = (vals.real @ member + 1j * (vals.imag @ member)) / counts
     spread = np.abs(vals - centers[:, classes]).max(axis=1)
     apart = np.abs(centers[:, :, None] - centers[:, None, :]) + np.diag(np.full(k, np.inf))
-    return states, centers, (8 * spread <= gap) & (gap < apart.min(axis=(1, 2)))
+    return states, centers, (8 * spread <= TRIPLE_CENSUS_GAP) & (TRIPLE_CENSUS_GAP < apart.min(axis=(1, 2)))
 
 
 def triple_census_report(tol: float = DEFAULT_TOL) -> tuple:

@@ -17,15 +17,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import match_projective, rank1_kets, value_class_rows, value_classes
+from .numerics import DEFAULT_TOL, match_projective, rank1_kets, value_class_rows, value_classes
 from .weyl_heisenberg import CONSTANTS, _upper_pairs, displacement_table
 
 _SQRT2 = math.sqrt(2.0)
-
-# a simplex operator is non-PSD when its least eigenvalue is at or below
-# NON_PSD_CUT: well clear of rounding noise (about 1e-16) on a PSD operator
-# and of the -1/sqrt(10) that every violating pattern's operator has
-NON_PSD_CUT = -1e-6
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -61,13 +56,13 @@ class Gbv(NamedTuple):
 GBV_STATE_TOL = 1e-9
 
 
-def gbv(rho: np.ndarray, tol: float = GBV_STATE_TOL) -> Gbv:
+def gbv(rho: np.ndarray) -> Gbv:
     """Pauli expansion coefficients of a two-qubit density matrix, or of an
     (N, 4, 4) stack of them."""
     rho = np.asarray(rho, dtype=complex)
     mats = rho.reshape(-1, 4, 4)
     herm = np.max(np.abs(mats - mats.conj().transpose(0, 2, 1)))
-    if herm > tol or np.max(np.abs(np.trace(mats, axis1=1, axis2=2) - 1)) > tol:
+    if herm > GBV_STATE_TOL or np.max(np.abs(np.trace(mats, axis1=1, axis2=2) - 1)) > GBV_STATE_TOL:
         raise ValueError("expected a Hermitian trace-1 matrix")
     coef = np.einsum("abij,nji->nab", _PAULI_PRODUCTS, mats).real
     if rho.ndim != 3:
@@ -329,39 +324,36 @@ class ReducedStateReport(NamedTuple):
 REDUCED_POINT_TOL = 1e-8
 
 
-def reduced_state_census(points, tol: float = REDUCED_POINT_TOL):
+def reduced_state_census(points):
     """Distinct single-qubit reduced states of a list of states, given by
     their (N, 3) Bloch vectors (Gbv.s for the first qubit, Gbv.r for the
     second), such as one SIC's 16, with their multiplicities; for an
     (S, N, 3) stack, the list of S reports.  The lists' points are split
-    by one value_class_rows call at the gap tol, and each distinct point
-    is represented by its first occurrence (detect_cube tests them for a
-    cube); a list whose points split into no classes gets None."""
+    by one value_class_rows call at REDUCED_POINT_TOL, and each distinct
+    point is represented by its first occurrence (detect_cube tests them for
+    a cube); a list whose points split into no classes gets None."""
     stack = np.reshape(points, (-1,) + np.shape(points)[-2:])
-    splits = value_class_rows(stack, tol)
+    splits = value_class_rows(stack, REDUCED_POINT_TOL)
     reports = [s and ReducedStateReport(p[s.first], tuple(s.counts.tolist())) for p, s in zip(stack, splits)]
     return reports[0] if np.ndim(points) == 2 else reports
 
 
-# the cube test's cuts, with what they meet on the 16 orbit SICs' Bloch
-# points: pairwise distances are one value when they fall into one class at
-# the gap CUBE_GAP_TOL (numerics.value_classes; a value's distances spread
-# over 1.0e-15, two values lie 0.069 apart on the second qubits and 0.032 on
-# the first); face and body diagonals match sqrt 2 and sqrt 3 edges within
-# CUBE_RATIO_TOL (to 1.4e-15 on the eight cubes; the class-2 SICs' distances
-# take seven values, not three)
+# eight points make a cube when their sorted distances, scaled by 1, sqrt 2
+# and sqrt 3 (12, 12 and 4 of them), fall into one class at the gap
+# CUBE_GAP_TOL (numerics.value_classes); on the 16 orbit SICs, either qubit
+# or basis, a cube's scaled distances spread over 8.9e-16, every other
+# set's over at least 0.31
 CUBE_GAP_TOL = 1e-7
-CUBE_RATIO_TOL = 1e-7
 
 
 def detect_cube(points) -> tuple:
     """Cube test on distinct points: there must be eight, and their 28
-    pairwise distances must take exactly three values, with multiplicities
-    12, 12, 4 and in ratio 1 : sqrt 2 : sqrt 3.  Returns (True, edge) for a
-    cube, the edge being the shortest distance, else (False, None); for a
-    list of S point arrays, the S flags and the S edges, the distances of
-    every eight points split by one value_class_rows call, and (None, None)
-    for an entry None.  Distances that split into no classes make no cube."""
+    sorted pairwise distances, the first 12 divided by 1, the next 12 by
+    sqrt 2 and the last 4 by sqrt 3, must form one class at CUBE_GAP_TOL.
+    Returns (True, edge) for a cube, the edge being the shortest distance,
+    else (False, None); for a list of S point arrays, the S flags and the S
+    edges, the scaled distances of every eight points split by one
+    value_class_rows call, and (None, None) for an entry None."""
     one = isinstance(points, np.ndarray) and points.ndim == 2
     sets = [points] if one else list(points)
     ok, edges = [None if p is None else False for p in sets], [None] * len(sets)
@@ -369,11 +361,9 @@ def detect_cube(points) -> tuple:
     i, j = _upper_pairs(8)
     cubes = np.array([sets[k] for k in eight]).reshape(-1, 8, 3)
     dists = np.sort(np.linalg.norm(cubes[:, i] - cubes[:, j], axis=2), axis=1)
-    # sorted distances number their classes in ascending order
-    splits = value_class_rows(dists, CUBE_GAP_TOL) if eight else []
-    for k, split, (edge, face, body) in zip(eight, splits, dists[:, [0, 12, 24]].tolist()):
-        ok[k] = bool(split) and split.counts.tolist() == [12, 12, 4] and abs(face - _SQRT2 * edge) <= CUBE_RATIO_TOL
-        ok[k] = ok[k] and abs(body - math.sqrt(3) * edge) <= CUBE_RATIO_TOL
+    splits = value_class_rows(dists / np.sqrt(np.repeat([1, 2, 3], [12, 12, 4])), CUBE_GAP_TOL) if eight else []
+    for k, split, edge in zip(eight, splits, dists[:, 0].tolist()):
+        ok[k] = bool(split) and len(split.counts) == 1
         edges[k] = edge if ok[k] else None
     return (ok[0], edges[0]) if one else (ok, edges)
 
@@ -408,13 +398,15 @@ def partial_transpose(m: np.ndarray) -> np.ndarray:
     return m.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(m.shape)
 
 
-def partial_transpose_simplex_checks(signs, orbit, tol: float = 1e-9) -> np.ndarray:
+def partial_transpose_simplex_checks(signs, orbit, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Certify constraint-violating product-basis class-1 sign assignments,
     the columns of an (8, N) int array such as violating_signs(), one flag
-    per assignment: the operator Q each encodes is Hermitian, trace 1, not
-    PSD, satisfies the 15 simplex equations tr(Q D_p Q D_p^dag) = 1/5, and
-    its partial transpose is one of the 256 fiducials of orbit, an
-    enumerate_orbit() result.  All assignments are checked in one pass."""
+    per assignment: the operator Q each encodes is, within tol, Hermitian,
+    trace 1, of least eigenvalue -C/2 = -1/sqrt 10 (Q is the partial
+    transpose of a state of concurrence C = sqrt(2/5)) and a solution of the
+    15 simplex equations tr(Q D_p Q D_p^dag) = 1/5, and its partial
+    transpose is one of the 256 fiducials of orbit, an enumerate_orbit()
+    result.  All assignments are checked in one pass."""
     signs = np.asarray(signs).reshape(8, -1)
     if np.any(_constraint("product", 1, signs) != -1):
         raise ValueError("assignment satisfies the sign constraint, nothing to check")
@@ -422,7 +414,7 @@ def partial_transpose_simplex_checks(signs, orbit, tol: float = 1e-9) -> np.ndar
     q = from_gbv(Gbv(r=vec[:, :3], s=vec[:, 3:6], C=vec[:, 6:].reshape(-1, 3, 3)))
     ok = np.max(np.abs(q - q.conj().transpose(0, 2, 1)), axis=(1, 2)) <= tol
     ok &= np.abs(np.trace(q, axis1=1, axis2=2) - 1) <= tol
-    ok &= np.linalg.eigvalsh(q)[:, 0] <= NON_PSD_CUT
+    ok &= np.abs(np.linalg.eigvalsh(q)[:, 0] + math.sqrt(2 / 5) / 2) <= tol
     disp = displacement_table(4).reshape(16, 4, 4)[1:]
     # tr(Q D Q D^dag) = sum over i, l, j of (Q D)_il Q_lj conj(D_ij); one GEMM
     # takes Q D for every Q and all 15 D, as qd[p, i, k, l]
@@ -432,7 +424,7 @@ def partial_transpose_simplex_checks(signs, orbit, tol: float = 1e-9) -> np.ndar
     return ok & (match_projective(partial_transpose(q), orbit.projectors) >= 0)
 
 
-def operator_schmidt_rank(m: np.ndarray, tol: float = 1e-9) -> int:
+def operator_schmidt_rank(m: np.ndarray) -> int:
     """Number of terms in the A (x) B expansion of a two-qubit operator."""
     r = np.asarray(m, dtype=complex).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-    return int(np.sum(np.linalg.svd(r, compute_uv=False) > tol))
+    return int(np.linalg.matrix_rank(r))

@@ -27,7 +27,7 @@ from sic4.regrouping import sic_family
 from sic4.two_qubit import (
     CONCURRENCE_GAP,
     CUBE_GAP_TOL,
-    CUBE_RATIO_TOL,
+    CUBE_GAP_TOL as CUBE_RATIO_TOL,
     GBV_STATE_TOL,
     PAULI,
     REDUCED_POINT_TOL,
@@ -495,6 +495,40 @@ def test_cube_cuts_have_margins():
     assert ratio_dev.max() <= 1.4e-15 < CUBE_RATIO_TOL
     ok, edges = zip(*map(detect_cube, points))
     assert list(ok) == [True] * 8 + [False] * 8 and list(edges[:8]) == edge.tolist()
+
+
+def test_one_class_cube_cut_and_closed_form_simplex_eigenvalue_have_margins():
+    # the sorted distances of each SIC's eight Bloch points scaled by 1,
+    # sqrt 2 and sqrt 3, for both qubits in both bases: a cube's spread
+    # (largest distance from their mean) is rounding, every other set's at
+    # least 0.3, also with one orbit state moved by diag(exp(i e (1, -1,
+    # 0.5, -0.5))) at e = 1e-9, as in the CLI fault sweep
+    i, j = np.triu_indices(8, 1)
+    scale = np.sqrt(np.repeat([1, 2, 3], [12, 12, 4]))
+
+    def spreads(projectors):
+        stacks = [bloch_vectors(projectors, basis, qubit) for basis in ("product", "bell") for qubit in (0, 1)]
+        distinct = np.stack([p[value_classes(p, REDUCED_POINT_TOL).first] for p in np.reshape(stacks, (64, 16, 3))])
+        scaled = np.sort(np.linalg.norm(distinct[:, i] - distinct[:, j], axis=2), axis=1) / scale
+        return np.array([np.max(np.abs(row - row.mean())) for row in scaled])
+
+    projectors = enumerate_orbit().projectors
+    # cubes: the product basis' second qubit in SICs 1-8, the Bell basis' first in SICs 9-16
+    cube = np.zeros((4, 16), dtype=bool)
+    cube[1, :8] = cube[2, 8:] = True
+    spread = spreads(projectors).reshape(4, 16)
+    assert spread[cube].max() <= 9e-16 < 0.3 <= spread[~cube].min()
+    u = np.diag(np.exp(1e-9j * np.array([1.0, -1.0, 0.5, -0.5])))
+    for state in (0, 7, 133, 200):
+        moved = projectors.copy()
+        moved[state] = u @ moved[state] @ u.conj().T
+        spread = spreads(moved).reshape(4, 16)
+        assert spread[cube].max() <= 1.04e-9 < CUBE_GAP_TOL / 2 and spread[~cube].min() >= 0.3
+    # the 128 simplex operators: least eigenvalue -C/2 = -1/sqrt 10 for the
+    # concurrence C = sqrt(2/5), the next one clear of it
+    vec = _table_vector("product", 1, violating_signs())
+    w = np.linalg.eigvalsh(from_gbv(Gbv(r=vec[:, :3], s=vec[:, 3:6], C=vec[:, 6:].reshape(-1, 3, 3))))
+    assert np.max(np.abs(w[:, 0] + 1 / math.sqrt(10))) <= 1e-15 and w[:, 1].min() >= 0.11
 
 
 def test_stacked_reduced_state_census_equals_per_sic_calls():
