@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL
+from .numerics import DEFAULT_TOL, cached_table
 
 _SUBCOMMANDS = ("orbit", "symmetry", "triples", "reconstruct", "regroup", "twoqubit", "all")
 
@@ -563,7 +563,7 @@ def _tolerance(text: str) -> float:
     return tol
 
 
-@functools.lru_cache(maxsize=1)
+@cached_table
 def _make_parser() -> argparse.ArgumentParser:
     """The sic4 parser, built on the first main() call and reused after it:
     parse_args leaves a parser unchanged."""

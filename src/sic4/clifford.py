@@ -19,11 +19,10 @@ import itertools
 import math
 import operator
 from collections import namedtuple
-from functools import lru_cache
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, GroupElement, _FrozenRecord, conjugate, is_unitary
+from .numerics import DEFAULT_TOL, GroupElement, _FrozenRecord, cached_table, conjugate, is_unitary
 from .weyl_heisenberg import displacement, displacement_table, omega, symplectic_form, tau
 
 
@@ -87,7 +86,7 @@ def semidirect_product(x: SymplecticPair, y: SymplecticPair) -> SymplecticPair:
     return SymplecticPair(f, chi, x.d)
 
 
-@lru_cache(maxsize=None)
+@cached_table
 def _gauss_tables(d: int) -> tuple:
     """dbar, units mod dbar, their inverses, tau^k / sqrt(d) and the (r, s) grids."""
     db = 2 * d if d % 2 == 0 else d
@@ -159,7 +158,6 @@ def conjugation_action(pair: SymplecticPair, p, *, u: GroupElement | None = None
     return e, (big[0] % d, big[1] % d)
 
 
-@lru_cache(maxsize=None)
 def symplectic_group_matrices(db: int, det: int = 1) -> tuple:
     """All 2x2 matrices over Z_db with the given determinant, as 4-tuples
     (a, b, c, e) in lexicographic order: one determinant mask over all
@@ -168,7 +166,7 @@ def symplectic_group_matrices(db: int, det: int = 1) -> tuple:
     return tuple(map(tuple, f[:, (a * e - b * c) % db == det % db].T.tolist()))
 
 
-@lru_cache(maxsize=None)
+@cached_table
 def kernel_pairs(d: int) -> tuple:
     """The eight (F, chi) pairs mapping to the projective identity (even d)."""
     if d % 2 != 0:
@@ -227,7 +225,7 @@ class CliffordGroup(_FrozenRecord):
         return CliffordElement(pair, GroupElement(self.mats[i], bool(self.anti[i])))
 
 
-@lru_cache(maxsize=None)
+@cached_table
 def enumerate_projective_clifford(d: int, /, *, extended: bool) -> CliffordGroup:
     """All projectively distinct Clifford elements as one CliffordGroup.
 

@@ -1,7 +1,7 @@
-"""Shared numerical primitives: unitary/antiunitary operators, kets of
-rank-1 states, the overlap kernel that decides equality up to a phase, the
-split of values into classes (one list, or each row of a stack) and matrix
-(de)serialization.
+"""Shared numerical primitives: the cache of read-only shared tables,
+unitary/antiunitary operators, kets of rank-1 states, the overlap kernel
+that decides equality up to a phase, the split of values into classes (one
+list, or each row of a stack) and matrix (de)serialization.
 
 Comparisons are absolute-tolerance based, except MATCH_TOL's cut on a
 normalized overlap; the package-wide default tolerance is ``DEFAULT_TOL``.
@@ -9,6 +9,7 @@ normalized overlap; the package-wide default tolerance is ``DEFAULT_TOL``.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -57,6 +58,34 @@ class _FrozenRecord(_Record):
 
     def __delattr__(self, name):
         raise AttributeError("cannot delete field %r of a frozen record" % name)
+
+
+def cached_table(builder):
+    """The builder of a table that every caller in the process shares, under
+    an unbounded functools.lru_cache: after each miss one walk marks every
+    array of the result read-only, the result itself, the items of a tuple
+    and the fields of a _Record, at any depth.  A hit is a plain lru_cache
+    hit, cache_clear, cache_info and __wrapped__ are lru_cache's, and a
+    builder that raises caches nothing."""
+
+    @functools.wraps(builder)
+    def build(*args, **kwargs):
+        table = builder(*args, **kwargs)
+        _freeze(table)
+        return table
+
+    return functools.lru_cache(maxsize=None)(build)
+
+
+def _freeze(x) -> None:
+    if isinstance(x, np.ndarray):
+        x.flags.writeable = False
+    elif isinstance(x, tuple):
+        for item in x:
+            _freeze(item)
+    elif isinstance(x, _Record):
+        for field in vars(x).values():
+            _freeze(field)
 
 
 class GroupElement(_FrozenRecord):

@@ -15,7 +15,6 @@ regrouping construction.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -32,7 +31,7 @@ from .clifford import (
     to_operator,
 )
 from .numerics import DEFAULT_TOL, MATCH_TOL, is_unitary, match_projective, rank1_kets, value_class_rows
-from .numerics import value_classes
+from .numerics import cached_table, value_classes
 from .weyl_heisenberg import SicReport, displacement_table, fiducial_ket_d4, verify_sic
 
 # symplectic sources of the 16 SIC labels, det = +1 mod 8
@@ -102,7 +101,7 @@ class FiducialOrbit(NamedTuple):
         return match_projective(rho, self.projectors)
 
 
-@lru_cache(maxsize=None)
+@cached_table
 def enumerate_orbit() -> FiducialOrbit:
     """Build the 256-projector orbit, one SIC per label.
 
@@ -114,19 +113,14 @@ def enumerate_orbit() -> FiducialOrbit:
         raise ValueError("SIC label operators V_n are not unitary within tol")
     fids = mats @ fiducial_projector() @ mats.conj().swapaxes(-1, -2)
     disp = displacement_table(4).reshape(16, 4, 4)
-    projs = (disp @ fids[:, None] @ disp.conj().swapaxes(-1, -2)).reshape(256, 4, 4)
-    projs.flags.writeable = False
-    return FiducialOrbit(projs)
+    return FiducialOrbit((disp @ fids[:, None] @ disp.conj().swapaxes(-1, -2)).reshape(256, 4, 4))
 
 
-@lru_cache(maxsize=None)
+@cached_table
 def orbit_certificate(tol: float = DEFAULT_TOL) -> SicReport:
     """verify_sic at tol of the 16 orbit SICs, the rows of
     np.arange(256).reshape(16, 16), in one pass; read-only (16,) fields."""
-    report = verify_sic(enumerate_orbit().projectors.reshape(16, 16, 4, 4), 4, tol)
-    for field in vars(report).values():
-        field.flags.writeable = False
-    return report
+    return verify_sic(enumerate_orbit().projectors.reshape(16, 16, 4, 4), 4, tol)
 
 
 def stability_group(rho) -> list:
@@ -142,7 +136,7 @@ def stability_group(rho) -> list:
     return [group[i] for i in np.flatnonzero(orbit_action()[:, k] == k)]
 
 
-@lru_cache(maxsize=1)
+@cached_table
 def _state_of_pair() -> np.ndarray:
     """The orbit state each pair sends the fiducial to, read-only int16 by
     _pair_key, else -1.  State (n, p) is rho_f under g = (F_n, p), named by
@@ -158,7 +152,6 @@ def _state_of_pair() -> np.ndarray:
     state[_pair_key(*names, d)] = np.arange(256).reshape(16, 16, 1, 1)
     if np.count_nonzero(state >= 0) != 256 * 6 * 8:
         raise AssertionError("stabilizer cosets of two orbit states overlap")
-    state.flags.writeable = False
     return state
 
 
@@ -182,7 +175,7 @@ def pair_action(f, chi) -> np.ndarray:
     return ((image - q)[:, :, None] + chisum.ravel()[q[:, :, None] * 16 + fp[:, None, :]]).reshape(len(image), 256)
 
 
-@lru_cache(maxsize=1)
+@cached_table
 def orbit_action() -> np.ndarray:
     """pair_action of the rows of enumerate_projective_clifford(4,
     extended=True), cached: entry [h, k] of the read-only int16 (1536, 256)
@@ -192,12 +185,10 @@ def orbit_action() -> np.ndarray:
     group = enumerate_projective_clifford(4, extended=True)
     classes = pair_action(group.f[::16], group.chi[::16])
     shifts = pair_action(np.tile((1, 0, 0, 1), (16, 1)), group.chi[:16])  # [chi, k]: D_chi moves state k
-    action = shifts.ravel()[classes[:, None] + 256 * np.arange(16, dtype=np.int16)[:, None]].reshape(-1, 256)
-    action.flags.writeable = False
-    return action
+    return shifts.ravel()[classes[:, None] + 256 * np.arange(16, dtype=np.int16)[:, None]].reshape(-1, 256)
 
 
-@lru_cache(maxsize=1)
+@cached_table
 def _element_of() -> np.ndarray:
     """The row of enumerate_projective_clifford(4, extended=True) sending
     orbit state 0 to a and state 1 to b, at code 256 a + b: a read-only
@@ -208,7 +199,6 @@ def _element_of() -> np.ndarray:
     element[act[:, 0] << 8 | act[:, 1]] = np.arange(len(act))
     if np.count_nonzero(element >= 0) != len(act):
         raise AssertionError("orbit states 0 and 1 do not tell the elements apart")
-    element.flags.writeable = False
     return element
 
 
@@ -323,14 +313,11 @@ def _triple_census(states, gap: float = TRIPLE_CENSUS_GAP):
     return censuses[0] if np.ndim(states) == 3 else censuses
 
 
-@lru_cache(maxsize=None)
+@cached_table
 def _sic_triple_census(label: int, gap: float) -> tuple:
     """_triple_census of orbit SIC label, as read-only arrays, once per
     (label, gap); ValueError, not cached, when it cannot split."""
-    census = _triple_census(enumerate_orbit().projectors[16 * (label - 1) : 16 * label], gap)
-    for a in census:
-        a.flags.writeable = False
-    return census
+    return _triple_census(enumerate_orbit().projectors[16 * (label - 1) : 16 * label], gap)
 
 
 def triple_trace_census(label: int = 1, gap: float = TRIPLE_CENSUS_GAP) -> list:
@@ -571,7 +558,6 @@ def label_action(extended: bool = False) -> tuple:
     return perms, census, bool(np.all(actions >= 0)), len(first_distinct_rows(actions)), int(fixing.sum()), columns
 
 
-@lru_cache(maxsize=None)
 def label_permutation_group(extended: bool = False) -> tuple:
     """The distinct label permutations induced by the (extended) Clifford
     group, as a sorted tuple of 16-tuples of 0-based image labels."""

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import COMMUTATOR_TOL, canonical_phase, commutator_phase, projectively_distinct, rank1_kets
+from .numerics import COMMUTATOR_TOL, cached_table, canonical_phase, commutator_phase, projectively_distinct, rank1_kets
 from .orbits import ket_permutations, sic_symmetries, sylow_two_subgroup
 from .weyl_heisenberg import CONSTANTS, shift_clock_products
 
@@ -112,13 +111,11 @@ def _qualifying(m: np.ndarray) -> np.ndarray:
     return ok
 
 
-@lru_cache(maxsize=None)
+@cached_table
 def _quad_index() -> np.ndarray:
     """The 1820 4-subsets of 16 states as a read-only (1820, 4) index array,
     in itertools.combinations order."""
-    quads = np.array(list(itertools.combinations(range(16), 4)))
-    quads.flags.writeable = False
-    return quads
+    return np.array(list(itertools.combinations(range(16), 4)))
 
 
 # the 256 ways to pick one state from each of four clock orbits, by position

@@ -11,7 +11,6 @@ four states from each SIC of one row of the label grid, at cross-fidelity
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .clifford import (
     to_operator,
 )
 from .numerics import COMMUTATOR_TOL, DEFAULT_TOL, commutator_phase, is_unitary, match_projective, proj_equal
-from .numerics import projective_set_equal
+from .numerics import cached_table, projective_set_equal
 from .orbits import FiducialOrbit, element_product, enumerate_orbit, fiducial_projector, first_distinct_rows
 from .orbits import normal_subgroups, orbit_certificate, pair_action, state_permutations
 from .weyl_heisenberg import SicReport, displacement_table, shift_clock_products, verify_sic
@@ -57,7 +56,7 @@ def regrouped_family() -> np.ndarray:
     return matching
 
 
-@lru_cache(maxsize=None)
+@cached_table
 def sic_family(tol: float = DEFAULT_TOL) -> tuple:
     """(members, report) of the 32 SICs of the enumerated orbit.  members is
     a read-only int (32, 16) array of sorted orbit indices, row n - 1 the
@@ -71,10 +70,7 @@ def sic_family(tol: float = DEFAULT_TOL) -> tuple:
     orbit_half = orbit_certificate(tol)
     regrouped_half = verify_sic(orbit.projectors[regrouped], 4, tol)
     members = np.concatenate([np.arange(256).reshape(16, 16), regrouped])
-    report = SicReport(*map(np.concatenate, zip(vars(orbit_half).values(), vars(regrouped_half).values())))
-    for a in (members, *vars(report).values()):
-        a.flags.writeable = False
-    return members, report
+    return members, SicReport(*map(np.concatenate, zip(vars(orbit_half).values(), vars(regrouped_half).values())))
 
 
 def fidelity_adjacency(orbit: FiducialOrbit, vertices) -> np.ndarray:
@@ -86,13 +82,11 @@ def fidelity_adjacency(orbit: FiducialOrbit, vertices) -> np.ndarray:
     return upper | upper.T
 
 
-@lru_cache(maxsize=1)
+@cached_table
 def fidelity_graph() -> np.ndarray:
     """fidelity_adjacency of all 256 orbit states, built once and read-only,
     for the full clique scan and the regularity claim."""
-    adj = fidelity_adjacency(enumerate_orbit(), range(256))
-    adj.flags.writeable = False
-    return adj
+    return fidelity_adjacency(enumerate_orbit(), range(256))
 
 
 def _cliques(adj: np.ndarray, k: int) -> list:
@@ -191,22 +185,19 @@ EQUIVALENCE_MATRIX = 0.5 * np.array(
 )
 
 
-@lru_cache(maxsize=1)
 def dprime_literals_match() -> bool:
     """Whether the literal D' generators equal their symplectic-pair
-    parametrization projectively; decided once per process."""
+    parametrization projectively."""
     pairs = ((X_PRIME_PAIR, X_PRIME_MATRIX), (Z_PRIME_PAIR, Z_PRIME_MATRIX))
     return all(proj_equal(to_operator(pair).matrix, literal) for pair, literal in pairs)
 
 
-@lru_cache(maxsize=1)
+@cached_table
 def dprime_elements() -> np.ndarray:
     """The 16 projective elements of the conjugate displacement group, read-only:
     the products of the literal generators X_PRIME_MATRIX and Z_PRIME_MATRIX,
     which dprime_literals_match checks against their parametrization."""
-    elements = shift_clock_products(X_PRIME_MATRIX, Z_PRIME_MATRIX)
-    elements.flags.writeable = False
-    return elements
+    return shift_clock_products(X_PRIME_MATRIX, Z_PRIME_MATRIX)
 
 
 def covariance_group(elements):
@@ -282,7 +273,6 @@ CLIFFORD_GENERATORS = tuple(
 )
 
 
-@lru_cache(maxsize=1)
 def _quotient() -> tuple:
     """(coset names, name -> index) of the 768 unitary cosets."""
     names = _coset_names(4)

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, match_projective, rank1_kets, value_class_rows, value_classes
+from .numerics import DEFAULT_TOL, cached_table, match_projective, rank1_kets, value_class_rows, value_classes
 from .weyl_heisenberg import CONSTANTS, _upper_pairs, displacement_table
 
 _SQRT2 = math.sqrt(2.0)
@@ -155,20 +154,18 @@ def _table_vector(basis: str, class_id: int, signs) -> np.ndarray:
     return np.stack([*r, *s, *itertools.chain(*c)], axis=-1)
 
 
-@lru_cache(maxsize=8)
 def _pattern_table(basis: str, class_id: int, constraint: int):
-    """(GBV vectors (128, 15), read-only signs (8, 128)) of the assignments
-    with the given constraint value, in itertools.product order."""
+    """(GBV vectors (128, 15), signs (8, 128)) of the assignments with the
+    given constraint value, in itertools.product order."""
     signs = _SIGNS[:, _constraint(basis, class_id, _SIGNS) == constraint]
-    signs.flags.writeable = False
     return _table_vector(basis, class_id, signs), signs
 
 
-@lru_cache(maxsize=2)
+@cached_table
 def sign_pattern_table(basis: str = "product") -> tuple:
     """The 256 constraint-satisfying sign assignments of a basis, class 1
-    first: (GBV vectors (256, 15), and a read-only int (256, 12) array whose
-    rows are the class id, the eight signs and h1, h2, h3)."""
+    first, read-only: (GBV vectors (256, 15), and an int (256, 12) array
+    whose rows are the class id, the eight signs and h1, h2, h3)."""
     tables = [_pattern_table(basis, class_id, 1) for class_id in (1, 2)]
     columns = np.concatenate(
         [
@@ -176,7 +173,6 @@ def sign_pattern_table(basis: str = "product") -> tuple:
             for class_id, (_, signs) in zip((1, 2), tables)
         ]
     )
-    columns.flags.writeable = False
     return np.concatenate([vectors for vectors, _ in tables]), columns
 
 
@@ -387,7 +383,7 @@ def cube_census(g: Gbv) -> tuple:
 
 def violating_signs() -> np.ndarray:
     """The 128 product-basis class-1 sign assignments excluded by the
-    constraint, as the columns of a read-only (8, 128) int array; each
+    constraint, as the columns of an (8, 128) int array; each
     encodes a non-positive simplex operator."""
     return _pattern_table("product", 1, -1)[1]
 

@@ -12,12 +12,11 @@ d^2 displacements, subnormalized by 1/d.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, _Record
+from .numerics import DEFAULT_TOL, _Record, cached_table
 
 
 def omega(d: int) -> complex:
@@ -46,7 +45,7 @@ def displacement(p1, p2, d: int) -> np.ndarray:
     return sign[..., None, None] * displacement_table(d)[r1, r2]
 
 
-@lru_cache(maxsize=None)
+@cached_table
 def displacement_table(d: int) -> np.ndarray:
     """All d^2 displacements D_(a,b) = tau^(a b) X^a Z^b, 0 <= a, b < d, as a
     read-only array indexed by [a, b]: X the cyclic shift, Z the clock."""
@@ -55,9 +54,7 @@ def displacement_table(d: int) -> np.ndarray:
     x = np.roll(np.eye(d, dtype=complex), 1, axis=0)
     z = np.diag(omega(d) ** np.arange(d))
     a, b = np.indices((d, d))
-    t = (tau(d) ** (a * b % (2 * d)))[..., None, None] * shift_clock_products(x, z).reshape(d, d, d, d)
-    t.flags.writeable = False
-    return t
+    return (tau(d) ** (a * b % (2 * d)))[..., None, None] * shift_clock_products(x, z).reshape(d, d, d, d)
 
 
 def shift_clock_products(x, z) -> np.ndarray:
@@ -208,13 +205,10 @@ class SicReport(_Record):
         self.completeness_deviation = completeness_deviation
 
 
-@lru_cache(maxsize=None)
+@cached_table
 def _upper_pairs(n: int) -> tuple:
     """np.triu_indices(n, 1): the index pairs j < k of an n x n matrix."""
-    pairs = np.triu_indices(n, 1)
-    for a in pairs:
-        a.flags.writeable = False
-    return pairs
+    return np.triu_indices(n, 1)
 
 
 def verify_sic(states, d: int, tol: float = DEFAULT_TOL) -> SicReport:

@@ -46,7 +46,7 @@ def test_usage_error_exits_2():
         main([])
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1", "abc"])
 def test_invalid_tolerance_exits_2(tol, capsys):
     with pytest.raises(SystemExit) as e:
         main(["triples", "--tol", tol])
@@ -359,6 +359,28 @@ def test_cached_arrays_are_read_only(capsys):
     assert "FAIL" not in capsys.readouterr().out
 
 
+def test_sign_pattern_and_gauss_tables_are_read_only():
+    from sic4.clifford import _gauss_tables
+    from sic4.two_qubit import sign_pattern_table
+
+    arrays = [a for basis in ("product", "bell") for a in sign_pattern_table(basis)] + list(_gauss_tables(4)[1:])
+    assert len(arrays) == 9
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = a[1]
+
+
+def test_symmetry_tsv_lists_the_label_permutations(capsys):
+    from sic4.orbits import label_action
+
+    assert main(["symmetry", "--format", "tsv"]) == 0
+    table = capsys.readouterr().out.split("\n\n")[1].splitlines()
+    assert table[0].split("\t") == ["sic%d" % n for n in range(1, 17)]
+    rows = [[int(x) for x in line.split("\t")] for line in table[1:]]
+    assert len(rows) == 48 and all(sorted(row) == list(range(1, 17)) for row in rows)
+    assert rows == (label_action()[0] + 1).tolist()
+
+
 def _clear_family_caches():
     import sic4.orbits
     import sic4.regrouping
@@ -635,7 +657,6 @@ def test_a_wrong_dprime_literal_fails_named_claims(monkeypatch, tmp_path, capsys
 
     def clear():
         sic4.regrouping.dprime_elements.cache_clear()
-        sic4.regrouping.dprime_literals_match.cache_clear()
 
     monkeypatch.setattr(sic4.regrouping, "Z_PRIME_MATRIX", displacement(1, 0, 4))
     clear()
@@ -918,31 +939,20 @@ def test_passing_all_does_not_import_dataclasses(tmp_path):
 
 
 def test_cli_imports_build_no_tables():
-    # the lru-cached tables are built on first use, never at import
-    caches = (
-        "sic4.cli._make_parser",
-        "sic4.clifford.enumerate_projective_clifford",
-        "sic4.orbits.enumerate_orbit",
-        "sic4.orbits._element_of",
-        "sic4.orbits.orbit_action",
-        "sic4.reconstruction._quad_index",
-        "sic4.regrouping.dprime_elements",
-        "sic4.regrouping.dprime_literals_match",
-        "sic4.orbits.orbit_certificate",
-        "sic4.regrouping.sic_family",
-    )
+    # the cached tables, every object with cache_info in a loaded sic4
+    # module, are built on first use, never at import
     code = "; ".join(
         [
             _perfbench_cli_imports(),
             "import sys",
-            "sizes = {c: eval(c).cache_info().currsize for c in sys.argv[1:]}",
-            "assert not any(sizes.values()), sizes",
+            "mods = [m for name, m in list(sys.modules.items()) if name.startswith('sic4.')]",
+            "fns = [f for m in mods for f in vars(m).values() if hasattr(f, 'cache_info')]",
+            "sizes = {f.__module__ + '.' + f.__name__: f.cache_info().currsize for f in fns}",
+            "assert len(sizes) >= 17 and not any(sizes.values()), sizes",
         ]
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *caches], env=env, capture_output=True, text=True, timeout=120
-    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -1,6 +1,9 @@
+import ast
 import json
 import math
 import tracemalloc
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -12,6 +15,8 @@ from sic4.clifford import enumerate_projective_clifford
 from sic4.numerics import (
     MATCH_TOL,
     GroupElement,
+    _Record,
+    cached_table,
     canonical_phase,
     commutator_phase,
     conjugate,
@@ -32,6 +37,7 @@ from sic4.two_qubit import Gbv, _table_vector, from_gbv, partial_transpose, viol
 from sic4.weyl_heisenberg import displacement_table
 
 RNG = np.random.default_rng(7)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def random_unitary(d):
@@ -487,3 +493,59 @@ def test_stacked_rows_equal_one_row_splits():
         value_class_rows(rows[:2], gap, strict=True)
     with pytest.raises(ValueError, match="not finite"):
         value_class_rows(rows[::2], gap, strict=True)
+
+
+class _Pair(NamedTuple):
+    left: np.ndarray
+    right: np.ndarray
+
+
+class _Fields(_Record):
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+
+def test_cached_table_freezes_every_array_of_its_result_once():
+    calls = []
+
+    def builder(kind):
+        calls.append(kind)
+        if kind == "fails":
+            raise ValueError("no table")
+        a, b = np.arange(3), np.ones((2, 2))
+        results = {"array": a, "tuple": (a, (b, 7)), "named": _Pair(a, b), "record": (_Fields(a, "x"), _Fields(b, a))}
+        return results[kind]
+
+    table = cached_table(builder)
+    nested = {
+        "array": lambda t: [t],
+        "tuple": lambda t: [t[0], t[1][0]],
+        "named": lambda t: [t.left, t.right],
+        "record": lambda t: [t[0].a, t[1].a, t[1].b],
+    }
+    built = {kind: table(kind) for kind in nested}
+    for kind, arrays in nested.items():
+        for a in arrays(built[kind]):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = a[-1]
+        assert table(kind) is built[kind] and calls.count(kind) == 1
+    table.cache_clear()
+    assert table("array") is not built["array"] and calls.count("array") == 2
+    for _ in range(2):
+        with pytest.raises(ValueError, match="no table"):
+            table("fails")
+    assert calls.count("fails") == 2 and table.cache_info().currsize == 1
+    fresh = table.__wrapped__("array")  # past the cache, still frozen
+    assert fresh is not table("array") and not fresh.flags.writeable and calls.count("array") == 3
+
+
+def test_lru_cache_appears_only_inside_cached_table():
+    for path in sorted((ROOT / "src" / "sic4").glob("*.py")):
+        source = path.read_text()
+        lines = {i for i, line in enumerate(source.splitlines(), 1) if "lru_cache" in line}
+        if path.name == "numerics.py":
+            (node,) = [n for n in ast.parse(source).body if getattr(n, "name", None) == "cached_table"]
+            assert lines and lines <= set(range(node.lineno, node.end_lineno + 1))
+        else:
+            assert not lines, path.name

@@ -685,7 +685,7 @@ def test_conjugation_cycle_builds_one_operator_and_matches_per_step_form(monkeyp
 
 @pytest.mark.parametrize("extended", [False, True])
 def test_label_permutation_group_matches_dict_loop(extended):
-    new = label_permutation_group.__wrapped__(extended)
+    new = label_permutation_group(extended)
     old = label_permutation_group_by_dict(extended)
     assert new == tuple(sorted(old))
     assert all(type(x) is int for key in new for x in key)
