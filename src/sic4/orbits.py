@@ -30,8 +30,7 @@ from .clifford import (
     semidirect_product,
     to_operator,
 )
-from .numerics import DEFAULT_TOL, MATCH_TOL, is_unitary, match_projective, rank1_kets, value_class_rows
-from .numerics import cached_table, value_classes
+from .numerics import DEFAULT_TOL, MATCH_TOL, cached_table, is_unitary, match_projective, rank1_kets
 from .weyl_heisenberg import SicReport, displacement_table, fiducial_ket_d4, verify_sic
 
 # symplectic sources of the 16 SIC labels, det = +1 mod 8
@@ -283,105 +282,95 @@ def _distinct_triples(states):
     order, and the (n, n, n) mask selecting them: G[a, b] G[b, c] G[c, a]."""
     kets = rank1_kets(states)
     gram = kets.conj() @ np.swapaxes(kets, -1, -2)
-    t = gram[..., :, :, None] * gram[..., None, :, :] * np.swapaxes(gram, -1, -2)[..., :, None, :]
-    a, b, c = np.indices(t.shape[-3:])
+    a, b, c = np.indices(gram.shape[-1:] * 3)
     mask = (a != b) & (b != c) & (a != c)
-    return t[..., mask], mask
+    a, b, c = a[mask], b[mask], c[mask]
+    return gram[..., a, b] * gram[..., b, c] * gram[..., c, a], mask
 
 
-# triple traces are one value when they split into classes at
-# TRIPLE_CENSUS_GAP (numerics.value_classes); in each SIC a value spreads
-# over 5.4e-16 and two values lie 8.5e-3 apart
+# a SIC's triple traces split on the orbits (_triple_orbits) when 2 spread
+# <= TRIPLE_CENSUS_GAP < separation, as in numerics.value_classes; in each
+# SIC an orbit spreads over 5.4e-16 and two orbits lie 8.5e-3 apart
 TRIPLE_CENSUS_GAP = 1e-6
 
 
-def _triple_census(states, gap: float = TRIPLE_CENSUS_GAP):
-    """The triple traces of a state list split into classes at gap: the
-    centers and counts of the classes in census order, by real part, then
-    (a conjugate pair) by imaginary part; and the (n, n, n) tensor of the
-    census class of each ordered triple of distinct states, -1 elsewhere;
-    for an (S, n, d, d) stack, the S censuses.  ValueError unless all split
-    into K classes."""
-    vals, mask = _distinct_triples(states)
-    splits = value_class_rows(vals.reshape(-1, mask.sum()), gap, strict=True)
-    centers = np.stack([split.centers for split in splits])  # ValueError for unlike numbers of classes
-    real = value_class_rows(centers.real, gap, strict=True)
-    order = np.lexsort((centers.imag, np.stack([r.centers[r.classes] for r in real])), axis=-1)
-    ids = np.full((len(splits),) + mask.shape, -1)
-    ids[:, mask] = np.take_along_axis(np.argsort(order, axis=1), np.stack([split.classes for split in splits]), axis=1)
-    censuses = [(c[o], split.counts[o], i) for c, o, split, i in zip(centers, order, splits, ids)]
-    return censuses[0] if np.ndim(states) == 3 else censuses
+def _triple_orbits() -> tuple:
+    """The orbits of the ordered triples of distinct SIC 1 states, in
+    _distinct_triples' order and numbered by least code 256 a + 16 b + c,
+    under the cyclic shift and SIC 1's extended symmetries, generated by
+    FIDUCIAL_STABILIZER and the displacements X and Z (exact pair_action
+    rows): g sends (a, b, c) to (g a, g b, g c), or to (g c, g b, g a) when
+    antiunitary, as it then conjugates the trace.  Also the orbit of each
+    orbit's reversed triples, whose traces are the conjugates."""
+    gens = (FIDUCIAL_STABILIZER, SymplecticPair((1, 0, 0, 1), (1, 0), 4), SymplecticPair((1, 0, 0, 1), (0, 1), 4))
+    image = pair_action([g.F for g in gens], [g.chi for g in gens])[:, :16]
+    a, b, c = np.indices((16, 16, 16)).reshape(3, -1)
+    moves = [256 * b + 16 * c + a]  # the cyclic shift
+    for g, x in zip(image, gens):
+        ga, gb, gc = (g[c], g[b], g[a]) if x.antiunitary else (g[a], g[b], g[c])
+        moves.append(256 * ga + 16 * gb + gc)
+    least, last = np.arange(4096), None  # each code's least code on its orbit, at the fixed point
+    while not np.array_equal(least, last):
+        last = least
+        for move in moves:
+            least = np.minimum(least, least[move])
+    keys, ids = np.unique(least[(a != b) & (b != c) & (a != c)], return_inverse=True)
+    return ids, np.searchsorted(keys, least[keys % 16 * 256 + keys // 16 % 16 * 16 + keys // 256])
 
 
 @cached_table
-def _sic_triple_census(label: int, gap: float) -> tuple:
-    """_triple_census of orbit SIC label, as read-only arrays, once per
-    (label, gap); ValueError, not cached, when it cannot split."""
-    return _triple_census(enumerate_orbit().projectors[16 * (label - 1) : 16 * label], gap)
+def _triple_censuses(gap: float) -> tuple:
+    """The triple census of all 16 SICs at gap on SIC 1's orbits, SIC n's
+    states lined up with SIC 1's by the exact label map of V_n: the (16, K)
+    orbit means, each summed in value order; the (K,) orbit sizes; the
+    (16, 16, 16) orbit of each triple of distinct SIC 1 states, -1
+    elsewhere; each orbit's conjugate orbit; and whether each row splits,
+    2 spread <= gap < separation.  Orbits are in census order, set on SIC
+    1 by (Re c_k + Re c_conj(k)) / 2, equal for a conjugate pair, then Im."""
+    ids, conj = _triple_orbits()
+    image = pair_action([pair.F for pair in SIC_LABELING], np.zeros((16, 2), dtype=int))[:, :16]
+    vals, mask = _distinct_triples(enumerate_orbit().projectors[image])  # (16, 3360), row 0 is SIC 1
+    k, counts = len(conj), np.bincount(ids)
+    key = (ids + k * np.arange(16)[:, None]).ravel()  # one bincount sums every row's orbits
+    centers = (np.bincount(key, vals.real.ravel()) + 1j * np.bincount(key, vals.imag.ravel())).reshape(16, k) / counts
+    spread = np.abs(vals - centers[:, ids]).max(axis=1)
+    apart = np.abs(centers[:, :, None] - centers[:, None, :]) + np.diag(np.full(k, np.inf))
+    split = (2 * spread <= gap) & (gap < apart.min(axis=(1, 2)))
+    order = np.lexsort((centers[0].imag, (centers[0].real + centers[0, conj].real) / 2))
+    rank = np.argsort(order)
+    census = np.full(mask.shape, -1)
+    census[mask] = rank[ids]
+    return centers[:, order], counts[order], census, rank[conj[order]], split
 
 
 def triple_trace_census(label: int = 1, gap: float = TRIPLE_CENSUS_GAP) -> list:
     """The values of tr(r1 r2 r3) over ordered triples of distinct states
-    of one SIC, as (value, multiplicity) pairs in census order."""
-    centers, counts, _ = _sic_triple_census(label, gap)
-    return list(zip(centers.tolist(), counts.tolist()))
-
-
-def _carried_triple_census() -> tuple:
-    """SIC 1's triple census carried to SICs 2-16 by the exact label map
-    (pair_action) of V_n, which sends SIC 1 onto SIC n keeping each trace:
-    the (15, 16, 4, 4) states of SICs 2-16, state k of row n - 2 the image
-    of SIC 1's state k; the (15, K) centers of their traces in SIC 1's
-    census classes; and whether 8 spread <= gap < separation holds in each
-    row, gap = TRIPLE_CENSUS_GAP.  Then members lie within gap / 4 of each
-    other and others beyond 3 gap / 4, so a row's own split has these
-    classes.  ValueError when SIC 1's census cannot split."""
-    _, counts, ids = _sic_triple_census(1, TRIPLE_CENSUS_GAP)
-    image = pair_action([pair.F for pair in SIC_LABELING], np.zeros((16, 2), dtype=int))[1:, :16]
-    states = enumerate_orbit().projectors[image]
-    vals, mask = _distinct_triples(states)  # (15, 3360), lined up with SIC 1's triples
-    classes, k = ids[mask], len(counts)
-    member = (classes[:, None] == np.arange(k)).astype(float)  # (3360, K): the class sums in one product
-    centers = (vals.real @ member + 1j * (vals.imag @ member)) / counts
-    spread = np.abs(vals - centers[:, classes]).max(axis=1)
-    apart = np.abs(centers[:, :, None] - centers[:, None, :]) + np.diag(np.full(k, np.inf))
-    return states, centers, (8 * spread <= TRIPLE_CENSUS_GAP) & (TRIPLE_CENSUS_GAP < apart.min(axis=(1, 2)))
+    of one SIC, as (value, multiplicity) pairs in census order; ValueError
+    when that SIC's traces do not split on the orbits at gap."""
+    centers, counts, _, _, split = _triple_censuses(gap)
+    if not (1 <= label <= 16 and split[label - 1]):
+        raise ValueError("SIC %r has no triple census split on its orbits at gap %.3g" % (label, gap))
+    return list(zip(centers[label - 1].tolist(), counts.tolist()))
 
 
 def triple_census_report(tol: float = DEFAULT_TOL) -> tuple:
     """SIC 1's triple-trace census and its facts at TRIPLE_CENSUS_GAP, as
     six values: triple_trace_census(1); its multiplicities; the number of
-    real values, whose conjugate falls into their own class; the number of
-    conjugate pairs, two values whose conjugates fall into each other's
-    class; the largest ||value| - 5^(-3/2)|; and whether SICs 2-16 have
-    SIC 1's counts with their k-th centers within tol of SIC 1's.  Those
-    SICs take SIC 1's classes (_carried_triple_census); a row not clear of
-    the gap splits its own traces.  The centers lead their conjugates in
-    one value_classes call, so they are classes 0..n-1.  A census that
-    cannot split reads [] and leaves the facts that read it None, and the
-    cross-SIC verdict False."""
-    census, counts, real, pairs, modulus_dev, same = [], None, None, None, None, False
+    real values, orbits holding their own reversed triples; the number of
+    conjugate pairs, two orbits holding each other's reversed triples; the
+    largest ||value| - 5^(-3/2)|; and whether SICs 2-16 split and their
+    k-th centers lie within tol of SIC 1's.  A census that cannot split
+    reads [] and leaves the facts that read it None, and the cross-SIC
+    verdict False."""
     try:
         census = triple_trace_census(1)
-        centers, counts, n = np.array([c for c, _ in census]), [m for _, m in census], len(census)
-        modulus_dev = np.max(np.abs(np.abs(centers) - 5**-1.5))
-        conj = value_classes(np.concatenate([centers, centers.conj()]), TRIPLE_CENSUS_GAP).classes[n:]
-        real = int(np.sum(conj == np.arange(n)))
-        pairs = int(np.sum((np.arange(n) < conj) & (conj < n)))
     except ValueError:
-        pass
-    if census:
-        try:
-            states, others, clear = _carried_triple_census()
-            others, counted = others[clear], True
-            if not clear.all():
-                own = _triple_census(states[~clear])
-                counted = np.all(np.stack([m for _, m, _ in own]) == counts)
-                others = np.concatenate([others, np.stack([c for c, _, _ in own])])
-            same = bool(counted and np.max(np.abs(others - centers)) <= tol)
-        except ValueError:  # a SIC whose traces split into no classes has no census like SIC 1's
-            pass
-    return census, counts, real, pairs, modulus_dev, same
+        return [], None, None, None, None, False
+    centers, counts, _, conj, split = _triple_censuses(TRIPLE_CENSUS_GAP)
+    orbit = np.arange(len(conj))
+    modulus_dev = np.max(np.abs(np.abs(centers[0]) - 5**-1.5))
+    same = bool(split.all() and np.max(np.abs(centers - centers[0])) <= tol)
+    return census, counts.tolist(), int(np.sum(conj == orbit)), int(np.sum(orbit < conj)), modulus_dev, same
 
 
 def triple_family_deviations() -> tuple:
@@ -478,17 +467,19 @@ def sic_symmetries(indices, *, extended: bool) -> np.ndarray:
     return np.column_stack([row[keep], element[keep]])
 
 
-def rigid_permutations(label: int = 1, limit: int = 10):
-    """Permutations of a SIC's states fixing the fiducial and preserving all
+def rigid_permutations(limit: int = 10):
+    """Permutations of SIC 1's states fixing the fiducial and preserving all
     triple traces, the first ``limit`` in lexicographic order.
 
     Used to certify that nothing beyond the unitary stabilizer survives the
     full set of triple invariants.  All partial assignments of states 0..k
     are extended at once, level by level; one survives when every triple of
-    distinct states containing k keeps its census cluster.  ValueError when
-    the SIC's triple traces split into no classes.
+    distinct states containing k keeps its census orbit.  ValueError when
+    SIC 1's triple traces do not split on their orbits.
     """
-    ids = _sic_triple_census(label, TRIPLE_CENSUS_GAP)[2]
+    _, _, ids, _, split = _triple_censuses(TRIPLE_CENSUS_GAP)
+    if not split[0]:
+        raise ValueError("the triple traces of SIC 1 do not split on their orbits")
     n = len(ids)
     tri = np.indices(ids.shape).reshape(3, -1)
     tri = tri[:, (tri[0] != tri[1]) & (tri[1] != tri[2]) & (tri[0] != tri[2])]
@@ -525,8 +516,8 @@ def verify_symmetry_group_in_clifford() -> SymmetryReport:
     unique16 = unique16 and normal_subgroups(sub[None], unitary)[0] and np.array_equal(sub, np.arange(128, 144))
 
     try:
-        rigid = len(rigid_permutations(1, limit=10))
-    except ValueError:  # SIC 1's triple traces split into no classes, so no permutation is certified
+        rigid = len(rigid_permutations(limit=10))
+    except ValueError:  # SIC 1's triple traces do not split, so no permutation is certified
         rigid = None
     return SymmetryReport(
         extended_order=len(sym),

@@ -44,6 +44,7 @@ from sic4.orbits import (
     orbit_action,
     pair_action,
     permutation_orders,
+    sic_symmetries,
 )
 from sic4.reconstruction import _matches_reference, _quad_index, signature_values, signatures
 from sic4.regrouping import dprime_pairs, fidelity_adjacency
@@ -329,6 +330,24 @@ def cluster_complex(values, gap: float = 1e-6):
     order = np.lexsort((np.round(centers.imag, 9), np.round(centers.real, 9)))
     ids = np.argsort(order)[member_of]
     return list(zip(centers[order].tolist(), counts[order].tolist())), ids
+
+
+def triple_orbits_by_all_symmetries() -> np.ndarray:
+    """The least code 256 a + 16 b + c on the orbit of each ordered triple
+    of distinct SIC 1 states, in lexicographic order: the images of every
+    triple under all 96 rows of sic_symmetries times the 3 cyclic shifts,
+    an antiunitary row reversing the image triple, with no generators."""
+    sym = sic_symmetries(np.arange(16)[None], extended=True)[:, 1]
+    g = orbit_action()[sym, :16].astype(int)
+    anti = enumerate_projective_clifford(4, extended=True).anti[sym][:, None]
+    a, b, c = np.indices((16, 16, 16)).reshape(3, -1)
+    distinct = (a != b) & (b != c) & (a != c)
+    least = np.full(np.count_nonzero(distinct), 4096)
+    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+        gx, gy, gz = g[:, x[distinct]], g[:, y[distinct]], g[:, z[distinct]]
+        codes = 256 * np.where(anti, gz, gx) + 16 * gy + np.where(anti, gx, gz)
+        least = np.minimum(least, codes.min(axis=0))
+    return least
 
 
 def concurrence_census(states, basis: str = "product", decimals: int = 9) -> dict:

@@ -386,7 +386,7 @@ def _clear_family_caches():
     import sic4.regrouping
 
     sic4.orbits.orbit_certificate.cache_clear()
-    sic4.orbits._sic_triple_census.cache_clear()
+    sic4.orbits._triple_censuses.cache_clear()
     sic4.regrouping.sic_family.cache_clear()
     sic4.regrouping.fidelity_graph.cache_clear()
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sic4.clifford import conjugation_action, enumerate_projective_clifford, to_operator
-from sic4.numerics import DEFAULT_TOL, MATCH_TOL, conjugate, proj_equal, value_classes
+from sic4.numerics import DEFAULT_TOL, MATCH_TOL, conjugate, proj_equal
 from sic4.orbits import (
     FIDUCIAL_STABILIZER,
     LABEL_GRID,
@@ -14,11 +14,10 @@ from sic4.orbits import (
     STABILIZER_ORBIT_SETS,
     TRIPLE_CENSUS_GAP,
     FiducialOrbit,
-    _carried_triple_census,
     _distinct_triples,
     _element_of,
-    _sic_triple_census,
-    _triple_census,
+    _triple_censuses,
+    _triple_orbits,
     conjugation_cycle,
     element_product,
     enumerate_orbit,
@@ -54,6 +53,7 @@ from oracles import (
     sic_states,
     state_action,
     state_permutations_by_action,
+    triple_orbits_by_all_symmetries,
 )
 
 # triple-trace clusters of one SIC, sorted by (re, im); all on the circle
@@ -328,7 +328,7 @@ def test_triple_census_matches_python_round_clustering():
         assert max(abs(c - m) for (c, _), m in zip(new, means)) <= 1e-15
         if label == 1:
             centers = np.array([c for c, _ in old])
-            ids = _triple_census(s)[2]
+            ids = _triple_censuses(TRIPLE_CENSUS_GAP)[2]
             for a, b, c in itertools.product(range(16), repeat=3):
                 if a != b and b != c and a != c:
                     assert ids[a, b, c] == np.argmin(np.abs(centers - t[a, b, c]))
@@ -336,16 +336,38 @@ def test_triple_census_matches_python_round_clustering():
                     assert ids[a, b, c] == -1
 
 
-def test_triple_census_classes_equal_cluster_complex():
-    # value_classes against the union-find split it replaced: the same
-    # classes, counts and centers, bit for bit, in census order
-    for label in range(1, 17):
-        vals, mask = _distinct_triples(sic_states(label))
+def _lined_up_states(projectors) -> np.ndarray:
+    """The (16, 16, 4, 4) states of SICs 1-16 among 256 orbit projectors,
+    state k of row n - 1 the image of SIC 1's state k under the label map
+    of V_n."""
+    image = pair_action([pair.F for pair in SIC_LABELING], np.zeros((16, 2), dtype=int))[:, :16]
+    return projectors[image]
+
+
+def test_triple_orbits_equal_the_orbits_of_all_symmetries():
+    # the propagated orbits against the least code over every symmetry and
+    # shift at once; both number orbits by least code
+    from sic4.cli import _CENSUS_MULTIPLICITIES
+
+    ids, conj = _triple_orbits()
+    assert np.array_equal(np.unique(triple_orbits_by_all_symmetries(), return_inverse=True)[1], ids)
+    assert sorted(np.bincount(ids).tolist()) == sorted(_CENSUS_MULTIPLICITIES)
+    # the conjugate orbit holds each triple's reversal
+    codes = np.flatnonzero(_distinct_triples(sic_states(1))[1])
+    reversed_codes = codes % 16 * 256 + codes // 16 % 16 * 16 + codes // 256
+    assert np.array_equal(conj[ids], ids[np.searchsorted(codes, reversed_codes)])
+    # on each SIC, the census on the orbits against the union-find split
+    # of its lined-up traces: the same classes, counts and centers, bit for
+    # bit, in census order
+    centers, counts, census, _, split = _triple_censuses(TRIPLE_CENSUS_GAP)
+    assert split.all()
+    for label, states in enumerate(_lined_up_states(enumerate_orbit().projectors), 1):
+        assert sorted(enumerate_orbit().find(s) for s in states) == list(range(16 * label - 16, 16 * label))
+        vals, mask = _distinct_triples(states)
         old, old_ids = cluster_complex(vals)
-        centers, counts, ids = _triple_census(sic_states(label), TRIPLE_CENSUS_GAP)
         assert counts.tolist() == [n for _, n in old]
-        assert centers.tobytes() == np.array([c for c, _ in old]).tobytes()
-        assert np.array_equal(ids[mask], old_ids) and np.all(ids[~mask] == -1)
+        assert centers[label - 1].tobytes() == np.array([c for c, _ in old]).tobytes()
+        assert np.array_equal(census[mask], old_ids) and np.all(census[~mask] == -1)
         assert triple_trace_census(label) == old
 
 
@@ -459,8 +481,9 @@ def test_sylow_two_subgroup_matches_set_certificate():
 def _rigid_permutations_by_dfs(label=1, limit=10):
     """The backtracking search that the level-by-level rigid_permutations
     replaced: one ok() check per partial assignment."""
-    states = sic_states(label)
-    ids = _triple_census(states)[2]
+    vals, mask = _distinct_triples(sic_states(label))
+    ids = np.full(mask.shape, -1)
+    ids[mask] = cluster_complex(vals)[1]
     n = 16
     perm = [0] + [-1] * (n - 1)
     used = [False] * n
@@ -500,8 +523,8 @@ def _rigid_permutations_by_dfs(label=1, limit=10):
 
 def test_rigid_permutations_match_backtracking():
     for limit in (10, 2):
-        assert rigid_permutations(1, limit) == _rigid_permutations_by_dfs(1, limit)
-    assert len(rigid_permutations(1, 10)) == 3
+        assert rigid_permutations(limit) == _rigid_permutations_by_dfs(1, limit)
+    assert len(rigid_permutations(10)) == 3
 
 
 def test_gram_triples_match_projector_einsum():
@@ -732,47 +755,61 @@ def test_orbit_action_per_symplectic_class_equals_pair_action_of_every_row():
     assert orbit_action().dtype == np.int16 and np.array_equal(orbit_action(), pair_action(group.f, group.chi))
 
 
-def test_carried_triple_censuses_equal_each_sics_own_split():
-    # SICs 2-16 take SIC 1's classes through the exact label map, against
-    # each SIC's unseeded census of its own states
-    states, centers, clear = _carried_triple_census()
-    counts = _triple_census(sic_states(1))[1]
-    assert clear.all() and centers.shape == (15, 17)
-    for label, own, row in zip(range(2, 17), states, centers):
-        assert sorted(enumerate_orbit().find(s) for s in own) == list(range(16 * label - 16, 16 * label))
-        want_centers, want_counts, _ = _triple_census(sic_states(label), TRIPLE_CENSUS_GAP)
-        assert np.array_equal(counts, want_counts) and np.max(np.abs(row - want_centers)) <= 1e-15
-
-
 def _own_census_verdict(projectors, tol: float) -> bool:
-    """The cross-SIC check on each SIC's own census: SICs 2-16 have SIC 1's
-    counts, and their k-th centers lie within tol of SIC 1's."""
-    ref_centers, ref_counts, _ = _triple_census(projectors[:16])
+    """The cross-SIC check on each SIC's own union-find split of its traces
+    (oracles.cluster_complex): SICs 2-16 have SIC 1's counts, and their
+    k-th centers lie within tol of SIC 1's."""
+    ref = cluster_complex(_distinct_triples(projectors[:16])[0])[0]
     for states in projectors[16:].reshape(15, 16, 4, 4):
-        centers, counts, _ = _triple_census(states)
-        if not (np.array_equal(counts, ref_counts) and np.max(np.abs(centers - ref_centers)) <= tol):
+        own = cluster_complex(_distinct_triples(states)[0])[0]
+        if [n for _, n in own] != [n for _, n in ref] or max(abs(a - b) for (a, _), (b, _) in zip(own, ref)) > tol:
             return False
     return True
 
 
-def test_a_sic_not_clear_of_the_gap_splits_its_own_triple_traces(monkeypatch):
-    # state 133 of SIC 9 moved by diag(exp(6e-7 i (1, -1, 0.5, -0.5))):
-    # SIC 9's traces spread 1.35e-7 from their centers, just over gap / 8,
-    # so that row splits its own traces, and the verdict is the one of
-    # every SIC's own census at each tol
+def _plant_in_sic9(monkeypatch, e: float):
+    """Move state 133 of SIC 9 by diag(exp(i e (1, -1, 0.5, -0.5))) in the
+    orbit that sic4.orbits reads, the census cleared: the moved projectors
+    and the largest distance of a SIC 9 trace from its orbit's center."""
     import sic4.orbits
 
     projectors = enumerate_orbit().projectors.copy()
-    u = np.diag(np.exp(6e-7j * np.array([1.0, -1.0, 0.5, -0.5])))
+    u = np.diag(np.exp(e * 1j * np.array([1.0, -1.0, 0.5, -0.5])))
     projectors[133] = u @ projectors[133] @ u.conj().T
     monkeypatch.setattr(sic4.orbits, "enumerate_orbit", lambda: FiducialOrbit(projectors))
-    _sic_triple_census.cache_clear()
+    _triple_censuses.cache_clear()
+    centers, _, census, _, _ = _triple_censuses(TRIPLE_CENSUS_GAP)
+    vals, mask = _distinct_triples(_lined_up_states(projectors)[8])
+    return projectors, np.abs(vals - centers[8, census[mask]]).max()
+
+
+def test_a_sic_within_half_the_gap_keeps_its_triple_census(monkeypatch):
+    # SIC 9's traces spread 1.35e-7 from their orbit centers, within gap / 2,
+    # so SIC 9 reads its census, and the verdict is the one of every SIC's
+    # own split at each tol
     try:
-        spread = value_classes(_distinct_triples(projectors[128:144])[0], TRIPLE_CENSUS_GAP).spread
+        projectors, spread = _plant_in_sic9(monkeypatch, 6e-7)
         assert TRIPLE_CENSUS_GAP / 8 < spread < TRIPLE_CENSUS_GAP / 4
-        assert np.flatnonzero(~_carried_triple_census()[2]).tolist() == [7]  # SIC 9 only
+        assert _triple_censuses(TRIPLE_CENSUS_GAP)[4].all()
         verdicts = [triple_census_report(tol)[5] for tol in (1e-9, 1e-8, 1e-7, 1e-6)]
         assert verdicts == [_own_census_verdict(projectors, tol) for tol in (1e-9, 1e-8, 1e-7, 1e-6)]
         assert True in verdicts and False in verdicts
     finally:
-        _sic_triple_census.cache_clear()
+        _triple_censuses.cache_clear()
+
+
+def test_a_sic_spread_past_half_the_gap_fails_the_cross_sic_check(monkeypatch):
+    # SIC 9's traces spread past gap / 2: SIC 9 alone does not split, the
+    # cross-SIC verdict is False at every tol, and SIC 1's facts stand
+    facts = triple_census_report()[:5]
+    try:
+        _, spread = _plant_in_sic9(monkeypatch, 3e-6)
+        assert TRIPLE_CENSUS_GAP / 2 < spread < TRIPLE_CENSUS_GAP
+        assert np.flatnonzero(~_triple_censuses(TRIPLE_CENSUS_GAP)[4]).tolist() == [8]  # SIC 9 only
+        for tol in (1e-9, 1e-6, 1.0):
+            report = triple_census_report(tol)
+            assert report[:5] == facts and report[5] is False
+        with pytest.raises(ValueError):
+            triple_trace_census(9)
+    finally:
+        _triple_censuses.cache_clear()
