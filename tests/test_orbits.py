@@ -356,19 +356,34 @@ def test_triple_orbits_equal_the_orbits_of_all_symmetries():
     codes = np.flatnonzero(_distinct_triples(sic_states(1))[1])
     reversed_codes = codes % 16 * 256 + codes // 16 % 16 * 16 + codes // 256
     assert np.array_equal(conj[ids], ids[np.searchsorted(codes, reversed_codes)])
+
+
+def test_triple_census_classes_equal_cluster_complex():
     # on each SIC, the census on the orbits against the union-find split
     # of its lined-up traces: the same classes, counts and centers, bit for
     # bit, in census order
     centers, counts, census, _, split = _triple_censuses(TRIPLE_CENSUS_GAP)
     assert split.all()
     for label, states in enumerate(_lined_up_states(enumerate_orbit().projectors), 1):
-        assert sorted(enumerate_orbit().find(s) for s in states) == list(range(16 * label - 16, 16 * label))
         vals, mask = _distinct_triples(states)
         old, old_ids = cluster_complex(vals)
         assert counts.tolist() == [n for _, n in old]
         assert centers[label - 1].tobytes() == np.array([c for c, _ in old]).tobytes()
         assert np.array_equal(census[mask], old_ids) and np.all(census[~mask] == -1)
         assert triple_trace_census(label) == old
+
+
+def test_carried_triple_censuses_equal_each_sics_own_split():
+    # SICs 2-16 take SIC 1's orbits through the exact label map, against
+    # each SIC's union-find split of its own states in their own order
+    centers, counts, _, _, split = _triple_censuses(TRIPLE_CENSUS_GAP)
+    assert split.all() and centers.shape == (16, 17)
+    lined_up = _lined_up_states(enumerate_orbit().projectors)
+    for label, own, row in zip(range(2, 17), lined_up[1:], centers[1:]):
+        assert sorted(enumerate_orbit().find(s) for s in own) == list(range(16 * label - 16, 16 * label))
+        want = cluster_complex(_distinct_triples(sic_states(label))[0])[0]
+        assert counts.tolist() == [n for _, n in want]
+        assert np.max(np.abs(row - np.array([c for c, _ in want]))) <= 1e-15
 
 
 def _superoperator_state_action(mats, anti, states, targets, block=64):
