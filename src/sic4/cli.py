@@ -8,18 +8,19 @@ at least one failed, 2 means the invocation itself was invalid.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import gc
 import json
 import math
 import os
+import re
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, cached_table
+from .numerics import DEFAULT_TOL
 
 _SUBCOMMANDS = ("orbit", "symmetry", "triples", "reconstruct", "regroup", "twoqubit", "all")
 
@@ -332,7 +333,7 @@ def run_reconstruct_input(cfg, claims: Claims):
 
 
 def run_regroup(cfg, claims: Claims):
-    from .clifford import coset
+    from .clifford import SymplecticPair, coset_names
     from .numerics import matrix_to_json
     from .orbits import enumerate_orbit
     from .regrouping import (
@@ -344,7 +345,6 @@ def run_regroup(cfg, claims: Claims):
         carried_sics,
         clifford_index_two,
         covariance_group,
-        displacement_coset,
         double_cover,
         dprime_literals_match,
         dprime_pairs,
@@ -411,13 +411,12 @@ def run_regroup(cfg, claims: Claims):
     total, normal, _, normal_sets = hw_conjugate_subgroup_census()
     claims.add("regroup.census_total", "displacement-type subgroups of the Clifford group", 32, total)
     claims.add("regroup.census_normal", "normal displacement-type subgroups", 2, normal)
-    dbar = frozenset(displacement_coset(p1, p2) for p1 in range(4) for p2 in range(4))
-    dbar_prime = frozenset(map(coset, dprime_pairs()))
+    names = coset_names([SymplecticPair((1, 0, 0, 1), p, 4) for p in np.ndindex(4, 4)] + dprime_pairs())  # D, D'
     claims.add(
         "regroup.census_normal_identified",
         "the two normal subgroups are the original and conjugate displacement groups",
         True,
-        set(normal_sets) == {dbar, dbar_prime},
+        set(normal_sets) == {frozenset(names[:16]), frozenset(names[16:])},
     )
 
     return lambda: {
@@ -553,42 +552,116 @@ def _render_tsv(report) -> str:
 
 
 def _tolerance(text: str) -> float:
-    """argparse type of --tol: a finite positive float."""
+    """The value of --tol: a finite positive float, else ValueError."""
     try:
         tol = float(text)
     except ValueError:
         tol = math.nan
     if not (math.isfinite(tol) and tol > 0):
-        raise argparse.ArgumentTypeError("expected a finite positive number, got %r" % text)
+        raise ValueError("expected a finite positive number, got %r" % text)
     return tol
 
 
-@cached_table
-def _make_parser() -> argparse.ArgumentParser:
-    """The sic4 parser, built on the first main() call and reused after it:
-    parse_args leaves a parser unchanged."""
-    parser = argparse.ArgumentParser(
-        prog="sic4",
-        description="certify the structure of the dimension-4 covariant SIC-POVM family",
+# each parser's options: option -> (dest, reading of its value: a function,
+# the tuple of choices, or None for a flag); dest None prints the usage
+_TOP = {"-h": (None, None), "--help": (None, None)}
+_COMMON = {**_TOP, "--tol": ("tol", _tolerance), "--format": ("format", ("json", "tsv", "text")), "--out": ("out", str)}
+_OPTIONS = {name: dict(_COMMON) for name in _SUBCOMMANDS}
+_OPTIONS["twoqubit"]["--basis"] = ("basis", ("product", "bell"))
+_OPTIONS["regroup"]["--full-scan"] = _OPTIONS["all"]["--full-scan"] = ("full_scan", None)
+_OPTIONS["reconstruct"]["--input"] = ("input_path", str)
+
+
+def _fail(prog: str, message: str):
+    print("usage: %s [-h] ...\n%s: error: %s" % (prog, prog, message), file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _kind(arg: str, options: dict, prog: str):
+    """How an argument before any -- reads: None for a value, else (option,
+    the value it carries or None), option None when it names none.  A long
+    option may be cut to a unique prefix and carry its value after =; -h,
+    the one short option, carries the letters after it."""
+    if not arg.startswith("-") or arg == "-":
+        return None
+    head, eq, tail = arg.partition("=")
+    if head in options:
+        return head, tail if eq else None
+    if arg[1] == "-":
+        found = [(option, tail if eq else None) for option in options if option.startswith(head)]
+    else:
+        found = [(arg[:2], arg[2:])] if arg[:2] in options else []
+    if len(found) > 1:
+        _fail(prog, "ambiguous option: %s could match %s" % (arg, ", ".join(o for o, _ in found)))
+    if found:
+        return found[0]
+    # an argument with a space, or one that reads as a negative number, is a value
+    return None if " " in arg or re.match(r"^-\d+$|^-\d*\.\d+$", arg) else (None, None)
+
+
+def _take(args: list, options: dict, prog: str, cfg) -> tuple:
+    """Read the options of args into cfg, in order: (the arguments that are
+    neither an option nor an option's value, the index where reading
+    stopped).  sic4's own options stop at the first value, the subcommand."""
+    cut = args.index("--") if "--" in args else len(args)
+    kinds = [_kind(arg, options, prog) for arg in args[:cut]] + ["--"] + [None] * (len(args) - cut - 1)
+    extras, i = [], 0
+    while i < len(args):
+        kind, i = kinds[i], i + 1
+        if not isinstance(kind, tuple) and options is _TOP:
+            return extras, i - 1
+        if not isinstance(kind, tuple) or kind[0] is None:
+            extras.append(args[i - 1])
+            continue
+        option, value = kind
+        dest, read = options[option]
+        if read is None:  # the help or a flag: no value, though -h may repeat, as in -hh
+            if value is not None and (option != "-h" or not value or value.strip("h")):
+                _fail(prog, "argument %s: ignored explicit argument %r" % (option, value))
+            if dest is None:
+                shown = ["[%s%s]" % (o, " VALUE" * bool(r)) for o, (d, r) in options.items() if d]
+                print(" ".join(["usage:", prog, "[-h]"] + (shown or ["{%s} ..." % ",".join(_SUBCOMMANDS)])))
+                raise SystemExit(0)
+            setattr(cfg, dest, True)
+            continue
+        if value is None:  # the next argument, which must be a value
+            if kinds[i] is not None:
+                _fail(prog, "argument %s: expected one argument" % option)
+            value, i = args[i], i + 1
+        if isinstance(read, tuple) and value not in read:
+            _fail(prog, "argument %s: invalid choice: %r (choose from %s)" % (option, value, ", ".join(read)))
+        try:
+            setattr(cfg, dest, value if isinstance(read, tuple) else read(value))
+        except ValueError as exc:
+            _fail(prog, "argument %s: %s" % (option, exc))
+    return extras, len(args)
+
+
+def _parse_args(argv) -> SimpleNamespace:
+    """The run configuration of argv.  Options follow their subcommand in
+    any order, a repeated one keeps its last value, and a long option may
+    be cut to a unique prefix or written --option=value.  An invalid argv
+    exits 2 after a usage line on stderr; -h or --help exits 0 after the
+    usage on stdout."""
+    args = list(argv)
+    cfg = SimpleNamespace(
+        subcommand=None, tol=DEFAULT_TOL, format="text", out=None, basis=None, full_scan=False, input_path=None
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _SUBCOMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
-        p.add_argument("--format", choices=("json", "tsv", "text"), default="text")
-        p.add_argument("--out", type=str, default=None)
-        p.set_defaults(basis=None, full_scan=False, input_path=None)  # each option below overrides its own
-        if name == "twoqubit":
-            p.add_argument("--basis", choices=("product", "bell"), default="product")
-        if name in ("regroup", "all"):
-            p.add_argument("--full-scan", action="store_true", dest="full_scan")
-        if name == "reconstruct":
-            p.add_argument("--input", type=str, default=None, dest="input_path")
-    return parser
+    extras, at = _take(args, _TOP, "sic4", cfg)
+    if at == len(args) or args[at] not in _OPTIONS:  # also a -- before the subcommand
+        _fail("sic4", "expected a subcommand, one of %s" % ", ".join(_SUBCOMMANDS))
+    cfg.subcommand = name = args[at]
+    cfg.basis = "product" if name == "twoqubit" else None
+    extras += _take(args[at + 1 :], _OPTIONS[name], "sic4 " + name, cfg)[0]
+    if extras:
+        _fail("sic4", "unrecognized arguments: %s" % " ".join(extras))
+    return cfg
 
 
 def main(argv=None) -> int:
-    cfg = _make_parser().parse_args(argv)
+    if argv is None:  # run as the command, so the process ends after this run: no collection pays off
+        gc.disable()
+    cfg = _parse_args(sys.argv[1:] if argv is None else argv)
     claims = Claims(cfg.tol)
     t0 = time.monotonic()
     name = cfg.subcommand
@@ -663,8 +736,8 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     if argv is None:
-        # run as the command, so the process ends next: let the collections of
-        # interpreter shutdown skip the heap that numpy's and sic4's imports built
+        # let the collection of interpreter shutdown skip the heap that
+        # numpy's and sic4's imports built
         gc.freeze()
     return 0 if passed == len(claims.rows) else 1
 

@@ -158,14 +158,6 @@ def conjugation_action(pair: SymplecticPair, p, *, u: GroupElement | None = None
     return e, (big[0] % d, big[1] % d)
 
 
-def symplectic_group_matrices(db: int, det: int = 1) -> tuple:
-    """All 2x2 matrices over Z_db with the given determinant, as 4-tuples
-    (a, b, c, e) in lexicographic order: one determinant mask over all
-    db^4 entry combinations."""
-    a, b, c, e = f = np.indices((db,) * 4).reshape(4, -1)
-    return tuple(map(tuple, f[:, (a * e - b * c) % db == det % db].T.tolist()))
-
-
 @cached_table
 def kernel_pairs(d: int) -> tuple:
     """The eight (F, chi) pairs mapping to the projective identity (even d)."""
@@ -179,12 +171,14 @@ def kernel_pairs(d: int) -> tuple:
     return tuple(out)
 
 
-def coset(pair: SymplecticPair) -> tuple:
-    """Exact name of the projective element of a pair: the least (F, chi),
-    as nested tuples, in its coset of the kernel."""
-    return min(
-        _compose(pair.F, pair.chi, k.F, k.chi, pair.dbar, pair.d) for k in kernel_pairs(pair.d)
-    )
+def coset_names(pairs) -> list:
+    """The exact name of the projective element of each of a list of pairs
+    of one even d: the least (F, chi), as nested tuples, in its coset of
+    the kernel, decoded from one _coset_keys pass."""
+    d = pairs[0].d
+    f, chi = (np.array(x).T for x in zip(*((p.F, p.chi) for p in pairs)))
+    *f, c0, c1 = np.unravel_index(_coset_keys(f, chi, d), (2 * d,) * 4 + (d, d))
+    return list(zip(zip(*(x.tolist() for x in f)), zip(c0.tolist(), c1.tolist())))
 
 
 def _sector(d: int, det: int) -> tuple:
@@ -193,15 +187,16 @@ def _sector(d: int, det: int) -> tuple:
     inner).  A coset's pairs run once over a symplectic class F K (K the
     kernel's F-parts), so the first is (least F, chi), the F that is the F
     part of its coset key: D_chi V_F, one V_F per class, one unitary check."""
-    f = np.array(symplectic_group_matrices(2 * d, det))
-    zero = np.zeros((2, len(f)), dtype=int)
-    least = f[_coset_keys(f.T, zero, d) // (d * d) == _pair_key(f.T, zero, d) // (d * d)]
-    v, anti = _operators(least.T, zero[:, : len(least)], d)
+    a, b, c, e = f = np.indices((2 * d,) * 4).reshape(4, -1)
+    f = f[:, (a * e - b * c) % (2 * d) == det % (2 * d)]  # every F of det F = det, in lexicographic order
+    zero = np.zeros((2, f.shape[1]), dtype=int)
+    least = f[:, _coset_keys(f, zero, d) // (d * d) == _pair_key(f, zero, d) // (d * d)]
+    v, anti = _operators(least, zero[:, : least.shape[1]], d)
     mats = (displacement_table(d).reshape(d * d, d, d) @ v[:, None]).reshape(-1, d, d)
     if not is_unitary(mats, 1e-8):
         raise ValueError("sector matrices D_chi V_F are not unitary within tol")
     chi = np.indices((d, d)).reshape(2, -1).T
-    return np.repeat(least, d * d, axis=0), np.tile(chi, (len(least), 1)), mats, np.repeat(anti, d * d)
+    return np.repeat(least.T, d * d, axis=0), np.tile(chi, (least.shape[1], 1)), mats, np.repeat(anti, d * d)
 
 
 class CliffordGroup(_FrozenRecord):
@@ -256,12 +251,3 @@ def _coset_keys(f, chi, d: int) -> np.ndarray:
     db = 2 * d
     f, chi = np.ascontiguousarray(f, dtype=np.int32), np.ascontiguousarray(chi, dtype=np.int32)
     return np.min([_pair_key(*_compose(f, chi, k.F, k.chi, db, d), d) for k in kernel_pairs(d)], axis=0)
-
-
-def _coset_names(d: int) -> tuple:
-    """The coset names, as coset returns them, of the unitary elements of
-    enumerate_projective_clifford(d), decoded from their _coset_keys."""
-    group = enumerate_projective_clifford(d, extended=False)
-    keys = _coset_keys(group.f.T, group.chi.T, d)
-    *f, c0, c1 = np.unravel_index(keys, (2 * d,) * 4 + (d, d))
-    return tuple(zip(zip(*(x.tolist() for x in f)), zip(c0.tolist(), c1.tolist())))

@@ -237,27 +237,37 @@ def value_class_rows(values, gap: float, *, strict: bool = False) -> list:
 MATCH_TOL = 1e-6
 
 
-def overlaps(a, b=None) -> np.ndarray:
+def squared_norms(m) -> np.ndarray:
+    """tr(m^dag m) of each matrix of a (..., d, d) stack, at least the least
+    positive float: the norms overlaps divides by."""
+    m = np.asarray(m, dtype=complex)
+    m = m.reshape(m.shape[:-2] + (-1,))
+    return np.maximum(np.einsum("...k,...k->...", m.conj(), m).real, np.finfo(float).tiny)
+
+
+def overlaps(a, b=None, b_norms=None) -> np.ndarray:
     """The (..., Q, N) overlaps |tr(a^dag b)| / max(tr(a^dag a), tr(b^dag b))
     of each matrix of an (..., Q, d, d) stack a with each of an (..., N, d, d)
     stack b, or of a with itself, norms read off the Gram diagonal.  One at
-    most (Cauchy-Schwarz), 1 exactly when a = e^{i phi} b, 0 with a zero matrix."""
-    a, tiny = np.asarray(a, dtype=complex), np.finfo(float).tiny
-    a = a.reshape(a.shape[:-2] + (-1,))
+    most (Cauchy-Schwarz), 1 exactly when a = e^{i phi} b, 0 with a zero
+    matrix.  b_norms are b's squared_norms, when the caller holds them."""
+    a = np.asarray(a, dtype=complex)
     if b is None:
+        a = a.reshape(a.shape[:-2] + (-1,))
         out = np.abs(a.conj() @ a.swapaxes(-1, -2))
-        na = nb = np.maximum(np.diagonal(out, axis1=-2, axis2=-1), tiny)
+        na = nb = np.maximum(np.diagonal(out, axis1=-2, axis2=-1), np.finfo(float).tiny)
     else:
+        na, nb = squared_norms(a), squared_norms(b) if b_norms is None else b_norms
         b = np.asarray(b, dtype=complex).reshape(np.shape(b)[:-2] + (-1,))
-        out = np.abs(a.conj() @ b.swapaxes(-1, -2))
-        na, nb = (np.maximum(np.einsum("...k,...k->...", m.conj(), m).real, tiny) for m in (a, b))
+        out = np.abs(a.reshape(a.shape[:-2] + (-1,)).conj() @ b.swapaxes(-1, -2))
     return np.divide(out, np.maximum(na[..., :, None], nb[..., None, :]), out=out)
 
 
-def match_projective(m, stack):
+def match_projective(m, stack, norms=None):
     """Index of the matrix in ``stack`` equal to m up to a phase, else -1;
-    for a (Q, d, d) stack of queries, an array of Q such indices."""
-    scores = overlaps(np.reshape(m, (-1,) + np.shape(m)[-2:]), stack)
+    for a (Q, d, d) stack of queries, an array of Q such indices.  norms
+    are the stack's squared_norms, when the caller holds them."""
+    scores = overlaps(np.reshape(m, (-1,) + np.shape(m)[-2:]), stack, norms)
     index = np.where(scores.max(axis=1) >= 1.0 - MATCH_TOL, scores.argmax(axis=1), -1)
     return index if np.ndim(m) == 3 else int(index[0])
 
@@ -275,19 +285,20 @@ def projectively_distinct(mats) -> bool:
     return bool(np.all((o < 1.0 - MATCH_TOL) | np.eye(o.shape[-1], dtype=bool)))
 
 
-def projective_set_equal(mats_a, mats_b):
+def projective_set_equal(mats_a, mats_b, norms_b=None):
     """Do two stacks of matrices coincide as sets, modulo global phases?
 
     Every member of a must match a different member of b under
     match_projective, as for group element lists.  For an (S, n, d, d)
     first argument, the (S,) verdicts of its sets; False for any other
-    shape than b's or a stack of them.
+    shape than b's or a stack of them.  norms_b are b's squared_norms, when
+    the caller holds them.
     """
     a = np.asarray(mats_a, dtype=complex)
     b = np.asarray(mats_b, dtype=complex)
     if b.ndim != 3 or a.ndim not in (3, 4) or a.shape[-3:] != b.shape:
         return False
-    index = match_projective(a.reshape(-1, *b.shape[1:]), b).reshape(a.shape[:-2])
+    index = match_projective(a.reshape(-1, *b.shape[1:]), b, norms_b).reshape(a.shape[:-2])
     # each set's indices are n distinct matches exactly when they sort to 0..n-1
     equal = np.all(np.sort(index, axis=-1) == np.arange(len(b)), axis=-1)
     return equal if a.ndim == 4 else bool(equal)

@@ -473,25 +473,21 @@ def rigid_permutations(limit: int = 10):
 
     Used to certify that nothing beyond the unitary stabilizer survives the
     full set of triple invariants.  All partial assignments of states 0..k
-    are extended at once, level by level; one survives when every triple of
-    distinct states containing k keeps its census orbit.  ValueError when
-    SIC 1's triple traces do not split on their orbits.
+    are extended at once, level by level; one survives when every triple
+    (k, y, z) of distinct y, z < k keeps its census orbit, which covers the
+    triples' cyclic shifts, as the shift is one of the orbits' symmetries.
+    ValueError when SIC 1's triple traces do not split on their orbits.
     """
     _, _, ids, _, split = _triple_censuses(TRIPLE_CENSUS_GAP)
     if not split[0]:
         raise ValueError("the triple traces of SIC 1 do not split on their orbits")
     n = len(ids)
-    tri = np.indices(ids.shape).reshape(3, -1)
-    tri = tri[:, (tri[0] != tri[1]) & (tri[1] != tri[2]) & (tri[0] != tri[2])]
     partial = np.zeros((1, 1), dtype=np.intp)  # the fiducial stays fixed
     for k in range(1, n):
-        free = np.ones((len(partial), n), dtype=bool)
-        np.put_along_axis(free, partial, False, axis=1)
-        rows, cands = np.nonzero(free)  # row-major: each row's candidates ascending
+        rows, cands = np.nonzero(np.all(partial[:, :, None] != np.arange(n), axis=1))  # each row's free states
         partial = np.column_stack([partial[rows], cands])
-        x, y, z = tri[:, tri.max(axis=0) == k]
-        keep = ids[partial[:, x], partial[:, y], partial[:, z]] == ids[x, y, z]
-        partial = partial[keep.all(axis=1)]
+        y, z = np.nonzero(~np.eye(k, dtype=bool))
+        partial = partial[np.all(ids[partial[:, k:], partial[:, y], partial[:, z]] == ids[k, y, z], axis=1)]
     return [tuple(p) for p in partial[:limit].tolist()]
 
 

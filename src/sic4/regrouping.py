@@ -14,18 +14,13 @@ import itertools
 
 import numpy as np
 
-from .clifford import (
-    SymplecticPair,
-    _coset_names,
-    coset,
-    enumerate_projective_clifford,
-    semidirect_product,
-    to_operator,
-)
+from .clifford import SymplecticPair, _coset_keys, _pair_key, enumerate_projective_clifford
+from .clifford import semidirect_product, to_operator
 from .numerics import COMMUTATOR_TOL, DEFAULT_TOL, commutator_phase, is_unitary, match_projective, proj_equal
-from .numerics import cached_table, projective_set_equal
-from .orbits import FiducialOrbit, element_product, enumerate_orbit, fiducial_projector, first_distinct_rows
-from .orbits import normal_subgroups, orbit_certificate, pair_action, state_permutations
+from .numerics import cached_table, projective_set_equal, squared_norms
+from .orbits import FiducialOrbit, _element_of, element_product, enumerate_orbit, fiducial_projector
+from .orbits import first_distinct_rows, normal_subgroups, orbit_action, orbit_certificate, pair_action
+from .orbits import state_permutations
 from .weyl_heisenberg import SicReport, displacement_table, shift_clock_products, verify_sic
 
 # two orbit states are fidelity-1/5 neighbours when |tr(a b) - 1/5| is at
@@ -120,14 +115,14 @@ def exhaustive_regroup_scan(full_scan: bool = False, tol: float = DEFAULT_TOL) -
     the number of maximal cliques of 16 or more states found, when they are
     exactly the rows of sic_family that certify at tol, else -1.
 
-    Default mode scans each label-grid row's 64 states separately
-    (regrouping cannot mix rows), a 64 x 64 block of fidelity_graph() each;
-    full_scan runs the clique search over all 256 vertices.
+    Default mode drops the edges between label-grid rows of 64 states
+    (regrouping cannot mix rows), so that each row's 64 x 64 block of
+    fidelity_graph() is scanned apart, all four in one search; full_scan
+    keeps every edge of the 256 vertices.
     """
     members, report = sic_family(tol)
-    graph, step = fidelity_graph(), 256 if full_scan else 64
-    blocks = range(0, 256, step)
-    found = {tuple(lo + v for v in c) for lo in blocks for c in _cliques(graph[lo : lo + step, lo : lo + step], 16)}
+    row = np.arange(256) // 64
+    found = set(map(tuple, _cliques(fidelity_graph() & (full_scan or row[:, None] == row), 16)))
     return len(found) if found == set(map(tuple, members[report.is_sic].tolist())) else -1
 
 
@@ -193,11 +188,18 @@ def dprime_literals_match() -> bool:
 
 
 @cached_table
+def _covariance_references() -> tuple:
+    """The displacement group and D' as one read-only (2, 16, 4, 4) stack,
+    with their (2, 16) squared_norms; D' is the products of the literal
+    generators X_PRIME_MATRIX and Z_PRIME_MATRIX, which
+    dprime_literals_match checks against their parametrization."""
+    groups = np.stack([displacement_table(4).reshape(16, 4, 4), shift_clock_products(X_PRIME_MATRIX, Z_PRIME_MATRIX)])
+    return groups, squared_norms(groups)
+
+
 def dprime_elements() -> np.ndarray:
-    """The 16 projective elements of the conjugate displacement group, read-only:
-    the products of the literal generators X_PRIME_MATRIX and Z_PRIME_MATRIX,
-    which dprime_literals_match checks against their parametrization."""
-    return shift_clock_products(X_PRIME_MATRIX, Z_PRIME_MATRIX)
+    """The 16 projective elements of the conjugate displacement group, read-only."""
+    return _covariance_references()[0][1]
 
 
 def covariance_group(elements):
@@ -205,11 +207,11 @@ def covariance_group(elements):
     to phases: 0 for the displacement group, 1 for its conjugate D', -1 for
     neither; for an (S, 16, 4, 4) stack, the (S,) array of them.  D' is
     tried only on the sets that are not the displacement group."""
-    stack = np.asarray(elements).reshape(-1, 16, 4, 4)
-    group = np.where(projective_set_equal(stack, displacement_table(4).reshape(16, 4, 4)), 0, -1)
+    stack, (groups, norms) = np.asarray(elements).reshape(-1, 16, 4, 4), _covariance_references()
+    group = np.where(projective_set_equal(stack, groups[0], norms[0]), 0, -1)
     other = group < 0
     if other.any():
-        group[other] = np.where(projective_set_equal(stack[other], dprime_elements()), 1, -1)
+        group[other] = np.where(projective_set_equal(stack[other], groups[1], norms[1]), 1, -1)
     return group if np.ndim(elements) == 4 else int(group[0])
 
 
@@ -256,7 +258,7 @@ def clifford_index_two(u) -> bool:
 # ---------------------------------------------------------------------------
 # census of displacement-type subgroups inside the projective Clifford group
 #
-# elements are kernel cosets, named by clifford.coset and indexed as in
+# elements are kernel cosets, named by clifford.coset_names and indexed as in
 # the unitary enumerate_projective_clifford(4).
 
 # generators of the unitary projective Clifford group: two symplectic
@@ -271,12 +273,6 @@ CLIFFORD_GENERATORS = tuple(
         ((1, 0, 0, 1), (0, 1)),
     )
 )
-
-
-def _quotient() -> tuple:
-    """(coset names, name -> index) of the 768 unitary cosets."""
-    names = _coset_names(4)
-    return names, {name: i for i, name in enumerate(names)}
 
 
 def _span(x, z, identity: int) -> np.ndarray:
@@ -312,26 +308,31 @@ def hw_conjugate_subgroup_census() -> tuple:
     Candidates are generated pairs of commuting order-4 cosets spanning 16
     elements; equivalence additionally requires the operator commutator of
     the generators to be a primitive fourth root of unity, which pins the
-    commutation structure down to that of the displacement pair.
+    commutation structure down to that of the displacement pair.  Each
+    unitary row of enumerate_projective_clifford(4) is its coset's least
+    pair, in ascending order, so rows run in coset-name order and a row's
+    (F, chi) is its coset's name.
     """
-    names, index = _quotient()
-    mats = enumerate_projective_clifford(4, extended=False).mats
-    identity = index[displacement_coset(0, 0)]
-    unitary = np.arange(len(names))
-    square = element_product(unitary, unitary)
-    # order-4 elements, in coset-name order so the census lists are stable
-    quartic = np.flatnonzero((square != identity) & (square[square] == identity))
-    quartic = np.array(sorted(quartic, key=names.__getitem__))
-    sub = element_product(quartic[:, None], quartic)
-    x, z = (quartic[k] for k in np.nonzero(np.triu(sub == sub.T, 1)))
+    group = enumerate_projective_clifford(4, extended=False)
+    identity = _element_of()[1]  # the row fixing orbit states 0 and 1
+    square = element_product(np.arange(len(group)), np.arange(len(group)))
+    quartic = np.flatnonzero((square != identity) & (square[square] == identity))  # the order-4 rows
+    # x and z commute when x z and z x move states 0 and 1 alike; they span
+    # 16 elements when x^2 != z^2, as <x> and <z> then meet in 1 alone
+    act, pairs = orbit_action()[quartic], square[quartic] != square[quartic, None]
+    for state in (0, 1):
+        image = act[:, act[:, state]]  # [i, j]: where q_i q_j sends the state
+        pairs &= image == image.T
+    x, z = (quartic[k] for k in np.nonzero(np.triu(pairs, 1)))
     spans = np.sort(_span(x, z, identity), axis=1)
-    full = np.flatnonzero(np.all(np.diff(spans, axis=1) != 0, axis=1))
-    first = full[first_distinct_rows(spans[full])]  # one pair per distinct 16-element span
-    hw_type = spans[first[primitive_commutation(mats[x[first]], mats[z[first]])]]
-    normal = hw_type[normal_subgroups(hw_type, [index[coset(g)] for g in CLIFFORD_GENERATORS])]
+    first = first_distinct_rows(spans)  # one pair per distinct span
+    hw_type = spans[first[primitive_commutation(group.mats[x[first]], group.mats[z[first]])]]
+    gens = np.array([g.F + g.chi for g in CLIFFORD_GENERATORS]).T  # their rows: a row's own key is its coset's
+    by = np.searchsorted(_pair_key(group.f.T, group.chi.T, 4), _coset_keys(gens[:4], gens[4:], 4))
+    normal = hw_type[normal_subgroups(hw_type, by)]
 
     def named(s):
-        return frozenset(names[k] for k in s.tolist())
+        return frozenset(zip(map(tuple, group.f[s].tolist()), map(tuple, group.chi[s].tolist())))
 
     return len(hw_type), len(normal), [named(s) for s in hw_type], [named(s) for s in normal]
 
@@ -342,8 +343,3 @@ def primitive_commutation(a, b) -> np.ndarray:
     COMMUTATOR_TOL: the commutation of a displacement-type generator pair."""
     c = commutator_phase(a, b)
     return np.minimum(np.abs(c - 1j), np.abs(c + 1j)) <= COMMUTATOR_TOL
-
-
-def displacement_coset(p1: int, p2: int):
-    """Coset name of the displacement with index (p1, p2)."""
-    return coset(SymplecticPair((1, 0, 0, 1), (p1, p2), 4))

@@ -27,10 +27,9 @@ PAULI = (
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
 
-# _PAULI_PRODUCTS[a, b] = kron(sigma_a, sigma_b) with sigma_0 the identity
-_PAULI_PRODUCTS = np.array(
-    [[np.kron(sa, sb) for sb in (np.eye(2), *PAULI)] for sa in (np.eye(2), *PAULI)]
-)
+# _PAULI_PRODUCTS[a, b] = kron(sigma_a, sigma_b) with sigma_0 the identity,
+# entry (2 i + k, 2 j + l) = sigma_a[i, j] sigma_b[k, l]
+_PAULI_PRODUCTS = np.einsum("aij,bkl->abikjl", *[np.stack([np.eye(2), *PAULI])] * 2).reshape(4, 4, 4, 4)
 
 
 class Gbv(NamedTuple):

@@ -5,6 +5,7 @@ the tests as independent oracles and as the acceptance suite's readable
 per-item checks.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sic4.clifford import (
+    SymplecticPair,
     _compose,
     _coset_keys,
     _operators,
@@ -437,9 +439,17 @@ def regroup_by_search(orbit) -> tuple:
     return matching, states
 
 
+def symplectic_group_matrices(db: int, det: int = 1) -> tuple:
+    """All 2x2 matrices over Z_db with the given determinant, as 4-tuples
+    (a, b, c, e) in lexicographic order: one determinant mask over all
+    db^4 entry combinations.  clifford._sector's F enumeration."""
+    a, b, c, e = f = np.indices((db,) * 4).reshape(4, -1)
+    return tuple(map(tuple, f[:, (a * e - b * c) % db == det % db].T.tolist()))
+
+
 def symplectic_group_matrices_by_loop(db: int, det: int = 1) -> tuple:
-    """clifford.symplectic_group_matrices as it was: one determinant test
-    per 4-tuple of itertools.product."""
+    """symplectic_group_matrices as it was: one determinant test per
+    4-tuple of itertools.product."""
     return tuple(f for f in itertools.product(range(db), repeat=4) if (f[0] * f[3] - f[1] * f[2]) % db == det % db)
 
 
@@ -568,3 +578,58 @@ def dprime_covariant(indices) -> np.ndarray:
     f, chi = zip(*((p.F, p.chi) for p in dprime_pairs()))
     indices = np.asarray(indices)
     return np.all(np.sort(pair_action(f, chi)[:, indices], axis=-1) == indices, axis=(0, 2))
+
+
+@functools.cache
+def argparse_parser():
+    """The argparse parser that sic4's command line was read with: the
+    reference for cli._parse_args, built once, as parse_args leaves it
+    unchanged.  parse_args exits 2 on an argv it rejects and 0 after the
+    help."""
+    import argparse
+
+    from sic4.cli import _SUBCOMMANDS, _tolerance
+
+    def tolerance(text):
+        try:
+            return _tolerance(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    parser = argparse.ArgumentParser(
+        prog="sic4",
+        description="certify the structure of the dimension-4 covariant SIC-POVM family",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name in _SUBCOMMANDS:
+        p = sub.add_parser(name)
+        p.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
+        p.add_argument("--format", choices=("json", "tsv", "text"), default="text")
+        p.add_argument("--out", type=str, default=None)
+        p.set_defaults(basis=None, full_scan=False, input_path=None)  # each option below overrides its own
+        if name == "twoqubit":
+            p.add_argument("--basis", choices=("product", "bell"), default="product")
+        if name in ("regroup", "all"):
+            p.add_argument("--full-scan", action="store_true", dest="full_scan")
+        if name == "reconstruct":
+            p.add_argument("--input", type=str, default=None, dest="input_path")
+    return parser
+
+
+@functools.cache
+def _quotient() -> tuple:
+    """(coset names, name -> index) of the 768 unitary cosets, named one
+    element at a time by coset."""
+    names = tuple(coset(e.source) for e in enumerate_projective_clifford(4, extended=False))
+    return names, {name: i for i, name in enumerate(names)}
+
+
+def coset(pair) -> tuple:
+    """clifford.coset_names of one pair, one kernel pair at a time: the
+    least (F, chi), as nested tuples, in its coset of the kernel."""
+    return min(_compose(pair.F, pair.chi, k.F, k.chi, pair.dbar, pair.d) for k in kernel_pairs(pair.d))
+
+
+def displacement_coset(p1: int, p2: int):
+    """Coset name of the displacement with index (p1, p2)."""
+    return coset(SymplecticPair((1, 0, 0, 1), (p1, p2), 4))

@@ -13,20 +13,21 @@ from oracles import (
     avg_reduced_purity,
     compose,
     concurrence_census,
+    coset as pair_coset,
+    displacement_coset,
     elements_proj_equal,
     match_sign_pattern,
     partial_transpose_simplex_check,
     sic_states,
     sign_functions,
+    symplectic_group_matrices,
     violating_patterns,
 )
 from sic4.clifford import (
     SymplecticPair,
     conjugation_action,
-    coset as pair_coset,
     enumerate_projective_clifford,
     semidirect_product,
-    symplectic_group_matrices,
     to_operator,
 )
 from sic4.numerics import proj_equal, projective_set_equal, rank1_kets as state_ket
@@ -46,7 +47,6 @@ from sic4.orbits import (
 )
 from sic4.reconstruction import reconstruct_hw, signature_values
 from sic4.regrouping import (
-    displacement_coset,
     dprime_elements,
     equivalence_unitary,
     exhaustive_regroup_scan,

@@ -8,9 +8,11 @@ import pytest
 from oracles import (
     canonical_key,
     compose,
+    coset,
     coset_keys_int64,
     elements_proj_equal,
     sector_by_pair_selection,
+    symplectic_group_matrices,
     symplectic_group_matrices_by_loop,
 )
 import sic4.clifford as clifford
@@ -21,11 +23,9 @@ from sic4.clifford import (
     _coset_keys,
     _pair_key,
     conjugation_action,
-    coset,
     enumerate_projective_clifford,
     kernel_pairs,
     semidirect_product,
-    symplectic_group_matrices,
     to_operator,
 )
 from sic4.numerics import GroupElement, is_unitary, match_projective, proj_equal
@@ -347,6 +347,16 @@ def test_records_keep_value_and_identity_semantics():
     assert repr(report).startswith("SicReport(is_sic=True, max_fidelity_deviation=0.0")
     with pytest.raises(ValueError, match="expected 16 states"):
         SicPovm(d=4, states=np.zeros((15, 4, 4)))
+
+
+def test_coset_names_match_the_per_pair_coset():
+    # pairs of both sectors, most of them not their coset's least pair
+    rng = np.random.default_rng(38)
+    fs = symplectic_group_matrices(8, 1) + symplectic_group_matrices(8, 7)
+    chis = rng.integers(0, 4, size=(500, 2)).tolist()
+    pairs = [SymplecticPair(fs[k], tuple(chi), 4) for k, chi in zip(rng.integers(0, len(fs), 500), chis)]
+    assert clifford.coset_names(pairs) == [coset(p) for p in pairs]
+    assert sum(coset(p) != (p.F, p.chi) for p in pairs) > 300
 
 
 def test_symplectic_group_matrices_match_itertools_loop():

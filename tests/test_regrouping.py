@@ -6,9 +6,7 @@ import sic4.clifford as clifford
 import sic4.regrouping as regrouping
 from sic4.clifford import (
     SymplecticPair,
-    _coset_names,
-    coset,
-    coset as pair_coset,
+    _coset_keys,
     enumerate_projective_clifford,
     to_operator,
 )
@@ -28,12 +26,10 @@ from sic4.regrouping import (
     covariance_group,
     double_cover,
     dprime_literals_match,
-    displacement_coset,
     dprime_elements,
     dprime_permutes,
     equivalence_unitary,
     _cliques,
-    _quotient,
     _span,
     exhaustive_regroup_scan,
     fidelity_adjacency,
@@ -46,6 +42,10 @@ from sic4.regrouping import (
 from sic4.weyl_heisenberg import displacement, displacement_table, verify_sic
 
 from oracles import (
+    _quotient,
+    coset,
+    coset as pair_coset,
+    displacement_coset,
     dprime_covariant,
     first_distinct_spans_by_unique,
     normal_subgroups_by_inverses,
@@ -265,9 +265,9 @@ def test_covariance_group_matches_per_set_matches(monkeypatch):
     assert want == [0] * 16 + [1] * 16
     sets = []
 
-    def spy(a, b):
+    def spy(a, b, *norms):
         sets.append(len(a))
-        return projective_set_equal(a, b)
+        return projective_set_equal(a, b, *norms)
 
     monkeypatch.setattr(regrouping, "projective_set_equal", spy)
     assert covariance_group(rec.elements).tolist() == want and sets == [32, 16]
@@ -462,11 +462,14 @@ def test_dprime_literals_check_builds_two_operators(monkeypatch):
 
 
 def test_quotient_names_match_coset_loop(monkeypatch):
-    # the per-element coset() calls that _quotient's decoded keys replaced
-    old = tuple(coset(e.source) for e in enumerate_projective_clifford(4, extended=False))
+    # the per-element coset() calls that the census's row names replaced:
+    # each unitary row is its coset's least pair, in ascending key order
+    group = enumerate_projective_clifford(4, extended=False)
+    old = tuple(coset(e.source) for e in group)
     names, index = _quotient()
-    assert names == old
+    assert names == old == tuple(zip(map(tuple, group.f.tolist()), map(tuple, group.chi.tolist())))
     assert all(index[name] == k for k, name in enumerate(old))
+    assert np.all(np.diff(_coset_keys(group.f.T, group.chi.T, 4)) > 0)
     # lru_cache keys on the call form: any other form than the one every
     # caller uses would build and keep a second copy of the 768 elements
     forms = []
@@ -475,8 +478,8 @@ def test_quotient_names_match_coset_loop(monkeypatch):
         forms.append((args, kwargs))
         return enumerate_projective_clifford(*args, **kwargs)
 
-    monkeypatch.setattr(clifford, "enumerate_projective_clifford", spy)
-    assert _coset_names(4) == old
+    monkeypatch.setattr(regrouping, "enumerate_projective_clifford", spy)
+    hw_conjugate_subgroup_census()
     assert forms == [((4,), {"extended": False})]
 
 
@@ -517,3 +520,17 @@ def test_primitive_commutation_takes_pairs_and_stacks():
     assert primitive_commutation(z, x) and primitive_commutation(Z_PRIME_MATRIX, X_PRIME_MATRIX)
     pairs = primitive_commutation(np.stack([z, z @ z, z]), np.stack([x, x @ x, np.eye(4)]))
     assert pairs.tolist() == [True, False, False]
+
+
+def test_covariance_group_reads_the_norms_it_would_compute():
+    # the norms of D and D' are read once; the overlaps, and so the
+    # verdicts, equal those of norms computed on every call, bit for bit
+    from sic4.numerics import overlaps
+
+    groups, norms = regrouping._covariance_references()
+    assert np.array_equal(groups[0], displacement_table(4).reshape(16, 4, 4))
+    assert np.array_equal(groups[1], dprime_elements()) and not norms.flags.writeable
+    rec = reconstruct_hw(enumerate_orbit().projectors[sic_family()[0]])
+    for k in range(2):
+        stack = rec.elements.reshape(-1, 4, 4)
+        assert np.array_equal(overlaps(stack, groups[k], norms[k]), overlaps(stack, groups[k]))
