@@ -186,15 +186,16 @@ def _sector(d: int, det: int) -> tuple:
     with det F = det, the first pair met in enumeration order (F outer, chi
     inner).  A coset's pairs run once over a symplectic class F K (K the
     kernel's F-parts), so the first is (least F, chi), the F that is the F
-    part of its coset key: D_chi V_F, one V_F per class, one unitary check."""
+    part of its coset key: D_chi V_F, one V_F per class, each factor checked."""
     a, b, c, e = f = np.indices((2 * d,) * 4).reshape(4, -1)
     f = f[:, (a * e - b * c) % (2 * d) == det % (2 * d)]  # every F of det F = det, in lexicographic order
     zero = np.zeros((2, f.shape[1]), dtype=int)
     least = f[:, _coset_keys(f, zero, d) // (d * d) == _pair_key(f, zero, d) // (d * d)]
     v, anti = _operators(least, zero[:, : least.shape[1]], d)
-    mats = (displacement_table(d).reshape(d * d, d, d) @ v[:, None]).reshape(-1, d, d)
-    if not is_unitary(mats, 1e-8):
-        raise ValueError("sector matrices D_chi V_F are not unitary within tol")
+    disp = displacement_table(d).reshape(d * d, d, d)
+    if not (is_unitary(v, 1e-8) and is_unitary(disp, 1e-8)):  # a product of unitaries is unitary
+        raise ValueError("sector matrices V_F or D_chi are not unitary within tol")
+    mats = (disp @ v[:, None]).reshape(-1, d, d)
     chi = np.indices((d, d)).reshape(2, -1).T
     return np.repeat(least.T, d * d, axis=0), np.tile(chi, (least.shape[1], 1)), mats, np.repeat(anti, d * d)
 

@@ -10,7 +10,6 @@ normalized overlap; the package-wide default tolerance is ``DEFAULT_TOL``.
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +36,17 @@ def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
 class _Record:
     """A record whose fields are its instance attributes in constructor
     order: repr is Name(field=value, ...), and records of one type are equal
-    when their fields are.  Defining the class generates no code."""
+    when their fields are.  A subclass without an __init__ takes its annotated
+    fields, each once, by position or name; defining one generates no code."""
+
+    def __init__(self, *values, **named):
+        names = type(self).__annotations__
+        if named or len(values) != len(names):  # checked: each field once, set in annotation order
+            fields = dict(zip(names, values), **named)
+            if len(values) + len(named) != len(names) or fields.keys() != names.keys():
+                raise TypeError("%s takes the fields %s" % (type(self).__name__, ", ".join(names)))
+            values = map(fields.get, names)
+        vars(self).update(zip(names, values))
 
     def __repr__(self) -> str:
         return "%s(%s)" % (type(self).__name__, ", ".join("%s=%r" % kv for kv in vars(self).items()))
@@ -47,8 +56,7 @@ class _Record:
 
 
 class _FrozenRecord(_Record):
-    """An immutable _Record, equal and hashed by identity; __init__ sets
-    the fields with vars(self).update."""
+    """An immutable _Record, equal and hashed by identity; its own __init__ sets fields by vars(self).update."""
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -160,7 +168,7 @@ def canonical_phase(m) -> np.ndarray:
     return m / (pivot / np.hypot(pivot.real, pivot.imag))
 
 
-class ValueClasses(NamedTuple):
+class ValueClasses(_Record):
     """The classes of N values, numbered in order of first occurrence."""
 
     classes: np.ndarray  # (N,) class of each value

@@ -15,7 +15,6 @@ regrouping construction.
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +29,8 @@ from .clifford import (
     semidirect_product,
     to_operator,
 )
-from .numerics import DEFAULT_TOL, MATCH_TOL, cached_table, is_unitary, match_projective, rank1_kets
+from .numerics import DEFAULT_TOL, MATCH_TOL, _FrozenRecord, _Record, cached_table, is_unitary, match_projective
+from .numerics import rank1_kets
 from .weyl_heisenberg import SicReport, displacement_table, fiducial_ket_d4, verify_sic
 
 # symplectic sources of the 16 SIC labels, det = +1 mod 8
@@ -83,14 +83,13 @@ STABILIZER_ORBIT_SETS = (
     frozenset({(2, 0), (0, 2), (2, 2)}),
 )
 
-LABEL_GRID = ((1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12), (13, 14, 15, 16))
 
 def fiducial_projector() -> np.ndarray:
     v = fiducial_ket_d4()
     return np.outer(v, v.conj())
 
 
-class FiducialOrbit(NamedTuple):
+class FiducialOrbit(_FrozenRecord):
     """All 256 orbit projectors with their SIC labels and displacement indices."""
 
     projectors: np.ndarray  # (256, 4, 4)
@@ -281,11 +280,14 @@ def _distinct_triples(states):
     (for an (S, n, d, d) stack, of each list), in lexicographic (a, b, c)
     order, and the (n, n, n) mask selecting them: G[a, b] G[b, c] G[c, a]."""
     kets = rank1_kets(states)
-    gram = kets.conj() @ np.swapaxes(kets, -1, -2)
-    a, b, c = np.indices(gram.shape[-1:] * 3)
+    n = kets.shape[-2]
+    gram = (kets.conj() @ np.swapaxes(kets, -1, -2)).reshape(kets.shape[:-2] + (n * n,))  # flat rows, for take
+    a, b, c = np.indices((n,) * 3)
     mask = (a != b) & (b != c) & (a != c)
-    a, b, c = a[mask], b[mask], c[mask]
-    return gram[..., a, b] * gram[..., b, c] * gram[..., c, a], mask
+    vals = gram.take(n * a[mask] + b[mask], axis=-1)
+    vals *= gram.take(n * b[mask] + c[mask], axis=-1)
+    vals *= gram.take(n * c[mask] + a[mask], axis=-1)
+    return vals, mask
 
 
 # a SIC's triple traces split on the orbits (_triple_orbits) when 2 spread
@@ -417,7 +419,7 @@ def permutation_parities(perms) -> np.ndarray:
     return np.count_nonzero(np.triu(perms[:, :, None] > perms[:, None, :]), axis=(1, 2)) % 2
 
 
-class SymmetryReport(NamedTuple):
+class SymmetryReport(_Record):
     extended_order: int
     unitary_order: int
     hw_is_unique_order16: bool

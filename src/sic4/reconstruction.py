@@ -12,11 +12,11 @@ obtained.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import COMMUTATOR_TOL, cached_table, canonical_phase, commutator_phase, projectively_distinct, rank1_kets
+from .numerics import COMMUTATOR_TOL, _Record, cached_table, canonical_phase, commutator_phase, projectively_distinct
+from .numerics import rank1_kets
 from .orbits import ket_permutations, sic_symmetries, sylow_two_subgroup
 from .weyl_heisenberg import CONSTANTS, shift_clock_products
 
@@ -28,12 +28,12 @@ _SQ5 = math.sqrt(5.0)
 # signature is at least 0.09 away in some eigenvalue
 SIGNATURE_TOL = 1e-8
 
-# candidate 4-subsets screened at a time while reconstruct_hw looks for the
-# first qualifying one.  On the 192 SIC files of perfbench seeds 7 and 8,
-# whose states come in random order, that one lies at median 37, p90 76 and
-# max 90 of the 1820 in itertools.combinations order, so one block of 48
-# resolves a median file and two resolve every one; on orbit SICs it is the
-# first candidate
+# (SIC, candidate 4-subset) sums screened at a time while reconstruct_hw
+# looks for each SIC's first qualifying subset.  On the 192 SIC files of
+# perfbench seeds 7 and 8, in random state order, it lies at median 37, p90
+# 76 and max 90 of the 1820 in itertools.combinations order, so one block
+# of 48 rows resolves a median file and two every one; on orbit SICs it is
+# the first, so the 32 SICs of the family screen two rows each, not 48
 QUAD_BLOCK = 48
 
 # largest eigenpair residual of the phase-operator step; on the 32 SICs and
@@ -135,16 +135,16 @@ def _first_match(states: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """For each SIC of an (S, 16, d, d) stack, the state sum of the first
     row of its (S, Q, 4) candidate index array, or of one (Q, 4) for all,
     that realizes the reference signature; ValueError when a SIC has none.
-    The unresolved SICs' candidates are tried QUAD_BLOCK rows at a time."""
+    Each block tries the next ceil(QUAD_BLOCK / U) rows of the U unresolved SICs."""
     candidates = np.broadcast_to(candidates, states.shape[:1] + candidates.shape[-2:])
     found = np.empty((len(states), 4), dtype=candidates.dtype)
-    todo = np.arange(len(states))
-    for lo in range(0, candidates.shape[1], QUAD_BLOCK):
-        block = candidates[todo, lo : lo + QUAD_BLOCK]
+    todo, lo = np.arange(len(states)), 0
+    while lo < candidates.shape[1]:
+        block = candidates[todo, lo : lo - (-QUAD_BLOCK // len(todo))]
         hits = _qualifying(_sums(states[todo], block))
         hit = hits.any(axis=1)
         found[todo[hit]] = block[hit, hits[hit].argmax(axis=1)]
-        todo = todo[~hit]
+        todo, lo = todo[~hit], lo + block.shape[1]
         if not len(todo):
             return states[np.arange(len(states))[:, None], found].sum(axis=1)
     raise ValueError("no candidate 4-subset realizes the reference signature")
@@ -165,7 +165,7 @@ def phase_operator(m: np.ndarray) -> np.ndarray:
     return (v * _PHASES) @ v.conj().swapaxes(-1, -2)
 
 
-class ReconstructedGroup(NamedTuple):
+class ReconstructedGroup(_Record):
     z_gen: np.ndarray
     x_gen: np.ndarray
     elements: np.ndarray  # (16, 4, 4) phase-canonical representatives, (S, 16, 4, 4) for S SICs
@@ -207,8 +207,8 @@ def reconstruct_hw(states) -> ReconstructedGroup:
     if not projectively_distinct(elements):
         raise AssertionError("generated group has fewer than 16 projective elements")
     if single:
-        return ReconstructedGroup(z_gen=zp[0], x_gen=xp[0], elements=elements[0])
-    return ReconstructedGroup(z_gen=zp, x_gen=xp, elements=elements)
+        return ReconstructedGroup(zp[0], xp[0], elements[0])
+    return ReconstructedGroup(zp, xp, elements)
 
 
 def reference_quads(states) -> np.ndarray:

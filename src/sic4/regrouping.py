@@ -17,10 +17,10 @@ import numpy as np
 from .clifford import SymplecticPair, _coset_keys, _pair_key, enumerate_projective_clifford
 from .clifford import semidirect_product, to_operator
 from .numerics import COMMUTATOR_TOL, DEFAULT_TOL, commutator_phase, is_unitary, match_projective, proj_equal
-from .numerics import cached_table, projective_set_equal, squared_norms
+from .numerics import cached_table, projective_set_equal, rank1_kets, squared_norms
 from .orbits import FiducialOrbit, _element_of, element_product, enumerate_orbit, fiducial_projector
-from .orbits import first_distinct_rows, normal_subgroups, orbit_action, orbit_certificate, pair_action
-from .orbits import state_permutations
+from .orbits import first_distinct_rows, ket_permutations, normal_subgroups, orbit_action, orbit_certificate
+from .orbits import pair_action, state_permutations
 from .weyl_heisenberg import SicReport, displacement_table, shift_clock_products, verify_sic
 
 # two orbit states are fidelity-1/5 neighbours when |tr(a b) - 1/5| is at
@@ -289,11 +289,16 @@ def _span(x, z, identity: int) -> np.ndarray:
 def dprime_permutes(states) -> np.ndarray:
     """Whether conjugation by the 16 matrices of dprime_elements() permutes
     each of an (S, M, 4, 4) stack of rank-1 state lists: the (S,) verdicts
-    of one state_permutations call per list, on the float states."""
+    of one ket_permutations call per list, on the kets that one rank1_kets
+    call reads off the float states."""
+    try:
+        kets = rank1_kets(states)
+    except ValueError:  # a state that is not rank-1: each list apart, so only the lists holding it fail
+        kets = None
     verdicts = np.ones(len(states), dtype=bool)
     for k, listed in enumerate(states):
         try:
-            state_permutations(dprime_elements(), listed)
+            ket_permutations(dprime_elements(), rank1_kets(listed) if kets is None else kets[k])
         except ValueError:
             verdicts[k] = False
     return verdicts
@@ -317,6 +322,8 @@ def hw_conjugate_subgroup_census() -> tuple:
     identity = _element_of()[1]  # the row fixing orbit states 0 and 1
     square = element_product(np.arange(len(group)), np.arange(len(group)))
     quartic = np.flatnonzero((square != identity) & (square[square] == identity))  # the order-4 rows
+    # (x^+-1, z^+-1) span one subgroup at commutator +-i: span x < x^-1 = x^3 and z < z^-1 only
+    quartic = quartic[quartic < element_product(square[quartic], quartic)]
     # x and z commute when x z and z x move states 0 and 1 alike; they span
     # 16 elements when x^2 != z^2, as <x> and <z> then meet in 1 alone
     act, pairs = orbit_action()[quartic], square[quartic] != square[quartic, None]

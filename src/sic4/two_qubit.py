@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, cached_table, match_projective, rank1_kets, value_class_rows, value_classes
+from .numerics import DEFAULT_TOL, _Record, cached_table, match_projective, rank1_kets, value_class_rows, value_classes
 from .weyl_heisenberg import CONSTANTS, _upper_pairs, displacement_table
 
 _SQRT2 = math.sqrt(2.0)
@@ -32,7 +31,7 @@ PAULI = (
 _PAULI_PRODUCTS = np.einsum("aij,bkl->abikjl", *[np.stack([np.eye(2), *PAULI])] * 2).reshape(4, 4, 4, 4)
 
 
-class Gbv(NamedTuple):
+class Gbv(_Record):
     """Pauli expansion of one two-qubit state, or of a stack with the
     stack's leading axes on every field."""
 
@@ -221,7 +220,7 @@ def sign_census(g: Gbv, basis: str) -> tuple:
     h = columns[..., 9:]
     h_sic = h[np.arange(16), matched.argmax(axis=1)]  # at each SIC's first matched state
     constant = bool(np.all(matched.any(axis=1) & np.all(~matched[..., None] | (h == h_sic[:, None]), axis=(1, 2))))
-    # label 4 r + c + 1 sits in row r, column c of orbits.LABEL_GRID
+    # label 4 r + c + 1 sits in row r, column c of the label grid, labels 1..16 row-major in a 4 x 4 square
     h_grid = np.stack(np.broadcast_arrays([[-1], [1], [1], [-1]], [[1, 1, -1, -1]], [[-1, 1, 1, -1]]), axis=-1)
     lab, k = np.indices((16, 16))
     rows = np.column_stack([lab.ravel() + 1, k.ravel(), columns.reshape(256, 12)[:, 1:]])
@@ -308,7 +307,7 @@ def purity_dev(bloch, members) -> float:
     return np.max(np.abs(reduced_purity(bloch)[members].mean(axis=1) - 0.8))
 
 
-class ReducedStateReport(NamedTuple):
+class ReducedStateReport(_Record):
     bloch_points: np.ndarray  # (8, 3) distinct Bloch vectors
     multiplicities: tuple
 

@@ -12,11 +12,10 @@ d^2 displacements, subnormalized by 1/d.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, _Record, cached_table
+from .numerics import DEFAULT_TOL, _FrozenRecord, _Record, cached_table
 
 
 def omega(d: int) -> complex:
@@ -89,10 +88,10 @@ def weyl_commutation_check(d: int, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.max(np.abs(lhs - rhs)) <= tol)
 
 
-class SicConstants(NamedTuple):
+class SicConstants(_FrozenRecord):
     """Closed-form constants appearing throughout the d = 4 analysis."""
 
-    G: float = (math.sqrt(5.0) - 1.0) / 2.0
+    G = (math.sqrt(5.0) - 1.0) / 2.0
 
     @property
     def B(self) -> float:
@@ -196,13 +195,10 @@ def generate_sic(v, d: int | None = None, label: str = "") -> SicPovm:
 class SicReport(_Record):
     """verify_sic's verdict and deviations; (S,) arrays for a stack of S SICs."""
 
-    def __init__(
-        self, is_sic: bool, max_fidelity_deviation: float, max_state_deviation: float, completeness_deviation: float
-    ):
-        self.is_sic = is_sic
-        self.max_fidelity_deviation = max_fidelity_deviation
-        self.max_state_deviation = max_state_deviation
-        self.completeness_deviation = completeness_deviation
+    is_sic: bool
+    max_fidelity_deviation: float
+    max_state_deviation: float
+    completeness_deviation: float
 
 
 @cached_table
@@ -237,7 +233,7 @@ def verify_sic(states, d: int, tol: float = DEFAULT_TOL) -> SicReport:
         # gram[s, j, k] = tr(r_j r_k) = vec(r_j) . vec(r_k^T)
         gram = stack.reshape(-1, n, n) @ stack.swapaxes(-1, -2).reshape(-1, n, n).swapaxes(-1, -2)
         fdev = np.max(np.abs(gram[(slice(None),) + _upper_pairs(n)].real - 1.0 / (d + 1)), axis=1)
-    cdev = np.max(np.abs(stack.sum(axis=1) - d * np.eye(d)), axis=(1, 2))
+        cdev = np.max(np.abs(stack.sum(axis=1) - d * np.eye(d)), axis=(1, 2))
     ok = (sdev <= tol) & (fdev <= tol) & (cdev <= tol)
     if states.ndim == 3:
         return SicReport(bool(ok[0]), float(fdev[0]), float(sdev[0]), float(cdev[0]))

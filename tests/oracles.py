@@ -37,19 +37,27 @@ from sic4.numerics import (
 )
 from sic4.orbits import (
     FIDUCIAL_STABILIZER,
-    LABEL_GRID,
     SIC_LABELING,
     _element_of,
     element_product,
     enumerate_orbit,
     fiducial_projector,
+    first_distinct_rows,
+    normal_subgroups,
     orbit_action,
     pair_action,
     permutation_orders,
     sic_symmetries,
 )
-from sic4.reconstruction import _matches_reference, _quad_index, signature_values, signatures
-from sic4.regrouping import dprime_pairs, fidelity_adjacency
+from sic4.reconstruction import QUAD_BLOCK, _matches_reference, _qualifying, _quad_index, _sums, signature_values
+from sic4.reconstruction import signatures
+from sic4.regrouping import (
+    CLIFFORD_GENERATORS,
+    _span,
+    dprime_pairs,
+    fidelity_adjacency,
+    primitive_commutation,
+)
 from sic4.two_qubit import (
     concurrence,
     gbv,
@@ -61,6 +69,10 @@ from sic4.two_qubit import (
     violating_signs,
 )
 from sic4.weyl_heisenberg import displacement_table, omega, tau
+
+# labels 1..16 of the orbit SICs row-major in a 4 x 4 square, the label
+# grid whose rows and columns organize the symmetry action and the regrouping
+LABEL_GRID = ((1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12), (13, 14, 15, 16))
 
 
 def sic_states(label: int) -> np.ndarray:
@@ -633,3 +645,57 @@ def coset(pair) -> tuple:
 def displacement_coset(p1: int, p2: int):
     """Coset name of the displacement with index (p1, p2)."""
     return coset(SymplecticPair((1, 0, 0, 1), (p1, p2), 4))
+
+
+def first_match_by_blocks(states: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """reconstruction._first_match as it was: each block screens the next
+    QUAD_BLOCK rows of every SIC still unresolved, however many are left."""
+    candidates = np.broadcast_to(candidates, states.shape[:1] + candidates.shape[-2:])
+    found = np.empty((len(states), 4), dtype=candidates.dtype)
+    todo = np.arange(len(states))
+    for lo in range(0, candidates.shape[1], QUAD_BLOCK):
+        block = candidates[todo, lo : lo + QUAD_BLOCK]
+        hits = _qualifying(_sums(states[todo], block))
+        hit = hits.any(axis=1)
+        found[todo[hit]] = block[hit, hits[hit].argmax(axis=1)]
+        todo = todo[~hit]
+        if not len(todo):
+            return states[np.arange(len(states))[:, None], found].sum(axis=1)
+    raise ValueError("no candidate 4-subset realizes the reference signature")
+
+
+def subgroup_census_over_every_pair() -> tuple:
+    """regrouping.hw_conjugate_subgroup_census as it was: it spans all
+    2,304 commuting pairs of order-4 rows with x^2 != z^2, not only those
+    with x < x^-1 and z < z^-1."""
+    group = enumerate_projective_clifford(4, extended=False)
+    identity = _element_of()[1]
+    square = element_product(np.arange(len(group)), np.arange(len(group)))
+    quartic = np.flatnonzero((square != identity) & (square[square] == identity))
+    act, pairs = orbit_action()[quartic], square[quartic] != square[quartic, None]
+    for state in (0, 1):
+        image = act[:, act[:, state]]
+        pairs &= image == image.T
+    x, z = (quartic[k] for k in np.nonzero(np.triu(pairs, 1)))
+    spans = np.sort(_span(x, z, identity), axis=1)
+    first = first_distinct_rows(spans)
+    hw_type = spans[first[primitive_commutation(group.mats[x[first]], group.mats[z[first]])]]
+    gens = np.array([g.F + g.chi for g in CLIFFORD_GENERATORS]).T
+    by = np.searchsorted(_pair_key(group.f.T, group.chi.T, 4), _coset_keys(gens[:4], gens[4:], 4))
+    normal = hw_type[normal_subgroups(hw_type, by)]
+
+    def named(s):
+        return frozenset(zip(map(tuple, group.f[s].tolist()), map(tuple, group.chi[s].tolist())))
+
+    return len(hw_type), len(normal), [named(s) for s in hw_type], [named(s) for s in normal]
+
+
+def distinct_triples_by_fancy_index(states):
+    """orbits._distinct_triples as it was: G[a, b] G[b, c] G[c, a] by fancy
+    indexing of the (n, n) Gram matrix, multiplied into fresh arrays."""
+    kets = state_ket(states)
+    gram = kets.conj() @ np.swapaxes(kets, -1, -2)
+    a, b, c = np.indices(gram.shape[-1:] * 3)
+    mask = (a != b) & (b != c) & (a != c)
+    a, b, c = a[mask], b[mask], c[mask]
+    return gram[..., a, b] * gram[..., b, c] * gram[..., c, a], mask

@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from oracles import (
+    LABEL_GRID,
     avg_reduced_purity,
     compose,
     concurrence_census,
@@ -33,7 +34,6 @@ from sic4.clifford import (
 from sic4.numerics import proj_equal, projective_set_equal, rank1_kets as state_ket
 from sic4.orbits import (
     FIDUCIAL_STABILIZER,
-    LABEL_GRID,
     STABILIZER_CYCLE,
     STABILIZER_MATRIX,
     STABILIZER_ORBIT_SETS,

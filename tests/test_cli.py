@@ -8,6 +8,8 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -232,6 +234,64 @@ def test_reconstruct_input_huge_entries_fail_quietly_in_strict_json(entry, tmp_p
     report = json.loads(out.read_text(), parse_constant=refuse)
     assert [c["observed"] for c in report["claims"]] == [False]
     assert set(report["payload"]["sic_deviations"]) == {"fidelity", "state", "completeness"}
+
+
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.floats(), st.text(max_size=6))
+_JSON = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=12,
+)
+# 16 [re, im] pairs of any floats, NaN and the infinities among them
+_PAIRS = st.lists(st.lists(st.floats(), min_size=2, max_size=2), min_size=16, max_size=16)
+_MATRIX = st.fixed_dictionaries({"dim": st.just(4) | _JSON_SCALARS, "entries": _PAIRS | _JSON})
+
+
+def _family_document(label, scale, k, entries):
+    """The --input document of orbit SIC label, every state times scale,
+    state k's entries replaced when entries is given."""
+    from sic4.numerics import matrix_to_json
+
+    doc = {"states": matrix_to_json(sic_states(label) * scale)}
+    if entries is not None:
+        doc["states"][k]["entries"] = entries
+    return doc
+
+
+_INPUT_DOCUMENTS = st.one_of(
+    _JSON,
+    st.fixed_dictionaries({"states": _JSON | st.lists(_MATRIX | _JSON, max_size=17)}),
+    st.builds(
+        _family_document,
+        st.integers(1, 16),
+        st.sampled_from([1.0, -1.0, 1.0 + 1e-12, 1j, 0.0, 1e3, 1e200, 1e308]),
+        st.integers(0, 15),
+        st.none() | _PAIRS | _JSON,
+    ),
+)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_INPUT_DOCUMENTS)
+def test_any_json_input_exits_2_with_one_line_or_gives_a_verdict(doc):
+    # whatever JSON --input holds: a usage error of one stderr line and no
+    # report, or a report of the input's verdict; no traceback, no warning
+    with tempfile.TemporaryDirectory() as tmp:
+        f, out, err = Path(tmp, "in.json"), Path(tmp, "r.json"), io.StringIO()
+        f.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = main(["reconstruct", "--input", str(f), "--format", "json", "--out", str(out)])
+        assert caught == []
+        if rc == 2:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("sic4: error: --input %s: " % f) and not out.exists()
+        else:
+            claims = json.loads(out.read_text())["claims"]
+            ids = [c["claim_id"] for c in claims]
+            assert err.getvalue() == "" and rc == (0 if all(c["pass"] for c in claims) else 1)
+            assert ids in (["reconstruct.input_is_sic"], ["reconstruct.input_is_sic", "reconstruct.input_group"])
 
 
 @pytest.mark.parametrize("sic", ["orbit", "not-sic"])
@@ -988,7 +1048,7 @@ def test_a_raising_section_logs_its_traceback_at_debug(monkeypatch, tmp_path, ca
 
 
 def test_passing_all_does_not_import_dataclasses(tmp_path):
-    # sic4's records are plain classes and named tuples: defining them
+    # sic4's records are plain classes and one named tuple: defining them
     # generates no code at import
     code = "; ".join(
         [
@@ -1008,6 +1068,24 @@ def test_passing_all_does_not_import_dataclasses(tmp_path):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_imports_build_one_named_tuple_class():
+    # SymplecticPair, compared and hashed by value; every other record is a
+    # numerics._Record, whose class namedtuple does not build with an eval
+    code = "; ".join(
+        [
+            "import collections, numpy",
+            "made, make = [], collections.namedtuple",
+            "collections.namedtuple = lambda name, *a, **k: made.append(name) or make(name, *a, **k)",
+            _perfbench_cli_imports(),
+            "print(made)",
+        ]
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["['SymplecticPair']"]
 
 
 def test_cli_imports_build_no_tables():

@@ -29,8 +29,8 @@ from sic4.clifford import (
     to_operator,
 )
 from sic4.numerics import GroupElement, is_unitary, match_projective, proj_equal
-from sic4.orbits import _element_of, element_product
-from sic4.weyl_heisenberg import SicPovm, SicReport, displacement, displacement_table, tau
+from sic4.orbits import FiducialOrbit, _element_of, element_product, enumerate_orbit
+from sic4.weyl_heisenberg import CONSTANTS, SicConstants, SicPovm, SicReport, displacement, displacement_table, tau
 
 
 def test_pair_validation():
@@ -297,6 +297,7 @@ def test_element_lookup_is_read_only():
 
 
 def test_sector_checks_its_stack_once(monkeypatch):
+    # the 48 V_F of the sector and the 16 D_chi, once each, not the 768 products
     calls = []
 
     def counted(m, tol=1e-9):
@@ -305,11 +306,22 @@ def test_sector_checks_its_stack_once(monkeypatch):
 
     monkeypatch.setattr(clifford, "is_unitary", counted)
     f, chi, mats, anti = clifford._sector(4, 1)
-    assert calls == [(768, 4, 4)]
+    assert calls == [(48, 4, 4), (16, 4, 4)]
     ref = enumerate_projective_clifford(4, extended=False)
     assert np.array_equal(f, ref.f) and np.array_equal(chi, ref.chi)
     assert np.array_equal(mats, ref.mats)
     assert anti.tolist() == [False] * 768
+    # a planted non-unitary V_F of this sector still raises
+    operators = clifford._operators
+
+    def planted(f, chi, d):
+        v, anti = operators(f, chi, d)
+        v[7] *= 1.0 + 1e-6
+        return v, anti
+
+    monkeypatch.setattr(clifford, "_operators", planted)
+    with pytest.raises(ValueError, match="not unitary"):
+        clifford._sector(4, 1)
 
 
 def test_sector_refuses_a_non_unitary_row(monkeypatch):
@@ -343,8 +355,19 @@ def test_records_keep_value_and_identity_semantics():
             delattr(record, field)
     report = SicReport(True, 0.0, 1e-16, completeness_deviation=2e-16)
     assert list(vars(report)) == ["is_sic", "max_fidelity_deviation", "max_state_deviation", "completeness_deviation"]
+    shuffled = SicReport(completeness_deviation=2e-16, max_state_deviation=1e-16, is_sic=True, max_fidelity_deviation=0.0)
+    assert list(vars(shuffled)) == list(vars(report)) and shuffled == report
     assert report == SicReport(True, 0.0, 1e-16, 2e-16) and report != SicReport(False, 0.0, 1e-16, 2e-16)
     assert repr(report).startswith("SicReport(is_sic=True, max_fidelity_deviation=0.0")
+    # annotated fields: each given once, by position or name
+    values = (True, 0.0, 1e-16, 2e-16)
+    for args, kwargs in ((values[:3], {}), (values + (0.0,), {}), (values, {"is_sic": False}), (values, {"other": 1})):
+        with pytest.raises(TypeError, match="is_sic"):
+            SicReport(*args, **kwargs)
+    assert CONSTANTS.G == SicConstants().G == (math.sqrt(5) - 1) / 2 and repr(CONSTANTS) == "SicConstants()"
+    for record, field in ((CONSTANTS, "G"), (enumerate_orbit(), "projectors"), (FiducialOrbit(None), "projectors")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
     with pytest.raises(ValueError, match="expected 16 states"):
         SicPovm(d=4, states=np.zeros((15, 4, 4)))
 

@@ -449,7 +449,8 @@ def _assert_same_split(got, want):
     spread and separation equal; or both None."""
     assert (got is None) == (want is None)
     if want is not None:
-        for a, b in zip(got[:4], want[:4]):
+        for field in ("classes", "counts", "first", "centers"):
+            a, b = getattr(got, field), getattr(want, field)
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
         assert (got.spread, got.separation) == (want.spread, want.separation)
 

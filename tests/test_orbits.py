@@ -7,7 +7,6 @@ from sic4.clifford import conjugation_action, enumerate_projective_clifford, to_
 from sic4.numerics import DEFAULT_TOL, MATCH_TOL, conjugate, proj_equal
 from sic4.orbits import (
     FIDUCIAL_STABILIZER,
-    LABEL_GRID,
     SIC_LABELING,
     STABILIZER_CYCLE,
     STABILIZER_MATRIX,
@@ -46,6 +45,7 @@ from sic4.weyl_heisenberg import displacement_table, verify_sic
 from oracles import (
     cluster_complex,
     conjugation_cycle_per_step,
+    distinct_triples_by_fancy_index,
     label_permutation_group_by_dict,
     normal_subgroups_by_inverses,
     orbit_action_by_coset_loop,
@@ -200,10 +200,6 @@ def test_symmetry_action_of_clock():
     assert (orbit_action()[row, ::16] // 16).tolist() == list(range(16))
 
 
-def test_label_grid_shape():
-    assert LABEL_GRID == ((1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12), (13, 14, 15, 16))
-
-
 def test_triple_family_properties():
     for d in (3, 4, 5):
         for theta in np.linspace(-3.0, 3.0, 7):
@@ -356,6 +352,15 @@ def test_triple_orbits_equal_the_orbits_of_all_symmetries():
     codes = np.flatnonzero(_distinct_triples(sic_states(1))[1])
     reversed_codes = codes % 16 * 256 + codes // 16 % 16 * 16 + codes // 256
     assert np.array_equal(conj[ids], ids[np.searchsorted(codes, reversed_codes)])
+
+
+def test_distinct_triples_equal_the_fancy_index_form():
+    # flat take and in-place products against fancy indexing, bit for bit,
+    # on the lined-up stack of the 16 SICs and on one shuffled SIC
+    shuffled = sic_states(6)[np.random.default_rng(39).permutation(16)]
+    for states in (_lined_up_states(enumerate_orbit().projectors), shuffled):
+        (vals, mask), (want, want_mask) = _distinct_triples(states), distinct_triples_by_fancy_index(states)
+        assert vals.shape == want.shape and vals.tobytes() == want.tobytes() and np.array_equal(mask, want_mask)
 
 
 def test_triple_census_classes_equal_cluster_complex():

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from sic4.cli import main
-from sic4.numerics import MATCH_TOL, canonical_phase, commutator_phase, projective_set_equal
+from sic4.numerics import MATCH_TOL, canonical_phase, commutator_phase, matrix_from_json, projective_set_equal
+import sic4.reconstruction
 from sic4.clifford import enumerate_projective_clifford
 from sic4.orbits import enumerate_orbit, orbit_action, sic_symmetries, state_permutations
 from sic4.reconstruction import (
@@ -33,6 +34,7 @@ from sic4.weyl_heisenberg import displacement, fiducial_ket_d4, verify_sic
 
 from oracles import (
     eig_hermitian,
+    first_match_by_blocks,
     phase_operator_by_projectors,
     reference_quads_by_full_eigvalsh,
     sic_states,
@@ -320,6 +322,36 @@ def test_first_match_crosses_two_block_boundaries_as_the_loop():
         quad = _first_by_loop(states, order)
         assert np.array_equal(m, states[list(quad)].sum(axis=0))
     assert [_first_hit(s, o) // QUAD_BLOCK for s, o in zip(sics, candidates)] == [0, 1, 2]
+
+
+def _reconstructed_or_error(states):
+    """reconstruct_hw's three arrays as bytes, or the repr of its ValueError."""
+    try:
+        rec = reconstruct_hw(states)
+    except ValueError as exc:
+        return repr(exc)
+    return [a.tobytes() for a in (rec.z_gen, rec.x_gen, rec.elements)]
+
+
+def test_spread_blocks_reconstruct_as_the_block_48_form(monkeypatch, tmp_path):
+    # ceil(QUAD_BLOCK / U) rows of each of U unresolved SICs per block against
+    # QUAD_BLOCK rows of each: bit for bit on the 32-SIC family, on every file
+    # of perfbench seeds 7 and 8 alone (the --input path) and on their SIC
+    # files in one stack, where first hits lie anywhere in the first 91 rows
+    inputs = _load_perfbench_inputs()
+    files = [path for seed in (7, 8) for path, _ in inputs.write_batch(seed, tmp_path / str(seed))]
+    single = [matrix_from_json(json.loads(path.read_text())["states"]) for path in files]
+    sics = np.stack([states for states in single if verify_sic(states, 4).is_sic])
+    cases = [enumerate_orbit().projectors[sic_family()[0]], sics, *single]
+    assert len(sics) == 192 and len(cases) == 258
+    screened, qualifying = [], sic4.reconstruction._qualifying
+    monkeypatch.setattr(sic4.reconstruction, "_qualifying", lambda m: screened.append(m.shape[:2]) or qualifying(m))
+    new = [_reconstructed_or_error(states) for states in cases]
+    # the family's z search resolves SICs 1-16 on row 0 and 17-32 on row 25, its x search all on row 0
+    assert screened[:10] == [(32, 2)] + [(16, 3)] * 8 + [(32, 2)]
+    monkeypatch.setattr(sic4.reconstruction, "_first_match", first_match_by_blocks)
+    assert [_reconstructed_or_error(states) for states in cases] == new
+    assert sum(isinstance(x, str) for x in new) == 64
 
 
 def test_input_verdicts_match_the_case_each_perfbench_file_was_built_as(tmp_path, capsys):

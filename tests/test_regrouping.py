@@ -11,7 +11,7 @@ from sic4.clifford import (
     to_operator,
 )
 from sic4.numerics import commutator_phase, proj_equal, projective_set_equal
-from sic4.orbits import LABEL_GRID, element_product, enumerate_orbit, first_distinct_rows, normal_subgroups, pair_action
+from sic4.orbits import element_product, enumerate_orbit, first_distinct_rows, normal_subgroups, pair_action
 from sic4.reconstruction import COMMUTATOR_TOL, reconstruct_hw
 from sic4.regrouping import (
     CLIFFORD_GENERATORS,
@@ -42,6 +42,7 @@ from sic4.regrouping import (
 from sic4.weyl_heisenberg import displacement, displacement_table, verify_sic
 
 from oracles import (
+    LABEL_GRID,
     _quotient,
     coset,
     coset as pair_coset,
@@ -51,6 +52,7 @@ from oracles import (
     normal_subgroups_by_inverses,
     regroup_by_search,
     sic_states,
+    subgroup_census_over_every_pair,
 )
 
 
@@ -284,6 +286,10 @@ def test_dprime_permutes_the_regrouped_sics_only():
     members = sic_family()[0]
     assert dprime_permutes(enumerate_orbit().projectors[members]).tolist() == [False] * 16 + [True] * 16
     assert dprime_covariant(members).tolist() == [False] * 16 + [True] * 16
+    # a state that is not rank-1 fails its own list alone
+    states = enumerate_orbit().projectors[members[16:]]
+    states[3, 5] = np.eye(4) / 4
+    assert dprime_permutes(states).tolist() == [True] * 3 + [False] + [True] * 12
 
 
 def _nx_cliques(g, k):
@@ -412,6 +418,15 @@ def test_clifford_generators_reach_every_coset():
 
 def test_subgroup_census_matches_scalar_spans():
     assert hw_conjugate_subgroup_census() == _scalar_span_census()
+
+
+def test_census_spans_a_quarter_of_the_pairs_for_the_same_subgroups(monkeypatch):
+    # the pairs (x^+-1, z^+-1) span one subgroup: 576 of the 2,304 pairs,
+    # the same counts and subgroups, in the same order
+    spanned, span = [], regrouping._span
+    monkeypatch.setattr(regrouping, "_span", lambda x, z, identity: spanned.append(len(x)) or span(x, z, identity))
+    assert hw_conjugate_subgroup_census() == subgroup_census_over_every_pair()
+    assert spanned == [576]
 
 
 def test_span_dedup_matches_unique_rows():

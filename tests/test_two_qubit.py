@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    LABEL_GRID,
     SignPattern,
     avg_reduced_purity,
     bloch_vectors,
@@ -22,7 +23,7 @@ from oracles import (
     sign_pattern,
     violating_patterns,
 )
-from sic4.orbits import LABEL_GRID, FiducialOrbit, enumerate_orbit
+from sic4.orbits import FiducialOrbit, enumerate_orbit
 from sic4.regrouping import sic_family
 from sic4.two_qubit import (
     CONCURRENCE_GAP,
