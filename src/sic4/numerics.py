@@ -1,7 +1,7 @@
 """Shared numerical primitives: the cache of read-only shared tables,
 unitary/antiunitary operators, kets of rank-1 states, the overlap kernel
-that decides equality up to a phase, the split of values into classes (one
-list, or each row of a stack) and matrix (de)serialization.
+that decides equality up to a phase, the split of values into classes and
+matrix (de)serialization.
 
 Comparisons are absolute-tolerance based, except MATCH_TOL's cut on a
 normalized overlap; the package-wide default tolerance is ``DEFAULT_TOL``.
@@ -182,61 +182,73 @@ class ValueClasses(_Record):
 def value_classes(values, gap: float) -> ValueClasses:
     """Split N values of one shape (reals, complex numbers, 3-vectors) into
     classes at Euclidean distance gap: the first unclassed value leads a
-    class and takes every unclassed value within gap / 2 of it; a center is
-    its members' mean, summed in value order.  ValueError unless the values
-    are finite and 2 spread <= gap < separation, so classes are never merged
-    silently.  Each pass compares all values with one leader, or a block of
-    centers with all centers: no (N, N) array is made."""
-    return value_class_rows(np.asarray(values)[None], gap, strict=True)[0]
-
-
-def value_class_rows(values, gap: float, *, strict: bool = False) -> list:
-    """value_classes of each row of an (S, N, ...) stack, each leader pass
-    and class sum serving every row: S ValueClasses, None for a row that
-    cannot split (strict: ValueError)."""
+    class and takes every unclassed value within gap / 2 of it, and
+    class_split judges the classes.  ValueError unless the values are
+    finite and 2 spread <= gap < separation, so classes are never merged
+    silently.  Each pass compares all values with one leader: no (N, N)
+    array is made."""
     values = np.asarray(values)
-    s, n = values.shape[:2]
-    flat = np.moveaxis(values.reshape(s, n, -1), -1, 0)
-    x = np.concatenate([flat.real, flat.imag] if np.iscomplexobj(flat) else [flat], dtype=float)  # (C, S, N)
-    finite, rows = np.isfinite(x).all(axis=(0, 2)), np.arange(s)
-    x = x if finite.all() else np.where(finite[:, None], x, 0.0)
-    classes, unclassed = np.zeros((s, n), dtype=np.intp), np.repeat(finite[:, None], n, axis=1)
-    p, diff = 0, np.empty_like(x)  # pass p leads class p of each row with a value left; a row without one takes nothing
-    while unclassed.any():
-        i = unclassed.argmax(axis=1)
-        np.subtract(x, x[:, rows, i, None], out=diff)  # squared in place, into one buffer for every pass
-        near = unclassed & (np.square(diff, out=diff).sum(axis=0) <= gap * gap / 4)
-        classes[near], p = p, p + 1
+    x = _components(values[None])[:, 0]  # (C, N)
+    if not np.isfinite(x).all():
+        raise ValueError("values to split into classes are not finite")
+    classes, unclassed, k = np.zeros(len(values), dtype=np.intp), np.ones(len(values), dtype=bool), 0
+    while unclassed[i := unclassed.argmax()]:
+        near = unclassed & (np.square(x - x[:, i, None]).sum(axis=0) <= gap * gap / 4)
+        classes[near], k = k, k + 1
         unclassed ^= near
-    # classes numbered by first occurrence: each class's first member raises the running maximum
-    start = np.diff(np.maximum.accumulate(classes, axis=1), axis=1, prepend=-1) > 0
-    k, first, m = start.sum(axis=1), np.nonzero(start)[1], start.sum(axis=1).max()
-    key = (classes + m * rows[:, None]).ravel()
-    counts = np.bincount(key, minlength=s * m).reshape(s, m)
-    sums = np.array([np.bincount(key, row, s * m) for row in x.reshape(len(x), -1)]).reshape(-1, s, m)
-    c = np.where(np.arange(m) < k[:, None], sums / np.maximum(counts, 1), np.nan)  # (C, S, M) class means, NaN pads
+    centers, counts, first, spread, separation, split = class_split(values[None], classes, gap)
+    spread, separation = float(spread[0]), float(separation[0])
+    if not split[0]:
+        raise ValueError("no split into classes at gap %.3g: spread %.3g, separation %.3g" % (gap, spread, separation))
+    return ValueClasses(classes, counts, first, centers[0], spread, separation)
+
+
+def _components(values) -> np.ndarray:
+    """The (C, S, N) float components of an (S, N, ...) stack of values,
+    real parts before imaginary parts, in a new array."""
+    flat = values.reshape(values.shape[:2] + (np.prod(values.shape[2:], dtype=int),)).transpose(2, 0, 1)
+    return np.concatenate([flat.real, flat.imag] if np.iscomplexobj(flat) else [flat], dtype=float)
+
+
+def class_split(values, classes, gap: float) -> tuple:
+    """Judge the classes 0..K-1 of an (N,) id array, each id used, on every
+    row of an (S, N, ...) stack of values (reals, complex numbers, 3-vectors)
+    at Euclidean distance gap: the (S, K, ...) class means, summed in value
+    order; the (K,) class sizes and first members; and each row's spread
+    (largest distance from a value to its class mean), separation (smallest
+    distance between two means, inf for one class) and verdict, the one rule
+    of every census: the values are finite, each within gap / 2 of its
+    class's first member (implied where 4 spread <= gap), and 2 spread <= gap
+    < separation.  Rows and centers go a block at a time: temporaries stay small."""
+    values, classes = np.asarray(values), np.asarray(classes)
+    (s, n), k = values.shape[:2], classes.max() + 1
+    counts, first = np.bincount(classes, minlength=k), np.full(k, n)
+    np.minimum.at(first, classes, np.arange(n))
+    rows = max(1, (1 << 15) // (values[0].size * (1 + np.iscomplexobj(values))))  # at most 32,768 components a block
+    key = (classes + k * np.arange(min(rows, s))[:, None]).ravel()  # one bincount per component sums a block
+    finite, sums, spread = np.isfinite(values.reshape(s, -1)).all(axis=1), [], []
+    for r in range(0, s, rows):
+        x = _components(values[r : r + rows])  # (C, m, N)
+        x[:, ~finite[r : r + rows]] = 0.0
+        m = x.shape[1]
+        sums.append(np.reshape([np.bincount(key[: m * n], b, m * k) for b in x.reshape(len(x), -1)], (-1, m, k)))
+        dev = np.take(sums[-1] / counts, classes, axis=-1)  # each value's center, then its offset
+        dev -= x
+        spread.append(np.sqrt(np.square(dev, out=dev).sum(axis=0).max(axis=1)))
+    sums, spread = np.concatenate(sums, axis=1), np.concatenate(spread)
+    wide = 4 * spread > gap  # elsewhere a value lies within 2 spread <= gap / 2 of its class's first member
+    x, near = _components(values[wide]), ~wide
+    near[wide] = np.all(np.square(x - x[:, :, first[classes]]).sum(axis=0) <= gap * gap / 4, axis=1)
+    c, square_min, block = sums / counts, np.full(s, np.inf), max(1, (1 << 16) // (s * k))  # (C, S, K) centers
+    for j in range(0, k, block):  # a block of centers against all, at most 65,536 pairs
+        square = np.square(c[:, :, j : j + block, None] - c[:, :, None]).sum(axis=0)
+        square.reshape(s, -1)[:, j :: k + 1] = np.inf  # each center of the block against itself
+        square_min = np.minimum(square_min, square.min(axis=(1, 2)))
     if np.iscomplexobj(values):
         sums = sums[: len(sums) // 2] + 1j * sums[len(sums) // 2 :]
-    centers = sums.transpose(1, 2, 0) / np.maximum(counts, 1)[:, :, None]
-    dev = c.reshape(len(c), -1).take(key, axis=1).reshape(x.shape)  # each value's center, then its offset
-    dev -= x
-    spread = np.sqrt(np.square(dev, out=dev).sum(axis=0).max(axis=1))
-    square_min, block = np.full(s, np.inf), max(1, (1 << 16) // (s * m))
-    for j in range(0, m, block):  # a block of centers against all, at most 65,536 pairs; fmin skips padding
-        t = np.arange(j, min(j + block, m))[:, None]
-        square = np.where(t != np.arange(m), np.square(c[:, :, t] - c[:, :, None]).sum(axis=0), np.inf)
-        square_min = np.fmin(square_min, np.fmin.reduce(square, axis=(1, 2)))
-    separation, ends = np.sqrt(square_min), np.cumsum(k).tolist()
-    splits = [
-        ValueClasses(classes[r], counts[r, :kr], first[e - kr : e], centers[r, :kr].reshape(-1, *values.shape[2:]), *sd)
-        for r, kr, e, sd in zip(rows, k.tolist(), ends, zip(spread.tolist(), separation.tolist()))
-    ]
-    fail = ~(finite & (2 * spread <= gap) & (gap < separation))
-    if strict and fail.any():
-        r = fail.argmax()
-        text = "no split into classes at gap %.3g: spread %.3g, separation %.3g" % (gap, spread[r], separation[r])
-        raise ValueError(text if finite[r] else "values to split into classes are not finite")
-    return [None if fail[r] else split for r, split in enumerate(splits)]
+    centers = (sums.transpose(1, 2, 0) / counts[:, None]).reshape((s, k) + values.shape[2:])
+    separation = np.sqrt(square_min)
+    return centers, counts, first, spread, separation, finite & near & (2 * spread <= gap) & (gap < separation)
 
 
 # two matrices are equal up to a phase when their overlap reaches 1 - MATCH_TOL:

@@ -30,7 +30,7 @@ from .clifford import (
     to_operator,
 )
 from .numerics import DEFAULT_TOL, MATCH_TOL, _FrozenRecord, _Record, cached_table, is_unitary, match_projective
-from .numerics import rank1_kets
+from .numerics import class_split, rank1_kets
 from .weyl_heisenberg import SicReport, displacement_table, fiducial_ket_d4, verify_sic
 
 # symplectic sources of the 16 SIC labels, det = +1 mod 8
@@ -284,15 +284,17 @@ def _distinct_triples(states):
     gram = (kets.conj() @ np.swapaxes(kets, -1, -2)).reshape(kets.shape[:-2] + (n * n,))  # flat rows, for take
     a, b, c = np.indices((n,) * 3)
     mask = (a != b) & (b != c) & (a != c)
-    vals = gram.take(n * a[mask] + b[mask], axis=-1)
-    vals *= gram.take(n * b[mask] + c[mask], axis=-1)
-    vals *= gram.take(n * c[mask] + a[mask], axis=-1)
+    ab, bc, ca = (n * p[mask] + q[mask] for p, q in ((a, b), (b, c), (c, a)))
+    vals = gram.take(ab, axis=-1)
+    for j in range(0, len(ab), 1024):  # a slice of triples at a time keeps the temporaries small
+        vals[..., j : j + 1024] *= gram.take(bc[j : j + 1024], axis=-1)
+        vals[..., j : j + 1024] *= gram.take(ca[j : j + 1024], axis=-1)
     return vals, mask
 
 
-# a SIC's triple traces split on the orbits (_triple_orbits) when 2 spread
-# <= TRIPLE_CENSUS_GAP < separation, as in numerics.value_classes; in each
-# SIC an orbit spreads over 5.4e-16 and two orbits lie 8.5e-3 apart
+# a SIC's triple traces split on the orbits (_triple_orbits) at the gap
+# TRIPLE_CENSUS_GAP (numerics.class_split); in each SIC an orbit spreads
+# over 5.4e-16 and two orbits lie 8.5e-3 apart
 TRIPLE_CENSUS_GAP = 1e-6
 
 
@@ -326,18 +328,13 @@ def _triple_censuses(gap: float) -> tuple:
     states lined up with SIC 1's by the exact label map of V_n: the (16, K)
     orbit means, each summed in value order; the (K,) orbit sizes; the
     (16, 16, 16) orbit of each triple of distinct SIC 1 states, -1
-    elsewhere; each orbit's conjugate orbit; and whether each row splits,
-    2 spread <= gap < separation.  Orbits are in census order, set on SIC
-    1 by (Re c_k + Re c_conj(k)) / 2, equal for a conjugate pair, then Im."""
+    elsewhere; each orbit's conjugate orbit; and whether each row splits on
+    the orbits (class_split).  Orbits are in census order, set on SIC 1 by
+    (Re c_k + Re c_conj(k)) / 2, equal for a conjugate pair, then Im."""
     ids, conj = _triple_orbits()
     image = pair_action([pair.F for pair in SIC_LABELING], np.zeros((16, 2), dtype=int))[:, :16]
     vals, mask = _distinct_triples(enumerate_orbit().projectors[image])  # (16, 3360), row 0 is SIC 1
-    k, counts = len(conj), np.bincount(ids)
-    key = (ids + k * np.arange(16)[:, None]).ravel()  # one bincount sums every row's orbits
-    centers = (np.bincount(key, vals.real.ravel()) + 1j * np.bincount(key, vals.imag.ravel())).reshape(16, k) / counts
-    spread = np.abs(vals - centers[:, ids]).max(axis=1)
-    apart = np.abs(centers[:, :, None] - centers[:, None, :]) + np.diag(np.full(k, np.inf))
-    split = (2 * spread <= gap) & (gap < apart.min(axis=(1, 2)))
+    centers, counts, _, _, _, split = class_split(vals, ids, gap)
     order = np.lexsort((centers[0].imag, (centers[0].real + centers[0, conj].real) / 2))
     rank = np.argsort(order)
     census = np.full(mask.shape, -1)

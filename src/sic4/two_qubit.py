@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, _Record, cached_table, match_projective, rank1_kets, value_class_rows, value_classes
+from .numerics import DEFAULT_TOL, _Record, cached_table, class_split, match_projective, rank1_kets, value_classes
 from .weyl_heisenberg import CONSTANTS, _upper_pairs, displacement_table
 
 _SQRT2 = math.sqrt(2.0)
@@ -262,7 +262,7 @@ def concurrence(psi: np.ndarray):
 
 
 # concurrences are one value when they fall into one class at the gap
-# CONCURRENCE_GAP (numerics.value_classes); in each orbit SIC, either
+# CONCURRENCE_GAP (numerics.class_split); in each orbit SIC, either
 # basis, a value spreads over 4.5e-16 and two values lie 0.55 apart
 CONCURRENCE_GAP = 1e-9
 
@@ -307,76 +307,42 @@ def purity_dev(bloch, members) -> float:
     return np.max(np.abs(reduced_purity(bloch)[members].mean(axis=1) - 0.8))
 
 
-class ReducedStateReport(_Record):
-    bloch_points: np.ndarray  # (8, 3) distinct Bloch vectors
-    multiplicities: tuple
-
-
 # two reduced states are one when their Bloch vectors share a class at the
-# gap REDUCED_POINT_TOL (numerics.value_classes); in the 16 orbit SICs, either
-# qubit or basis, a point spreads over 2.6e-16 and two points lie 0.41 apart
+# gap REDUCED_POINT_TOL (numerics.class_split); in the orbit SICs' pairs of
+# cube_census, either qubit, a point spreads over 1.7e-16, two lie 0.41 apart
 REDUCED_POINT_TOL = 1e-8
 
 
-def reduced_state_census(points):
-    """Distinct single-qubit reduced states of a list of states, given by
-    their (N, 3) Bloch vectors (Gbv.s for the first qubit, Gbv.r for the
-    second), such as one SIC's 16, with their multiplicities; for an
-    (S, N, 3) stack, the list of S reports.  The lists' points are split
-    by one value_class_rows call at REDUCED_POINT_TOL, and each distinct
-    point is represented by its first occurrence (detect_cube tests them for
-    a cube); a list whose points split into no classes gets None."""
-    stack = np.reshape(points, (-1,) + np.shape(points)[-2:])
-    splits = value_class_rows(stack, REDUCED_POINT_TOL)
-    reports = [s and ReducedStateReport(p[s.first], tuple(s.counts.tolist())) for p, s in zip(stack, splits)]
-    return reports[0] if np.ndim(points) == 2 else reports
-
-
 # eight points make a cube when their sorted distances, scaled by 1, sqrt 2
-# and sqrt 3 (12, 12 and 4 of them), fall into one class at the gap
-# CUBE_GAP_TOL (numerics.value_classes); on the 16 orbit SICs, either qubit
+# and sqrt 3 (12, 12 and 4 of them), form one class at the gap
+# CUBE_GAP_TOL (numerics.class_split); on the 16 orbit SICs, either qubit
 # or basis, a cube's scaled distances spread over 8.9e-16, every other
 # set's over at least 0.31
 CUBE_GAP_TOL = 1e-7
 
 
-def detect_cube(points) -> tuple:
-    """Cube test on distinct points: there must be eight, and their 28
-    sorted pairwise distances, the first 12 divided by 1, the next 12 by
-    sqrt 2 and the last 4 by sqrt 3, must form one class at CUBE_GAP_TOL.
-    Returns (True, edge) for a cube, the edge being the shortest distance,
-    else (False, None); for a list of S point arrays, the S flags and the S
-    edges, the scaled distances of every eight points split by one
-    value_class_rows call, and (None, None) for an entry None."""
-    one = isinstance(points, np.ndarray) and points.ndim == 2
-    sets = [points] if one else list(points)
-    ok, edges = [None if p is None else False for p in sets], [None] * len(sets)
-    eight = [k for k, p in enumerate(sets) if p is not None and len(p) == 8]
-    i, j = _upper_pairs(8)
-    cubes = np.array([sets[k] for k in eight]).reshape(-1, 8, 3)
-    dists = np.sort(np.linalg.norm(cubes[:, i] - cubes[:, j], axis=2), axis=1)
-    splits = value_class_rows(dists / np.sqrt(np.repeat([1, 2, 3], [12, 12, 4])), CUBE_GAP_TOL) if eight else []
-    for k, split, edge in zip(eight, splits, dists[:, 0].tolist()):
-        ok[k] = bool(split) and len(split.counts) == 1
-        edges[k] = edge if ok[k] else None
-    return (ok[0], edges[0]) if one else (ok, edges)
-
-
 def cube_census(g: Gbv) -> tuple:
-    """The reduced-state census of both qubits of each orbit SIC in one
-    call, from the Gbv of the 256 orbit states in SIC order, and one
-    detect_cube call on the SICs' second-qubit points, as four values:
-    whether each qubit of each SIC has eight reduced states, each twice;
-    how many of SICs 1-8 and of SICs 9-16 give a cube; and the largest
-    |edge - 2/sqrt 5| of the SIC 1-8 cubes.  A count reads None when a SIC
-    of its half cannot split, and so does the edge deviation with the
-    first count."""
-    reports = reduced_state_census(np.concatenate([g.s, g.r]).reshape(32, 16, 3))
-    cube, edge = detect_cube([r and r.bloch_points for r in reports[16:]])
-    multiplicity = all(r and len(r.bloch_points) == 8 and set(r.multiplicities) == {2} for r in reports)
-    class1, class2 = (None if None in c else sum(c) for c in (cube[:8], cube[8:]))
-    edges = [abs(e - 2 / math.sqrt(5)) for e in edge[:8] if e is not None]
-    return multiplicity, class1, class2, None if class1 is None else max(edges, default=0.0)
+    """The reduced-state census of both qubits of each orbit SIC, from the
+    product-basis Gbv of the 256 orbit states in SIC order, as four values:
+    whether each qubit of each SIC has eight reduced states, each twice; how
+    many of SICs 1-8 and of SICs 9-16 give a cube; and the largest |edge -
+    2/sqrt 5| of the SIC 1-8 cubes.  State k = 4 p1 + p2 shares its reduced
+    states with k ^ 2 (moved by D_(0,2) = 1 (x) sigma_z) on the first qubit and
+    with k ^ 8 (D_(2,0) = sigma_x (x) 1) on the second.  class_split judges the
+    pairs, and each SIC's eight second-qubit pairs as a cube: its scaled
+    distances one class.  A count reads None when a SIC of its half cannot
+    split its second-qubit pairs, and so does the edge deviation with the first."""
+    states = np.arange(16)
+    pairs = [np.column_stack([states[states & b == 0], states[states & b == b]]).ravel() for b in (2, 8)]
+    points = np.concatenate([g.s.reshape(16, 16, 3)[:, pairs[0]], g.r.reshape(16, 16, 3)[:, pairs[1]]])
+    split = class_split(points, states // 2, REDUCED_POINT_TOL)[-1]  # rows: 16 first qubits, 16 second
+    i, j = _upper_pairs(8)
+    dists = np.sort(np.linalg.norm(points[16:, i * 2] - points[16:, j * 2], axis=2), axis=1)
+    scaled = dists / np.sqrt(np.repeat([1, 2, 3], [12, 12, 4]))
+    cube = class_split(scaled, np.zeros(28, dtype=np.intp), CUBE_GAP_TOL)[-1] & split[16:]
+    class1, class2 = (int(cube[h].sum()) if split[16:][h].all() else None for h in (slice(0, 8), slice(8, 16)))
+    edges = np.abs(dists[:8, 0] - 2 / math.sqrt(5))[cube[:8]]
+    return bool(split.all()), class1, class2, None if class1 is None else max(edges.tolist(), default=0.0)
 
 
 def violating_signs() -> np.ndarray:

@@ -10,7 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bloch_vectors, canonical_key, compose, eig_hermitian, probe_proj_equal, value_classes_one_list
+from oracles import (
+    bloch_vectors,
+    canonical_key,
+    cluster_complex,
+    compose,
+    eig_hermitian,
+    probe_proj_equal,
+    value_classes_one_list,
+)
 from sic4.clifford import enumerate_projective_clifford
 from sic4.numerics import (
     MATCH_TOL,
@@ -26,8 +34,9 @@ from sic4.numerics import (
     overlaps,
     proj_equal,
     projective_set_equal,
+    ValueClasses,
+    class_split,
     rank1_kets,
-    value_class_rows,
     value_classes,
 )
 from sic4.orbits import enumerate_orbit
@@ -474,26 +483,122 @@ def _census_families():
         yield concurrence(rank1_kets(physical_state(projectors, basis))).reshape(16, 16), CONCURRENCE_GAP
 
 
+def _row_split(split, r, classes):
+    """Row r of a class_split as the ValueClasses of value_classes, None
+    where the row does not split."""
+    centers, counts, first, spread, separation, ok = split
+    if not ok[r]:
+        return None
+    return ValueClasses(np.asarray(classes), counts, first, centers[r], float(spread[r]), float(separation[r]))
+
+
 def test_stacked_rows_equal_one_row_splits():
-    # each row against the one-row call and the one-list kernel it replaced
+    # value_classes and class_split on each row's own classes against the
+    # one-list kernel that class_split replaced
     for values, gap in _census_families():
-        splits = value_class_rows(values, gap)
-        assert len(splits) == len(values) and all(splits)
-        for row, split in zip(values, splits):
-            _assert_same_split(split, value_classes(row, gap))
-            _assert_same_split(split, value_classes_one_list(row, gap))
-    # planted rows: a near tie and a NaN read None where the one-row call raises
+        for row in values:
+            want = value_classes_one_list(row, gap)
+            _assert_same_split(value_classes(row, gap), want)
+            split = class_split(row[None], want.classes, gap)
+            _assert_same_split(_row_split(split, 0, want.classes), want)
+    # one stacked call on rows sharing their classes: each SIC's Bloch
+    # points in pair order, (k, k ^ 2) on the first qubit, (k, k ^ 8) on the second
+    from sic4.two_qubit import REDUCED_POINT_TOL
+
+    k = np.arange(16)
+    for qubit, b in ((0, 2), (1, 8)):
+        order = np.column_stack([k[k & b == 0], k[k & b == b]]).ravel()
+        points = bloch_vectors(enumerate_orbit().projectors, "product", qubit).reshape(16, 16, 3)[:, order]
+        split = class_split(points, k // 2, REDUCED_POINT_TOL)
+        assert split[-1].all()
+        for r, row in enumerate(points):
+            _assert_same_split(_row_split(split, r, k // 2), value_classes_one_list(row, REDUCED_POINT_TOL))
+    # each SIC's triple traces on the classes of the union-find split: its
+    # counts and its centers, bit for bit, and no other split
+    from sic4.orbits import TRIPLE_CENSUS_GAP, _distinct_triples
+
+    for vals in _distinct_triples(enumerate_orbit().projectors.reshape(16, 16, 4, 4))[0]:
+        want, ids = cluster_complex(vals)
+        centers, counts, _, _, _, ok = class_split(vals[None], ids, TRIPLE_CENSUS_GAP)
+        assert ok[0] and counts.tolist() == [n for _, n in want]
+        assert centers[0].tobytes() == np.array([c for c, _ in want]).tobytes()
+    # planted rows: a near tie in one class, the same in two, and a NaN
     gap = 1e-6
     rows = np.array([[0.25, 0.25, 3.0, 3.0], [0.25, 0.25 + 0.6 * gap, 3.0, 3.0], [0.25, np.nan, 3.0, 3.0]])
-    splits = value_class_rows(rows, gap)
-    assert splits[0] is not None and splits[1:] == [None, None]
-    for row, split in zip(rows, splits):
-        _assert_same_split(split, _one_row_split(value_classes, row, gap))
-        _assert_same_split(split, _one_row_split(value_classes_one_list, row, gap))
-    with pytest.raises(ValueError, match="spread 0, separation 6e-07"):
-        value_class_rows(rows[:2], gap, strict=True)
-    with pytest.raises(ValueError, match="not finite"):
-        value_class_rows(rows[::2], gap, strict=True)
+    assert class_split(rows, [0, 0, 1, 1], gap)[-1].tolist() == [True, False, False]
+    assert class_split(rows, [0, 1, 2, 2], gap)[-1].tolist() == [False, False, False]
+    for row in rows:
+        split = class_split(row[None], [0, 0, 1, 1], gap)
+        _assert_same_split(_row_split(split, 0, [0, 0, 1, 1]), _one_row_split(value_classes, row, gap))
+
+
+def _planted(rng, kind, centers, planted, radius):
+    """Values of the given kind at their planted classes' centers, each
+    moved by at most radius."""
+    n = len(planted)
+    move = rng.normal(size=(n, 3 if kind == "vector" else 1 + (kind == "complex")))
+    move *= rng.uniform(0, radius, size=(n, 1)) / np.linalg.norm(move, axis=1, keepdims=True)
+    values = centers[planted]
+    if kind == "complex":
+        return values + (move[:, 0] + 1j * move[:, 1])
+    return values + (move if kind == "vector" else move[:, 0])
+
+
+def _one_rule(split, values, classes, gap):
+    """The one rule with its gap / 2 test run on every row, from the
+    split's own first members, spread and separation."""
+    _, _, first, spread, separation, _ = split
+    x = np.asarray(values).reshape(np.shape(values)[:2] + (-1,))
+    x = np.concatenate([x.real, x.imag], axis=-1) if np.iscomplexobj(x) else x
+    near = np.all(np.square(x - x[:, first[np.asarray(classes)]]).sum(axis=-1) <= gap * gap / 4, axis=1)
+    return np.isfinite(x).all(axis=(1, 2)) & near & (2 * spread <= gap) & (gap < separation)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["real", "complex", "vector"]),
+    k=st.integers(1, 5),
+    n=st.integers(1, 24),
+    width=st.floats(0.0, 0.7),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_class_split_and_value_classes_on_planted_classes(kind, k, n, width, seed):
+    rng = np.random.default_rng(seed)
+    gap = 1e-6
+    shape = (k, 3) if kind == "vector" else (k,)
+    centers = rng.uniform(-1, 1, size=shape) + (1j * rng.uniform(-1, 1, size=shape) if kind == "complex" else 0)
+    planted = rng.permutation(np.arange(max(n, k)) % k)  # every class used
+    # well-separated classes, each within gap / 8 of its center: value_classes
+    # returns them in first-occurrence order, and class_split on those ids agrees
+    tight = _planted(rng, kind, centers, planted, gap / 8)
+    order = {c: i for i, c in enumerate(dict.fromkeys(planted.tolist()))}
+    ids = np.array([order[c] for c in planted.tolist()])
+    got = value_classes(tight, gap)
+    assert np.array_equal(got.classes, ids) and got.counts.tolist() == np.bincount(ids).tolist()
+    _assert_same_split(_row_split(class_split(tight[None], ids, gap), 0, ids), got)
+    # a stack of the tight row and two rows moved by up to width gap: every
+    # verdict is the one rule's with the gap / 2 test also where 4 spread <= gap
+    stack = np.stack([tight] + [_planted(rng, kind, centers, planted, width * gap) for _ in range(2)])
+    split = class_split(stack, ids, gap)
+    assert np.array_equal(split[-1], _one_rule(split, stack, ids, gap))
+    for r, row in enumerate(stack):
+        row_centers, _, _, _, _, ok = class_split(row[None], ids, gap)
+        assert ok[0] == split[-1][r] and row_centers[0].tobytes() == split[0][r].tobytes()
+    # a near tie, two values 0.6 gap apart, splits neither as one class nor
+    # as two, and value_classes refuses it; nor does a class whose member
+    # lies 0.55 gap from its first member, though 2 spread <= gap
+    unit = rng.normal(size=3)
+    unit /= np.linalg.norm(unit)
+    steps = {"real": np.sign(unit[0]), "complex": complex(*unit[:2]) / np.hypot(*unit[:2]), "vector": unit}
+    base, step = centers[:1], steps[kind]
+    tie = np.concatenate([base, base + 0.6 * gap * step])
+    for tie_ids in ([0, 0], [0, 1]):
+        assert not class_split(tie[None], tie_ids, gap)[-1][0]
+    with pytest.raises(ValueError, match="no split"):
+        value_classes(tie, gap)
+    far = np.concatenate([base] + [base + 0.55 * gap * step] * 3)
+    _, _, _, spread, _, ok = class_split(far[None], [0] * 4, gap)
+    assert not ok[0] and 2 * spread[0] <= gap
 
 
 class _Pair(NamedTuple):

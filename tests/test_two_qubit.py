@@ -39,7 +39,6 @@ from sic4.two_qubit import (
     bell_basis_map,
     concurrence,
     cube_census,
-    detect_cube,
     from_gbv,
     gbv,
     match_sign_patterns,
@@ -48,16 +47,33 @@ from sic4.two_qubit import (
     partial_transpose_simplex_checks,
     physical_state,
     reduced_purity,
-    reduced_state_census,
     sign_census,
     sign_pattern_table,
     violating_signs,
 )
-from sic4.numerics import rank1_kets as state_ket, value_classes
+from sic4.numerics import class_split, proj_equal, rank1_kets as state_ket, value_classes
 from sic4.weyl_heisenberg import CONSTANTS, displacement
 
 C_FLAT = math.sqrt(2 / 5)  # 0.632455532
 C_HIGH = math.sqrt((2 + 2 * math.sqrt(CONSTANTS.G)) / 5)  # 0.845257683
+
+# in the product basis state k of a SIC shares its first-qubit reduced
+# state with state k ^ 2 and its second-qubit one with state k ^ 8: each
+# qubit's states in pair order, the pair's smaller state first
+_STATES = np.arange(16)
+_PAIR_ORDER = [np.column_stack([_STATES[_STATES & b == 0], _STATES[_STATES & b == b]]).ravel() for b in (2, 8)]
+
+
+def _pair_split(states, qubit: int, basis: str = "product"):
+    """The Bloch points of one qubit of (S, 16) SIC states in pair order,
+    and their class_split on the pairs at REDUCED_POINT_TOL."""
+    points = bloch_vectors(states, basis, qubit).reshape(-1, 16, 3)[:, _PAIR_ORDER[qubit]]
+    return points, class_split(points, _STATES // 2, REDUCED_POINT_TOL)
+
+
+def _cube_census_of(sic):
+    """cube_census of an orbit whose 16 SICs are all the given one."""
+    return cube_census(gbv(np.tile(sic, (16, 1, 1))))
 C_LOW = math.sqrt((2 - 2 * math.sqrt(CONSTANTS.G)) / 5)  # 0.292471279
 
 # sign-function values per label-grid position: h1 by row, (h2, h3) by column
@@ -160,20 +176,39 @@ def test_average_reduced_purity():
 
 def test_reduced_state_cube():
     for label in range(1, 9):
-        rep = reduced_state_census(bloch_vectors(sic_states(label), "product", 1))
-        is_cube, edge_length = detect_cube(rep.bloch_points)
-        assert is_cube
-        assert abs(edge_length - 2 / math.sqrt(5)) < 1e-9
-        assert len(rep.bloch_points) == 8
-        assert set(rep.multiplicities) == {2}
-    rep = reduced_state_census(bloch_vectors(sic_states(9), "product", 1))
-    assert not detect_cube(rep.bloch_points)[0]
+        multiplicity, class1, class2, edge_dev = _cube_census_of(sic_states(label))
+        assert multiplicity and class1 == class2 == 8 and edge_dev < 1e-9
+        points, counts, is_cube, edge = reduced_state_census_per_sic(sic_states(label), 1)
+        assert is_cube and len(points) == 8 and set(counts) == {2}
+    assert _cube_census_of(sic_states(9)) == (True, 0, 0, 0.0)
+
+
+def test_half_turn_displacements_act_on_one_qubit_and_pair_the_reduced_states():
+    # in the product basis D_(2,0) = X^2 is sigma_x (x) 1 and D_(0,2) = Z^2
+    # is 1 (x) sigma_z, up to a phase: operator Schmidt rank 1, the factor on
+    # the other qubit the identity
+    for p, one_qubit in (((2, 0), np.kron(PAULI[0], np.eye(2))), ((0, 2), np.kron(np.eye(2), PAULI[2]))):
+        d = displacement(*p, 4)
+        assert operator_schmidt_rank(d) == 1 and proj_equal(d, one_qubit)
+        u, _, vh = np.linalg.svd(d.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4))
+        first, second = u[:, 0].reshape(2, 2), vh[0].reshape(2, 2)  # unit norm; a 2 x 2 unitary has sqrt 2
+        assert proj_equal(math.sqrt(2) * (second if p == (2, 0) else first), np.eye(2))
+    # so on all 16 orbit SICs state k shares its first-qubit reduced state
+    # with k ^ 2 (moved by D_(0,2)) and its second-qubit one with k ^ 8
+    # (moved by D_(2,0)): twoqubit.product_reduced_multiplicity
+    for qubit, b in ((0, 2), (1, 8)):
+        points = bloch_vectors(enumerate_orbit().projectors, "product", qubit).reshape(16, 16, 3)
+        assert np.max(np.abs(points - points[:, _STATES ^ b])) <= 2.6e-16
+        # the pairs split at REDUCED_POINT_TOL with a measured margin
+        _, _, _, spread, separation, ok = _pair_split(enumerate_orbit().projectors, qubit)[1]
+        assert ok.all() and spread.max() <= 1.7e-16 < REDUCED_POINT_TOL / 2
+        assert REDUCED_POINT_TOL < 0.41 <= separation.min()
 
 
 def test_reduced_state_multiplicities_first_qubit():
-    rep = reduced_state_census(bloch_vectors(sic_states(1), "product", 0))
-    assert len(rep.bloch_points) == 8
-    assert set(rep.multiplicities) == {2}
+    points, (_, counts, first, _, _, ok) = _pair_split(sic_states(1), 0)
+    assert ok[0] and counts.tolist() == [2] * 8
+    assert np.array_equal(points[0, first], reduced_state_census_per_sic(sic_states(1), 0)[0])
 
 
 def test_bell_basis_map():
@@ -319,16 +354,18 @@ def test_stacked_calls_match_per_state_oracles():
 
 
 def test_reduced_state_census_matches_greedy_loop():
+    # the pairs' first members are the loop's distinct points, and a SIC
+    # gives a cube exactly where the loop finds one on the second qubit
     for label in range(1, 17):
         for qubit in (0, 1):
-            rep = reduced_state_census(bloch_vectors(sic_states(label), "product", qubit))
+            pair_points, (_, pair_counts, first, _, _, ok) = _pair_split(sic_states(label), qubit)
             points, counts, edge = _reduced_census_by_loop(sic_states(label), qubit)
-            assert np.max(np.abs(rep.bloch_points - points)) <= 1e-14
-            assert rep.multiplicities == counts
-            is_cube, edge_length = detect_cube(rep.bloch_points)
-            assert is_cube == (edge is not None)
-            if edge is not None:
-                assert abs(edge_length - edge) <= 1e-14
+            assert ok[0] and np.max(np.abs(pair_points[0, first] - points)) <= 1e-14
+            assert tuple(pair_counts.tolist()) == counts
+        _, class1, _, edge_dev = _cube_census_of(sic_states(label))  # edge: the second qubit's, read last
+        assert class1 == (8 if edge is not None else 0)
+        if edge is not None:
+            assert abs(edge_dev - abs(edge - 2 / math.sqrt(5))) <= 1e-14
 
 
 def test_batched_simplex_check_matches_per_pattern_loop():
@@ -482,8 +519,7 @@ def test_reduced_point_cut_has_a_margin():
 
 
 def test_cube_cuts_have_margins():
-    reps = reduced_state_census(bloch_vectors(enumerate_orbit().projectors.reshape(16, 16, 4, 4), "product", 1))
-    points = np.stack([rep.bloch_points for rep in reps])
+    points = _pair_split(enumerate_orbit().projectors, 1)[0][:, ::2]  # each pair's first member
     i, j = np.triu_indices(8, 1)
     dists = np.sort(np.linalg.norm(points[:, i] - points[:, j], axis=2), axis=1)
     steps = np.diff(dists, axis=1)
@@ -494,8 +530,8 @@ def test_cube_cuts_have_margins():
     edge, face, body = dists[:8, [0, 12, 24]].T
     ratio_dev = np.maximum(np.abs(face - math.sqrt(2) * edge), np.abs(body - math.sqrt(3) * edge))
     assert ratio_dev.max() <= 1.4e-15 < CUBE_RATIO_TOL
-    ok, edges = zip(*map(detect_cube, points))
-    assert list(ok) == [True] * 8 + [False] * 8 and list(edges[:8]) == edge.tolist()
+    scaled = dists / np.sqrt(np.repeat([1, 2, 3], [12, 12, 4]))
+    assert class_split(scaled, np.zeros(28, dtype=int), CUBE_GAP_TOL)[-1].tolist() == [True] * 8 + [False] * 8
 
 
 def test_one_class_cube_cut_and_closed_form_simplex_eigenvalue_have_margins():
@@ -533,24 +569,22 @@ def test_one_class_cube_cut_and_closed_form_simplex_eigenvalue_have_margins():
 
 
 def test_stacked_reduced_state_census_equals_per_sic_calls():
+    # one stacked pair split of the 16 orbit SICs against each SIC's own
+    # call and its census as it was: the pairs are its distinct points and
+    # multiplicities; in the Bell basis the pairs share no reduced state
     sics = enumerate_orbit().projectors.reshape(16, 16, 4, 4)
-    # a stack mixing a SIC with eight points and one whose states coincide
-    odd = np.stack([sics[0], np.broadcast_to(sics[0, 0], (16, 4, 4))])
     for basis in ("product", "bell"):
         for qubit in (0, 1):
-            for stack in (sics, odd):
-                reps = reduced_state_census(bloch_vectors(stack, basis, qubit))
-                assert len(reps) == len(stack)
-                for states, rep in zip(stack, reps):
-                    points, counts, is_cube, edge = reduced_state_census_per_sic(states, qubit, basis)
-                    assert np.array_equal(rep.bloch_points, points) and rep.multiplicities == counts
-                    assert detect_cube(rep.bloch_points) == (is_cube, edge)
-                    one = reduced_state_census(bloch_vectors(states, basis, qubit))
-                    assert np.array_equal(one.bloch_points, points) and one.multiplicities == counts
-                    assert detect_cube(one.bloch_points) == (is_cube, edge)
-    # a list of 32 states is one list, not a stack of two
-    rep = reduced_state_census(bloch_vectors(np.concatenate([sics[0], sics[0]]), "product", 1))
-    assert rep.multiplicities == (4,) * 8 and detect_cube(rep.bloch_points)[0]
+            points, (centers, _, first, _, _, ok) = _pair_split(sics, qubit, basis)
+            assert ok.all() == (basis == "product")
+            for states, row, row_centers, row_ok in zip(sics, points, centers, ok):
+                one_centers, _, _, _, _, one_ok = _pair_split(states, qubit, basis)[1]
+                assert one_ok[0] == row_ok and one_centers[0].tobytes() == row_centers.tobytes()
+                want, counts, _, _ = reduced_state_census_per_sic(states, qubit, basis)
+                assert not row_ok or (np.array_equal(row[first], want) and counts == (2,) * 8)
+    # a SIC whose 16 states coincide has one reduced state, not eight pairs
+    assert not _pair_split(np.broadcast_to(sics[0, 0], (16, 4, 4)), 1)[1][-1][0]
+    assert _cube_census_of(np.broadcast_to(sics[0, 0], (16, 4, 4))) == (False, None, None, None)
 
 
 def test_concurrence_classes_equal_rounded_census():
