@@ -117,7 +117,7 @@ def run_orbit(cfg, claims: Claims):
         "orbit.stabilizer_order_unitary",
         "unitary part of the stability group",
         3,
-        sum(not e.op.antiunitary for e in stab),
+        int(np.count_nonzero(stab < 768)),  # the unitary rows come first
     )
     gen = to_operator(FIDUCIAL_STABILIZER)
     claims.add(
@@ -152,7 +152,7 @@ def run_orbit(cfg, claims: Claims):
 
 
 def run_symmetry(cfg, claims: Claims):
-    from .orbits import label_action, verify_symmetry_group_in_clifford
+    from .orbits import label_action, label_census, verify_symmetry_group_in_clifford
 
     rep = verify_symmetry_group_in_clifford()
     claims.add("symmetry.extended_order", "extended symmetry group of one SIC", 96, rep.extended_order)
@@ -170,7 +170,8 @@ def run_symmetry(cfg, claims: Claims):
         rep.rigid_permutation_count,
     )
 
-    perms, orders, rows_kept, row_group, row_fixing, columns = label_action(extended=False)
+    perms, rows_kept, row_group = label_action(extended=False)
+    orders, row_fixing, columns = label_census(perms)
     claims.add("symmetry.label_perm_count", "distinct label permutations, unitary", 48, len(perms))
     anchor = "element orders in the quotient symmetry group"
     claims.add("symmetry.order_census", anchor, {1: 1, 2: 7, 3: 8, 4: 24, 6: 8}, orders)
@@ -180,7 +181,7 @@ def run_symmetry(cfg, claims: Claims):
     anchor = "row-preserving elements permute columns evenly, same way in every row"
     claims.add("symmetry.row_preserving_column_action", anchor, True, columns)
 
-    ext, _, _, ext_row_group, _, _ = label_action(extended=True)
+    ext, _, ext_row_group = label_action(extended=True)
     claims.add("symmetry.label_perm_count_extended", "distinct label permutations, extended", 96, len(ext))
     anchor = "induced row group under the extended Clifford action"
     claims.add("symmetry.row_image_order_extended", anchor, 8, ext_row_group)
@@ -333,7 +334,6 @@ def run_reconstruct_input(cfg, claims: Claims):
 
 
 def run_regroup(cfg, claims: Claims):
-    from .clifford import SymplecticPair, coset_names
     from .numerics import matrix_to_json
     from .orbits import enumerate_orbit
     from .regrouping import (
@@ -344,10 +344,10 @@ def run_regroup(cfg, claims: Claims):
         Z_PRIME_PAIR,
         carried_sics,
         clifford_index_two,
-        covariance_group,
+        conjugates_onto_dprime,
+        displacement_group_rows,
         double_cover,
         dprime_literals_match,
-        dprime_pairs,
         dprime_permutes,
         equivalence_unitary,
         exhaustive_regroup_scan,
@@ -356,7 +356,6 @@ def run_regroup(cfg, claims: Claims):
         primitive_commutation,
         sic_family,
     )
-    from .weyl_heisenberg import displacement_table
 
     orbit = enumerate_orbit()
     members, report = sic_family(cfg.tol)
@@ -392,31 +391,26 @@ def run_regroup(cfg, claims: Claims):
     covariant = bool(certified.all() and dprime_permutes(orbit.projectors[indices]).all())
     claims.add("regroup.covariance", "all 16 new SICs are covariant under the conjugate group", True, covariant)
 
-    try:
-        u = equivalence_unitary()
-    except AssertionError:  # a matrix that is not unitary or moves the fiducial fails the claims that read it
-        u = np.zeros((4, 4), dtype=complex)
-    disp = displacement_table(4).reshape(16, 4, 4)
+    _, perm = equivalence_unitary()  # u's orbit permutation, read once, decides the three claims on u
     claims.add(
         "regroup.equivalence_conjugates_group",
         "the equivalence unitary maps the displacement group onto its conjugate",
         True,
-        covariance_group(u @ disp @ u.conj().T) == 1,
+        conjugates_onto_dprime(perm),
     )
     anchor = "the equivalence unitary carries the original family onto the new one"
-    claims.add("regroup.equivalence_maps_family", anchor, 16, carried_sics(u, cfg.tol))
+    claims.add("regroup.equivalence_maps_family", anchor, 16, carried_sics(perm, cfg.tol))
     anchor = "the equivalence unitary extends the Clifford group by exactly one step"
-    claims.add("regroup.clifford_index_two", anchor, True, clifford_index_two(u))
+    claims.add("regroup.clifford_index_two", anchor, True, clifford_index_two(perm))
 
-    total, normal, _, normal_sets = hw_conjugate_subgroup_census()
+    total, normal, normal_rows = hw_conjugate_subgroup_census()
     claims.add("regroup.census_total", "displacement-type subgroups of the Clifford group", 32, total)
     claims.add("regroup.census_normal", "normal displacement-type subgroups", 2, normal)
-    names = coset_names([SymplecticPair((1, 0, 0, 1), p, 4) for p in np.ndindex(4, 4)] + dprime_pairs())  # D, D'
     claims.add(
         "regroup.census_normal_identified",
         "the two normal subgroups are the original and conjugate displacement groups",
         True,
-        set(normal_sets) == {frozenset(names[:16]), frozenset(names[16:])},
+        set(map(tuple, normal_rows.tolist())) == set(map(tuple, displacement_group_rows().tolist())),
     )
 
     return lambda: {

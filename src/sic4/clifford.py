@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from collections import namedtuple
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, GroupElement, _FrozenRecord, cached_table, conjugate, is_unitary
+from .numerics import DEFAULT_TOL, GroupElement, _FrozenRecord, cached_table, conjugate
 from .weyl_heisenberg import displacement, displacement_table, omega, symplectic_form, tau
 
 
@@ -126,13 +125,6 @@ def to_operator(pair: SymplecticPair) -> GroupElement:
     return GroupElement(mats[0], bool(anti[0]))
 
 
-class CliffordElement(_FrozenRecord):
-    """An enumerated element: its coset representative and its operator."""
-
-    def __init__(self, source: SymplecticPair, op: GroupElement):
-        vars(self).update(source=source, op=op)
-
-
 def conjugation_action(pair: SymplecticPair, p, *, u: GroupElement | None = None):
     """Phase exponent and image index of D_p under conjugation by (F, chi).
 
@@ -171,54 +163,32 @@ def kernel_pairs(d: int) -> tuple:
     return tuple(out)
 
 
-def coset_names(pairs) -> list:
-    """The exact name of the projective element of each of a list of pairs
-    of one even d: the least (F, chi), as nested tuples, in its coset of
-    the kernel, decoded from one _coset_keys pass."""
-    d = pairs[0].d
-    f, chi = (np.array(x).T for x in zip(*((p.F, p.chi) for p in pairs)))
-    *f, c0, c1 = np.unravel_index(_coset_keys(f, chi, d), (2 * d,) * 4 + (d, d))
-    return list(zip(zip(*(x.tolist() for x in f)), zip(c0.tolist(), c1.tolist())))
-
-
 def _sector(d: int, det: int) -> tuple:
-    """(F, chi, matrices, flags) of one pair per kernel coset of the pairs
-    with det F = det, the first pair met in enumeration order (F outer, chi
+    """(F, chi, flags) of one pair per kernel coset of the pairs with
+    det F = det, the first pair met in enumeration order (F outer, chi
     inner).  A coset's pairs run once over a symplectic class F K (K the
-    kernel's F-parts), so the first is (least F, chi), the F that is the F
-    part of its coset key: D_chi V_F, one V_F per class, each factor checked."""
+    kernel's F-parts), so the first is (least F, chi): each class's least
+    F, the F part of its coset key, with every chi."""
     a, b, c, e = f = np.indices((2 * d,) * 4).reshape(4, -1)
     f = f[:, (a * e - b * c) % (2 * d) == det % (2 * d)]  # every F of det F = det, in lexicographic order
     zero = np.zeros((2, f.shape[1]), dtype=int)
     least = f[:, _coset_keys(f, zero, d) // (d * d) == _pair_key(f, zero, d) // (d * d)]
-    v, anti = _operators(least, zero[:, : least.shape[1]], d)
-    disp = displacement_table(d).reshape(d * d, d, d)
-    if not (is_unitary(v, 1e-8) and is_unitary(disp, 1e-8)):  # a product of unitaries is unitary
-        raise ValueError("sector matrices V_F or D_chi are not unitary within tol")
-    mats = (disp @ v[:, None]).reshape(-1, d, d)
     chi = np.indices((d, d)).reshape(2, -1).T
-    return np.repeat(least.T, d * d, axis=0), np.tile(chi, (least.shape[1], 1)), mats, np.repeat(anti, d * d)
+    anti = np.full(least.shape[1] * d * d, det % (2 * d) == 2 * d - 1)
+    return np.repeat(least.T, d * d, axis=0), np.tile(chi, (least.shape[1], 1)), anti
 
 
 class CliffordGroup(_FrozenRecord):
-    """The enumerated projective Clifford group as aligned read-only arrays:
-    row i is the coset representative (F, chi) = (f[i], chi[i]) of the
-    (N, 4) f and (N, 2) chi, with its matrix mats[i] of the (N, d, d) mats
-    and antiunitarity flag anti[i].  group[i] builds that row's
-    CliffordElement."""
+    """The enumerated projective Clifford group as aligned integer arrays,
+    read-only as a cached table: row i is the coset representative
+    (F, chi) = (f[i], chi[i]), with antiunitarity flag anti[i]."""
 
-    def __init__(self, f: np.ndarray, chi: np.ndarray, mats: np.ndarray, anti: np.ndarray):
-        for a in (f, chi, mats, anti):
-            a.flags.writeable = False
-        vars(self).update(f=f, chi=chi, mats=mats, anti=anti)
+    f: np.ndarray  # (N, 4)
+    chi: np.ndarray  # (N, 2)
+    anti: np.ndarray  # (N,)
 
     def __len__(self) -> int:
         return len(self.anti)
-
-    def __getitem__(self, i) -> CliffordElement:
-        i = operator.index(i)
-        pair = SymplecticPair(tuple(self.f[i].tolist()), tuple(self.chi[i].tolist()), self.mats.shape[-1])
-        return CliffordElement(pair, GroupElement(self.mats[i], bool(self.anti[i])))
 
 
 @cached_table
@@ -235,7 +205,7 @@ def enumerate_projective_clifford(d: int, /, *, extended: bool) -> CliffordGroup
     if not extended:
         return CliffordGroup(*_sector(d, 1))
     unitary = enumerate_projective_clifford(d, extended=False)
-    parts = zip((unitary.f, unitary.chi, unitary.mats, unitary.anti), _sector(d, 2 * d - 1))
+    parts = zip((unitary.f, unitary.chi, unitary.anti), _sector(d, 2 * d - 1))
     return CliffordGroup(*(np.concatenate(p) for p in parts))
 
 

@@ -121,17 +121,14 @@ def orbit_certificate(tol: float = DEFAULT_TOL) -> SicReport:
     return verify_sic(enumerate_orbit().projectors.reshape(16, 16, 4, 4), 4, tol)
 
 
-def stability_group(rho) -> list:
-    """Extended-Clifford elements fixing an orbit projector, as a list of
-    CliffordElements.
-
-    The input must be one of the 256 orbit projectors.
-    """
+def stability_group(rho) -> np.ndarray:
+    """The ascending rows of enumerate_projective_clifford(4, extended=True)
+    fixing one of the 256 orbit projectors, read off orbit_action; the
+    unitary rows, which come first, are those below 768."""
     k = enumerate_orbit().find(rho)
     if k < 0:
         raise ValueError("projector is not on the fiducial orbit")
-    group = enumerate_projective_clifford(4, extended=True)
-    return [group[i] for i in np.flatnonzero(orbit_action()[:, k] == k)]
+    return np.flatnonzero(orbit_action()[:, k] == k)
 
 
 @cached_table
@@ -198,6 +195,16 @@ def _element_of() -> np.ndarray:
     if np.count_nonzero(element >= 0) != len(act):
         raise AssertionError("orbit states 0 and 1 do not tell the elements apart")
     return element
+
+
+def permutation_elements(perms) -> np.ndarray:
+    """The row of enumerate_projective_clifford(4, extended=True) that acts
+    on the orbit states as each of an (N, 256) array of permutations does,
+    or -1 where none does: the row sending states 0 and 1 alike
+    (_element_of), kept when its whole orbit_action row is the permutation."""
+    perms = np.asarray(perms)
+    k = _element_of()[perms[:, 0].astype(np.intp) << 8 | perms[:, 1]]
+    return np.where((k >= 0) & np.all(orbit_action()[k] == perms, axis=1), k, -1)
 
 
 def element_product(i, j) -> np.ndarray:
@@ -523,25 +530,28 @@ def verify_symmetry_group_in_clifford() -> SymmetryReport:
 
 
 def label_action(extended: bool = False) -> tuple:
-    """How label_permutation_group(extended) acts on the rows and columns
-    of the label grid, labels 0-based with row r holding 4r..4r+3, as six
-    values: the permutations as a (P, 16) array; the number of them of
-    each element order; whether each maps every row onto a row; the number
-    of distinct permutations they induce on the four rows; the number
-    fixing every row; and whether those permute the columns evenly, alike
-    in each row, in 12 distinct ways."""
+    """How label_permutation_group(extended) acts on the rows of the label
+    grid, labels 0-based with row r holding 4r..4r+3: the permutations as a
+    (P, 16) array, whether each maps every row onto a row, and the number
+    of distinct permutations they induce on the four rows."""
     perms = np.array(label_permutation_group(extended=extended))
-    orders, counts = np.unique(permutation_orders(perms), return_counts=True)
-    grid = perms.reshape(-1, 4, 4)
-    rows = grid // 4
+    rows = perms.reshape(-1, 4, 4) // 4
     # the image row of each row, -1 where a row is not sent onto one row
     actions = np.where(np.all(rows == rows[:, :, :1], axis=2), rows[:, :, 0], -1)
-    fixing = np.all(actions == np.arange(4), axis=1)
+    return perms, bool(np.all(actions >= 0)), len(first_distinct_rows(actions))
+
+
+def label_census(perms) -> tuple:
+    """The element-order census of a (P, 16) array of label permutations,
+    the number fixing every label-grid row, and whether those permute the
+    columns evenly, alike in each row, in 12 distinct ways."""
+    orders, counts = np.unique(permutation_orders(perms), return_counts=True)
+    grid = perms.reshape(-1, 4, 4)
+    fixing = np.all(grid // 4 == np.arange(4)[:, None], axis=(1, 2))  # row r's labels stay in row r
     cols = grid[fixing] % 4  # the column permutation in each row
     even_alike = np.all(cols == cols[:, :1], axis=(1, 2)) & (permutation_parities(cols[:, 0]) == 0)
     columns = bool(np.all(even_alike) and len(first_distinct_rows(cols[:, 0])) == 12)
-    census = dict(zip(orders.tolist(), counts.tolist()))
-    return perms, census, bool(np.all(actions >= 0)), len(first_distinct_rows(actions)), int(fixing.sum()), columns
+    return dict(zip(orders.tolist(), counts.tolist())), int(fixing.sum()), columns
 
 
 def label_permutation_group(extended: bool = False) -> tuple:

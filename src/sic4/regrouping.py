@@ -14,13 +14,13 @@ import itertools
 
 import numpy as np
 
-from .clifford import SymplecticPair, _coset_keys, _pair_key, enumerate_projective_clifford
+from .clifford import SymplecticPair, _operators, enumerate_projective_clifford
 from .clifford import semidirect_product, to_operator
-from .numerics import COMMUTATOR_TOL, DEFAULT_TOL, commutator_phase, is_unitary, match_projective, proj_equal
+from .numerics import COMMUTATOR_TOL, DEFAULT_TOL, commutator_phase, is_unitary, proj_equal
 from .numerics import cached_table, projective_set_equal, rank1_kets, squared_norms
-from .orbits import FiducialOrbit, _element_of, element_product, enumerate_orbit, fiducial_projector
+from .orbits import FiducialOrbit, _element_of, element_product, enumerate_orbit
 from .orbits import first_distinct_rows, ket_permutations, normal_subgroups, orbit_action, orbit_certificate
-from .orbits import pair_action, state_permutations
+from .orbits import pair_action, permutation_elements, state_permutations
 from .weyl_heisenberg import SicReport, displacement_table, shift_clock_products, verify_sic
 
 # two orbit states are fidelity-1/5 neighbours when |tr(a b) - 1/5| is at
@@ -215,51 +215,79 @@ def covariance_group(elements):
     return group if np.ndim(elements) == 4 else int(group[0])
 
 
-def equivalence_unitary() -> np.ndarray:
-    """The unitary conjugating the displacement group onto its regrouped
-    copy while fixing the fiducial projector."""
-    u = EQUIVALENCE_MATRIX
-    if not is_unitary(u, 1e-12):
-        raise AssertionError("equivalence matrix is not unitary")
-    rho = fiducial_projector()
-    if not proj_equal(u @ rho @ u.conj().T, rho):
-        raise AssertionError("equivalence matrix moves the fiducial state")
-    return u.copy()
-
-
-def carried_sics(u, tol: float = DEFAULT_TOL) -> int:
-    """How many of the orbit SICs 1-16 the unitary u carries onto the
-    regrouped SICs 17-32: a SIC is carried when the images of all its
-    states, matched by state_permutations, are the states of one regrouped
-    SIC and both rows certify at tol.  0 when u does not permute the orbit,
-    as a u that fixes the fiducial and normalizes the Clifford group does."""
-    members, report = sic_family(tol)
-    certified = report.is_sic
-    new_sic = np.full(256, -1)
-    new_sic[members[16:]] = np.where(certified[16:], np.arange(16), -1)[:, None]
+def orbit_permutation(u):
+    """How conjugation by the unitary u permutes the 256 orbit states, as the
+    (256,) array of their images, read by one state_permutations call;
+    None when it does not permute them."""
     try:
-        image_sic = new_sic[state_permutations(u[None], enumerate_orbit().projectors)[0]].reshape(16, 16)
+        return state_permutations(np.asarray(u)[None], enumerate_orbit().projectors)[0]
     except ValueError:
+        return None
+
+
+def equivalence_unitary() -> tuple:
+    """The unitary conjugating the displacement group onto its regrouped
+    copy while fixing the fiducial projector, a copy of EQUIVALENCE_MATRIX,
+    and its orbit_permutation: None, failing every fact read off it, unless
+    the matrix is unitary and permutes the orbit fixing state 0."""
+    u = EQUIVALENCE_MATRIX
+    perm = orbit_permutation(u) if is_unitary(u, 1e-12) else None
+    return u.copy(), None if perm is None or perm[0] != 0 else perm
+
+
+def carried_sics(perm, tol: float = DEFAULT_TOL) -> int:
+    """How many of the orbit SICs 1-16 a unitary of orbit permutation perm
+    (None: 0) carries onto the regrouped SICs 17-32: the images of a SIC's
+    states are the states of one regrouped SIC, and both rows certify at tol."""
+    if perm is None:
         return 0
-    carried = np.all(image_sic == image_sic[:, :1], axis=1) & (image_sic[:, 0] >= 0) & certified[:16]
-    return int(np.count_nonzero(carried))
+    members, report = sic_family(tol)  # each row's states ascending
+    hit = np.all(np.sort(perm[members[:16]], axis=1)[:, None] == members[16:], axis=2) & report.is_sic[16:]
+    return int(np.count_nonzero(hit.any(axis=1) & report.is_sic[:16]))
 
 
-def clifford_index_two(u) -> bool:
-    """Whether the unitary u extends the unitary Clifford group by exactly
-    one step: u lies outside it, u^2 inside, and u normalizes it,
-    conjugating each of CLIFFORD_GENERATORS into it."""
-    mats = enumerate_projective_clifford(4, extended=False).mats
-    generators = np.stack([to_operator(g).matrix for g in CLIFFORD_GENERATORS])
-    normalizes = np.all(match_projective(u @ generators @ u.conj().T, mats) >= 0)
-    return bool(match_projective(u @ u, mats) >= 0 and match_projective(u, mats) < 0 and normalizes)
+def clifford_index_two(perm) -> bool:
+    """Whether the unitary u of orbit permutation perm extends the unitary
+    Clifford group by exactly one step: u lies outside it, u^2 inside, and
+    u g u^-1 inside for each g of CLIFFORD_GENERATORS, so u normalizes it;
+    each decided by permutation_elements.  False when perm is None."""
+    if perm is None:
+        return False
+    gens = pair_action([g.F for g in CLIFFORD_GENERATORS], [g.chi for g in CLIFFORD_GENERATORS])
+    rows = permutation_elements(np.vstack([perm, perm[perm], perm[gens[:, np.argsort(perm)]]]))  # u, u^2, u g u^-1
+    unitary = (rows >= 0) & (rows < len(enumerate_projective_clifford(4, extended=False)))  # unitary rows first
+    return bool(not unitary[0] and unitary[1:].all())
+
+
+def conjugates_onto_dprime(perm) -> bool:
+    """Whether the unitary u of orbit permutation perm (None: False) maps
+    the displacement group onto the written-out D': u D u^-1 is the rows
+    x^a z^b, x and z acting on the orbit as X_PRIME_MATRIX, Z_PRIME_MATRIX."""
+    literals = [orbit_permutation(m) for m in (X_PRIME_MATRIX, Z_PRIME_MATRIX)]  # one at a time: small temporaries
+    if perm is None or any(p is None for p in literals):
+        return False
+    x, z = permutation_elements(np.stack(literals))
+    d = orbit_action()[128:144]  # the displacements, the rows with F = 1
+    image = np.sort(permutation_elements(perm[d[:, np.argsort(perm)]]))  # u g u^-1 sends k to perm[g[perm^-1[k]]]
+    return bool(min(x, z) >= 0 and np.array_equal(image, np.sort(_span(x, z, _element_of()[1])[0])))
+
+
+def displacement_group_rows() -> np.ndarray:
+    """The ascending element rows of D and of D' (dprime_pairs), (2, 16)."""
+    pairs = [SymplecticPair((1, 0, 0, 1), p, 4) for p in np.ndindex(4, 4)] + dprime_pairs()
+    return np.sort(_pair_rows(pairs).reshape(2, 16), axis=1)
+
+
+def _pair_rows(pairs) -> np.ndarray:
+    """The element rows of a list of pairs, read off their exact pair_action."""
+    return permutation_elements(pair_action([p.F for p in pairs], [p.chi for p in pairs]))
 
 
 # ---------------------------------------------------------------------------
 # census of displacement-type subgroups inside the projective Clifford group
 #
-# elements are kernel cosets, named by clifford.coset_names and indexed as in
-# the unitary enumerate_projective_clifford(4).
+# elements are kernel cosets, indexed as the rows of the unitary
+# enumerate_projective_clifford(4, extended=False).
 
 # generators of the unitary projective Clifford group: two symplectic
 # elements and the displacements D_(1,0), D_(0,1); their products reach all
@@ -306,17 +334,15 @@ def dprime_permutes(states) -> np.ndarray:
 
 def hw_conjugate_subgroup_census() -> tuple:
     """The order-16 subgroups of the projective Clifford group unitarily
-    equivalent to the displacement group, as four values: their number,
-    the number of them that are normal, the list of all of them and the
-    list of the normal ones, each subgroup a frozenset of coset names.
+    equivalent to the displacement group, as three values: their number,
+    the number of them that are normal, and the normal ones as a (K, 16)
+    array of ascending element rows.
 
     Candidates are generated pairs of commuting order-4 cosets spanning 16
     elements; equivalence additionally requires the operator commutator of
     the generators to be a primitive fourth root of unity, which pins the
-    commutation structure down to that of the displacement pair.  Each
-    unitary row of enumerate_projective_clifford(4) is its coset's least
-    pair, in ascending order, so rows run in coset-name order and a row's
-    (F, chi) is its coset's name.
+    commutation structure down to that of the displacement pair.  The 96
+    generators of the 48 distinct spans are the only matrices built.
     """
     group = enumerate_projective_clifford(4, extended=False)
     identity = _element_of()[1]  # the row fixing orbit states 0 and 1
@@ -333,15 +359,13 @@ def hw_conjugate_subgroup_census() -> tuple:
     x, z = (quartic[k] for k in np.nonzero(np.triu(pairs, 1)))
     spans = np.sort(_span(x, z, identity), axis=1)
     first = first_distinct_rows(spans)  # one pair per distinct span
-    hw_type = spans[first[primitive_commutation(group.mats[x[first]], group.mats[z[first]])]]
-    gens = np.array([g.F + g.chi for g in CLIFFORD_GENERATORS]).T  # their rows: a row's own key is its coset's
-    by = np.searchsorted(_pair_key(group.f.T, group.chi.T, 4), _coset_keys(gens[:4], gens[4:], 4))
-    normal = hw_type[normal_subgroups(hw_type, by)]
-
-    def named(s):
-        return frozenset(zip(map(tuple, group.f[s].tolist()), map(tuple, group.chi[s].tolist())))
-
-    return len(hw_type), len(normal), [named(s) for s in hw_type], [named(s) for s in normal]
+    pair = np.concatenate([x[first], z[first]])
+    mats, _ = _operators(group.f[pair].T, group.chi[pair].T, 4)  # each distinct span's generators
+    if not is_unitary(mats, 1e-8):
+        raise ValueError("census generator matrices are not unitary within tol")
+    hw_type = spans[first[primitive_commutation(mats[: len(first)], mats[len(first) :])]]
+    normal = hw_type[normal_subgroups(hw_type, _pair_rows(CLIFFORD_GENERATORS))]
+    return len(hw_type), len(normal), normal
 
 
 def primitive_commutation(a, b) -> np.ndarray:

@@ -8,6 +8,7 @@ per-item checks.
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +31,11 @@ from sic4.numerics import (
     GroupElement,
     ValueClasses,
     _as_complex,
+    _FrozenRecord,
     canonical_phase,
     conjugate,
     is_unitary,
+    match_projective,
     rank1_kets as state_ket,
 )
 from sic4.orbits import (
@@ -117,6 +120,61 @@ def canonical_key(m, decimals: int = 6) -> bytes:
     re = np.round(c.real, decimals) + 0.0
     im = np.round(c.imag, decimals) + 0.0
     return re.tobytes() + im.tobytes()
+
+
+class CliffordElement(_FrozenRecord):
+    """An enumerated element: its coset representative and its operator, as
+    clifford.CliffordGroup built its rows when it carried their matrices."""
+
+    def __init__(self, source: SymplecticPair, op: GroupElement):
+        vars(self).update(source=source, op=op)
+
+
+class CliffordMatrices(_FrozenRecord):
+    """clifford.CliffordGroup as it was: the aligned read-only f, chi and
+    anti arrays of one enumerated group, with mats, the (N, 4, 4) matrix
+    D_chi V_F of each row, built by clifford._operators, and group[i]
+    building row i as a CliffordElement."""
+
+    def __init__(self, group):
+        mats, _ = _operators(group.f.T, group.chi.T, 4)
+        mats.flags.writeable = False
+        vars(self).update(f=group.f, chi=group.chi, mats=mats, anti=group.anti)
+
+    def __len__(self) -> int:
+        return len(self.anti)
+
+    def __getitem__(self, i) -> CliffordElement:
+        i = operator.index(i)
+        pair = SymplecticPair(tuple(self.f[i].tolist()), tuple(self.chi[i].tolist()), 4)
+        return CliffordElement(pair, GroupElement(self.mats[i], bool(self.anti[i])))
+
+
+@functools.cache
+def clifford_group(extended: bool) -> CliffordMatrices:
+    """enumerate_projective_clifford(4, extended=extended) with the float
+    matrices of its rows, built once."""
+    return CliffordMatrices(enumerate_projective_clifford(4, extended=extended))
+
+
+def stability_elements(rho) -> list:
+    """orbits.stability_group as it was: the CliffordElements of the
+    extended-Clifford rows fixing an orbit projector."""
+    k = enumerate_orbit().find(rho)
+    if k < 0:
+        raise ValueError("projector is not on the fiducial orbit")
+    group = clifford_group(extended=True)
+    return [group[i] for i in np.flatnonzero(orbit_action()[:, k] == k)]
+
+
+def clifford_index_two_by_matching(u) -> bool:
+    """regrouping.clifford_index_two as it was, on the matrix u: u^2, u and
+    u g u^dag for the four CLIFFORD_GENERATORS g matched against the 768
+    unitary Clifford matrices at MATCH_TOL."""
+    mats = clifford_group(extended=False).mats
+    generators = np.stack([to_operator(g).matrix for g in CLIFFORD_GENERATORS])
+    normalizes = np.all(match_projective(u @ generators @ u.conj().T, mats) >= 0)
+    return bool(match_projective(u @ u, mats) >= 0 and match_projective(u, mats) < 0 and normalizes)
 
 
 @dataclass(frozen=True)
@@ -475,13 +533,14 @@ def coset_keys_int64(f, chi, d: int) -> np.ndarray:
 def sector_by_pair_selection(d: int, det: int) -> tuple:
     """clifford._sector as it was: every one of the pairs with det F = det,
     F outer and chi inner, named by its coset key, the first pair of each
-    name kept, and the kept pairs' operators built from their own (F, chi)."""
+    name kept, and the kept pairs' antiunitarity flags read off their own
+    operators."""
     fs = np.array(symplectic_group_matrices_by_loop(2 * d, det))
     chis = np.array(list(itertools.product(range(d), repeat=2)))
     f, chi = np.repeat(fs, len(chis), axis=0), np.tile(chis, (len(fs), 1))
     first = np.sort(np.unique(_coset_keys(f.T, chi.T, d), return_index=True)[1])
-    mats, anti = _operators(f[first].T, chi[first].T, d)
-    return f[first], chi[first], mats, anti
+    _, anti = _operators(f[first].T, chi[first].T, d)
+    return f[first], chi[first], anti
 
 
 def value_classes_one_list(values, gap: float) -> ValueClasses:
@@ -632,7 +691,7 @@ def argparse_parser():
 def _quotient() -> tuple:
     """(coset names, name -> index) of the 768 unitary cosets, named one
     element at a time by coset."""
-    names = tuple(coset(e.source) for e in enumerate_projective_clifford(4, extended=False))
+    names = tuple(coset(e.source) for e in clifford_group(extended=False))
     return names, {name: i for i, name in enumerate(names)}
 
 
@@ -640,6 +699,17 @@ def coset(pair) -> tuple:
     """clifford.coset_names of one pair, one kernel pair at a time: the
     least (F, chi), as nested tuples, in its coset of the kernel."""
     return min(_compose(pair.F, pair.chi, k.F, k.chi, pair.dbar, pair.d) for k in kernel_pairs(pair.d))
+
+
+def coset_names(pairs) -> list:
+    """clifford.coset_names as it was, when the census claim compared coset
+    names: the exact name of the projective element of each of a list of
+    pairs of one even d, the least (F, chi), as nested tuples, in its coset
+    of the kernel, decoded from one _coset_keys pass."""
+    d = pairs[0].d
+    f, chi = (np.array(x).T for x in zip(*((p.F, p.chi) for p in pairs)))
+    *f, c0, c1 = np.unravel_index(_coset_keys(f, chi, d), (2 * d,) * 4 + (d, d))
+    return list(zip(zip(*(x.tolist() for x in f)), zip(c0.tolist(), c1.tolist())))
 
 
 def displacement_coset(p1: int, p2: int):
@@ -667,8 +737,10 @@ def first_match_by_blocks(states: np.ndarray, candidates: np.ndarray) -> np.ndar
 def subgroup_census_over_every_pair() -> tuple:
     """regrouping.hw_conjugate_subgroup_census as it was: it spans all
     2,304 commuting pairs of order-4 rows with x^2 != z^2, not only those
-    with x < x^-1 and z < z^-1."""
-    group = enumerate_projective_clifford(4, extended=False)
+    with x < x^-1 and z < z^-1, and reads the generators' matrices off the
+    float group.  Its two counts, the (32, 16) rows of all the subgroups
+    and the (2, 16) rows of the normal ones, each row ascending."""
+    group = clifford_group(extended=False)
     identity = _element_of()[1]
     square = element_product(np.arange(len(group)), np.arange(len(group)))
     quartic = np.flatnonzero((square != identity) & (square[square] == identity))
@@ -682,12 +754,16 @@ def subgroup_census_over_every_pair() -> tuple:
     hw_type = spans[first[primitive_commutation(group.mats[x[first]], group.mats[z[first]])]]
     gens = np.array([g.F + g.chi for g in CLIFFORD_GENERATORS]).T
     by = np.searchsorted(_pair_key(group.f.T, group.chi.T, 4), _coset_keys(gens[:4], gens[4:], 4))
-    normal = hw_type[normal_subgroups(hw_type, by)]
+    normal = normal_subgroups(hw_type, by)
+    return len(hw_type), int(normal.sum()), hw_type, hw_type[normal]
 
-    def named(s):
-        return frozenset(zip(map(tuple, group.f[s].tolist()), map(tuple, group.chi[s].tolist())))
 
-    return len(hw_type), len(normal), [named(s) for s in hw_type], [named(s) for s in normal]
+def subgroup_names(rows) -> list:
+    """The subgroups of a (K, n) array of unitary element rows, each as the
+    frozenset of its elements' coset names: a unitary row's own (F, chi)
+    is its coset's name, as the rows are their cosets' least pairs."""
+    group = enumerate_projective_clifford(4, extended=False)
+    return [frozenset(zip(map(tuple, group.f[s].tolist()), map(tuple, group.chi[s].tolist()))) for s in rows]
 
 
 def distinct_triples_by_fancy_index(states):

@@ -21,6 +21,8 @@ from oracles import (
     partial_transpose_simplex_check,
     sic_states,
     sign_functions,
+    stability_elements as stability_group,
+    subgroup_names,
     symplectic_group_matrices,
     violating_patterns,
 )
@@ -38,7 +40,6 @@ from sic4.orbits import (
     STABILIZER_MATRIX,
     STABILIZER_ORBIT_SETS,
     enumerate_orbit,
-    stability_group,
     stabilizer_orbits_within_sic,
     triple_family,
     triple_phase,
@@ -221,7 +222,7 @@ def test_criterion_09_regrouping():
 
 
 def test_criterion_10_equivalence():
-    u = equivalence_unitary()
+    u, _ = equivalence_unitary()
     unit = np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
     disp = _displacement_stack()
     conj_ok = projective_set_equal(
@@ -248,7 +249,8 @@ def test_criterion_10_equivalence():
 
 
 def test_criterion_11_subgroup_census():
-    total, normal, _, normal_sets = hw_conjugate_subgroup_census()
+    total, normal, normal_rows = hw_conjugate_subgroup_census()
+    normal_sets = subgroup_names(normal_rows)
     ident = SymplecticPair((1, 0, 0, 1), (0, 0), 4)
     dbar = frozenset(displacement_coset(p1, p2) for p1 in range(4) for p2 in range(4))
     xs, zs = [ident], [ident]

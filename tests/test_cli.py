@@ -482,8 +482,8 @@ def test_cached_arrays_are_read_only(capsys):
 
     orbit = enumerate_orbit()
     group = enumerate_projective_clifford(4, extended=True)
-    arrays = (orbit.projectors, sic_states(2), group.f, group.chi, group.mats, group.anti)
-    arrays += (displacement_table(4), group[5].op.matrix, dprime_elements(), fidelity_graph())
+    arrays = (orbit.projectors, sic_states(2), group.f, group.chi, group.anti)
+    arrays += (displacement_table(4), dprime_elements(), fidelity_graph())
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = a[1]
@@ -599,8 +599,8 @@ def test_all_builds_few_operators(monkeypatch, tmp_path, capsys):
     # conjugation cycle builds its operator once and the five orbits of the
     # stabilizer square share one: on a cold cache the operators of the
     # stabilizer generator's cycle and of its square, the stabilizer
-    # generator, the four Clifford generators and the two D' generators,
-    # fewer on a warm one
+    # generator and the two D' generators, fewer on a warm one; the Clifford
+    # generators act as exact orbit permutations, with no operator
     import sic4.clifford
     import sic4.orbits
     import sic4.regrouping
@@ -616,7 +616,7 @@ def test_all_builds_few_operators(monkeypatch, tmp_path, capsys):
             monkeypatch.setattr(module, "to_operator", counted)
     assert main(["all", "--format", "json", "--out", str(tmp_path / "all.json")]) == 0
     capsys.readouterr()
-    assert 7 <= len(calls) <= 9
+    assert 3 <= len(calls) <= 5
 
 
 def test_all_checks_uniqueness_in_one_call_and_calls_gbv_on_whole_stacks(monkeypatch, tmp_path, capsys):
@@ -911,9 +911,9 @@ def test_an_equivalence_unitary_off_the_orbit_fails_one_named_claim(monkeypatch,
 
 
 def test_a_non_unitary_equivalence_matrix_fails_the_claims_that_read_it(monkeypatch, tmp_path, capsys):
-    # equivalence_unitary refuses the scaled matrix; the section puts the
-    # zero matrix in its place, so exactly the three claims that read u fail
-    # and the census claims after them still run
+    # equivalence_unitary refuses the scaled matrix, giving it no orbit
+    # permutation, so exactly the three claims that read u fail and the
+    # census claims after them still run
     import sic4.regrouping
 
     monkeypatch.setattr(sic4.regrouping, "EQUIVALENCE_MATRIX", 1.001 * sic4.regrouping.EQUIVALENCE_MATRIX)

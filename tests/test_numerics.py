@@ -19,7 +19,6 @@ from oracles import (
     probe_proj_equal,
     value_classes_one_list,
 )
-from sic4.clifford import enumerate_projective_clifford
 from sic4.numerics import (
     MATCH_TOL,
     GroupElement,
@@ -41,7 +40,7 @@ from sic4.numerics import (
 )
 from sic4.orbits import enumerate_orbit
 from sic4.reconstruction import reconstruct_hw
-from sic4.regrouping import dprime_elements, sic_family
+from sic4.regrouping import EQUIVALENCE_MATRIX, X_PRIME_MATRIX, Z_PRIME_MATRIX, dprime_elements, sic_family
 from sic4.two_qubit import Gbv, _table_vector, from_gbv, partial_transpose, violating_signs
 from sic4.weyl_heisenberg import displacement_table
 
@@ -197,17 +196,21 @@ def test_proj_equal_properties_on_haar_unitaries_and_states(d, seed, theta, delt
 def test_match_tol_sits_far_inside_every_measured_match_and_non_match():
     # every overlap the library compares is within 1e-14 of 1 (a match) or
     # at most 0.77, so MATCH_TOL (1e-6) is six orders of magnitude inside
-    # both; orbit states and Clifford matrices match phase-turned copies
+    # both; orbit states match phase-turned copies, and the orbit
+    # permutations of U and of the D' literals read |<k_j| m |k_i>|^2
     def margins(o, match):
         return 1 - o[match].min(), o[~match].max()
 
     rng = np.random.default_rng(33)
     orbit = enumerate_orbit().projectors
-    mats = enumerate_projective_clifford(4, extended=False).mats
-    found = {}
-    for name, stack in (("orbit", orbit), ("clifford", mats)):
-        turned = stack * np.exp(1j * rng.uniform(0, 2 * np.pi, (len(stack), 1, 1)))
-        found[name] = margins(overlaps(stack, turned), np.eye(len(stack), dtype=bool))
+    turned = orbit * np.exp(1j * rng.uniform(0, 2 * np.pi, (len(orbit), 1, 1)))
+    found = {"orbit": margins(overlaps(orbit, turned), np.eye(len(orbit), dtype=bool))}
+    kets = rank1_kets(orbit)
+    for name, m in (("U", EQUIVALENCE_MATRIX), ("X'", X_PRIME_MATRIX), ("Z'", Z_PRIME_MATRIX)):
+        ov = np.abs(kets.conj() @ m @ kets.T) ** 2
+        match = ov >= 1 - MATCH_TOL
+        assert match.sum(axis=0).tolist() == [1] * 256
+        found[name] = margins(ov, match)
     members, _ = sic_family()
     elements = reconstruct_hw(orbit[members]).elements.reshape(32, 16, 4, 4)
     for group, own in ((displacement_table(4).reshape(16, 4, 4), slice(0, 16)), (dprime_elements(), slice(16, 32))):

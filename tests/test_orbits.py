@@ -21,11 +21,13 @@ from sic4.orbits import (
     element_product,
     enumerate_orbit,
     label_action,
+    label_census,
     label_permutation_group,
     normal_subgroups,
     orbit_action,
     orbit_certificate,
     pair_action,
+    permutation_elements,
     permutation_orders,
     rigid_permutations,
     sic_symmetries,
@@ -43,6 +45,7 @@ from sic4.orbits import (
 from sic4.weyl_heisenberg import displacement_table, verify_sic
 
 from oracles import (
+    clifford_group,
     cluster_complex,
     conjugation_cycle_per_step,
     distinct_triples_by_fancy_index,
@@ -52,6 +55,7 @@ from oracles import (
     orbit_projectors_per_label,
     sic_states,
     state_action,
+    stability_elements,
     state_permutations_by_action,
     triple_orbits_by_all_symmetries,
 )
@@ -111,7 +115,21 @@ def test_stabilizer_order():
     orbit = enumerate_orbit()
     stab = stability_group(orbit.projectors[0])
     assert len(stab) == 6
-    assert sum(not e.op.antiunitary for e in stab) == 3
+    assert np.count_nonzero(stab < 768) == 3  # the unitary rows come first
+
+
+def test_stability_group_returns_element_rows():
+    # the rows, ascending, of the CliffordElements that it returned before
+    orbit = enumerate_orbit()
+    stab = stability_group(orbit.projectors[0])
+    assert stab.tolist() == [50, 128, 722, 1176, 1394, 1442]
+    group = clifford_group(extended=True)
+    assert [group[i].source for i in stab] == [e.source for e in stability_elements(orbit.projectors[0])]
+    assert [group[i].op.antiunitary for i in stab] == [False] * 3 + [True] * 3
+    for k in (37, 255):
+        assert [group[i].source for i in stability_group(orbit.projectors[k])] == [
+            e.source for e in stability_elements(orbit.projectors[k])
+        ]
 
 
 def test_stabilizer_generator_matrix():
@@ -227,7 +245,7 @@ def test_triple_phase_monotone():
 def test_state_action_matches_per_element_find():
     # both unitary and antiunitary elements
     orbit = enumerate_orbit()
-    group = enumerate_projective_clifford(4, extended=True)
+    group = clifford_group(extended=True)
     mats, anti = group.mats, group.anti
     rng = np.random.default_rng(11)
     pick = rng.choice(len(group), size=101, replace=False)
@@ -252,7 +270,7 @@ def test_state_action_matches_per_element_find():
 def _label_permutations_by_find(extended):
     """The per-element loop that label_permutation_group replaced."""
     orbit = enumerate_orbit()
-    group = enumerate_projective_clifford(4, extended=extended)
+    group = clifford_group(extended=extended)
     fids = np.stack([orbit.projectors[(n - 1) * 16] for n in range(1, 17)])
     perms = {}
     for i, (m, a) in enumerate(zip(group.mats, group.anti)):
@@ -427,7 +445,7 @@ def _state_action_in_blocks(mats, anti, states, targets, block):
 @pytest.mark.parametrize("case", ["sic", "orbit", "ragged"])
 def test_ket_state_action_matches_superoperator_form(case):
     orbit = enumerate_orbit()
-    group = enumerate_projective_clifford(4, extended=True)
+    group = clifford_group(extended=True)
     mats, anti = group.mats, group.anti
     states = sic_states(5)
     targets = orbit.projectors if case == "orbit" else states
@@ -442,7 +460,7 @@ def test_ket_state_action_matches_superoperator_form(case):
 
 def test_state_action_rejects_mixed_states():
     orbit = enumerate_orbit()
-    group = enumerate_projective_clifford(4, extended=False)
+    group = clifford_group(extended=False)
     mats, anti = group.mats, group.anti
     mixed = np.stack([orbit.projectors[0], np.eye(4) / 4])
     with pytest.raises(ValueError):
@@ -560,7 +578,7 @@ def test_gram_triples_match_projector_einsum():
 def test_orbit_action_matches_numeric_action():
     # every one of the 1536 * 256 entries against the overlap of the image
     orbit = enumerate_orbit()
-    group = enumerate_projective_clifford(4, extended=True)
+    group = clifford_group(extended=True)
     table = orbit_action()
     assert table.dtype == np.int16 and table.shape == (1536, 256) and not table.flags.writeable
     assert np.array_equal(np.sort(table, axis=1), np.broadcast_to(np.arange(256), table.shape))
@@ -574,11 +592,28 @@ def test_orbit_action_matches_numeric_action():
     assert np.array_equal(table[128:144], disp)
 
 
+def test_permutation_elements_names_each_row_by_its_matrix_action():
+    # the permutation of the orbit by each of the 1536 rows' matrices, read
+    # by float overlaps, names that row; a permutation that agrees with a
+    # row on states 0 and 1 but not on all 256 names none
+    orbit = enumerate_orbit()
+    group = clifford_group(extended=True)
+    index, ov = _state_action_in_blocks(group.mats, group.anti, orbit.projectors, orbit.projectors, 16)
+    assert ov.min() >= 1.0 - MATCH_TOL
+    rows = permutation_elements(index)
+    assert rows.dtype == np.int16 and np.array_equal(rows, np.arange(1536))
+    planted = index[[5, 900, 1535]].copy()
+    planted[:, [2, 3]] = planted[:, [3, 2]]
+    planted[2, 2:] = np.roll(planted[2, 2:], 1)
+    assert permutation_elements(planted).tolist() == [-1, -1, -1]
+    assert permutation_elements(np.stack([index[7], np.arange(256)])).tolist() == [7, 128]
+
+
 def _symmetries_by_elements_sending(states, extended):
     """The path sic_symmetries replaced: the elements sending state 0 into
     the set at DEFAULT_TOL, then state_permutations of the unitary
     survivors and a per-state conjugation loop for the antiunitary ones."""
-    group = enumerate_projective_clifford(4, extended=extended)
+    group = clifford_group(extended=extended)
     _, ov = state_action(group.mats, group.anti, states[:1], states)
     sending = np.flatnonzero(ov[:, 0] >= 1.0 - DEFAULT_TOL)
     unitary = ~group.anti[sending]
@@ -676,13 +711,12 @@ def test_state_permutations_raise_as_the_state_action_form():
 
 def test_stability_group_is_sic_symmetries_of_one_state():
     orbit = enumerate_orbit()
-    group = enumerate_projective_clifford(4, extended=True)
     for k in (0, 37, 255):
         rho = orbit.projectors[k]
         index = sic_symmetries([[k]], extended=True)[:, 1]
         stab = stability_group(rho)
         assert len(stab) == 6 and len(index) == 6
-        assert [e.source for e in stab] == [group[i].source for i in index]
+        assert stab.tolist() == index.tolist()
 
 
 def test_orbit_projectors_match_per_label_seeds():
@@ -734,11 +768,26 @@ def test_label_permutation_group_matches_dict_loop(extended):
     assert all(type(x) is int for key in new for x in key)
 
 
+def test_label_action_leaves_the_census_to_label_census(monkeypatch):
+    # the extended claims read the permutations and their row group alone:
+    # label_action computes no element order and no parity
+    import sic4.orbits
+
+    def boom(perms):
+        raise AssertionError("census computed")
+
+    monkeypatch.setattr(sic4.orbits, "permutation_orders", boom)
+    monkeypatch.setattr(sic4.orbits, "permutation_parities", boom)
+    perms, rows_preserved, row_group_order = label_action(extended=True)
+    assert (len(perms), rows_preserved, row_group_order) == (96, True, 8)
+
+
 @pytest.mark.parametrize("extended", [False, True])
 def test_label_action_matches_a_loop_over_the_permutations(extended):
     # each permutation's image rows as sets, one permutation at a time; the
     # row-fixing ones' column permutations and their inversion parities
-    permutations, order_census, rows_preserved, row_group_order, row_fixing_order, columns = label_action(extended)
+    permutations, rows_preserved, row_group_order = label_action(extended)
+    order_census, row_fixing_order, columns = label_census(permutations)
     perms = [list(p) for p in label_permutation_group(extended=extended)]
     assert permutations.tolist() == perms
     images = []

@@ -10,7 +10,6 @@ import pytest
 from sic4.cli import main
 from sic4.numerics import MATCH_TOL, canonical_phase, commutator_phase, matrix_from_json, projective_set_equal
 import sic4.reconstruction
-from sic4.clifford import enumerate_projective_clifford
 from sic4.orbits import enumerate_orbit, orbit_action, sic_symmetries, state_permutations
 from sic4.reconstruction import (
     COMMUTATOR_TOL,
@@ -33,6 +32,7 @@ from sic4.regrouping import dprime_elements, regrouped_family, sic_family
 from sic4.weyl_heisenberg import displacement, fiducial_ket_d4, verify_sic
 
 from oracles import (
+    clifford_group,
     eig_hermitian,
     first_match_by_blocks,
     phase_operator_by_projectors,
@@ -166,7 +166,7 @@ def test_uniqueness_certificate():
 
 def test_screened_symmetry_permutations_match_full_action():
     # reference: every unitary element acts on all 16 states, no screening
-    group = enumerate_projective_clifford(4, extended=False)
+    group = clifford_group(extended=False)
     mats, anti = group.mats, group.anti
     orbit = enumerate_orbit()
     for idx in sic_family()[0]:

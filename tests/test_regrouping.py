@@ -10,7 +10,7 @@ from sic4.clifford import (
     enumerate_projective_clifford,
     to_operator,
 )
-from sic4.numerics import commutator_phase, proj_equal, projective_set_equal
+from sic4.numerics import commutator_phase, match_projective, proj_equal, projective_set_equal
 from sic4.orbits import element_product, enumerate_orbit, first_distinct_rows, normal_subgroups, pair_action
 from sic4.reconstruction import COMMUTATOR_TOL, reconstruct_hw
 from sic4.regrouping import (
@@ -23,7 +23,9 @@ from sic4.regrouping import (
     Z_PRIME_PAIR,
     carried_sics,
     clifford_index_two,
+    conjugates_onto_dprime,
     covariance_group,
+    displacement_group_rows,
     double_cover,
     dprime_literals_match,
     dprime_elements,
@@ -34,6 +36,7 @@ from sic4.regrouping import (
     exhaustive_regroup_scan,
     fidelity_adjacency,
     hw_conjugate_subgroup_census,
+    orbit_permutation,
     primitive_commutation,
     reconstruct_family,
     regrouped_family,
@@ -44,6 +47,8 @@ from sic4.weyl_heisenberg import displacement, displacement_table, verify_sic
 from oracles import (
     LABEL_GRID,
     _quotient,
+    clifford_group,
+    clifford_index_two_by_matching,
     coset,
     coset as pair_coset,
     displacement_coset,
@@ -53,6 +58,7 @@ from oracles import (
     regroup_by_search,
     sic_states,
     subgroup_census_over_every_pair,
+    subgroup_names,
 )
 
 
@@ -212,49 +218,90 @@ def test_regrouped_sics_covariant_under_dprime():
 
 
 def test_equivalence_unitary():
-    u = equivalence_unitary()
+    u, perm = equivalence_unitary()
     assert np.allclose(u, EQUIVALENCE_MATRIX)
     assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
     rho = enumerate_orbit().projectors[0]
     assert np.max(np.abs(u @ rho @ u.conj().T - rho)) < 1e-9
+    # the fixed fiducial is the exact check perm[0] = 0 on u's orbit permutation
+    assert perm[0] == 0 and np.array_equal(perm, orbit_permutation(u))
+    assert sorted(perm.tolist()) == list(range(256))
+
+
+def test_equivalence_unitary_refuses_a_matrix_moving_the_fiducial(monkeypatch):
+    # a displacement permutes the orbit but moves state 0, a unitary off the
+    # orbit has no permutation at all, and a scaled matrix is not unitary:
+    # none of them gets a permutation for the facts of u to read
+    rho = enumerate_orbit().projectors[0]
+    for m in (displacement(1, 0, 4), rho + 1j * (np.eye(4) - rho), 1.001 * EQUIVALENCE_MATRIX):
+        monkeypatch.setattr(regrouping, "EQUIVALENCE_MATRIX", m)
+        u, perm = equivalence_unitary()
+        assert np.array_equal(u, m) and perm is None
+    assert orbit_permutation(displacement(1, 0, 4))[0] != 0
 
 
 def test_equivalence_conjugates_group():
-    u = equivalence_unitary()
+    u, perm = equivalence_unitary()
     disp = np.stack([displacement(p1, p2, 4) for p1 in range(4) for p2 in range(4)])
     img = np.einsum("ab,kbc,dc->kad", u, disp, u.conj())
     assert projective_set_equal(img, dprime_elements())
+    # the exact form, on u's orbit permutation: u D u^dag is D''s 16 rows;
+    # the identity keeps D, and no permutation decides nothing
+    assert conjugates_onto_dprime(perm)
+    assert not conjugates_onto_dprime(np.arange(256)) and not conjugates_onto_dprime(None)
+
+
+def test_displacement_group_rows_are_d_and_dprime():
+    # D is rows 128..143; D''s rows are those whose matrices equal the 16
+    # literal products, matched up to a phase
+    d, dprime = displacement_group_rows()
+    assert d.tolist() == list(range(128, 144))
+    mats = clifford_group(extended=False).mats
+    assert np.array_equal(np.sort(match_projective(dprime_elements(), mats)), dprime)
+
+
+def test_equivalence_facts_read_no_float_match(monkeypatch):
+    # clifford_index_two, equivalence_unitary and the conjugation of D onto
+    # D' decide on u's orbit permutation alone: no overlap match is made
+    def boom(*args, **kwargs):
+        raise AssertionError("float match called")
+
+    for name in ("match_projective", "proj_equal", "covariance_group", "projective_set_equal"):
+        monkeypatch.setattr(regrouping, name, boom, raising=False)
+    _, perm = equivalence_unitary()
+    assert clifford_index_two(perm) and conjugates_onto_dprime(perm)
 
 
 def test_equivalence_not_clifford_but_square_is():
-    u = equivalence_unitary()
-    mats = enumerate_projective_clifford(4, extended=False).mats
+    u, _ = equivalence_unitary()
+    mats = clifford_group(extended=False).mats
     assert np.max(np.abs(np.einsum("ij,kij->k", u.conj(), mats))) < 4 - 1e-6
     assert np.max(np.abs(np.einsum("ij,kij->k", (u @ u).conj(), mats))) >= 4 - 1e-7
 
 
 def test_subgroup_census():
-    total, normal, hw_type, normal_sets = hw_conjugate_subgroup_census()
+    total, normal, normal_rows = hw_conjugate_subgroup_census()
     assert total == 32
     assert normal == 2
-    assert len(hw_type) == 32
+    assert normal_rows.shape == (2, 16) and np.all(np.diff(normal_rows, axis=1) > 0)
     ident = displacement_coset(0, 0)
     dbar = frozenset(displacement_coset(p1, p2) for p1 in range(4) for p2 in range(4))
-    assert dbar in set(normal_sets)
-    assert all(ident in s for s in hw_type)
+    assert dbar in set(subgroup_names(normal_rows))
+    assert all(ident in s for s in subgroup_names(subgroup_census_over_every_pair()[2]))
     assert pair_coset(X_PRIME_PAIR) != displacement_coset(1, 0)
+    assert set(map(tuple, normal_rows.tolist())) == set(map(tuple, displacement_group_rows().tolist()))
 
 
 def test_normal_subgroups_match_inverse_conjugation_on_the_census():
     # the census's 32 subgroups under the Clifford generators, which give
     # the census's verdicts, and under all 768 unitary rows: D and D' alone
     _, index = _quotient()
-    _, _, hw_type, normal_sets = hw_conjugate_subgroup_census()
-    rows = np.array([sorted(index[name] for name in s) for s in hw_type])
+    _, _, normal_rows = hw_conjugate_subgroup_census()
+    rows = subgroup_census_over_every_pair()[2]
     for by in ([index[coset(g)] for g in CLIFFORD_GENERATORS], np.arange(768)):
         verdicts = normal_subgroups(rows, by)
         assert verdicts.tolist() == normal_subgroups_by_inverses(rows, by).tolist()
-        assert [hw_type[k] for k in np.flatnonzero(verdicts)] == normal_sets and len(normal_sets) == 2
+        assert np.array_equal(rows[verdicts], normal_rows) and len(normal_rows) == 2
 
 
 def test_covariance_group_matches_per_set_matches(monkeypatch):
@@ -351,7 +398,7 @@ def _scalar_span_census():
     cosets, kept when its span has 16 elements and is new."""
     names, index = _quotient()
     table = _unitary_table()
-    els = enumerate_projective_clifford(4, extended=False)
+    els = clifford_group(extended=False)
     identity = index[displacement_coset(0, 0)]
 
     def span(x, z):
@@ -417,7 +464,9 @@ def test_clifford_generators_reach_every_coset():
 
 
 def test_subgroup_census_matches_scalar_spans():
-    assert hw_conjugate_subgroup_census() == _scalar_span_census()
+    total, normal, normal_rows = hw_conjugate_subgroup_census()
+    ref_total, ref_normal, _, ref_normal_sets = _scalar_span_census()
+    assert (total, normal, subgroup_names(normal_rows)) == (ref_total, ref_normal, ref_normal_sets)
 
 
 def test_census_spans_a_quarter_of_the_pairs_for_the_same_subgroups(monkeypatch):
@@ -425,7 +474,9 @@ def test_census_spans_a_quarter_of_the_pairs_for_the_same_subgroups(monkeypatch)
     # the same counts and subgroups, in the same order
     spanned, span = [], regrouping._span
     monkeypatch.setattr(regrouping, "_span", lambda x, z, identity: spanned.append(len(x)) or span(x, z, identity))
-    assert hw_conjugate_subgroup_census() == subgroup_census_over_every_pair()
+    total, normal, normal_rows = hw_conjugate_subgroup_census()
+    ref_total, ref_normal, _, ref_normal_rows = subgroup_census_over_every_pair()
+    assert (total, normal) == (ref_total, ref_normal) and np.array_equal(normal_rows, ref_normal_rows)
     assert spanned == [576]
 
 
@@ -452,7 +503,7 @@ def test_primitive_pairing_cut_has_a_margin():
     # on the fourth roots of unity, each far from the cut
     _, index = _quotient()
     table = _unitary_table()
-    mats = enumerate_projective_clifford(4, extended=False).mats
+    mats = clifford_group(extended=False).mats
     identity = index[displacement_coset(0, 0)]
     square = np.diagonal(table)
     quartic = np.flatnonzero((square != identity) & (square[square] == identity))
@@ -480,7 +531,7 @@ def test_quotient_names_match_coset_loop(monkeypatch):
     # the per-element coset() calls that the census's row names replaced:
     # each unitary row is its coset's least pair, in ascending key order
     group = enumerate_projective_clifford(4, extended=False)
-    old = tuple(coset(e.source) for e in group)
+    old = tuple(coset(e.source) for e in clifford_group(extended=False))
     names, index = _quotient()
     assert names == old == tuple(zip(map(tuple, group.f.tolist()), map(tuple, group.chi.tolist())))
     assert all(index[name] == k for k, name in enumerate(old))
@@ -515,19 +566,21 @@ def test_family_readers_count_certified_rows_only():
     # every row certifies at DEFAULT_TOL and none at 1e-30: an uncertified
     # row reads as neither group, not unique and without generators, and
     # the double cover and the carried SICs count certified rows only
-    u = equivalence_unitary()
+    _, perm = equivalence_unitary()
     group, unique, generators = reconstruct_family()
     assert group == [0] * 16 + [1] * 16 and unique == [True] * 32
     assert all(z.shape == x.shape == (4, 4) for z, x in generators)
-    assert double_cover() and carried_sics(u) == 16
+    assert double_cover() and carried_sics(perm) == 16
     assert reconstruct_family(1e-30) == ([-1] * 32, [False] * 32, [None] * 32)
-    assert not double_cover(1e-30) and carried_sics(u, 1e-30) == 0
+    assert not double_cover(1e-30) and carried_sics(perm, 1e-30) == 0
 
 
 def test_the_identity_neither_carries_the_family_nor_leaves_the_clifford_group():
-    one = np.eye(4, dtype=complex)
-    assert clifford_index_two(equivalence_unitary()) and not clifford_index_two(one)
+    one = orbit_permutation(np.eye(4, dtype=complex))
+    assert np.array_equal(one, np.arange(256))
+    assert clifford_index_two(equivalence_unitary()[1]) and not clifford_index_two(one)
     assert carried_sics(one) == 0  # it keeps each orbit SIC in place
+    assert carried_sics(None) == 0  # a unitary that does not permute the orbit
 
 
 def test_primitive_commutation_takes_pairs_and_stacks():
@@ -549,3 +602,49 @@ def test_covariance_group_reads_the_norms_it_would_compute():
     for k in range(2):
         stack = rec.elements.reshape(-1, 4, 4)
         assert np.array_equal(overlaps(stack, groups[k], norms[k]), overlaps(stack, groups[k]))
+
+
+def test_a_clifford_element_fails_clifford_index_two():
+    # planted: unitary Clifford rows lie inside the group, so they do not
+    # extend it, exactly as the float matching over the 768 matrices finds
+    mats = clifford_group(extended=False).mats
+    for row in (0, 128, 131, 500, 767):
+        perm = orbit_permutation(mats[row])
+        assert not clifford_index_two(perm) and not clifford_index_two_by_matching(mats[row])
+
+
+def test_u_times_a_clifford_element_passes_clifford_index_two():
+    # planted: u g lies outside the group, its square inside, and it
+    # normalizes the group, as u does
+    u, _ = equivalence_unitary()
+    mats = clifford_group(extended=False).mats
+    for row in (0, 5, 300, 767):
+        for v in (u @ mats[row], mats[row] @ u):
+            assert clifford_index_two(orbit_permutation(v)) and clifford_index_two_by_matching(v)
+
+
+def test_a_unitary_off_the_orbit_fails_clifford_index_two_without_raising():
+    # planted: a Haar-random unitary does not permute the orbit, so it has
+    # no orbit permutation and the verdict is False, with no traceback
+    rng = np.random.default_rng(41)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    assert orbit_permutation(q) is None
+    assert not clifford_index_two(orbit_permutation(q)) and not clifford_index_two_by_matching(q)
+    assert not conjugates_onto_dprime(None) and carried_sics(None) == 0
+
+
+def test_census_refuses_a_non_unitary_generator_matrix(monkeypatch):
+    # the census builds its 96 generator matrices and checks them unitary
+    # where it builds them
+    operators, shapes = clifford._operators, []
+
+    def planted(f, chi, d):
+        mats, anti = operators(f, chi, d)
+        shapes.append(mats.shape)
+        mats[len(mats) // 2] *= 1.0 + 1e-6
+        return mats, anti
+
+    monkeypatch.setattr(regrouping, "_operators", planted)
+    with pytest.raises(ValueError, match="not unitary"):
+        hw_conjugate_subgroup_census()
+    assert shapes == [(96, 4, 4)]
